@@ -332,6 +332,8 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
         "command": "limit",
         "mode": mode,
         "grid_nodes": medium.grid.size,
+        "residual": fld.residual,
+        "iterations": fld.iterations,
         "wall_time_s": wall,
     }
 
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scene", required=True, help="scene JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for kernel assembly (default: all cores)")
+                        help="worker threads for the grid FFTs (default: all cores)")
     parser.add_argument("--tol", type=float, default=None,
                         help="tolerance override for iterative solves")
     return parser

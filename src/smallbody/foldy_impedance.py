@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _unit
+from .medium import BackgroundMedium, ComplexField, _gmres, _unit
 from .particles import ParticleCloud, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -131,20 +130,13 @@ def _solve_collocation(medium, centers, coupling, rhs, dense_cap):
             out[s:stop] += g @ cu
         return out
 
-    op = spla.LinearOperator((m, m), matvec=apply, dtype=complex)
-    counter = {"n": 0}
-
-    def cb(_):
-        counter["n"] += 1
-
-    ue, info = spla.gmres(op, rhs, rtol=RESIDUAL_TOL, atol=0.0, maxiter=300,
-                          callback=cb, callback_type="pr_norm")
+    ue, info, iters = _gmres(apply, rhs, rtol=RESIDUAL_TOL, maxiter=300)
     if info != 0:
         raise SolverFailure(f"collocation GMRES did not converge (info={info})")
     resid = np.linalg.norm(apply(ue) - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if resid > 10 * RESIDUAL_TOL:
         raise SolverFailure(f"collocation residual {resid:.2e}", residual=resid)
-    return ue, float(resid), counter["n"]
+    return ue, float(resid), iters
 
 
 def _check_far_zone(cloud, points):

@@ -21,12 +21,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import DENSE_GRID_CAP, BackgroundMedium, ComplexField, _unit, free_kernel
+from .medium import BackgroundMedium, ComplexField, _gmres, _unit, free_kernel
 from .particles import BALL_SHAPE_CONSTANTS
 
 logger = logging.getLogger(__name__)
@@ -108,7 +106,11 @@ def _as_node_field(values, size, dtype):
 # ---------------------------------------------------------------------------
 
 def solve_impedance_limit(problem: LimitProblem, alpha) -> ComplexField:
-    """Grid solution of u = u0 - integral G p u (second-kind Nystrom solve)."""
+    """Grid solution of u = u0 - integral G p u (second-kind Nystrom solve).
+
+    GMRES on I + Kw diag(q0 + p) with the FFT-applied kernel; the returned
+    field carries the relative residual and the GMRES iteration count.
+    """
     if problem.is_hard:
         raise InvariantViolation("impedance limit requires a potential p")
     medium = problem.medium
@@ -117,26 +119,21 @@ def solve_impedance_limit(problem: LimitProblem, alpha) -> ComplexField:
     # with the shared quadrature, the G-kernel equation collapses to the
     # flat-kernel system (I + Kw diag(q0 + p)) u = plane wave
     plane = np.exp(1j * medium.k * medium.grid.nodes @ alpha)
-    n = medium.grid.size
-    if n <= DENSE_GRID_CAP:
-        a = medium._weighted_kernel() * total[None, :]
-        a[np.diag_indices_from(a)] += 1.0
-        u = sla.lu_solve(sla.lu_factor(a), plane)
-        resid = np.linalg.norm(a @ u - plane) / np.linalg.norm(plane)
-    else:
-        def matvec(v):
-            return v + medium._apply_weighted_kernel(total * v)
 
-        op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-        u, info = spla.gmres(op, plane, rtol=RESIDUAL_TOL, atol=0.0, maxiter=400)
-        if info != 0:
-            raise SolverFailure(
-                "limit solve did not converge; spectral radius estimate "
-                f"{_spectral_radius_estimate(medium, total):.3f}")
-        resid = np.linalg.norm(matvec(u) - plane) / np.linalg.norm(plane)
+    def matvec(v):
+        return v + medium._apply_weighted_kernel(total * v)
+
+    u, info, iterations = _gmres(matvec, plane, rtol=RESIDUAL_TOL)
+    if info != 0:
+        raise SolverFailure(
+            "limit solve did not converge; spectral radius estimate "
+            f"{_spectral_radius_estimate(medium, total):.3f}")
+    resid = float(np.linalg.norm(matvec(u) - plane) / np.linalg.norm(plane))
     if resid > RESIDUAL_TOL:
         raise SolverFailure(f"limit solve residual {resid:.2e}", residual=resid)
-    return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha)
+    logger.debug("impedance limit: GMRES %d iterations, residual %.2e", iterations, resid)
+    return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
+                        residual=resid, iterations=iterations)
 
 
 def _spectral_radius_estimate(medium, potential, iters=12, seed=0):
@@ -247,7 +244,8 @@ def solve_hard_limit(problem: LimitProblem, alpha, max_iter: int = HARD_MAX_ITER
         u = u_next
         if change <= tol:
             logger.debug("hard limit converged in %d iterations (change %.2e)", it + 1, change)
-            return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha)
+            return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
+                                residual=float(change), iterations=it + 1)
         if change > prev_change:
             growth += 1
             if growth >= 3:
@@ -271,14 +269,9 @@ def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
         raise InvariantViolation("hard_born_approximation requires a hard problem")
     medium = problem.medium
     alpha = _unit(alpha)
-    grid = medium.grid
     u0 = medium.u0_grid(alpha)
-    lap = _fd_laplacian(u0, grid.shape, grid.delta)
-    grad = _fd_gradient(u0, grid.shape, grid.delta)
-    flux = _beta_contract(problem.beta_field, grad) * problem.nu[None, :]
-    source = lap * problem.nu + _fd_divergence(flux, grid.shape, grid.delta)
-    values = u0 + medium.green_potential_grid(source)
-    return ComplexField(points=grid.nodes, values=values, incident_direction=alpha)
+    values = u0 + medium.green_potential_grid(_hard_source(problem, u0))
+    return ComplexField(points=medium.grid.nodes, values=values, incident_direction=alpha)
 
 
 def hard_limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:

@@ -27,9 +27,24 @@ logger = logging.getLogger(__name__)
 # (value of the full 1/r integral: 2.3800773639795536)
 CUBE_SELF_INTEGRAL = 0.18940053870923707
 
-# dense direct factorization up to 20^3 grid nodes; Krylov iteration beyond
+# background grid solves: dense LU up to 20^3 nodes; FFT-applied GMRES beyond
 DENSE_GRID_CAP = 8000
 GMRES_RTOL = 1e-10
+
+
+def _gmres(matvec, rhs, rtol=GMRES_RTOL, maxiter=400):
+    """GMRES on a matvec; returns (solution, info, inner-iteration count)."""
+    n = len(rhs)
+    count = 0
+
+    def step(_):
+        nonlocal count
+        count += 1
+
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
+    sol, info = spla.gmres(op, rhs, rtol=rtol, atol=0.0, maxiter=maxiter,
+                           callback=step, callback_type="pr_norm")
+    return sol, info, count
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +144,14 @@ class Grid:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
     @cached_property
+    def axes(self) -> list:
+        """Cell-center coordinates along each axis."""
+        return [self.lo[i] + (np.arange(self.shape[i]) + 0.5) * self.delta for i in range(3)]
+
+    @cached_property
     def nodes(self) -> np.ndarray:
         """Cell centers, shape (size, 3), C order (x-major)."""
-        axes = [self.lo[i] + (np.arange(self.shape[i]) + 0.5) * self.delta for i in range(3)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 3)
 
     def cell_index(self, points) -> np.ndarray:
@@ -178,11 +197,17 @@ def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
 
 @dataclass
 class ComplexField:
-    """Complex samples at a point set, tagged with the incident direction."""
+    """Complex samples at a point set, tagged with the incident direction.
+
+    Fields produced by an iterative solve also carry its relative residual
+    and iteration count.
+    """
 
     points: np.ndarray
     values: np.ndarray
     incident_direction: np.ndarray
+    residual: float | None = None
+    iterations: int | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -204,7 +229,7 @@ class ComplexField:
 class BackgroundMedium:
     """Background medium (k, n0, q0) with its volume quadrature grid.
 
-    Immutable after construction; all heavy state (kernel matrix, LU factors,
+    Immutable after construction; all heavy state (kernel generator, LU factors,
     per-direction incident solves) is memoized internally.
     """
 
@@ -226,7 +251,6 @@ class BackgroundMedium:
             raise InvariantViolation("Im q0 must be <= 0 (passive medium)")
         self._u0_cache: dict = {}
         self._lu = None
-        self._kernel = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -246,101 +270,101 @@ class BackgroundMedium:
 
     # -- Nystrom engine -----------------------------------------------------
 
-    def _weighted_kernel(self) -> np.ndarray:
-        """g(z_i, z_j)*delta^3 with the corrected singular diagonal."""
-        if self._kernel is None:
-            nodes = self.grid.nodes
-            n = self.grid.size
-            delta = self.grid.delta
-            k = self.k
-            kw = np.empty((n, n), dtype=complex)
+    @cached_property
+    def _kernel_table(self) -> np.ndarray:
+        """Kw generator: g(delta*m)*delta^3 over offsets m >= 0 per axis.
 
-            def fill(start, stop):
-                diff = nodes[start:stop, None, :] - nodes[None, :, :]
-                r = np.sqrt(np.sum(diff * diff, axis=-1))
-                rows = np.arange(start, stop)
-                r[rows - start, rows] = 1.0
-                kw[start:stop] = np.exp(1j * k * r) / (4.0 * np.pi * r) * delta ** 3
+        Kw is three-level Toeplitz and even in each axis offset, so entry
+        (z_i, z_j) is this table at |i - j| per axis; m = 0 holds the
+        corrected singular diagonal.
+        """
+        delta = self.grid.delta
+        m = np.meshgrid(*[np.arange(n) for n in self.grid.shape], indexing="ij", sparse=True)
+        r = delta * np.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
+        r[0, 0, 0] = 1.0
+        table = np.exp(1j * self.k * r) / (4.0 * np.pi * r) * delta ** 3
+        table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
+        return table
 
-            runtime.map_row_blocks(fill, n, max(1, min(n, int(4e6) // max(n, 1))))
-            np.fill_diagonal(kw, CUBE_SELF_INTEGRAL * delta ** 2
-                             + 1j * self.k * delta ** 3 / (4.0 * np.pi))
-            self._kernel = kw
-        return self._kernel
+    @cached_property
+    def _kernel_spectrum(self) -> np.ndarray:
+        """FFT of the generator's circulant embedding, 2n_i per axis."""
+        import scipy.fft as sfft  # deferred: only grid-FFT runs pay its import
+
+        t = self._kernel_table
+        for ax, n in enumerate(self.grid.shape):
+            gap = np.zeros_like(t.take([0], axis=ax))
+            t = np.concatenate([t, gap, np.flip(t.take(np.arange(1, n), axis=ax), axis=ax)], axis=ax)
+        return sfft.fftn(t, workers=runtime.thread_count())
+
+    def _apply_weighted_kernel(self, f: np.ndarray) -> np.ndarray:
+        """Kw @ f by FFT convolution; f is (N,) or a block of columns (N, c)."""
+        import scipy.fft as sfft
+
+        f = np.asarray(f, dtype=complex)
+        shape = self.grid.shape
+        cols = f.reshape(shape + (-1,))
+        pad = tuple(2 * n for n in shape)
+        workers = runtime.thread_count()
+        spec = sfft.fftn(cols, s=pad, axes=(0, 1, 2), workers=workers)
+        spec *= self._kernel_spectrum[..., None]
+        out = sfft.ifftn(spec, axes=(0, 1, 2), workers=workers, overwrite_x=True)
+        return out[:shape[0], :shape[1], :shape[2]].reshape(f.shape)
+
+    def _dense_weighted_kernel(self) -> np.ndarray:
+        """Kw as an (N, N) matrix, gathered from the generator."""
+        shape = self.grid.shape
+        offs = [np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) for n in shape]
+        kw = self._kernel_table[offs[0][:, None, None, :, None, None],
+                                offs[1][None, :, None, None, :, None],
+                                offs[2][None, None, :, None, None, :]]
+        return kw.reshape(self.grid.size, self.grid.size)
 
     def _factorization(self):
+        """LU of I + Kw diag(q0), kept with the matrix for residual checks."""
         if self._lu is None:
-            kw = self._weighted_kernel()
-            a = kw * self.q0[None, :]
+            a = self._dense_weighted_kernel()
+            a *= self.q0[None, :]
             a[np.diag_indices_from(a)] += 1.0
-            self._lu = sla.lu_factor(a)
+            self._lu = (sla.lu_factor(a), a)
         return self._lu
 
     def _solve_grid(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Solve (I + Kw diag(q0)) u = rhs on the grid (or its transpose)."""
-        n = self.grid.size
+        """Solve (I + Kw diag(q0)) u = rhs on the grid (or its transpose).
+
+        Dense LU up to DENSE_GRID_CAP nodes, where the many Green-column
+        right-hand sides amortize it; FFT-applied GMRES beyond.
+        """
         rhs = np.asarray(rhs, dtype=complex)
-        if n <= DENSE_GRID_CAP:
-            sol = sla.lu_solve(self._factorization(), rhs, trans=1 if adjoint else 0)
+        cols = rhs.reshape(self.grid.size, -1)
+        if self.grid.size <= DENSE_GRID_CAP:
+            lu, a = self._factorization()
+            sol = sla.lu_solve(lu, cols, trans=1 if adjoint else 0)
+            ax = (a.T if adjoint else a) @ sol
         else:
-            sol = self._solve_grid_iterative(rhs, adjoint)
-        resid = self._grid_residual(sol, rhs, adjoint)
+            sol = self._solve_grid_iterative(cols, adjoint)
+            ax = self._apply_grid_operator(sol, adjoint=adjoint)
+        resid = float(np.linalg.norm(ax - cols) / max(np.linalg.norm(cols), 1e-300))
         if resid > 1e-8:
             raise SolverFailure(
                 f"grid solve residual {resid:.2e} exceeds tolerance", residual=resid)
-        return sol
-
-    def _apply_weighted_kernel(self, f: np.ndarray) -> np.ndarray:
-        """Kw @ f, chunked over rows when the matrix is too large to store."""
-        f = np.asarray(f, dtype=complex)
-        if self.grid.size <= DENSE_GRID_CAP:
-            return self._weighted_kernel() @ f
-        n = self.grid.size
-        nodes = self.grid.nodes
-        delta = self.grid.delta
-        diag = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
-        out = np.empty(f.shape, dtype=complex)
-        chunk = max(1, int(2e7) // n)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            diff = nodes[start:stop, None, :] - nodes[None, :, :]
-            r = np.sqrt(np.sum(diff * diff, axis=-1))
-            rows = np.arange(start, stop)
-            r[rows - start, rows] = 1.0
-            kw = np.exp(1j * self.k * r) / (4.0 * np.pi * r) * delta ** 3
-            kw[rows - start, rows] = diag
-            out[start:stop] = kw @ f
-        return out
+        return sol.reshape(rhs.shape)
 
     def _apply_grid_operator(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """(I + Kw diag(q0)) u, or its transpose; Kw is complex symmetric."""
+        q0 = self.q0.reshape((-1,) + (1,) * (u.ndim - 1))
         if adjoint:
-            return u + self.q0.reshape((-1,) + (1,) * (u.ndim - 1)) * self._apply_weighted_kernel(u)
-        qu = self.q0.reshape((-1,) + (1,) * (u.ndim - 1)) * u
-        return u + self._apply_weighted_kernel(qu)
+            return u + q0 * self._apply_weighted_kernel(u)
+        return u + self._apply_weighted_kernel(q0 * u)
 
-    def _solve_grid_iterative(self, rhs, adjoint):
-        n = self.grid.size
-
-        def matvec(u):
-            return self._apply_grid_operator(u, adjoint=adjoint)
-
-        op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-        cols = rhs.reshape(n, -1)
-        out = np.empty_like(cols, dtype=complex)
+    def _solve_grid_iterative(self, cols, adjoint):
+        out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            sol, info = spla.gmres(op, cols[:, j], rtol=GMRES_RTOL, atol=0.0, maxiter=400)
+            out[:, j], info, _ = _gmres(
+                lambda u: self._apply_grid_operator(u, adjoint=adjoint), cols[:, j])
             if info != 0:
                 raise SolverFailure(f"grid GMRES did not converge (info={info})")
-            out[:, j] = sol
-        return out.reshape(rhs.shape)
-
-    def _grid_residual(self, sol, rhs, adjoint):
-        s = sol.reshape(self.grid.size, -1)
-        r = rhs.reshape(self.grid.size, -1)
-        ax = self._apply_grid_operator(s, adjoint=adjoint)
-        denom = max(np.linalg.norm(r), 1e-300)
-        return float(np.linalg.norm(ax - r) / denom)
+        return out
 
     # -- incident field -----------------------------------------------------
 
@@ -435,8 +459,7 @@ class BackgroundMedium:
 
     def green_potential_grid(self, density) -> np.ndarray:
         """Node values of integral G(z_i, y) f(y) dy for a node density f."""
-        f = np.asarray(density, dtype=complex).reshape(-1)
-        kwf = self._weighted_kernel() @ f
+        kwf = self._apply_weighted_kernel(np.asarray(density, dtype=complex).reshape(-1))
         if self.is_free:
             return kwf
         return self._solve_grid(kwf)
@@ -460,6 +483,27 @@ class BackgroundMedium:
 
     # -- weighted far-field sums ----------------------------------------------
 
+    def _phase(self, betas, points) -> np.ndarray:
+        """exp(-ik beta.x) for each (beta, point), shape (nb, M).
+
+        The phase is formed as a real product first: the exp of a complex
+        matmul's output runs several times slower on OpenBLAS builds.
+        """
+        return np.exp(-1j * (self.k * (betas @ np.asarray(points).T)))
+
+    def _grid_phase_sum(self, betas, values) -> np.ndarray:
+        """sum_j exp(-ik beta.z_j) f_j over grid nodes, for each beta.
+
+        The phase factorizes per axis, so three (nb, n_i) tables are
+        contracted with the node field instead of an (nb, N) phase matrix.
+        """
+        g = self.grid
+        e1, e2, e3 = (self._phase(betas[:, i:i + 1], g.axes[i][:, None]) for i in range(3))
+        f = np.asarray(values, dtype=complex).reshape(g.shape)
+        t = f.reshape(-1, g.shape[2]) @ e3.T  # (n1*n2, nb)
+        t = np.einsum("abk,kb->ak", t.reshape(g.shape[0], g.shape[1], -1), e2)
+        return np.einsum("ak,ka->k", t, e1)
+
     def weighted_u0_sum(self, betas, points, monopole, dipole=None) -> np.ndarray:
         """sum_m [u0(x_m,-beta) w_m + grad u0(x_m,-beta) . v_m] for each beta.
 
@@ -469,7 +513,7 @@ class BackgroundMedium:
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(monopole, dtype=complex).reshape(-1)
-        phase = np.exp(-1j * self.k * betas @ pts.T)  # (nb, M)
+        phase = self._phase(betas, pts)  # (nb, M)
         out = phase @ w
         if dipole is not None:
             v = np.asarray(dipole, dtype=complex).reshape(-1, 3)
@@ -483,18 +527,12 @@ class BackgroundMedium:
             gx = -free_kernel_grad_y(pts, nodes, self.k)  # grad wrt x_m
             src += np.einsum("mnp,mp->n", gx, v)
         adj = self.solve_adjoint(self.q0 * self.weight * src)
-        out -= np.exp(-1j * self.k * betas @ nodes.T) @ adj
-        return out
+        return out - self._grid_phase_sum(betas, adj)
 
     def weighted_u0_sum_grid(self, betas, density_times_weight) -> np.ndarray:
         """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3."""
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
-        f = np.asarray(density_times_weight, dtype=complex).reshape(-1)
-        nodes = self.grid.nodes
-        if self.is_free:
-            return np.exp(-1j * self.k * betas @ nodes.T) @ f
-        adj = self.solve_adjoint(f)
-        return np.exp(-1j * self.k * betas @ nodes.T) @ adj
+        return self._grid_phase_sum(betas, self.solve_adjoint(density_times_weight))
 
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""
@@ -502,13 +540,12 @@ class BackgroundMedium:
         if self.is_free:
             return np.zeros(len(betas), dtype=complex)
         u0g = self.u0_grid(alpha)
-        phase = np.exp(-1j * self.k * betas @ self.grid.nodes.T)
-        return -(phase @ (self.q0 * u0g * self.weight)) / (4.0 * np.pi)
+        return -self._grid_phase_sum(betas, self.q0 * u0g * self.weight) / (4.0 * np.pi)
 
     # -- pairwise kernels with excluded diagonal ------------------------------
 
     def _free_pairs(self, pts, func):
-        """func over all pairs with the diagonal masked to zero."""
+        """func(diff, r) over all pairs, any trailing shape, diagonal zeroed."""
         diff = pts[None, :, :] - pts[:, None, :]
         r = np.sqrt(np.sum(diff * diff, axis=-1))
         m = len(pts)
@@ -539,7 +576,7 @@ class BackgroundMedium:
             g = np.exp(1j * self.k * r) / (4 * np.pi * r)
             return (g * (1j * self.k - 1.0 / r))[:, :, None] * diff / r[:, :, None]
 
-        gg = self._free_pairs_vec(pts, grad, 3)
+        gg = self._free_pairs(pts, grad)
         if self.is_free:
             return gg
         rhs = free_kernel_grad_y(self.grid.nodes, pts, self.k)
@@ -558,7 +595,7 @@ class BackgroundMedium:
             g = np.exp(1j * self.k * r) / (4 * np.pi * r)
             return -(g * (1j * self.k - 1.0 / r))[:, :, None] * diff / r[:, :, None]
 
-        gx = self._free_pairs_vec(pts, gradx, 3)
+        gx = self._free_pairs(pts, gradx)
         if self.is_free:
             return gx
         gy = self._grid_green_columns(pts)
@@ -582,7 +619,7 @@ class BackgroundMedium:
             return -(f2[:, :, None, None] * uu
                      + f1[:, :, None, None] * (eye - uu) / r[:, :, None, None])
 
-        h = self._free_pairs_vec(pts, hess, 9)
+        h = self._free_pairs(pts, hess)
         if self.is_free:
             return h
         rhs = free_kernel_grad_y(self.grid.nodes, pts, self.k)
@@ -592,17 +629,6 @@ class BackgroundMedium:
         corr = np.einsum("xnq,nmp->xmqp", outer, self.q0[:, None, None] * self.weight * sol)
         corr[np.arange(m), np.arange(m), :, :] = 0.0
         return h - corr
-
-    def _free_pairs_vec(self, pts, func, ncomp):
-        diff = pts[None, :, :] - pts[:, None, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        m = len(pts)
-        if np.any(r[~np.eye(m, dtype=bool)] == 0.0):
-            raise SingularEvaluationError("coincident particle centers")
-        np.fill_diagonal(r, 1.0)
-        out = func(diff, r)
-        out.reshape(m, m, ncomp)[np.arange(m), np.arange(m), :] = 0.0
-        return out
 
 
 def _unit(v) -> np.ndarray:

@@ -1,30 +1,17 @@
-"""Process-wide knobs: worker threads for row-chunked kernel assembly."""
+"""Process-wide knobs: worker threads for the grid FFTs."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 _THREADS = 1
 
 
 def set_thread_count(n: int | None):
-    """Set the worker count for chunk-parallel assembly (None = all cores)."""
+    """Set the scipy.fft worker count (None = all cores)."""
     global _THREADS
     _THREADS = max(1, int(n) if n else (os.cpu_count() or 1))
 
 
 def thread_count() -> int:
     return _THREADS
-
-
-def map_row_blocks(fn, n_rows: int, block: int):
-    """Run fn(start, stop) over row blocks; each call writes disjoint output,
-    so the result is identical for any worker count."""
-    spans = [(s, min(s + block, n_rows)) for s in range(0, n_rows, block)]
-    if _THREADS == 1 or len(spans) == 1:
-        for s, e in spans:
-            fn(s, e)
-        return
-    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        list(pool.map(lambda se: fn(*se), spans))

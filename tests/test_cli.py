@@ -105,6 +105,19 @@ class TestLimit:
         np.testing.assert_allclose(u, np.exp(1j * data[:, 2]), rtol=1e-12)
         assert (out / "farfield.csv").exists()
 
+    def test_thread_count_does_not_change_output(self, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            code, out = run(tmp_path / threads, "limit",
+                            scene_path=SCENES / "limit_born_bump.json",
+                            extra=("--threads", threads))
+            assert code == 0
+            outs.append(out)
+        for name in ("grid_field.csv", "field.csv", "farfield.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        meta = json.loads((outs[0] / "metadata.json").read_text())
+        assert meta["residual"] <= 1e-10 and meta["iterations"] >= 1
+
     def test_born_bump_amplitude_matches_transform(self, tmp_path):
         code, out = run(tmp_path, "limit", scene_path=SCENES / "limit_born_bump.json")
         assert code == 0

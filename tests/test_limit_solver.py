@@ -15,7 +15,7 @@ from smallbody.limit_solver import (
     solve_hard_limit,
     solve_impedance_limit,
 )
-from smallbody.medium import BackgroundMedium, Grid, free_kernel
+from smallbody.medium import DENSE_GRID_CAP, BackgroundMedium, Grid, free_kernel
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -112,6 +112,15 @@ class TestImpedanceLimit:
         e_coarse = np.abs(vals[4] - vals[8]).max()
         e_fine = np.abs(vals[8] - vals[16]).max()
         assert e_coarse / e_fine >= 3.5
+
+    def test_grid_beyond_dense_cap_solves(self):
+        # 32^3 nodes: the FFT-applied GMRES solve needs no N x N matrix
+        med = cube_medium(n=32)
+        assert med.grid.size > DENSE_GRID_CAP
+        problem = LimitProblem(medium=med, p=0.8 * bump_profile(med.grid.nodes))
+        fld = solve_impedance_limit(problem, Z_HAT)
+        assert fld.residual <= 1e-10
+        assert 1 <= fld.iterations <= 20
 
     def test_radiation_extraction(self):
         med = cube_medium(n=8)

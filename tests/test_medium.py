@@ -5,6 +5,7 @@ import pytest
 
 from smallbody.errors import InvariantViolation, SingularEvaluationError
 from smallbody.medium import (
+    CUBE_SELF_INTEGRAL,
     BackgroundMedium,
     ComplexField,
     Grid,
@@ -163,6 +164,45 @@ class TestBackgroundGreenGrad:
             e[p] = h
             fd = (background_green(med, x, y + e) - background_green(med, x, y - e)) / (2 * h)
             assert abs(grad[p] - fd) <= 1e-5 * np.linalg.norm(grad)
+
+
+class TestGridEngine:
+    """FFT kernel apply and separable phase sums on a non-cubic grid."""
+
+    def make(self):
+        return BackgroundMedium(1.7, Grid((0, 0, 0), (0.5, 0.75, 1.0), (4, 6, 8)))
+
+    def test_gathered_kernel_matches_pairwise_kernel(self):
+        med = self.make()
+        nodes, delta = med.grid.nodes, med.grid.delta
+        diff = nodes[:, None, :] - nodes[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        np.fill_diagonal(r, 1.0)
+        ref = np.exp(1j * med.k * r) / (4 * np.pi * r) * delta ** 3
+        np.fill_diagonal(ref, CUBE_SELF_INTEGRAL * delta ** 2 + 1j * med.k * delta ** 3 / (4 * np.pi))
+        kw = med._dense_weighted_kernel()
+        assert np.abs(kw - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cols", [None, 5])
+    def test_fft_apply_matches_dense(self, cols):
+        med = self.make()
+        rng = np.random.default_rng(2)
+        shape = (med.grid.size,) if cols is None else (med.grid.size, cols)
+        f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dense = med._dense_weighted_kernel() @ f
+        fft = med._apply_weighted_kernel(f)
+        assert fft.shape == dense.shape
+        assert np.abs(fft - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_separable_phase_sum_matches_direct(self):
+        med = self.make()
+        rng = np.random.default_rng(4)
+        betas = rng.normal(size=(40, 3))
+        betas /= np.linalg.norm(betas, axis=1)[:, None]
+        f = rng.normal(size=med.grid.size) + 1j * rng.normal(size=med.grid.size)
+        direct = np.exp(-1j * med.k * (betas @ med.grid.nodes.T)) @ f
+        sep = med._grid_phase_sum(betas, f)
+        assert np.abs(sep - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 class TestIncidentField:
