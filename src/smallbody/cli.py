@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convergence, designer, foldy_impedance, foldy_neumann, runtime
+from . import convergence, designer, foldy_impedance, runtime
 from .directions import DirectionGrid
 from .errors import InfeasibleDesign, InvariantViolation, SingularEvaluationError, SolverFailure
 from .limit_solver import (
@@ -31,7 +31,13 @@ from .limit_solver import (
     solve_impedance_limit,
 )
 from .medium import BackgroundMedium, Grid, far_probe_points
-from .particles import ParticleCloud, build_cloud_hard, build_cloud_impedance, validate_cloud
+from .particles import (
+    ParticleCloud,
+    build_cloud_hard,
+    build_cloud_impedance,
+    min_spacing,
+    validate_cloud,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -83,19 +89,13 @@ def parse_field_spec(spec, grid: Grid, dtype=complex) -> np.ndarray:
     kind = spec.get("type")
     if kind == "constant":
         return np.full(grid.size, _complex_of(spec.get("value", 0.0))).astype(dtype)
-    if kind == "subbox":
-        lo = _vec3(spec["lo"])
-        hi = _vec3(spec["hi"])
+    if kind in ("subbox", "radial"):
+        if kind == "subbox":
+            mask = np.all((nodes > _vec3(spec["lo"])) & (nodes < _vec3(spec["hi"])), axis=1)
+        else:
+            mask = np.linalg.norm(nodes - _vec3(spec["center"]), axis=1) < _fnum(spec["radius"])
         inside = _complex_of(spec.get("inside", 1.0))
         outside = _complex_of(spec.get("outside", 0.0))
-        mask = np.all((nodes > lo) & (nodes < hi), axis=1)
-        return np.where(mask, inside, outside).astype(dtype)
-    if kind == "radial":
-        center = _vec3(spec["center"])
-        radius = _fnum(spec["radius"])
-        inside = _complex_of(spec.get("inside", 1.0))
-        outside = _complex_of(spec.get("outside", 0.0))
-        mask = np.linalg.norm(nodes - center, axis=1) < radius
         return np.where(mask, inside, outside).astype(dtype)
     if kind == "bump":
         center = _vec3(spec.get("center", [0.5, 0.5, 0.5]))
@@ -152,14 +152,12 @@ def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
             zeta = np.array([_complex_of(z) for z in cspec["zeta"]])
             if len(zeta) == 1 and len(centers) > 1:
                 zeta = np.repeat(zeta, len(centers))
-            cloud = ParticleCloud(centers=centers, a=a, d=_min_dist(centers),
-                                  kind="impedance", zeta=zeta)
-        elif kind == "hard":
-            cloud = ParticleCloud(centers=centers, a=a, d=_min_dist(centers),
-                                  kind="hard", beta=parse_beta(cspec.get("beta", -1.5)))
-        else:
-            raise SceneError(f"unknown cloud kind {kind!r}")
-        return cloud
+            return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
+                                 kind="impedance", zeta=zeta)
+        if kind == "hard":
+            return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
+                                 kind="hard", beta=parse_beta(cspec.get("beta", -1.5)))
+        raise SceneError(f"unknown cloud kind {kind!r}")
     if kind == "impedance":
         h = parse_field_spec(cspec.get("h", 0.0), medium.grid)
         dens = parse_field_spec(cspec.get("N", 0.0), medium.grid, dtype=complex).real
@@ -169,14 +167,6 @@ def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
         return build_cloud_hard(medium, a, nu, parse_beta(cspec.get("beta", -1.5)),
                                 cell_size=cell)
     raise SceneError(f"unknown cloud kind {kind!r}")
-
-
-def _min_dist(centers):
-    if len(centers) < 2:
-        return np.inf
-    from scipy.spatial import cKDTree
-    dist, _ = cKDTree(centers).query(centers, k=2)
-    return float(dist[:, 1].min())
 
 
 def parse_points(scene: dict, medium: BackgroundMedium) -> np.ndarray:
@@ -250,23 +240,13 @@ def _complex_list(values):
 def cmd_solve(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
     cloud = parse_cloud(scene, medium)
-    report = validate_cloud(cloud, medium)
-    if not report.ok:
-        raise InvariantViolation("; ".join(report.flags))
     alpha = parse_alpha(scene)
     points = parse_points(scene, medium)
     grid = parse_directions(scene)
     t0 = time.perf_counter()
-    if cloud.kind == "impedance":
-        result = foldy_impedance.assemble_and_solve(medium, cloud, alpha)
-        fld = foldy_impedance.evaluate_field(result, medium, cloud, points)
-        ff = foldy_impedance.far_field(result, medium, cloud, grid)
-        iterations = result.iterations
-    else:
-        result = foldy_neumann.assemble_and_solve_hard(medium, cloud, alpha)
-        fld = foldy_neumann.evaluate_field_hard(result, medium, cloud, points)
-        ff = foldy_neumann.far_field_hard(result, medium, cloud, grid)
-        iterations = 0
+    result = foldy_impedance.solve_cloud(medium, cloud, alpha)
+    fld = foldy_impedance.evaluate_field(result, medium, cloud, points)
+    ff = foldy_impedance.far_field(result, medium, cloud, grid)
     wall = time.perf_counter() - t0
     write_field_csv(out / "field.csv", fld.points, fld.values)
     write_farfield_csv(out / "farfield.csv", ff)
@@ -292,7 +272,8 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
         "M": len(cloud),
         "ka": medium.k * cloud.a,
         "residual": result.residual,
-        "iterations": iterations,
+        "iterations": result.iterations,
+        "rcond": result.rcond,
         "wall_time_s": wall,
     }
 
@@ -317,9 +298,7 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
             medium=medium,
             nu=parse_field_spec(lspec["nu"], medium.grid, dtype=complex).real,
             beta_field=parse_beta(lspec.get("beta", -1.5)))
-        tol = args.tol if args.tol is not None else 1e-12
-        fld = solve_hard_limit(problem, alpha, max_iter=int(lspec.get("max_iter", 80)),
-                               tol=tol)
+        fld = solve_hard_limit(problem, alpha, max_iter=int(lspec.get("max_iter", 80)))
         at_points = hard_limit_field_at(problem, fld, points)
         mode = "hard"
     else:
@@ -457,9 +436,9 @@ def cmd_validate(scene: dict, out: Path, args) -> dict:
         "k": medium.k,
         "passive": bool(np.all(medium.q0.imag <= 1e-14)),
     }
+    report = None
     if "cloud" in scene:
-        cloud = parse_cloud(scene, medium)
-        report = validate_cloud(cloud, medium)
+        report = validate_cloud(parse_cloud(scene, medium), medium)
         meta["cloud"] = {
             "M": report.m,
             "ka": report.ka,
@@ -469,11 +448,9 @@ def cmd_validate(scene: dict, out: Path, args) -> dict:
             "volume_fraction": report.volume_fraction,
             "flags": report.flags,
         }
-        write_json(out / "report.json", meta)
-        if not report.ok:
-            raise InvariantViolation("; ".join(report.flags))
-    else:
-        write_json(out / "report.json", meta)
+    write_json(out / "report.json", meta)
+    if report is not None and not report.ok:
+        raise InvariantViolation("; ".join(report.flags))
     return meta
 
 
@@ -500,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for the grid FFTs (default: all cores)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance override for iterative solves")
     return parser
 
 

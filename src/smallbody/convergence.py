@@ -10,14 +10,13 @@ power laws for the particle count and the peak charge magnitude.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation
 from . import foldy_impedance, foldy_neumann
+from .errors import InvariantViolation
 from .limit_solver import (
     LimitProblem,
     hard_limit_field_at,
@@ -26,7 +25,7 @@ from .limit_solver import (
     solve_hard_limit,
     solve_impedance_limit,
 )
-from .medium import BackgroundMedium, _unit, far_probe_points
+from .medium import BackgroundMedium, _node_field, _unit, far_probe_points
 from .particles import (
     BALL_SHAPE_CONSTANTS,
     ParticleCloud,
@@ -110,61 +109,70 @@ class ScaleStudy:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+def _particle_weight(cloud: ParticleCloud) -> float:
+    """Counting weight per particle: a (impedance) or c3 a^3 (hard)."""
+    return cloud.a if cloud.kind == "impedance" else cloud.shape_constants[2] * cloud.a ** 3
 
 
-def _check_sequence(a_sequence):
+def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
+               count_integral=np.nan, dense_cap=None, annotate=True) -> ScaleStudy:
+    """The per-radius loop shared by both studies and design verification.
+
+    Solves the limit problem once, then at each radius builds the cloud,
+    solves it and compares the probe field with the limit field.  A failed
+    scale is annotated in its record, or raised when ``annotate`` is false.
+    """
+    medium = problem.medium
+    alpha = _unit(alpha)
     seq = [float(a) for a in a_sequence]
     if any(b >= a for a, b in zip(seq, seq[1:])):
         raise InvariantViolation("a_sequence must be strictly decreasing")
-    return seq
+    pts = far_probe_points(medium.grid) if probes is None else np.atleast_2d(probes)
+    if problem.is_hard:
+        u_limit = hard_limit_field_at(problem, solve_hard_limit(problem, alpha), pts).values
+    else:
+        u_limit = impedance_limit_field_at(
+            problem, solve_impedance_limit(problem, alpha), pts).values
 
-
-def _probe_errors(u_m, u_limit):
-    err = np.abs(u_m - u_limit) / np.abs(u_limit)
-    return float(err.max()), float(np.sqrt(np.mean(err ** 2)))
+    study = ScaleStudy(mode="hard" if problem.is_hard else "impedance", alpha=alpha, probes=pts)
+    for a in seq:
+        try:
+            cloud = build(a)
+            result = foldy_impedance.solve_cloud(medium, cloud, alpha, dense_cap)
+            u_m = foldy_impedance.evaluate_field(result, medium, cloud, pts).values
+            err = np.abs(u_m - u_limit) / np.abs(u_limit)
+            study.records.append(ScaleRecord(
+                a=a, m=len(cloud), d=cloud.d, e_max=float(err.max()),
+                e_rms=float(np.sqrt(np.mean(err ** 2))),
+                max_charge=float(np.abs(result.charges).max()) if len(cloud) else 0.0,
+                count_weighted=_particle_weight(cloud) * len(cloud),
+                count_integral=count_integral, residual=result.residual))
+        except Exception as exc:  # noqa: BLE001 - partial study with annotation
+            if not annotate:
+                raise
+            study.records.append(ScaleRecord(
+                a=a, m=0, d=np.nan, e_max=np.nan, e_rms=np.nan, max_charge=np.nan,
+                count_weighted=np.nan, count_integral=count_integral, residual=np.nan,
+                note=f"{type(exc).__name__}: {exc}"))
+            logger.warning("scale a=%g failed: %s", a, exc)
+    return study
 
 
 def run_impedance_study(medium: BackgroundMedium, h_field, N_field, a_sequence,
                         alpha, probes=None, cell_size: float | None = None,
                         shape_constants=BALL_SHAPE_CONSTANTS) -> ScaleStudy:
     """Compare impedance clouds against the homogenized potential solution."""
-    alpha = _unit(alpha)
-    seq = _check_sequence(a_sequence)
-    pts = far_probe_points(medium.grid) if probes is None else np.atleast_2d(probes)
+    h = _node_field(h_field, medium.grid.size, complex)
+    dens = _node_field(N_field, medium.grid.size, float)
+    problem = LimitProblem(medium=medium, p=potential_from_h_N(h, dens, shape_constants))
 
-    h = np.broadcast_to(np.asarray(h_field, dtype=complex).reshape(-1), (medium.grid.size,))
-    dens = np.broadcast_to(np.asarray(N_field, dtype=float).reshape(-1), (medium.grid.size,))
-    p = potential_from_h_N(h, dens, shape_constants)
-    problem = LimitProblem(medium=medium, p=p)
-    limit_grid = solve_impedance_limit(problem, alpha)
-    u_limit = impedance_limit_field_at(problem, limit_grid, pts).values
-    integral = float(np.sum(dens) * medium.weight)
+    def build(a):
+        return build_cloud_impedance(medium, a, h, dens, cell_size=cell_size,
+                                     shape_constants=shape_constants)
 
-    study = ScaleStudy(mode="impedance", alpha=alpha, probes=pts)
-    for a in seq:
-        try:
-            cloud = build_cloud_impedance(medium, a, h, dens, cell_size=cell_size,
-                                          shape_constants=shape_constants)
-            result = foldy_impedance.assemble_and_solve(medium, cloud, alpha)
-            if len(cloud):
-                u_m = foldy_impedance.evaluate_field(result, medium, cloud, pts).values
-            else:
-                u_m = medium.incident_values(alpha, pts)
-            e_max, e_rms = _probe_errors(u_m, u_limit)
-            max_q = float(np.abs(result.charges).max()) if len(cloud) else 0.0
-            study.records.append(ScaleRecord(
-                a=a, m=len(cloud), d=cloud.d, e_max=e_max, e_rms=e_rms,
-                max_charge=max_q, count_weighted=a * len(cloud),
-                count_integral=integral, residual=result.residual))
-        except Exception as exc:  # noqa: BLE001 - partial study with annotation
-            study.records.append(ScaleRecord(
-                a=a, m=0, d=np.nan, e_max=np.nan, e_rms=np.nan, max_charge=np.nan,
-                count_weighted=np.nan, count_integral=integral, residual=np.nan,
-                note=f"{type(exc).__name__}: {exc}"))
-            logger.warning("scale a=%g failed: %s", a, exc)
-    return study
+    return _run_study(problem, build, a_sequence, alpha, probes,
+                      float(np.sum(dens) * medium.weight))
 
 
 def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
@@ -172,42 +180,16 @@ def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
                    shape_constants=BALL_SHAPE_CONSTANTS,
                    dense_cap: int = foldy_neumann.DENSE_SYSTEM_CAP) -> ScaleStudy:
     """Compare hard clouds against the integro-differential limit solution."""
-    alpha = _unit(alpha)
-    seq = _check_sequence(a_sequence)
-    pts = far_probe_points(medium.grid) if probes is None else np.atleast_2d(probes)
-
-    nu = np.broadcast_to(np.asarray(nu_field, dtype=float).reshape(-1), (medium.grid.size,))
+    nu = _node_field(nu_field, medium.grid.size, float)
     beta = np.asarray(beta, dtype=float).reshape(3, 3)
-    problem = LimitProblem(medium=medium, nu=nu.copy(), beta_field=beta)
-    limit_grid = solve_hard_limit(problem, alpha)
-    u_limit = hard_limit_field_at(problem, limit_grid, pts).values
-    c3 = shape_constants[2]
-    integral = float(np.sum(nu) * medium.weight)
+    problem = LimitProblem(medium=medium, nu=nu, beta_field=beta)
 
-    study = ScaleStudy(mode="hard", alpha=alpha, probes=pts)
-    for a in seq:
-        try:
-            cloud = build_cloud_hard(medium, a, nu, beta, cell_size=cell_size,
-                                     shape_constants=shape_constants)
-            result = foldy_neumann.assemble_and_solve_hard(medium, cloud, alpha,
-                                                           dense_cap=dense_cap)
-            if len(cloud):
-                u_m = foldy_neumann.evaluate_field_hard(result, medium, cloud, pts).values
-            else:
-                u_m = medium.incident_values(alpha, pts)
-            e_max, e_rms = _probe_errors(u_m, u_limit)
-            max_q = float(np.abs(result.charges).max()) if len(cloud) else 0.0
-            study.records.append(ScaleRecord(
-                a=a, m=len(cloud), d=cloud.d, e_max=e_max, e_rms=e_rms,
-                max_charge=max_q, count_weighted=c3 * a ** 3 * len(cloud),
-                count_integral=integral, residual=result.residual))
-        except Exception as exc:  # noqa: BLE001 - partial study with annotation
-            study.records.append(ScaleRecord(
-                a=a, m=0, d=np.nan, e_max=np.nan, e_rms=np.nan, max_charge=np.nan,
-                count_weighted=np.nan, count_integral=integral, residual=np.nan,
-                note=f"{type(exc).__name__}: {exc}"))
-            logger.warning("scale a=%g failed: %s", a, exc)
-    return study
+    def build(a):
+        return build_cloud_hard(medium, a, nu, beta, cell_size=cell_size,
+                                shape_constants=shape_constants)
+
+    return _run_study(problem, build, a_sequence, alpha, probes,
+                      float(np.sum(nu) * medium.weight), dense_cap)
 
 
 def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, density,
@@ -218,10 +200,8 @@ def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, densi
     ``f`` is a callable on points (default 1); ``exclusion = (y0, delta)``
     removes a ball around an integrable singularity from both sides.
     """
-    dens = np.broadcast_to(np.asarray(density, dtype=float).reshape(-1),
-                           (medium.grid.size,))
-    weight = cloud.a if cloud.kind == "impedance" else \
-        cloud.shape_constants[2] * cloud.a ** 3
+    dens = _node_field(density, medium.grid.size, float)
+    weight = _particle_weight(cloud)
 
     centers = cloud.centers
     nodes = medium.grid.nodes

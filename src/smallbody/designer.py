@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convergence import _run_study
 from .errors import InvariantViolation
-from .foldy_impedance import assemble_and_solve, evaluate_field
-from .limit_solver import LimitProblem, impedance_limit_field_at, solve_impedance_limit
-from .medium import BackgroundMedium, _unit, far_probe_points
+from .limit_solver import LimitProblem, potential_from_h_N
+from .medium import BackgroundMedium, _node_field, far_probe_points
 from .particles import BALL_SHAPE_CONSTANTS, ParticleCloud, build_cloud_impedance, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -39,13 +39,7 @@ class DesignSpec:
     shape_constants: tuple = BALL_SHAPE_CONSTANTS
 
     def __post_init__(self):
-        size = self.medium.grid.size
-        n = np.asarray(self.target_n, dtype=complex)
-        if n.size == 1:
-            n = np.full(size, n.reshape(-1)[0], dtype=complex)
-        n = n.reshape(-1)
-        if n.size != size:
-            raise InvariantViolation("target_n must be sampled on the medium grid")
+        n = _node_field(self.target_n, self.medium.grid.size, complex)
         differs = np.abs(n - self.medium.n0) > 1e-14
         if np.any(n.imag[differs] < -1e-14):
             raise InvariantViolation("target must be passive: Im n >= 0 where it differs")
@@ -132,16 +126,7 @@ def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
 
 def potential_round_trip(h, n_dens, shape_constants=BALL_SHAPE_CONSTANTS) -> np.ndarray:
     """gamma N h / (1 + h): the potential realized by a given (h, N)."""
-    c1, c2, _ = shape_constants
-    gamma = 4.0 * np.pi * c1 ** 2 / c2
-    h = np.asarray(h, dtype=complex)
-    n_dens = np.asarray(n_dens, dtype=float)
-    out = np.zeros(np.broadcast_shapes(h.shape, n_dens.shape), dtype=complex)
-    active = n_dens > 0
-    hh = np.broadcast_to(h, out.shape)
-    nn = np.broadcast_to(n_dens, out.shape)
-    out[active] = gamma * nn[active] * hh[active] / (1.0 + hh[active])
-    return out
+    return potential_from_h_N(h, n_dens, shape_constants)
 
 
 def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignResult:
@@ -156,9 +141,8 @@ def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignRes
         m=len(cloud),
         volume_fraction=report.volume_fraction,
     )
-    p = potential_round_trip(h, N, spec.shape_constants)
-    if np.asarray(p).size == 1:
-        p = np.full(spec.medium.grid.size, complex(p), dtype=complex)
+    p = _node_field(potential_round_trip(h, N, spec.shape_constants), spec.medium.grid.size,
+                    complex)
     return DesignResult(p=p, h=np.asarray(h, dtype=complex), N=np.asarray(N, dtype=float),
                         cloud=cloud, feasibility=feas)
 
@@ -194,34 +178,16 @@ def verify_design(result: DesignResult, spec: DesignSpec, alpha, scale_sequence,
     e(a) is the max relative deviation over far-zone probes; the design passes
     when e(a) decreases along the sequence and the last value is <= final_tol.
     """
-    alpha = _unit(alpha)
-    scale_sequence = list(scale_sequence)
-    if any(b >= a for a, b in zip(scale_sequence, scale_sequence[1:])):
-        raise InvariantViolation("scale_sequence must be strictly decreasing")
     medium = spec.medium
-    pts = default_probes(medium) if probes is None else np.atleast_2d(probes)
 
-    problem = LimitProblem(medium=medium, p=result.p)
-    limit_grid = solve_impedance_limit(problem, alpha)
-    limit_vals = impedance_limit_field_at(problem, limit_grid, pts).values
+    def build(a):
+        return build_cloud_impedance(medium, a, result.h, result.N, cell_size=cell_size,
+                                     shape_constants=spec.shape_constants)
 
-    report = VerificationReport([], [], [], [], [])
-    for a in scale_sequence:
-        scaled = DesignSpec(medium=medium, target_n=spec.target_n, a=a,
-                            shape_constants=spec.shape_constants)
-        res_a = realize(scaled, result.h, result.N, cell_size=cell_size)
-        solve = assemble_and_solve(medium, res_a.cloud, alpha)
-        if len(res_a.cloud):
-            u_m = evaluate_field(solve, medium, res_a.cloud, pts).values
-        else:
-            u_m = medium.incident_values(alpha, pts)
-        err = np.abs(u_m - limit_vals) / np.abs(limit_vals)
-        report.a_values.append(a)
-        report.m_values.append(len(res_a.cloud))
-        report.d_values.append(res_a.cloud.d)
-        report.errors_max.append(float(err.max()))
-        report.errors_rms.append(float(np.sqrt(np.mean(err ** 2))))
-
+    study = _run_study(LimitProblem(medium=medium, p=result.p), build, scale_sequence,
+                       alpha, probes, annotate=False)
+    report = VerificationReport(*([getattr(r, f) for r in study.records]
+                                  for f in ("a", "m", "d", "e_max", "e_rms")))
     e = report.errors_max
     report.decreasing = all(x > y for x, y in zip(e, e[1:]))
     report.final_error = e[-1]

@@ -1,6 +1,12 @@
-"""Reduced many-body solver for small impedance particles.
+"""Many-body Foldy pipeline, and its impedance species.
 
-Collocates the self-consistent field at the particle centers: particle j
+Both particle species reduce to one linear system in per-particle unknowns
+whose coefficients are the background Green function and its derivatives;
+only the per-particle blocks differ.  The pipeline here -- validate, incident
+data, dense LU or matrix-free GMRES, far-zone guard, field, amplitudes --
+serves both; foldy_neumann supplies the hard species.
+
+The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
 
     u_e(x_j) = u0(x_j) - sum_{m != j} G(x_j, x_m) c_m u_e(x_m),
@@ -20,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _gmres, _unit
+from .medium import BackgroundMedium, ComplexField, _gmres, _unit, helmholtz_kernels
 from .particles import ParticleCloud, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -31,15 +37,25 @@ RCOND_FLOOR = 1e-13
 
 
 @dataclass
-class ImpedanceSolveResult:
-    """Per-particle effective fields, charges, couplings, and solve residual."""
+class FoldySolveResult:
+    """Per-particle effective fields and sources of a solve, with its statistics.
+
+    Impedance solves fill ``coupling``; hard solves fill the gradients and
+    dipole moments.
+    """
 
     effective_values: np.ndarray   # u_e(x_m)
-    charges: np.ndarray            # Q_m = -c_m u_e(x_m)
-    coupling: np.ndarray           # c_m
+    charges: np.ndarray            # Q_m: -c_m u_e (impedance), V_m (q0 - k^2) u_e (hard)
     residual: float
     alpha: np.ndarray
     iterations: int = 0
+    rcond: float | None = None     # LU condition estimate (None after GMRES)
+    coupling: np.ndarray | None = None              # c_m
+    effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
+    dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
+
+
+ImpedanceSolveResult = FoldySolveResult
 
 
 def charge_from_effective_field(zeta, a, shape_constants, u_e_value) -> complex:
@@ -67,116 +83,166 @@ def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
     return 4.0 * np.pi * c1 ** 2 / c2 * cloud.a * h / (1.0 + h)
 
 
-def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
-                       dense_cap: int = DENSE_SYSTEM_CAP) -> ImpedanceSolveResult:
-    """Solve the M-body collocation system for an impedance cloud."""
-    if cloud.kind != "impedance":
-        raise InvariantViolation("assemble_and_solve requires an impedance cloud")
+class ImpedanceSystem:
+    """The impedance species: one unknown u_e(x_m) per particle."""
+
+    kind = "impedance"
+    order = 0  # incident data: values only
+    dense_cap = DENSE_SYSTEM_CAP
+    pairs_per_chunk = 20_000_000
+
+    def __init__(self, medium: BackgroundMedium, centers, coupling):
+        self.medium, self.centers, self.coupling = medium, centers, coupling
+
+    def matrix(self) -> np.ndarray:
+        """I + G_offdiag diag(c)."""
+        a = self.medium.green_blocks(self.centers)[0] * self.coupling[None, :]
+        a[np.diag_indices_from(a)] += 1.0
+        return a
+
+    def apply(self, u) -> np.ndarray:
+        cu = self.coupling * u
+        out = u.astype(complex)
+        for rows, diag, diff, r in _row_chunks(self.centers, self.pairs_per_chunk):
+            g = helmholtz_kernels(diff, r, self.medium.k)
+            g[diag] = 0.0
+            out[rows] += g @ cu
+        return out
+
+    def result(self, sol, **stats) -> FoldySolveResult:
+        return FoldySolveResult(effective_values=sol, charges=-self.coupling * sol,
+                                coupling=self.coupling, **stats)
+
+
+def _row_chunks(centers, pairs_per_chunk):
+    """Row blocks of the particle pair table as (rows, diagonal, y - x, r).
+
+    r is 1 on the diagonal; callers zero the diagonal of what they form.
+    """
+    m = len(centers)
+    step = max(1, pairs_per_chunk // m)
+    for s in range(0, m, step):
+        stop = min(s + step, m)
+        diff = centers[None, :, :] - centers[s:stop, None, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        diag = (np.arange(stop - s), np.arange(s, stop))
+        r[diag] = 1.0
+        yield slice(s, stop), diag, diff, r
+
+
+def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
+                dense_cap: int | None = None) -> FoldySolveResult:
+    """Solve the M-body system of a cloud of either species.
+
+    dense_cap (particles) defaults to the species' DENSE_SYSTEM_CAP.
+    """
     report = validate_cloud(cloud, medium)
     if not report.ok:
         raise InvariantViolation("invalid cloud: " + "; ".join(report.flags))
     alpha = _unit(alpha)
-    m = len(cloud)
-    if m == 0:
-        return ImpedanceSolveResult(
-            effective_values=np.zeros(0, dtype=complex), charges=np.zeros(0, dtype=complex),
-            coupling=np.zeros(0, dtype=complex), residual=0.0, alpha=alpha)
+    if cloud.kind == "hard":
+        from .foldy_neumann import HardSystem  # foldy_neumann builds on this module
+        system = HardSystem(medium, cloud)
+    else:
+        system = ImpedanceSystem(medium, cloud.centers, coupling_constants(cloud))
+    if len(cloud) == 0:
+        return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
+    cap = system.dense_cap if dense_cap is None else dense_cap
+    rhs = medium.incident_values(alpha, cloud.centers, system.order)
+    sol, residual, iterations, rcond = _solve_system(system, rhs, cap)
+    logger.debug("%s system: M = %d, residual %.2e, %d GMRES iterations, rcond %s",
+                 system.kind, len(cloud), residual, iterations, rcond)
+    return system.result(sol, alpha=alpha, residual=residual, iterations=iterations, rcond=rcond)
 
-    c = coupling_constants(cloud)
-    u0 = medium.incident_values(alpha, cloud.centers)
-    ue, residual, iters = _solve_collocation(medium, cloud.centers, c, u0, dense_cap)
-    return ImpedanceSolveResult(effective_values=ue, charges=-c * ue, coupling=c,
-                                residual=residual, alpha=alpha, iterations=iters)
+
+def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
+                       dense_cap: int = DENSE_SYSTEM_CAP) -> FoldySolveResult:
+    """Solve the M-body collocation system for an impedance cloud."""
+    if cloud.kind != "impedance":
+        raise InvariantViolation("assemble_and_solve requires an impedance cloud")
+    return solve_cloud(medium, cloud, alpha, dense_cap)
 
 
-def _solve_collocation(medium, centers, coupling, rhs, dense_cap):
-    """Solve (I + G_offdiag diag(c)) u = rhs; dense below the cap, GMRES above."""
-    m = len(centers)
+def _solve_system(system, rhs, dense_cap):
+    """Dense LU with rcond and residual checks up to dense_cap particles,
+    matrix-free GMRES beyond; returns (solution, residual, iterations, rcond)."""
+    m = len(system.centers)
     if m <= dense_cap:
-        gmat = medium.green_pairs(centers)
-        a = gmat * coupling[None, :]
-        a[np.diag_indices_from(a)] += 1.0
+        a = system.matrix()
         anorm = np.linalg.norm(a, 1)
         lu, piv = sla.lu_factor(a)
         rcond, _ = sla.lapack.zgecon(lu, anorm)
         if rcond < RCOND_FLOOR:
             raise SolverFailure(
-                f"collocation system ill-conditioned (rcond estimate {rcond:.2e})")
-        ue = sla.lu_solve((lu, piv), rhs)
-        resid = np.linalg.norm(a @ ue - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if resid > RESIDUAL_TOL:
-            raise SolverFailure(f"collocation residual {resid:.2e}", residual=resid)
-        return ue, float(resid), 0
-
-    if not medium.is_free:
-        raise SolverFailure(
-            "matrix-free path supports a homogeneous background only; "
-            f"M = {m} with a nontrivial q0 exceeds the dense cap {dense_cap}")
-
-    k = medium.k
-    chunk = max(1, int(2e7) // max(m, 1))
-
-    def apply(u):
-        cu = coupling * u
-        out = u.astype(complex).copy()
-        for s in range(0, m, chunk):
-            stop = min(s + chunk, m)
-            diff = centers[s:stop, None, :] - centers[None, :, :]
-            r = np.sqrt(np.sum(diff * diff, axis=-1))
-            rows = np.arange(s, stop)
-            r[rows - s, rows] = 1.0
-            g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-            g[rows - s, rows] = 0.0
-            out[s:stop] += g @ cu
-        return out
-
-    ue, info, iters = _gmres(apply, rhs, rtol=RESIDUAL_TOL, maxiter=300)
-    if info != 0:
-        raise SolverFailure(f"collocation GMRES did not converge (info={info})")
-    resid = np.linalg.norm(apply(ue) - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if resid > 10 * RESIDUAL_TOL:
-        raise SolverFailure(f"collocation residual {resid:.2e}", residual=resid)
-    return ue, float(resid), iters
+                f"{system.kind} system ill-conditioned (rcond estimate {rcond:.2e})")
+        sol = sla.lu_solve((lu, piv), rhs)
+        applied, tol, iters, rcond = a @ sol, RESIDUAL_TOL, 0, float(rcond)
+    else:
+        if not system.medium.is_free:
+            raise SolverFailure(
+                f"matrix-free {system.kind} solve supports a homogeneous background only; "
+                f"M = {m} with a nontrivial q0 exceeds the dense cap {dense_cap}")
+        sol, info, iters = _gmres(system.apply, rhs, rtol=RESIDUAL_TOL, maxiter=300)
+        if info != 0:
+            raise SolverFailure(f"{system.kind} system GMRES did not converge (info={info})")
+        applied, tol, rcond = system.apply(sol), 10 * RESIDUAL_TOL, None
+    resid = float(np.linalg.norm(applied - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    if resid > tol:
+        raise SolverFailure(f"{system.kind} system residual {resid:.2e}", residual=resid)
+    return sol, resid, iters, rcond
 
 
-def _check_far_zone(cloud, points):
+def _solve_collocation(medium, centers, coupling, rhs, dense_cap):
+    """Solve (I + G_offdiag diag(c)) u = rhs; returns (u, residual, iterations)."""
+    return _solve_system(ImpedanceSystem(medium, centers, coupling), rhs, dense_cap)[:3]
+
+
+def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
+                   points, exclude: int | None = None) -> ComplexField:
+    """u_M(x) = u0 + sum_m [G(x,x_m) Q_m + grad_y G(x,x_m) . P_m] at far-zone points.
+
+    Impedance particles carry no dipole P.  With ``exclude`` set, particle
+    m = exclude is dropped from the sum and the distance guard, which
+    evaluates the effective field seen by that particle.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(cloud) == 0:
-        return pts
-    tree = cKDTree(cloud.centers)
-    dist, _ = tree.query(pts, k=1)
-    limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
-    if np.any(dist < limit * (1 - 1e-12)):
-        raise InvariantViolation(
-            f"evaluation point within d = {limit:.3g} of a particle center; "
-            "the monopole truncation is not valid there")
-    return pts
-
-
-def evaluate_field(result: ImpedanceSolveResult, medium: BackgroundMedium,
-                   cloud: ParticleCloud, points) -> ComplexField:
-    """u_M(x) = u0(x) + sum_m G(x, x_m) Q_m at far-zone points."""
-    pts = _check_far_zone(cloud, points)
+    keep = np.arange(len(cloud))
+    if exclude is not None:
+        keep = keep[keep != exclude]
+    if len(keep):
+        dist, _ = cKDTree(cloud.centers[keep]).query(pts, k=1)
+        limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
+        if np.any(dist < limit * (1 - 1e-12)):
+            raise InvariantViolation(
+                f"evaluation point within d = {limit:.3g} of a particle center; "
+                "the point-particle reduction is not valid there")
     values = medium.incident_values(result.alpha, pts)
-    if len(cloud):
-        gmat = medium.green_matrix(pts, cloud.centers)
-        values = values + gmat @ result.charges
+    if len(keep):
+        order = 0 if result.dipole_moments is None else 1
+        blocks = medium.green_blocks(pts, cloud.centers[keep], order)
+        values = values + blocks[0] @ result.charges[keep]
+        if order:
+            values = values + np.einsum("xmp,mp->x", blocks[2], result.dipole_moments[keep])
     return ComplexField(points=pts, values=values, incident_direction=result.alpha)
 
 
-def amplitudes(result: ImpedanceSolveResult, medium: BackgroundMedium,
-               cloud: ParticleCloud, betas) -> np.ndarray:
-    """Total amplitude A(beta, alpha) = A0 + (1/4pi) sum_m u0(x_m,-beta) Q_m."""
+def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
+               betas) -> np.ndarray:
+    """A(beta,alpha) = A0 + (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m].
+
+    For a homogeneous background this reduces to
+    (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
+    """
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     total = medium.background_amplitude(betas, result.alpha)
     if len(cloud):
         total = total + medium.weighted_u0_sum(
-            betas, cloud.centers, result.charges) / (4.0 * np.pi)
+            betas, cloud.centers, result.charges, result.dipole_moments) / (4.0 * np.pi)
     return total
 
 
-def far_field(result: ImpedanceSolveResult, medium: BackgroundMedium,
-              cloud: ParticleCloud, directions: DirectionGrid | None = None) -> FarField:
+def far_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
+              directions: DirectionGrid | None = None) -> FarField:
     """Far-field amplitudes on a direction grid (default 32 x 64)."""
     grid = directions or DirectionGrid()
     vals = amplitudes(result, medium, cloud, grid.vectors())

@@ -14,23 +14,20 @@ plus the x_j-gradient of the same relation.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
-from .directions import DirectionGrid, FarField
-from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _unit
-from .particles import ParticleCloud, validate_cloud
+from .errors import InvariantViolation
+from .foldy_impedance import (
+    FoldySolveResult,
+    _row_chunks,
+    amplitudes,
+    evaluate_field,
+    far_field,
+    solve_cloud,
+)
+from .medium import BackgroundMedium, helmholtz_kernels
+from .particles import ParticleCloud
 
-logger = logging.getLogger(__name__)
-
-RESIDUAL_TOL = 1e-10
-RCOND_FLOOR = 1e-13
 DENSE_SYSTEM_CAP = 1000  # dense 4M x 4M factorization up to this many particles
 
 
@@ -39,192 +36,64 @@ def ball_polarizability() -> np.ndarray:
     return -1.5 * np.eye(3)
 
 
-@dataclass
-class HardSolveResult:
-    """Values, gradients, monopole charges, and dipole moments per particle."""
-
-    effective_values: np.ndarray      # u_e(x_m)
-    effective_gradients: np.ndarray   # grad u_e(x_m), shape (M, 3)
-    charges: np.ndarray               # Q_m = V_m (q0(x_m) - k^2) u_e(x_m)
-    dipole_moments: np.ndarray        # P_m = -V_m beta grad u_e(x_m)
-    residual: float
-    alpha: np.ndarray
+HardSolveResult = FoldySolveResult
 
 
-def _system_blocks(medium: BackgroundMedium, cloud: ParticleCloud):
-    centers = cloud.centers
-    m = len(centers)
-    volume = cloud.volume_per_particle
-    cv = (medium.q0_at(centers) - medium.k ** 2) * volume
-    vb = volume * cloud.beta
-    gmat = medium.green_pairs(centers)
-    grad_y = medium.green_grad_y_pairs(centers)
-    grad_x = medium.green_grad_x_pairs(centers)
-    hess = medium.green_hess_xy_pairs(centers)
-    return m, cv, vb, gmat, grad_y, grad_x, hess
+class HardSystem:
+    """The hard species: unknowns [u_e (M), grad u_e (M,3) row-major]."""
+
+    kind = "hard"
+    order = 1  # incident data: values and gradients
+    dense_cap = DENSE_SYSTEM_CAP
+    pairs_per_chunk = 1_000_000
+
+    def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
+        self.medium, self.centers = medium, cloud.centers
+        self.cv = (medium.q0_at(cloud.centers) - medium.k ** 2) * cloud.volume_per_particle
+        self.vb = cloud.volume_per_particle * cloud.beta
+
+    def matrix(self) -> np.ndarray:
+        m, cv = len(self.centers), self.cv
+        gmat, grad_x, grad_y, hess = self.medium.green_blocks(self.centers, order=2)
+        a = np.zeros((4 * m, 4 * m), dtype=complex)
+        a[:m, :m] = -gmat * cv[None, :]
+        a[:m, m:] = (grad_y @ self.vb).reshape(m, 3 * m)
+        a[m:, :m] = (-grad_x * cv[None, :, None]).transpose(0, 2, 1).reshape(3 * m, m)
+        a[m:, m:] = (hess @ self.vb).transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+        a[np.diag_indices(4 * m)] += 1.0
+        return a
+
+    def apply(self, vec) -> np.ndarray:
+        m = len(self.centers)
+        u, dm = vec[:m], vec[m:].reshape(m, 3)
+        cu = self.cv * u
+        bd = dm @ self.vb.T  # (M,3): sum_q (V beta)_{pq} D_{mq}
+        out_u, out_d = u.astype(complex), dm.astype(complex)
+        for rows, diag, diff, r in _row_chunks(self.centers, self.pairs_per_chunk):
+            g, grad_y, hess_bd = helmholtz_kernels(diff, r, self.medium.k, 2, dipoles=bd)
+            for t in (g, grad_y, hess_bd):
+                t[diag] = 0.0
+            # grad_x g = -grad_y g, so the monopole gradient term flips sign
+            out_u[rows] += -(g @ cu) + np.einsum("jmp,mp->j", grad_y, bd)
+            out_d[rows] += np.einsum("jms,m->js", grad_y, cu) + hess_bd.sum(axis=1)
+        return np.concatenate([out_u, out_d.reshape(-1)])
+
+    def result(self, sol, **stats) -> FoldySolveResult:
+        m = len(self.centers)
+        ue, due = sol[:m], sol[m:].reshape(m, 3)
+        return FoldySolveResult(effective_values=ue, effective_gradients=due,
+                                charges=self.cv * ue, dipole_moments=-(due @ self.vb.T), **stats)
 
 
 def assemble_and_solve_hard(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
-                            dense_cap: int = DENSE_SYSTEM_CAP) -> HardSolveResult:
+                            dense_cap: int = DENSE_SYSTEM_CAP) -> FoldySolveResult:
     """Solve the coupled value-and-gradient system for a hard cloud."""
     if cloud.kind != "hard":
         raise InvariantViolation("assemble_and_solve_hard requires a hard cloud")
-    report = validate_cloud(cloud, medium)
-    if not report.ok:
-        raise InvariantViolation("invalid cloud: " + "; ".join(report.flags))
-    alpha = _unit(alpha)
-    m = len(cloud)
-    if m == 0:
-        z = np.zeros(0, dtype=complex)
-        return HardSolveResult(z, z.reshape(0, 3), z, z.reshape(0, 3), 0.0, alpha)
-
-    u0 = medium.incident_values(alpha, cloud.centers)
-    du0 = medium.incident_gradient(alpha, cloud.centers)
-    rhs = np.concatenate([u0, du0.reshape(-1)])
-
-    if m <= dense_cap:
-        sol, resid = _solve_dense(medium, cloud, rhs)
-    else:
-        sol, resid = _solve_matrix_free(medium, cloud, rhs)
-
-    ue = sol[:m]
-    due = sol[m:].reshape(m, 3)
-    cv = (medium.q0_at(cloud.centers) - medium.k ** 2) * cloud.volume_per_particle
-    vb = cloud.volume_per_particle * cloud.beta
-    charges = cv * ue
-    dipoles = -np.einsum("pq,mq->mp", vb, due)
-    return HardSolveResult(effective_values=ue, effective_gradients=due,
-                           charges=charges, dipole_moments=dipoles,
-                           residual=float(resid), alpha=alpha)
+    return solve_cloud(medium, cloud, alpha, dense_cap)
 
 
-def _solve_dense(medium, cloud, rhs):
-    m, cv, vb, gmat, grad_y, grad_x, hess = _system_blocks(medium, cloud)
-    # unknowns: [u_e (M), grad u_e (M,3) flattened row-major]
-    a = np.zeros((4 * m, 4 * m), dtype=complex)
-    a[:m, :m] = -gmat * cv[None, :]
-    a[:m, :m][np.diag_indices(m)] += 1.0
-    ty = np.einsum("jmp,pq->jmq", grad_y, vb)
-    a[:m, m:] = ty.reshape(m, 3 * m)
-    a[m:, :m] = (-grad_x * cv[None, :, None]).transpose(0, 2, 1).reshape(3 * m, m)
-    th = np.einsum("jmsp,pq->jmsq", hess, vb)
-    a[m:, m:] = th.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-    a[m:, m:][np.diag_indices(3 * m)] += 1.0
-
-    anorm = np.linalg.norm(a, 1)
-    lu, piv = sla.lu_factor(a)
-    rcond, _ = sla.lapack.zgecon(lu, anorm)
-    if rcond < RCOND_FLOOR:
-        raise SolverFailure(f"hard system ill-conditioned (rcond estimate {rcond:.2e})")
-    sol = sla.lu_solve((lu, piv), rhs)
-    resid = np.linalg.norm(a @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if resid > RESIDUAL_TOL:
-        raise SolverFailure(f"hard system residual {resid:.2e}", residual=resid)
-    return sol, resid
-
-
-def _solve_matrix_free(medium, cloud, rhs):
-    """Row-chunked GMRES for large hard systems (homogeneous background)."""
-    if not medium.is_free:
-        raise SolverFailure(
-            "matrix-free hard solve supports a homogeneous background only; "
-            f"M = {len(cloud)} exceeds the dense cap")
-    m = len(cloud)
-    k = medium.k
-    centers = cloud.centers
-    cv = -k ** 2 * cloud.volume_per_particle * np.ones(m)
-    vb = cloud.volume_per_particle * cloud.beta
-    chunk = max(1, int(4e6) // max(m, 1))
-
-    def apply(vec):
-        u = vec[:m]
-        dm = vec[m:].reshape(m, 3)
-        cu = cv * u
-        bd = dm @ vb.T  # (M,3): sum_q (V beta)_{pq} D_{mq}
-        out_u = u.astype(complex).copy()
-        out_d = dm.astype(complex).copy()
-        for s in range(0, m, chunk):
-            stop = min(s + chunk, m)
-            rows = np.arange(s, stop)
-            diff = centers[None, :, :] - centers[s:stop, None, :]
-            r = np.sqrt(np.sum(diff * diff, axis=-1))
-            r[rows - s, rows] = 1.0
-            g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-            f1 = g * (1j * k - 1.0 / r)
-            f2 = g * (-(k ** 2) - 2j * k / r + 2.0 / r ** 2)
-            g[rows - s, rows] = 0.0
-            f1d = f1[:, :, None] * diff / r[:, :, None]  # grad_y g
-            f1d[rows - s, rows, :] = 0.0
-            uvec = diff / r[:, :, None]
-            uu = uvec[:, :, :, None] * uvec[:, :, None, :]
-            eye = np.eye(3)[None, None, :, :]
-            hess = -(f2[:, :, None, None] * uu
-                     + f1[:, :, None, None] * (eye - uu) / r[:, :, None, None])
-            hess[rows - s, rows, :, :] = 0.0
-            # grad_x g = -grad_y g, so the monopole gradient term flips sign
-            out_u[s:stop] += -(g @ cu) + np.einsum("jmp,mp->j", f1d, bd)
-            out_d[s:stop] += np.einsum("jms,m->js", f1d, cu) \
-                + np.einsum("jmsp,mp->js", hess, bd)
-        return np.concatenate([out_u, out_d.reshape(-1)])
-
-    op = spla.LinearOperator((4 * m, 4 * m), matvec=apply, dtype=complex)
-    sol, info = spla.gmres(op, rhs, rtol=RESIDUAL_TOL, atol=0.0, maxiter=300)
-    if info != 0:
-        raise SolverFailure(f"hard GMRES did not converge (info={info})")
-    resid = np.linalg.norm(apply(sol) - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if resid > 10 * RESIDUAL_TOL:
-        raise SolverFailure(f"hard system residual {resid:.2e}", residual=resid)
-    return sol, resid
-
-
-def evaluate_field_hard(result: HardSolveResult, medium: BackgroundMedium,
-                        cloud: ParticleCloud, points,
-                        exclude: int | None = None) -> ComplexField:
-    """u_M(x) = u0 + sum_m [G(x,x_m) Q_m + grad_y G(x,x_m) . P_m].
-
-    With ``exclude`` set, particle m = exclude is dropped from the sum and the
-    distance guard, which evaluates the effective field seen by that particle.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    keep = np.arange(len(cloud))
-    if exclude is not None:
-        keep = keep[keep != exclude]
-    if len(keep) and len(cloud):
-        tree = cKDTree(cloud.centers[keep])
-        dist, _ = tree.query(pts, k=1)
-        limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
-        if np.any(dist < limit * (1 - 1e-12)):
-            raise InvariantViolation(
-                "evaluation point within d of a particle center; the point-particle "
-                "reduction is not valid there")
-    values = medium.incident_values(result.alpha, pts)
-    if len(keep):
-        centers = cloud.centers[keep]
-        gmat = medium.green_matrix(pts, centers)
-        ggrad = medium.green_grad_y_matrix(pts, centers)
-        values = values + gmat @ result.charges[keep]
-        values = values + np.einsum("xmp,mp->x", ggrad, result.dipole_moments[keep])
-    return ComplexField(points=pts, values=values, incident_direction=result.alpha)
-
-
-def amplitudes_hard(result: HardSolveResult, medium: BackgroundMedium,
-                    cloud: ParticleCloud, betas) -> np.ndarray:
-    """A(beta,alpha) = A0 + (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m].
-
-    For a homogeneous background this reduces to
-    (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
-    """
-    betas = np.atleast_2d(np.asarray(betas, dtype=float))
-    total = medium.background_amplitude(betas, result.alpha)
-    if len(cloud):
-        total = total + medium.weighted_u0_sum(
-            betas, cloud.centers, result.charges, result.dipole_moments) / (4.0 * np.pi)
-    return total
-
-
-def far_field_hard(result: HardSolveResult, medium: BackgroundMedium,
-                   cloud: ParticleCloud, directions: DirectionGrid | None = None) -> FarField:
-    """Far-field amplitudes of a hard cloud on a direction grid."""
-    grid = directions or DirectionGrid()
-    vals = amplitudes_hard(result, medium, cloud, grid.vectors())
-    return FarField(grid=grid, values=vals, alpha=result.alpha)
+# the field and amplitude sums are shared with the impedance species
+evaluate_field_hard = evaluate_field
+amplitudes_hard = amplitudes
+far_field_hard = far_field

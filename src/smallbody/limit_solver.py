@@ -24,7 +24,7 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _gmres, _unit, free_kernel
+from .medium import BackgroundMedium, ComplexField, _gmres, _node_field, _unit, free_kernel
 from .particles import BALL_SHAPE_CONSTANTS
 
 logger = logging.getLogger(__name__)
@@ -63,9 +63,9 @@ class LimitProblem:
         if (self.p is None) == (self.nu is None):
             raise InvariantViolation("provide exactly one of p (impedance) or nu (hard)")
         if self.p is not None:
-            self.p = _as_node_field(self.p, size, complex)
+            self.p = _node_field(self.p, size, complex)
         else:
-            self.nu = _as_node_field(self.nu, size, float)
+            self.nu = _node_field(self.nu, size, float)
             if np.any(self.nu < 0):
                 raise InvariantViolation("nu must be nonnegative")
             if self.beta_field is None:
@@ -89,16 +89,6 @@ class LimitProblem:
         if np.any(nu[~interior] != 0.0):
             raise InvariantViolation(
                 f"nu must vanish on a {c}-cell collar near the box boundary")
-
-
-def _as_node_field(values, size, dtype):
-    arr = np.asarray(values, dtype=dtype)
-    if arr.size == 1:
-        return np.full(size, arr.reshape(-1)[0], dtype=dtype)
-    arr = arr.reshape(-1)
-    if arr.size != size:
-        raise InvariantViolation("field sample count does not match the grid")
-    return arr
 
 
 # ---------------------------------------------------------------------------

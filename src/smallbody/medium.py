@@ -51,6 +51,33 @@ def _gmres(matvec, rhs, rtol=GMRES_RTOL, maxiter=400):
 # free-space kernels
 # ---------------------------------------------------------------------------
 
+def helmholtz_kernels(diff, r, k, order=0, dipoles=None):
+    """g = exp(ikr)/(4 pi r) and its derivatives over offsets diff = y - x.
+
+    r = |diff| must be nonzero.  order 0 returns g alone; order 1 returns
+    [g, grad_y g] and order 2 appends d^2 g / dx_q dy_p ([..., q, p]).  With
+    ``dipoles`` b (broadcast against diff) the order-2 term is returned as
+    the product sum_p H[..., q, p] b[..., p], formed from the radial factors
+    without the 3x3 blocks.  k = 0 gives the static kernel 1/(4 pi r).
+    """
+    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
+    if order == 0:
+        return g
+    u = diff / r[..., None]
+    f1 = g * (1j * k - 1.0 / r)
+    out = [g, f1[..., None] * u]
+    if order == 2:
+        f2 = g * (-(k ** 2) - 2j * k / r + 2.0 / r ** 2)
+        f1r = f1 / r
+        if dipoles is None:
+            uu = u[..., :, None] * u[..., None, :]
+            out.append(-((f2 - f1r)[..., None, None] * uu + f1r[..., None, None] * np.eye(3)))
+        else:
+            ub = np.sum(u * dipoles, axis=-1)
+            out.append(-(((f2 - f1r) * ub)[..., None] * u + f1r[..., None] * dipoles))
+    return out
+
+
 def _pair_distances(x, y):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -59,49 +86,36 @@ def _pair_distances(x, y):
     return diff, r
 
 
+def _free_kernels(x, y, k, order=0):
+    """helmholtz_kernels over all pairs (x_i, y_j)."""
+    diff, r = _pair_distances(x, y)
+    if np.any(r == 0.0):
+        raise SingularEvaluationError("Helmholtz kernel evaluated at coincident points")
+    return helmholtz_kernels(diff, r, k, order)
+
+
+def _single_or_all(x, y, out):
+    """One pair's value when x and y are single 3-vectors, else all of them."""
+    return out[0, 0] if np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1 else out
+
+
 def free_kernel(x, y, k):
     """Free-space kernel g(x,y) = exp(ik|x-y|) / (4*pi*|x-y|).
 
     Accepts single 3-vectors or (n,3)/(m,3) stacks; returns a scalar or an
     (n,m) matrix.  k = 0 gives the static kernel 1/(4*pi*r).
     """
-    scalar = np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1
-    _, r = _pair_distances(x, y)
-    if np.any(r == 0.0):
-        raise SingularEvaluationError("free_kernel evaluated at coincident points")
-    out = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    return out[0, 0] if scalar else out
+    return _single_or_all(x, y, _free_kernels(x, y, k))
 
 
 def free_kernel_grad_y(x, y, k):
-    """Gradient of g with respect to its second argument.
-
-    grad_y g = g * (ik - 1/r) * (y - x)/r; shape (n,m,3).
-    """
-    scalar = np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1
-    diff, r = _pair_distances(x, y)
-    if np.any(r == 0.0):
-        raise SingularEvaluationError("kernel gradient at coincident points")
-    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    out = (g * (1j * k - 1.0 / r))[:, :, None] * (diff / r[:, :, None])
-    return out[0, 0] if scalar else out
+    """Gradient of g with respect to its second argument, shape (n,m,3)."""
+    return _single_or_all(x, y, _free_kernels(x, y, k, 1)[1])
 
 
 def free_kernel_hess_xy(x, y, k):
     """Mixed second derivative d^2 g / dx_q dy_p, shape (n,m,3,3) [q,p]."""
-    scalar = np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1
-    diff, r = _pair_distances(x, y)
-    if np.any(r == 0.0):
-        raise SingularEvaluationError("kernel Hessian at coincident points")
-    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    f1 = g * (1j * k - 1.0 / r)
-    f2 = g * (-(k ** 2) - 2j * k / r + 2.0 / r ** 2)
-    u = diff / r[:, :, None]
-    uu = u[:, :, :, None] * u[:, :, None, :]
-    eye = np.eye(3)[None, None, :, :]
-    hess_yy = f2[:, :, None, None] * uu + f1[:, :, None, None] * (eye - uu) / r[:, :, None, None]
-    out = -hess_yy
-    return out[0, 0] if scalar else out
+    return _single_or_all(x, y, _free_kernels(x, y, k, 2)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +252,7 @@ class BackgroundMedium:
             raise InvariantViolation("wavenumber k must be positive")
         self.k = float(k)
         self.grid = grid
-        if callable(n0):
-            n0_vals = np.asarray(n0(grid.nodes), dtype=complex).reshape(-1)
-        else:
-            n0_vals = np.broadcast_to(np.asarray(n0, dtype=complex).reshape(-1), (grid.size,)).copy() \
-                if np.asarray(n0).size == 1 else np.asarray(n0, dtype=complex).reshape(-1)
-        if n0_vals.size != grid.size:
-            raise InvariantViolation("n0 sample count does not match the grid")
+        n0_vals = _node_field(n0(grid.nodes) if callable(n0) else n0, grid.size, complex)
         self.n0 = n0_vals
         self.q0 = self.k ** 2 * (1.0 - n0_vals)
         if np.any(self.q0.imag > 1e-14 * self.k ** 2):
@@ -282,7 +290,7 @@ class BackgroundMedium:
         m = np.meshgrid(*[np.arange(n) for n in self.grid.shape], indexing="ij", sparse=True)
         r = delta * np.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
         r[0, 0, 0] = 1.0
-        table = np.exp(1j * self.k * r) / (4.0 * np.pi * r) * delta ** 3
+        table = helmholtz_kernels(None, r, self.k) * delta ** 3
         table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
         return table
 
@@ -342,9 +350,15 @@ class BackgroundMedium:
             sol = sla.lu_solve(lu, cols, trans=1 if adjoint else 0)
             ax = (a.T if adjoint else a) @ sol
         else:
-            sol = self._solve_grid_iterative(cols, adjoint)
+            sol = np.empty_like(cols)
+            for j in range(cols.shape[1]):
+                sol[:, j], info, _ = _gmres(
+                    lambda u: self._apply_grid_operator(u, adjoint=adjoint), cols[:, j])
+                if info != 0:
+                    raise SolverFailure(f"grid GMRES did not converge (info={info})")
             ax = self._apply_grid_operator(sol, adjoint=adjoint)
-        resid = float(np.linalg.norm(ax - cols) / max(np.linalg.norm(cols), 1e-300))
+        ax -= cols
+        resid = float(np.linalg.norm(ax) / max(np.linalg.norm(cols), 1e-300))
         if resid > 1e-8:
             raise SolverFailure(
                 f"grid solve residual {resid:.2e} exceeds tolerance", residual=resid)
@@ -357,15 +371,6 @@ class BackgroundMedium:
             return u + q0 * self._apply_weighted_kernel(u)
         return u + self._apply_weighted_kernel(q0 * u)
 
-    def _solve_grid_iterative(self, cols, adjoint):
-        out = np.empty_like(cols)
-        for j in range(cols.shape[1]):
-            out[:, j], info, _ = _gmres(
-                lambda u: self._apply_grid_operator(u, adjoint=adjoint), cols[:, j])
-            if info != 0:
-                raise SolverFailure(f"grid GMRES did not converge (info={info})")
-        return out
-
     # -- incident field -----------------------------------------------------
 
     def u0_grid(self, alpha) -> np.ndarray:
@@ -377,83 +382,74 @@ class BackgroundMedium:
             self._u0_cache[key] = e if self.is_free else self._solve_grid(e)
         return self._u0_cache[key]
 
-    def incident_values(self, alpha, points) -> np.ndarray:
-        """u0(x, alpha) at arbitrary points via the volume representation."""
+    def incident_values(self, alpha, points, order=0) -> np.ndarray:
+        """u0(x, alpha) at arbitrary points via the volume representation.
+
+        order 1 returns [u0 (n,), grad_x u0 (n,3) row-major] as one (4n,)
+        vector, the layout of the hard-particle unknowns.
+        """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         plane = np.exp(1j * self.k * pts @ alpha)
+        if order:
+            grad = 1j * self.k * alpha[None, :] * plane[:, None]
+            plane = np.concatenate([plane, grad.reshape(-1)])
         if self.is_free:
             return plane
         u0g = self.u0_grid(alpha)
-        gmat = free_kernel(pts, self.grid.nodes, self.k)
-        return plane - gmat @ (self.q0 * u0g * self.weight)
-
-    def incident_gradient(self, alpha, points) -> np.ndarray:
-        """grad_x u0(x, alpha), shape (n,3)."""
-        alpha = _unit(alpha)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        plane = np.exp(1j * self.k * pts @ alpha)
-        grad = 1j * self.k * alpha[None, :] * plane[:, None]
-        if self.is_free:
-            return grad
-        u0g = self.u0_grid(alpha)
-        ggrad = -free_kernel_grad_y(pts, self.grid.nodes, self.k)  # grad wrt first argument
-        return grad - np.einsum("xnp,n->xp", ggrad, self.q0 * u0g * self.weight)
+        return plane - self._node_columns(pts, order).T @ (self.q0 * u0g * self.weight)
 
     # -- Green function -----------------------------------------------------
 
-    def _grid_green_columns(self, y):
-        """G(z_i, y_j) for source points y (must avoid grid nodes)."""
-        rhs = free_kernel(self.grid.nodes, y, self.k)
-        return self._solve_grid(rhs)
+    def _node_columns(self, pts, order):
+        """g(z, p_j) over the grid nodes z, stacked as [g | grad_p g] for order >= 1.
 
-    def green_matrix(self, x, y) -> np.ndarray:
-        """Background Green function G(x_i, y_j), shape (n,m)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        g = free_kernel(x, y, self.k)
-        if self.is_free:
-            return g
-        gy = self._grid_green_columns(y)
-        outer = free_kernel(x, self.grid.nodes, self.k)
-        return g - outer @ (self.q0[:, None] * self.weight * gy)
+        Shape (N, m), or (N, 4m) with gradient column 3j + p.  The transpose
+        holds the target rows [g(p_i, z) | grad_x g(p_i, z)]: g depends on
+        y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
+        """
+        if order == 0:
+            return _free_kernels(self.grid.nodes, pts, self.k)
+        g, grad = _free_kernels(self.grid.nodes, pts, self.k, 1)
+        return np.concatenate([g, grad.reshape(len(g), -1)], axis=1)
 
-    def green_grad_y_matrix(self, x, y) -> np.ndarray:
-        """grad_y G(x_i, y_j), shape (n,m,3)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        gg = free_kernel_grad_y(x, y, self.k)
-        if self.is_free:
-            return gg
-        rhs = free_kernel_grad_y(self.grid.nodes, y, self.k)  # (N,m,3)
-        n, m = rhs.shape[0], rhs.shape[1]
-        sol = self._solve_grid(rhs.reshape(n, m * 3)).reshape(n, m, 3)
-        outer = free_kernel(x, self.grid.nodes, self.k)
-        return gg - np.einsum("xn,nmp->xmp", outer, self.q0[:, None, None] * self.weight * sol)
+    def green_blocks(self, x, y=None, order=0) -> list:
+        """Background Green function G(x_i, y_j) and its derivative blocks.
 
-    def green_grad_x_matrix(self, x, y) -> np.ndarray:
-        """grad_x G(x_i, y_j), shape (n,m,3)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        gx = -free_kernel_grad_y(x, y, self.k)
-        if self.is_free:
-            return gx
-        gy = self._grid_green_columns(y)
-        outer = -free_kernel_grad_y(x, self.grid.nodes, self.k)  # (n,N,3) grad wrt x
-        return gx - np.einsum("xnp,nm->xmp", outer, self.q0[:, None] * self.weight * gy)
-
-    def green_hess_xy_matrix(self, x, y) -> np.ndarray:
-        """d^2 G / dx_q dy_p, shape (n,m,3,3) [q,p]."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        h = free_kernel_hess_xy(x, y, self.k)
-        if self.is_free:
-            return h
-        rhs = free_kernel_grad_y(self.grid.nodes, y, self.k)
-        n, m = rhs.shape[0], rhs.shape[1]
-        sol = self._solve_grid(rhs.reshape(n, m * 3)).reshape(n, m, 3)
-        outer = -free_kernel_grad_y(x, self.grid.nodes, self.k)
-        return h - np.einsum("xnq,nmp->xmqp", outer, self.q0[:, None, None] * self.weight * sol)
+        Returns [G] (n,m) for order 0, [G, grad_x G, grad_y G] (n,m,3) for
+        order 1, plus d^2G/dx_q dy_p (n,m,3,3) [q,p] for order 2.  Without
+        y the blocks run over pairs of x with a zero diagonal.  The volume
+        correction is one grid solve over the stacked source columns and
+        one product with the stacked target rows.
+        """
+        pairs = y is None
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
+        n, m = len(x), len(y)
+        diff, r = _pair_distances(x, y)
+        if pairs:
+            r[np.diag_indices(n)] = 1.0
+        if np.any(r == 0.0):
+            raise SingularEvaluationError("Green function evaluated at coincident points")
+        free = helmholtz_kernels(diff, r, self.k, order)
+        blocks = [free] if order == 0 else [free[0], -free[1], *free[1:]]
+        if not self.is_free:
+            src = self._node_columns(y, order)
+            tgt = src if pairs else self._node_columns(x, order)
+            sol = self._solve_grid(src)
+            sol *= self.q0[:, None] * self.weight
+            corr = tgt.T @ sol
+            parts = [corr[:n, :m]]
+            if order:
+                parts += [corr[n:, :m].reshape(n, 3, m).transpose(0, 2, 1),
+                          corr[:n, m:].reshape(n, m, 3)]
+            if order == 2:
+                parts.append(corr[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3))
+            blocks = [b - c for b, c in zip(blocks, parts)]
+        if pairs:
+            for b in blocks:
+                b[np.arange(n), np.arange(n)] = 0.0
+        return blocks
 
     # -- volume potentials with the G kernel ---------------------------------
 
@@ -468,12 +464,10 @@ class BackgroundMedium:
         """integral G(x, y) f(y) dy at arbitrary points for a node density f."""
         f = np.asarray(density, dtype=complex).reshape(-1)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        gmat = free_kernel(pts, self.grid.nodes, self.k)
-        direct = gmat @ (f * self.weight)
-        if self.is_free:
-            return direct
-        correction = self.q0 * self.weight * self.green_potential_grid(f)
-        return direct - gmat @ correction
+        weighted = f * self.weight
+        if not self.is_free:
+            weighted = weighted - self.q0 * self.weight * self.green_potential_grid(f)
+        return free_kernel(pts, self.grid.nodes, self.k) @ weighted
 
     def solve_adjoint(self, rhs) -> np.ndarray:
         """Solve the transposed grid system; used for amplitude extraction."""
@@ -521,11 +515,10 @@ class BackgroundMedium:
         if self.is_free:
             return out
         # volume correction: one transposed solve against the combined source
-        nodes = self.grid.nodes
-        src = free_kernel(pts, nodes, self.k).T @ w  # (N,)
-        if dipole is not None:
-            gx = -free_kernel_grad_y(pts, nodes, self.k)  # grad wrt x_m
-            src += np.einsum("mnp,mp->n", gx, v)
+        if dipole is None:
+            src = self._node_columns(pts, 0) @ w
+        else:
+            src = self._node_columns(pts, 1) @ np.concatenate([w, v.reshape(-1)])
         adj = self.solve_adjoint(self.q0 * self.weight * src)
         return out - self._grid_phase_sum(betas, adj)
 
@@ -542,93 +535,16 @@ class BackgroundMedium:
         u0g = self.u0_grid(alpha)
         return -self._grid_phase_sum(betas, self.q0 * u0g * self.weight) / (4.0 * np.pi)
 
-    # -- pairwise kernels with excluded diagonal ------------------------------
 
-    def _free_pairs(self, pts, func):
-        """func(diff, r) over all pairs, any trailing shape, diagonal zeroed."""
-        diff = pts[None, :, :] - pts[:, None, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        m = len(pts)
-        if np.any(r[~np.eye(m, dtype=bool)] == 0.0):
-            raise SingularEvaluationError("coincident particle centers")
-        np.fill_diagonal(r, 1.0)
-        out = func(diff, r)
-        out[np.arange(m), np.arange(m)] = 0.0
-        return out
-
-    def green_pairs(self, pts) -> np.ndarray:
-        """G(x_i, x_j) over one point set with zero diagonal."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        g = self._free_pairs(pts, lambda diff, r: np.exp(1j * self.k * r) / (4 * np.pi * r))
-        if self.is_free:
-            return g
-        gy = self._grid_green_columns(pts)
-        outer = free_kernel(pts, self.grid.nodes, self.k)
-        corr = outer @ (self.q0[:, None] * self.weight * gy)
-        corr[np.arange(len(pts)), np.arange(len(pts))] = 0.0
-        return g - corr
-
-    def green_grad_y_pairs(self, pts) -> np.ndarray:
-        """grad_y G(x_i, x_j) with zero diagonal, shape (M,M,3)."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-
-        def grad(diff, r):
-            g = np.exp(1j * self.k * r) / (4 * np.pi * r)
-            return (g * (1j * self.k - 1.0 / r))[:, :, None] * diff / r[:, :, None]
-
-        gg = self._free_pairs(pts, grad)
-        if self.is_free:
-            return gg
-        rhs = free_kernel_grad_y(self.grid.nodes, pts, self.k)
-        n, m = rhs.shape[0], rhs.shape[1]
-        sol = self._solve_grid(rhs.reshape(n, m * 3)).reshape(n, m, 3)
-        outer = free_kernel(pts, self.grid.nodes, self.k)
-        corr = np.einsum("xn,nmp->xmp", outer, self.q0[:, None, None] * self.weight * sol)
-        corr[np.arange(m), np.arange(m), :] = 0.0
-        return gg - corr
-
-    def green_grad_x_pairs(self, pts) -> np.ndarray:
-        """grad_x G(x_i, x_j) with zero diagonal, shape (M,M,3)."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-
-        def gradx(diff, r):
-            g = np.exp(1j * self.k * r) / (4 * np.pi * r)
-            return -(g * (1j * self.k - 1.0 / r))[:, :, None] * diff / r[:, :, None]
-
-        gx = self._free_pairs(pts, gradx)
-        if self.is_free:
-            return gx
-        gy = self._grid_green_columns(pts)
-        outer = -free_kernel_grad_y(pts, self.grid.nodes, self.k)
-        corr = np.einsum("xnp,nm->xmp", outer, self.q0[:, None] * self.weight * gy)
-        m = len(pts)
-        corr[np.arange(m), np.arange(m), :] = 0.0
-        return gx - corr
-
-    def green_hess_xy_pairs(self, pts) -> np.ndarray:
-        """d^2 G / dx_q dy_p over pairs with zero diagonal, shape (M,M,3,3)."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-
-        def hess(diff, r):
-            g = np.exp(1j * self.k * r) / (4 * np.pi * r)
-            f1 = g * (1j * self.k - 1.0 / r)
-            f2 = g * (-(self.k ** 2) - 2j * self.k / r + 2.0 / r ** 2)
-            u = diff / r[:, :, None]
-            uu = u[:, :, :, None] * u[:, :, None, :]
-            eye = np.eye(3)[None, None, :, :]
-            return -(f2[:, :, None, None] * uu
-                     + f1[:, :, None, None] * (eye - uu) / r[:, :, None, None])
-
-        h = self._free_pairs(pts, hess)
-        if self.is_free:
-            return h
-        rhs = free_kernel_grad_y(self.grid.nodes, pts, self.k)
-        n, m = rhs.shape[0], rhs.shape[1]
-        sol = self._solve_grid(rhs.reshape(n, m * 3)).reshape(n, m, 3)
-        outer = -free_kernel_grad_y(pts, self.grid.nodes, self.k)
-        corr = np.einsum("xnq,nmp->xmqp", outer, self.q0[:, None, None] * self.weight * sol)
-        corr[np.arange(m), np.arange(m), :, :] = 0.0
-        return h - corr
+def _node_field(values, size, dtype) -> np.ndarray:
+    """A scalar broadcast to, or a sample vector checked against, the grid nodes."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.size == 1:
+        return np.full(size, arr.reshape(-1)[0], dtype=dtype)
+    arr = arr.reshape(-1)
+    if arr.size != size:
+        raise InvariantViolation("field sample count does not match the grid")
+    return arr
 
 
 def _unit(v) -> np.ndarray:
@@ -657,12 +573,12 @@ def far_probe_points(grid: Grid, radius_factor: float = 5.0) -> np.ndarray:
 
 def background_green(medium: BackgroundMedium, x, y) -> complex:
     """G(x,y) for a single point pair (G = g when q0 vanishes)."""
-    return complex(medium.green_matrix(x, y)[0, 0])
+    return complex(medium.green_blocks(x, y)[0][0, 0])
 
 
 def background_green_grad(medium: BackgroundMedium, x, y) -> np.ndarray:
     """grad_y G(x,y) for a single point pair, shape (3,)."""
-    return medium.green_grad_y_matrix(x, y)[0, 0]
+    return medium.green_blocks(x, y, order=1)[2][0, 0]
 
 
 def incident_field(medium: BackgroundMedium, alpha, points) -> ComplexField:
@@ -683,10 +599,6 @@ class LemmaBoundsReport:
     max_ratio_g: float
     max_ratio_green: float
     max_diff_g: float
-
-    @property
-    def denominator(self) -> float:
-        return self.a / self.d ** 2 + self.k * self.a / self.d
 
 
 def lemma_bounds_check(medium: BackgroundMedium, a: float, d: float,
@@ -712,15 +624,14 @@ def lemma_bounds_check(medium: BackgroundMedium, a: float, d: float,
 
     k = medium.k
     denom = a / d ** 2 + k * a / d
-    gx = np.array([free_kernel(x[i], y[i], k) for i in range(sample_count)])
-    gt = np.array([free_kernel(t[i], y[i], k) for i in range(sample_count)])
+    gx, gt = (helmholtz_kernels(y - p, np.linalg.norm(y - p, axis=1), k) for p in (x, t))
     diff_g = np.abs(gt - gx)
     if medium.is_free:
         diff_green = diff_g
     else:
-        green_x = np.array([background_green(medium, x[i], y[i]) for i in range(sample_count)])
-        green_t = np.array([background_green(medium, t[i], y[i]) for i in range(sample_count)])
-        diff_green = np.abs(green_t - green_x)
+        green = medium.green_blocks(np.concatenate([x, t]), y)[0]
+        idx = np.arange(sample_count)
+        diff_green = np.abs(green[sample_count + idx, idx] - green[idx, idx])
     return LemmaBoundsReport(
         a=a, d=d, k=k, samples=sample_count,
         max_ratio_g=float(diff_g.max() / denom),

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InfeasibleDesign, InvariantViolation
-from .medium import BackgroundMedium
+from .medium import BackgroundMedium, _node_field
 
 logger = logging.getLogger(__name__)
 
@@ -293,17 +293,30 @@ def _place(medium, density, a, weight, cell_size):
         return np.zeros((0, 3)), np.inf, 0.0
     centers = np.vstack(all_pts)
     if len(centers) > 1:
-        tree = cKDTree(centers)
-        dist, _ = tree.query(centers, k=2)
-        d_min = float(dist[:, 1].min())
+        d_min = min_spacing(centers)
     if discrepancy:
         logger.debug("lattice rounding discrepancy: %.3g (density mass units)", discrepancy)
     return centers, d_min, discrepancy
 
 
+def min_spacing(centers) -> float:
+    """Smallest center-to-center distance; inf for fewer than two centers."""
+    if len(centers) < 2:
+        return np.inf
+    dist, _ = cKDTree(centers).query(centers, k=2)
+    return float(dist[:, 1].min())
+
+
 # ---------------------------------------------------------------------------
 # builders and validation
 # ---------------------------------------------------------------------------
+
+def _check_radius(medium: BackgroundMedium, a: float):
+    if not a > 0:
+        raise InvariantViolation("particle radius must be positive")
+    if medium.k * a > KA_MAX + 1e-12:
+        raise InvariantViolation(f"ka = {medium.k * a:.3g} exceeds the small-size regime {KA_MAX}")
+
 
 def build_cloud_impedance(medium: BackgroundMedium, a: float, h_field, N_field,
                           cell_size: float | None = None,
@@ -314,18 +327,9 @@ def build_cloud_impedance(medium: BackgroundMedium, a: float, h_field, N_field,
     round(integral_cell N dx / a) particles; per-particle impedance comes from
     the h value of the containing grid cell.
     """
-    if not a > 0:
-        raise InvariantViolation("particle radius must be positive")
-    if medium.k * a > KA_MAX + 1e-12:
-        raise InvariantViolation(f"ka = {medium.k * a:.3g} exceeds the small-size regime {KA_MAX}")
-    h = np.broadcast_to(np.asarray(h_field, dtype=complex).reshape(-1),
-                        (medium.grid.size,)) if np.asarray(h_field).size == 1 \
-        else np.asarray(h_field, dtype=complex).reshape(-1)
-    N = np.broadcast_to(np.asarray(N_field, dtype=float).reshape(-1),
-                        (medium.grid.size,)) if np.asarray(N_field).size == 1 \
-        else np.asarray(N_field, dtype=float).reshape(-1)
-    if h.size != medium.grid.size or N.size != medium.grid.size:
-        raise InvariantViolation("h and N must be node fields on the medium grid")
+    _check_radius(medium, a)
+    h = _node_field(h_field, medium.grid.size, complex)
+    N = _node_field(N_field, medium.grid.size, float)
     if np.any(N < 0):
         raise InvariantViolation("N must be nonnegative")
     if np.any(h.imag > 1e-14):
@@ -345,15 +349,8 @@ def build_cloud_hard(medium: BackgroundMedium, a: float, nu_field, beta,
                      cell_size: float | None = None,
                      shape_constants=BALL_SHAPE_CONSTANTS) -> ParticleCloud:
     """Realize the per-volume counting nu(x)/(c3 a^3) with hard particles."""
-    if not a > 0:
-        raise InvariantViolation("particle radius must be positive")
-    if medium.k * a > KA_MAX + 1e-12:
-        raise InvariantViolation(f"ka = {medium.k * a:.3g} exceeds the small-size regime {KA_MAX}")
-    nu = np.broadcast_to(np.asarray(nu_field, dtype=float).reshape(-1),
-                         (medium.grid.size,)) if np.asarray(nu_field).size == 1 \
-        else np.asarray(nu_field, dtype=float).reshape(-1)
-    if nu.size != medium.grid.size:
-        raise InvariantViolation("nu must be a node field on the medium grid")
+    _check_radius(medium, a)
+    nu = _node_field(nu_field, medium.grid.size, float)
     # validates nu >= 0 and the d >> a compatibility bound
     measure = CountingMeasure(mode="per_volume", density=nu, shape_constants=shape_constants)
     weight = measure.particle_weight(a)
@@ -384,12 +381,7 @@ def validate_cloud(cloud: ParticleCloud, medium: BackgroundMedium) -> CloudRepor
     """Check the small-size, spacing, and passivity invariants of a cloud."""
     m = len(cloud)
     ka = medium.k * cloud.a
-    if m > 1:
-        tree = cKDTree(cloud.centers)
-        dist, _ = tree.query(cloud.centers, k=2)
-        spacing = float(dist[:, 1].min())
-    else:
-        spacing = np.inf
+    spacing = min_spacing(cloud.centers)
     max_zeta_a = float(np.max(np.abs(cloud.zeta)) * cloud.a) if (
         cloud.kind == "impedance" and m > 0) else None
     fraction = m * cloud.volume_per_particle / medium.grid.volume

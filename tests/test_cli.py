@@ -83,6 +83,8 @@ class TestSolve:
         assert len(sol["dipole_moments"][0]) == 3
         header, data = read_csv(out / "centers.csv")
         assert header == ["x", "y", "z"] and data.shape == (1, 3)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["iterations"] == 0 and 0 < meta["rcond"] <= 1  # dense LU path
 
     def test_determinism_byte_identical(self, tmp_path):
         code1, out1 = run(tmp_path / "r1", "solve", scene_path=SCENES / "single_hard_ball.json")

@@ -230,6 +230,7 @@ class TestScaleLaw:
         cloud = build_cloud_hard(med, a=8e-3, nu_field=2e-4, beta=ball_polarizability())
         dense = assemble_and_solve_hard(med, cloud, Z_HAT)
         krylov = assemble_and_solve_hard(med, cloud, Z_HAT, dense_cap=0)
+        assert krylov.iterations > 0
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values, rtol=1e-8)
         scale = np.abs(dense.effective_gradients).max()
         np.testing.assert_allclose(krylov.effective_gradients, dense.effective_gradients,

@@ -145,6 +145,32 @@ class TestBackgroundGreen:
             assert abs(val - 1 / (4 * np.pi)) / (1 / (4 * np.pi)) <= 2.0 / (med.k * r)
 
 
+class TestGreenBlocks:
+    def test_pair_blocks_reciprocal_in_nonfree_medium(self):
+        # G(x,y) = G(y,x) passes to the derivatives: grad_x G(x_i,x_j) is
+        # grad_y G(x_j,x_i) and the mixed Hessian swaps both points and axes
+        def n0(z):
+            return 1.0 + 0.4 * np.exp(-8 * np.sum((z - 0.5) ** 2, axis=1))
+
+        med = make_medium(k=1.3, n=7, n0=n0)
+        pts = np.random.default_rng(3).random((9, 3)) * 0.9 + 0.05
+        g, grad_x, grad_y, hess = med.green_blocks(pts, order=2)
+        free = free_kernel(pts[0], pts[1], med.k)
+        assert abs(g[0, 1] - free) > 1e-4 * abs(free)  # the volume correction is present
+        for a, b in ((g, g.T), (grad_x, grad_y.transpose(1, 0, 2)),
+                     (hess, hess.transpose(1, 0, 3, 2))):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+        assert np.all(g[np.diag_indices(9)] == 0) and np.all(hess[np.arange(9), np.arange(9)] == 0)
+        # the mixed block is the x-derivative of the target/source grad_y block
+        h = 1e-5
+        for q in range(3):
+            e = np.zeros(3)
+            e[q] = h
+            up, dn = (med.green_blocks(pts[0] + s * e, pts[1], order=1)[2][0, 0] for s in (1, -1))
+            fd = (up - dn) / (2 * h)
+            assert np.abs(fd - hess[0, 1, q]).max() <= 1e-7 * np.abs(hess[0, 1]).max()
+
+
 class TestBackgroundGreenGrad:
     def test_static_free_gradient(self):
         med = make_medium(k=1e-9)  # k > 0 required; effectively static
@@ -268,6 +294,23 @@ class TestLemmaBounds:
         r1 = lemma_bounds_check(med, a=1e-3, d=0.1, sample_count=500, seed=9)
         r2 = lemma_bounds_check(med, a=1e-3, d=0.2, sample_count=500, seed=9)
         assert r2.max_diff_g < r1.max_diff_g
+
+    def test_batched_green_matches_per_sample_loop(self):
+        # same draws as lemma_bounds_check, evaluated one pair at a time
+        med = make_medium(k=1.1, n=5, n0=1.2)
+        a, d, n = 1e-3, 0.1, 25
+        rep = lemma_bounds_check(med, a=a, d=d, sample_count=n, seed=4)
+        rng = np.random.default_rng(4)
+
+        def unit(v):
+            return v / np.linalg.norm(v, axis=1)[:, None]
+
+        x = rng.random((n, 3))
+        y = x + unit(rng.normal(size=(n, 3))) * (d * (1 + rng.random(n)))[:, None]
+        t = x + unit(rng.normal(size=(n, 3))) * (a * rng.random(n) ** (1 / 3))[:, None]
+        diff = max(abs(background_green(med, t[i], y[i]) - background_green(med, x[i], y[i]))
+                   for i in range(n))
+        assert rep.max_ratio_green == pytest.approx(diff / (a / d ** 2 + med.k * a / d), rel=1e-12)
 
     def test_requires_separation(self):
         med = make_medium()
