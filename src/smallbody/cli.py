@@ -75,6 +75,12 @@ def _vec3(x) -> np.ndarray:
     return np.array([_fnum(v) for v in x])
 
 
+def _vec3_list(x, what: str) -> np.ndarray:
+    if not isinstance(x, list):
+        raise SceneError(f"{what} must be a list of 3-vectors, got {x!r}")
+    return np.array([_vec3(v) for v in x]).reshape(-1, 3)
+
+
 def parse_field_spec(spec, grid: Grid, dtype=complex) -> np.ndarray:
     """Scalar field over grid nodes from a scene value.
 
@@ -147,7 +153,7 @@ def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
     cell = cspec.get("cell_size")
     cell = _fnum(cell) if cell is not None else None
     if "centers" in cspec:
-        centers = np.asarray(cspec["centers"], dtype=float).reshape(-1, 3)
+        centers = _vec3_list(cspec["centers"], "cloud centers")
         if kind == "impedance":
             zeta = np.array([_complex_of(z) for z in cspec["zeta"]])
             if len(zeta) == 1 and len(centers) > 1:
@@ -173,15 +179,15 @@ def parse_points(scene: dict, medium: BackgroundMedium) -> np.ndarray:
     spec = scene.get("points", {"far_probes": 5.0})
     if isinstance(spec, dict) and "far_probes" in spec:
         return far_probe_points(medium.grid, _fnum(spec["far_probes"]))
-    pts = np.asarray(spec, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise SceneError("points must be a list of 3-vectors or {far_probes: factor}")
-    return pts
+    return _vec3_list(spec, "points (or {far_probes: factor})")
 
 
 def parse_directions(scene: dict) -> DirectionGrid:
     d = scene.get("directions", {})
-    return DirectionGrid(int(d.get("n_theta", 32)), int(d.get("n_phi", 64)))
+    try:
+        return DirectionGrid(int(d.get("n_theta", 32)), int(d.get("n_phi", 64)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SceneError(f"bad directions: {exc}") from exc
 
 
 def parse_alpha(scene: dict) -> np.ndarray:
@@ -225,7 +231,7 @@ def write_centers_csv(path: Path, cloud: ParticleCloud):
 
 def write_json(path: Path, data: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump({"format_version": FORMAT_VERSION, **data}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -252,7 +258,6 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
     write_farfield_csv(out / "farfield.csv", ff)
     write_centers_csv(out / "centers.csv", cloud)
     solution = {
-        "format_version": FORMAT_VERSION,
         "kind": cloud.kind,
         "effective_values": _complex_list(result.effective_values),
         "charges": _complex_list(result.charges),
@@ -266,7 +271,6 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
                                       for row in result.dipole_moments]
     write_json(out / "solution.json", solution)
     return {
-        "format_version": FORMAT_VERSION,
         "command": "solve",
         "kind": cloud.kind,
         "M": len(cloud),
@@ -307,7 +311,6 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
     write_field_csv(out / "grid_field.csv", fld.points, fld.values)
     write_field_csv(out / "field.csv", at_points.points, at_points.values)
     return {
-        "format_version": FORMAT_VERSION,
         "command": "limit",
         "mode": mode,
         "grid_nodes": medium.grid.size,
@@ -360,7 +363,6 @@ def cmd_design(scene: dict, out: Path, args) -> dict:
     write_centers_csv(out / "centers.csv", result.cloud)
 
     write_json(out / "design.json", {
-        "format_version": FORMAT_VERSION,
         "p": _complex_list(result.p),
         "h": _complex_list(result.h),
         "N": [float(v) for v in np.broadcast_to(result.N, (medium.grid.size,))],
@@ -373,7 +375,6 @@ def cmd_design(scene: dict, out: Path, args) -> dict:
         },
     })
     meta = {
-        "format_version": FORMAT_VERSION,
         "command": "design",
         "M": result.feasibility.m,
         "wall_time_s": wall,
@@ -418,7 +419,6 @@ def cmd_study(scene: dict, out: Path, args) -> dict:
               [np.asarray(c, dtype=float) for c in cols])
     write_json(out / "study.json", study.to_json_dict())
     return {
-        "format_version": FORMAT_VERSION,
         "command": "study",
         "mode": mode,
         "scales": len(study.records),
@@ -430,7 +430,6 @@ def cmd_study(scene: dict, out: Path, args) -> dict:
 def cmd_validate(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
     meta = {
-        "format_version": FORMAT_VERSION,
         "command": "validate",
         "grid_nodes": medium.grid.size,
         "k": medium.k,
@@ -489,7 +488,6 @@ def main(argv=None) -> int:
 
     def fail(exc, code):
         payload = {
-            "format_version": FORMAT_VERSION,
             "error_type": type(exc).__name__,
             "message": str(exc),
             "exit_code": code,
@@ -503,6 +501,8 @@ def main(argv=None) -> int:
             scene = json.load(fh)
         if not isinstance(scene, dict):
             raise SceneError("scene must be a JSON object")
+        if scene.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+            raise SceneError(f"unsupported format_version {scene['format_version']!r}")
         meta = COMMANDS[args.command](scene, out, args)
     except (json.JSONDecodeError, SceneError, FileNotFoundError) as exc:
         return fail(exc, EXIT_SCHEMA)

@@ -216,13 +216,10 @@ def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: Pa
             raise InvariantViolation(
                 f"evaluation point within d = {limit:.3g} of a particle center; "
                 "the point-particle reduction is not valid there")
-    values = medium.incident_values(result.alpha, pts)
-    if len(keep):
-        order = 0 if result.dipole_moments is None else 1
-        blocks = medium.green_blocks(pts, cloud.centers[keep], order)
-        values = values + blocks[0] @ result.charges[keep]
-        if order:
-            values = values + np.einsum("xmp,mp->x", blocks[2], result.dipole_moments[keep])
+    centers, charges = cloud.centers[keep], result.charges[keep]
+    dipoles = None if result.dipole_moments is None else result.dipole_moments[keep]
+    density = medium.source_density(result.alpha, centers, charges, dipoles)
+    values = medium.radiate(pts, result.alpha, density, centers, charges, dipoles)
     return ComplexField(points=pts, values=values, incident_direction=result.alpha)
 
 
@@ -230,15 +227,15 @@ def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: Partic
                betas) -> np.ndarray:
     """A(beta,alpha) = A0 + (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m].
 
-    For a homogeneous background this reduces to
-    (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
+    The particle part is the far field of the particle sources plus the
+    background's response to them, kept apart from A0 so that it is not
+    formed as a small difference.  For a homogeneous background it reduces
+    to (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
     """
-    betas = np.atleast_2d(np.asarray(betas, dtype=float))
-    total = medium.background_amplitude(betas, result.alpha)
-    if len(cloud):
-        total = total + medium.weighted_u0_sum(
-            betas, cloud.centers, result.charges, result.dipole_moments) / (4.0 * np.pi)
-    return total
+    dipoles = result.dipole_moments
+    density = medium.source_density(None, cloud.centers, result.charges, dipoles)
+    return medium.background_amplitude(betas, result.alpha) \
+        + medium.amplitude(betas, density, cloud.centers, result.charges, dipoles)
 
 
 def far_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

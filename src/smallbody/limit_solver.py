@@ -24,7 +24,7 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _gmres, _node_field, _unit, free_kernel
+from .medium import BackgroundMedium, ComplexField, _gmres, _node_field, _unit
 from .particles import BALL_SHAPE_CONSTANTS
 
 logger = logging.getLogger(__name__)
@@ -140,16 +140,16 @@ def _spectral_radius_estimate(medium, potential, iters=12, seed=0):
     return rho
 
 
+def _impedance_density(problem: LimitProblem, field: ComplexField) -> np.ndarray:
+    """Grid sources -(q0 + p) u delta^3 of the limit field; no background solve."""
+    return -((problem.medium.q0 + problem.p) * field.values * problem.medium.weight)
+
+
 def impedance_limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
     """Evaluate the limit solution off the grid via its volume representation."""
-    medium = problem.medium
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     alpha = field.incident_direction
-    plane = np.exp(1j * medium.k * pts @ alpha)
-    total = medium.q0 + problem.p
-    gmat = free_kernel(pts, medium.grid.nodes, medium.k)
-    values = plane - gmat @ (total * field.values * medium.weight)
-    return ComplexField(points=pts, values=values, incident_direction=alpha)
+    values = problem.medium.radiate(points, alpha, _impedance_density(problem, field))
+    return ComplexField(points=points, values=values, incident_direction=alpha)
 
 
 def limiting_amplitude(problem: LimitProblem, field: ComplexField,
@@ -157,13 +157,9 @@ def limiting_amplitude(problem: LimitProblem, field: ComplexField,
     """A(beta,alpha) = A0(beta,alpha) - (1/4pi) integral u0(y,-beta) p(y) u(y) dy."""
     if problem.is_hard:
         raise InvariantViolation("limiting_amplitude applies to the impedance limit")
-    medium = problem.medium
     grid = directions or DirectionGrid()
-    betas = grid.vectors()
-    a0 = medium.background_amplitude(betas, field.incident_direction)
-    scattered = medium.weighted_u0_sum_grid(
-        betas, problem.p * field.values * medium.weight) / (4.0 * np.pi)
-    return FarField(grid=grid, values=a0 - scattered, alpha=field.incident_direction)
+    values = problem.medium.amplitude(grid.vectors(), _impedance_density(problem, field))
+    return FarField(grid=grid, values=values, alpha=field.incident_direction)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +261,12 @@ def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
 
 
 def hard_limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
-    """Evaluate the hard-limit solution off the grid via its representation."""
+    """Evaluate the hard-limit solution off the grid via its representation:
+    U = u0 + G f radiates from the grid sources (f - q0 (u0 + G f)) delta^3."""
     medium = problem.medium
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    alpha = field.incident_direction
     source = _hard_source(problem, field.values)
-    values = medium.incident_values(field.incident_direction, pts) \
-        + medium.green_potential_at(pts, source)
-    return ComplexField(points=pts, values=values, incident_direction=field.incident_direction)
+    if not medium.is_free:
+        source = source - medium.q0 * (medium.u0_grid(alpha) + medium.green_potential_grid(source))
+    values = medium.radiate(points, alpha, source * medium.weight)
+    return ComplexField(points=points, values=values, incident_direction=alpha)

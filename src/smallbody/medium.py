@@ -337,8 +337,8 @@ class BackgroundMedium:
             self._lu = (sla.lu_factor(a), a)
         return self._lu
 
-    def _solve_grid(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Solve (I + Kw diag(q0)) u = rhs on the grid (or its transpose).
+    def _solve_grid(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I + Kw diag(q0)) u = rhs on the grid.
 
         Dense LU up to DENSE_GRID_CAP nodes, where the many Green-column
         right-hand sides amortize it; FFT-applied GMRES beyond.
@@ -347,16 +347,15 @@ class BackgroundMedium:
         cols = rhs.reshape(self.grid.size, -1)
         if self.grid.size <= DENSE_GRID_CAP:
             lu, a = self._factorization()
-            sol = sla.lu_solve(lu, cols, trans=1 if adjoint else 0)
-            ax = (a.T if adjoint else a) @ sol
+            sol = sla.lu_solve(lu, cols)
+            ax = a @ sol
         else:
             sol = np.empty_like(cols)
             for j in range(cols.shape[1]):
-                sol[:, j], info, _ = _gmres(
-                    lambda u: self._apply_grid_operator(u, adjoint=adjoint), cols[:, j])
+                sol[:, j], info, _ = _gmres(self._apply_grid_operator, cols[:, j])
                 if info != 0:
                     raise SolverFailure(f"grid GMRES did not converge (info={info})")
-            ax = self._apply_grid_operator(sol, adjoint=adjoint)
+            ax = self._apply_grid_operator(sol)
         ax -= cols
         resid = float(np.linalg.norm(ax) / max(np.linalg.norm(cols), 1e-300))
         if resid > 1e-8:
@@ -364,11 +363,9 @@ class BackgroundMedium:
                 f"grid solve residual {resid:.2e} exceeds tolerance", residual=resid)
         return sol.reshape(rhs.shape)
 
-    def _apply_grid_operator(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """(I + Kw diag(q0)) u, or its transpose; Kw is complex symmetric."""
+    def _apply_grid_operator(self, u: np.ndarray) -> np.ndarray:
+        """(I + Kw diag(q0)) u."""
         q0 = self.q0.reshape((-1,) + (1,) * (u.ndim - 1))
-        if adjoint:
-            return u + q0 * self._apply_weighted_kernel(u)
         return u + self._apply_weighted_kernel(q0 * u)
 
     # -- incident field -----------------------------------------------------
@@ -388,16 +385,64 @@ class BackgroundMedium:
         order 1 returns [u0 (n,), grad_x u0 (n,3) row-major] as one (4n,)
         vector, the layout of the hard-particle unknowns.
         """
+        return self.radiate(points, alpha, self.source_density(alpha), order=order)
+
+    # -- equivalent sources ---------------------------------------------------
+
+    def source_density(self, alpha=None, centers=(), charges=None, dipoles=None):
+        """Node density s = -q0 delta^3 u of the grid field u = u0(., alpha) + u_p.
+
+        u_p = sum_m [G(z,x_m) Q_m + grad_y G(z,x_m).P_m] is one grid solve of the
+        combined source column; alpha None leaves u0 out.  None when q0 = 0.
+        """
+        if self.is_free:
+            return None
+        u = np.zeros(self.grid.size, complex) if alpha is None else self.u0_grid(alpha)
+        if len(centers):
+            order = 0 if dipoles is None else 1
+            w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
+            u = u + self._solve_grid(self._node_columns(centers, order) @ w)
+        return -(self.q0 * u * self.weight)
+
+    def radiate(self, points, alpha, density, centers=(), charges=None, dipoles=None,
+                order=0) -> np.ndarray:
+        """u(x) = e^{ik alpha.x} + sum_z g(x,z) s_z + sum_m [g(x,x_m) Q_m + grad_y g(x,x_m).P_m].
+
+        s is a node density (None: no grid sources), Q_m and P_m the particle
+        monopoles and dipoles.  order 1 returns [u, grad_x u] as one (4n,)
+        vector, for grid sources only.
+        """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        plane = np.exp(1j * self.k * pts @ alpha)
+        out = np.exp(1j * self.k * pts @ alpha)
         if order:
-            grad = 1j * self.k * alpha[None, :] * plane[:, None]
-            plane = np.concatenate([plane, grad.reshape(-1)])
-        if self.is_free:
-            return plane
-        u0g = self.u0_grid(alpha)
-        return plane - self._node_columns(pts, order).T @ (self.q0 * u0g * self.weight)
+            out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
+        if density is not None:
+            # target rows [g(x, z) | grad_x g(x, z)], copied row-major: the
+            # matvec then sums in the order of a directly built (n, N) kernel
+            out = out + np.ascontiguousarray(self._node_columns(pts, order).T) @ density
+        if len(centers) and dipoles is None:
+            out = out + _free_kernels(pts, centers, self.k) @ charges
+        elif len(centers):
+            g, grad_y = _free_kernels(pts, centers, self.k, 1)
+            out = out + g @ charges + np.einsum("xmp,mp->x", grad_y, dipoles)
+        return out
+
+    def amplitude(self, betas, density, centers=(), charges=None, dipoles=None) -> np.ndarray:
+        """(1/4pi) [sum_z e^{-ik beta.z} s_z + sum_m e^{-ik beta.x_m} (Q_m - ik beta.P_m)].
+
+        The far-field amplitude of the sources that ``radiate`` sums, per beta.
+        """
+        betas = np.atleast_2d(np.asarray(betas, dtype=float))
+        out = np.zeros(len(betas), dtype=complex)
+        if len(centers):
+            phase = self._phase(betas, centers)  # (nb, M)
+            out = phase @ charges
+            if dipoles is not None:
+                out += np.einsum("bm,bp,mp->b", phase, -1j * self.k * betas, dipoles)
+        if density is not None:
+            out = out + self._grid_phase_sum(betas, density)
+        return out / (4.0 * np.pi)
 
     # -- Green function -----------------------------------------------------
 
@@ -460,21 +505,6 @@ class BackgroundMedium:
             return kwf
         return self._solve_grid(kwf)
 
-    def green_potential_at(self, points, density) -> np.ndarray:
-        """integral G(x, y) f(y) dy at arbitrary points for a node density f."""
-        f = np.asarray(density, dtype=complex).reshape(-1)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        weighted = f * self.weight
-        if not self.is_free:
-            weighted = weighted - self.q0 * self.weight * self.green_potential_grid(f)
-        return free_kernel(pts, self.grid.nodes, self.k) @ weighted
-
-    def solve_adjoint(self, rhs) -> np.ndarray:
-        """Solve the transposed grid system; used for amplitude extraction."""
-        if self.is_free:
-            return np.asarray(rhs, dtype=complex)
-        return self._solve_grid(rhs, adjoint=True)
-
     # -- weighted far-field sums ----------------------------------------------
 
     def _phase(self, betas, points) -> np.ndarray:
@@ -498,42 +528,17 @@ class BackgroundMedium:
         t = np.einsum("abk,kb->ak", t.reshape(g.shape[0], g.shape[1], -1), e2)
         return np.einsum("ak,ka->k", t, e1)
 
-    def weighted_u0_sum(self, betas, points, monopole, dipole=None) -> np.ndarray:
-        """sum_m [u0(x_m,-beta) w_m + grad u0(x_m,-beta) . v_m] for each beta.
-
-        monopole w has shape (M,), dipole v shape (M,3) or None.  Evaluated
-        with one adjoint grid solve regardless of the number of directions.
-        """
-        betas = np.atleast_2d(np.asarray(betas, dtype=float))
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        w = np.asarray(monopole, dtype=complex).reshape(-1)
-        phase = self._phase(betas, pts)  # (nb, M)
-        out = phase @ w
-        if dipole is not None:
-            v = np.asarray(dipole, dtype=complex).reshape(-1, 3)
-            out += np.einsum("bm,bp,mp->b", phase, -1j * self.k * betas, v)
-        if self.is_free:
-            return out
-        # volume correction: one transposed solve against the combined source
-        if dipole is None:
-            src = self._node_columns(pts, 0) @ w
-        else:
-            src = self._node_columns(pts, 1) @ np.concatenate([w, v.reshape(-1)])
-        adj = self.solve_adjoint(self.q0 * self.weight * src)
-        return out - self._grid_phase_sum(betas, adj)
-
     def weighted_u0_sum_grid(self, betas, density_times_weight) -> np.ndarray:
-        """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3."""
-        betas = np.atleast_2d(np.asarray(betas, dtype=float))
-        return self._grid_phase_sum(betas, self.solve_adjoint(density_times_weight))
+        """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3.
+
+        The literal definition, one cached grid solve per direction.
+        """
+        f = np.asarray(density_times_weight, dtype=complex).reshape(-1)
+        return np.array([self.u0_grid(-b) @ f for b in np.atleast_2d(betas)])
 
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""
-        betas = np.atleast_2d(np.asarray(betas, dtype=float))
-        if self.is_free:
-            return np.zeros(len(betas), dtype=complex)
-        u0g = self.u0_grid(alpha)
-        return -self._grid_phase_sum(betas, self.q0 * u0g * self.weight) / (4.0 * np.pi)
+        return self.amplitude(betas, self.source_density(alpha))
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

@@ -69,6 +69,20 @@ class TestSolve:
         assert err["exit_code"] == 2
         assert not (out / "field.csv").exists()
 
+    @pytest.mark.parametrize("override", [
+        {"directions": {"n_theta": 1, "n_phi": 8}},
+        {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5]]}},
+        {"points": "far"},
+        {"format_version": 2},
+    ], ids=["n_theta_1", "two_coordinate_center", "points_string", "format_version_2"])
+    def test_bad_scene_input_exit_2(self, tmp_path, capsys, override):
+        scene = base_scene(cloud={"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]]})
+        scene.update(override)
+        code, out = run(tmp_path, "solve", scene_dict=scene)
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_physics_violation_exit_3(self, tmp_path):
         scene = base_scene(cloud={"kind": "impedance", "a": 0.5, "h": 1.0, "N": 0.05})
         code, out = run(tmp_path, "solve", scene_dict=scene)  # ka = 0.5 > 0.1

@@ -168,6 +168,30 @@ class TestCoupledSystem:
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
 
+    def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
+        # equivalent sources against the Green-block sum and the reciprocity
+        # route A - A0 = (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m]
+        med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.25)
+        centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]])
+        cloud = hard_cloud(centers, a=0.03)
+        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        pts = np.array([[0.9, 0.9, 0.9], [0.5, 0.5, 3.0], [-2.0, 1.0, 0.5], centers[1]])
+        for exclude, probes in ((None, pts[:3]), (1, pts)):
+            keep = [m for m in range(len(centers)) if m != exclude]
+            g, _, grad_y = med.green_blocks(probes, centers[keep], order=1)
+            reference = (med.incident_values(Z_HAT, probes) + g @ res.charges[keep]
+                         + np.einsum("xmp,mp->x", grad_y, res.dipole_moments[keep]))
+            got = evaluate_field_hard(res, med, cloud, probes, exclude=exclude).values
+            assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+        betas = DirectionGrid(4, 8).vectors()
+        part = amplitudes_hard(res, med, cloud, betas) - med.background_amplitude(betas, Z_HAT)
+        reference = np.empty(len(betas), dtype=complex)
+        for i, beta in enumerate(betas):
+            u0 = med.incident_values(-beta, centers, order=1)
+            reference[i] = (u0[:3] @ res.charges + u0[3:] @ res.dipole_moments.reshape(-1)) \
+                / (4 * np.pi)
+        assert np.abs(part - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_linearity(self):
         med = free_medium()
         centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])

@@ -21,7 +21,17 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 def cube_medium(k=1.0, n=10, n0=1.0):
-    return BackgroundMedium(k, Grid((0, 0, 0), (1, 1, 1), (n, n, n)))
+    return BackgroundMedium(k, Grid((0, 0, 0), (1, 1, 1), (n, n, n)), n0)
+
+
+def ball_background_problem(k=1.3):
+    """Real n0 = 1.15 ball in a 12^3 box, real p = 0.8 on a centered subbox."""
+    grid = Grid((0, 0, 0), (1, 1, 1), (12, 12, 12))
+    nodes = grid.nodes
+    inball = np.linalg.norm(nodes - 0.5, axis=1) < 0.3
+    med = BackgroundMedium(k, grid, np.where(inball, 1.15, 1.0).astype(complex))
+    insub = np.all((nodes > 0.25) & (nodes < 0.75), axis=1)
+    return LimitProblem(medium=med, p=np.where(insub, 0.8, 0.0).astype(complex))
 
 
 def bump_profile(nodes, center=0.5, width=0.3):
@@ -180,15 +190,8 @@ class TestLimitingAmplitude:
 
     def test_optical_theorem_real_potentials(self):
         # real q0 and real p: Im A(alpha,alpha) = (k/4pi) int |A|^2 within 1e-3
-        k = 1.3
-        grid = Grid((0, 0, 0), (1, 1, 1), (12, 12, 12))
-        nodes = grid.nodes
-        inball = np.linalg.norm(nodes - 0.5, axis=1) < 0.3
-        n0 = np.where(inball, 1.15, 1.0).astype(complex)
-        med = BackgroundMedium(k, grid, n0)
-        insub = np.all((nodes > 0.25) & (nodes < 0.75), axis=1)
-        p = np.where(insub, 0.8, 0.0).astype(complex)
-        problem = LimitProblem(medium=med, p=p)
+        problem = ball_background_problem()
+        med, p = problem.medium, problem.p
         fld = solve_impedance_limit(problem, Z_HAT)
         ff = limiting_amplitude(problem, fld)
         forward = (med.background_amplitude(Z_HAT[None, :], Z_HAT)[0]
@@ -196,6 +199,21 @@ class TestLimitingAmplitude:
                                               p * fld.values * med.weight)[0] / (4 * np.pi))
         flux = med.k / (4 * np.pi) * ff.integral_abs_squared()
         assert abs(forward.imag - flux) / abs(forward.imag) <= 1e-3
+
+    def test_limit_fields_skip_the_background_factorization(self):
+        # the limit field radiates from -(q0 + p) u delta^3 through the free
+        # kernel: neither the near nor the far field solves the background
+        problem = ball_background_problem()
+        med, p = problem.medium, problem.p
+        fld = solve_impedance_limit(problem, Z_HAT)
+        directions = DirectionGrid(4, 8)
+        ff = limiting_amplitude(problem, fld, directions)
+        impedance_limit_field_at(problem, fld, [[0.5, 0.5, 4.0], [-3.0, 0.2, 0.5]])
+        assert med._lu is None
+        betas = directions.vectors()
+        reference = (med.background_amplitude(betas, Z_HAT)
+                     - med.weighted_u0_sum_grid(betas, p * fld.values * med.weight) / (4 * np.pi))
+        assert np.abs(ff.values - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 class TestHardLimit:
