@@ -63,6 +63,12 @@ def _fnum(x) -> float:
     return float(x)
 
 
+def _int(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SceneError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _complex_of(x) -> complex:
     if isinstance(x, dict):
         return complex(_fnum(x.get("re", 0.0)), _fnum(x.get("im", 0.0)))
@@ -88,35 +94,39 @@ def parse_field_spec(spec, grid: Grid, dtype=complex) -> np.ndarray:
       constant | subbox | radial | bump | table.
     """
     nodes = grid.nodes
-    if isinstance(spec, (int, float)) or (isinstance(spec, dict) and "type" not in spec):
-        return np.full(grid.size, _complex_of(spec)).astype(dtype)
-    if not isinstance(spec, dict):
-        raise SceneError(f"bad field spec {spec!r}")
-    kind = spec.get("type")
-    if kind == "constant":
-        return np.full(grid.size, _complex_of(spec.get("value", 0.0))).astype(dtype)
-    if kind in ("subbox", "radial"):
-        if kind == "subbox":
-            mask = np.all((nodes > _vec3(spec["lo"])) & (nodes < _vec3(spec["hi"])), axis=1)
-        else:
-            mask = np.linalg.norm(nodes - _vec3(spec["center"]), axis=1) < _fnum(spec["radius"])
-        inside = _complex_of(spec.get("inside", 1.0))
-        outside = _complex_of(spec.get("outside", 0.0))
-        return np.where(mask, inside, outside).astype(dtype)
-    if kind == "bump":
-        center = _vec3(spec.get("center", [0.5, 0.5, 0.5]))
-        width = _fnum(spec.get("width", 0.3))
-        amp = _complex_of(spec.get("amplitude", 1.0))
-        t = (nodes - center) / width
-        prof = np.where(np.abs(t) < 1, (1 - t ** 2) ** 2, 0.0)
-        return (amp * prof[:, 0] * prof[:, 1] * prof[:, 2]).astype(dtype)
-    if kind == "table":
-        re = np.asarray(spec["re"], dtype=float).reshape(-1)
-        im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
-        if re.size != grid.size or im.size != grid.size:
-            raise SceneError("table field size does not match the grid")
-        return (re + 1j * im).astype(dtype)
-    raise SceneError(f"unknown field spec type {kind!r}")
+    try:
+        if isinstance(spec, (int, float)) or (isinstance(spec, dict) and "type" not in spec):
+            return np.full(grid.size, _complex_of(spec)).astype(dtype)
+        if not isinstance(spec, dict):
+            raise SceneError(f"bad field spec {spec!r}")
+        kind = spec.get("type")
+        if kind == "constant":
+            return np.full(grid.size, _complex_of(spec.get("value", 0.0))).astype(dtype)
+        if kind in ("subbox", "radial"):
+            if kind == "subbox":
+                mask = np.all((nodes > _vec3(spec["lo"])) & (nodes < _vec3(spec["hi"])), axis=1)
+            else:
+                dist = np.linalg.norm(nodes - _vec3(spec["center"]), axis=1)
+                mask = dist < _fnum(spec["radius"])
+            inside = _complex_of(spec.get("inside", 1.0))
+            outside = _complex_of(spec.get("outside", 0.0))
+            return np.where(mask, inside, outside).astype(dtype)
+        if kind == "bump":
+            center = _vec3(spec.get("center", [0.5, 0.5, 0.5]))
+            width = _fnum(spec.get("width", 0.3))
+            amp = _complex_of(spec.get("amplitude", 1.0))
+            t = (nodes - center) / width
+            prof = np.where(np.abs(t) < 1, (1 - t ** 2) ** 2, 0.0)
+            return (amp * prof[:, 0] * prof[:, 1] * prof[:, 2]).astype(dtype)
+        if kind == "table":
+            re = np.asarray(spec["re"], dtype=float).reshape(-1)
+            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
+            if re.size != grid.size or im.size != grid.size:
+                raise SceneError("table field size does not match the grid")
+            return (re + 1j * im).astype(dtype)
+        raise SceneError(f"unknown field spec type {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SceneError(f"bad field spec: {type(exc).__name__}: {exc}") from exc
 
 
 def parse_medium(scene: dict) -> BackgroundMedium:
@@ -125,7 +135,7 @@ def parse_medium(scene: dict) -> BackgroundMedium:
         box = mspec["box"]
         lo, hi = _vec3(box["lo"]), _vec3(box["hi"])
         res = mspec.get("resolution", 8)
-        shape = (int(res),) * 3 if isinstance(res, int) else tuple(int(v) for v in res)
+        shape = tuple(_int(v) for v in res) if isinstance(res, list) else (_int(res),) * 3
         k = _fnum(mspec["k"])
         grid = Grid(tuple(lo), tuple(hi), shape)
         n0 = parse_field_spec(mspec.get("n0", 1.0), grid)
@@ -136,16 +146,21 @@ def parse_medium(scene: dict) -> BackgroundMedium:
 
 def parse_beta(spec) -> np.ndarray:
     if isinstance(spec, (int, float)):
-        return float(spec) * np.eye(3)
-    arr = np.asarray(spec, dtype=float)
+        return _fnum(spec) * np.eye(3)
+    try:
+        arr = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SceneError(f"bad beta {spec!r}") from exc
     if arr.shape != (3, 3):
         raise SceneError("beta must be a scalar (diagonal) or a 3x3 matrix")
     return arr
 
 
 def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
+    cspec = scene.get("cloud")
+    if not isinstance(cspec, dict):
+        raise SceneError(f"'cloud' must be an object, got {cspec!r}")
     try:
-        cspec = scene["cloud"]
         kind = cspec["kind"]
         a = _fnum(cspec["a"])
     except KeyError as exc:
@@ -155,6 +170,8 @@ def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
     if "centers" in cspec:
         centers = _vec3_list(cspec["centers"], "cloud centers")
         if kind == "impedance":
+            if not isinstance(cspec.get("zeta"), list):
+                raise SceneError("an impedance cloud with centers needs a 'zeta' list")
             zeta = np.array([_complex_of(z) for z in cspec["zeta"]])
             if len(zeta) == 1 and len(centers) > 1:
                 zeta = np.repeat(zeta, len(centers))
@@ -302,7 +319,7 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
             medium=medium,
             nu=parse_field_spec(lspec["nu"], medium.grid, dtype=complex).real,
             beta_field=parse_beta(lspec.get("beta", -1.5)))
-        fld = solve_hard_limit(problem, alpha, max_iter=int(lspec.get("max_iter", 80)))
+        fld = solve_hard_limit(problem, alpha, max_iter=_int(lspec.get("max_iter", 80)))
         at_points = hard_limit_field_at(problem, fld, points)
         mode = "hard"
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import foldy_impedance, foldy_neumann
+from . import foldy_impedance
 from .errors import InvariantViolation
 from .limit_solver import (
     LimitProblem,
@@ -110,13 +110,8 @@ class ScaleStudy:
         }
 
 
-def _particle_weight(cloud: ParticleCloud) -> float:
-    """Counting weight per particle: a (impedance) or c3 a^3 (hard)."""
-    return cloud.a if cloud.kind == "impedance" else cloud.shape_constants[2] * cloud.a ** 3
-
-
 def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
-               count_integral=np.nan, dense_cap=None, annotate=True) -> ScaleStudy:
+               count_integral=np.nan, annotate=True) -> ScaleStudy:
     """The per-radius loop shared by both studies and design verification.
 
     Solves the limit problem once, then at each radius builds the cloud,
@@ -139,14 +134,14 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
     for a in seq:
         try:
             cloud = build(a)
-            result = foldy_impedance.solve_cloud(medium, cloud, alpha, dense_cap)
+            result = foldy_impedance.solve_cloud(medium, cloud, alpha)
             u_m = foldy_impedance.evaluate_field(result, medium, cloud, pts).values
             err = np.abs(u_m - u_limit) / np.abs(u_limit)
             study.records.append(ScaleRecord(
                 a=a, m=len(cloud), d=cloud.d, e_max=float(err.max()),
                 e_rms=float(np.sqrt(np.mean(err ** 2))),
                 max_charge=float(np.abs(result.charges).max()) if len(cloud) else 0.0,
-                count_weighted=_particle_weight(cloud) * len(cloud),
+                count_weighted=(cloud.volume_per_particle if problem.is_hard else a) * len(cloud),
                 count_integral=count_integral, residual=result.residual))
         except Exception as exc:  # noqa: BLE001 - partial study with annotation
             if not annotate:
@@ -177,8 +172,7 @@ def run_impedance_study(medium: BackgroundMedium, h_field, N_field, a_sequence,
 
 def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
                    probes=None, cell_size: float | None = None,
-                   shape_constants=BALL_SHAPE_CONSTANTS,
-                   dense_cap: int = foldy_neumann.DENSE_SYSTEM_CAP) -> ScaleStudy:
+                   shape_constants=BALL_SHAPE_CONSTANTS) -> ScaleStudy:
     """Compare hard clouds against the integro-differential limit solution."""
     nu = _node_field(nu_field, medium.grid.size, float)
     beta = np.asarray(beta, dtype=float).reshape(3, 3)
@@ -189,7 +183,7 @@ def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
                                 shape_constants=shape_constants)
 
     return _run_study(problem, build, a_sequence, alpha, probes,
-                      float(np.sum(nu) * medium.weight), dense_cap)
+                      float(np.sum(nu) * medium.weight))
 
 
 def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, density,
@@ -201,7 +195,7 @@ def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, densi
     removes a ball around an integrable singularity from both sides.
     """
     dens = _node_field(density, medium.grid.size, float)
-    weight = _particle_weight(cloud)
+    weight = cloud.volume_per_particle if cloud.kind == "hard" else cloud.a
 
     centers = cloud.centers
     nodes = medium.grid.nodes

@@ -21,7 +21,7 @@ import numpy as np
 from .convergence import _run_study
 from .errors import InvariantViolation
 from .limit_solver import LimitProblem, potential_from_h_N
-from .medium import BackgroundMedium, _node_field, far_probe_points
+from .medium import BackgroundMedium, _node_field
 from .particles import BALL_SHAPE_CONSTANTS, ParticleCloud, build_cloud_impedance, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -163,11 +163,6 @@ class VerificationReport:
     def rows(self):
         return list(zip(self.a_values, self.m_values, self.d_values,
                         self.errors_max, self.errors_rms))
-
-
-def default_probes(medium: BackgroundMedium, radius_factor: float = 5.0) -> np.ndarray:
-    """26 far-zone points on a sphere of radius factor * diam(D) around D."""
-    return far_probe_points(medium.grid, radius_factor)
 
 
 def verify_design(result: DesignResult, spec: DesignSpec, alpha, scale_sequence,

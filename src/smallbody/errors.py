@@ -14,11 +14,16 @@ class InvariantViolation(SmallBodyError):
 
 
 class SolverFailure(SmallBodyError):
-    """A linear solve or fixed-point iteration did not converge."""
+    """A linear solve or fixed-point iteration did not converge.
 
-    def __init__(self, message, residual=None):
+    ``residual`` is the relative residual a solve reached; ``spectral_radius``
+    estimates rho(A - I) for a GMRES solve of A x = b that stopped early.
+    """
+
+    def __init__(self, message, residual=None, spectral_radius=None):
         super().__init__(message)
         self.residual = residual
+        self.spectral_radius = spectral_radius
 
 
 class InfeasibleDesign(SmallBodyError):

@@ -17,23 +17,18 @@ Q_m = -c_m u_e(x_m).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _gmres, _unit, helmholtz_kernels
+from .medium import (BackgroundMedium, ComplexField, _factor, _solve_checked, _unit,
+                     helmholtz_kernels)
 from .particles import ParticleCloud, impedance_to_h, validate_cloud
 
-logger = logging.getLogger(__name__)
-
 DENSE_SYSTEM_CAP = 4000
-RESIDUAL_TOL = 1e-10
-RCOND_FLOOR = 1e-13
 
 
 @dataclass
@@ -130,12 +125,8 @@ def _row_chunks(centers, pairs_per_chunk):
         yield slice(s, stop), diag, diff, r
 
 
-def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
-                dense_cap: int | None = None) -> FoldySolveResult:
-    """Solve the M-body system of a cloud of either species.
-
-    dense_cap (particles) defaults to the species' DENSE_SYSTEM_CAP.
-    """
+def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
+    """Solve the M-body system of a cloud of either species."""
     report = validate_cloud(cloud, medium)
     if not report.ok:
         raise InvariantViolation("invalid cloud: " + "; ".join(report.flags))
@@ -147,54 +138,32 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
         system = ImpedanceSystem(medium, cloud.centers, coupling_constants(cloud))
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
-    cap = system.dense_cap if dense_cap is None else dense_cap
     rhs = medium.incident_values(alpha, cloud.centers, system.order)
-    sol, residual, iterations, rcond = _solve_system(system, rhs, cap)
-    logger.debug("%s system: M = %d, residual %.2e, %d GMRES iterations, rcond %s",
-                 system.kind, len(cloud), residual, iterations, rcond)
+    sol, residual, iterations, rcond = _solve_system(system, rhs)
     return system.result(sol, alpha=alpha, residual=residual, iterations=iterations, rcond=rcond)
 
 
-def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
-                       dense_cap: int = DENSE_SYSTEM_CAP) -> FoldySolveResult:
+def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
     """Solve the M-body collocation system for an impedance cloud."""
     if cloud.kind != "impedance":
         raise InvariantViolation("assemble_and_solve requires an impedance cloud")
-    return solve_cloud(medium, cloud, alpha, dense_cap)
+    return solve_cloud(medium, cloud, alpha)
 
 
-def _solve_system(system, rhs, dense_cap):
-    """Dense LU with rcond and residual checks up to dense_cap particles,
-    matrix-free GMRES beyond; returns (solution, residual, iterations, rcond)."""
-    m = len(system.centers)
-    if m <= dense_cap:
+def _solve_system(system, rhs):
+    """Dense LU up to the species' dense_cap particles, matrix-free GMRES
+    beyond; returns (solution, residual, iterations, rcond)."""
+    what = f"{system.kind} system"
+    if len(system.centers) <= system.dense_cap:
         a = system.matrix()
-        anorm = np.linalg.norm(a, 1)
-        lu, piv = sla.lu_factor(a)
-        rcond, _ = sla.lapack.zgecon(lu, anorm)
-        if rcond < RCOND_FLOOR:
-            raise SolverFailure(
-                f"{system.kind} system ill-conditioned (rcond estimate {rcond:.2e})")
-        sol = sla.lu_solve((lu, piv), rhs)
-        applied, tol, iters, rcond = a @ sol, RESIDUAL_TOL, 0, float(rcond)
-    else:
-        if not system.medium.is_free:
-            raise SolverFailure(
-                f"matrix-free {system.kind} solve supports a homogeneous background only; "
-                f"M = {m} with a nontrivial q0 exceeds the dense cap {dense_cap}")
-        sol, info, iters = _gmres(system.apply, rhs, rtol=RESIDUAL_TOL, maxiter=300)
-        if info != 0:
-            raise SolverFailure(f"{system.kind} system GMRES did not converge (info={info})")
-        applied, tol, rcond = system.apply(sol), 10 * RESIDUAL_TOL, None
-    resid = float(np.linalg.norm(applied - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    if resid > tol:
-        raise SolverFailure(f"{system.kind} system residual {resid:.2e}", residual=resid)
-    return sol, resid, iters, rcond
-
-
-def _solve_collocation(medium, centers, coupling, rhs, dense_cap):
-    """Solve (I + G_offdiag diag(c)) u = rhs; returns (u, residual, iterations)."""
-    return _solve_system(ImpedanceSystem(medium, centers, coupling), rhs, dense_cap)[:3]
+        lu, rcond = _factor(a, what)
+        return (*_solve_checked(lambda x: a @ x, rhs, what, lu), rcond)
+    if not system.medium.is_free:
+        raise SolverFailure(
+            f"matrix-free {what} solve supports a homogeneous background only; "
+            f"M = {len(system.centers)} with a nontrivial q0 exceeds the dense cap "
+            f"{system.dense_cap}")
+    return (*_solve_checked(system.apply, rhs, what), None)
 
 
 def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

@@ -85,12 +85,12 @@ class HardSystem:
                                 charges=self.cv * ue, dipole_moments=-(due @ self.vb.T), **stats)
 
 
-def assemble_and_solve_hard(medium: BackgroundMedium, cloud: ParticleCloud, alpha,
-                            dense_cap: int = DENSE_SYSTEM_CAP) -> FoldySolveResult:
+def assemble_and_solve_hard(medium: BackgroundMedium, cloud: ParticleCloud,
+                            alpha) -> FoldySolveResult:
     """Solve the coupled value-and-gradient system for a hard cloud."""
     if cloud.kind != "hard":
         raise InvariantViolation("assemble_and_solve_hard requires a hard cloud")
-    return solve_cloud(medium, cloud, alpha, dense_cap)
+    return solve_cloud(medium, cloud, alpha)
 
 
 # the field and amplitude sums are shared with the impedance species

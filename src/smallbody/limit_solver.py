@@ -24,12 +24,11 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import BackgroundMedium, ComplexField, _gmres, _node_field, _unit
+from .medium import BackgroundMedium, ComplexField, _node_field, _solve_checked, _unit
 from .particles import BALL_SHAPE_CONSTANTS
 
 logger = logging.getLogger(__name__)
 
-RESIDUAL_TOL = 1e-10
 COLLAR_CELLS = 2
 HARD_MAX_ITER = 80
 HARD_TOL = 1e-12
@@ -113,31 +112,9 @@ def solve_impedance_limit(problem: LimitProblem, alpha) -> ComplexField:
     def matvec(v):
         return v + medium._apply_weighted_kernel(total * v)
 
-    u, info, iterations = _gmres(matvec, plane, rtol=RESIDUAL_TOL)
-    if info != 0:
-        raise SolverFailure(
-            "limit solve did not converge; spectral radius estimate "
-            f"{_spectral_radius_estimate(medium, total):.3f}")
-    resid = float(np.linalg.norm(matvec(u) - plane) / np.linalg.norm(plane))
-    if resid > RESIDUAL_TOL:
-        raise SolverFailure(f"limit solve residual {resid:.2e}", residual=resid)
-    logger.debug("impedance limit: GMRES %d iterations, residual %.2e", iterations, resid)
+    u, resid, iterations = _solve_checked(matvec, plane, "impedance limit")
     return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
                         residual=resid, iterations=iterations)
-
-
-def _spectral_radius_estimate(medium, potential, iters=12, seed=0):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=medium.grid.size) + 1j * rng.normal(size=medium.grid.size)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(iters):
-        v = medium._apply_weighted_kernel(potential * v)
-        rho = np.linalg.norm(v)
-        if rho == 0.0:
-            return 0.0
-        v /= rho
-    return rho
 
 
 def _impedance_density(problem: LimitProblem, field: ComplexField) -> np.ndarray:

@@ -29,22 +29,72 @@ CUBE_SELF_INTEGRAL = 0.18940053870923707
 
 # background grid solves: dense LU up to 20^3 nodes; FFT-applied GMRES beyond
 DENSE_GRID_CAP = 8000
-GMRES_RTOL = 1e-10
+
+# every linear solve of the package: relative residual bound, GMRES restart
+# budget, and the smallest LAPACK rcond estimate an LU may have
+RESIDUAL_TOL = 1e-10
+GMRES_MAXITER = 400
+RCOND_FLOOR = 1e-13
 
 
-def _gmres(matvec, rhs, rtol=GMRES_RTOL, maxiter=400):
-    """GMRES on a matvec; returns (solution, info, inner-iteration count)."""
-    n = len(rhs)
-    count = 0
+def _factor(a, what):
+    """LU factors of a square matrix and their rcond estimate (1-norm).
 
-    def step(_):
-        nonlocal count
-        count += 1
+    Raises SolverFailure when the estimate falls below RCOND_FLOOR.
+    """
+    anorm = np.linalg.norm(a, 1)
+    lu = sla.lu_factor(a)
+    rcond, _ = sla.lapack.zgecon(lu[0], anorm)
+    logger.debug("%s: LU of order %d, rcond %.2e", what, len(a), rcond)
+    if rcond < RCOND_FLOOR:
+        raise SolverFailure(f"{what} ill-conditioned (rcond estimate {rcond:.2e})")
+    return lu, float(rcond)
 
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    sol, info = spla.gmres(op, rhs, rtol=rtol, atol=0.0, maxiter=maxiter,
-                           callback=step, callback_type="pr_norm")
-    return sol, info, count
+
+def _solve_checked(apply, rhs, what, lu=None):
+    """Solve A x = rhs, where apply(x) = A x for x shaped like rhs.
+
+    Back-substitutes with the LU factors ``lu`` of A when given, else runs
+    GMRES on each column of rhs ((n,) or (n, c)).  Raises SolverFailure when
+    GMRES stops early, with an estimate of the spectral radius of A - I, or
+    when ||A x - rhs|| / ||rhs|| exceeds RESIDUAL_TOL.  Returns
+    (x, residual, GMRES inner-iteration count).
+    """
+    rhs = np.asarray(rhs, dtype=complex)
+    norms = []  # GMRES residual norm per inner iteration
+    if lu is not None:
+        sol = sla.lu_solve(lu, rhs)
+    else:
+        n = len(rhs)
+        op = spla.LinearOperator((n, n), matvec=apply, dtype=complex)
+        cols = rhs.reshape(n, -1)
+        sol = np.empty_like(cols)
+        for j in range(cols.shape[1]):
+            sol[:, j], info = spla.gmres(op, cols[:, j], rtol=RESIDUAL_TOL, atol=0.0,
+                                         maxiter=GMRES_MAXITER, callback=norms.append,
+                                         callback_type="pr_norm")
+            if info != 0:
+                # power iteration on A - I: rho >= 1 means A's Neumann series diverges
+                v, rho = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, n)), 0.0
+                for _ in range(12):
+                    v = v / np.linalg.norm(v)
+                    v = apply(v) - v
+                    rho = float(np.linalg.norm(v))
+                    if rho == 0.0:
+                        break
+                raise SolverFailure(
+                    f"{what}: GMRES did not converge (info={info}); spectral radius "
+                    f"estimate of A - I {rho:.3f}", spectral_radius=rho)
+        sol = sol.reshape(rhs.shape)
+    r = apply(sol)
+    r -= rhs
+    resid = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
+    logger.debug("%s: %s, residual %.2e, %d GMRES iterations",
+                 what, "GMRES" if lu is None else "LU", resid, len(norms))
+    if resid > RESIDUAL_TOL:
+        raise SolverFailure(f"{what} residual {resid:.2e} exceeds {RESIDUAL_TOL:.0e}",
+                            residual=resid)
+    return sol, resid, len(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +384,7 @@ class BackgroundMedium:
             a = self._dense_weighted_kernel()
             a *= self.q0[None, :]
             a[np.diag_indices_from(a)] += 1.0
-            self._lu = (sla.lu_factor(a), a)
+            self._lu = (_factor(a, "grid operator")[0], a)
         return self._lu
 
     def _solve_grid(self, rhs: np.ndarray) -> np.ndarray:
@@ -343,25 +393,10 @@ class BackgroundMedium:
         Dense LU up to DENSE_GRID_CAP nodes, where the many Green-column
         right-hand sides amortize it; FFT-applied GMRES beyond.
         """
-        rhs = np.asarray(rhs, dtype=complex)
-        cols = rhs.reshape(self.grid.size, -1)
         if self.grid.size <= DENSE_GRID_CAP:
             lu, a = self._factorization()
-            sol = sla.lu_solve(lu, cols)
-            ax = a @ sol
-        else:
-            sol = np.empty_like(cols)
-            for j in range(cols.shape[1]):
-                sol[:, j], info, _ = _gmres(self._apply_grid_operator, cols[:, j])
-                if info != 0:
-                    raise SolverFailure(f"grid GMRES did not converge (info={info})")
-            ax = self._apply_grid_operator(sol)
-        ax -= cols
-        resid = float(np.linalg.norm(ax) / max(np.linalg.norm(cols), 1e-300))
-        if resid > 1e-8:
-            raise SolverFailure(
-                f"grid solve residual {resid:.2e} exceeds tolerance", residual=resid)
-        return sol.reshape(rhs.shape)
+            return _solve_checked(lambda x: a @ x, rhs, "grid solve", lu)[0]
+        return _solve_checked(self._apply_grid_operator, rhs, "grid solve")[0]
 
     def _apply_grid_operator(self, u: np.ndarray) -> np.ndarray:
         """(I + Kw diag(q0)) u."""

@@ -69,16 +69,31 @@ class TestSolve:
         assert err["exit_code"] == 2
         assert not (out / "field.csv").exists()
 
-    @pytest.mark.parametrize("override", [
-        {"directions": {"n_theta": 1, "n_phi": 8}},
-        {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5]]}},
-        {"points": "far"},
-        {"format_version": 2},
-    ], ids=["n_theta_1", "two_coordinate_center", "points_string", "format_version_2"])
-    def test_bad_scene_input_exit_2(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("command,override", [
+        ("solve", {"directions": {"n_theta": 1, "n_phi": 8}}),
+        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5]]}}),
+        ("solve", {"points": "far"}),
+        ("solve", {"format_version": 2}),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "h": 1.0,
+                             "N": {"type": "subbox", "hi": [1, 1, 1]}}}),
+        ("limit", {"limit": {"p": {"type": "radial", "center": [0.5, 0.5, 0.5]}}}),
+        ("limit", {"limit": {"p": {"type": "table", "im": [0.0] * 216}}}),
+        ("limit", {"limit": {"p": {"type": "table", "re": ["x"] * 216}}}),
+        ("limit", {"limit": {"nu": 0.0, "max_iter": "ten"}}),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "centers": [[0.5, 0.5, 0.5]]}}),
+        ("solve", {"cloud": 5}),
+        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]],
+                             "beta": "x"}}),
+        ("validate", {"medium": {"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+                                 "resolution": True, "k": 1.0}}),
+    ], ids=["n_theta_1", "two_coordinate_center", "points_string", "format_version_2",
+            "subbox_without_lo", "radial_without_radius", "table_without_re",
+            "table_of_strings", "max_iter_not_integer", "centers_without_zeta",
+            "cloud_not_object", "beta_string", "resolution_bool"])
+    def test_bad_scene_input_exit_2(self, tmp_path, capsys, command, override):
         scene = base_scene(cloud={"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]]})
         scene.update(override)
-        code, out = run(tmp_path, "solve", scene_dict=scene)
+        code, out = run(tmp_path, command, scene_dict=scene)
         assert code == 2
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
         assert "Traceback" not in capsys.readouterr().err

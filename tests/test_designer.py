@@ -6,7 +6,6 @@ import pytest
 from smallbody.designer import (
     DesignSpec,
     choose_h_N,
-    default_probes,
     potential_round_trip,
     realize,
     target_to_potential,
@@ -14,7 +13,7 @@ from smallbody.designer import (
 )
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import assemble_and_solve, evaluate_field
-from smallbody.medium import BackgroundMedium, Grid
+from smallbody.medium import BackgroundMedium, Grid, far_probe_points
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -172,7 +171,7 @@ class TestVerifyDesign:
 
     def test_probe_layout(self):
         med = cube_medium(n=4)
-        pts = default_probes(med)
+        pts = far_probe_points(med.grid)
         assert pts.shape == (26, 3)
         radii = np.linalg.norm(pts - 0.5, axis=1)
         np.testing.assert_allclose(radii, 5 * np.sqrt(3.0), rtol=1e-12)

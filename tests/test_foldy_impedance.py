@@ -6,13 +6,14 @@ import pytest
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
+    ImpedanceSystem,
+    _solve_system,
     amplitudes,
     assemble_and_solve,
     charge_from_effective_field,
     coupling_constants,
     evaluate_field,
     far_field,
-    _solve_collocation,
 )
 from smallbody.medium import BackgroundMedium, Grid, free_kernel
 from smallbody.particles import (
@@ -111,11 +112,12 @@ class TestSolver:
                  * 4 * np.pi * abs(h / (1 + h)))
         assert np.abs(res.charges).max() / bound <= 1 + 1e-10
 
-    def test_gmres_matches_dense(self):
+    def test_gmres_matches_dense(self, monkeypatch):
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.05)
         dense = assemble_and_solve(med, cloud, Z_HAT)
-        krylov = assemble_and_solve(med, cloud, Z_HAT, dense_cap=0)
+        monkeypatch.setattr(ImpedanceSystem, "dense_cap", 0)
+        krylov = assemble_and_solve(med, cloud, Z_HAT)
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values,
                                    rtol=1e-8)
         assert krylov.iterations > 0
@@ -126,8 +128,9 @@ class TestSolver:
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
         c = coupling_constants(cloud)
         u0 = np.exp(1j * med.k * centers[:, 2])
-        u1, _, _ = _solve_collocation(med, centers, c, u0, 4000)
-        u2, _, _ = _solve_collocation(med, centers, c, 2.0 * u0, 4000)
+        system = ImpedanceSystem(med, centers, c)
+        u1 = _solve_system(system, u0)[0]
+        u2 = _solve_system(system, 2.0 * u0)[0]
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
     def test_wrong_kind_rejected(self):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from smallbody.errors import InvariantViolation, SingularEvaluationError
+from smallbody.errors import InvariantViolation, SingularEvaluationError, SolverFailure
 from smallbody.medium import (
     CUBE_SELF_INTEGRAL,
+    RESIDUAL_TOL,
     BackgroundMedium,
     ComplexField,
     Grid,
@@ -17,6 +18,8 @@ from smallbody.medium import (
     incident_field,
     lemma_bounds_check,
     trilinear_interpolate,
+    _factor,
+    _solve_checked,
 )
 
 ORIGIN = np.zeros(3)
@@ -360,3 +363,36 @@ class TestTrilinear:
         out = grid.value_at_cells(vals, np.array([[2.0, 0.5, 0.5]]), outside=0.0)
         assert out[0] == 0.0
 
+
+
+class TestCheckedSolve:
+    def test_gmres_stall_names_solve_and_estimates_radius(self, monkeypatch):
+        # restarted GMRES(20) makes no progress on a cyclic shift of order 50:
+        # every Krylov space it builds from e_1 misses e_1's preimage e_50
+        monkeypatch.setattr("smallbody.medium.GMRES_MAXITER", 2)
+        rhs = np.zeros(50, dtype=complex)
+        rhs[0] = 1.0
+        with pytest.raises(SolverFailure, match="shift solve") as exc:
+            _solve_checked(lambda x: np.roll(x, 1), rhs, "shift solve")
+        # A - I = S - I has the eigenvalues e^{2 pi i j / 50} - 1, of modulus <= 2
+        assert 1.5 < exc.value.spectral_radius <= 2.0 + 1e-12
+
+    def test_residual_above_bound_raises(self):
+        rng = np.random.default_rng(1)
+        a = (np.eye(6) + 0.1 * rng.normal(size=(6, 6))).astype(complex)
+        lu, _ = _factor(a + 1e-6 * np.eye(6), "nearby matrix")
+        with pytest.raises(SolverFailure, match="residual") as exc:
+            _solve_checked(lambda x: a @ x, np.ones(6, dtype=complex), "mismatched LU", lu)
+        assert RESIDUAL_TOL < exc.value.residual < 1e-4
+
+    def test_rcond_floor_refuses_near_singular_grid_operator(self):
+        # on two nodes a constant q0 gives I + Kw diag(q0) the eigenvalue
+        # 1 + q0 (Kw_00 + Kw_01) on [1, 1]; a real q0 cancels its real part,
+        # and its imaginary part is of order k
+        grid = Grid((0, 0, 0), (2, 1, 1), (2, 1, 1))
+        k = 1e-15
+        table = BackgroundMedium(k, grid)._kernel_table
+        q0 = -1.0 / (table[0, 0, 0] + table[1, 0, 0]).real
+        med = BackgroundMedium(k, grid, n0=1.0 - q0 / k ** 2)
+        with pytest.raises(SolverFailure, match="rcond"):
+            med.u0_grid(np.array([0.0, 0.0, 1.0]))
