@@ -175,6 +175,9 @@ def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
             zeta = np.array([_complex_of(z) for z in cspec["zeta"]])
             if len(zeta) == 1 and len(centers) > 1:
                 zeta = np.repeat(zeta, len(centers))
+            if len(zeta) != len(centers):
+                raise SceneError(f"'zeta' has {len(zeta)} entries for {len(centers)} centers "
+                                 "(give one, or one per center)")
             return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
                                  kind="impedance", zeta=zeta)
         if kind == "hard":
@@ -202,7 +205,7 @@ def parse_points(scene: dict, medium: BackgroundMedium) -> np.ndarray:
 def parse_directions(scene: dict) -> DirectionGrid:
     d = scene.get("directions", {})
     try:
-        return DirectionGrid(int(d.get("n_theta", 32)), int(d.get("n_phi", 64)))
+        return DirectionGrid(_int(d.get("n_theta", 32)), _int(d.get("n_phi", 64)))
     except (AttributeError, TypeError, ValueError) as exc:
         raise SceneError(f"bad directions: {exc}") from exc
 
@@ -295,6 +298,7 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
         "residual": result.residual,
         "iterations": result.iterations,
         "rcond": result.rcond,
+        "solver": result.solver,
         "wall_time_s": wall,
     }
 

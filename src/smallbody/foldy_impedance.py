@@ -3,8 +3,8 @@
 Both particle species reduce to one linear system in per-particle unknowns
 whose coefficients are the background Green function and its derivatives;
 only the per-particle blocks differ.  The pipeline here -- validate, incident
-data, dense LU or matrix-free GMRES, far-zone guard, field, amplitudes --
-serves both; foldy_neumann supplies the hard species.
+data, dense LU or GMRES on a lattice-FFT or direct apply, far-zone guard,
+field, amplitudes -- serves both; foldy_neumann supplies the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -17,6 +17,7 @@ Q_m = -c_m u_e(x_m).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,12 @@ from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (BackgroundMedium, ComplexField, _factor, _solve_checked, _unit,
-                     helmholtz_kernels)
+from .medium import (LATTICE_MIN_M, BackgroundMedium, ComplexField, _embedding_table, _factor,
+                     _solve_checked, _toeplitz_apply, _toeplitz_spectrum, _unit,
+                     helmholtz_kernels, lattice_of)
 from .particles import ParticleCloud, impedance_to_h, validate_cloud
+
+logger = logging.getLogger(__name__)
 
 DENSE_SYSTEM_CAP = 4000
 
@@ -45,6 +49,7 @@ class FoldySolveResult:
     alpha: np.ndarray
     iterations: int = 0
     rcond: float | None = None     # LU condition estimate (None after GMRES)
+    solver: str | None = None      # "lu", "gmres" or "lattice_fft" (None: empty cloud)
     coupling: np.ndarray | None = None              # c_m
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
@@ -84,6 +89,7 @@ class ImpedanceSystem:
     kind = "impedance"
     order = 0  # incident data: values only
     dense_cap = DENSE_SYSTEM_CAP
+    lattice_min = LATTICE_MIN_M
     pairs_per_chunk = 20_000_000
 
     def __init__(self, medium: BackgroundMedium, centers, coupling):
@@ -104,9 +110,53 @@ class ImpedanceSystem:
             out[rows] += g @ cu
         return out
 
+    def lattice_apply(self, lattice):
+        """apply() by FFT for centres on ``lattice``."""
+        conv = LatticeConvolution(lattice, lambda diff, r: [helmholtz_kernels(diff, r, self.medium.k)])
+        return lambda u: u + conv(self.coupling * u)
+
     def result(self, sol, **stats) -> FoldySolveResult:
         return FoldySolveResult(effective_values=sol, charges=-self.coupling * sol,
                                 coupling=self.coupling, **stats)
+
+
+class LatticeConvolution:
+    """s -> sum_{m != j} K(x_m - x_j) s_m at the sites of a lattice, by FFT.
+
+    The pair matrix of a lattice cloud is three-level Toeplitz with a zero
+    diagonal (Goodman, Draine & Flatau, Opt. Lett. 16 (1991) 1198).  K is a
+    symmetric size x size block of kernels: kernels(diff, r) returns its upper
+    triangle in np.triu_indices(size) order, each tabulated at diff = y - x,
+    r = |diff|.  Sources s are (M,) for size 1 or (M, size).
+    """
+
+    def __init__(self, lattice, kernels, size=1):
+        self.lattice = lattice
+
+        def generator(*m):
+            diff = np.stack(np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)]),
+                            axis=-1)
+            r = np.sqrt(np.sum(diff * diff, axis=-1))
+            r[0, 0, 0] = 1.0
+            table = np.stack(kernels(diff, r), axis=-1)
+            table[0, 0, 0] = 0.0  # no self-interaction
+            return table
+
+        spectra = _toeplitz_spectrum(_embedding_table(lattice.shape, generator))
+        self.blocks = list(zip(*np.triu_indices(size), np.moveaxis(spectra, -1, 0)))
+
+    def _contract(self, spec):
+        out = np.zeros_like(spec)
+        for a, b, k in self.blocks:
+            out[..., a] += k * spec[..., b]
+            if a != b:
+                out[..., b] += k * spec[..., a]
+        return out
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=complex)
+        box = _toeplitz_apply(self.lattice.scatter(s), self.lattice.shape, self._contract)
+        return box[self.lattice.index]
 
 
 def _row_chunks(centers, pairs_per_chunk):
@@ -138,9 +188,10 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
         system = ImpedanceSystem(medium, cloud.centers, coupling_constants(cloud))
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
-    rhs = medium.incident_values(alpha, cloud.centers, system.order)
-    sol, residual, iterations, rcond = _solve_system(system, rhs)
-    return system.result(sol, alpha=alpha, residual=residual, iterations=iterations, rcond=rcond)
+    sol, residual, iterations, rcond, solver = _solve_system(
+        system, lambda: medium.incident_values(alpha, cloud.centers, system.order))
+    return system.result(sol, alpha=alpha, residual=residual, iterations=iterations,
+                         rcond=rcond, solver=solver)
 
 
 def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
@@ -150,20 +201,38 @@ def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha) ->
     return solve_cloud(medium, cloud, alpha)
 
 
-def _solve_system(system, rhs):
-    """Dense LU up to the species' dense_cap particles, matrix-free GMRES
-    beyond; returns (solution, residual, iterations, rcond)."""
+def _solve_system(system, incident):
+    """Solve the system for the right-hand side incident() by one of three paths.
+
+    A free-background cloud of at least the species' lattice_min particles on
+    one lattice runs GMRES on the lattice FFT apply; otherwise dense LU up to
+    the species' dense_cap particles and GMRES on the direct apply beyond.
+    incident() is called once the operator is formed: a non-free dense
+    matrix factors the grid for its Green blocks, and the incident column
+    then reuses that LU.  Returns (solution, residual, iterations, rcond,
+    solver).
+    """
     what = f"{system.kind} system"
-    if len(system.centers) <= system.dense_cap:
+    m = len(system.centers)
+    lattice = lattice_of(system.centers) if (
+        system.medium.is_free and m >= system.lattice_min) else None
+    if lattice is not None:
+        logger.debug("%s: lattice FFT apply, M = %d on a %s lattice", what, m,
+                     "x".join(map(str, lattice.shape)))
+        return (*_solve_checked(system.lattice_apply(lattice), incident(), what),
+                None, "lattice_fft")
+    if m <= system.dense_cap:
+        logger.debug("%s: dense LU, M = %d", what, m)
         a = system.matrix()
+        rhs = incident()
         lu, rcond = _factor(a, what)
-        return (*_solve_checked(lambda x: a @ x, rhs, what, lu), rcond)
+        return (*_solve_checked(lambda x: a @ x, rhs, what, lu), rcond, "lu")
     if not system.medium.is_free:
         raise SolverFailure(
             f"matrix-free {what} solve supports a homogeneous background only; "
-            f"M = {len(system.centers)} with a nontrivial q0 exceeds the dense cap "
-            f"{system.dense_cap}")
-    return (*_solve_checked(system.apply, rhs, what), None)
+            f"M = {m} with a nontrivial q0 exceeds the dense cap {system.dense_cap}")
+    logger.debug("%s: GMRES on the direct apply, M = %d", what, m)
+    return (*_solve_checked(system.apply, incident(), what), None, "gmres")
 
 
 def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

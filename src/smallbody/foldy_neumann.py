@@ -19,13 +19,14 @@ import numpy as np
 from .errors import InvariantViolation
 from .foldy_impedance import (
     FoldySolveResult,
+    LatticeConvolution,
     _row_chunks,
     amplitudes,
     evaluate_field,
     far_field,
     solve_cloud,
 )
-from .medium import BackgroundMedium, helmholtz_kernels
+from .medium import LATTICE_MIN_M, BackgroundMedium, helmholtz_kernels
 from .particles import ParticleCloud
 
 DENSE_SYSTEM_CAP = 1000  # dense 4M x 4M factorization up to this many particles
@@ -45,6 +46,7 @@ class HardSystem:
     kind = "hard"
     order = 1  # incident data: values and gradients
     dense_cap = DENSE_SYSTEM_CAP
+    lattice_min = LATTICE_MIN_M
     pairs_per_chunk = 1_000_000
 
     def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
@@ -77,6 +79,25 @@ class HardSystem:
             out_u[rows] += -(g @ cu) + np.einsum("jmp,mp->j", grad_y, bd)
             out_d[rows] += np.einsum("jms,m->js", grad_y, cu) + hess_bd.sum(axis=1)
         return np.concatenate([out_u, out_d.reshape(-1)])
+
+    def lattice_apply(self, lattice):
+        """apply() by FFT for centres on ``lattice``: the pair kernel acting on
+        the sources [c u, V beta grad u] is the symmetric 4 x 4 block
+        [[-g, grad_y g], [grad_y g, d^2 g / dx dy]]."""
+        def kernels(diff, r):
+            g, grad_y, hess = helmholtz_kernels(diff, r, self.medium.k, 2)
+            return [-g, *np.moveaxis(grad_y, -1, 0),
+                    *(hess[..., q, p] for q, p in zip(*np.triu_indices(3)))]
+
+        conv = LatticeConvolution(lattice, kernels, size=4)
+        m = len(self.centers)
+
+        def apply(vec):
+            u, dm = vec[:m], vec[m:].reshape(m, 3)
+            out = conv(np.column_stack([self.cv * u, dm @ self.vb.T]))
+            return vec + np.concatenate([out[:, 0], out[:, 1:].reshape(-1)])
+
+        return apply
 
     def result(self, sol, **stats) -> FoldySolveResult:
         m = len(self.centers)

@@ -36,6 +36,14 @@ RESIDUAL_TOL = 1e-10
 GMRES_MAXITER = 400
 RCOND_FLOOR = 1e-13
 
+# free-background clouds of at least this many particles on one rectangular
+# lattice take the lattice-FFT Foldy apply and the per-axis far-field sum
+# (measured crossover against the dense LU; see README "Numerical choices")
+LATTICE_MIN_M = 512
+# lattice_of refuses a lattice whose box holds more than this many sites per
+# particle: its FFTs would cost more than the pairs they replace
+LATTICE_FILL = 8
+
 
 def _factor(a, what):
     """LU factors of a square matrix and their rcond estimate (1-norm).
@@ -169,6 +177,55 @@ def free_kernel_hess_xy(x, y, k):
 
 
 # ---------------------------------------------------------------------------
+# three-level Toeplitz operators on a box, applied by FFT
+# ---------------------------------------------------------------------------
+
+def _embedding_table(shape, generator) -> np.ndarray:
+    """A Toeplitz generator tabulated over the 2n_i-per-axis circulant embedding.
+
+    generator(m1, m2, m3) receives the signed index offsets m = i - j of the
+    embedding positions as broadcastable integer arrays: position p on axis
+    i stands for p when p < n_i and for p - 2n_i beyond.  The entry for the
+    pair (i, j) is the kernel at y - x = (j - i) * spacing = -m * spacing.
+    Any trailing component axes are kept; the gap planes p = n_i, which no
+    pair reaches, are zeroed.
+    """
+    m = []
+    for ax, n in enumerate(shape):
+        p = np.arange(2 * n)
+        m.append(np.where(p < n, p, p - 2 * n).reshape([-1 if a == ax else 1 for a in range(3)]))
+    table = generator(*m)
+    for ax, n in enumerate(shape):
+        table[(slice(None),) * ax + (n,)] = 0.0
+    return table
+
+
+def _toeplitz_spectrum(table) -> np.ndarray:
+    """FFT over the three box axes of an _embedding_table."""
+    import scipy.fft as sfft  # deferred: only FFT runs pay its import
+
+    return sfft.fftn(table, axes=(0, 1, 2), workers=runtime.thread_count())
+
+
+def _toeplitz_apply(f, shape, contract) -> np.ndarray:
+    """sum_j T(i - j) f_j over a box for f (N,) or a block of columns (N, c).
+
+    contract(spec) multiplies the spectrum of the zero-padded columns,
+    shape (2n1, 2n2, 2n3, c), by the kernel spectrum (in place or not) and
+    returns the product.
+    """
+    import scipy.fft as sfft
+
+    f = np.asarray(f, dtype=complex)
+    cols = f.reshape(tuple(shape) + (-1,))
+    pad = tuple(2 * n for n in shape)
+    workers = runtime.thread_count()
+    spec = contract(sfft.fftn(cols, s=pad, axes=(0, 1, 2), workers=workers))
+    out = sfft.ifftn(spec, axes=(0, 1, 2), workers=workers, overwrite_x=True)
+    return out[:shape[0], :shape[1], :shape[2]].reshape(f.shape)
+
+
+# ---------------------------------------------------------------------------
 # grid and fields
 # ---------------------------------------------------------------------------
 
@@ -237,6 +294,71 @@ class Grid:
         hit = flat >= 0
         out[hit] = values[flat[hit]]
         return out
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Points on the sites origin + index * spacing of a rectangular box."""
+
+    origin: np.ndarray   # (3,) coordinates of site (0, 0, 0)
+    spacing: np.ndarray  # (3,) site spacing per axis (0 on an axis of one site)
+    shape: tuple         # sites per axis
+    index: np.ndarray    # (M,) flat C-order site of each point
+
+    @property
+    def axes(self) -> list:
+        """Site coordinates along each axis."""
+        return [self.origin[i] + np.arange(self.shape[i]) * self.spacing[i] for i in range(3)]
+
+    def scatter(self, values) -> np.ndarray:
+        """Per-point values (M, ...) placed on the box sites, zero elsewhere."""
+        values = np.asarray(values, dtype=complex)
+        box = np.zeros((int(np.prod(self.shape)),) + values.shape[1:], dtype=complex)
+        box[self.index] = values
+        return box
+
+
+def lattice_of(centers) -> Lattice | None:
+    """The rectangular lattice that every centre sits on, or None.
+
+    Per axis, the site spacing is the tolerant common divisor of the gaps
+    between distinct coordinates, and every coordinate must then lie on a
+    site to 1e-12 of the coordinate scale.  Refuses coincident centres and
+    boxes of more than LATTICE_FILL sites per centre.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, 3)
+    m = len(c)
+    if m == 0:
+        return None
+    lo = c.min(axis=0)
+    extent = c.max(axis=0) - lo
+    tol = 1e-12 * max(float(np.abs(c).max()), float(extent.max()))
+    idx = np.zeros((m, 3), dtype=np.int64)
+    spacing = np.zeros(3)
+    shape = [1, 1, 1]
+    for i in range(3):
+        if extent[i] <= tol:
+            continue
+        gaps = np.diff(np.unique(c[:, i]))
+        h = extent[i]
+        for g in gaps[gaps > tol].tolist():
+            while g > tol:  # Euclid on reals: h <- gcd(h, g)
+                h, g = g, h % g
+                if h - g <= tol:
+                    g = 0.0
+            if extent[i] / h >= LATTICE_FILL * m:  # early exit: off-lattice clouds
+                return None
+        shape[i] = int(round(extent[i] / h)) + 1
+        spacing[i] = extent[i] / (shape[i] - 1)
+        idx[:, i] = np.rint((c[:, i] - lo[i]) / spacing[i])
+        if np.max(np.abs(lo[i] + idx[:, i] * spacing[i] - c[:, i])) > tol:
+            return None
+    if np.prod(np.array(shape, dtype=float)) > LATTICE_FILL * m:
+        return None
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    if len(np.unique(flat)) != m:
+        return None
+    return Lattice(origin=lo, spacing=spacing, shape=tuple(shape), index=flat)
 
 
 def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
@@ -328,51 +450,43 @@ class BackgroundMedium:
 
     # -- Nystrom engine -----------------------------------------------------
 
-    @cached_property
+    @property
     def _kernel_table(self) -> np.ndarray:
-        """Kw generator: g(delta*m)*delta^3 over offsets m >= 0 per axis.
+        """Kw generator g(delta*|m|)*delta^3 over the signed offsets m of its
+        circulant embedding (_embedding_table).
 
-        Kw is three-level Toeplitz and even in each axis offset, so entry
-        (z_i, z_j) is this table at |i - j| per axis; m = 0 holds the
-        corrected singular diagonal.
+        Kw is three-level Toeplitz and even in each axis offset; m = 0 holds
+        the corrected singular diagonal.  Not cached: only its spectrum and
+        the dense LU path read it, once each.
         """
         delta = self.grid.delta
-        m = np.meshgrid(*[np.arange(n) for n in self.grid.shape], indexing="ij", sparse=True)
-        r = delta * np.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
-        r[0, 0, 0] = 1.0
-        table = helmholtz_kernels(None, r, self.k) * delta ** 3
-        table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
-        return table
+
+        def generator(m1, m2, m3):
+            r = delta * np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
+            r[0, 0, 0] = 1.0
+            table = helmholtz_kernels(None, r, self.k) * delta ** 3
+            table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
+            return table
+
+        return _embedding_table(self.grid.shape, generator)
 
     @cached_property
     def _kernel_spectrum(self) -> np.ndarray:
-        """FFT of the generator's circulant embedding, 2n_i per axis."""
-        import scipy.fft as sfft  # deferred: only grid-FFT runs pay its import
-
-        t = self._kernel_table
-        for ax, n in enumerate(self.grid.shape):
-            gap = np.zeros_like(t.take([0], axis=ax))
-            t = np.concatenate([t, gap, np.flip(t.take(np.arange(1, n), axis=ax), axis=ax)], axis=ax)
-        return sfft.fftn(t, workers=runtime.thread_count())
+        return _toeplitz_spectrum(self._kernel_table)
 
     def _apply_weighted_kernel(self, f: np.ndarray) -> np.ndarray:
         """Kw @ f by FFT convolution; f is (N,) or a block of columns (N, c)."""
-        import scipy.fft as sfft
 
-        f = np.asarray(f, dtype=complex)
-        shape = self.grid.shape
-        cols = f.reshape(shape + (-1,))
-        pad = tuple(2 * n for n in shape)
-        workers = runtime.thread_count()
-        spec = sfft.fftn(cols, s=pad, axes=(0, 1, 2), workers=workers)
-        spec *= self._kernel_spectrum[..., None]
-        out = sfft.ifftn(spec, axes=(0, 1, 2), workers=workers, overwrite_x=True)
-        return out[:shape[0], :shape[1], :shape[2]].reshape(f.shape)
+        def contract(spec):
+            spec *= self._kernel_spectrum[..., None]
+            return spec
+
+        return _toeplitz_apply(f, self.grid.shape, contract)
 
     def _dense_weighted_kernel(self) -> np.ndarray:
         """Kw as an (N, N) matrix, gathered from the generator."""
         shape = self.grid.shape
-        offs = [np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) for n in shape]
+        offs = [(np.arange(n)[:, None] - np.arange(n)[None, :]) % (2 * n) for n in shape]
         kw = self._kernel_table[offs[0][:, None, None, :, None, None],
                                 offs[1][None, :, None, None, :, None],
                                 offs[2][None, None, :, None, None, :]]
@@ -390,10 +504,12 @@ class BackgroundMedium:
     def _solve_grid(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + Kw diag(q0)) u = rhs on the grid.
 
-        Dense LU up to DENSE_GRID_CAP nodes, where the many Green-column
-        right-hand sides amortize it; FFT-applied GMRES beyond.
+        Dense LU up to DENSE_GRID_CAP nodes when the factors are already
+        cached or the call brings several columns (the Green blocks), which
+        amortize it; FFT-applied GMRES otherwise.
         """
-        if self.grid.size <= DENSE_GRID_CAP:
+        several = rhs.ndim == 2 and rhs.shape[1] > 1
+        if self.grid.size <= DENSE_GRID_CAP and (self._lu is not None or several):
             lu, a = self._factorization()
             return _solve_checked(lambda x: a @ x, rhs, "grid solve", lu)[0]
         return _solve_checked(self._apply_grid_operator, rhs, "grid solve")[0]
@@ -467,16 +583,25 @@ class BackgroundMedium:
         """(1/4pi) [sum_z e^{-ik beta.z} s_z + sum_m e^{-ik beta.x_m} (Q_m - ik beta.P_m)].
 
         The far-field amplitude of the sources that ``radiate`` sums, per beta.
+        At least LATTICE_MIN_M centres on one lattice sum, like the grid
+        nodes, through per-axis phase tables.
         """
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
         out = np.zeros(len(betas), dtype=complex)
-        if len(centers):
+        lattice = lattice_of(centers) if len(centers) >= LATTICE_MIN_M else None
+        if lattice is not None:
+            sources = [charges] if dipoles is None else [charges, *np.transpose(dipoles)]
+            sums = [self._box_phase_sum(betas, lattice.axes, lattice.scatter(q)) for q in sources]
+            out = sums[0]
+            if dipoles is not None:
+                out = out - 1j * self.k * np.einsum("bp,pb->b", betas, np.array(sums[1:]))
+        elif len(centers):
             phase = self._phase(betas, centers)  # (nb, M)
             out = phase @ charges
             if dipoles is not None:
                 out += np.einsum("bm,bp,mp->b", phase, -1j * self.k * betas, dipoles)
         if density is not None:
-            out = out + self._grid_phase_sum(betas, density)
+            out = out + self._box_phase_sum(betas, self.grid.axes, density)
         return out / (4.0 * np.pi)
 
     # -- Green function -----------------------------------------------------
@@ -550,17 +675,19 @@ class BackgroundMedium:
         """
         return np.exp(-1j * (self.k * (betas @ np.asarray(points).T)))
 
-    def _grid_phase_sum(self, betas, values) -> np.ndarray:
-        """sum_j exp(-ik beta.z_j) f_j over grid nodes, for each beta.
+    def _box_phase_sum(self, betas, axes, values) -> np.ndarray:
+        """sum_j exp(-ik beta.z_j) f_j over the nodes z_j of a rectangular box,
+        for each beta; ``axes`` holds the box coordinates per axis and
+        ``values`` the node array in C order.
 
         The phase factorizes per axis, so three (nb, n_i) tables are
-        contracted with the node field instead of an (nb, N) phase matrix.
+        contracted with the node array instead of an (nb, N) phase matrix.
         """
-        g = self.grid
-        e1, e2, e3 = (self._phase(betas[:, i:i + 1], g.axes[i][:, None]) for i in range(3))
-        f = np.asarray(values, dtype=complex).reshape(g.shape)
-        t = f.reshape(-1, g.shape[2]) @ e3.T  # (n1*n2, nb)
-        t = np.einsum("abk,kb->ak", t.reshape(g.shape[0], g.shape[1], -1), e2)
+        shape = tuple(len(a) for a in axes)
+        e1, e2, e3 = (self._phase(betas[:, i:i + 1], axes[i][:, None]) for i in range(3))
+        f = np.asarray(values, dtype=complex).reshape(shape)
+        t = f.reshape(-1, shape[2]) @ e3.T  # (n1*n2, nb)
+        t = np.einsum("abk,kb->ak", t.reshape(shape[0], shape[1], -1), e2)
         return np.einsum("ak,ka->k", t, e1)
 
     def weighted_u0_sum_grid(self, betas, density_times_weight) -> np.ndarray:

@@ -86,10 +86,15 @@ class TestSolve:
                              "beta": "x"}}),
         ("validate", {"medium": {"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
                                  "resolution": True, "k": 1.0}}),
+        ("solve", {"directions": {"n_theta": 4.7, "n_phi": 8}}),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001,
+                             "centers": [[0.2, 0.5, 0.5], [0.5, 0.5, 0.5], [0.8, 0.5, 0.5]],
+                             "zeta": [1.0, 2.0]}}),
     ], ids=["n_theta_1", "two_coordinate_center", "points_string", "format_version_2",
             "subbox_without_lo", "radial_without_radius", "table_without_re",
             "table_of_strings", "max_iter_not_integer", "centers_without_zeta",
-            "cloud_not_object", "beta_string", "resolution_bool"])
+            "cloud_not_object", "beta_string", "resolution_bool", "n_theta_not_integer",
+            "zeta_count_mismatch"])
     def test_bad_scene_input_exit_2(self, tmp_path, capsys, command, override):
         scene = base_scene(cloud={"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]]})
         scene.update(override)
@@ -114,6 +119,7 @@ class TestSolve:
         assert header == ["x", "y", "z"] and data.shape == (1, 3)
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["iterations"] == 0 and 0 < meta["rcond"] <= 1  # dense LU path
+        assert meta["solver"] == "lu"
 
     def test_determinism_byte_identical(self, tmp_path):
         code1, out1 = run(tmp_path / "r1", "solve", scene_path=SCENES / "single_hard_ball.json")
@@ -124,6 +130,24 @@ class TestSolve:
         for name in ("field.csv", "farfield.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
+
+    def test_lattice_solve_threads_byte_identical(self, tmp_path):
+        # 729 impedance particles on a 9^3 lattice: above the lattice crossover
+        scene = base_scene(cloud={"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729},
+                           directions={"n_theta": 8, "n_phi": 16})
+        outs = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            outs.append(run(tmp_path / threads, "solve", scene_dict=scene,
+                            extra=("--threads", threads)))
+        (code1, out1), (code2, out2) = outs
+        assert code1 == code2 == 0
+        meta = json.loads((out1 / "metadata.json").read_text())
+        assert meta["M"] == 729 and meta["solver"] == "lattice_fft"
+        assert meta["rcond"] is None and meta["iterations"] > 0
+        for name in ("field.csv", "farfield.csv", "centers.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestLimit:

@@ -15,7 +15,7 @@ from smallbody.foldy_impedance import (
     evaluate_field,
     far_field,
 )
-from smallbody.medium import BackgroundMedium, Grid, free_kernel
+from smallbody.medium import BackgroundMedium, Grid, free_kernel, lattice_of
 from smallbody.particles import (
     BALL_SHAPE_CONSTANTS,
     ParticleCloud,
@@ -113,14 +113,43 @@ class TestSolver:
         assert np.abs(res.charges).max() / bound <= 1 + 1e-10
 
     def test_gmres_matches_dense(self, monkeypatch):
+        # dense LU against GMRES on the direct apply: the lattice path is off
+        monkeypatch.setattr(ImpedanceSystem, "lattice_min", np.inf)
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.05)
         dense = assemble_and_solve(med, cloud, Z_HAT)
+        assert dense.solver == "lu"
         monkeypatch.setattr(ImpedanceSystem, "dense_cap", 0)
         krylov = assemble_and_solve(med, cloud, Z_HAT)
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values,
                                    rtol=1e-8)
-        assert krylov.iterations > 0
+        assert krylov.iterations > 0 and krylov.solver == "gmres"
+
+    def test_lattice_fft_apply_matches_direct_apply(self):
+        # a full 10 x 20 x 20 builder lattice; the pair part of both applies
+        med = free_medium(n=8)
+        cloud = build_cloud_impedance(med, a=1e-4, h_field=1.0 - 0.3j, N_field=0.4)
+        assert len(cloud) == 4000
+        lattice = lattice_of(cloud.centers)
+        assert lattice.shape == (10, 20, 20)
+        system = ImpedanceSystem(med, cloud.centers, coupling_constants(cloud))
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=len(cloud)) + 1j * rng.normal(size=len(cloud))
+        direct = system.apply(u) - u
+        fft = system.lattice_apply(lattice)(u) - u
+        assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
+
+    def test_lattice_path_matches_dense(self, monkeypatch):
+        med = free_medium()
+        cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.729)
+        assert len(cloud) == 729
+        lattice = assemble_and_solve(med, cloud, Z_HAT)
+        assert lattice.solver == "lattice_fft" and lattice.rcond is None
+        assert lattice.iterations > 0 and lattice.residual <= 1e-10
+        monkeypatch.setattr(ImpedanceSystem, "lattice_min", np.inf)
+        dense = assemble_and_solve(med, cloud, Z_HAT)
+        assert dense.solver == "lu"
+        np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
 
     def test_linearity_in_incident_field(self):
         med = free_medium()
@@ -129,8 +158,8 @@ class TestSolver:
         c = coupling_constants(cloud)
         u0 = np.exp(1j * med.k * centers[:, 2])
         system = ImpedanceSystem(med, centers, c)
-        u1 = _solve_system(system, u0)[0]
-        u2 = _solve_system(system, 2.0 * u0)[0]
+        u1 = _solve_system(system, lambda: u0)[0]
+        u2 = _solve_system(system, lambda: 2.0 * u0)[0]
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
     def test_wrong_kind_rejected(self):

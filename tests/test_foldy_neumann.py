@@ -13,7 +13,7 @@ from smallbody.foldy_neumann import (
     evaluate_field_hard,
     far_field_hard,
 )
-from smallbody.medium import BackgroundMedium, Grid, free_kernel, free_kernel_grad_y
+from smallbody.medium import BackgroundMedium, Grid, free_kernel, free_kernel_grad_y, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -169,6 +169,30 @@ class TestCoupledSystem:
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
 
+    def test_inhomogeneous_solve_factors_the_grid_once_without_gmres(self, monkeypatch):
+        # the dense system's Green blocks factor the grid operator; the
+        # incident column, the probe field and the far field reuse that LU
+        from smallbody import medium as medium_module
+
+        def logged(module, name, log):
+            fn = getattr(module, name)
+
+            def wrapper(a, *args, **kwargs):
+                log.append(a.shape[0])
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        orders, gmres_calls = [], []
+        logged(medium_module.sla, "lu_factor", orders)
+        logged(medium_module.spla, "gmres", gmres_calls)
+        med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.25)
+        cloud = hard_cloud(np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]]), a=0.03)
+        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        evaluate_field_hard(res, med, cloud, [[0.5, 0.5, 3.0]])
+        far_field_hard(res, med, cloud, DirectionGrid(4, 8))
+        assert sorted(orders) == [12, 343] and not gmres_calls
+
     def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
         # equivalent sources against the Green-block sum and the reciprocity
         # route A - A0 = (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m]
@@ -250,13 +274,45 @@ class TestScaleLaw:
         with pytest.raises(InvariantViolation):
             assemble_and_solve_hard(med, cloud, Z_HAT)
 
+    def test_lattice_fft_apply_matches_direct_apply(self):
+        # antipodal sites of a partly filled 16^3 builder lattice
+        med = free_medium(n=8)
+        cloud = build_cloud_hard(med, a=2.28e-3, nu_field=2e-4, beta=ball_polarizability())
+        assert len(cloud) == 4028
+        lattice = lattice_of(cloud.centers)
+        assert lattice.shape == (16, 16, 16)
+        system = HardSystem(med, cloud)
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=4 * len(cloud)) + 1j * rng.normal(size=4 * len(cloud))
+        direct = system.apply(v) - v
+        fft = system.lattice_apply(lattice)(v) - v
+        assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
+
+    def test_lattice_path_matches_dense(self, monkeypatch):
+        med = free_medium()
+        cloud = build_cloud_hard(med, a=5e-3, nu_field=512 * C3 * 5e-3 ** 3,
+                                 beta=ball_polarizability())
+        assert len(cloud) == 512
+        lattice = assemble_and_solve_hard(med, cloud, Z_HAT)
+        assert lattice.solver == "lattice_fft" and lattice.residual <= 1e-10
+        monkeypatch.setattr(HardSystem, "lattice_min", np.inf)
+        dense = assemble_and_solve_hard(med, cloud, Z_HAT)
+        assert dense.solver == "lu"
+        np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
+        scale = np.abs(dense.effective_gradients).max()
+        np.testing.assert_allclose(lattice.effective_gradients, dense.effective_gradients,
+                                   rtol=1e-8, atol=1e-10 * scale)
+
     def test_matrix_free_matches_dense(self, monkeypatch):
+        # dense LU against GMRES on the direct apply: the lattice path is off
+        monkeypatch.setattr(HardSystem, "lattice_min", np.inf)
         med = free_medium()
         cloud = build_cloud_hard(med, a=8e-3, nu_field=2e-4, beta=ball_polarizability())
         dense = assemble_and_solve_hard(med, cloud, Z_HAT)
+        assert dense.solver == "lu"
         monkeypatch.setattr(HardSystem, "dense_cap", 0)
         krylov = assemble_and_solve_hard(med, cloud, Z_HAT)
-        assert krylov.iterations > 0
+        assert krylov.iterations > 0 and krylov.solver == "gmres"
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values, rtol=1e-8)
         scale = np.abs(dense.effective_gradients).max()
         np.testing.assert_allclose(krylov.effective_gradients, dense.effective_gradients,

@@ -217,10 +217,20 @@ class TestLimitingAmplitude:
 
 
 class TestHardLimit:
-    def make_problem(self, nu0=2e-3, n=12, k=1.0):
-        med = cube_medium(k=k, n=n)
+    def make_problem(self, nu0=2e-3, n=12, k=1.0, n0=1.0):
+        med = cube_medium(k=k, n=n, n0=n0)
         nu = nu0 * bump_profile(med.grid.nodes)
         return LimitProblem(medium=med, nu=nu, beta_field=-1.5 * np.eye(3))
+
+    def test_nonfree_hard_limit_skips_the_grid_factorization(self):
+        # one-column grid solves run FFT GMRES: no 4096^2 matrix and no LU
+        nodes = Grid((0, 0, 0), (1, 1, 1), (16, 16, 16)).nodes
+        n0 = np.where(np.linalg.norm(nodes - 0.5, axis=1) < 0.4, 1.15, 1.0)
+        problem = self.make_problem(nu0=0.01, n=16, n0=n0)
+        fld = solve_hard_limit(problem, Z_HAT)
+        hard_limit_field_at(problem, fld, [[0.5, 0.5, 4.0]])
+        assert problem.medium._lu is None
+        assert fld.iterations == 4
 
     def test_zero_nu_returns_incident(self):
         med = cube_medium(n=8)

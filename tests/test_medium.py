@@ -6,6 +6,7 @@ import pytest
 from smallbody.errors import InvariantViolation, SingularEvaluationError, SolverFailure
 from smallbody.medium import (
     CUBE_SELF_INTEGRAL,
+    LATTICE_MIN_M,
     RESIDUAL_TOL,
     BackgroundMedium,
     ComplexField,
@@ -16,6 +17,7 @@ from smallbody.medium import (
     free_kernel_grad_y,
     free_kernel_hess_xy,
     incident_field,
+    lattice_of,
     lemma_bounds_check,
     trilinear_interpolate,
     _factor,
@@ -230,8 +232,50 @@ class TestGridEngine:
         betas /= np.linalg.norm(betas, axis=1)[:, None]
         f = rng.normal(size=med.grid.size) + 1j * rng.normal(size=med.grid.size)
         direct = np.exp(-1j * med.k * (betas @ med.grid.nodes.T)) @ f
-        sep = med._grid_phase_sum(betas, f)
+        sep = med._box_phase_sum(betas, med.grid.axes, f)
         assert np.abs(sep - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+class TestLattice:
+    def cloud(self):
+        """A 9 x 10 x 12 block with every seventh site left out, off the origin."""
+        idx = np.stack(np.meshgrid(np.arange(9), np.arange(10), np.arange(12), indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        idx = idx[np.arange(len(idx)) % 7 != 3]
+        return np.array([0.3, -0.2, 1.1]) + idx * np.array([0.07, 0.05, 0.05])
+
+    def test_detects_partial_lattice(self):
+        centers = self.cloud()
+        lattice = lattice_of(centers)
+        assert lattice.shape == (9, 10, 12)
+        np.testing.assert_allclose(lattice.spacing, [0.07, 0.05, 0.05], rtol=1e-12)
+        box = np.stack(np.meshgrid(*lattice.axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        assert np.abs(box[lattice.index] - centers).max() <= 1e-12
+
+    def test_refuses_moved_centre_and_sparse_box(self):
+        centers = self.cloud()
+        centers[17, 1] += 1e-6
+        assert lattice_of(centers) is None
+        # two 4^3 clusters of spacing 0.01 set 10 apart: a 1004 x 4 x 4 box
+        # for 128 centres breaks the box-size guard
+        cluster = 0.01 * np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"),
+                                  axis=-1).reshape(-1, 3)
+        assert lattice_of(cluster).shape == (4, 4, 4)
+        assert lattice_of(np.concatenate([cluster, cluster + [10.0, 0.0, 0.0]])) is None
+
+    def test_lattice_far_field_sum_matches_direct(self):
+        med = BackgroundMedium(1.3, Grid((0, 0, 0), (1, 1, 1), (4, 4, 4)))
+        centers = self.cloud()
+        assert len(centers) >= LATTICE_MIN_M and lattice_of(centers) is not None
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=len(centers)) + 1j * rng.normal(size=len(centers))
+        p = rng.normal(size=(len(centers), 3)) + 1j * rng.normal(size=(len(centers), 3))
+        betas = rng.normal(size=(60, 3))
+        betas /= np.linalg.norm(betas, axis=1)[:, None]
+        phase = np.exp(-1j * med.k * betas @ centers.T)
+        direct = (phase @ q - 1j * med.k * np.einsum("bm,bp,mp->b", phase, betas, p)) / (4 * np.pi)
+        lattice = med.amplitude(betas, None, centers, q, p)
+        assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 class TestIncidentField:
@@ -395,4 +439,4 @@ class TestCheckedSolve:
         q0 = -1.0 / (table[0, 0, 0] + table[1, 0, 0]).real
         med = BackgroundMedium(k, grid, n0=1.0 - q0 / k ** 2)
         with pytest.raises(SolverFailure, match="rcond"):
-            med.u0_grid(np.array([0.0, 0.0, 1.0]))
+            med._solve_grid(np.ones((2, 2), dtype=complex))  # two columns: the LU path
