@@ -222,16 +222,12 @@ def parse_alpha(scene: dict) -> np.ndarray:
 # deterministic writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(path: Path, header: list, columns: list):
-    rows = zip(*columns)
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join(["%r"] * len(cols)) + "\n"  # repr of each float
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*cols))
 
 
 def write_field_csv(path: Path, points, values):
@@ -250,13 +246,54 @@ def write_centers_csv(path: Path, cloud: ParticleCloud):
 
 
 def write_json(path: Path, data: dict):
+    """The bytes of json.dump(..., indent=2, sort_keys=True) plus a newline,
+    with complex arrays written as nested lists of {re, im} objects.
+
+    Finite complex arrays are rendered from a template over their floats,
+    several times faster than json's encoder.
+    """
+    text = _json_text({"format_version": FORMAT_VERSION, **data}, 0)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format_version": FORMAT_VERSION, **data}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _complex_list(values):
-    return [{"re": float(v.real), "im": float(v.imag)} for v in np.asarray(values)]
+def _complex_list(values) -> np.ndarray:
+    """Complex values of any shape, for write_json."""
+    return np.asarray(values, dtype=complex)
+
+
+def _complex_objects(x):
+    """Nested lists of complex numbers as nested lists of {re, im}."""
+    return [_complex_objects(v) for v in x] if isinstance(x, list) else {"re": x.real, "im": x.imag}
+
+
+def _complex_template(shape, depth: int) -> str:
+    """Layout of nested {re, im} lists of the given shape with %r for each
+    float, as json.dump(indent=2) writes it at nesting depth."""
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if not shape:
+        return "{" + inner + '"im": %r,' + inner + '"re": %r' + outer + "}"
+    if shape[0] == 0:
+        return "[]"
+    item = _complex_template(shape[1:], depth + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + outer + "]"
+
+
+def _json_text(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for a value at nesting depth;
+    complex arrays may sit in (nested) dicts."""
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        # repr writes nan and inf where json writes NaN and Infinity
+        if np.all(np.isfinite(obj)):
+            floats = np.stack([obj.imag, obj.real], axis=-1).ravel().tolist()  # keys im, re
+            return _complex_template(obj.shape, depth) % tuple(floats)
+        obj = _complex_objects(obj.tolist())
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = (json.dumps(key) + ": " + _json_text(value, depth + 1)
+                 for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", outer)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +322,8 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
     if cloud.kind == "impedance":
         solution["coupling"] = _complex_list(result.coupling)
     else:
-        solution["effective_gradients"] = [_complex_list(row)
-                                           for row in result.effective_gradients]
-        solution["dipole_moments"] = [_complex_list(row)
-                                      for row in result.dipole_moments]
+        solution["effective_gradients"] = _complex_list(result.effective_gradients)
+        solution["dipole_moments"] = _complex_list(result.dipole_moments)
     write_json(out / "solution.json", solution)
     return {
         "command": "solve",

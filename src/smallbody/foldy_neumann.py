@@ -26,7 +26,7 @@ from .foldy_impedance import (
     far_field,
     solve_cloud,
 )
-from .medium import LATTICE_MIN_M, BackgroundMedium, helmholtz_kernels
+from .medium import BackgroundMedium, helmholtz_kernels
 from .particles import ParticleCloud
 
 DENSE_SYSTEM_CAP = 1000  # dense 4M x 4M factorization up to this many particles
@@ -46,7 +46,9 @@ class HardSystem:
     kind = "hard"
     order = 1  # incident data: values and gradients
     dense_cap = DENSE_SYSTEM_CAP
-    lattice_min = LATTICE_MIN_M
+    # measured crossover of the lattice FFT apply against the 4M x 4M LU
+    # (README "Numerical choices")
+    lattice_min = 125
     pairs_per_chunk = 1_000_000
 
     def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):

@@ -27,7 +27,8 @@ logger = logging.getLogger(__name__)
 # (value of the full 1/r integral: 2.3800773639795536)
 CUBE_SELF_INTEGRAL = 0.18940053870923707
 
-# background grid solves: dense LU up to 20^3 nodes; FFT-applied GMRES beyond
+# background grid solves: dense LU while supp q0 holds up to 20^3 nodes;
+# FFT-applied GMRES beyond
 DENSE_GRID_CAP = 8000
 
 # every linear solve of the package: relative residual bound, GMRES restart
@@ -36,9 +37,10 @@ RESIDUAL_TOL = 1e-10
 GMRES_MAXITER = 400
 RCOND_FLOOR = 1e-13
 
-# free-background clouds of at least this many particles on one rectangular
-# lattice take the lattice-FFT Foldy apply and the per-axis far-field sum
-# (measured crossover against the dense LU; see README "Numerical choices")
+# free-background impedance clouds of at least this many particles on one
+# rectangular lattice take the lattice-FFT Foldy apply (measured crossover
+# against the dense LU; see README "Numerical choices"), and clouds of either
+# species the per-axis far-field sum
 LATTICE_MIN_M = 512
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
@@ -429,7 +431,11 @@ class BackgroundMedium:
         self.q0 = self.k ** 2 * (1.0 - n0_vals)
         if np.any(self.q0.imag > 1e-14 * self.k ** 2):
             raise InvariantViolation("Im q0 must be <= 0 (passive medium)")
-        self._u0_cache: dict = {}
+        # S = supp q0: I + Kw diag(q0) has identity columns off S, so every
+        # background grid solve is a solve for the values on S alone
+        self._support = np.flatnonzero(self.q0)
+        self._off_support = np.flatnonzero(self.q0 == 0.0)
+        self._u0_cache: dict = {}  # direction -> u0 on S
         self._lu = None
 
     # -- basic properties ---------------------------------------------------
@@ -437,7 +443,7 @@ class BackgroundMedium:
     @property
     def is_free(self) -> bool:
         """True when q0 vanishes everywhere (homogeneous background)."""
-        return bool(np.all(self.q0 == 0.0))
+        return len(self._support) == 0
 
     @property
     def weight(self) -> float:
@@ -483,52 +489,86 @@ class BackgroundMedium:
 
         return _toeplitz_apply(f, self.grid.shape, contract)
 
-    def _dense_weighted_kernel(self) -> np.ndarray:
-        """Kw as an (N, N) matrix, gathered from the generator."""
+    def _dense_weighted_kernel(self, nodes=None) -> np.ndarray:
+        """Kw[nodes, nodes] (default: every node), gathered from the generator
+        in row blocks of about 2^20 entries."""
         shape = self.grid.shape
-        offs = [(np.arange(n)[:, None] - np.arange(n)[None, :]) % (2 * n) for n in shape]
-        kw = self._kernel_table[offs[0][:, None, None, :, None, None],
-                                offs[1][None, :, None, None, :, None],
-                                offs[2][None, None, :, None, None, :]]
-        return kw.reshape(self.grid.size, self.grid.size)
+        idx = np.unravel_index(np.arange(self.grid.size) if nodes is None else nodes, shape)
+        n = len(idx[0])
+        kw = np.empty((n, n), dtype=complex)
+        table = self._kernel_table
+        step = max(1, 2 ** 20 // max(n, 1))
+        for s in range(0, n, step):
+            rows = slice(s, s + step)
+            kw[rows] = table[tuple((i[rows, None] - i[None, :]) % (2 * m)
+                                   for i, m in zip(idx, shape))]
+        return kw
 
     def _factorization(self):
-        """LU of I + Kw diag(q0), kept with the matrix for residual checks."""
+        """LU of I + Kw_SS diag(q0_S) on S = supp q0, kept with the matrix for
+        residual checks."""
         if self._lu is None:
-            a = self._dense_weighted_kernel()
-            a *= self.q0[None, :]
+            s = self._support
+            a = self._dense_weighted_kernel(s)
+            a *= self.q0[s][None, :]
             a[np.diag_indices_from(a)] += 1.0
             self._lu = (_factor(a, "grid operator")[0], a)
         return self._lu
 
     def _solve_grid(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I + Kw diag(q0)) u = rhs on the grid.
+        """Solve (I + Kw diag(q0)) u = rhs for the values of u on S = supp q0.
 
-        Dense LU up to DENSE_GRID_CAP nodes when the factors are already
-        cached or the call brings several columns (the Green blocks), which
-        amortize it; FFT-applied GMRES otherwise.
+        rhs and the result hold values at the support nodes, (|S|,) or
+        (|S|, c).  Dense LU of order |S| up to DENSE_GRID_CAP when the factors
+        are already cached or the call brings several columns (the Green
+        blocks), which amortize it; FFT-applied GMRES otherwise.
         """
         several = rhs.ndim == 2 and rhs.shape[1] > 1
-        if self.grid.size <= DENSE_GRID_CAP and (self._lu is not None or several):
+        if len(self._support) <= DENSE_GRID_CAP and (self._lu is not None or several):
             lu, a = self._factorization()
             return _solve_checked(lambda x: a @ x, rhs, "grid solve", lu)[0]
         return _solve_checked(self._apply_grid_operator, rhs, "grid solve")[0]
 
     def _apply_grid_operator(self, u: np.ndarray) -> np.ndarray:
-        """(I + Kw diag(q0)) u."""
-        q0 = self.q0.reshape((-1,) + (1,) * (u.ndim - 1))
-        return u + self._apply_weighted_kernel(q0 * u)
+        """(I + Kw diag(q0)) u on S for support values u."""
+        s = self._support
+        q0 = self.q0[s].reshape((-1,) + (1,) * (u.ndim - 1))
+        return u + self._apply_weighted_kernel(self._on_grid(q0 * u))[s]
+
+    def _on_grid(self, u: np.ndarray) -> np.ndarray:
+        """Support values u, (|S|,) or (|S|, c), as node values, zero off S."""
+        out = np.zeros((self.grid.size,) + u.shape[1:], dtype=complex)
+        out[self._support] = u
+        return out
+
+    def _extend(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Node values of the solution of (I + Kw diag(q0)) x = f from its
+        support values u: x_S = u and x_O = f_O - (Kw diag(q0) x)_O off S,
+        by one FFT apply (none when S holds every node)."""
+        x = np.array(f, dtype=complex)
+        s = self._support
+        if len(self._off_support):
+            x -= self._apply_weighted_kernel(self._on_grid(self.q0[s] * u))
+        x[s] = u
+        return x
 
     # -- incident field -----------------------------------------------------
+
+    def _plane_wave(self, alpha) -> np.ndarray:
+        return np.exp(1j * self.k * self.grid.nodes @ alpha)
+
+    def _u0_support(self, alpha) -> np.ndarray:
+        """u0(., alpha) on S, one grid solve per direction (cached)."""
+        key = tuple(np.round(alpha, 15))
+        if key not in self._u0_cache:
+            self._u0_cache[key] = self._solve_grid(self._plane_wave(alpha)[self._support])
+        return self._u0_cache[key]
 
     def u0_grid(self, alpha) -> np.ndarray:
         """Incident scattering solution u0(., alpha) at the grid nodes."""
         alpha = _unit(alpha)
-        key = tuple(np.round(alpha, 15))
-        if key not in self._u0_cache:
-            e = np.exp(1j * self.k * self.grid.nodes @ alpha)
-            self._u0_cache[key] = e if self.is_free else self._solve_grid(e)
-        return self._u0_cache[key]
+        e = self._plane_wave(alpha)
+        return e if self.is_free else self._extend(e, self._u0_support(alpha))
 
     def incident_values(self, alpha, points, order=0) -> np.ndarray:
         """u0(x, alpha) at arbitrary points via the volume representation.
@@ -548,20 +588,22 @@ class BackgroundMedium:
         """
         if self.is_free:
             return None
-        u = np.zeros(self.grid.size, complex) if alpha is None else self.u0_grid(alpha)
+        s = self._support
+        u = np.zeros(len(s), complex) if alpha is None else self._u0_support(_unit(alpha))
         if len(centers):
             order = 0 if dipoles is None else 1
             w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
-            u = u + self._solve_grid(self._node_columns(centers, order) @ w)
-        return -(self.q0 * u * self.weight)
+            u = u + self._solve_grid(self._node_columns(centers, order, s) @ w)
+        return self._on_grid(-(self.q0[s] * u * self.weight))
 
     def radiate(self, points, alpha, density, centers=(), charges=None, dipoles=None,
                 order=0) -> np.ndarray:
         """u(x) = e^{ik alpha.x} + sum_z g(x,z) s_z + sum_m [g(x,x_m) Q_m + grad_y g(x,x_m).P_m].
 
-        s is a node density (None: no grid sources), Q_m and P_m the particle
-        monopoles and dipoles.  order 1 returns [u, grad_x u] as one (4n,)
-        vector, for grid sources only.
+        s is a node density (None: no grid sources), summed over S = supp q0
+        when it vanishes off S; Q_m and P_m are the particle monopoles and
+        dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector, for grid
+        sources only.
         """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -569,9 +611,12 @@ class BackgroundMedium:
         if order:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
+            # limit densities reach past S; source_density's do not
+            nodes = None if density[self._off_support].any() else self._support
             # target rows [g(x, z) | grad_x g(x, z)], copied row-major: the
             # matvec then sums in the order of a directly built (n, N) kernel
-            out = out + np.ascontiguousarray(self._node_columns(pts, order).T) @ density
+            rows = np.ascontiguousarray(self._node_columns(pts, order, nodes).T)
+            out = out + rows @ (density if nodes is None else density[nodes])
         if len(centers) and dipoles is None:
             out = out + _free_kernels(pts, centers, self.k) @ charges
         elif len(centers):
@@ -606,16 +651,18 @@ class BackgroundMedium:
 
     # -- Green function -----------------------------------------------------
 
-    def _node_columns(self, pts, order):
-        """g(z, p_j) over the grid nodes z, stacked as [g | grad_p g] for order >= 1.
+    def _node_columns(self, pts, order, nodes=None):
+        """g(z, p_j) over the grid nodes z (default: every node), stacked as
+        [g | grad_p g] for order >= 1.
 
-        Shape (N, m), or (N, 4m) with gradient column 3j + p.  The transpose
+        Shape (n, m), or (n, 4m) with gradient column 3j + p.  The transpose
         holds the target rows [g(p_i, z) | grad_x g(p_i, z)]: g depends on
         y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
         """
+        z = self.grid.nodes if nodes is None else self.grid.nodes[nodes]
         if order == 0:
-            return _free_kernels(self.grid.nodes, pts, self.k)
-        g, grad = _free_kernels(self.grid.nodes, pts, self.k, 1)
+            return _free_kernels(z, pts, self.k)
+        g, grad = _free_kernels(z, pts, self.k, 1)
         return np.concatenate([g, grad.reshape(len(g), -1)], axis=1)
 
     def green_blocks(self, x, y=None, order=0) -> list:
@@ -625,7 +672,8 @@ class BackgroundMedium:
         order 1, plus d^2G/dx_q dy_p (n,m,3,3) [q,p] for order 2.  Without
         y the blocks run over pairs of x with a zero diagonal.  The volume
         correction is one grid solve over the stacked source columns and
-        one product with the stacked target rows.
+        one product with the stacked target rows, both at the nodes of
+        S = supp q0.
         """
         pairs = y is None
         x = np.asarray(x, dtype=float).reshape(-1, 3)
@@ -639,10 +687,11 @@ class BackgroundMedium:
         free = helmholtz_kernels(diff, r, self.k, order)
         blocks = [free] if order == 0 else [free[0], -free[1], *free[1:]]
         if not self.is_free:
-            src = self._node_columns(y, order)
-            tgt = src if pairs else self._node_columns(x, order)
+            s = self._support
+            src = self._node_columns(y, order, s)
+            tgt = src if pairs else self._node_columns(x, order, s)
             sol = self._solve_grid(src)
-            sol *= self.q0[:, None] * self.weight
+            sol *= self.q0[s, None] * self.weight
             corr = tgt.T @ sol
             parts = [corr[:n, :m]]
             if order:
@@ -663,7 +712,7 @@ class BackgroundMedium:
         kwf = self._apply_weighted_kernel(np.asarray(density, dtype=complex).reshape(-1))
         if self.is_free:
             return kwf
-        return self._solve_grid(kwf)
+        return self._extend(kwf, self._solve_grid(kwf[self._support]))
 
     # -- weighted far-field sums ----------------------------------------------
 
@@ -693,7 +742,7 @@ class BackgroundMedium:
     def weighted_u0_sum_grid(self, betas, density_times_weight) -> np.ndarray:
         """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3.
 
-        The literal definition, one cached grid solve per direction.
+        The literal definition: u0_grid per direction, whose support solve is cached.
         """
         f = np.asarray(density_times_weight, dtype=complex).reshape(-1)
         return np.array([self.u0_grid(-b) @ f for b in np.atleast_2d(betas)])

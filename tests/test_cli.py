@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smallbody import cli
 from smallbody.cli import main
 from smallbody.particles import ParticleCloud
 
@@ -281,3 +282,48 @@ class TestValidate:
         assert code == 3
         rep = json.loads((out / "report.json").read_text())
         assert any("spacing" in f for f in rep["cloud"]["flags"])
+
+
+class TestWriters:
+    """The fast writers give the bytes of json.dump and of repr(float(x))."""
+
+    VALUES = np.array([-0.0, 5e-324, 1e20, 0.1, -1.5e-300, 2.0 ** 52, 1 / 3, -7.0])
+
+    @staticmethod
+    def reference_json(path, data):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"format_version": 1, **data}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    @staticmethod
+    def objects(values):
+        values = np.asarray(values)
+        if values.ndim:
+            return [TestWriters.objects(v) for v in values]
+        return {"re": float(values.real), "im": float(values.imag)}
+
+    @pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf])
+    def test_json_bytes_equal_json_dump(self, tmp_path, special):
+        z = self.VALUES + 1j * self.VALUES[::-1]
+        if special is not None:
+            z[3] = complex(special, 0.25)
+        blocks = {"values": z, "rows": z.reshape(4, 2), "cube": z.reshape(2, 2, 2),
+                  "one": z[:1], "empty": z[:0], "empty_rows": z[:0].reshape(0, 3)}
+        meta = {"nested": {"x": [1, 2.5, None, True], "s": "aé\n\"b\""}, "empty": {}}
+        data = {**{k: cli._complex_list(v) for k, v in blocks.items()},
+                "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0}],
+                "mixed": {"v": [0.5], "w": cli._complex_list(z[2:4])}}
+        plain = {**{k: self.objects(v) for k, v in blocks.items()},
+                 "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0}],
+                 "mixed": {"v": [0.5], "w": self.objects(z[2:4])}}
+        cli.write_json(tmp_path / "fast.json", data)
+        self.reference_json(tmp_path / "ref.json", plain)
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_csv_bytes_equal_repr_of_each_float(self, tmp_path):
+        cols = [self.VALUES, np.arange(8), np.float32(0.1) * np.ones(8, dtype=np.float32),
+                np.append(self.VALUES[:5], [np.nan, np.inf, -np.inf])]
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], cols)
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in zip(*cols))
+        assert (tmp_path / "t.csv").read_text() == expected

@@ -170,8 +170,10 @@ class TestCoupledSystem:
                 res.effective_gradients[j]).max()
 
     def test_inhomogeneous_solve_factors_the_grid_once_without_gmres(self, monkeypatch):
-        # the dense system's Green blocks factor the grid operator; the
-        # incident column, the probe field and the far field reuse that LU
+        # the dense system's Green blocks factor the grid operator on
+        # S = supp q0; the incident column, the probe field and the far field
+        # reuse that LU.  A constant n0 puts every node in S, an n0 ball only
+        # the nodes inside it
         from smallbody import medium as medium_module
 
         def logged(module, name, log):
@@ -186,12 +188,19 @@ class TestCoupledSystem:
         orders, gmres_calls = [], []
         logged(medium_module.sla, "lu_factor", orders)
         logged(medium_module.spla, "gmres", gmres_calls)
-        med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.25)
         cloud = hard_cloud(np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]]), a=0.03)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
-        evaluate_field_hard(res, med, cloud, [[0.5, 0.5, 3.0]])
-        far_field_hard(res, med, cloud, DirectionGrid(4, 8))
-        assert sorted(orders) == [12, 343] and not gmres_calls
+
+        def ball(z):
+            return np.where(np.linalg.norm(z - 0.5, axis=1) < 0.35, 1.25, 1.0)
+
+        for n0, support in ((1.25, 343), (ball, 81)):
+            orders.clear()
+            med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=n0)
+            assert np.count_nonzero(med.q0) == support
+            res = assemble_and_solve_hard(med, cloud, Z_HAT)
+            evaluate_field_hard(res, med, cloud, [[0.5, 0.5, 3.0]])
+            far_field_hard(res, med, cloud, DirectionGrid(4, 8))
+            assert sorted(orders) == [12, support] and not gmres_calls
 
     def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
         # equivalent sources against the Green-block sum and the reciprocity
@@ -302,6 +311,14 @@ class TestScaleLaw:
         scale = np.abs(dense.effective_gradients).max()
         np.testing.assert_allclose(lattice.effective_gradients, dense.effective_gradients,
                                    rtol=1e-8, atol=1e-10 * scale)
+
+    def test_lattice_path_from_the_measured_crossover(self):
+        med = free_medium()
+        for m, solver in ((64, "lu"), (125, "lattice_fft")):
+            cloud = build_cloud_hard(med, a=5e-3, nu_field=m * C3 * 5e-3 ** 3,
+                                     beta=ball_polarizability())
+            assert len(cloud) == m
+            assert assemble_and_solve_hard(med, cloud, Z_HAT).solver == solver
 
     def test_matrix_free_matches_dense(self, monkeypatch):
         # dense LU against GMRES on the direct apply: the lattice path is off

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from smallbody.errors import InvariantViolation, SingularEvaluationError, SolverFailure
 from smallbody.medium import (
@@ -234,6 +235,87 @@ class TestGridEngine:
         direct = np.exp(-1j * med.k * (betas @ med.grid.nodes.T)) @ f
         sep = med._box_phase_sum(betas, med.grid.axes, f)
         assert np.abs(sep - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+class TestSupportSolve:
+    """Grid solves on S = supp q0 against the full-grid FFT-GMRES solve."""
+
+    def make(self, inside=1.16):
+        # an n0 ball: q0 vanishes on the 8^3 nodes outside radius 0.4
+        def n0(pts):
+            return np.where(np.linalg.norm(pts - 0.5, axis=1) < 0.4, inside, 1.0)
+
+        return BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0)
+
+    @staticmethod
+    def full_grid_solve(med, rhs):
+        """(I + Kw diag(q0)) u = rhs over every node, one column at a time."""
+        n = med.grid.size
+        op = spla.LinearOperator(
+            (n, n), matvec=lambda u: u + med._apply_weighted_kernel(med.q0 * u), dtype=complex)
+        cols = []
+        for col in rhs.reshape(n, -1).T:
+            sol, info = spla.gmres(op, col, rtol=1e-14, atol=0.0, restart=100, maxiter=20)
+            assert info == 0
+            cols.append(sol)
+        return np.column_stack(cols).reshape(rhs.shape)
+
+    @staticmethod
+    def rel(got, ref):
+        return np.abs(got - ref).max() / np.abs(ref).max()
+
+    def test_support_is_a_proper_subset(self):
+        med = self.make()
+        assert 0 < len(med._support) < med.grid.size
+        assert np.all(med.q0[med._support] != 0) and not med.is_free
+
+    def test_u0_grid_matches_full_grid_solve(self):
+        med = self.make()
+        alpha = np.array([0.6, 0.0, 0.8])
+        plane = np.exp(1j * med.k * med.grid.nodes @ alpha)
+        assert self.rel(med.u0_grid(alpha), self.full_grid_solve(med, plane)) <= 1e-12
+
+    def test_green_potential_matches_full_grid_solve(self):
+        med = self.make()
+        f = [1.0, 1j] @ np.random.default_rng(3).normal(size=(2, med.grid.size))
+        ref = self.full_grid_solve(med, med._apply_weighted_kernel(f))
+        assert self.rel(med.green_potential_grid(f), ref) <= 1e-12
+
+    def test_order_2_green_blocks_match_full_grid_solve(self):
+        med = self.make()
+        x = np.array([[0.31, 0.52, 0.47], [0.9, 0.2, 0.65]])
+        y = np.array([[0.55, 0.41, 0.7], [0.2, 0.8, 0.33], [1.4, 0.5, 0.5]])
+
+        def columns(pts):
+            g, grad = free_kernel(med.grid.nodes, pts, med.k), free_kernel_grad_y(
+                med.grid.nodes, pts, med.k)
+            return np.concatenate([g, grad.reshape(len(g), -1)], axis=1)
+
+        sol = self.full_grid_solve(med, columns(y)) * (med.q0 * med.weight)[:, None]
+        corr = columns(x).T @ sol
+        n, m = len(x), len(y)
+        refs = [free_kernel(x, y, med.k) - corr[:n, :m],
+                -free_kernel_grad_y(x, y, med.k) - corr[n:, :m].reshape(n, 3, m).transpose(0, 2, 1),
+                free_kernel_grad_y(x, y, med.k) - corr[:n, m:].reshape(n, m, 3),
+                free_kernel_hess_xy(x, y, med.k)
+                - corr[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3)]
+        for got, ref in zip(med.green_blocks(x, y, order=2), refs):
+            assert self.rel(got, ref) <= 1e-12
+
+    def test_source_density_matches_full_grid_solve_and_vanishes_off_support(self):
+        med = self.make()
+        alpha = np.array([0.0, 0.6, -0.8])
+        centers = np.array([[0.3, 0.5, 0.55], [0.62, 0.71, 0.4]])
+        charges = np.array([1.0 - 0.5j, 0.3 + 2j])
+        dipoles = np.array([[0.2, -1.0, 0.4j], [1.5, 0.1, -0.3]])
+        g = free_kernel(med.grid.nodes, centers, med.k)
+        grad = free_kernel_grad_y(med.grid.nodes, centers, med.k)
+        rhs = np.exp(1j * med.k * med.grid.nodes @ alpha) + g @ charges \
+            + np.einsum("zmp,mp->z", grad, dipoles)
+        ref = -(med.q0 * self.full_grid_solve(med, rhs) * med.weight)
+        got = med.source_density(alpha, centers, charges, dipoles)
+        assert self.rel(got, ref) <= 1e-12
+        assert np.all(got[med.q0 == 0] == 0)
 
 
 class TestLattice:
