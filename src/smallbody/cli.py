@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,167 +55,204 @@ class SceneError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# scene parsing
+# scene schema (one table, one walker) and parsers of the checked values
 # ---------------------------------------------------------------------------
 
-def _fnum(x) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise SceneError(f"expected a number, got {x!r}")
-    return float(x)
+REQUIRED = object()  # default of a key that the scene must give
+ONE_OF = object()  # default of the keys of which a section gives exactly one
 
 
-def _int(x) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise SceneError(f"expected an integer, got {x!r}")
-    return x
+def _number(x, path, above=None, integer=False):
+    """A finite JSON number (an integer if asked for), greater than `above`."""
+    if (isinstance(x, bool) or not isinstance(x, int if integer else (int, float))
+            or not abs(x) <= sys.float_info.max):
+        kind = "an integer" if integer else "a finite number"
+        raise SceneError(f"{path}: expected {kind}, got {x!r:.80}")
+    if above is not None and not x > above:
+        raise SceneError(f"{path}: must be > {above}, got {x!r}")
+    return x if integer else float(x)
 
 
-def _complex_of(x) -> complex:
+def _list(x, path, item, size=None) -> list:
+    if not isinstance(x, list) or (size is not None and len(x) != size):
+        raise SceneError(f"{path}: expected a list{f' of {size}' if size else ''}, got {x!r:.80}")
+    return [_check(item, v, f"{path}[{i}]") for i, v in enumerate(x)]
+
+
+def _list_or(x, path, item, other, size=None):
+    """A list of items, or any other value checked by `other`."""
+    return _list(x, path, item, size) if isinstance(x, list) else _check(other, x, path)
+
+
+def _complex(x, path) -> complex:
+    """A number, or {re, im} with each part 0 when not given."""
     if isinstance(x, dict):
-        return complex(_fnum(x.get("re", 0.0)), _fnum(x.get("im", 0.0)))
-    return complex(_fnum(x))
+        return complex(*_section(_COMPLEX, x, path).values())
+    return complex(_number(x, path))
 
 
-def _vec3(x) -> np.ndarray:
-    if not isinstance(x, (list, tuple)) or len(x) != 3:
-        raise SceneError(f"expected a 3-vector, got {x!r}")
-    return np.array([_fnum(v) for v in x])
+def _field(x, path):
+    """A typed spec of _FIELD_TYPES; a bare constant becomes a "constant" spec."""
+    if not (isinstance(x, dict) and "type" in x):
+        return {"type": "constant", "value": _complex(x, path)}
+    kind = _check(tuple(_FIELD_TYPES), x["type"], f"{path}.type")
+    return _section({"type": ((kind,), REQUIRED), **_FIELD_TYPES[kind]}, x, path)
 
 
-def _vec3_list(x, what: str) -> np.ndarray:
-    if not isinstance(x, list):
-        raise SceneError(f"{what} must be a list of 3-vectors, got {x!r}")
-    return np.array([_vec3(v) for v in x]).reshape(-1, 3)
+def _check(check, x, path):
+    """x checked by a table entry: a section table, a tuple of choices or a
+    function of (value, path)."""
+    if isinstance(check, dict):
+        return _section(check, x, path)
+    if isinstance(check, tuple):
+        if not any(x == c and type(x) is type(c) for c in check):
+            raise SceneError(f"{path}: expected one of {check}, got {x!r:.80}")
+        return x
+    return check(x, path)
 
 
-def parse_field_spec(spec, grid: Grid, dtype=complex) -> np.ndarray:
-    """Scalar field over grid nodes from a scene value.
+def _section(table, x, path) -> dict:
+    """Checked copy of a scene object: unknown keys refused, every key of the
+    table present, absent optional keys at their default (None: not given)."""
+    if not isinstance(x, dict):
+        raise SceneError(f"{path}: expected an object, got {x!r:.80}")
+    for key in x:
+        if key not in table:
+            raise SceneError(f"{path}.{key}: unknown key")
+    out = {}
+    for key, (check, default) in table.items():
+        value = x.get(key)  # null is the same as an absent key
+        if value is None:
+            if default is REQUIRED:
+                raise SceneError(f"{path}.{key}: missing")
+            value = None if default is ONE_OF else default
+        out[key] = None if value is None else _check(check, value, f"{path}.{key}")
+    one_of = [key for key, (_, default) in table.items() if default is ONE_OF]
+    if one_of and sum(out[key] is not None for key in one_of) != 1:
+        raise SceneError(f"{path}: give exactly one of {', '.join(one_of)}")
+    return out
 
-    Accepts a bare number, {re, im}, or a typed object:
-      constant | subbox | radial | bump | table.
-    """
+
+_count = partial(_number, above=0, integer=True)
+_positive = partial(_number, above=0.0)
+_vector = partial(_list, item=_number, size=3)
+_numbers = partial(_list, item=_number)
+_a_sequence = partial(_list, item=_positive)
+_BETA = (partial(_list_or, item=_vector, other=_number, size=3), -1.5)  # s (meaning s I) or 3x3
+_COMPLEX = {"re": (_number, 0.0), "im": (_number, 0.0)}
+_PROBES = {"far_probes": (_positive, 5.0)}
+_FIELD_TYPES = {
+    "constant": {"value": (_complex, 0.0)},
+    "subbox": {"lo": (_vector, REQUIRED), "hi": (_vector, REQUIRED),
+               "inside": (_complex, 1.0), "outside": (_complex, 0.0)},
+    "radial": {"center": (_vector, REQUIRED), "radius": (_positive, REQUIRED),
+               "inside": (_complex, 1.0), "outside": (_complex, 0.0)},
+    "bump": {"center": (_vector, [0.5, 0.5, 0.5]), "width": (_positive, 0.3),
+             "amplitude": (_complex, 1.0)},
+    "table": {"re": (_numbers, REQUIRED), "im": (_numbers, None)},
+}
+_SCENE = {
+    "format_version": ((FORMAT_VERSION,), FORMAT_VERSION),
+    "medium": ({"box": ({"lo": (_vector, REQUIRED), "hi": (_vector, REQUIRED)}, REQUIRED),
+                "resolution": (partial(_list_or, item=_count, other=_count, size=3), 8),
+                "k": (_number, REQUIRED), "n0": (_field, 1.0)}, REQUIRED),
+    "alpha": (_vector, [0.0, 0.0, 1.0]),
+    "directions": ({"n_theta": (partial(_number, above=1, integer=True), 32),
+                    "n_phi": (partial(_number, above=1, integer=True), 64)}, {}),
+    "points": (partial(_list_or, item=_vector, other=_PROBES), {}),
+    "cloud": ({"kind": (("impedance", "hard"), REQUIRED), "a": (_positive, REQUIRED),
+               "cell_size": (_positive, None), "h": (_field, 0.0), "N": (_field, 0.0),
+               "nu": (_field, 0.0), "beta": _BETA, "zeta": (partial(_list, item=_complex), None),
+               "centers": (partial(_list, item=_vector), None)}, None),
+    "limit": ({"p": (_field, ONE_OF), "nu": (_field, ONE_OF), "beta": _BETA,
+               "max_iter": (_count, 80)}, None),
+    "design": ({"target_n": (_field, 1.0), "a": (_positive, REQUIRED),
+                "cell_size": (_positive, None),
+                "verify": ({"a_sequence": (_a_sequence, [])}, {})}, None),
+    "study": ({"mode": (("impedance", "hard"), REQUIRED), "a_sequence": (_a_sequence, REQUIRED),
+               "cell_size": (_positive, None), "h": (_field, 0.0), "N": (_field, 0.0),
+               "nu": (_field, 0.0), "beta": _BETA}, None),
+}
+# per command, the scene table with the section that the command needs made REQUIRED
+_SCENE_OF = {command: {**_SCENE, section: (_SCENE[section][0], REQUIRED)}
+             for command, section in (("solve", "cloud"), ("limit", "limit"), ("design", "design"),
+                                      ("study", "study"), ("validate", "medium"))}
+
+
+def parse_field_spec(spec, grid: Grid, path: str) -> np.ndarray:
+    """Complex node values of a checked field spec (see _field)."""
     nodes = grid.nodes
-    try:
-        if isinstance(spec, (int, float)) or (isinstance(spec, dict) and "type" not in spec):
-            return np.full(grid.size, _complex_of(spec)).astype(dtype)
-        if not isinstance(spec, dict):
-            raise SceneError(f"bad field spec {spec!r}")
-        kind = spec.get("type")
-        if kind == "constant":
-            return np.full(grid.size, _complex_of(spec.get("value", 0.0))).astype(dtype)
-        if kind in ("subbox", "radial"):
-            if kind == "subbox":
-                mask = np.all((nodes > _vec3(spec["lo"])) & (nodes < _vec3(spec["hi"])), axis=1)
-            else:
-                dist = np.linalg.norm(nodes - _vec3(spec["center"]), axis=1)
-                mask = dist < _fnum(spec["radius"])
-            inside = _complex_of(spec.get("inside", 1.0))
-            outside = _complex_of(spec.get("outside", 0.0))
-            return np.where(mask, inside, outside).astype(dtype)
-        if kind == "bump":
-            center = _vec3(spec.get("center", [0.5, 0.5, 0.5]))
-            width = _fnum(spec.get("width", 0.3))
-            amp = _complex_of(spec.get("amplitude", 1.0))
-            t = (nodes - center) / width
-            prof = np.where(np.abs(t) < 1, (1 - t ** 2) ** 2, 0.0)
-            return (amp * prof[:, 0] * prof[:, 1] * prof[:, 2]).astype(dtype)
-        if kind == "table":
-            re = np.asarray(spec["re"], dtype=float).reshape(-1)
-            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
-            if re.size != grid.size or im.size != grid.size:
-                raise SceneError("table field size does not match the grid")
-            return (re + 1j * im).astype(dtype)
-        raise SceneError(f"unknown field spec type {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneError(f"bad field spec: {type(exc).__name__}: {exc}") from exc
+    kind = spec["type"]
+    if kind == "constant":
+        return np.full(grid.size, spec["value"])
+    if kind == "subbox":
+        return np.where(np.all((nodes > spec["lo"]) & (nodes < spec["hi"]), axis=1),
+                        spec["inside"], spec["outside"])
+    if kind == "radial":
+        return np.where(np.linalg.norm(nodes - spec["center"], axis=1) < spec["radius"],
+                        spec["inside"], spec["outside"])
+    if kind == "bump":
+        t = (nodes - spec["center"]) / spec["width"]
+        prof = np.where(np.abs(t) < 1, (1 - t ** 2) ** 2, 0.0)
+        return spec["amplitude"] * prof[:, 0] * prof[:, 1] * prof[:, 2]
+    re = np.asarray(spec["re"], dtype=float)
+    im = np.zeros_like(re) if spec["im"] is None else np.asarray(spec["im"], dtype=float)
+    if re.size != grid.size or im.size != grid.size:
+        raise SceneError(f"{path}: a table needs one value per grid node ({grid.size}), "
+                         f"got {re.size} re and {im.size} im")
+    return re + 1j * im
 
 
 def parse_medium(scene: dict) -> BackgroundMedium:
+    mspec, res = scene["medium"], scene["medium"]["resolution"]
     try:
-        mspec = scene["medium"]
-        box = mspec["box"]
-        lo, hi = _vec3(box["lo"]), _vec3(box["hi"])
-        res = mspec.get("resolution", 8)
-        shape = tuple(_int(v) for v in res) if isinstance(res, list) else (_int(res),) * 3
-        k = _fnum(mspec["k"])
-        grid = Grid(tuple(lo), tuple(hi), shape)
-        n0 = parse_field_spec(mspec.get("n0", 1.0), grid)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneError(f"bad medium spec: {exc}") from exc
-    return BackgroundMedium(k, grid, n0)
+        grid = Grid(tuple(mspec["box"]["lo"]), tuple(mspec["box"]["hi"]),
+                    tuple(res) if isinstance(res, list) else (res,) * 3)
+    except ValueError as exc:  # a degenerate box, or unequal spacings per axis
+        raise SceneError(f"scene.medium: {exc}") from exc
+    return BackgroundMedium(mspec["k"], grid,
+                            parse_field_spec(mspec["n0"], grid, "scene.medium.n0"))
 
 
 def parse_beta(spec) -> np.ndarray:
-    if isinstance(spec, (int, float)):
-        return _fnum(spec) * np.eye(3)
-    try:
-        arr = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"bad beta {spec!r}") from exc
-    if arr.shape != (3, 3):
-        raise SceneError("beta must be a scalar (diagonal) or a 3x3 matrix")
-    return arr
+    return np.asarray(spec, dtype=float) if isinstance(spec, list) else spec * np.eye(3)
 
 
 def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
-    cspec = scene.get("cloud")
-    if not isinstance(cspec, dict):
-        raise SceneError(f"'cloud' must be an object, got {cspec!r}")
-    try:
-        kind = cspec["kind"]
-        a = _fnum(cspec["a"])
-    except KeyError as exc:
-        raise SceneError(f"cloud spec missing {exc}") from exc
-    cell = cspec.get("cell_size")
-    cell = _fnum(cell) if cell is not None else None
-    if "centers" in cspec:
-        centers = _vec3_list(cspec["centers"], "cloud centers")
-        if kind == "impedance":
-            if not isinstance(cspec.get("zeta"), list):
-                raise SceneError("an impedance cloud with centers needs a 'zeta' list")
-            zeta = np.array([_complex_of(z) for z in cspec["zeta"]])
-            if len(zeta) == 1 and len(centers) > 1:
-                zeta = np.repeat(zeta, len(centers))
-            if len(zeta) != len(centers):
-                raise SceneError(f"'zeta' has {len(zeta)} entries for {len(centers)} centers "
-                                 "(give one, or one per center)")
-            return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
-                                 kind="impedance", zeta=zeta)
+    cspec = scene["cloud"]
+    kind, a, grid = cspec["kind"], cspec["a"], medium.grid
+    if cspec["centers"] is not None:
+        centers = np.array(cspec["centers"], dtype=float).reshape(-1, 3)
         if kind == "hard":
             return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
-                                 kind="hard", beta=parse_beta(cspec.get("beta", -1.5)))
-        raise SceneError(f"unknown cloud kind {kind!r}")
+                                 kind="hard", beta=parse_beta(cspec["beta"]))
+        zeta = cspec["zeta"] or []
+        zeta = zeta * len(centers) if len(zeta) == 1 else zeta
+        if len(zeta) != len(centers):
+            raise SceneError(f"scene.cloud.zeta: {len(zeta)} values for {len(centers)} centers "
+                             "(an impedance cloud with centers needs one, or one per center)")
+        return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
+                             kind="impedance", zeta=np.array(zeta))
     if kind == "impedance":
-        h = parse_field_spec(cspec.get("h", 0.0), medium.grid)
-        dens = parse_field_spec(cspec.get("N", 0.0), medium.grid, dtype=complex).real
-        return build_cloud_impedance(medium, a, h, dens, cell_size=cell)
-    if kind == "hard":
-        nu = parse_field_spec(cspec.get("nu", 0.0), medium.grid, dtype=complex).real
-        return build_cloud_hard(medium, a, nu, parse_beta(cspec.get("beta", -1.5)),
-                                cell_size=cell)
-    raise SceneError(f"unknown cloud kind {kind!r}")
+        return build_cloud_impedance(
+            medium, a, parse_field_spec(cspec["h"], grid, "scene.cloud.h"),
+            parse_field_spec(cspec["N"], grid, "scene.cloud.N").real, cell_size=cspec["cell_size"])
+    return build_cloud_hard(medium, a, parse_field_spec(cspec["nu"], grid, "scene.cloud.nu").real,
+                            parse_beta(cspec["beta"]), cell_size=cspec["cell_size"])
 
 
 def parse_points(scene: dict, medium: BackgroundMedium) -> np.ndarray:
-    spec = scene.get("points", {"far_probes": 5.0})
-    if isinstance(spec, dict) and "far_probes" in spec:
-        return far_probe_points(medium.grid, _fnum(spec["far_probes"]))
-    return _vec3_list(spec, "points (or {far_probes: factor})")
-
-
-def parse_directions(scene: dict) -> DirectionGrid:
-    d = scene.get("directions", {})
-    try:
-        return DirectionGrid(_int(d.get("n_theta", 32)), _int(d.get("n_phi", 64)))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SceneError(f"bad directions: {exc}") from exc
+    spec = scene["points"]
+    if isinstance(spec, dict):
+        return far_probe_points(medium.grid, spec["far_probes"])
+    return np.array(spec, dtype=float).reshape(-1, 3)
 
 
 def parse_alpha(scene: dict) -> np.ndarray:
-    alpha = _vec3(scene.get("alpha", [0.0, 0.0, 1.0]))
+    alpha = np.array(scene["alpha"])
     nrm = np.linalg.norm(alpha)
     if nrm == 0:
-        raise SceneError("alpha must be nonzero")
+        raise SceneError("scene.alpha: must be nonzero")
     return alpha / nrm
 
 
@@ -305,7 +343,7 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
     cloud = parse_cloud(scene, medium)
     alpha = parse_alpha(scene)
     points = parse_points(scene, medium)
-    grid = parse_directions(scene)
+    grid = DirectionGrid(**scene["directions"])
     t0 = time.perf_counter()
     result = foldy_impedance.solve_cloud(medium, cloud, alpha)
     fld = foldy_impedance.evaluate_field(result, medium, cloud, points)
@@ -340,29 +378,26 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
 
 def cmd_limit(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
-    lspec = scene.get("limit")
-    if not isinstance(lspec, dict):
-        raise SceneError("limit scene requires a 'limit' object")
+    lspec = scene["limit"]
     alpha = parse_alpha(scene)
     points = parse_points(scene, medium)
     t0 = time.perf_counter()
-    if "p" in lspec:
-        problem = LimitProblem(medium=medium, p=parse_field_spec(lspec["p"], medium.grid))
+    if lspec["p"] is not None:
+        problem = LimitProblem(medium=medium,
+                               p=parse_field_spec(lspec["p"], medium.grid, "scene.limit.p"))
         fld = solve_impedance_limit(problem, alpha)
         at_points = impedance_limit_field_at(problem, fld, points)
-        ff = limiting_amplitude(problem, fld, parse_directions(scene))
-        write_farfield_csv(out / "farfield.csv", ff)
+        write_farfield_csv(out / "farfield.csv",
+                           limiting_amplitude(problem, fld, DirectionGrid(**scene["directions"])))
         mode = "impedance"
-    elif "nu" in lspec:
+    else:
         problem = LimitProblem(
             medium=medium,
-            nu=parse_field_spec(lspec["nu"], medium.grid, dtype=complex).real,
-            beta_field=parse_beta(lspec.get("beta", -1.5)))
-        fld = solve_hard_limit(problem, alpha, max_iter=_int(lspec.get("max_iter", 80)))
+            nu=parse_field_spec(lspec["nu"], medium.grid, "scene.limit.nu").real,
+            beta_field=parse_beta(lspec["beta"]))
+        fld = solve_hard_limit(problem, alpha, max_iter=lspec["max_iter"])
         at_points = hard_limit_field_at(problem, fld, points)
         mode = "hard"
-    else:
-        raise SceneError("limit object needs 'p' (impedance) or 'nu' (hard)")
     wall = time.perf_counter() - t0
     write_field_csv(out / "grid_field.csv", fld.points, fld.values)
     write_field_csv(out / "field.csv", at_points.points, at_points.values)
@@ -378,35 +413,25 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
 
 def cmd_design(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
-    dspec = scene.get("design")
-    if not isinstance(dspec, dict):
-        raise SceneError("design scene requires a 'design' object")
-    try:
-        a = _fnum(dspec["a"])
-    except KeyError as exc:
-        raise SceneError("design needs a particle radius 'a'") from exc
-    target = parse_field_spec(dspec.get("target_n", 1.0), medium.grid)
-    cell = dspec.get("cell_size")
-    cell = _fnum(cell) if cell is not None else None
-    spec = designer.DesignSpec(medium=medium, target_n=target, a=a)
+    dspec = scene["design"]
+    cell = dspec["cell_size"]
+    target = parse_field_spec(dspec["target_n"], medium.grid, "scene.design.target_n")
+    spec = designer.DesignSpec(medium=medium, target_n=target, a=dspec["a"])
     t0 = time.perf_counter()
     p = designer.target_to_potential(spec)
     h, dens = designer.choose_h_N(p)
     result = designer.realize(spec, h, dens, cell_size=cell)
 
-    verification = None
-    vspec = dspec.get("verify")
-    if isinstance(vspec, dict) and vspec.get("a_sequence"):
-        alpha = parse_alpha(scene)
-        rep = designer.verify_design(result, spec, alpha,
-                                     [_fnum(x) for x in vspec["a_sequence"]],
-                                     cell_size=cell)
+    meta = {"command": "design"}
+    if dspec["verify"]["a_sequence"]:
+        rep = designer.verify_design(result, spec, parse_alpha(scene),
+                                     dspec["verify"]["a_sequence"], cell_size=cell)
         write_csv(out / "verification.csv",
                   ["a", "M", "d", "e_max", "e_rms"],
                   [np.array(rep.a_values), np.array(rep.m_values, dtype=float),
                    np.array(rep.d_values), np.array(rep.errors_max),
                    np.array(rep.errors_rms)])
-        verification = {
+        meta["verification"] = {
             "passed": bool(rep.passed),
             "decreasing": bool(rep.decreasing),
             "final_error": rep.final_error,
@@ -430,44 +455,26 @@ def cmd_design(scene: dict, out: Path, args) -> dict:
             "volume_fraction": result.feasibility.volume_fraction,
         },
     })
-    meta = {
-        "command": "design",
-        "M": result.feasibility.m,
-        "wall_time_s": wall,
-    }
-    if verification is not None:
-        meta["verification"] = verification
-    return meta
+    return {**meta, "M": result.feasibility.m, "wall_time_s": wall}
 
 
 def cmd_study(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
-    sspec = scene.get("study")
-    if not isinstance(sspec, dict):
-        raise SceneError("study scene requires a 'study' object")
-    mode = sspec.get("mode")
-    try:
-        a_sequence = [_fnum(x) for x in sspec["a_sequence"]]
-    except KeyError as exc:
-        raise SceneError("study needs an 'a_sequence'") from exc
+    sspec = scene["study"]
+    mode, a_sequence, cell = sspec["mode"], sspec["a_sequence"], sspec["cell_size"]
     alpha = parse_alpha(scene)
-    cell = sspec.get("cell_size")
-    cell = _fnum(cell) if cell is not None else None
     t0 = time.perf_counter()
     if mode == "impedance":
         study = convergence.run_impedance_study(
             medium,
-            parse_field_spec(sspec.get("h", 0.0), medium.grid),
-            parse_field_spec(sspec.get("N", 0.0), medium.grid, dtype=complex).real,
-            a_sequence, alpha, cell_size=cell)
-    elif mode == "hard":
-        study = convergence.run_hard_study(
-            medium,
-            parse_field_spec(sspec.get("nu", 0.0), medium.grid, dtype=complex).real,
-            parse_beta(sspec.get("beta", -1.5)),
+            parse_field_spec(sspec["h"], medium.grid, "scene.study.h"),
+            parse_field_spec(sspec["N"], medium.grid, "scene.study.N").real,
             a_sequence, alpha, cell_size=cell)
     else:
-        raise SceneError("study mode must be 'impedance' or 'hard'")
+        study = convergence.run_hard_study(
+            medium,
+            parse_field_spec(sspec["nu"], medium.grid, "scene.study.nu").real,
+            parse_beta(sspec["beta"]), a_sequence, alpha, cell_size=cell)
     wall = time.perf_counter() - t0
     cols = list(zip(*study.csv_rows())) or [[]] * 8
     write_csv(out / "study.csv",
@@ -492,7 +499,7 @@ def cmd_validate(scene: dict, out: Path, args) -> dict:
         "passive": bool(np.all(medium.q0.imag <= 1e-14)),
     }
     report = None
-    if "cloud" in scene:
+    if scene["cloud"] is not None:
         report = validate_cloud(parse_cloud(scene, medium), medium)
         meta["cloud"] = {
             "M": report.m,
@@ -543,22 +550,14 @@ def main(argv=None) -> int:
     runtime.set_thread_count(args.threads)
 
     def fail(exc, code):
-        payload = {
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": code,
-        }
-        write_json(out / "error.json", payload)
+        write_json(out / "error.json",
+                   {"error_type": type(exc).__name__, "message": str(exc), "exit_code": code})
         print(f"error: {exc}", file=sys.stderr)
         return code
 
     try:
         with open(args.scene, "r", encoding="utf-8") as fh:
-            scene = json.load(fh)
-        if not isinstance(scene, dict):
-            raise SceneError("scene must be a JSON object")
-        if scene.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
-            raise SceneError(f"unsupported format_version {scene['format_version']!r}")
+            scene = _section(_SCENE_OF[args.command], json.load(fh), "scene")
         meta = COMMANDS[args.command](scene, out, args)
     except (json.JSONDecodeError, SceneError, FileNotFoundError) as exc:
         return fail(exc, EXIT_SCHEMA)

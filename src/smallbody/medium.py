@@ -403,7 +403,7 @@ class ComplexField:
         self.incident_direction = np.asarray(self.incident_direction, dtype=float).reshape(3)
         if len(self.points) != len(self.values):
             raise InvariantViolation("points and values must have equal length")
-        if abs(np.linalg.norm(self.incident_direction) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.incident_direction) - 1.0) <= 1e-12:  # False on NaN
             raise InvariantViolation("incident direction must be a unit vector")
 
     def __len__(self):
@@ -422,11 +422,13 @@ class BackgroundMedium:
     """
 
     def __init__(self, k: float, grid: Grid, n0=1.0):
-        if not k > 0:
-            raise InvariantViolation("wavenumber k must be positive")
+        if not (k > 0 and k * k < np.inf):  # False on NaN
+            raise InvariantViolation(f"wavenumber k must be positive with k^2 finite, got {k}")
         self.k = float(k)
         self.grid = grid
         n0_vals = _node_field(n0(grid.nodes) if callable(n0) else n0, grid.size, complex)
+        if not np.all(np.isfinite(n0_vals)):
+            raise InvariantViolation("n0 must be finite on every node")
         self.n0 = n0_vals
         self.q0 = self.k ** 2 * (1.0 - n0_vals)
         if np.any(self.q0.imag > 1e-14 * self.k ** 2):
@@ -766,7 +768,7 @@ def _node_field(values, size, dtype) -> np.ndarray:
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(3)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:  # False on NaN
         raise InvariantViolation(f"direction must be a unit vector (|v| = {nrm})")
     return v
 

@@ -241,7 +241,7 @@ def _cell_layout(medium: BackgroundMedium, cell_size: float | None):
     if not np.allclose(counts, np.round(counts), rtol=0, atol=1e-9):
         raise InvariantViolation(f"cell size {b} does not tile the box {tuple(extent)}")
     ratio = b / grid.delta
-    if abs(ratio - round(ratio)) > 1e-9:
+    if not (round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
         raise InvariantViolation("cell size must be a multiple of the grid spacing")
     return b, np.round(counts).astype(int)
 

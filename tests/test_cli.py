@@ -70,38 +70,72 @@ class TestSolve:
         assert err["exit_code"] == 2
         assert not (out / "field.csv").exists()
 
-    @pytest.mark.parametrize("command,override", [
-        ("solve", {"directions": {"n_theta": 1, "n_phi": 8}}),
-        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5]]}}),
-        ("solve", {"points": "far"}),
-        ("solve", {"format_version": 2}),
+    @pytest.mark.parametrize("command,override,path", [
+        ("solve", {"directions": {"n_theta": 1, "n_phi": 8}}, "scene.directions.n_theta"),
+        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5]]}},
+         "scene.cloud.centers[0]"),
+        ("solve", {"points": "far"}, "scene.points"),
+        ("solve", {"format_version": 2}, "scene.format_version"),
         ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "h": 1.0,
-                             "N": {"type": "subbox", "hi": [1, 1, 1]}}}),
-        ("limit", {"limit": {"p": {"type": "radial", "center": [0.5, 0.5, 0.5]}}}),
-        ("limit", {"limit": {"p": {"type": "table", "im": [0.0] * 216}}}),
-        ("limit", {"limit": {"p": {"type": "table", "re": ["x"] * 216}}}),
-        ("limit", {"limit": {"nu": 0.0, "max_iter": "ten"}}),
-        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "centers": [[0.5, 0.5, 0.5]]}}),
-        ("solve", {"cloud": 5}),
+                             "N": {"type": "subbox", "hi": [1, 1, 1]}}}, "scene.cloud.N.lo"),
+        ("limit", {"limit": {"p": {"type": "radial", "center": [0.5, 0.5, 0.5]}}},
+         "scene.limit.p.radius"),
+        ("limit", {"limit": {"p": {"type": "table", "im": [0.0] * 216}}}, "scene.limit.p.re"),
+        ("limit", {"limit": {"p": {"type": "table", "re": ["x"] * 216}}}, "scene.limit.p.re[0]"),
+        ("limit", {"limit": {"nu": 0.0, "max_iter": "ten"}}, "scene.limit.max_iter"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "centers": [[0.5, 0.5, 0.5]]}},
+         "scene.cloud.zeta"),
+        ("solve", {"cloud": 5}, "scene.cloud"),
         ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]],
-                             "beta": "x"}}),
+                             "beta": "x"}}, "scene.cloud.beta"),
         ("validate", {"medium": {"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
-                                 "resolution": True, "k": 1.0}}),
-        ("solve", {"directions": {"n_theta": 4.7, "n_phi": 8}}),
+                                 "resolution": True, "k": 1.0}}, "scene.medium.resolution"),
+        ("solve", {"directions": {"n_theta": 4.7, "n_phi": 8}}, "scene.directions.n_theta"),
         ("solve", {"cloud": {"kind": "impedance", "a": 0.001,
                              "centers": [[0.2, 0.5, 0.5], [0.5, 0.5, 0.5], [0.8, 0.5, 0.5]],
-                             "zeta": [1.0, 2.0]}}),
+                             "zeta": [1.0, 2.0]}}, "scene.cloud.zeta"),
+        ("study", {"study": {"mode": "impedance", "h": 1.0, "N": 0.1, "a_sequence": 0.01}},
+         "scene.study.a_sequence"),
+        ("design", {"design": {"target_n": 1.0, "a": 1e-5, "verify": {"a_sequence": 0.5}}},
+         "scene.design.verify.a_sequence"),
+        ("validate", {"medium": {"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 6,
+                                 "k": 1.0, "no": 1.2}}, "scene.medium.no"),
+        ("limit", {"limit": {"p": {"type": "constant", "valu": 0.5}}}, "scene.limit.p.valu"),
+        ("limit", {"limit": {"p": {"real": 0.5}}}, "scene.limit.p.real"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "H": 1.0, "N": 0.05}},
+         "scene.cloud.H"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "centers": [[0.5, 0.5, 0.5]],
+                             "zeta": [{"real": 1}]}}, "scene.cloud.zeta[0].real"),
+        ("limit", {"limit": {"nu": 0.0, "bta": -1.0}}, "scene.limit.bta"),
+        ("design", {"design": {"target_n": 1.0, "a": 1e-5, "verfy": {"a_sequence": [1e-4]}}},
+         "scene.design.verfy"),
+        ("limit", {"limit": {"p": 0, "nu": 0}}, "scene.limit"),
+        ("limit", {"limit": {"p": {"type": "bump", "width": 0, "amplitude": 0.05}}},
+         "scene.limit.p.width"),
+        ("limit", {"medium": {"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 6,
+                              "k": 1.0, "n0": float("inf")}, "limit": {"p": 0.0}},
+         "scene.medium.n0"),
+        ("limit", {"alpha": [float("nan"), 0, 1], "limit": {"p": 0.0}}, "scene.alpha[0]"),
+        ("limit", {"limit": {"nu": 0.0, "max_iter": 0}}, "scene.limit.max_iter"),
+        ("solve", {"cloud": {"kind": "hard", "a": 0, "centers": [[0.5, 0.5, 0.5]]}},
+         "scene.cloud.a"),
     ], ids=["n_theta_1", "two_coordinate_center", "points_string", "format_version_2",
             "subbox_without_lo", "radial_without_radius", "table_without_re",
             "table_of_strings", "max_iter_not_integer", "centers_without_zeta",
             "cloud_not_object", "beta_string", "resolution_bool", "n_theta_not_integer",
-            "zeta_count_mismatch"])
-    def test_bad_scene_input_exit_2(self, tmp_path, capsys, command, override):
+            "zeta_count_mismatch", "study_a_sequence_number", "verify_a_sequence_number",
+            "medium_misspelt_n0", "constant_misspelt_value", "complex_misspelt_re",
+            "cloud_misspelt_h", "zeta_misspelt_re", "limit_misspelt_beta",
+            "design_misspelt_verify", "limit_p_and_nu", "bump_width_0", "n0_infinity",
+            "alpha_nan", "max_iter_0", "radius_0"])
+    def test_bad_scene_input_exit_2(self, tmp_path, capsys, command, override, path):
         scene = base_scene(cloud={"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]]})
         scene.update(override)
         code, out = run(tmp_path, command, scene_dict=scene)
         assert code == 2
-        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
+        assert err["message"].startswith(path + ":")  # the JSON path of the bad value
         assert "Traceback" not in capsys.readouterr().err
 
     def test_physics_violation_exit_3(self, tmp_path):

@@ -23,6 +23,7 @@ from smallbody.medium import (
     trilinear_interpolate,
     _factor,
     _solve_checked,
+    _unit,
 )
 
 ORIGIN = np.zeros(3)
@@ -473,6 +474,24 @@ class TestMediumInvariants:
     def test_nonuniform_spacing_rejected(self):
         with pytest.raises(ValueError):
             Grid((0, 0, 0), (1, 1, 2), (4, 4, 4))
+
+    @pytest.mark.parametrize("k", [np.inf, np.nan, 1e200])  # 1e200: k^2 overflows
+    def test_nonfinite_k_rejected(self, k):
+        with pytest.raises(InvariantViolation):
+            make_medium(k=k)
+
+    @pytest.mark.parametrize("n0", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_nonfinite_n0_rejected(self, n0):
+        with pytest.raises(InvariantViolation):
+            make_medium(n0=n0)
+
+    def test_nan_direction_rejected(self):
+        # abs(nan - 1) > tol is False: the checks must be comparisons that fail on NaN
+        with pytest.raises(InvariantViolation):
+            _unit([np.nan, 0.0, 1.0])
+        with pytest.raises(InvariantViolation):
+            ComplexField(points=np.zeros((1, 3)), values=np.zeros(1),
+                         incident_direction=np.array([np.nan, 0.0, 1.0]))
 
 
 class TestTrilinear:

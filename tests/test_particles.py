@@ -68,6 +68,12 @@ class TestImpedanceBuilder:
         with pytest.raises(InfeasibleDesign, match="cell"):
             build_cloud_impedance(unit_cube_medium(), a=3e-2, h_field=1.0, N_field=2.0)
 
+    def test_cell_below_grid_spacing_rejected(self):
+        # b / delta rounds to 0 for a tiny cell: 1e12 cells per axis would follow
+        with pytest.raises(InvariantViolation, match="multiple of the grid spacing"):
+            build_cloud_impedance(unit_cube_medium(), a=1e-3, h_field=1.0, N_field=0.1,
+                                  cell_size=1e-12)
+
     def test_singular_h_rejected(self):
         with pytest.raises(InvariantViolation, match="-1"):
             build_cloud_impedance(unit_cube_medium(), a=1e-3, h_field=-1.0, N_field=0.1)
