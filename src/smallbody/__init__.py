@@ -25,19 +25,13 @@ from .errors import (
     SolverFailure,
 )
 from .foldy_impedance import (
-    ImpedanceSolveResult,
-    assemble_and_solve,
+    FoldySolveResult,
     charge_from_effective_field,
     evaluate_field,
     far_field,
+    solve_cloud,
 )
-from .foldy_neumann import (
-    HardSolveResult,
-    assemble_and_solve_hard,
-    ball_polarizability,
-    evaluate_field_hard,
-    far_field_hard,
-)
+from .foldy_neumann import ball_polarizability
 from .limit_solver import (
     LimitProblem,
     hard_born_approximation,

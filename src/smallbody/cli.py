@@ -177,6 +177,41 @@ _SCENE = {
 _SCENE_OF = {command: {**_SCENE, section: (_SCENE[section][0], REQUIRED)}
              for command, section in (("solve", "cloud"), ("limit", "limit"), ("design", "design"),
                                       ("study", "study"), ("validate", "medium"))}
+# per form of a section (see _forms), the keys that it does not read
+_IGNORED = {
+    "cloud with centers": ("h", "N", "nu", "cell_size"),
+    "impedance cloud": ("nu", "beta"),
+    "hard cloud": ("zeta", "h", "N"),
+    "impedance density cloud": ("zeta",),
+    "limit with p": ("beta", "max_iter"),
+    "impedance study": ("nu", "beta"),
+    "hard study": ("h", "N"),
+}
+
+
+def _forms(section: str, spec: dict) -> list:
+    """The forms that a checked scene section takes."""
+    if section == "cloud":
+        kind = spec["kind"]
+        layout = "cloud with centers" if spec["centers"] is not None else f"{kind} density cloud"
+        return [f"{kind} cloud", layout]
+    if section == "limit":
+        return ["limit with p"] if spec["p"] is not None else []
+    return [f"{spec['mode']} study"] if section == "study" else []
+
+
+def check_scene(command: str, raw) -> dict:
+    """The checked scene of a command: the schema walk, then a refusal of
+    each key that the scene gives and the chosen form does not read."""
+    scene = _section(_SCENE_OF[command], raw, "scene")
+    for section in ("cloud", "limit", "study"):
+        if scene[section] is None:
+            continue
+        for form in _forms(section, scene[section]):
+            for key in _IGNORED.get(form, ()):
+                if raw[section].get(key) is not None:  # null is the same as an absent key
+                    raise SceneError(f"scene.{section}.{key}: not read by this form ({form})")
+    return scene
 
 
 def parse_field_spec(spec, grid: Grid, path: str) -> np.ndarray:
@@ -546,7 +581,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SMALLBODY_LOG", "WARNING"))
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"error: --out {out}: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     runtime.set_thread_count(args.threads)
 
     def fail(exc, code):
@@ -557,9 +596,12 @@ def main(argv=None) -> int:
 
     try:
         with open(args.scene, "r", encoding="utf-8") as fh:
-            scene = _section(_SCENE_OF[args.command], json.load(fh), "scene")
-        meta = COMMANDS[args.command](scene, out, args)
-    except (json.JSONDecodeError, SceneError, FileNotFoundError) as exc:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        return fail(exc, EXIT_SCHEMA)
+    try:
+        meta = COMMANDS[args.command](check_scene(args.command, raw), out, args)
+    except SceneError as exc:
         return fail(exc, EXIT_SCHEMA)
     except (InvariantViolation, InfeasibleDesign, SingularEvaluationError) as exc:
         return fail(exc, EXIT_PHYSICS)

@@ -25,14 +25,17 @@ from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (LATTICE_MIN_M, BackgroundMedium, ComplexField, _embedding_table, _factor,
-                     _solve_checked, _toeplitz_apply, _toeplitz_spectrum, _unit,
-                     helmholtz_kernels, lattice_of)
+from .medium import (BackgroundMedium, ComplexField, _embedding_table, _factor, _solve_checked,
+                     _toeplitz_apply, _toeplitz_spectrum, _unit, helmholtz_kernels, lattice_of)
 from .particles import ParticleCloud, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
 
-DENSE_SYSTEM_CAP = 4000
+# path sizing of the system of either species, counted in unknowns
+# M (1 + 3 order) (measured crossovers; README "Numerical choices")
+DENSE_MAX_UNKNOWNS = 4000    # dense LU up to this many
+LATTICE_MIN_UNKNOWNS = 500   # free lattice clouds take the lattice FFT apply from here
+CHUNK_ENTRIES = 2 ** 24      # direct-apply row chunks: rows * M * (1 + 3 order)^2 entries
 
 
 @dataclass
@@ -53,9 +56,6 @@ class FoldySolveResult:
     coupling: np.ndarray | None = None              # c_m
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
-
-
-ImpedanceSolveResult = FoldySolveResult
 
 
 def charge_from_effective_field(zeta, a, shape_constants, u_e_value) -> complex:
@@ -88,9 +88,6 @@ class ImpedanceSystem:
 
     kind = "impedance"
     order = 0  # incident data: values only
-    dense_cap = DENSE_SYSTEM_CAP
-    lattice_min = LATTICE_MIN_M
-    pairs_per_chunk = 20_000_000
 
     def __init__(self, medium: BackgroundMedium, centers, coupling):
         self.medium, self.centers, self.coupling = medium, centers, coupling
@@ -104,7 +101,7 @@ class ImpedanceSystem:
     def apply(self, u) -> np.ndarray:
         cu = self.coupling * u
         out = u.astype(complex)
-        for rows, diag, diff, r in _row_chunks(self.centers, self.pairs_per_chunk):
+        for rows, diag, diff, r in _row_chunks(self.centers, self.order):
             g = helmholtz_kernels(diff, r, self.medium.k)
             g[diag] = 0.0
             out[rows] += g @ cu
@@ -159,13 +156,14 @@ class LatticeConvolution:
         return box[self.lattice.index]
 
 
-def _row_chunks(centers, pairs_per_chunk):
-    """Row blocks of the particle pair table as (rows, diagonal, y - x, r).
+def _row_chunks(centers, order):
+    """Row blocks of the particle pair table as (rows, diagonal, y - x, r),
+    each of at most CHUNK_ENTRIES entries of the species' pair blocks.
 
     r is 1 on the diagonal; callers zero the diagonal of what they form.
     """
     m = len(centers)
-    step = max(1, pairs_per_chunk // m)
+    step = max(1, CHUNK_ENTRIES // (m * (1 + 3 * order) ** 2))
     for s in range(0, m, step):
         stop = min(s + step, m)
         diff = centers[None, :, :] - centers[s:stop, None, :]
@@ -194,19 +192,13 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
                          rcond=rcond, solver=solver)
 
 
-def assemble_and_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
-    """Solve the M-body collocation system for an impedance cloud."""
-    if cloud.kind != "impedance":
-        raise InvariantViolation("assemble_and_solve requires an impedance cloud")
-    return solve_cloud(medium, cloud, alpha)
-
-
 def _solve_system(system, incident):
     """Solve the system for the right-hand side incident() by one of three paths.
 
-    A free-background cloud of at least the species' lattice_min particles on
-    one lattice runs GMRES on the lattice FFT apply; otherwise dense LU up to
-    the species' dense_cap particles and GMRES on the direct apply beyond.
+    Sized in unknowns n = M (1 + 3 order): a free-background cloud on one
+    lattice with n >= LATTICE_MIN_UNKNOWNS runs GMRES on the lattice FFT
+    apply; otherwise dense LU while n <= DENSE_MAX_UNKNOWNS and GMRES on the
+    direct apply beyond.
     incident() is called once the operator is formed: a non-free dense
     matrix factors the grid for its Green blocks, and the incident column
     then reuses that LU.  Returns (solution, residual, iterations, rcond,
@@ -214,14 +206,15 @@ def _solve_system(system, incident):
     """
     what = f"{system.kind} system"
     m = len(system.centers)
+    n = m * (1 + 3 * system.order)
     lattice = lattice_of(system.centers) if (
-        system.medium.is_free and m >= system.lattice_min) else None
+        system.medium.is_free and n >= LATTICE_MIN_UNKNOWNS) else None
     if lattice is not None:
         logger.debug("%s: lattice FFT apply, M = %d on a %s lattice", what, m,
                      "x".join(map(str, lattice.shape)))
         return (*_solve_checked(system.lattice_apply(lattice), incident(), what),
                 None, "lattice_fft")
-    if m <= system.dense_cap:
+    if n <= DENSE_MAX_UNKNOWNS:
         logger.debug("%s: dense LU, M = %d", what, m)
         a = system.matrix()
         rhs = incident()
@@ -230,7 +223,8 @@ def _solve_system(system, incident):
     if not system.medium.is_free:
         raise SolverFailure(
             f"matrix-free {what} solve supports a homogeneous background only; "
-            f"M = {m} with a nontrivial q0 exceeds the dense cap {system.dense_cap}")
+            f"M = {m} ({n} unknowns) with a nontrivial q0 exceeds the dense cap of "
+            f"{DENSE_MAX_UNKNOWNS} unknowns")
     logger.debug("%s: GMRES on the direct apply, M = %d", what, m)
     return (*_solve_checked(system.apply, incident(), what), None, "gmres")
 

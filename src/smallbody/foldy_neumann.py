@@ -16,20 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .foldy_impedance import (
-    FoldySolveResult,
-    LatticeConvolution,
-    _row_chunks,
-    amplitudes,
-    evaluate_field,
-    far_field,
-    solve_cloud,
-)
+from .foldy_impedance import FoldySolveResult, LatticeConvolution, _row_chunks
 from .medium import BackgroundMedium, helmholtz_kernels
 from .particles import ParticleCloud
-
-DENSE_SYSTEM_CAP = 1000  # dense 4M x 4M factorization up to this many particles
 
 
 def ball_polarizability() -> np.ndarray:
@@ -37,19 +26,11 @@ def ball_polarizability() -> np.ndarray:
     return -1.5 * np.eye(3)
 
 
-HardSolveResult = FoldySolveResult
-
-
 class HardSystem:
     """The hard species: unknowns [u_e (M), grad u_e (M,3) row-major]."""
 
     kind = "hard"
     order = 1  # incident data: values and gradients
-    dense_cap = DENSE_SYSTEM_CAP
-    # measured crossover of the lattice FFT apply against the 4M x 4M LU
-    # (README "Numerical choices")
-    lattice_min = 125
-    pairs_per_chunk = 1_000_000
 
     def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
         self.medium, self.centers = medium, cloud.centers
@@ -73,7 +54,7 @@ class HardSystem:
         cu = self.cv * u
         bd = dm @ self.vb.T  # (M,3): sum_q (V beta)_{pq} D_{mq}
         out_u, out_d = u.astype(complex), dm.astype(complex)
-        for rows, diag, diff, r in _row_chunks(self.centers, self.pairs_per_chunk):
+        for rows, diag, diff, r in _row_chunks(self.centers, self.order):
             g, grad_y, hess_bd = helmholtz_kernels(diff, r, self.medium.k, 2, dipoles=bd)
             for t in (g, grad_y, hess_bd):
                 t[diag] = 0.0
@@ -106,17 +87,3 @@ class HardSystem:
         ue, due = sol[:m], sol[m:].reshape(m, 3)
         return FoldySolveResult(effective_values=ue, effective_gradients=due,
                                 charges=self.cv * ue, dipole_moments=-(due @ self.vb.T), **stats)
-
-
-def assemble_and_solve_hard(medium: BackgroundMedium, cloud: ParticleCloud,
-                            alpha) -> FoldySolveResult:
-    """Solve the coupled value-and-gradient system for a hard cloud."""
-    if cloud.kind != "hard":
-        raise InvariantViolation("assemble_and_solve_hard requires a hard cloud")
-    return solve_cloud(medium, cloud, alpha)
-
-
-# the field and amplitude sums are shared with the impedance species
-evaluate_field_hard = evaluate_field
-amplitudes_hard = amplitudes
-far_field_hard = far_field

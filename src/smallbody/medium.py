@@ -37,11 +37,6 @@ RESIDUAL_TOL = 1e-10
 GMRES_MAXITER = 400
 RCOND_FLOOR = 1e-13
 
-# free-background impedance clouds of at least this many particles on one
-# rectangular lattice take the lattice-FFT Foldy apply (measured crossover
-# against the dense LU; see README "Numerical choices"), and clouds of either
-# species the per-axis far-field sum
-LATTICE_MIN_M = 512
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
 LATTICE_FILL = 8
@@ -630,12 +625,12 @@ class BackgroundMedium:
         """(1/4pi) [sum_z e^{-ik beta.z} s_z + sum_m e^{-ik beta.x_m} (Q_m - ik beta.P_m)].
 
         The far-field amplitude of the sources that ``radiate`` sums, per beta.
-        At least LATTICE_MIN_M centres on one lattice sum, like the grid
-        nodes, through per-axis phase tables.
+        Centres on one lattice sum, like the grid nodes, through per-axis
+        phase tables.
         """
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
         out = np.zeros(len(betas), dtype=complex)
-        lattice = lattice_of(centers) if len(centers) >= LATTICE_MIN_M else None
+        lattice = lattice_of(centers)
         if lattice is not None:
             sources = [charges] if dipoles is None else [charges, *np.transpose(dipoles)]
             sums = [self._box_phase_sum(betas, lattice.axes, lattice.scatter(q)) for q in sources]

@@ -119,6 +119,27 @@ class TestSolve:
         ("limit", {"limit": {"nu": 0.0, "max_iter": 0}}, "scene.limit.max_iter"),
         ("solve", {"cloud": {"kind": "hard", "a": 0, "centers": [[0.5, 0.5, 0.5]]}},
          "scene.cloud.a"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "centers": [[0.5, 0.5, 0.5]],
+                             "zeta": [1.0], "N": 0.05}}, "scene.cloud.N"),
+        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]],
+                             "cell_size": 0.5}}, "scene.cloud.cell_size"),
+        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]],
+                             "zeta": [1.0]}}, "scene.cloud.zeta"),
+        ("solve", {"cloud": {"kind": "hard", "a": 0.01, "nu": 1e-4, "h": 1.0}}, "scene.cloud.h"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "h": 1.0, "N": 0.05, "nu": 1e-4}},
+         "scene.cloud.nu"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "h": 1.0, "N": 0.05,
+                             "beta": -1.5}}, "scene.cloud.beta"),
+        ("solve", {"cloud": {"kind": "impedance", "a": 0.001, "h": 1.0, "N": 0.05,
+                             "zeta": [1.0]}}, "scene.cloud.zeta"),
+        ("limit", {"limit": {"p": 0.0, "max_iter": 10}}, "scene.limit.max_iter"),
+        ("limit", {"limit": {"p": 0.0, "beta": -1.5}}, "scene.limit.beta"),
+        ("study", {"study": {"mode": "impedance", "h": 1.0, "N": 0.1, "a_sequence": [0.01],
+                             "beta": -1.5}}, "scene.study.beta"),
+        ("study", {"study": {"mode": "impedance", "h": 1.0, "N": 0.1, "a_sequence": [0.01],
+                             "nu": 1e-4}}, "scene.study.nu"),
+        ("study", {"study": {"mode": "hard", "nu": 1e-4, "a_sequence": [0.01], "N": 0.1}},
+         "scene.study.N"),
     ], ids=["n_theta_1", "two_coordinate_center", "points_string", "format_version_2",
             "subbox_without_lo", "radial_without_radius", "table_without_re",
             "table_of_strings", "max_iter_not_integer", "centers_without_zeta",
@@ -127,7 +148,10 @@ class TestSolve:
             "medium_misspelt_n0", "constant_misspelt_value", "complex_misspelt_re",
             "cloud_misspelt_h", "zeta_misspelt_re", "limit_misspelt_beta",
             "design_misspelt_verify", "limit_p_and_nu", "bump_width_0", "n0_infinity",
-            "alpha_nan", "max_iter_0", "radius_0"])
+            "alpha_nan", "max_iter_0", "radius_0", "centers_with_N", "centers_with_cell_size",
+            "hard_cloud_zeta", "hard_cloud_h", "impedance_density_nu", "impedance_cloud_beta",
+            "impedance_density_zeta", "limit_p_with_max_iter", "limit_p_with_beta",
+            "impedance_study_beta", "impedance_study_nu", "hard_study_N"])
     def test_bad_scene_input_exit_2(self, tmp_path, capsys, command, override, path):
         scene = base_scene(cloud={"kind": "hard", "a": 0.01, "centers": [[0.5, 0.5, 0.5]]})
         scene.update(override)
@@ -137,6 +161,24 @@ class TestSolve:
         assert err["exit_code"] == 2
         assert err["message"].startswith(path + ":")  # the JSON path of the bad value
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["not_utf8", "directory"])
+    def test_unreadable_scene_exit_2(self, tmp_path, case):
+        scene = tmp_path / "scene.json"
+        if case == "not_utf8":
+            scene.write_bytes(b'{"format_version": "\xff"}')
+        else:
+            scene.mkdir()
+        code, out = run(tmp_path, "solve", scene_path=scene)
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+
+    def test_out_that_cannot_be_created_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["solve", "--scene", str(SCENES / "empty_cloud.json"), "--out", str(taken)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {taken}:")
 
     def test_physics_violation_exit_3(self, tmp_path):
         scene = base_scene(cloud={"kind": "impedance", "a": 0.5, "h": 1.0, "N": 0.05})

@@ -5,7 +5,7 @@ import pytest
 
 from smallbody.convergence import ScaleStudy, counting_measure_check, run_hard_study, run_impedance_study
 from smallbody.errors import InvariantViolation
-from smallbody.foldy_impedance import amplitudes, assemble_and_solve
+from smallbody.foldy_impedance import amplitudes, solve_cloud
 from smallbody.medium import BackgroundMedium, Grid
 from smallbody.particles import build_cloud_hard, build_cloud_impedance
 
@@ -65,7 +65,7 @@ class TestImpedanceStudy:
         n_dens = a  # N * volume / a = 1 particle
         cloud = build_cloud_impedance(med, a, h, n_dens)
         assert len(cloud) == 1
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         beta = np.array([[0.0, 0.6, 0.8]])
         amp = amplitudes(res, med, cloud, beta)[0]
         x1 = cloud.centers[0]

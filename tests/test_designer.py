@@ -12,7 +12,7 @@ from smallbody.designer import (
     verify_design,
 )
 from smallbody.errors import InvariantViolation
-from smallbody.foldy_impedance import assemble_and_solve, evaluate_field
+from smallbody.foldy_impedance import evaluate_field, solve_cloud
 from smallbody.medium import BackgroundMedium, Grid, far_probe_points
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -164,7 +164,7 @@ class TestVerifyDesign:
         h, n_dens = choose_h_N(p)
         assert np.all(h.imag <= 1e-14)
         res = realize(spec, h, n_dens, cell_size=0.25)
-        solve = assemble_and_solve(med, res.cloud, Z_HAT)
+        solve = solve_cloud(med, res.cloud, Z_HAT)
         downstream = np.array([[0.5, 0.5, 4.0]])
         u_m = evaluate_field(solve, med, res.cloud, downstream).values[0]
         assert abs(u_m) < 1.0

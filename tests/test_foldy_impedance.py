@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
+from smallbody import foldy_impedance
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
     ImpedanceSystem,
     _solve_system,
     amplitudes,
-    assemble_and_solve,
     charge_from_effective_field,
     coupling_constants,
     evaluate_field,
     far_field,
+    solve_cloud,
 )
 from smallbody.medium import BackgroundMedium, Grid, free_kernel, lattice_of
 from smallbody.particles import (
     BALL_SHAPE_CONSTANTS,
     ParticleCloud,
+    build_cloud_hard,
     build_cloud_impedance,
     h_to_impedance,
+    min_spacing,
 )
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -61,7 +64,7 @@ class TestSolver:
     def test_single_particle_sees_incident_field(self):
         med = free_medium()
         cloud = ball_cloud(np.array([[0.3, 0.4, 0.5]]), a=1e-3, h=1.0)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         expected = np.exp(1j * med.k * 0.5)
         assert res.effective_values[0] == pytest.approx(expected, rel=1e-14)
         assert res.residual <= 1e-10
@@ -70,7 +73,7 @@ class TestSolver:
         med = free_medium()
         centers = np.array([[0.2, 0.5, 0.5], [0.8, 0.5, 0.5]])
         cloud = ball_cloud(centers, a=1e-3, h=2.0 - 0.5j)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         c = coupling_constants(cloud)
         u0 = np.exp(1j * med.k * centers[:, 2])
         g12 = free_kernel(centers[0], centers[1], med.k)
@@ -85,7 +88,7 @@ class TestSolver:
         med = BackgroundMedium(1.2, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.3)
         centers = np.array([[0.21, 0.52, 0.48], [0.79, 0.5, 0.52]])
         cloud = ball_cloud(centers, a=1e-3, h=1.5)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         c = coupling_constants(cloud)
         u0 = med.incident_values(Z_HAT, centers)
         g12 = background_green(med, centers[0], centers[1])
@@ -97,7 +100,7 @@ class TestSolver:
         med = free_medium()
         centers = np.array([[0.25, 0.25, 0.25], [0.75, 0.75, 0.75]])
         cloud = ball_cloud(centers, a=1e-3, h=0.0)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         np.testing.assert_allclose(res.effective_values,
                                    np.exp(1j * med.k * centers[:, 2]), rtol=1e-14)
         assert np.all(res.charges == 0)
@@ -106,7 +109,7 @@ class TestSolver:
         # |Q_m| <= a * max|u_e| * 4 pi c1^2/c2 * |h/(1+h)| with unit slack
         med = free_medium()
         cloud = build_cloud_impedance(med, a=5e-4, h_field=0.7 - 0.2j, N_field=0.05)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         h = 0.7 - 0.2j
         bound = (cloud.a * np.abs(res.effective_values).max()
                  * 4 * np.pi * abs(h / (1 + h)))
@@ -114,13 +117,13 @@ class TestSolver:
 
     def test_gmres_matches_dense(self, monkeypatch):
         # dense LU against GMRES on the direct apply: the lattice path is off
-        monkeypatch.setattr(ImpedanceSystem, "lattice_min", np.inf)
+        monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.05)
-        dense = assemble_and_solve(med, cloud, Z_HAT)
+        dense = solve_cloud(med, cloud, Z_HAT)
         assert dense.solver == "lu"
-        monkeypatch.setattr(ImpedanceSystem, "dense_cap", 0)
-        krylov = assemble_and_solve(med, cloud, Z_HAT)
+        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+        krylov = solve_cloud(med, cloud, Z_HAT)
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values,
                                    rtol=1e-8)
         assert krylov.iterations > 0 and krylov.solver == "gmres"
@@ -143,11 +146,11 @@ class TestSolver:
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.729)
         assert len(cloud) == 729
-        lattice = assemble_and_solve(med, cloud, Z_HAT)
+        lattice = solve_cloud(med, cloud, Z_HAT)
         assert lattice.solver == "lattice_fft" and lattice.rcond is None
         assert lattice.iterations > 0 and lattice.residual <= 1e-10
-        monkeypatch.setattr(ImpedanceSystem, "lattice_min", np.inf)
-        dense = assemble_and_solve(med, cloud, Z_HAT)
+        monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
+        dense = solve_cloud(med, cloud, Z_HAT)
         assert dense.solver == "lu"
         np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
 
@@ -162,19 +165,41 @@ class TestSolver:
         u2 = _solve_system(system, lambda: 2.0 * u0)[0]
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
-    def test_wrong_kind_rejected(self):
+    @pytest.mark.parametrize("kind,m,solver", [
+        ("impedance", 343, "lu"), ("impedance", 512, "lattice_fft"),
+        ("hard", 64, "lu"), ("hard", 125, "lattice_fft")])
+    def test_lattice_path_from_the_measured_crossover(self, kind, m, solver):
+        # free builder lattices on both sides of 500 unknowns: M or 4M
         med = free_medium()
-        cloud = ParticleCloud(centers=np.array([[0.5, 0.5, 0.5]]), a=1e-3, d=np.inf,
-                              kind="hard", beta=-1.5 * np.eye(3))
-        with pytest.raises(InvariantViolation):
-            assemble_and_solve(med, cloud, Z_HAT)
+        if kind == "impedance":
+            cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=m * 1e-3)
+        else:
+            cloud = build_cloud_hard(med, a=5e-3, nu_field=m * 4 * np.pi / 3 * 5e-3 ** 3,
+                                     beta=-1.5 * np.eye(3))
+        assert len(cloud) == m and lattice_of(cloud.centers) is not None
+        assert solve_cloud(med, cloud, Z_HAT).solver == solver
+
+    @pytest.mark.parametrize("kind,unknowns_per_particle", [("impedance", 1), ("hard", 4)])
+    def test_dense_cap_counts_unknowns(self, monkeypatch, kind, unknowns_per_particle):
+        # with a cap of 100 unknowns, 100 impedance or 25 hard particles
+        # factor and one particle more takes GMRES on the direct apply
+        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 100)
+        med = free_medium()
+        centers = np.random.default_rng(4).uniform(0.1, 0.9, size=(101, 3))
+        last_dense = 100 // unknowns_per_particle
+        for m, solver in ((last_dense, "lu"), (last_dense + 1, "gmres")):
+            c = centers[:m]
+            cloud = (ball_cloud(c, a=1e-4, h=1.0) if kind == "impedance" else
+                     ParticleCloud(centers=c, a=1e-4, d=min_spacing(c), kind="hard",
+                                   beta=-1.5 * np.eye(3)))
+            assert solve_cloud(med, cloud, Z_HAT).solver == solver
 
 
 class TestEvaluateField:
     def test_zero_charges_gives_incident(self):
         med = free_medium()
         cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=0.0)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         pts = np.array([[0.0, 0.0, 3.0], [2.0, 1.0, -1.0]])
         fld = evaluate_field(res, med, cloud, pts)
         np.testing.assert_allclose(fld.values, np.exp(1j * med.k * pts[:, 2]), rtol=1e-14)
@@ -183,7 +208,7 @@ class TestEvaluateField:
         med = free_medium()
         center = np.array([[0.5, 0.5, 0.5]])
         cloud = ball_cloud(center, a=1e-3, h=1.0)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         pt = np.array([[0.5, 0.5, 2.5]])
         fld = evaluate_field(res, med, cloud, pt)
         expected = (np.exp(1j * med.k * 2.5)
@@ -194,7 +219,7 @@ class TestEvaluateField:
         med = free_medium()
         centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5]])
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         with pytest.raises(InvariantViolation):
             evaluate_field(res, med, cloud, np.array([[0.3, 0.5, 0.55]]))
 
@@ -229,7 +254,7 @@ class TestFarField:
         a = 0.05 / med.k
         h = 1.0
         cloud = ball_cloud(np.zeros((1, 3)) + 0.5, a=a, h=h)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         ff = far_field(res, med, cloud)
         # remove the center phase: A = -a h/(1+h) e^{-ik beta.x1} u0(x1)
         betas = ff.grid.vectors()
@@ -243,14 +268,14 @@ class TestFarField:
         med = free_medium(k=5.0)
         a = 0.05 / med.k
         cloud = ball_cloud(np.zeros((1, 3)), a=a, h=1e4)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         amp = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
         assert abs(amp - (-a)) / a < 1e-3
 
     def test_zero_charges_zero_amplitude(self):
         med = free_medium()
         cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=0.0)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         ff = far_field(res, med, cloud, DirectionGrid(8, 16))
         assert np.all(ff.values == 0)
 
@@ -258,7 +283,7 @@ class TestFarField:
         # r e^{-ikr} (u_M - u0)(r beta) -> A(beta) with error <= 3/(kr)
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.02)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         beta = np.array([0.6, 0.0, 0.8])
         amp = amplitudes(res, med, cloud, beta[None, :])[0]
         r = 150.0 / med.k
@@ -274,7 +299,7 @@ class TestFarField:
         max_q = []
         for a in avals:
             cloud = build_cloud_impedance(med, a=a, h_field=1.0, N_field=0.05)
-            res = assemble_and_solve(med, cloud, Z_HAT)
+            res = solve_cloud(med, cloud, Z_HAT)
             max_q.append(np.abs(res.charges).max())
         slope = np.polyfit(np.log(avals), np.log(max_q), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
@@ -283,7 +308,7 @@ class TestFarField:
         # point monopoles conserve flux to O(ka): defect <= 1e-3 max|A| at tiny ka
         med = free_medium(k=0.1)
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.01)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         ff = far_field(res, med, cloud)
         forward = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
         flux = med.k / (4 * np.pi) * ff.integral_abs_squared()
@@ -292,7 +317,7 @@ class TestFarField:
     def test_doubling_charges_doubles_amplitude(self):
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=0.5, N_field=0.02)
-        res = assemble_and_solve(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         base = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
         res.charges *= 2.0
         assert amplitudes(res, med, cloud, Z_HAT[None, :])[0] == pytest.approx(2 * base, rel=1e-13)

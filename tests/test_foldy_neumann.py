@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
+from smallbody import foldy_impedance
 from smallbody.directions import DirectionGrid
-from smallbody.errors import InvariantViolation
-from smallbody.foldy_neumann import (
-    HardSystem,
-    amplitudes_hard,
-    assemble_and_solve_hard,
-    ball_polarizability,
-    evaluate_field_hard,
-    far_field_hard,
-)
+from smallbody.foldy_impedance import amplitudes, evaluate_field, far_field, solve_cloud
+from smallbody.foldy_neumann import HardSystem, ball_polarizability
 from smallbody.medium import BackgroundMedium, Grid, free_kernel, free_kernel_grad_y, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
 
@@ -51,7 +45,7 @@ class TestSingleParticle:
     def test_values_equal_incident(self):
         med = free_medium()
         cloud = hard_cloud(np.array([[0.5, 0.5, 0.5]]), a=5e-3)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         assert res.effective_values[0] == pytest.approx(np.exp(0.5j * med.k), rel=1e-14)
         np.testing.assert_allclose(
             res.effective_gradients[0],
@@ -61,7 +55,7 @@ class TestSingleParticle:
         med = free_medium()
         a = 0.05 / med.k
         cloud = hard_cloud(np.zeros((1, 3)), a=a)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         vol = C3 * a ** 3
         assert res.charges[0] == pytest.approx(-med.k ** 2 * vol, rel=1e-13)
         np.testing.assert_allclose(res.dipole_moments[0], 1.5j * med.k * vol * Z_HAT,
@@ -71,8 +65,8 @@ class TestSingleParticle:
         med = free_medium()
         a = 0.05 / med.k
         cloud = hard_cloud(np.zeros((1, 3)), a=a)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
-        ff = far_field_hard(res, med, cloud)
+        res = solve_cloud(med, cloud, Z_HAT)
+        ff = far_field(res, med, cloud)
         betas = ff.grid.vectors()
         expected = (med.k ** 2 * a ** 3 / 3) * (1.5 * betas @ Z_HAT - 1.0)
         assert np.abs(ff.values - expected).max() / np.abs(expected).max() <= 3 * med.k * a
@@ -80,23 +74,23 @@ class TestSingleParticle:
     def test_forward_backward_ratio(self):
         med = free_medium()
         cloud = hard_cloud(np.zeros((1, 3)), a=0.05)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
-        fwd, bwd = amplitudes_hard(res, med, cloud, np.array([Z_HAT, -Z_HAT]))
+        res = solve_cloud(med, cloud, Z_HAT)
+        fwd, bwd = amplitudes(res, med, cloud, np.array([Z_HAT, -Z_HAT]))
         assert fwd / bwd == pytest.approx(-0.2, abs=0.01)
 
     def test_perpendicular_is_pure_monopole(self):
         med = free_medium()
         a = 0.04
         cloud = hard_cloud(np.zeros((1, 3)), a=a)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
-        amp = amplitudes_hard(res, med, cloud, np.array([[1.0, 0.0, 0.0]]))[0]
+        res = solve_cloud(med, cloud, Z_HAT)
+        amp = amplitudes(res, med, cloud, np.array([[1.0, 0.0, 0.0]]))[0]
         assert amp == pytest.approx(-med.k ** 2 * a ** 3 / 3, rel=1e-12)
 
     def test_isotropy_in_beta_dot_alpha(self):
         # amplitude depends on beta only through beta . alpha
         med = free_medium()
         cloud = hard_cloud(np.zeros((1, 3)), a=0.05)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         rng = np.random.default_rng(4)
         cos_target = 0.42
         betas = []
@@ -105,7 +99,7 @@ class TestSingleParticle:
             v -= (v @ Z_HAT) * Z_HAT
             v /= np.linalg.norm(v)
             betas.append(cos_target * Z_HAT + np.sqrt(1 - cos_target ** 2) * v)
-        amps = amplitudes_hard(res, med, cloud, np.array(betas))
+        amps = amplitudes(res, med, cloud, np.array(betas))
         assert np.abs(amps - amps[0]).max() <= 1e-12 * np.abs(amps[0])
 
 
@@ -116,7 +110,7 @@ class TestCoupledSystem:
         u0 = np.exp(1j * med.k * centers[:, 2])
         devs = []
         for a in (4e-3, 2e-3, 1e-3):
-            res = assemble_and_solve_hard(med, hard_cloud(centers, a=a), Z_HAT)
+            res = solve_cloud(med, hard_cloud(centers, a=a), Z_HAT)
             devs.append(np.abs(res.effective_values - u0).max())
         # coupling scales with V ~ a^3
         assert devs[0] / devs[1] == pytest.approx(8.0, rel=0.05)
@@ -127,9 +121,9 @@ class TestCoupledSystem:
         med = free_medium()
         center = np.array([[0.5, 0.5, 0.5]])
         cloud = hard_cloud(center, a=5e-3, beta=np.zeros((3, 3)))
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         pt = np.array([[0.5, 0.5, 2.0]])
-        fld = evaluate_field_hard(res, med, cloud, pt)
+        fld = evaluate_field(res, med, cloud, pt)
         expected = (np.exp(2.0j * med.k)
                     + free_kernel(pt[0], center[0], med.k) * res.charges[0])
         assert fld.values[0] == pytest.approx(expected, rel=1e-14)
@@ -140,14 +134,14 @@ class TestCoupledSystem:
         med = free_medium()
         centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]])
         cloud = hard_cloud(centers, a=5e-3)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         j = 1
         h = 1e-3
         for p in range(3):
             e = np.zeros(3)
             e[p] = h
-            up = evaluate_field_hard(res, med, cloud, centers[j][None, :] + e, exclude=j)
-            um = evaluate_field_hard(res, med, cloud, centers[j][None, :] - e, exclude=j)
+            up = evaluate_field(res, med, cloud, centers[j][None, :] + e, exclude=j)
+            um = evaluate_field(res, med, cloud, centers[j][None, :] - e, exclude=j)
             fd = (up.values[0] - um.values[0]) / (2 * h)
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
@@ -157,14 +151,14 @@ class TestCoupledSystem:
         med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.25)
         centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]])
         cloud = hard_cloud(centers, a=5e-3)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         j = 1
         h = 1e-3
         for p in range(3):
             e = np.zeros(3)
             e[p] = h
-            up = evaluate_field_hard(res, med, cloud, centers[j][None, :] + e, exclude=j)
-            um = evaluate_field_hard(res, med, cloud, centers[j][None, :] - e, exclude=j)
+            up = evaluate_field(res, med, cloud, centers[j][None, :] + e, exclude=j)
+            um = evaluate_field(res, med, cloud, centers[j][None, :] - e, exclude=j)
             fd = (up.values[0] - um.values[0]) / (2 * h)
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
@@ -197,9 +191,9 @@ class TestCoupledSystem:
             orders.clear()
             med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=n0)
             assert np.count_nonzero(med.q0) == support
-            res = assemble_and_solve_hard(med, cloud, Z_HAT)
-            evaluate_field_hard(res, med, cloud, [[0.5, 0.5, 3.0]])
-            far_field_hard(res, med, cloud, DirectionGrid(4, 8))
+            res = solve_cloud(med, cloud, Z_HAT)
+            evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0]])
+            far_field(res, med, cloud, DirectionGrid(4, 8))
             assert sorted(orders) == [12, support] and not gmres_calls
 
     def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
@@ -208,17 +202,17 @@ class TestCoupledSystem:
         med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.25)
         centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]])
         cloud = hard_cloud(centers, a=0.03)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
         pts = np.array([[0.9, 0.9, 0.9], [0.5, 0.5, 3.0], [-2.0, 1.0, 0.5], centers[1]])
         for exclude, probes in ((None, pts[:3]), (1, pts)):
             keep = [m for m in range(len(centers)) if m != exclude]
             g, _, grad_y = med.green_blocks(probes, centers[keep], order=1)
             reference = (med.incident_values(Z_HAT, probes) + g @ res.charges[keep]
                          + np.einsum("xmp,mp->x", grad_y, res.dipole_moments[keep]))
-            got = evaluate_field_hard(res, med, cloud, probes, exclude=exclude).values
+            got = evaluate_field(res, med, cloud, probes, exclude=exclude).values
             assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
         betas = DirectionGrid(4, 8).vectors()
-        part = amplitudes_hard(res, med, cloud, betas) - med.background_amplitude(betas, Z_HAT)
+        part = amplitudes(res, med, cloud, betas) - med.background_amplitude(betas, Z_HAT)
         reference = np.empty(len(betas), dtype=complex)
         for i, beta in enumerate(betas):
             u0 = med.incident_values(-beta, centers, order=1)
@@ -230,13 +224,13 @@ class TestCoupledSystem:
         med = free_medium()
         centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
         cloud = hard_cloud(centers, a=5e-3)
-        res = assemble_and_solve_hard(med, cloud, Z_HAT)
-        res2 = assemble_and_solve_hard(med, cloud, Z_HAT)
+        res = solve_cloud(med, cloud, Z_HAT)
+        res2 = solve_cloud(med, cloud, Z_HAT)
         res2.charges *= 2
         res2.dipole_moments *= 2
         pt = np.array([[0.5, 0.5, 3.0]])
-        f1 = evaluate_field_hard(res, med, cloud, pt).values[0]
-        f2 = evaluate_field_hard(res2, med, cloud, pt).values[0]
+        f1 = evaluate_field(res, med, cloud, pt).values[0]
+        f2 = evaluate_field(res2, med, cloud, pt).values[0]
         u0 = np.exp(3.0j * med.k)
         assert f2 - u0 == pytest.approx(2 * (f1 - u0), rel=1e-12)
 
@@ -253,7 +247,7 @@ class TestDipoleMonopoleRatio:
         for d in dvals:
             centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, d]])
             cloud = hard_cloud(centers, a=a)
-            res = assemble_and_solve_hard(med, cloud, Z_HAT)
+            res = solve_cloud(med, cloud, Z_HAT)
             x = np.array([d * 0.8, 0.0, -d * 0.6])  # distance d from particle 0
             mono = abs(free_kernel(x, centers[0], k) * res.charges[0])
             dip = abs(free_kernel_grad_y(x, centers[0], k) @ res.dipole_moments[0])
@@ -271,17 +265,10 @@ class TestScaleLaw:
         maxq = []
         for a in avals:
             cloud = build_cloud_hard(med, a=a, nu_field=2e-4, beta=ball_polarizability())
-            res = assemble_and_solve_hard(med, cloud, Z_HAT)
+            res = solve_cloud(med, cloud, Z_HAT)
             maxq.append(np.abs(res.charges).max())
         slope = np.polyfit(np.log(avals), np.log(maxq), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.1)
-
-    def test_wrong_kind_rejected(self):
-        med = free_medium()
-        cloud = ParticleCloud(centers=np.array([[0.5, 0.5, 0.5]]), a=1e-3, d=np.inf,
-                              kind="impedance", zeta=np.array([1.0 + 0j]))
-        with pytest.raises(InvariantViolation):
-            assemble_and_solve_hard(med, cloud, Z_HAT)
 
     def test_lattice_fft_apply_matches_direct_apply(self):
         # antipodal sites of a partly filled 16^3 builder lattice
@@ -302,33 +289,25 @@ class TestScaleLaw:
         cloud = build_cloud_hard(med, a=5e-3, nu_field=512 * C3 * 5e-3 ** 3,
                                  beta=ball_polarizability())
         assert len(cloud) == 512
-        lattice = assemble_and_solve_hard(med, cloud, Z_HAT)
+        lattice = solve_cloud(med, cloud, Z_HAT)
         assert lattice.solver == "lattice_fft" and lattice.residual <= 1e-10
-        monkeypatch.setattr(HardSystem, "lattice_min", np.inf)
-        dense = assemble_and_solve_hard(med, cloud, Z_HAT)
+        monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
+        dense = solve_cloud(med, cloud, Z_HAT)
         assert dense.solver == "lu"
         np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
         scale = np.abs(dense.effective_gradients).max()
         np.testing.assert_allclose(lattice.effective_gradients, dense.effective_gradients,
                                    rtol=1e-8, atol=1e-10 * scale)
 
-    def test_lattice_path_from_the_measured_crossover(self):
-        med = free_medium()
-        for m, solver in ((64, "lu"), (125, "lattice_fft")):
-            cloud = build_cloud_hard(med, a=5e-3, nu_field=m * C3 * 5e-3 ** 3,
-                                     beta=ball_polarizability())
-            assert len(cloud) == m
-            assert assemble_and_solve_hard(med, cloud, Z_HAT).solver == solver
-
     def test_matrix_free_matches_dense(self, monkeypatch):
         # dense LU against GMRES on the direct apply: the lattice path is off
-        monkeypatch.setattr(HardSystem, "lattice_min", np.inf)
+        monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         med = free_medium()
         cloud = build_cloud_hard(med, a=8e-3, nu_field=2e-4, beta=ball_polarizability())
-        dense = assemble_and_solve_hard(med, cloud, Z_HAT)
+        dense = solve_cloud(med, cloud, Z_HAT)
         assert dense.solver == "lu"
-        monkeypatch.setattr(HardSystem, "dense_cap", 0)
-        krylov = assemble_and_solve_hard(med, cloud, Z_HAT)
+        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+        krylov = solve_cloud(med, cloud, Z_HAT)
         assert krylov.iterations > 0 and krylov.solver == "gmres"
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values, rtol=1e-8)
         scale = np.abs(dense.effective_gradients).max()

@@ -49,7 +49,7 @@ def test_benchmark_and_shipped_scenes_pass_the_schema():
     runs = [*bench_scenes(), *((name, COMMAND[name], s) for name, s in SCENES.items())]
     assert len(runs) == 5 * 5 + 5  # per seed: three cases and two partners
     for name, command, scene in runs:
-        cli._section(cli._SCENE_OF[command], json.loads(json.dumps(scene)), "scene")
+        cli.check_scene(command, json.loads(json.dumps(scene)))
 
 
 def schema_keys() -> set:
