@@ -177,6 +177,12 @@ _SCENE = {
 _SCENE_OF = {command: {**_SCENE, section: (_SCENE[section][0], REQUIRED)}
              for command, section in (("solve", "cloud"), ("limit", "limit"), ("design", "design"),
                                       ("study", "study"), ("validate", "medium"))}
+# per command, the sections that it reads besides format_version and medium
+_READS = {"solve": ("cloud", "alpha", "directions", "points"),
+          "limit": ("limit", "alpha", "directions", "points"),
+          "design": ("design", "alpha"),
+          "study": ("study", "alpha"),
+          "validate": ("cloud", "alpha")}
 # per form of a section (see _forms), the keys that it does not read
 _IGNORED = {
     "cloud with centers": ("h", "N", "nu", "cell_size"),
@@ -202,7 +208,8 @@ def _forms(section: str, spec: dict) -> list:
 
 def check_scene(command: str, raw) -> dict:
     """The checked scene of a command: the schema walk, then a refusal of
-    each key that the scene gives and the chosen form does not read."""
+    each key that the scene gives and the chosen form does not read, and
+    of each section that the command does not read."""
     scene = _section(_SCENE_OF[command], raw, "scene")
     for section in ("cloud", "limit", "study"):
         if scene[section] is None:
@@ -211,6 +218,9 @@ def check_scene(command: str, raw) -> dict:
             for key in _IGNORED.get(form, ()):
                 if raw[section].get(key) is not None:  # null is the same as an absent key
                     raise SceneError(f"scene.{section}.{key}: not read by this form ({form})")
+    for section, value in raw.items():
+        if value is not None and section not in ("format_version", "medium", *_READS[command]):
+            raise SceneError(f"scene.{section}: not read by {command}")
     return scene
 
 
@@ -527,6 +537,7 @@ def cmd_study(scene: dict, out: Path, args) -> dict:
 
 def cmd_validate(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
+    parse_alpha(scene)  # a zero alpha exits 2 here, as in the other commands
     meta = {
         "command": "validate",
         "grid_nodes": medium.grid.size,
@@ -573,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scene", required=True, help="scene JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the grid FFTs (default: all cores)")
+                        help="threads for the box FFTs (default: all cores)")
     return parser
 
 

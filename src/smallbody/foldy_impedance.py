@@ -25,8 +25,8 @@ from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (BackgroundMedium, ComplexField, _embedding_table, _factor, _solve_checked,
-                     _toeplitz_apply, _toeplitz_spectrum, _unit, helmholtz_kernels, lattice_of)
+from .medium import (BackgroundMedium, ComplexField, _embedding_spectrum, _factor,
+                     _solve_checked, _toeplitz_apply, _unit, helmholtz_kernels, lattice_of)
 from .particles import ParticleCloud, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 # path sizing of the system of either species, counted in unknowns
 # M (1 + 3 order) (measured crossovers; README "Numerical choices")
 DENSE_MAX_UNKNOWNS = 4000    # dense LU up to this many
-LATTICE_MIN_UNKNOWNS = 500   # free lattice clouds take the lattice FFT apply from here
+LATTICE_MIN_UNKNOWNS = 100   # free lattice clouds take the lattice FFT apply from here
 CHUNK_ENTRIES = 2 ** 24      # direct-apply row chunks: rows * M * (1 + 3 order)^2 entries
 
 
@@ -122,38 +122,40 @@ class LatticeConvolution:
 
     The pair matrix of a lattice cloud is three-level Toeplitz with a zero
     diagonal (Goodman, Draine & Flatau, Opt. Lett. 16 (1991) 1198).  K is a
-    symmetric size x size block of kernels: kernels(diff, r) returns its upper
-    triangle in np.triu_indices(size) order, each tabulated at diff = y - x,
-    r = |diff|.  Sources s are (M,) for size 1 or (M, size).
+    symmetric block of kernels: kernels(diff, r) returns its upper triangle
+    in np.triu_indices order, each tabulated at diff = y - x, r = |diff|,
+    and parity[c] holds the sign of component c under diff_i -> -diff_i
+    per axis (default: one even kernel).  Sources s are (M,) for one kernel
+    or component-major (size, M), and so is the result.  Spectra and padded
+    columns are held component-major, (c, 2n1, 2n2, 2n3), so the block
+    contraction works on contiguous planes.
     """
 
-    def __init__(self, lattice, kernels, size=1):
+    def __init__(self, lattice, kernels, parity=((1, 1, 1),)):
         self.lattice = lattice
+        m = np.ix_(*(np.arange(n) for n in lattice.shape))
+        diff = np.stack(np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)]),
+                        axis=-1)
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        r[0, 0, 0] = 1.0
+        table = np.stack(kernels(diff, r))
+        table[:, 0, 0, 0] = 0.0  # no self-interaction
+        size = int(np.sqrt(2 * len(table)))  # len(table) = size (size + 1) / 2
+        self.blocks = list(zip(*np.triu_indices(size), _embedding_spectrum(table, parity)))
 
-        def generator(*m):
-            diff = np.stack(np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)]),
-                            axis=-1)
-            r = np.sqrt(np.sum(diff * diff, axis=-1))
-            r[0, 0, 0] = 1.0
-            table = np.stack(kernels(diff, r), axis=-1)
-            table[0, 0, 0] = 0.0  # no self-interaction
-            return table
-
-        spectra = _toeplitz_spectrum(_embedding_table(lattice.shape, generator))
-        self.blocks = list(zip(*np.triu_indices(size), np.moveaxis(spectra, -1, 0)))
-
-    def _contract(self, spec):
+    def _contract(self, spec, part):
         out = np.zeros_like(spec)
         for a, b, k in self.blocks:
-            out[..., a] += k * spec[..., b]
+            k = k[:, part]
+            out[a] += k * spec[b]
             if a != b:
-                out[..., b] += k * spec[..., a]
+                out[b] += k * spec[a]
         return out
 
     def __call__(self, s):
         s = np.asarray(s, dtype=complex)
-        box = _toeplitz_apply(self.lattice.scatter(s), self.lattice.shape, self._contract)
-        return box[self.lattice.index]
+        box = _toeplitz_apply(self.lattice.scatter(s.reshape(-1, s.shape[-1])), self._contract)
+        return self.lattice.gather(box).reshape(s.shape)
 
 
 def _row_chunks(centers, order):

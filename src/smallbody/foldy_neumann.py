@@ -72,13 +72,16 @@ class HardSystem:
             return [-g, *np.moveaxis(grad_y, -1, 0),
                     *(hess[..., q, p] for q, p in zip(*np.triu_indices(3)))]
 
-        conv = LatticeConvolution(lattice, kernels, size=4)
+        # a derivative along axis i flips the parity of the even g in m_i
+        e = np.eye(3, dtype=int)
+        orders = [np.zeros(3, dtype=int), *e, *(e[q] + e[p] for q, p in zip(*np.triu_indices(3)))]
+        conv = LatticeConvolution(lattice, kernels, parity=(-1) ** np.array(orders))
         m = len(self.centers)
 
         def apply(vec):
             u, dm = vec[:m], vec[m:].reshape(m, 3)
-            out = conv(np.column_stack([self.cv * u, dm @ self.vb.T]))
-            return vec + np.concatenate([out[:, 0], out[:, 1:].reshape(-1)])
+            out = conv(np.vstack([self.cv * u, self.vb @ dm.T]))
+            return vec + np.concatenate([out[0], out[1:].T.reshape(-1)])
 
         return apply
 

@@ -37,6 +37,10 @@ RESIDUAL_TOL = 1e-10
 GMRES_MAXITER = 400
 RCOND_FLOOR = 1e-13
 
+# the fused middle stage of a Toeplitz apply works on parts of at most this
+# many spectrum entries (measured; README "Numerical choices")
+FUSED_ENTRIES = 2 ** 16
+
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
 LATTICE_FILL = 8
@@ -163,63 +167,92 @@ def free_kernel(x, y, k):
     return _single_or_all(x, y, _free_kernels(x, y, k))
 
 
-def free_kernel_grad_y(x, y, k):
-    """Gradient of g with respect to its second argument, shape (n,m,3)."""
-    return _single_or_all(x, y, _free_kernels(x, y, k, 1)[1])
-
-
-def free_kernel_hess_xy(x, y, k):
-    """Mixed second derivative d^2 g / dx_q dy_p, shape (n,m,3,3) [q,p]."""
-    return _single_or_all(x, y, _free_kernels(x, y, k, 2)[2])
-
-
 # ---------------------------------------------------------------------------
 # three-level Toeplitz operators on a box, applied by FFT
 # ---------------------------------------------------------------------------
 
-def _embedding_table(shape, generator) -> np.ndarray:
-    """A Toeplitz generator tabulated over the 2n_i-per-axis circulant embedding.
+def _embedding_spectrum(table, parity=(1, 1, 1)) -> np.ndarray:
+    """FFT of the 2n_i-per-axis circulant embedding of a three-level
+    Toeplitz generator given on its first octant.
 
-    generator(m1, m2, m3) receives the signed index offsets m = i - j of the
-    embedding positions as broadcastable integer arrays: position p on axis
-    i stands for p when p < n_i and for p - 2n_i beyond.  The entry for the
-    pair (i, j) is the kernel at y - x = (j - i) * spacing = -m * spacing.
-    Any trailing component axes are kept; the gap planes p = n_i, which no
-    pair reaches, are zeroed.
+    table (..., n1, n2, n3) holds the kernel at the index offsets
+    m = i - j >= 0 of a box, i.e. at y - x = -m * spacing, with any leading
+    component axes.  Each component is even or odd in each offset: parity
+    (..., 3) is its sign under m_i -> -m_i.  Embedding position p on axis i
+    stands for offset p when p < n_i and for p - 2n_i beyond; the gap plane
+    p = n_i, which no pair reaches, is zero.  The spectrum has the parity of
+    the table, so each stage (last axis first) keeps only the n_i + 1
+    outputs that parity does not fix, and transforms only the lines of
+    those that the earlier stages kept; the rest is mirrored in at the end.
     """
-    m = []
-    for ax, n in enumerate(shape):
-        p = np.arange(2 * n)
-        m.append(np.where(p < n, p, p - 2 * n).reshape([-1 if a == ax else 1 for a in range(3)]))
-    table = generator(*m)
-    for ax, n in enumerate(shape):
-        table[(slice(None),) * ax + (n,)] = 0.0
+    sign = np.asarray(parity, dtype=float)[..., None, None, None, :]
+    shape = table.shape[-3:]
+
+    def mirrored(t, axis):  # n + 1 entries along axis extended to 2n by parity
+        tail = np.flip(np.take(t, range(1, shape[axis]), axis=axis), axis=axis)
+        return np.concatenate([t, sign[..., axis] * tail], axis=axis)
+
+    for axis in (-1, -2, -3):
+        gap = [(0, 0)] * table.ndim
+        gap[axis] = (0, 1)
+        spec = _fft_stage(mirrored(np.pad(table, gap), axis), axis, 2 * shape[axis], False)
+        table = np.take(spec, range(shape[axis] + 1), axis=axis)
+    for axis in (-1, -2, -3):
+        table = mirrored(table, axis)
     return table
 
 
-def _toeplitz_spectrum(table) -> np.ndarray:
-    """FFT over the three box axes of an _embedding_table."""
-    import scipy.fft as sfft  # deferred: only FFT runs pay its import
+def _fft_stage(a, axis, n, inverse) -> np.ndarray:
+    """The FFT (ifft when ``inverse``) of a along one box axis (one of the
+    last three), padded (forward) or cut (inverse) to n entries.
 
-    return sfft.fftn(table, axes=(0, 1, 2), workers=runtime.thread_count())
-
-
-def _toeplitz_apply(f, shape, contract) -> np.ndarray:
-    """sum_j T(i - j) f_j over a box for f (N,) or a block of columns (N, c).
-
-    contract(spec) multiplies the spectrum of the zero-padded columns,
-    shape (2n1, 2n2, 2n3, c), by the kernel spectrum (in place or not) and
-    returns the product.
+    The lines are cut into slabs along the longest other box axis and run
+    by runtime.run_slabs.  Each line is transformed alone, so the result
+    does not depend on the cut.
     """
-    import scipy.fft as sfft
+    axis %= a.ndim
+    out = np.empty(a.shape[:axis] + (n,) + a.shape[axis + 1:], dtype=complex)
+    cut = max((ax for ax in range(a.ndim - 3, a.ndim) if ax != axis), key=lambda ax: a.shape[ax])
 
-    f = np.asarray(f, dtype=complex)
-    cols = f.reshape(tuple(shape) + (-1,))
-    pad = tuple(2 * n for n in shape)
-    workers = runtime.thread_count()
-    spec = contract(sfft.fftn(cols, s=pad, axes=(0, 1, 2), workers=workers))
-    out = sfft.ifftn(spec, axes=(0, 1, 2), workers=workers, overwrite_x=True)
-    return out[:shape[0], :shape[1], :shape[2]].reshape(f.shape)
+    def run(lo, hi):
+        slab = (slice(None),) * cut + (slice(lo, hi),)
+        if inverse:
+            out[slab] = np.fft.ifft(a[slab], axis=axis)[(slice(None),) * axis + (slice(n),)]
+        else:
+            out[slab] = np.fft.fft(a[slab], n=n, axis=axis)
+
+    runtime.run_slabs(run, a.shape[cut], out.size)
+    return out
+
+
+def _toeplitz_apply(cols, contract) -> np.ndarray:
+    """sum_j T(i - j) f_j over a box for columns cols, (c, n1, n2, n3).
+
+    The pruned FFT of McDonald, Golden & Jennings (IJHPCA 23 (2009) 42):
+    the columns are zero-padded to the 2n_i-per-axis embedding one axis at
+    a time, last axis first, so no stage transforms the padding of an axis
+    still to come, and the inverse cuts each axis back to n_i before the
+    next, so no stage transforms what an earlier one dropped.  The two
+    stages over the first box axis and the product with the kernel
+    spectrum run together on parts of at most FUSED_ENTRIES entries along
+    the second box axis, so the padded spectrum is never held whole:
+    contract(spec, part) multiplies spec, the part [..., :, part, :] of
+    the column spectrum, by the same part of the kernel spectrum (in place
+    or not) and returns the product.  Returns (c, n1, n2, n3).
+    """
+    shape = cols.shape[-3:]
+    half = _fft_stage(_fft_stage(cols, -1, 2 * shape[2], False), -2, 2 * shape[1], False)
+    out = np.empty(half.shape, dtype=complex)
+    width = max(1, FUSED_ENTRIES // (2 * half.size // half.shape[-2]))
+
+    def run(lo, hi):
+        for s in range(lo, hi, width):
+            part = slice(s, min(s + width, hi))
+            spec = contract(np.fft.fft(half[..., part, :], n=2 * shape[0], axis=-3), part)
+            out[..., part, :] = np.fft.ifft(spec, axis=-3)[..., :shape[0], :, :]
+
+    runtime.run_slabs(run, half.shape[-2], 2 * half.size)
+    return _fft_stage(_fft_stage(out, -2, shape[1], True), -1, shape[2], True)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +341,16 @@ class Lattice:
         return [self.origin[i] + np.arange(self.shape[i]) * self.spacing[i] for i in range(3)]
 
     def scatter(self, values) -> np.ndarray:
-        """Per-point values (M, ...) placed on the box sites, zero elsewhere."""
+        """Per-point values (..., M) placed on the box sites, (..., *shape),
+        zero elsewhere."""
         values = np.asarray(values, dtype=complex)
-        box = np.zeros((int(np.prod(self.shape)),) + values.shape[1:], dtype=complex)
-        box[self.index] = values
-        return box
+        box = np.zeros(values.shape[:-1] + (int(np.prod(self.shape)),), dtype=complex)
+        box[..., self.index] = values
+        return box.reshape(values.shape[:-1] + self.shape)
+
+    def gather(self, box) -> np.ndarray:
+        """The values (..., M) at the points of a box array (..., *shape)."""
+        return box.reshape(box.shape[:-3] + (-1,))[..., self.index]
 
 
 def lattice_of(centers) -> Lattice | None:
@@ -356,26 +394,6 @@ def lattice_of(centers) -> Lattice | None:
     if len(np.unique(flat)) != m:
         return None
     return Lattice(origin=lo, spacing=spacing, shape=tuple(shape), index=flat)
-
-
-def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
-    """Trilinear interpolation of a node field at points inside the box.
-
-    Points in the half-cell margin next to the boundary clamp to the nearest
-    node layer (constant extrapolation).
-    """
-    vals = np.asarray(values).reshape(grid.shape)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    loc = (pts - np.asarray(grid.lo)) / grid.delta - 0.5
-    i0 = np.floor(loc).astype(int)
-    frac = loc - i0
-    out = np.zeros(len(pts), dtype=vals.dtype)
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = np.clip(i0 + off, 0, np.asarray(grid.shape) - 1)
-        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
-        out += w * vals[idx[:, 0], idx[:, 1], idx[:, 2]]
-    return out
 
 
 @dataclass
@@ -455,50 +473,48 @@ class BackgroundMedium:
 
     @property
     def _kernel_table(self) -> np.ndarray:
-        """Kw generator g(delta*|m|)*delta^3 over the signed offsets m of its
-        circulant embedding (_embedding_table).
+        """Kw generator g(delta*|m|)*delta^3 over the index offsets m >= 0
+        of the grid box, with the corrected singular diagonal at m = 0.
 
-        Kw is three-level Toeplitz and even in each axis offset; m = 0 holds
-        the corrected singular diagonal.  Not cached: only its spectrum and
-        the dense LU path read it, once each.
+        Kw is three-level Toeplitz and even in each axis offset.  Not
+        cached: only its spectrum and the dense LU path read it, once each.
         """
         delta = self.grid.delta
-
-        def generator(m1, m2, m3):
-            r = delta * np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
-            r[0, 0, 0] = 1.0
-            table = helmholtz_kernels(None, r, self.k) * delta ** 3
-            table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
-            return table
-
-        return _embedding_table(self.grid.shape, generator)
+        m1, m2, m3 = np.ix_(*(np.arange(n) for n in self.grid.shape))
+        r = delta * np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
+        r[0, 0, 0] = 1.0
+        table = helmholtz_kernels(None, r, self.k) * delta ** 3
+        table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
+        return table
 
     @cached_property
     def _kernel_spectrum(self) -> np.ndarray:
-        return _toeplitz_spectrum(self._kernel_table)
+        return _embedding_spectrum(self._kernel_table)
 
     def _apply_weighted_kernel(self, f: np.ndarray) -> np.ndarray:
         """Kw @ f by FFT convolution; f is (N,) or a block of columns (N, c)."""
+        f = np.asarray(f, dtype=complex)
+        cols = np.moveaxis(f.reshape(self.grid.shape + (-1,)), -1, 0)
+        kernel = self._kernel_spectrum  # formed here, not on a slab thread
 
-        def contract(spec):
-            spec *= self._kernel_spectrum[..., None]
+        def contract(spec, part):
+            spec *= kernel[:, part]
             return spec
 
-        return _toeplitz_apply(f, self.grid.shape, contract)
+        return np.moveaxis(_toeplitz_apply(cols, contract), 0, -1).reshape(f.shape)
 
     def _dense_weighted_kernel(self, nodes=None) -> np.ndarray:
         """Kw[nodes, nodes] (default: every node), gathered from the generator
         in row blocks of about 2^20 entries."""
-        shape = self.grid.shape
-        idx = np.unravel_index(np.arange(self.grid.size) if nodes is None else nodes, shape)
+        idx = np.unravel_index(np.arange(self.grid.size) if nodes is None else nodes,
+                               self.grid.shape)
         n = len(idx[0])
         kw = np.empty((n, n), dtype=complex)
         table = self._kernel_table
         step = max(1, 2 ** 20 // max(n, 1))
         for s in range(0, n, step):
             rows = slice(s, s + step)
-            kw[rows] = table[tuple((i[rows, None] - i[None, :]) % (2 * m)
-                                   for i, m in zip(idx, shape))]
+            kw[rows] = table[tuple(np.abs(i[rows, None] - i[None, :]) for i in idx)]
         return kw
 
     def _factorization(self):
@@ -735,14 +751,6 @@ class BackgroundMedium:
         t = f.reshape(-1, shape[2]) @ e3.T  # (n1*n2, nb)
         t = np.einsum("abk,kb->ak", t.reshape(shape[0], shape[1], -1), e2)
         return np.einsum("ak,ka->k", t, e1)
-
-    def weighted_u0_sum_grid(self, betas, density_times_weight) -> np.ndarray:
-        """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3.
-
-        The literal definition: u0_grid per direction, whose support solve is cached.
-        """
-        f = np.asarray(density_times_weight, dtype=complex).reshape(-1)
-        return np.array([self.u0_grid(-b) @ f for b in np.atleast_2d(betas)])
 
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""

@@ -12,7 +12,6 @@ dipole moment.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -99,13 +98,6 @@ class ParticleCloud:
             beta=beta,
             shape_constants=tuple(data.get("shape_constants", BALL_SHAPE_CONSTANTS)),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParticleCloud":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from smallbody.particles import (
     h_to_impedance,
     validate_cloud,
 )
+from reference import weighted_u0_sum_grid
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -198,8 +199,8 @@ def test_criterion_6_optical_theorem():
     fld = solve_impedance_limit(problem, Z_HAT)
     ff = limiting_amplitude(problem, fld)  # default 32x64 quadrature
     forward = (med.background_amplitude(Z_HAT[None, :], Z_HAT)[0]
-               - med.weighted_u0_sum_grid(
-                   Z_HAT[None, :], p * fld.values * med.weight)[0] / (4 * np.pi))
+               - weighted_u0_sum_grid(
+                   med, Z_HAT[None, :], p * fld.values * med.weight)[0] / (4 * np.pi))
     flux = k / (4 * np.pi) * ff.integral_abs_squared()
     rel = abs(forward.imag - flux) / abs(forward.imag)
     assert rel <= 1e-3

@@ -1,11 +1,15 @@
 """CLI harness tests: subcommands, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smallbody
 from smallbody import cli
 from smallbody.cli import main
 from smallbody.particles import ParticleCloud
@@ -271,6 +275,27 @@ class TestLimit:
         assert "contract" in err["message"] or "reduce nu" in err["message"]
 
 
+@pytest.mark.parametrize("command,scene", [
+    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text())),
+    ("solve", base_scene(cloud={"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729},
+                         directions={"n_theta": 8, "n_phi": 16}))], ids=["limit", "lattice_solve"])
+def test_box_ffts_do_not_import_scipy_fft(tmp_path, command, scene):
+    # a free-grid limit and a free lattice solve run their FFTs on numpy.fft;
+    # importing scipy.fft would cost about 0.03 s of each run, in a fresh process
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    check = ("import sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
+             "sys.exit(code or ('scipy.fft' in sys.modules and 'scipy.fft was imported'))")
+    src = str(Path(smallbody.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", check, command, "--scene", str(tmp_path / "scene.json"),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta.get("solver", "lattice_fft") == "lattice_fft"  # the solve took the FFT path
+
+
 class TestDesign:
     def test_trivial_design(self, tmp_path):
         scene = base_scene(design={"target_n": 1.0, "a": 1e-5})
@@ -349,6 +374,16 @@ class TestValidate:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["passive"] is True and rep["cloud"]["flags"] == []
+
+    @pytest.mark.parametrize("section,value", [
+        ("limit", {"p": 0.0}), ("directions", {"n_theta": 8, "n_phi": 16})])
+    def test_section_the_command_does_not_read_exit_2(self, tmp_path, section, value):
+        scene = json.loads((SCENES / "empty_cloud.json").read_text())
+        scene[section] = value
+        code, out = run(tmp_path, "validate", scene_dict=scene)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["message"] == f"scene.{section}: not read by validate"
 
     def test_invalid_cloud_reports_and_exits_3(self, tmp_path):
         scene = base_scene(cloud={"kind": "impedance", "a": 0.01,

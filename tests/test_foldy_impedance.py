@@ -166,10 +166,10 @@ class TestSolver:
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
     @pytest.mark.parametrize("kind,m,solver", [
-        ("impedance", 343, "lu"), ("impedance", 512, "lattice_fft"),
-        ("hard", 64, "lu"), ("hard", 125, "lattice_fft")])
+        ("impedance", 80, "lu"), ("impedance", 100, "lattice_fft"), ("impedance", 512, "lattice_fft"),
+        ("hard", 20, "lu"), ("hard", 25, "lattice_fft"), ("hard", 125, "lattice_fft")])
     def test_lattice_path_from_the_measured_crossover(self, kind, m, solver):
-        # free builder lattices on both sides of 500 unknowns: M or 4M
+        # free builder lattices on both sides of 100 unknowns: M or 4M
         med = free_medium()
         if kind == "impedance":
             cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=m * 1e-3)

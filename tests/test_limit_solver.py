@@ -16,6 +16,7 @@ from smallbody.limit_solver import (
     solve_impedance_limit,
 )
 from smallbody.medium import DENSE_GRID_CAP, BackgroundMedium, Grid, free_kernel
+from reference import weighted_u0_sum_grid
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -139,8 +140,8 @@ class TestImpedanceLimit:
         beta = np.array([0.8, 0.0, 0.6])
         amp_grid = DirectionGrid(16, 32)
         # amplitude at this specific direction via the weighted sum
-        amp = -med.weighted_u0_sum_grid(beta[None, :],
-                                        problem.p * fld.values * med.weight)[0] / (4 * np.pi)
+        amp = -weighted_u0_sum_grid(med, beta[None, :],
+                                    problem.p * fld.values * med.weight)[0] / (4 * np.pi)
         r = 200.0
         u_r = impedance_limit_field_at(problem, fld, (r * beta)[None, :]).values[0]
         u0_r = np.exp(1j * med.k * r * beta @ Z_HAT)
@@ -181,11 +182,11 @@ class TestLimitingAmplitude:
         beta = np.array([0.6, 0.48, 0.64])
         problem = LimitProblem(medium=med, p=p)
         f1 = solve_impedance_limit(problem, alpha)
-        a_fwd = -med.weighted_u0_sum_grid(beta[None, :],
-                                          p * f1.values * med.weight)[0] / (4 * np.pi)
+        a_fwd = -weighted_u0_sum_grid(med, beta[None, :],
+                                      p * f1.values * med.weight)[0] / (4 * np.pi)
         f2 = solve_impedance_limit(problem, -beta)
-        a_rev = -med.weighted_u0_sum_grid(-alpha[None, :],
-                                          p * f2.values * med.weight)[0] / (4 * np.pi)
+        a_rev = -weighted_u0_sum_grid(med, -alpha[None, :],
+                                      p * f2.values * med.weight)[0] / (4 * np.pi)
         assert abs(a_fwd - a_rev) <= 1e-8 * abs(a_fwd)
 
     def test_optical_theorem_real_potentials(self):
@@ -195,8 +196,8 @@ class TestLimitingAmplitude:
         fld = solve_impedance_limit(problem, Z_HAT)
         ff = limiting_amplitude(problem, fld)
         forward = (med.background_amplitude(Z_HAT[None, :], Z_HAT)[0]
-                   - med.weighted_u0_sum_grid(Z_HAT[None, :],
-                                              p * fld.values * med.weight)[0] / (4 * np.pi))
+                   - weighted_u0_sum_grid(med, Z_HAT[None, :],
+                                          p * fld.values * med.weight)[0] / (4 * np.pi))
         flux = med.k / (4 * np.pi) * ff.integral_abs_squared()
         assert abs(forward.imag - flux) / abs(forward.imag) <= 1e-3
 
@@ -212,7 +213,7 @@ class TestLimitingAmplitude:
         assert med._lu is None
         betas = directions.vectors()
         reference = (med.background_amplitude(betas, Z_HAT)
-                     - med.weighted_u0_sum_grid(betas, p * fld.values * med.weight) / (4 * np.pi))
+                     - weighted_u0_sum_grid(med, betas, p * fld.values * med.weight) / (4 * np.pi))
         assert np.abs(ff.values - reference).max() <= 1e-10 * np.abs(reference).max()
 
 

@@ -1,9 +1,14 @@
 """Kernel, Green-function, and incident-field tests for the medium module."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from smallbody import medium, runtime
 from smallbody.errors import InvariantViolation, SingularEvaluationError, SolverFailure
 from smallbody.medium import (
     CUBE_SELF_INTEGRAL,
@@ -11,19 +16,21 @@ from smallbody.medium import (
     BackgroundMedium,
     ComplexField,
     Grid,
+    Lattice,
     background_green,
     background_green_grad,
     free_kernel,
-    free_kernel_grad_y,
-    free_kernel_hess_xy,
     incident_field,
     lattice_of,
     lemma_bounds_check,
-    trilinear_interpolate,
     _factor,
     _solve_checked,
     _unit,
 )
+from smallbody.foldy_impedance import ImpedanceSystem
+from smallbody.foldy_neumann import HardSystem
+from smallbody.particles import ParticleCloud
+from reference import free_kernel_grad_y, free_kernel_hess_xy, trilinear_interpolate
 
 ORIGIN = np.zeros(3)
 
@@ -204,14 +211,20 @@ class TestGridEngine:
     def make(self):
         return BackgroundMedium(1.7, Grid((0, 0, 0), (0.5, 0.75, 1.0), (4, 6, 8)))
 
-    def test_gathered_kernel_matches_pairwise_kernel(self):
-        med = self.make()
+    @staticmethod
+    def pairwise_kernel(med):
+        """Kw from the node pairs directly, with the corrected diagonal."""
         nodes, delta = med.grid.nodes, med.grid.delta
         diff = nodes[:, None, :] - nodes[None, :, :]
         r = np.sqrt(np.sum(diff * diff, axis=-1))
         np.fill_diagonal(r, 1.0)
         ref = np.exp(1j * med.k * r) / (4 * np.pi * r) * delta ** 3
         np.fill_diagonal(ref, CUBE_SELF_INTEGRAL * delta ** 2 + 1j * med.k * delta ** 3 / (4 * np.pi))
+        return ref
+
+    def test_gathered_kernel_matches_pairwise_kernel(self):
+        med = self.make()
+        ref = self.pairwise_kernel(med)
         kw = med._dense_weighted_kernel()
         assert np.abs(kw - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -235,6 +248,99 @@ class TestGridEngine:
         direct = np.exp(-1j * med.k * (betas @ med.grid.nodes.T)) @ f
         sep = med._box_phase_sum(betas, med.grid.axes, f)
         assert np.abs(sep - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+class TestBoxFFT:
+    """The Toeplitz FFT apply that the grid and the particle lattices share,
+    on a 3 x 4 x 5 box: dense direct sums, and bitwise-equal results on 1, 2
+    and 3 threads with every stage cut into slabs (3 threads cut the box
+    axes and their 2n_i embeddings unevenly)."""
+
+    K = 1.7
+
+    @staticmethod
+    def grid_case(cols):
+        med = BackgroundMedium(TestBoxFFT.K, Grid((0, 0, 0), (0.3, 0.4, 0.5), (3, 4, 5)))
+        shape = (med.grid.size,) if cols is None else (med.grid.size, cols)
+        f = np.random.default_rng(5).normal(size=shape + (2,)) @ [1.0, 1j]
+        return med._apply_weighted_kernel, TestGridEngine.pairwise_kernel(med), f
+
+    @staticmethod
+    def lattice_case(kind):
+        spacing = np.array([0.1, 0.07, 0.05])  # unequal: the kernels see each axis
+        lattice = Lattice(origin=np.zeros(3), spacing=spacing, shape=(3, 4, 5),
+                          index=np.arange(60))
+        centers = np.stack(np.meshgrid(*lattice.axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        med = BackgroundMedium(TestBoxFFT.K, Grid((-1, -1, -1), (2, 2, 2), (2, 2, 2)))
+        # couplings of order one, so that the pair sums are not lost in
+        # rounding when the identity part is taken off the apply
+        if kind == "impedance":
+            system = ImpedanceSystem(med, centers, np.linspace(0.5, 1.5, 60))
+        else:
+            system = HardSystem(med, ParticleCloud(centers=centers, a=0.02, d=0.05, kind="hard",
+                                                   beta=[[-1.5, 0.2, 0], [0.2, -1.2, 0.1],
+                                                         [0, 0.1, -1.0]]))
+        a = system.matrix()
+        dense = a - np.eye(len(a))
+        f = np.random.default_rng(6).normal(size=(len(dense), 2)) @ [1.0, 1j]
+        apply = system.lattice_apply(lattice)
+        return (lambda v: apply(v) - v), dense, f
+
+    CASES = [("grid", None), ("grid", 3), ("lattice", "impedance"), ("lattice", "hard")]
+
+    def make(self, case, arg):
+        return self.grid_case(arg) if case == "grid" else self.lattice_case(arg)
+
+    @pytest.mark.parametrize("case,arg", CASES)
+    def test_matches_dense_direct_sum(self, case, arg):
+        apply, dense, f = self.make(case, arg)
+        direct = dense @ f
+        got = apply(f)
+        assert got.shape == direct.shape
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("case,arg", CASES)
+    def test_bitwise_equal_on_1_2_3_threads(self, monkeypatch, case, arg):
+        monkeypatch.setattr(runtime, "_THREADS", 1)  # restored after the test
+        monkeypatch.setattr(runtime, "SLAB_MIN_ENTRIES", 0)
+        monkeypatch.setattr(medium, "FUSED_ENTRIES", 1)  # one column per fused part
+        outs = []
+        for threads in (1, 2, 3):
+            runtime.set_thread_count(threads)
+            apply, _, f = self.make(case, arg)  # the kernel spectrum on these threads too
+            outs.append(apply(f))
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    def test_nested_and_concurrent_slab_calls_finish(self, monkeypatch):
+        # slabs that start slab jobs of their own, from more callers than
+        # cores: each index is done once and no caller waits on a pool
+        # worker that waits on the pool
+        monkeypatch.setattr(runtime, "_THREADS", 3)
+        monkeypatch.setattr(runtime, "SLAB_MIN_ENTRIES", 0)
+        done = [np.zeros((7, 5), dtype=int) for _ in range(6)]
+
+        def caller(hits):
+            def outer(lo, hi):
+                for i in range(lo, hi):
+                    def inner(a, b, row=hits[i]):
+                        row[a:b] += 1
+                    runtime.run_slabs(inner, 5, 5)
+            for _ in range(20):
+                runtime.run_slabs(outer, 7, 7)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=caller, args=(hits,), daemon=True) for hits in done]
+            for w in workers:
+                w.start()
+            deadline = time.monotonic() + 60
+            for w in workers:
+                w.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(w.is_alive() for w in workers)
+        assert all((hits == 20).all() for hits in done)
 
 
 class TestSupportSolve:
