@@ -35,10 +35,10 @@ from .foldy_neumann import ball_polarizability
 from .limit_solver import (
     LimitProblem,
     hard_born_approximation,
+    limit_field_at,
     limiting_amplitude,
     potential_from_h_N,
-    solve_hard_limit,
-    solve_impedance_limit,
+    solve_limit,
 )
 from .medium import (
     BackgroundMedium,

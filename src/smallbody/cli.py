@@ -23,22 +23,9 @@ import numpy as np
 from . import convergence, designer, foldy_impedance, runtime
 from .directions import DirectionGrid
 from .errors import InfeasibleDesign, InvariantViolation, SingularEvaluationError, SolverFailure
-from .limit_solver import (
-    LimitProblem,
-    hard_limit_field_at,
-    impedance_limit_field_at,
-    limiting_amplitude,
-    solve_hard_limit,
-    solve_impedance_limit,
-)
+from .limit_solver import LimitProblem, limit_field_at, limiting_amplitude, solve_limit
 from .medium import BackgroundMedium, Grid, far_probe_points
-from .particles import (
-    ParticleCloud,
-    build_cloud_hard,
-    build_cloud_impedance,
-    min_spacing,
-    validate_cloud,
-)
+from .particles import ParticleCloud, build_cloud_hard, build_cloud_impedance, validate_cloud
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +151,7 @@ _SCENE = {
                "cell_size": (_positive, None), "h": (_field, 0.0), "N": (_field, 0.0),
                "nu": (_field, 0.0), "beta": _BETA, "zeta": (partial(_list, item=_complex), None),
                "centers": (partial(_list, item=_vector), None)}, None),
-    "limit": ({"p": (_field, ONE_OF), "nu": (_field, ONE_OF), "beta": _BETA,
-               "max_iter": (_count, 80)}, None),
+    "limit": ({"p": (_field, ONE_OF), "nu": (_field, ONE_OF), "beta": _BETA}, None),
     "design": ({"target_n": (_field, 1.0), "a": (_positive, REQUIRED),
                 "cell_size": (_positive, None),
                 "verify": ({"a_sequence": (_a_sequence, [])}, {})}, None),
@@ -189,7 +175,7 @@ _IGNORED = {
     "impedance cloud": ("nu", "beta"),
     "hard cloud": ("zeta", "h", "N"),
     "impedance density cloud": ("zeta",),
-    "limit with p": ("beta", "max_iter"),
+    "limit with p": ("beta",),
     "impedance study": ("nu", "beta"),
     "hard study": ("h", "N"),
 }
@@ -269,15 +255,13 @@ def parse_cloud(scene: dict, medium: BackgroundMedium) -> ParticleCloud:
     if cspec["centers"] is not None:
         centers = np.array(cspec["centers"], dtype=float).reshape(-1, 3)
         if kind == "hard":
-            return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
-                                 kind="hard", beta=parse_beta(cspec["beta"]))
+            return ParticleCloud(centers=centers, a=a, kind="hard", beta=parse_beta(cspec["beta"]))
         zeta = cspec["zeta"] or []
         zeta = zeta * len(centers) if len(zeta) == 1 else zeta
         if len(zeta) != len(centers):
             raise SceneError(f"scene.cloud.zeta: {len(zeta)} values for {len(centers)} centers "
                              "(an impedance cloud with centers needs one, or one per center)")
-        return ParticleCloud(centers=centers, a=a, d=min_spacing(centers),
-                             kind="impedance", zeta=np.array(zeta))
+        return ParticleCloud(centers=centers, a=a, kind="impedance", zeta=np.array(zeta))
     if kind == "impedance":
         return build_cloud_impedance(
             medium, a, parse_field_spec(cspec["h"], grid, "scene.cloud.h"),
@@ -430,25 +414,22 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
     if lspec["p"] is not None:
         problem = LimitProblem(medium=medium,
                                p=parse_field_spec(lspec["p"], medium.grid, "scene.limit.p"))
-        fld = solve_impedance_limit(problem, alpha)
-        at_points = impedance_limit_field_at(problem, fld, points)
-        write_farfield_csv(out / "farfield.csv",
-                           limiting_amplitude(problem, fld, DirectionGrid(**scene["directions"])))
-        mode = "impedance"
     else:
         problem = LimitProblem(
             medium=medium,
             nu=parse_field_spec(lspec["nu"], medium.grid, "scene.limit.nu").real,
             beta_field=parse_beta(lspec["beta"]))
-        fld = solve_hard_limit(problem, alpha, max_iter=lspec["max_iter"])
-        at_points = hard_limit_field_at(problem, fld, points)
-        mode = "hard"
+    fld = solve_limit(problem, alpha)
+    at_points = limit_field_at(problem, fld, points)
+    if not problem.is_hard:
+        write_farfield_csv(out / "farfield.csv",
+                           limiting_amplitude(problem, fld, DirectionGrid(**scene["directions"])))
     wall = time.perf_counter() - t0
     write_field_csv(out / "grid_field.csv", fld.points, fld.values)
     write_field_csv(out / "field.csv", at_points.points, at_points.values)
     return {
         "command": "limit",
-        "mode": mode,
+        "mode": "hard" if problem.is_hard else "impedance",
         "grid_nodes": medium.grid.size,
         "residual": fld.residual,
         "iterations": fld.iterations,

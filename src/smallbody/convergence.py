@@ -17,14 +17,7 @@ import numpy as np
 
 from . import foldy_impedance
 from .errors import InvariantViolation
-from .limit_solver import (
-    LimitProblem,
-    hard_limit_field_at,
-    impedance_limit_field_at,
-    potential_from_h_N,
-    solve_hard_limit,
-    solve_impedance_limit,
-)
+from .limit_solver import LimitProblem, limit_field_at, potential_from_h_N, solve_limit
 from .medium import BackgroundMedium, _node_field, _unit, far_probe_points
 from .particles import (
     BALL_SHAPE_CONSTANTS,
@@ -124,11 +117,7 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
     if any(b >= a for a, b in zip(seq, seq[1:])):
         raise InvariantViolation("a_sequence must be strictly decreasing")
     pts = far_probe_points(medium.grid) if probes is None else np.atleast_2d(probes)
-    if problem.is_hard:
-        u_limit = hard_limit_field_at(problem, solve_hard_limit(problem, alpha), pts).values
-    else:
-        u_limit = impedance_limit_field_at(
-            problem, solve_impedance_limit(problem, alpha), pts).values
+    u_limit = limit_field_at(problem, solve_limit(problem, alpha), pts).values
 
     study = ScaleStudy(mode="hard" if problem.is_hard else "impedance", alpha=alpha, probes=pts)
     for a in seq:

@@ -116,17 +116,12 @@ def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
         bad = np.flatnonzero((h.imag > 1e-14) | (n_dens < 0))
         raise InvariantViolation(f"no feasible (h, N) at nodes {bad[:10].tolist()}")
 
-    realized = potential_round_trip(h, n_dens, shape_constants)
+    realized = potential_from_h_N(h, n_dens, shape_constants)
     scale = np.maximum(np.abs(p), 1e-300)
     bad = np.flatnonzero(np.abs(realized - p) > ROUND_TRIP_TOL * np.maximum(scale, 1.0))
     if bad.size:
         raise InvariantViolation(f"(h, N) round trip failed at nodes {bad[:10].tolist()}")
     return h, n_dens
-
-
-def potential_round_trip(h, n_dens, shape_constants=BALL_SHAPE_CONSTANTS) -> np.ndarray:
-    """gamma N h / (1 + h): the potential realized by a given (h, N)."""
-    return potential_from_h_N(h, n_dens, shape_constants)
 
 
 def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignResult:
@@ -141,8 +136,7 @@ def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignRes
         m=len(cloud),
         volume_fraction=report.volume_fraction,
     )
-    p = _node_field(potential_round_trip(h, N, spec.shape_constants), spec.medium.grid.size,
-                    complex)
+    p = _node_field(potential_from_h_N(h, N, spec.shape_constants), spec.medium.grid.size, complex)
     return DesignResult(p=p, h=np.asarray(h, dtype=complex), N=np.asarray(N, dtype=float),
                         cloud=cloud, feasibility=feas)
 

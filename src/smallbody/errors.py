@@ -14,7 +14,7 @@ class InvariantViolation(SmallBodyError):
 
 
 class SolverFailure(SmallBodyError):
-    """A linear solve or fixed-point iteration did not converge.
+    """A linear solve did not converge or is ill-conditioned.
 
     ``residual`` is the relative residual a solve reached; ``spectral_radius``
     estimates rho(A - I) for a GMRES solve of A x = b that stopped early.

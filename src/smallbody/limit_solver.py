@@ -5,33 +5,36 @@ Impedance clouds homogenize into a second-kind volume equation
     u = u0 - integral_D G(x,y) p(y) u(y) dy,
     p = 4 pi c1^2 N h / (c2 (1 + h)),
 
-solved here by Nystrom collocation.  Hard clouds homogenize into an
-integro-differential equation whose unknown enters through Lap U and grad U;
-it is solved by fixed-point iteration in the perturbative (small nu) regime,
-with the derivative terms formed by centered finite differences on the grid.
-Because nu vanishes on a collar near the boundary, the gradient-kernel term
-is evaluated in its integrated-by-parts form: the iteration applies the G
-kernel to  Lap U * nu + div(beta grad U nu),  whose first step from u0 is the
-one-shot Born correction.
+and hard clouds into an integro-differential one,
+
+    U = u0 + integral_D G(x,y) [Lap U nu + div(beta grad U nu)](y) dy,
+
+whose derivative terms are centered finite differences on the grid.  Because
+nu vanishes on a collar near the boundary, the gradient-kernel term is taken
+in this integrated-by-parts form.  On the shared Nystrom grid, G is
+(I + Kw diag q0)^-1 Kw and u0 is (I + Kw diag q0)^-1 of the plane wave, so
+both equations are one second-kind system for the node values,
+
+    v + Kw src(v) = exp(ik alpha.x),
+    src(v) = (q0 + p) v                                 (potential p),
+    src(v) = q0 v - [Lap v nu + div(beta grad v nu)]    (hard pair),
+
+solved by GMRES with the FFT-applied kernel.  The solution radiates from the
+grid density -src(v) delta^3 through the free kernel: no background solve.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .directions import DirectionGrid, FarField
-from .errors import InvariantViolation, SolverFailure
+from .errors import InvariantViolation
 from .medium import BackgroundMedium, ComplexField, _node_field, _solve_checked, _unit
-from .particles import BALL_SHAPE_CONSTANTS
-
-logger = logging.getLogger(__name__)
+from .particles import BALL_SHAPE_CONSTANTS, CountingMeasure
 
 COLLAR_CELLS = 2
-HARD_MAX_ITER = 80
-HARD_TOL = 1e-12
 
 
 def potential_from_h_N(h_field, N_field, shape_constants=BALL_SHAPE_CONSTANTS) -> np.ndarray:
@@ -50,7 +53,11 @@ def potential_from_h_N(h_field, N_field, shape_constants=BALL_SHAPE_CONSTANTS) -
 
 @dataclass
 class LimitProblem:
-    """Continuum problem: either a potential p or a hard pair (nu, beta)."""
+    """Continuum problem: either a potential p or a hard pair (nu, beta).
+
+    nu obeys the bound of the clouds that realize it (CountingMeasure,
+    per volume): nonnegative, with (nu/c3)^(1/3) <= 0.1.
+    """
 
     medium: BackgroundMedium
     p: np.ndarray | None = None
@@ -65,8 +72,7 @@ class LimitProblem:
             self.p = _node_field(self.p, size, complex)
         else:
             self.nu = _node_field(self.nu, size, float)
-            if np.any(self.nu < 0):
-                raise InvariantViolation("nu must be nonnegative")
+            CountingMeasure(mode="per_volume", density=self.nu)
             if self.beta_field is None:
                 raise InvariantViolation("hard problem requires a polarizability field")
             b = np.asarray(self.beta_field, dtype=float)
@@ -89,43 +95,44 @@ class LimitProblem:
             raise InvariantViolation(
                 f"nu must vanish on a {c}-cell collar near the box boundary")
 
+    def source(self, values) -> np.ndarray:
+        """src(v) of the grid system v + Kw src(v) = plane wave, at the nodes."""
+        if self.is_hard:
+            return self.medium.q0 * values - _hard_source(self, values)
+        return (self.medium.q0 + self.p) * values
+
 
 # ---------------------------------------------------------------------------
-# impedance limit
+# both limits
 # ---------------------------------------------------------------------------
 
-def solve_impedance_limit(problem: LimitProblem, alpha) -> ComplexField:
-    """Grid solution of u = u0 - integral G p u (second-kind Nystrom solve).
+def solve_limit(problem: LimitProblem, alpha) -> ComplexField:
+    """Grid solution of the limit equation: GMRES on v + Kw src(v) = plane wave.
 
-    GMRES on I + Kw diag(q0 + p) with the FFT-applied kernel; the returned
-    field carries the relative residual and the GMRES iteration count.
+    The returned field carries the relative residual and the GMRES
+    iteration count.
     """
-    if problem.is_hard:
-        raise InvariantViolation("impedance limit requires a potential p")
     medium = problem.medium
     alpha = _unit(alpha)
-    total = medium.q0 + problem.p
-    # with the shared quadrature, the G-kernel equation collapses to the
-    # flat-kernel system (I + Kw diag(q0 + p)) u = plane wave
-    plane = np.exp(1j * medium.k * medium.grid.nodes @ alpha)
 
     def matvec(v):
-        return v + medium._apply_weighted_kernel(total * v)
+        return v + medium._apply_weighted_kernel(problem.source(v))
 
-    u, resid, iterations = _solve_checked(matvec, plane, "impedance limit")
+    what = "hard limit" if problem.is_hard else "impedance limit"
+    u, resid, iterations = _solve_checked(matvec, medium._plane_wave(alpha), what)
     return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
                         residual=resid, iterations=iterations)
 
 
-def _impedance_density(problem: LimitProblem, field: ComplexField) -> np.ndarray:
-    """Grid sources -(q0 + p) u delta^3 of the limit field; no background solve."""
-    return -((problem.medium.q0 + problem.p) * field.values * problem.medium.weight)
+def _density(problem: LimitProblem, field: ComplexField) -> np.ndarray:
+    """Grid sources -src(u) delta^3 of the limit field; no background solve."""
+    return -(problem.source(field.values) * problem.medium.weight)
 
 
-def impedance_limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
+def limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
     """Evaluate the limit solution off the grid via its volume representation."""
     alpha = field.incident_direction
-    values = problem.medium.radiate(points, alpha, _impedance_density(problem, field))
+    values = problem.medium.radiate(points, alpha, _density(problem, field))
     return ComplexField(points=points, values=values, incident_direction=alpha)
 
 
@@ -135,12 +142,12 @@ def limiting_amplitude(problem: LimitProblem, field: ComplexField,
     if problem.is_hard:
         raise InvariantViolation("limiting_amplitude applies to the impedance limit")
     grid = directions or DirectionGrid()
-    values = problem.medium.amplitude(grid.vectors(), _impedance_density(problem, field))
+    values = problem.medium.amplitude(grid.vectors(), _density(problem, field))
     return FarField(grid=grid, values=values, alpha=field.incident_direction)
 
 
 # ---------------------------------------------------------------------------
-# hard limit (fixed point)
+# hard-limit source terms
 # ---------------------------------------------------------------------------
 
 def _fd_gradient(values, shape, delta):
@@ -184,49 +191,11 @@ def _hard_source(problem: LimitProblem, values: np.ndarray) -> np.ndarray:
     return lap * problem.nu + _fd_divergence(flux, grid.shape, grid.delta)
 
 
-def solve_hard_limit(problem: LimitProblem, alpha, max_iter: int = HARD_MAX_ITER,
-                     tol: float = HARD_TOL) -> ComplexField:
-    """Fixed-point solve of the hard-cloud limit equation on the grid.
-
-    Iterates U <- u0 + G[Lap U nu + div(beta grad U nu)]; the first step from
-    u0 is exactly the one-shot Born correction.  Raises when the successive
-    change grows three times in a row (non-contraction: nu too large).
-    """
-    if not problem.is_hard:
-        raise InvariantViolation("solve_hard_limit requires a hard problem")
-    medium = problem.medium
-    alpha = _unit(alpha)
-    u0 = medium.u0_grid(alpha)
-    u = u0.copy()
-    prev_change = np.inf
-    growth = 0
-    for it in range(max_iter):
-        source = _hard_source(problem, u)
-        u_next = u0 + medium.green_potential_grid(source)
-        change = np.linalg.norm(u_next - u) / max(np.linalg.norm(u), 1e-300)
-        u = u_next
-        if change <= tol:
-            logger.debug("hard limit converged in %d iterations (change %.2e)", it + 1, change)
-            return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
-                                residual=float(change), iterations=it + 1)
-        if change > prev_change:
-            growth += 1
-            if growth >= 3:
-                raise SolverFailure(
-                    f"hard-limit iteration is non-contractive (change {change:.2e}); "
-                    "reduce nu")
-        else:
-            growth = 0
-        prev_change = change
-    raise SolverFailure(f"hard limit did not reach tol {tol:.1e} in {max_iter} iterations",
-                        residual=prev_change)
-
-
 def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
     """One-shot correction from the unperturbed field:
 
     U = u0 + integral G [Lap u0 nu + sum_pq d/dy_p (du0/dy_q beta_pq nu)] dy,
-    with the same grid derivatives and quadrature as the fixed-point step.
+    with the same grid derivatives and quadrature as solve_limit.
     """
     if not problem.is_hard:
         raise InvariantViolation("hard_born_approximation requires a hard problem")
@@ -235,15 +204,3 @@ def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
     u0 = medium.u0_grid(alpha)
     values = u0 + medium.green_potential_grid(_hard_source(problem, u0))
     return ComplexField(points=medium.grid.nodes, values=values, incident_direction=alpha)
-
-
-def hard_limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
-    """Evaluate the hard-limit solution off the grid via its representation:
-    U = u0 + G f radiates from the grid sources (f - q0 (u0 + G f)) delta^3."""
-    medium = problem.medium
-    alpha = field.incident_direction
-    source = _hard_source(problem, field.values)
-    if not medium.is_free:
-        source = source - medium.q0 * (medium.u0_grid(alpha) + medium.green_potential_grid(source))
-    values = medium.radiate(points, alpha, source * medium.weight)
-    return ComplexField(points=points, values=values, incident_direction=alpha)

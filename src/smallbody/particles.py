@@ -39,7 +39,7 @@ class ParticleCloud:
 
     centers: np.ndarray            # (M, 3)
     a: float                       # particle radius
-    d: float                       # minimum center spacing (inf for M <= 1)
+    d: float = field(init=False)   # minimum center spacing (inf for M <= 1)
     kind: str                      # "impedance" | "hard"
     zeta: np.ndarray | None = None     # (M,) complex boundary impedances
     beta: np.ndarray | None = None     # (3, 3) polarizability tensor
@@ -47,6 +47,7 @@ class ParticleCloud:
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float).reshape(-1, 3)
+        self.d = min_spacing(self.centers)
         if self.kind not in ("impedance", "hard"):
             raise InvariantViolation(f"unknown particle kind {self.kind!r}")
         if self.kind == "impedance":
@@ -88,11 +89,9 @@ class ParticleCloud:
         if "zeta" in data:
             zeta = np.array([complex(z["re"], z["im"]) for z in data["zeta"]])
         beta = np.asarray(data["beta"], dtype=float) if "beta" in data else None
-        d = data.get("d")
         return cls(
             centers=np.asarray(data["centers"], dtype=float).reshape(-1, 3),
             a=float(data["a"]),
-            d=float(d) if d is not None else np.inf,
             kind=data["kind"],
             zeta=zeta,
             beta=beta,
@@ -268,7 +267,6 @@ def _place(medium, density, a, weight, cell_size):
                 f"cell {cell_idx} needs {n_c} particles in side {b:.3g}: spacing "
                 f"< {SPACING_FACTOR}a = {SPACING_FACTOR * a:.3g}")
     all_pts = []
-    d_min = np.inf
     discrepancy = 0.0
     for cell_idx, cell_lo, n_c, mass in cells:
         discrepancy += mass - n_c * weight
@@ -280,15 +278,9 @@ def _place(medium, density, a, weight, cell_size):
                 f"cell {cell_idx} needs {n_c} particles in side {b:.3g}: spacing "
                 f"{spacing:.3g} < {SPACING_FACTOR}a = {SPACING_FACTOR * a:.3g}")
         all_pts.append(pts)
-        d_min = min(d_min, spacing)
-    if not all_pts:
-        return np.zeros((0, 3)), np.inf, 0.0
-    centers = np.vstack(all_pts)
-    if len(centers) > 1:
-        d_min = min_spacing(centers)
     if discrepancy:
         logger.debug("lattice rounding discrepancy: %.3g (density mass units)", discrepancy)
-    return centers, d_min, discrepancy
+    return np.vstack(all_pts) if all_pts else np.zeros((0, 3))
 
 
 def min_spacing(centers) -> float:
@@ -330,10 +322,10 @@ def build_cloud_impedance(medium: BackgroundMedium, a: float, h_field, N_field,
     if np.any(np.abs(h[active] + 1.0) < 1e-12):
         raise InvariantViolation("h = -1 where N > 0: singular charge denominator")
 
-    centers, d_min, _ = _place(medium, N, a, a, cell_size)
+    centers = _place(medium, N, a, a, cell_size)
     h_at = medium.grid.value_at_cells(h, centers, outside=0.0 + 0.0j) if len(centers) else h[:0]
     zeta = h_to_impedance(h_at, a, shape_constants)
-    return ParticleCloud(centers=centers, a=a, d=d_min, kind="impedance",
+    return ParticleCloud(centers=centers, a=a, kind="impedance",
                          zeta=zeta, shape_constants=shape_constants)
 
 
@@ -346,8 +338,8 @@ def build_cloud_hard(medium: BackgroundMedium, a: float, nu_field, beta,
     # validates nu >= 0 and the d >> a compatibility bound
     measure = CountingMeasure(mode="per_volume", density=nu, shape_constants=shape_constants)
     weight = measure.particle_weight(a)
-    centers, d_min, _ = _place(medium, nu, a, weight, cell_size)
-    return ParticleCloud(centers=centers, a=a, d=d_min, kind="hard",
+    centers = _place(medium, nu, a, weight, cell_size)
+    return ParticleCloud(centers=centers, a=a, kind="hard",
                          beta=np.asarray(beta, dtype=float).reshape(3, 3),
                          shape_constants=shape_constants)
 
@@ -373,7 +365,7 @@ def validate_cloud(cloud: ParticleCloud, medium: BackgroundMedium) -> CloudRepor
     """Check the small-size, spacing, and passivity invariants of a cloud."""
     m = len(cloud)
     ka = medium.k * cloud.a
-    spacing = min_spacing(cloud.centers)
+    spacing = cloud.d
     max_zeta_a = float(np.max(np.abs(cloud.zeta)) * cloud.a) if (
         cloud.kind == "impedance" and m > 0) else None
     fraction = m * cloud.volume_per_particle / medium.grid.volume

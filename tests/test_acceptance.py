@@ -15,7 +15,6 @@ from smallbody.convergence import run_hard_study, run_impedance_study
 from smallbody.designer import (
     DesignSpec,
     choose_h_N,
-    potential_round_trip,
     realize,
     target_to_potential,
     verify_design,
@@ -26,10 +25,10 @@ from smallbody.foldy_impedance import amplitudes, far_field, solve_cloud
 from smallbody.foldy_neumann import ball_polarizability
 from smallbody.limit_solver import (
     LimitProblem,
-    hard_born_approximation,
+    _hard_source,
     limiting_amplitude,
-    solve_hard_limit,
-    solve_impedance_limit,
+    potential_from_h_N,
+    solve_limit,
 )
 from smallbody.medium import BackgroundMedium, Grid, free_kernel, lemma_bounds_check
 from smallbody.particles import (
@@ -54,7 +53,7 @@ def free_medium(k=1.0, n=4, lo=(-0.5, -0.5, -0.5), hi=(0.5, 0.5, 0.5)):
 
 
 def single_ball_cloud(a, h):
-    return ParticleCloud(centers=np.zeros((1, 3)), a=a, d=np.inf, kind="impedance",
+    return ParticleCloud(centers=np.zeros((1, 3)), a=a, kind="impedance",
                          zeta=h_to_impedance(np.array([h], dtype=complex), a))
 
 
@@ -87,7 +86,7 @@ def test_criterion_2_single_hard_ball():
     k = 1.0
     a = 0.05 / k
     med = free_medium(k=k)
-    cloud = ParticleCloud(centers=np.zeros((1, 3)), a=a, d=np.inf, kind="hard",
+    cloud = ParticleCloud(centers=np.zeros((1, 3)), a=a, kind="hard",
                           beta=ball_polarizability())
     res = solve_cloud(med, cloud, Z_HAT)
     ff = far_field(res, med, cloud, DirectionGrid(32, 64))
@@ -161,7 +160,7 @@ def test_criterion_5_design_round_trip():
     spec = DesignSpec(medium=med, target_n=target, a=1e-5)
     p = target_to_potential(spec)
     h, n_dens = choose_h_N(p)
-    realized = potential_round_trip(h, n_dens)
+    realized = potential_from_h_N(h, n_dens)
     assert np.abs(realized - p).max() <= 1e-12 * max(np.abs(p).max(), 1.0)
     assert np.all(h.imag <= 1e-14) and np.all(n_dens >= 0)
 
@@ -196,7 +195,7 @@ def test_criterion_6_optical_theorem():
     insub = np.all((nodes > 0.25) & (nodes < 0.75), axis=1)
     p = np.where(insub, 0.8, 0.0).astype(complex)
     problem = LimitProblem(medium=med, p=p)
-    fld = solve_impedance_limit(problem, Z_HAT)
+    fld = solve_limit(problem, Z_HAT)
     ff = limiting_amplitude(problem, fld)  # default 32x64 quadrature
     forward = (med.background_amplitude(Z_HAT[None, :], Z_HAT)[0]
                - weighted_u0_sum_grid(
@@ -233,15 +232,15 @@ def test_criterion_7_lemma_bound_suite():
     report(7, f"max ratio {bound:.3f} <= 5, log-slope {slope:+.3f} within 0.1")
 
 
-def test_criterion_8_born_fourier_and_first_iterate():
+def test_criterion_8_born_fourier_and_hard_fixed_point():
     """Gaussian-bump amplitude matches -p_hat(k(b-a))/(4pi) to 1%; the hard
-    fixed point's first step is bit-identical to the direct Born formula."""
+    limit solution satisfies U = u0 + G[Lap U nu + div(beta grad U nu)] to 1e-10."""
     med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (16, 16, 16)))
     nodes = med.grid.nodes
     sig, p0 = 0.12, 0.05
     p = p0 * np.exp(-np.sum((nodes - 0.5) ** 2, axis=1) / (2 * sig ** 2))
     problem = LimitProblem(medium=med, p=p)
-    fld = solve_impedance_limit(problem, Z_HAT)
+    fld = solve_limit(problem, Z_HAT)
     ff = limiting_amplitude(problem, fld, DirectionGrid(16, 32))
     betas = ff.grid.vectors()
     xi = med.k * (betas - Z_HAT)
@@ -255,10 +254,11 @@ def test_criterion_8_born_fourier_and_first_iterate():
     prof = np.where(np.abs(t) < 1, (1 - t ** 2) ** 2, 0.0)
     nu = 2e-3 * prof[:, 0] * prof[:, 1] * prof[:, 2]
     hard = LimitProblem(medium=med, nu=nu, beta_field=ball_polarizability())
-    first = solve_hard_limit(hard, Z_HAT, max_iter=1, tol=1.0)
-    born = hard_born_approximation(hard, Z_HAT)
-    assert np.array_equal(first.values, born.values)
-    report(8, f"Born/Fourier error {rel:.2e} <= 1e-2, first iterate bit-identical")
+    u = solve_limit(hard, Z_HAT).values
+    mapped = med.u0_grid(Z_HAT) + med.green_potential_grid(_hard_source(hard, u))
+    defect = np.linalg.norm(mapped - u) / np.linalg.norm(u)
+    assert defect <= 1e-10
+    report(8, f"Born/Fourier error {rel:.2e} <= 1e-2, hard fixed-point defect {defect:.1e}")
 
 
 def test_criterion_9_determinism_and_invariants(tmp_path):
@@ -295,8 +295,8 @@ def test_criterion_9_determinism_and_invariants(tmp_path):
     med = BackgroundMedium(1.0, grid)
     with pytest.raises(InvariantViolation):
         build_cloud_impedance(med, 1e-3, 1.0 + 0.5j, 0.05)
-    active = ParticleCloud(centers=np.zeros((1, 3)) + 0.5, a=1e-3, d=np.inf,
-                           kind="impedance", zeta=np.array([1.0 + 2.0j]))
+    active = ParticleCloud(centers=np.zeros((1, 3)) + 0.5, a=1e-3, kind="impedance",
+                           zeta=np.array([1.0 + 2.0j]))
     assert any("Im zeta" in f for f in validate_cloud(active, med).flags)
     report(9, "byte-identical reruns; passivity, spacing, and counting "
               "invariants enforced")

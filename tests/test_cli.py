@@ -242,17 +242,19 @@ class TestLimit:
         assert (out / "farfield.csv").exists()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
-        outs = []
-        for threads in ("1", "2"):
-            code, out = run(tmp_path / threads, "limit",
-                            scene_path=SCENES / "limit_born_bump.json",
-                            extra=("--threads", threads))
-            assert code == 0
-            outs.append(out)
-        for name in ("grid_field.csv", "field.csv", "farfield.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        meta = json.loads((outs[0] / "metadata.json").read_text())
-        assert meta["residual"] <= 1e-10 and meta["iterations"] >= 1
+        for scene, names in (("limit_born_bump", ("grid_field.csv", "field.csv", "farfield.csv")),
+                             ("limit_hard_bump", ("grid_field.csv", "field.csv"))):
+            outs = []
+            for threads in ("1", "2"):
+                code, out = run(tmp_path / scene / threads, "limit",
+                                scene_path=SCENES / f"{scene}.json", extra=("--threads", threads))
+                assert code == 0
+                outs.append(out)
+            assert sorted(p.name for p in outs[0].glob("*.csv")) == sorted(names)
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            meta = json.loads((outs[0] / "metadata.json").read_text())
+            assert meta["residual"] <= 1e-10 and meta["iterations"] >= 1
 
     def test_born_bump_amplitude_matches_transform(self, tmp_path):
         code, out = run(tmp_path, "limit", scene_path=SCENES / "limit_born_bump.json")
@@ -264,15 +266,16 @@ class TestLimit:
         forward = amp[np.argmax(np.cos(data[:, 0]))]
         assert forward.real == pytest.approx(-phat0 / (4 * np.pi), rel=0.02)
 
-    def test_hard_limit_non_contraction_exit_4(self, tmp_path):
+    def test_hard_limit_volume_density_exit_3(self, tmp_path):
+        # nu obeys the bound of the clouds, (nu/c3)^(1/3) <= 0.1
         scene = base_scene(
             medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 10, "k": 1.0},
             limit={"nu": {"type": "bump", "center": [0.5, 0.5, 0.5], "width": 0.3,
-                          "amplitude": 30.0}, "beta": -1.5})
+                          "amplitude": 20.0}, "beta": -1.5})
         code, out = run(tmp_path, "limit", scene_dict=scene)
-        assert code == 4
+        assert code == 3
         err = json.loads((out / "error.json").read_text())
-        assert "contract" in err["message"] or "reduce nu" in err["message"]
+        assert "volume density too large" in err["message"]
 
 
 @pytest.mark.parametrize("command,scene", [

@@ -6,13 +6,13 @@ import pytest
 from smallbody.designer import (
     DesignSpec,
     choose_h_N,
-    potential_round_trip,
     realize,
     target_to_potential,
     verify_design,
 )
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import evaluate_field, solve_cloud
+from smallbody.limit_solver import potential_from_h_N
 from smallbody.medium import BackgroundMedium, Grid, far_probe_points
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -68,7 +68,7 @@ class TestChooseHN:
         h, n = choose_h_N(np.array([-0.8 + 0j]))
         assert h[0] == -0.5
         assert n[0] == pytest.approx(0.8 / (4 * np.pi), rel=1e-12)
-        realized = potential_round_trip(h, n)
+        realized = potential_from_h_N(h, n)
         assert realized[0] == pytest.approx(-0.8, rel=1e-13)
 
     def test_branch_d(self):
@@ -80,7 +80,7 @@ class TestChooseHN:
         h, n = choose_h_N(p)
         assert h[0].real == -0.5 and h[0].imag < 0
         assert n[0] > 0
-        assert potential_round_trip(h, n)[0] == pytest.approx(p[0], rel=1e-13)
+        assert potential_from_h_N(h, n)[0] == pytest.approx(p[0], rel=1e-13)
 
     def test_round_trip_property_random_admissible(self):
         rng = np.random.default_rng(17)
@@ -91,7 +91,7 @@ class TestChooseHN:
         h, n = choose_h_N(p)
         assert np.all(h.imag <= 1e-14)
         assert np.all(n >= 0)
-        realized = potential_round_trip(h, n)
+        realized = potential_from_h_N(h, n)
         np.testing.assert_allclose(realized, p, rtol=1e-12, atol=1e-12)
 
     def test_gain_p_rejected(self):
@@ -104,7 +104,7 @@ class TestChooseHN:
         h_b, n_b = choose_h_N(np.array([p1 + 0j]))
         h_alt, n_alt = 2.0, 3 * p1 / (8 * np.pi)
         assert (h_b[0], n_b[0]) != (h_alt, n_alt)
-        alt = potential_round_trip(np.array([h_alt]), np.array([n_alt]))
+        alt = potential_from_h_N(np.array([h_alt]), np.array([n_alt]))
         assert alt[0] == pytest.approx(p1, rel=1e-13)
 
 

@@ -23,7 +23,6 @@ from smallbody.particles import (
     build_cloud_hard,
     build_cloud_impedance,
     h_to_impedance,
-    min_spacing,
 )
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -36,12 +35,7 @@ def free_medium(k=1.0, n=4):
 def ball_cloud(centers, a, h):
     centers = np.atleast_2d(centers)
     zeta = h_to_impedance(np.full(len(centers), h, dtype=complex), a)
-    if len(centers) > 1:
-        d = min(np.linalg.norm(centers[i] - centers[j])
-                for i in range(len(centers)) for j in range(i + 1, len(centers)))
-    else:
-        d = np.inf
-    return ParticleCloud(centers=centers, a=a, d=float(d), kind="impedance", zeta=zeta)
+    return ParticleCloud(centers=centers, a=a, kind="impedance", zeta=zeta)
 
 
 class TestChargeFormula:
@@ -190,8 +184,7 @@ class TestSolver:
         for m, solver in ((last_dense, "lu"), (last_dense + 1, "gmres")):
             c = centers[:m]
             cloud = (ball_cloud(c, a=1e-4, h=1.0) if kind == "impedance" else
-                     ParticleCloud(centers=c, a=1e-4, d=min_spacing(c), kind="hard",
-                                   beta=-1.5 * np.eye(3)))
+                     ParticleCloud(centers=c, a=1e-4, kind="hard", beta=-1.5 * np.eye(3)))
             assert solve_cloud(med, cloud, Z_HAT).solver == solver
 
 

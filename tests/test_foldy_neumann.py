@@ -20,13 +20,7 @@ def free_medium(k=1.0, n=4):
 
 
 def hard_cloud(centers, a, beta=None):
-    centers = np.atleast_2d(centers)
-    if len(centers) > 1:
-        d = min(np.linalg.norm(centers[i] - centers[j])
-                for i in range(len(centers)) for j in range(i + 1, len(centers)))
-    else:
-        d = np.inf
-    return ParticleCloud(centers=centers, a=a, d=float(d), kind="hard",
+    return ParticleCloud(centers=np.atleast_2d(centers), a=a, kind="hard",
                          beta=ball_polarizability() if beta is None else beta)
 
 

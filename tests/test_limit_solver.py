@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from smallbody.directions import DirectionGrid
-from smallbody.errors import InvariantViolation, SolverFailure
+from smallbody.errors import InvariantViolation
 from smallbody.limit_solver import (
     LimitProblem,
+    _hard_source,
     hard_born_approximation,
-    hard_limit_field_at,
-    impedance_limit_field_at,
+    limit_field_at,
     limiting_amplitude,
     potential_from_h_N,
-    solve_hard_limit,
-    solve_impedance_limit,
+    solve_limit,
 )
 from smallbody.medium import DENSE_GRID_CAP, BackgroundMedium, Grid, free_kernel
 from reference import weighted_u0_sum_grid
@@ -66,7 +65,7 @@ class TestImpedanceLimit:
     def test_zero_potential_returns_incident(self):
         med = cube_medium()
         problem = LimitProblem(medium=med, p=0.0)
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         np.testing.assert_allclose(
             fld.values, np.exp(1j * med.k * med.grid.nodes[:, 2]), rtol=1e-12)
 
@@ -80,8 +79,8 @@ class TestImpedanceLimit:
 
         def defect(eps):
             problem = LimitProblem(medium=med, p=eps)
-            fld = solve_impedance_limit(problem, Z_HAT)
-            u_probe = impedance_limit_field_at(problem, fld, probe).values[0]
+            fld = solve_limit(problem, Z_HAT)
+            u_probe = limit_field_at(problem, fld, probe).values[0]
             u0 = np.exp(1j * med.k * probe[0, 2])
             return abs(u_probe - (u0 - eps * born_term))
 
@@ -96,7 +95,7 @@ class TestImpedanceLimit:
             nodes = med.grid.nodes
             p = 0.8 * np.exp(-np.sum((nodes - 0.5) ** 2, axis=1) / (2 * 0.18 ** 2))
             problem = LimitProblem(medium=med, p=p)
-            fld = solve_impedance_limit(problem, Z_HAT)
+            fld = solve_limit(problem, Z_HAT)
             shape = med.grid.shape
             delta = med.grid.delta
             v = fld.values.reshape(shape)
@@ -118,8 +117,8 @@ class TestImpedanceLimit:
         for n in (4, 8, 16):
             med = cube_medium(n=n)
             problem = LimitProblem(medium=med, p=1.0)
-            fld = solve_impedance_limit(problem, Z_HAT)
-            vals[n] = impedance_limit_field_at(problem, fld, probe).values
+            fld = solve_limit(problem, Z_HAT)
+            vals[n] = limit_field_at(problem, fld, probe).values
         e_coarse = np.abs(vals[4] - vals[8]).max()
         e_fine = np.abs(vals[8] - vals[16]).max()
         assert e_coarse / e_fine >= 3.5
@@ -129,21 +128,21 @@ class TestImpedanceLimit:
         med = cube_medium(n=32)
         assert med.grid.size > DENSE_GRID_CAP
         problem = LimitProblem(medium=med, p=0.8 * bump_profile(med.grid.nodes))
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         assert fld.residual <= 1e-10
         assert 1 <= fld.iterations <= 20
 
     def test_radiation_extraction(self):
         med = cube_medium(n=8)
         problem = LimitProblem(medium=med, p=1.0)
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         beta = np.array([0.8, 0.0, 0.6])
         amp_grid = DirectionGrid(16, 32)
         # amplitude at this specific direction via the weighted sum
         amp = -weighted_u0_sum_grid(med, beta[None, :],
                                     problem.p * fld.values * med.weight)[0] / (4 * np.pi)
         r = 200.0
-        u_r = impedance_limit_field_at(problem, fld, (r * beta)[None, :]).values[0]
+        u_r = limit_field_at(problem, fld, (r * beta)[None, :]).values[0]
         u0_r = np.exp(1j * med.k * r * beta @ Z_HAT)
         extracted = r * np.exp(-1j * med.k * r) * (u_r - u0_r)
         assert abs(extracted - amp) / abs(amp) <= 3.0 / (med.k * r)
@@ -153,7 +152,7 @@ class TestLimitingAmplitude:
     def test_zero_potential_gives_background_amplitude(self):
         med = cube_medium(n=8)
         problem = LimitProblem(medium=med, p=0.0)
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         ff = limiting_amplitude(problem, fld, DirectionGrid(8, 16))
         assert np.all(ff.values == 0)  # free background: A0 = 0
 
@@ -164,7 +163,7 @@ class TestLimitingAmplitude:
         sig, p0 = 0.12, 0.05
         p = p0 * np.exp(-np.sum((nodes - 0.5) ** 2, axis=1) / (2 * sig ** 2))
         problem = LimitProblem(medium=med, p=p)
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         ff = limiting_amplitude(problem, fld, DirectionGrid(8, 16))
         betas = ff.grid.vectors()
         xi = med.k * (betas - Z_HAT)
@@ -181,10 +180,10 @@ class TestLimitingAmplitude:
         alpha = Z_HAT
         beta = np.array([0.6, 0.48, 0.64])
         problem = LimitProblem(medium=med, p=p)
-        f1 = solve_impedance_limit(problem, alpha)
+        f1 = solve_limit(problem, alpha)
         a_fwd = -weighted_u0_sum_grid(med, beta[None, :],
                                       p * f1.values * med.weight)[0] / (4 * np.pi)
-        f2 = solve_impedance_limit(problem, -beta)
+        f2 = solve_limit(problem, -beta)
         a_rev = -weighted_u0_sum_grid(med, -alpha[None, :],
                                       p * f2.values * med.weight)[0] / (4 * np.pi)
         assert abs(a_fwd - a_rev) <= 1e-8 * abs(a_fwd)
@@ -193,7 +192,7 @@ class TestLimitingAmplitude:
         # real q0 and real p: Im A(alpha,alpha) = (k/4pi) int |A|^2 within 1e-3
         problem = ball_background_problem()
         med, p = problem.medium, problem.p
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         ff = limiting_amplitude(problem, fld)
         forward = (med.background_amplitude(Z_HAT[None, :], Z_HAT)[0]
                    - weighted_u0_sum_grid(med, Z_HAT[None, :],
@@ -206,10 +205,10 @@ class TestLimitingAmplitude:
         # kernel: neither the near nor the far field solves the background
         problem = ball_background_problem()
         med, p = problem.medium, problem.p
-        fld = solve_impedance_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         directions = DirectionGrid(4, 8)
         ff = limiting_amplitude(problem, fld, directions)
-        impedance_limit_field_at(problem, fld, [[0.5, 0.5, 4.0], [-3.0, 0.2, 0.5]])
+        limit_field_at(problem, fld, [[0.5, 0.5, 4.0], [-3.0, 0.2, 0.5]])
         assert med._lu is None
         betas = directions.vectors()
         reference = (med.background_amplitude(betas, Z_HAT)
@@ -223,28 +222,37 @@ class TestHardLimit:
         nu = nu0 * bump_profile(med.grid.nodes)
         return LimitProblem(medium=med, nu=nu, beta_field=-1.5 * np.eye(3))
 
-    def test_nonfree_hard_limit_skips_the_grid_factorization(self):
-        # one-column grid solves run FFT GMRES: no 4096^2 matrix and no LU
-        nodes = Grid((0, 0, 0), (1, 1, 1), (16, 16, 16)).nodes
+    def ball_problem(self, nu0=2e-3, n=12):
+        """The bump of make_problem inside an n0 = 1.15 ball."""
+        nodes = Grid((0, 0, 0), (1, 1, 1), (n, n, n)).nodes
         n0 = np.where(np.linalg.norm(nodes - 0.5, axis=1) < 0.4, 1.15, 1.0)
-        problem = self.make_problem(nu0=0.01, n=16, n0=n0)
-        fld = solve_hard_limit(problem, Z_HAT)
-        hard_limit_field_at(problem, fld, [[0.5, 0.5, 4.0]])
+        return self.make_problem(nu0=nu0, n=n, n0=n0)
+
+    def test_nonfree_hard_limit_skips_the_grid_factorization(self):
+        # the limit system carries q0 itself: no background grid solve at all,
+        # so no 4096^2 matrix, no LU and no incident field
+        problem = self.ball_problem(nu0=0.004, n=16)
+        fld = solve_limit(problem, Z_HAT)
+        limit_field_at(problem, fld, [[0.5, 0.5, 4.0]])
         assert problem.medium._lu is None
-        assert fld.iterations == 4
+        assert problem.medium._u0_cache == {}
+        assert fld.residual <= 1e-10 and 1 <= fld.iterations <= 20
 
     def test_zero_nu_returns_incident(self):
         med = cube_medium(n=8)
         problem = LimitProblem(medium=med, nu=0.0, beta_field=-1.5 * np.eye(3))
-        fld = solve_hard_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         np.testing.assert_allclose(
             fld.values, np.exp(1j * med.k * med.grid.nodes[:, 2]), rtol=1e-13)
 
-    def test_first_iterate_is_born_bitwise(self):
-        problem = self.make_problem()
-        first = solve_hard_limit(problem, Z_HAT, max_iter=1, tol=1.0)
-        born = hard_born_approximation(problem, Z_HAT)
-        assert np.array_equal(first.values, born.values)
+    def test_solution_satisfies_the_fixed_point_map(self):
+        # U = u0 + G[Lap U nu + div(beta grad U nu)], with u0 and G from the
+        # background grid solves that the limit system does without
+        for problem in (self.make_problem(), self.ball_problem()):
+            med = problem.medium
+            u = solve_limit(problem, Z_HAT).values
+            mapped = med.u0_grid(Z_HAT) + med.green_potential_grid(_hard_source(problem, u))
+            assert np.linalg.norm(mapped - u) <= 1e-10 * np.linalg.norm(u)
 
     def test_substituted_form_agrees_to_fd_order(self):
         # replacing Lap u0 by -k^2 n0 u0 changes the correction only at FD order
@@ -263,17 +271,20 @@ class TestHardLimit:
 
     def test_fixed_point_converges_and_improves_on_born(self):
         problem = self.make_problem()
-        fld = solve_hard_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         born = hard_born_approximation(problem, Z_HAT)
         # iteration drifts away from the first iterate by O(nu^2)
         drift = np.abs(fld.values - born.values).max()
         corr = np.abs(born.values - problem.medium.u0_grid(Z_HAT)).max()
         assert 0 < drift < 0.05 * corr
 
-    def test_non_contraction_raises(self):
-        problem = self.make_problem(nu0=20.0)
-        with pytest.raises(SolverFailure, match="non-contractive|reduce nu"):
-            solve_hard_limit(problem, Z_HAT)
+    def test_volume_density_bound_enforced(self):
+        # the bound of the clouds, (nu/c3)^(1/3) <= 0.1, holds for the limit too
+        with pytest.raises(InvariantViolation, match="volume density too large"):
+            self.make_problem(nu0=20.0)
+        with pytest.raises(InvariantViolation, match="volume density too large"):
+            self.make_problem(nu0=0.01)
+        self.make_problem(nu0=0.004)
 
     def test_collar_enforced(self):
         med = cube_medium(n=8)
@@ -285,11 +296,11 @@ class TestHardLimit:
         k = 1.0
         problem = self.make_problem(nu0=1e-3, n=16, k=k)
         med = problem.medium
-        fld = solve_hard_limit(problem, Z_HAT)
+        fld = solve_limit(problem, Z_HAT)
         r = 300.0
         betas = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, -0.8]])
         pts = r * betas
-        u_r = hard_limit_field_at(problem, fld, pts).values
+        u_r = limit_field_at(problem, fld, pts).values
         u0_r = np.exp(1j * k * pts @ Z_HAT)
         extracted = r * np.exp(-1j * k * r) * (u_r - u0_r)
 
@@ -313,9 +324,7 @@ class TestHardLimit:
         med = cube_medium(n=8)
         imp = LimitProblem(medium=med, p=0.5)
         with pytest.raises(InvariantViolation):
-            solve_hard_limit(imp, Z_HAT)
+            hard_born_approximation(imp, Z_HAT)
         hard = LimitProblem(medium=med, nu=0.0, beta_field=-1.5 * np.eye(3))
-        with pytest.raises(InvariantViolation):
-            solve_impedance_limit(hard, Z_HAT)
         with pytest.raises(InvariantViolation):
             limiting_amplitude(hard, None)

@@ -277,7 +277,7 @@ class TestBoxFFT:
         if kind == "impedance":
             system = ImpedanceSystem(med, centers, np.linspace(0.5, 1.5, 60))
         else:
-            system = HardSystem(med, ParticleCloud(centers=centers, a=0.02, d=0.05, kind="hard",
+            system = HardSystem(med, ParticleCloud(centers=centers, a=0.02, kind="hard",
                                                    beta=[[-1.5, 0.2, 0], [0.2, -1.2, 0.1],
                                                          [0, 0.1, -1.0]]))
         a = system.matrix()

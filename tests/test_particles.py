@@ -185,13 +185,13 @@ class TestSerialization:
 class TestValidateCloud:
     def test_flags_close_pair(self):
         cloud = ParticleCloud(centers=np.array([[0.0, 0, 0], [5e-3, 0, 0]]),
-                              a=1e-3, d=5e-3, kind="impedance",
+                              a=1e-3, kind="impedance",
                               zeta=np.array([1.0, 1.0], dtype=complex))
         rep = validate_cloud(cloud, unit_cube_medium())
         assert any("spacing" in f for f in rep.flags)
 
     def test_empty_cloud_report(self):
-        cloud = ParticleCloud(centers=np.zeros((0, 3)), a=1e-3, d=np.inf,
-                              kind="impedance", zeta=np.zeros(0, dtype=complex))
+        cloud = ParticleCloud(centers=np.zeros((0, 3)), a=1e-3, kind="impedance",
+                              zeta=np.zeros(0, dtype=complex))
         rep = validate_cloud(cloud, unit_cube_medium())
         assert rep.ok and rep.m == 0 and rep.volume_fraction == 0.0
