@@ -421,9 +421,8 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
             beta_field=parse_beta(lspec["beta"]))
     fld = solve_limit(problem, alpha)
     at_points = limit_field_at(problem, fld, points)
-    if not problem.is_hard:
-        write_farfield_csv(out / "farfield.csv",
-                           limiting_amplitude(problem, fld, DirectionGrid(**scene["directions"])))
+    write_farfield_csv(out / "farfield.csv",
+                       limiting_amplitude(problem, fld, DirectionGrid(**scene["directions"])))
     wall = time.perf_counter() - t0
     write_field_csv(out / "grid_field.csv", fld.points, fld.values)
     write_field_csv(out / "field.csv", at_points.points, at_points.values)

@@ -1,10 +1,11 @@
-"""Many-body Foldy pipeline, and its impedance species.
+"""Many-body Foldy system and pipeline of both particle species.
 
-Both particle species reduce to one linear system in per-particle unknowns
-whose coefficients are the background Green function and its derivatives;
-only the per-particle blocks differ.  The pipeline here -- validate, incident
-data, dense LU or GMRES on a lattice-FFT or direct apply, far-zone guard,
-field, amplitudes -- serves both; foldy_neumann supplies the hard species.
+Both species reduce to one linear system in per-particle unknowns whose
+coefficients are the background Green function and its derivatives; only
+the local map from a particle's field to its sources differs (FoldySystem).
+The pipeline here -- validate, incident data, dense LU or GMRES on a
+lattice-FFT or direct apply, far-zone guard, field, amplitudes -- serves
+both; foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -83,38 +84,98 @@ def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
     return 4.0 * np.pi * c1 ** 2 / c2 * cloud.a * h / (1.0 + h)
 
 
-class ImpedanceSystem:
-    """The impedance species: one unknown u_e(x_m) per particle."""
+class FoldySystem:
+    """The M-body system of either species, in its per-particle unknowns.
 
-    kind = "impedance"
-    order = 0  # incident data: values only
+    Particle m radiates Q_m = q_m u_e(x_m) and P_m = -vb grad u_e(x_m), and
+    [u_e; grad u_e](x_j) = [u0; grad u0](x_j) + sum_{m != j} K(x_j, x_m) [Q_m; P_m]
+    with K = [[G, grad_y G], [grad_x G, d^2 G / dx dy]].  Impedance particles:
+    q = -c (coupling_constants), unknowns u_e (order 0; vb is 0 x 0).  Hard
+    particles: q = V (q0(x_m) - k^2), vb = V beta, unknowns [u_e (M),
+    grad u_e (M,3) row-major] (order 1).  Order 0 truncates K to G.
+    """
 
-    def __init__(self, medium: BackgroundMedium, centers, coupling):
-        self.medium, self.centers, self.coupling = medium, centers, coupling
+    def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
+        self.medium, self.centers, self.kind = medium, cloud.centers, cloud.kind
+        if cloud.kind == "hard":
+            self.order = 1  # incident data: values and gradients
+            self.q = (medium.q0_at(cloud.centers) - medium.k ** 2) * cloud.volume_per_particle
+            self.vb = cloud.volume_per_particle * cloud.beta
+        else:
+            self.order, self.q, self.vb = 0, -coupling_constants(cloud), np.zeros((0, 0))
 
     def matrix(self) -> np.ndarray:
-        """I + G_offdiag diag(c)."""
-        a = self.medium.green_blocks(self.centers)[0] * self.coupling[None, :]
+        """I - K diag(q, -vb) over all pairs; order 0: I - G diag(q)."""
+        m, mq = len(self.centers), -self.q
+        blocks = self.medium.green_blocks(self.centers, order=2 * self.order)
+        if self.order:
+            gmat, grad_x, grad_y, hess = blocks
+            a = np.empty((4 * m, 4 * m), dtype=complex)
+            a[:m, :m] = gmat * mq[None, :]
+            a[:m, m:] = (grad_y @ self.vb).reshape(m, 3 * m)
+            a[m:, :m] = (grad_x * mq[None, :, None]).transpose(0, 2, 1).reshape(3 * m, m)
+            a[m:, m:] = (hess @ self.vb).transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+        else:
+            a = blocks[0]
+            a *= mq[None, :]
         a[np.diag_indices_from(a)] += 1.0
         return a
 
-    def apply(self, u) -> np.ndarray:
-        cu = self.coupling * u
-        out = u.astype(complex)
+    def apply(self, vec) -> np.ndarray:
+        """matrix() @ vec from the pair kernels, a row chunk at a time."""
+        m = len(self.centers)
+        qu = self.q * vec[:m]
+        bd = vec[m:].reshape(m, 3 * self.order) @ self.vb.T  # sum_q vb_{pq} D_{mq}
+        out = vec.astype(complex)
+        out_u, out_d = out[:m], out[m:].reshape(bd.shape)
         for rows, diag, diff, r in _row_chunks(self.centers, self.order):
-            g = helmholtz_kernels(diff, r, self.medium.k)
-            g[diag] = 0.0
-            out[rows] += g @ cu
+            if not self.order:
+                g = helmholtz_kernels(diff, r, self.medium.k)
+                g[diag] = 0.0
+                out_u[rows] -= g @ qu
+                continue
+            g, grad_y, hess_bd = helmholtz_kernels(diff, r, self.medium.k, 2, dipoles=bd)
+            for t in (g, grad_y, hess_bd):
+                t[diag] = 0.0
+            # grad_x g = -grad_y g, so the monopole gradient term flips sign
+            out_u[rows] += -(g @ qu) + np.einsum("jmp,mp->j", grad_y, bd)
+            out_d[rows] += np.einsum("jms,m->js", grad_y, qu) + hess_bd.sum(axis=1)
         return out
 
     def lattice_apply(self, lattice):
-        """apply() by FFT for centres on ``lattice``."""
-        conv = LatticeConvolution(lattice, lambda diff, r: [helmholtz_kernels(diff, r, self.medium.k)])
-        return lambda u: u + conv(self.coupling * u)
+        """apply() by FFT for centres on ``lattice``: the pair kernel acting on
+        the sources [q u, vb grad u] is the symmetric block
+        [[-g, grad_y g], [grad_y g, d^2 g / dx dy]], of which order 0 keeps -g."""
+        k, m = self.medium.k, len(self.centers)
+
+        def kernels(diff, r):
+            if not self.order:
+                return [-helmholtz_kernels(diff, r, k)]
+            g, grad_y, hess = helmholtz_kernels(diff, r, k, 2)
+            return [-g, *np.moveaxis(grad_y, -1, 0),
+                    *(hess[..., q, p] for q, p in zip(*np.triu_indices(3)))]
+
+        # a derivative along axis i flips the parity of the even g in m_i
+        e = np.eye(3, dtype=int)
+        orders = [np.zeros(3, dtype=int), *e, *(e[q] + e[p] for q, p in zip(*np.triu_indices(3)))]
+        conv = LatticeConvolution(lattice, kernels,
+                                  parity=(-1) ** np.array(orders[:1 + 9 * self.order]))
+
+        def apply(vec):
+            dipoles = self.vb @ vec[m:].reshape(m, 3 * self.order).T
+            out = conv(np.vstack([self.q * vec[:m], dipoles]))
+            return vec + np.concatenate([out[0], out[1:].T.reshape(-1)])
+
+        return apply
 
     def result(self, sol, **stats) -> FoldySolveResult:
-        return FoldySolveResult(effective_values=sol, charges=-self.coupling * sol,
-                                coupling=self.coupling, **stats)
+        m = len(self.centers)
+        ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
+        if self.order:
+            stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))
+        else:
+            stats.update(coupling=-self.q)
+        return FoldySolveResult(effective_values=ue, charges=self.q * ue, **stats)
 
 
 class LatticeConvolution:
@@ -181,11 +242,7 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
     if not report.ok:
         raise InvariantViolation("invalid cloud: " + "; ".join(report.flags))
     alpha = _unit(alpha)
-    if cloud.kind == "hard":
-        from .foldy_neumann import HardSystem  # foldy_neumann builds on this module
-        system = HardSystem(medium, cloud)
-    else:
-        system = ImpedanceSystem(medium, cloud.centers, coupling_constants(cloud))
+    system = FoldySystem(medium, cloud)
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
     sol, residual, iterations, rcond, solver = _solve_system(

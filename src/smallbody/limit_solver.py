@@ -138,9 +138,8 @@ def limit_field_at(problem: LimitProblem, field: ComplexField, points) -> Comple
 
 def limiting_amplitude(problem: LimitProblem, field: ComplexField,
                        directions: DirectionGrid | None = None) -> FarField:
-    """A(beta,alpha) = A0(beta,alpha) - (1/4pi) integral u0(y,-beta) p(y) u(y) dy."""
-    if problem.is_hard:
-        raise InvariantViolation("limiting_amplitude applies to the impedance limit")
+    """Far field of either limit: the amplitude of the grid density -src(u) delta^3;
+    for a potential p, A0(beta,alpha) - (1/4pi) integral u0(y,-beta) p(y) u(y) dy."""
     grid = directions or DirectionGrid()
     values = problem.medium.amplitude(grid.vectors(), _density(problem, field))
     return FarField(grid=grid, values=values, alpha=field.incident_direction)

@@ -71,11 +71,17 @@ def _solve_checked(apply, rhs, what, lu=None):
     """
     rhs = np.asarray(rhs, dtype=complex)
     norms = []  # GMRES residual norm per inner iteration
+    last = [None, None]  # GMRES's last (x, A x): it ends on A x at the x it returns
     if lu is not None:
         sol = sla.lu_solve(lu, rhs)
     else:
+        def matvec(x):
+            y = apply(x)
+            last[:] = x.copy(), y.copy()  # GMRES updates both in place
+            return y
+
         n = len(rhs)
-        op = spla.LinearOperator((n, n), matvec=apply, dtype=complex)
+        op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
         cols = rhs.reshape(n, -1)
         sol = np.empty_like(cols)
         for j in range(cols.shape[1]):
@@ -95,7 +101,7 @@ def _solve_checked(apply, rhs, what, lu=None):
                     f"{what}: GMRES did not converge (info={info}); spectral radius "
                     f"estimate of A - I {rho:.3f}", spectral_radius=rho)
         sol = sol.reshape(rhs.shape)
-    r = apply(sol)
+    r = last[1] if np.array_equal(last[0], sol) else apply(sol)
     r -= rhs
     resid = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
     logger.debug("%s: %s, residual %.2e, %d GMRES iterations",

@@ -243,7 +243,7 @@ class TestLimit:
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         for scene, names in (("limit_born_bump", ("grid_field.csv", "field.csv", "farfield.csv")),
-                             ("limit_hard_bump", ("grid_field.csv", "field.csv"))):
+                             ("limit_hard_bump", ("grid_field.csv", "field.csv", "farfield.csv"))):
             outs = []
             for threads in ("1", "2"):
                 code, out = run(tmp_path / scene / threads, "limit",

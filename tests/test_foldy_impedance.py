@@ -7,7 +7,7 @@ from smallbody import foldy_impedance
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
-    ImpedanceSystem,
+    FoldySystem,
     _solve_system,
     amplitudes,
     charge_from_effective_field,
@@ -129,7 +129,7 @@ class TestSolver:
         assert len(cloud) == 4000
         lattice = lattice_of(cloud.centers)
         assert lattice.shape == (10, 20, 20)
-        system = ImpedanceSystem(med, cloud.centers, coupling_constants(cloud))
+        system = FoldySystem(med, cloud)
         rng = np.random.default_rng(3)
         u = rng.normal(size=len(cloud)) + 1j * rng.normal(size=len(cloud))
         direct = system.apply(u) - u
@@ -152,9 +152,8 @@ class TestSolver:
         med = free_medium()
         centers = np.array([[0.2, 0.5, 0.5], [0.8, 0.5, 0.5]])
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
-        c = coupling_constants(cloud)
         u0 = np.exp(1j * med.k * centers[:, 2])
-        system = ImpedanceSystem(med, centers, c)
+        system = FoldySystem(med, cloud)
         u1 = _solve_system(system, lambda: u0)[0]
         u2 = _solve_system(system, lambda: 2.0 * u0)[0]
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)

@@ -5,9 +5,10 @@ import pytest
 
 from smallbody import foldy_impedance
 from smallbody.directions import DirectionGrid
-from smallbody.foldy_impedance import amplitudes, evaluate_field, far_field, solve_cloud
-from smallbody.foldy_neumann import HardSystem, ball_polarizability
-from smallbody.medium import BackgroundMedium, Grid, free_kernel, lattice_of
+from smallbody.foldy_impedance import (FoldySystem, amplitudes, evaluate_field, far_field,
+                                       solve_cloud)
+from smallbody.foldy_neumann import ball_polarizability
+from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, free_kernel, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
 from reference import free_kernel_grad_y
 
@@ -122,6 +123,50 @@ class TestCoupledSystem:
         expected = (np.exp(2.0j * med.k)
                     + free_kernel(pt[0], center[0], med.k) * res.charges[0])
         assert fld.values[0] == pytest.approx(expected, rel=1e-14)
+
+    @staticmethod
+    def species_pair(med, a=5e-3):
+        """A beta = 0 hard cloud on a 5^3 lattice, and the impedance cloud on
+        its centres with coupling c = -q = V (k^2 - q0): on balls
+        h = c / (4 pi a - c) and zeta = h / a."""
+        hard = build_cloud_hard(med, a=a, nu_field=125 * C3 * a ** 3, beta=np.zeros((3, 3)))
+        assert len(hard) == 125
+        c = (med.k ** 2 - med.q0_at(hard.centers)) * hard.volume_per_particle
+        h = c / (4 * np.pi * a - c)
+        return hard, ParticleCloud(centers=hard.centers, a=a, kind="impedance", zeta=h / a)
+
+    @pytest.mark.parametrize("background", ["free", "ball"])
+    def test_beta_zero_is_the_impedance_cloud_of_coupling_minus_q(self, monkeypatch, background):
+        # both species radiate Q = q u_e: without a dipole the hard values solve
+        # the impedance system of c = -q (dense LU on both sides)
+        monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
+        grid = Grid((0, 0, 0), (1, 1, 1), (4, 4, 4))
+        n0 = 1.0 if background == "free" else np.where(
+            np.linalg.norm(grid.nodes - 0.5, axis=1) < 0.4, 1.15, 1.0)
+        med = BackgroundMedium(2.0, grid, n0)
+        hard, imp = self.species_pair(med)
+        res_hard, res_imp = solve_cloud(med, hard, Z_HAT), solve_cloud(med, imp, Z_HAT)
+        assert res_hard.solver == res_imp.solver == "lu"
+        np.testing.assert_allclose(res_hard.effective_values, res_imp.effective_values,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res_hard.charges, res_imp.charges, rtol=1e-12, atol=0)
+
+    def test_beta_zero_lattice_path_is_the_impedance_cloud_of_coupling_minus_q(self):
+        # the value rows of the hard lattice apply are the impedance lattice
+        # apply to 1e-12; the two GMRES solves agree to their residual bound
+        med = free_medium(k=2.0)
+        hard, imp = self.species_pair(med)
+        m = len(hard)
+        lattice = lattice_of(hard.centers)
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=(4 * m, 2)) @ [1.0, 1j]
+        got = FoldySystem(med, hard).lattice_apply(lattice)(v)[:m] - v[:m]
+        want = FoldySystem(med, imp).lattice_apply(lattice)(v[:m]) - v[:m]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        res_hard, res_imp = solve_cloud(med, hard, Z_HAT), solve_cloud(med, imp, Z_HAT)
+        assert res_hard.solver == res_imp.solver == "lattice_fft"
+        diff = np.linalg.norm(res_hard.effective_values - res_imp.effective_values)
+        assert diff <= 10 * RESIDUAL_TOL * np.linalg.norm(res_imp.effective_values)
 
     def test_gradient_consistency_fd(self):
         # solver gradient at x_j matches finite differences of the field
@@ -272,7 +317,7 @@ class TestScaleLaw:
         assert len(cloud) == 4028
         lattice = lattice_of(cloud.centers)
         assert lattice.shape == (16, 16, 16)
-        system = HardSystem(med, cloud)
+        system = FoldySystem(med, cloud)
         rng = np.random.default_rng(5)
         v = rng.normal(size=4 * len(cloud)) + 1j * rng.normal(size=4 * len(cloud))
         direct = system.apply(v) - v

@@ -320,11 +320,26 @@ class TestHardLimit:
         ratio = extracted / oracle
         assert np.abs(ratio - 1.0).max() <= 0.05
 
+    def test_far_field_obeys_the_optical_theorem_and_the_far_zone(self):
+        # real nu and beta conserve energy: Im A(alpha,alpha) = (k/4pi) int |A|^2;
+        # and A is the e^{ikR}/R profile of the scattered part of limit_field_at
+        problem = self.make_problem(nu0=0.004, n=12)
+        med = problem.medium
+        fld = solve_limit(problem, Z_HAT)
+        ff = limiting_amplitude(problem, fld)
+        # free background: the density -src(u) delta^3 is the hard source times delta^3
+        source = _hard_source(problem, fld.values) * med.weight
+        forward = weighted_u0_sum_grid(med, Z_HAT[None, :], source)[0] / (4 * np.pi)
+        flux = med.k / (4 * np.pi) * ff.integral_abs_squared()
+        assert abs(forward.imag - flux) / abs(forward.imag) <= 1e-3
+        r = 2000.0
+        betas = ff.grid.vectors()
+        u_r = limit_field_at(problem, fld, r * betas).values
+        scattered = r * np.exp(-1j * med.k * r) * (u_r - np.exp(1j * med.k * r * betas @ Z_HAT))
+        assert np.abs(scattered - ff.values).max() <= 2e-3 * np.abs(ff.values).max()
+
     def test_requires_matching_kind(self):
         med = cube_medium(n=8)
         imp = LimitProblem(medium=med, p=0.5)
         with pytest.raises(InvariantViolation):
             hard_born_approximation(imp, Z_HAT)
-        hard = LimitProblem(medium=med, nu=0.0, beta_field=-1.5 * np.eye(3))
-        with pytest.raises(InvariantViolation):
-            limiting_amplitude(hard, None)

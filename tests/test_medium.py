@@ -27,9 +27,8 @@ from smallbody.medium import (
     _solve_checked,
     _unit,
 )
-from smallbody.foldy_impedance import ImpedanceSystem
-from smallbody.foldy_neumann import HardSystem
-from smallbody.particles import ParticleCloud
+from smallbody.foldy_impedance import FoldySystem
+from smallbody.particles import ParticleCloud, h_to_impedance
 from reference import free_kernel_grad_y, free_kernel_hess_xy, trilinear_interpolate
 
 ORIGIN = np.zeros(3)
@@ -275,11 +274,14 @@ class TestBoxFFT:
         # couplings of order one, so that the pair sums are not lost in
         # rounding when the identity part is taken off the apply
         if kind == "impedance":
-            system = ImpedanceSystem(med, centers, np.linspace(0.5, 1.5, 60))
+            # balls with the couplings c = 0.5 ... 1.5: h = c / (4 pi a - c)
+            c = np.linspace(0.5, 1.5, 60)
+            cloud = ParticleCloud(centers=centers, a=0.02, kind="impedance",
+                                  zeta=h_to_impedance(c / (4 * np.pi * 0.02 - c), 0.02))
         else:
-            system = HardSystem(med, ParticleCloud(centers=centers, a=0.02, kind="hard",
-                                                   beta=[[-1.5, 0.2, 0], [0.2, -1.2, 0.1],
-                                                         [0, 0.1, -1.0]]))
+            cloud = ParticleCloud(centers=centers, a=0.02, kind="hard",
+                                  beta=[[-1.5, 0.2, 0], [0.2, -1.2, 0.1], [0, 0.1, -1.0]])
+        system = FoldySystem(med, cloud)
         a = system.matrix()
         dense = a - np.eye(len(a))
         f = np.random.default_rng(6).normal(size=(len(dense), 2)) @ [1.0, 1j]
@@ -635,6 +637,23 @@ class TestCheckedSolve:
             _solve_checked(lambda x: np.roll(x, 1), rhs, "shift solve")
         # A - I = S - I has the eigenvalues e^{2 pi i j / 50} - 1, of modulus <= 2
         assert 1.5 < exc.value.spectral_radius <= 2.0 + 1e-12
+
+    def test_gmres_residual_reuses_its_last_apply(self):
+        # GMRES ends on A x at the x it returns, so the residual check applies
+        # A no more: one apply per inner iteration plus that last one
+        rng = np.random.default_rng(2)
+        n = 200
+        a = np.eye(n) + 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return a @ x
+
+        x, resid, iterations = _solve_checked(apply, b, "counted solve")
+        assert iterations > 0 and len(calls) == iterations + 1
+        assert resid == pytest.approx(np.linalg.norm(a @ x - b) / np.linalg.norm(b), rel=1e-12)
 
     def test_residual_above_bound_raises(self):
         rng = np.random.default_rng(1)
