@@ -22,13 +22,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
 from .medium import (BackgroundMedium, ComplexField, _embedding_spectrum, _factor,
                      _solve_checked, _toeplitz_apply, _unit, helmholtz_kernels, lattice_of)
-from .particles import ParticleCloud, impedance_to_h, validate_cloud
+from .particles import ParticleCloud, impedance_to_h, nearest_distances, validate_cloud
 
 logger = logging.getLogger(__name__)
 
@@ -301,7 +300,7 @@ def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: Pa
     if exclude is not None:
         keep = keep[keep != exclude]
     if len(keep):
-        dist, _ = cKDTree(cloud.centers[keep]).query(pts, k=1)
+        dist = nearest_distances(pts, cloud.centers[keep])
         limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
         if np.any(dist < limit * (1 - 1e-12)):
             raise InvariantViolation(

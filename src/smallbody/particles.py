@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InfeasibleDesign, InvariantViolation
 from .medium import BackgroundMedium, _node_field
@@ -29,6 +28,7 @@ KA_MAX = 0.1            # small-particle regime ka <= 0.1
 SPACING_FACTOR = 10.0   # d >= 10 a
 M_CAP = 200_000         # desk-scale particle cap
 HARD_COMPAT_MAX = 0.1   # (nu/c3)^(1/3) <= 0.1 wherever nu > 0
+PAIR_CHUNK = 2 ** 16    # pair distances formed at a time by the spacing searches
 
 FORMAT_VERSION = 1
 
@@ -283,12 +283,95 @@ def _place(medium, density, a, weight, cell_size):
     return np.vstack(all_pts) if all_pts else np.zeros((0, 3))
 
 
+def _squared_distances(p, q) -> np.ndarray:
+    """(dx^2 + dy^2) + dz^2 between coordinate rows p and q, shape (3, ...)."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return (dx * dx + dy * dy) + dz * dz
+
+
+# cube steps (x, y) to the columns of forward neighbours, each taken with
+# z steps -1, 0 and 1; the cube itself and its +z neighbour come separately
+_FORWARD_COLUMNS = ((1, -1), (1, 0), (1, 1), (0, 1))
+
+
 def min_spacing(centers) -> float:
-    """Smallest center-to-center distance; inf for fewer than two centers."""
-    if len(centers) < 2:
+    """Smallest center-to-center distance; inf for fewer than two centers.
+
+    Exact fixed-radius cell search (Bentley, Stanat & Williams 1977): the
+    closest pair adjacent in lexicographic order is a real pair, so its
+    distance h bounds d from above.  Centers binned into cubes of side h
+    can be closer than h only within one cube or two adjacent ones, so
+    comparing each center with the later centers of its own cube and of the
+    13 cubes that follow it finds d exactly.  Distances are
+    sqrt((dx^2 + dy^2) + dz^2), formed at most PAIR_CHUNK at a time.
+    Cube keys are 64-bit integers, which cannot overflow below 2^20 centers;
+    a larger set that would overflow them raises InvariantViolation.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, 3)
+    m = len(c)
+    if m < 2:
         return np.inf
-    dist, _ = cKDTree(centers).query(centers, k=2)
-    return float(dist[:, 1].min())
+    if not np.isfinite(c).all():
+        raise InvariantViolation("particle centers must be finite")
+    lex = c[np.lexsort(c.T[::-1])].T
+    best = _squared_distances(lex[:, 1:], lex[:, :-1]).min()
+    if best == 0.0:
+        return 0.0
+    lo = c.min(axis=0)
+    extent = float((c.max(axis=0) - lo).max())
+    # the rounding of (x - lo) / side cannot put a pair closer than h two
+    # cubes apart; the widening also keeps every cube index below 2^50
+    h = np.sqrt(best)
+    side = h + 8 * np.finfo(float).eps * (extent + 2 * h)
+    coords = []
+    for index in np.floor((c - lo) / side).astype(np.int64).T:
+        # occupied indices from 1 up; a gap wider than one cube shrinks to
+        # two, which keeps adjacency and bounds the range by 2M
+        occupied, inverse = np.unique(index, return_inverse=True)
+        steps = np.minimum(np.diff(occupied), 2)
+        coords.append(np.concatenate(([1], 1 + np.cumsum(steps)))[inverse])
+    ny, nz = int(coords[1].max()) + 2, int(coords[2].max()) + 2
+    if (int(coords[0].max()) + 2) * ny * nz >= 2 ** 63:
+        raise InvariantViolation(f"min_spacing: {m} centers overflow the 64-bit cube keys")
+    key = (coords[0] * ny + coords[1]) * nz + coords[2]
+    order = np.argsort(key, kind="stable")
+    key, pts = key[order], c[order].T.copy()
+    # five ranges [start, stop) of sorted positions per center p: the later
+    # centers of its cube and its +z cube, then the three z-adjacent cubes of
+    # each forward column
+    start = [np.arange(1, m + 1)]
+    stop = [np.searchsorted(key, key + 1, side="right")]
+    for sx, sy in _FORWARD_COLUMNS:
+        step = (sx * ny + sy) * nz
+        start.append(np.searchsorted(key, key + step - 1, side="left"))
+        stop.append(np.searchsorted(key, key + step + 1, side="right"))
+    start = np.concatenate(start)
+    # block b pairs center b % m with the range [start[b], stop[b]); the pairs
+    # of all blocks are numbered through and formed in chunks
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate(stop) - start)))
+    for t0 in range(0, int(bounds[-1]), PAIR_CHUNK):
+        t1 = min(t0 + PAIR_CHUNK, int(bounds[-1]))
+        b0 = np.searchsorted(bounds, t0, side="right") - 1
+        b1 = np.searchsorted(bounds, t1, side="left")
+        block = np.repeat(np.arange(b0, b1), np.diff(np.clip(bounds[b0:b1 + 1], t0, t1)))
+        j = start[block] + (np.arange(t0, t1) - bounds[block])
+        best = min(best, _squared_distances(pts.take(block % m, axis=1), pts.take(j, axis=1)).min())
+    return float(np.sqrt(best))
+
+
+def nearest_distances(points, centers) -> np.ndarray:
+    """Distance from each point to its nearest center, of which there is at least one.
+
+    Brute force, O(n M), formed like min_spacing, at most PAIR_CHUNK
+    distances at a time.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    cen = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
+    rows = max(1, PAIR_CHUNK // cen.shape[2])
+    out = np.empty(len(pts))
+    for s in range(0, len(pts), rows):
+        out[s:s + rows] = _squared_distances(pts[s:s + rows].T[:, :, None], cen).min(axis=1)
+    return np.sqrt(out)
 
 
 # ---------------------------------------------------------------------------

@@ -278,16 +278,11 @@ class TestLimit:
         assert "volume density too large" in err["message"]
 
 
-@pytest.mark.parametrize("command,scene", [
-    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text())),
-    ("solve", base_scene(cloud={"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729},
-                         directions={"n_theta": 8, "n_phi": 16}))], ids=["limit", "lattice_solve"])
-def test_box_ffts_do_not_import_scipy_fft(tmp_path, command, scene):
-    # a free-grid limit and a free lattice solve run their FFTs on numpy.fft;
-    # importing scipy.fft would cost about 0.03 s of each run, in a fresh process
+def run_fresh(tmp_path, command, scene, module):
+    """Run the CLI in a fresh process; it fails if ``module`` was imported."""
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     check = ("import sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
-             "sys.exit(code or ('scipy.fft' in sys.modules and 'scipy.fft was imported'))")
+             f"sys.exit(code or ({module!r} in sys.modules and '{module} was imported'))")
     src = str(Path(smallbody.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -295,8 +290,41 @@ def test_box_ffts_do_not_import_scipy_fft(tmp_path, command, scene):
                            "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    return json.loads((tmp_path / "out" / "metadata.json").read_text())
+
+
+LATTICE_CLOUD = {"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729}
+
+
+@pytest.mark.parametrize("command,scene", [
+    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text())),
+    ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}))],
+    ids=["limit", "lattice_solve"])
+def test_box_ffts_do_not_import_scipy_fft(tmp_path, command, scene):
+    # a free-grid limit and a free lattice solve run their FFTs on numpy.fft;
+    # importing scipy.fft would cost about 0.03 s of each run, in a fresh process
+    meta = run_fresh(tmp_path, command, scene, "scipy.fft")
     assert meta.get("solver", "lattice_fft") == "lattice_fft"  # the solve took the FFT path
+
+
+@pytest.mark.parametrize("command,scene,solver", [
+    ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}),
+     "lattice_fft"),
+    ("solve", base_scene(
+        medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 8, "k": 1.0,
+                "n0": {"type": "radial", "center": [0.5, 0.5, 0.5], "radius": 0.4,
+                       "inside": 1.15, "outside": 1.0}},
+        cloud={"kind": "hard", "a": 0.01, "nu": 5e-4, "cell_size": 0.5, "beta": -1.5},
+        directions={"n_theta": 8, "n_phi": 16}), "lu"),
+    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text()), None),
+    ("validate", base_scene(cloud=LATTICE_CLOUD), None)],
+    ids=["lattice_solve", "dense_hard_solve_in_n0", "limit", "validate"])
+def test_cli_runs_do_not_import_scipy_spatial(tmp_path, command, scene, solver):
+    # particle spacing and the far-zone guard are numpy searches; importing
+    # scipy.spatial would cost about 0.1 s and 7.6 MB of each run
+    meta = run_fresh(tmp_path, command, scene, "scipy.spatial")
+    assert meta.get("solver") == solver
+    assert command == "limit" or meta.get("cloud", meta)["M"] > 0
 
 
 class TestDesign:

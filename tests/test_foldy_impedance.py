@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smallbody import foldy_impedance
+from smallbody import foldy_impedance, particles
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
@@ -214,6 +214,36 @@ class TestEvaluateField:
         res = solve_cloud(med, cloud, Z_HAT)
         with pytest.raises(InvariantViolation):
             evaluate_field(res, med, cloud, np.array([[0.3, 0.5, 0.55]]))
+
+    def test_guard_edges(self):
+        # dyadic centers: d = 0.5 exactly, and so is the distance of the probe
+        med = free_medium()
+        centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
+        cloud = ball_cloud(centers, a=1e-3, h=1.0)
+        res = solve_cloud(med, cloud, Z_HAT)
+        assert cloud.d == 0.5
+        evaluate_field(res, med, cloud, np.array([[0.25, 0.5, 1.0]]))
+        with pytest.raises(InvariantViolation, match="within d"):
+            evaluate_field(res, med, cloud, np.array([[0.25, 0.5, 0.5 + 0.5 * (1 - 1e-11)]]))
+        # exclude = j drops center j from the guard: its own position is then 0.5 from
+        # the other center, and the effective field there is finite
+        for j in range(2):
+            with pytest.raises(InvariantViolation, match="within d"):
+                evaluate_field(res, med, cloud, centers[j][None, :])
+            assert np.isfinite(evaluate_field(res, med, cloud, centers[j][None, :],
+                                              exclude=j).values).all()
+
+    def test_guard_looks_past_the_first_chunk(self):
+        med = free_medium()
+        centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
+        cloud = ball_cloud(centers, a=1e-3, h=1.0)
+        res = solve_cloud(med, cloud, Z_HAT)
+        rows = particles.PAIR_CHUNK // len(centers)
+        far = np.column_stack([np.linspace(-5.0, 5.0, rows + 9), np.full(rows + 9, 3.0),
+                               np.zeros(rows + 9)])
+        assert len(evaluate_field(res, med, cloud, far).values) == rows + 9
+        with pytest.raises(InvariantViolation, match="within d"):
+            evaluate_field(res, med, cloud, np.vstack([far, [[0.75, 0.5, 0.7]]]))
 
     def test_monopole_truncation_against_surface_layer(self):
         # A uniform single layer on a sphere vs its monopole reduction:

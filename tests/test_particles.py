@@ -13,8 +13,11 @@ from smallbody.particles import (
     build_cloud_impedance,
     h_to_impedance,
     impedance_to_h,
+    min_spacing,
+    nearest_distances,
     validate_cloud,
 )
+from smallbody import particles
 from reference import cloud_from_json, cloud_to_json
 
 C3 = BALL_SHAPE_CONSTANTS[2]
@@ -158,6 +161,94 @@ class TestSpacingLaw:
             spacings.append(cloud.d)
         slope = np.polyfit(np.log(avals), np.log(spacings), 1)[0]
         assert slope == pytest.approx(1 / 3, abs=0.15)
+
+
+def brute_min_spacing(centers):
+    """O(M^2) reference: every pair, distances formed as sqrt((dx^2 + dy^2) + dz^2)."""
+    c = np.asarray(centers, dtype=float).reshape(-1, 3)
+    best = np.inf
+    for i in range(len(c) - 1):
+        d = c[i + 1:] - c[i]
+        best = min(best, ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]).min())
+    return float(np.sqrt(best))
+
+
+def lattice(spacing, n, origin=(0.0, 0.0, 0.0)):
+    axes = [o + s * np.arange(n) for o, s in zip(origin, spacing)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def graded_two_family_cloud():
+    # cells of side 1/4 hold 5 to 29 particles along a ramp in x; the second
+    # family is the first one shifted by less than the smallest spacing
+    med = unit_cube_medium()
+    x = med.grid.nodes[:, 0]
+    family = build_cloud_impedance(med, a=1e-4, h_field=1.0, N_field=0.008 + 0.2 * x,
+                                   cell_size=0.25).centers
+    return np.vstack([family, family + np.array([0.0131, 0.0077, 0.0029])])
+
+
+SPACING_CLOUDS = {
+    "builder_lattice": lambda rng: build_cloud_impedance(
+        unit_cube_medium(), a=1e-3, h_field=1.0, N_field=0.729).centers,
+    "lattice_1_1.9_0.6": lambda rng: lattice((1.0, 1.9, 0.6), 9, origin=(0.3, -2.0, 7.1)),
+    "graded_two_family": lambda rng: graded_two_family_cloud(),
+    "random_1600": lambda rng: rng.random((1600, 3)),
+    "tight_box_and_outlier": lambda rng: np.vstack(
+        [1e-3 * rng.random((5000, 3)), [[10.0, 0.0, 0.0]]]),
+    "planar": lambda rng: np.column_stack([rng.random((1500, 2)), np.full(1500, 0.25)]),
+    "collinear": lambda rng: np.outer(rng.random(1500), [0.3, -0.5, 0.8]) + [1.0, 2.0, 3.0],
+}
+
+
+class TestMinSpacing:
+    """The cell search returns the brute-force minimum bit for bit."""
+
+    def test_fewer_than_two_centers(self):
+        assert min_spacing(np.zeros((0, 3))) == np.inf
+        assert min_spacing([[0.1, 0.2, 0.3]]) == np.inf
+
+    def test_two_centers(self):
+        c = np.array([[0.1, 0.2, 0.3], [0.7, -0.4, 1.3]])
+        assert min_spacing(c) == brute_min_spacing(c)
+
+    def test_duplicate_centers(self):
+        c = np.random.default_rng(3).random((50, 3))
+        assert min_spacing(np.vstack([c, c[17]])) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(SPACING_CLOUDS))
+    def test_matches_brute_force(self, name):
+        c = SPACING_CLOUDS[name](np.random.default_rng(11))
+        assert len(c) >= 100
+        assert min_spacing(c) == brute_min_spacing(c)
+
+    def test_many_small_random_clouds(self):
+        # with this seed the closest pair, where the lexicographic pass misses
+        # it, lies within one cube in some clouds and across each of the 13
+        # forward cube offsets in others
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            c = rng.random((40, 3)) * rng.uniform(0.1, 10.0, size=3)
+            assert min_spacing(c) == brute_min_spacing(c)
+
+    @pytest.mark.parametrize("name", ["graded_two_family", "random_1600"])
+    def test_chunk_boundaries_do_not_change_the_result(self, name, monkeypatch):
+        # a 7-pair chunk splits the pairs of one center across chunks
+        c = SPACING_CLOUDS[name](np.random.default_rng(11))
+        monkeypatch.setattr(particles, "PAIR_CHUNK", 7)
+        assert min_spacing(c) == brute_min_spacing(c)
+
+    def test_non_finite_centers_rejected(self):
+        with pytest.raises(InvariantViolation, match="finite"):
+            min_spacing([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0]])
+
+    def test_nearest_distances_match_brute_force(self):
+        rng = np.random.default_rng(2)
+        pts, centers = 3 * rng.random((300, 3)), rng.random((40, 3))
+        d = pts[:, None, :] - centers[None, :, :]
+        ref = np.sqrt(((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+                       + d[..., 2] * d[..., 2]).min(axis=1))
+        np.testing.assert_array_equal(nearest_distances(pts, centers), ref)
 
 
 class TestSerialization:
