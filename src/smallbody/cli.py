@@ -568,9 +568,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at import: ArgumentParser's gettext lookups import locale
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SMALLBODY_LOG", "WARNING"))
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -9,13 +9,17 @@ which keeps the discrete model flux-conserving for real potentials.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import math
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+import numpy.fft  # noqa: F401  (numpy loads it lazily: at import here, not in a run)
 
 from . import runtime
 from .errors import InvariantViolation, SingularEvaluationError, SolverFailure
@@ -32,8 +36,10 @@ CUBE_SELF_INTEGRAL = 0.18940053870923707
 DENSE_GRID_CAP = 8000
 
 # every linear solve of the package: relative residual bound, GMRES restart
-# budget, and the smallest LAPACK rcond estimate an LU may have
+# length and budget of restarts, and the smallest LAPACK rcond estimate an
+# LU may have
 RESIDUAL_TOL = 1e-10
+GMRES_RESTART = 20
 GMRES_MAXITER = 400
 RCOND_FLOOR = 1e-13
 
@@ -46,49 +52,176 @@ FUSED_ENTRIES = 2 ** 16
 LATTICE_FILL = 8
 
 
-def _factor(a, what):
-    """LU factors of a square matrix and their rcond estimate (1-norm).
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers (zgetrf, zgetrs, zgecon): the
+    routines behind scipy.linalg.lu_factor, lu_solve and lapack.zgecon.
 
-    Raises SolverFailure when the estimate falls below RCOND_FLOOR.
+    Loaded on the first dense factorization, from the extension file found
+    by find_spec, which does not run scipy's package __init__: importing
+    scipy.linalg and scipy.sparse.linalg costs 0.27-0.29 s and 32 MB of
+    start-up (2 vCPU, scipy 1.17), and loading the wrappers at import
+    starts their OpenBLAS thread pool in runs that never factor.  A copy
+    already in sys.modules is reused; without the file, scipy.linalg.lapack
+    supplies the same function objects.
     """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    for folder in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return sys.modules.setdefault(name, module)
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _check_lapack(info, routine, what):
+    if info < 0:
+        raise ValueError(f"{what}: illegal argument {-info} to LAPACK {routine}")
+
+
+def _factor(a, what):
+    """LU factors (lu, piv) of a square matrix and their rcond estimate
+    (1-norm), by LAPACK zgetrf and zgecon.
+
+    Raises SolverFailure when the matrix is not finite, is exactly singular
+    or has an estimate below RCOND_FLOOR.
+    """
+    if not np.isfinite(a).all():
+        raise SolverFailure(f"{what}: matrix has non-finite entries")
+    lapack = _lapack()
     anorm = np.linalg.norm(a, 1)
-    lu = sla.lu_factor(a)
-    rcond, _ = sla.lapack.zgecon(lu[0], anorm)
+    lu, piv, info = lapack.zgetrf(a)
+    _check_lapack(info, "zgetrf", what)
+    if info > 0:
+        raise SolverFailure(f"{what} exactly singular (zero pivot in column {info})")
+    rcond, info = lapack.zgecon(lu, anorm)
+    _check_lapack(info, "zgecon", what)
     logger.debug("%s: LU of order %d, rcond %.2e", what, len(a), rcond)
-    if rcond < RCOND_FLOOR:
+    if not rcond >= RCOND_FLOOR:  # True on NaN
         raise SolverFailure(f"{what} ill-conditioned (rcond estimate {rcond:.2e})")
-    return lu, float(rcond)
+    return (lu, piv), float(rcond)
+
+
+def _rotation(f, g):
+    """(c, s, r) with [[c, s], [-conj(s), c]] (f, g) = (r, 0) and c real.
+
+    The unscaled formulas of LAPACK's zlartg, for entries far from under-
+    and overflow (GMRES's Hessenberg entries are of the order of ||A||).
+    """
+    if g == 0:
+        return 1.0, 0j, f
+    g2 = g.real * g.real + g.imag * g.imag
+    if f == 0:
+        d = math.sqrt(g2)
+        return 0.0, g.conjugate() / d, complex(d)
+    f2 = f.real * f.real + f.imag * f.imag
+    h2 = f2 + g2
+    c = math.sqrt(f2 / h2)
+    return c, g.conjugate() * (f / math.sqrt(f2 * h2)), f / c
+
+
+def _gmres(apply, b):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
+    856) for A x = b from x = 0, with apply(x) = A x.
+
+    As scipy.sparse.linalg.gmres with rtol RESIDUAL_TOL, atol 0 and no
+    preconditioner: at most GMRES_MAXITER restarts of GMRES_RESTART inner
+    iterations, modified Gram-Schmidt on np.vdot, Givens rotations, and the
+    inner-tolerance control of scipy's gh-8400.  Each restart ends on the
+    true residual b - A x.  Returns (x, A x, inner iterations, converged).
+    """
+    n = len(b)
+    x = np.zeros(n, dtype=complex)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return x, x.copy(), 0, True
+    atol = RESIDUAL_TOL * bnorm
+    eps = np.finfo(float).eps
+    m = min(GMRES_RESTART, n)
+    v = np.empty((m + 1, n), dtype=complex)
+    h = np.zeros((m, m + 1), dtype=complex)  # row j: column j of the Hessenberg matrix
+    r, ptol, factor, inner = b, atol, 1.0, 0
+    for _ in range(GMRES_MAXITER):
+        beta = np.linalg.norm(r)
+        v[0] = r * (1 / beta)
+        s = [complex(beta)] + [0j] * m  # rotated right-hand side
+        rotations = []
+        breakdown = False
+        for col in range(m):
+            w = apply(v[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = np.vdot(v[k], w)
+                w -= h[col, k] * v[k]
+            h1 = np.linalg.norm(w)
+            v[col + 1] = w
+            breakdown = h1 <= eps * h0  # the Krylov space holds the solution
+            if not breakdown:
+                v[col + 1] *= 1 / h1
+            hc = [complex(z) for z in h[col, :col + 1]] + [0j if breakdown else complex(h1)]
+            for k, (c, sn) in enumerate(rotations):
+                hc[k], hc[k + 1] = c * hc[k] + sn * hc[k + 1], -sn.conjugate() * hc[k] + c * hc[k + 1]
+            c, sn, hc[col] = _rotation(hc[col], hc[col + 1])
+            rotations.append((c, sn))
+            h[col, :col + 1] = hc[:col + 1]
+            s[col], s[col + 1] = c * s[col], -sn.conjugate() * s[col]
+            presid = abs(s[col + 1])
+            inner += 1
+            if presid <= ptol or breakdown:
+                break
+        # back-substitute the triangular system, skipping zero pivots
+        if hc[col] == 0:
+            s[col] = 0j
+        y = np.array(s[:col + 1])
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        ax = apply(x)
+        r = b - ax
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
+    return x, ax, inner, bool(rnorm <= atol)
 
 
 def _solve_checked(apply, rhs, what, lu=None):
     """Solve A x = rhs, where apply(x) = A x for x shaped like rhs.
 
-    Back-substitutes with the LU factors ``lu`` of A when given, else runs
-    GMRES on each column of rhs ((n,) or (n, c)).  Raises SolverFailure when
-    GMRES stops early, with an estimate of the spectral radius of A - I, or
-    when ||A x - rhs|| / ||rhs|| exceeds RESIDUAL_TOL.  Returns
-    (x, residual, GMRES inner-iteration count).
+    Back-substitutes with the LU factors ``lu`` of A (LAPACK zgetrs) when
+    given, else runs _gmres on each column of rhs ((n,) or (n, c)).  Raises
+    SolverFailure when rhs is not finite, when GMRES stops early, with an
+    estimate of the spectral radius of A - I, or when ||A x - rhs|| / ||rhs||
+    exceeds RESIDUAL_TOL.  Returns (x, residual, GMRES inner-iteration count).
     """
     rhs = np.asarray(rhs, dtype=complex)
-    norms = []  # GMRES residual norm per inner iteration
-    last = [None, None]  # GMRES's last (x, A x): it ends on A x at the x it returns
+    if not np.isfinite(rhs).all():
+        raise SolverFailure(f"{what}: right-hand side has non-finite entries")
+    iterations = 0
     if lu is not None:
-        sol = sla.lu_solve(lu, rhs)
+        sol, info = _lapack().zgetrs(*lu, rhs)
+        _check_lapack(info, "zgetrs", what)
+        r = apply(sol)
     else:
-        def matvec(x):
-            y = apply(x)
-            last[:] = x.copy(), y.copy()  # GMRES updates both in place
-            return y
-
         n = len(rhs)
-        op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
         cols = rhs.reshape(n, -1)
-        sol = np.empty_like(cols)
+        sol, r = np.empty_like(cols), np.empty_like(cols)
         for j in range(cols.shape[1]):
-            sol[:, j], info = spla.gmres(op, cols[:, j], rtol=RESIDUAL_TOL, atol=0.0,
-                                         maxiter=GMRES_MAXITER, callback=norms.append,
-                                         callback_type="pr_norm")
-            if info != 0:
+            sol[:, j], r[:, j], count, converged = _gmres(apply, cols[:, j])
+            iterations += count
+            if not converged:
                 # power iteration on A - I: rho >= 1 means A's Neumann series diverges
                 v, rho = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, n)), 0.0
                 for _ in range(12):
@@ -98,18 +231,17 @@ def _solve_checked(apply, rhs, what, lu=None):
                     if rho == 0.0:
                         break
                 raise SolverFailure(
-                    f"{what}: GMRES did not converge (info={info}); spectral radius "
-                    f"estimate of A - I {rho:.3f}", spectral_radius=rho)
-        sol = sol.reshape(rhs.shape)
-    r = last[1] if np.array_equal(last[0], sol) else apply(sol)
+                    f"{what}: GMRES did not converge in {GMRES_MAXITER} restarts; spectral "
+                    f"radius estimate of A - I {rho:.3f}", spectral_radius=rho)
+        sol, r = sol.reshape(rhs.shape), r.reshape(rhs.shape)
     r -= rhs
     resid = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
     logger.debug("%s: %s, residual %.2e, %d GMRES iterations",
-                 what, "GMRES" if lu is None else "LU", resid, len(norms))
+                 what, "GMRES" if lu is None else "LU", resid, iterations)
     if resid > RESIDUAL_TOL:
         raise SolverFailure(f"{what} residual {resid:.2e} exceeds {RESIDUAL_TOL:.0e}",
                             residual=resid)
-    return sol, resid, len(norms)
+    return sol, resid, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +512,7 @@ def lattice_of(centers) -> Lattice | None:
     for i in range(3):
         if extent[i] <= tol:
             continue
-        gaps = np.diff(np.unique(c[:, i]))
+        gaps = np.diff(np.sort(c[:, i]))  # zero gaps of repeated values fail gaps > tol
         h = extent[i]
         for g in gaps[gaps > tol].tolist():
             while g > tol:  # Euclid on reals: h <- gcd(h, g)
@@ -397,7 +529,8 @@ def lattice_of(centers) -> Lattice | None:
     if np.prod(np.array(shape, dtype=float)) > LATTICE_FILL * m:
         return None
     flat = np.ravel_multi_index(tuple(idx.T), shape)
-    if len(np.unique(flat)) != m:
+    sites = np.sort(flat)
+    if np.any(sites[1:] == sites[:-1]):  # coincident centres
         return None
     return Lattice(origin=lo, spacing=spacing, shape=tuple(shape), index=flat)
 

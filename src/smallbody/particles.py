@@ -294,18 +294,30 @@ def _squared_distances(p, q) -> np.ndarray:
 _FORWARD_COLUMNS = ((1, -1), (1, 0), (1, 1), (0, 1))
 
 
+def _positions(values, step) -> np.ndarray:
+    """Each value's place along the sorted values, from 0: consecutive
+    distinct values lie step(gap) apart, equal ones share a place."""
+    order = np.argsort(values)
+    out = np.empty(len(values), dtype=np.int64)
+    out[order] = np.concatenate(([0], np.cumsum(step(np.diff(values[order])))))
+    return out
+
+
 def min_spacing(centers) -> float:
     """Smallest center-to-center distance; inf for fewer than two centers.
 
     Exact fixed-radius cell search (Bentley, Stanat & Williams 1977): the
-    closest pair adjacent in lexicographic order is a real pair, so its
-    distance h bounds d from above.  Centers binned into cubes of side h
-    can be closer than h only within one cube or two adjacent ones, so
-    comparing each center with the later centers of its own cube and of the
-    13 cubes that follow it finds d exactly.  Distances are
-    sqrt((dx^2 + dy^2) + dz^2), formed at most PAIR_CHUNK at a time.
-    Cube keys are 64-bit integers, which cannot overflow below 2^20 centers;
-    a larger set that would overflow them raises InvariantViolation.
+    closest pair adjacent in any of the three cyclic lexicographic orders
+    (x, y, z), (y, z, x) and (z, x, y) is a real pair, so its distance h
+    bounds d from above; taking all three keeps h near d for clouds that
+    interleave along one axis.  Centers binned into cubes of side h can be
+    closer than h only within one cube or two adjacent ones, so comparing
+    each center with the later centers of its own cube and of the 13 cubes
+    that follow it finds d exactly.  Distances are sqrt((dx^2 + dy^2) +
+    dz^2), formed at most PAIR_CHUNK at a time.  The orders sort 64-bit keys
+    of coordinate ranks, and cubes are found by 64-bit keys too; neither
+    can overflow below 2^20 centers, and a larger set that would overflow
+    them raises InvariantViolation.
     """
     c = np.asarray(centers, dtype=float).reshape(-1, 3)
     m = len(c)
@@ -313,8 +325,16 @@ def min_spacing(centers) -> float:
         return np.inf
     if not np.isfinite(c).all():
         raise InvariantViolation("particle centers must be finite")
-    lex = c[np.lexsort(c.T[::-1])].T
-    best = _squared_distances(lex[:, 1:], lex[:, :-1]).min()
+    overflow = f"min_spacing: {m} centers overflow the 64-bit keys"
+    ranks = [_positions(x, lambda gap: gap > 0) for x in c.T]
+    sizes = [int(r.max()) + 1 for r in ranks]
+    if sizes[0] * sizes[1] * sizes[2] >= 2 ** 63:
+        raise InvariantViolation(overflow)
+    best = np.inf
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        lex = c[np.argsort((ranks[i] * sizes[j] + ranks[j]) * sizes[k] + ranks[k])].T
+        best = min(best, _squared_distances(lex[:, 1:], lex[:, :-1]).min())
     if best == 0.0:
         return 0.0
     lo = c.min(axis=0)
@@ -323,16 +343,13 @@ def min_spacing(centers) -> float:
     # cubes apart; the widening also keeps every cube index below 2^50
     h = np.sqrt(best)
     side = h + 8 * np.finfo(float).eps * (extent + 2 * h)
-    coords = []
-    for index in np.floor((c - lo) / side).astype(np.int64).T:
-        # occupied indices from 1 up; a gap wider than one cube shrinks to
-        # two, which keeps adjacency and bounds the range by 2M
-        occupied, inverse = np.unique(index, return_inverse=True)
-        steps = np.minimum(np.diff(occupied), 2)
-        coords.append(np.concatenate(([1], 1 + np.cumsum(steps)))[inverse])
+    # occupied cube indices from 1 up; a gap wider than one cube shrinks to
+    # two, which keeps adjacency and bounds the range by 2M
+    coords = [1 + _positions(index, lambda gap: np.minimum(gap, 2))
+              for index in np.floor((c - lo) / side).astype(np.int64).T]
     ny, nz = int(coords[1].max()) + 2, int(coords[2].max()) + 2
     if (int(coords[0].max()) + 2) * ny * nz >= 2 ** 63:
-        raise InvariantViolation(f"min_spacing: {m} centers overflow the 64-bit cube keys")
+        raise InvariantViolation(overflow)
     key = (coords[0] * ny + coords[1]) * nz + coords[2]
     order = np.argsort(key, kind="stable")
     key, pts = key[order], c[order].T.copy()

@@ -278,18 +278,23 @@ class TestLimit:
         assert "volume density too large" in err["message"]
 
 
-def run_fresh(tmp_path, command, scene, module):
-    """Run the CLI in a fresh process; it fails if ``module`` was imported."""
-    (tmp_path / "scene.json").write_text(json.dumps(scene))
-    check = ("import sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
-             f"sys.exit(code or ({module!r} in sys.modules and '{module} was imported'))")
+def python_fresh(code, *args):
+    """Run code in a fresh interpreter that imports smallbody from this tree."""
     src = str(Path(smallbody.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", check, command, "--scene", str(tmp_path / "scene.json"),
-                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_fresh(tmp_path, command, scene, *modules):
+    """Run the CLI in a fresh process; it fails if any of ``modules`` was imported."""
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    python_fresh("import sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
+                 f"found = [m for m in {modules!r} if m in sys.modules]; "
+                 "sys.exit(code or (found and f'imported {found}') or 0)",
+                 command, "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "out"))
     return json.loads((tmp_path / "out" / "metadata.json").read_text())
 
 
@@ -325,6 +330,36 @@ def test_cli_runs_do_not_import_scipy_spatial(tmp_path, command, scene, solver):
     meta = run_fresh(tmp_path, command, scene, "scipy.spatial")
     assert meta.get("solver") == solver
     assert command == "limit" or meta.get("cloud", meta)["M"] > 0
+
+
+def test_cli_import_loads_no_scipy():
+    python_fresh("import sys, smallbody.cli; "
+                 "found = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                 "sys.exit(found and f'imported {found}' or 0)")
+
+
+def scene_command(keys):
+    return next((c for k, c in (("limit", "limit"), ("design", "design"), ("study", "study"),
+                                ("cloud", "solve")) if k in keys), "validate")
+
+
+@pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_scenes_do_not_import_scipy_linalg_or_sparse(tmp_path, path):
+    # a dense LU loads only scipy's compiled LAPACK wrappers, on first use:
+    # scipy.linalg and scipy.sparse cost about 0.27 s and 28 MB of start-up
+    keys = json.loads(path.read_text())
+    run_fresh(tmp_path, scene_command(keys), keys, "scipy.linalg", "scipy.sparse")
+
+
+@pytest.mark.parametrize("command,scene", [
+    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text())),
+    ("limit", json.loads((SCENES / "limit_hard_bump.json").read_text())),
+    ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}))],
+    ids=["limit_born_bump", "limit_hard_bump", "lattice_solve"])
+def test_gmres_runs_do_not_load_lapack(tmp_path, command, scene):
+    # the wrappers' OpenBLAS threads would compete with the FFT slab threads
+    meta = run_fresh(tmp_path, command, scene, "scipy.linalg._flapack")
+    assert meta.get("solver", "lattice_fft") == "lattice_fft"
 
 
 class TestDesign:

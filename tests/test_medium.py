@@ -444,6 +444,7 @@ class TestLattice:
 
     def test_refuses_moved_centre_and_sparse_box(self):
         centers = self.cloud()
+        assert lattice_of(np.vstack([centers, centers[17]])) is None  # a repeated centre
         centers[17, 1] += 1e-6
         assert lattice_of(centers) is None
         # two 4^3 clusters of spacing 0.01 set 10 apart: a 1004 x 4 x 4 box
@@ -674,3 +675,72 @@ class TestCheckedSolve:
         med = BackgroundMedium(k, grid, n0=1.0 - q0 / k ** 2)
         with pytest.raises(SolverFailure, match="rcond"):
             med._solve_grid(np.ones((2, 2), dtype=complex))  # two columns: the LU path
+
+
+class TestLapackAndGmres:
+    """The LAPACK routines medium loads against scipy.linalg, and _gmres
+    against a dense solve and scipy's GMRES."""
+
+    @staticmethod
+    def system(n, spread=0.3, seed=5):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = np.eye(n) + spread * noise / np.sqrt(2 * n)
+        return a, rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+
+    def test_lu_is_bitwise_scipy(self):
+        import scipy.linalg as sla
+        a, b = self.system(120)
+        (lu, piv), rcond = _factor(a, "test matrix")
+        ref = sla.lu_factor(a)
+        assert medium._lapack().zgetrf is sla.lapack.zgetrf  # one numeric path
+        assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
+        assert rcond == sla.lapack.zgecon(ref[0], np.linalg.norm(a, 1))[0]
+        for rhs in (b[:, 0], b):
+            x = _solve_checked(lambda x: a @ x, rhs, "test solve", (lu, piv))[0]
+            assert np.array_equal(x, sla.lu_solve(ref, rhs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_or_rhs_raises(self, bad):
+        a, b = self.system(8)
+        broken = a.copy()
+        broken[3, 5] = bad
+        with pytest.raises(SolverFailure, match="non-finite"):
+            _factor(broken, "test matrix")
+        lu, _ = _factor(a, "test matrix")
+        b[2, 1] = bad
+        for factors in (lu, None):  # the LU and the GMRES path
+            with pytest.raises(SolverFailure, match="non-finite"):
+                _solve_checked(lambda x: a @ x, b, "test solve", factors)
+
+    def test_exactly_singular_matrix_raises(self):
+        a = np.eye(4, dtype=complex)
+        a[2, 2] = 0.0
+        with pytest.raises(SolverFailure, match="exactly singular"):
+            _factor(a, "test matrix")
+
+    @pytest.mark.parametrize("spread", [0.3, 0.9])
+    def test_gmres_matches_dense_solve_and_scipy_count(self, spread):
+        # spread 0.9 takes several restarts of 20 inner iterations, and its
+        # condition number lets the error exceed the residual
+        import scipy.sparse.linalg as spla
+        a, b = self.system(150, spread)
+        x, resid, iterations = _solve_checked(lambda x: a @ x, b, "test solve")
+        ref = np.linalg.solve(a, b)
+        assert resid <= RESIDUAL_TOL
+        assert np.linalg.norm(x - ref) <= np.linalg.cond(a) * resid * np.linalg.norm(ref)
+        if spread < 0.5:
+            assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+        norms = []
+        for col in b.T:
+            _, info = spla.gmres(a, col, rtol=RESIDUAL_TOL, atol=0.0, restart=20, maxiter=400,
+                                 callback=norms.append, callback_type="pr_norm")
+            assert info == 0
+        assert iterations == len(norms) and (spread < 0.5 or iterations > 3 * 20)
+
+    def test_gmres_exact_krylov_space_and_zero_rhs(self):
+        b = np.arange(1.0, 6.0) + 1j
+        x, resid, iterations = _solve_checked(lambda x: 2.0 * x, b, "scaled solve")
+        assert iterations == 1 and np.allclose(x, b / 2, rtol=1e-15, atol=0.0)
+        x, resid, iterations = _solve_checked(lambda x: 2.0 * x, 0 * b, "zero solve")
+        assert iterations == 0 and not x.any() and resid == 0.0

@@ -201,6 +201,14 @@ SPACING_CLOUDS = {
 }
 
 
+def interleaved_lines(n=500):
+    # two lines 100 apart whose points alternate in x: neighbours in (x, y, z)
+    # order are about 100 apart, while d = 1
+    i = np.arange(n, dtype=float)
+    return np.vstack([np.column_stack([i, 0 * i, 0 * i]),
+                      np.column_stack([i + 0.5, 0 * i + 100.0, 0 * i])])
+
+
 class TestMinSpacing:
     """The cell search returns the brute-force minimum bit for bit."""
 
@@ -223,11 +231,11 @@ class TestMinSpacing:
         assert min_spacing(c) == brute_min_spacing(c)
 
     def test_many_small_random_clouds(self):
-        # with this seed the closest pair, where the lexicographic pass misses
-        # it, lies within one cube in some clouds and across each of the 13
-        # forward cube offsets in others
+        # with this seed the closest pair, where the lexicographic passes
+        # miss it, lies within one cube in some clouds and across each of the
+        # 13 forward cube offsets in others
         rng = np.random.default_rng(7)
-        for _ in range(400):
+        for _ in range(700):
             c = rng.random((40, 3)) * rng.uniform(0.1, 10.0, size=3)
             assert min_spacing(c) == brute_min_spacing(c)
 
@@ -241,6 +249,21 @@ class TestMinSpacing:
     def test_non_finite_centers_rejected(self):
         with pytest.raises(InvariantViolation, match="finite"):
             min_spacing([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0]])
+
+    def test_interleaved_lines_form_few_pairs(self, monkeypatch):
+        # the (y, z, x) order puts each line's points next to each other, so h
+        # = d and the cell search forms O(M) pairs, not all M^2 / 2
+        c = interleaved_lines()
+        formed = []
+
+        def counted(p, q):
+            formed.append(np.broadcast_shapes(p.shape, q.shape)[1:])
+            return squared(p, q)
+
+        squared = particles._squared_distances
+        monkeypatch.setattr(particles, "_squared_distances", counted)
+        assert min_spacing(c) == brute_min_spacing(c) == 1.0
+        assert sum(int(np.prod(shape)) for shape in formed) <= 20 * len(c)
 
     def test_nearest_distances_match_brute_force(self):
         rng = np.random.default_rng(2)
