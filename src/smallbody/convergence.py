@@ -19,12 +19,7 @@ from . import foldy_impedance
 from .errors import InvariantViolation
 from .limit_solver import LimitProblem, limit_field_at, potential_from_h_N, solve_limit
 from .medium import BackgroundMedium, _node_field, _unit, far_probe_points
-from .particles import (
-    BALL_SHAPE_CONSTANTS,
-    ParticleCloud,
-    build_cloud_hard,
-    build_cloud_impedance,
-)
+from .particles import build_cloud_hard, build_cloud_impedance
 
 logger = logging.getLogger(__name__)
 
@@ -144,64 +139,28 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
 
 
 def run_impedance_study(medium: BackgroundMedium, h_field, N_field, a_sequence,
-                        alpha, probes=None, cell_size: float | None = None,
-                        shape_constants=BALL_SHAPE_CONSTANTS) -> ScaleStudy:
+                        alpha, probes=None, cell_size: float | None = None) -> ScaleStudy:
     """Compare impedance clouds against the homogenized potential solution."""
     h = _node_field(h_field, medium.grid.size, complex)
     dens = _node_field(N_field, medium.grid.size, float)
-    problem = LimitProblem(medium=medium, p=potential_from_h_N(h, dens, shape_constants))
+    problem = LimitProblem(medium=medium, p=potential_from_h_N(h, dens))
 
     def build(a):
-        return build_cloud_impedance(medium, a, h, dens, cell_size=cell_size,
-                                     shape_constants=shape_constants)
+        return build_cloud_impedance(medium, a, h, dens, cell_size=cell_size)
 
     return _run_study(problem, build, a_sequence, alpha, probes,
                       float(np.sum(dens) * medium.weight))
 
 
 def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
-                   probes=None, cell_size: float | None = None,
-                   shape_constants=BALL_SHAPE_CONSTANTS) -> ScaleStudy:
+                   probes=None, cell_size: float | None = None) -> ScaleStudy:
     """Compare hard clouds against the integro-differential limit solution."""
     nu = _node_field(nu_field, medium.grid.size, float)
     beta = np.asarray(beta, dtype=float).reshape(3, 3)
     problem = LimitProblem(medium=medium, nu=nu, beta_field=beta)
 
     def build(a):
-        return build_cloud_hard(medium, a, nu, beta, cell_size=cell_size,
-                                shape_constants=shape_constants)
+        return build_cloud_hard(medium, a, nu, beta, cell_size=cell_size)
 
     return _run_study(problem, build, a_sequence, alpha, probes,
                       float(np.sum(nu) * medium.weight))
-
-
-def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, density,
-                           f=None, exclusion=None):
-    """(weighted particle sum, grid quadrature of f * density).
-
-    The particle weight is a for impedance clouds and c3 a^3 for hard clouds.
-    ``f`` is a callable on points (default 1); ``exclusion = (y0, delta)``
-    removes a ball around an integrable singularity from both sides.
-    """
-    dens = _node_field(density, medium.grid.size, float)
-    weight = cloud.volume_per_particle if cloud.kind == "hard" else cloud.a
-
-    centers = cloud.centers
-    nodes = medium.grid.nodes
-    keep_c = np.ones(len(centers), dtype=bool)
-    keep_n = np.ones(len(nodes), dtype=bool)
-    if exclusion is not None:
-        y0, delta = np.asarray(exclusion[0], dtype=float), float(exclusion[1])
-        if len(centers):
-            keep_c = np.linalg.norm(centers - y0, axis=1) > delta
-        keep_n = np.linalg.norm(nodes - y0, axis=1) > delta
-
-    if f is None:
-        fc = np.ones(int(keep_c.sum()))
-        fn = np.ones(int(keep_n.sum()))
-    else:
-        fc = np.asarray(f(centers[keep_c])) if keep_c.any() else np.zeros(0)
-        fn = np.asarray(f(nodes[keep_n]))
-    particle_sum = weight * complex(np.sum(fc)) if len(centers) else 0.0 + 0.0j
-    integral = complex(np.sum(fn * dens[keep_n]) * medium.weight)
-    return particle_sum, integral

@@ -5,7 +5,7 @@ difference potential is p = k^2 (n0 - n).  Any p with Im p <= 0 is realizable
 (non-uniquely) by a particle density N(x) >= 0 and an impedance parameter
 h(x) with Im h <= 0 through
 
-    p = gamma N h / (1 + h),      gamma = 4 pi c1^2 / c2  (= 4 pi for balls).
+    p = gamma N h / (1 + h),      gamma = 4 pi c1^2 / c2 = 4 pi for balls.
 
 The branch policy below pins one deterministic choice per sign pattern of
 p = p1 + i p2 and verifies the identity node-wise to 1e-12 before returning.
@@ -22,7 +22,7 @@ from .convergence import _run_study
 from .errors import InvariantViolation
 from .limit_solver import LimitProblem, potential_from_h_N
 from .medium import BackgroundMedium, _node_field
-from .particles import BALL_SHAPE_CONSTANTS, ParticleCloud, build_cloud_impedance, validate_cloud
+from .particles import GAMMA, ParticleCloud, build_cloud_impedance, validate_cloud
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,6 @@ class DesignSpec:
     medium: BackgroundMedium
     target_n: np.ndarray
     a: float
-    shape_constants: tuple = BALL_SHAPE_CONSTANTS
 
     def __post_init__(self):
         n = _node_field(self.target_n, self.medium.grid.size, complex)
@@ -68,7 +67,7 @@ def target_to_potential(spec: DesignSpec) -> np.ndarray:
     return spec.medium.k ** 2 * (spec.medium.n0 - spec.target_n)
 
 
-def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
+def choose_h_N(p):
     """Pick (h, N) with Im h <= 0, N >= 0 realizing p node-wise.
 
     Branches on p = p1 + i p2 (p2 <= 0 required):
@@ -79,8 +78,6 @@ def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
       E: p1 <= 0, p2 != 0  -> h = -1/2 + i h2, h2 the negative root of
                               p2 h2^2 - p1 h2 - p2/4 = 0, N from the h2 line
     """
-    c1, c2, _ = shape_constants
-    gamma = 4.0 * np.pi * c1 ** 2 / c2
     p = np.asarray(p, dtype=complex).reshape(-1)
     if np.any(p.imag > 1e-14 * np.maximum(np.abs(p), 1.0)):
         raise InvariantViolation("realizable potentials need Im p <= 0")
@@ -92,15 +89,15 @@ def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
 
     mask_a = (p1 > 0) & (p2 != 0)
     h[mask_a] = 1j * p1[mask_a] / p2[mask_a]
-    n_dens[mask_a] = (p1[mask_a] ** 2 + p2[mask_a] ** 2) / (gamma * p1[mask_a])
+    n_dens[mask_a] = (p1[mask_a] ** 2 + p2[mask_a] ** 2) / (GAMMA * p1[mask_a])
 
     mask_b = (p2 == 0) & (p1 > 0)
     h[mask_b] = 1.0
-    n_dens[mask_b] = 2.0 * p1[mask_b] / gamma
+    n_dens[mask_b] = 2.0 * p1[mask_b] / GAMMA
 
     mask_c = (p2 == 0) & (p1 < 0)
     h[mask_c] = -0.5
-    n_dens[mask_c] = -p1[mask_c] / gamma
+    n_dens[mask_c] = -p1[mask_c] / GAMMA
 
     mask_e = (p1 <= 0) & (p2 != 0)
     if np.any(mask_e):
@@ -110,13 +107,13 @@ def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
         s = np.sqrt(q1 ** 2 + q2 ** 2)
         h2 = -0.25 * (2.0 * q2) / (q1 - s)
         h[mask_e] = -0.5 + 1j * h2
-        n_dens[mask_e] = q2 * (0.25 + h2 ** 2) / (gamma * h2)
+        n_dens[mask_e] = q2 * (0.25 + h2 ** 2) / (GAMMA * h2)
 
     if np.any(h.imag > 1e-14) or np.any(n_dens < 0):
         bad = np.flatnonzero((h.imag > 1e-14) | (n_dens < 0))
         raise InvariantViolation(f"no feasible (h, N) at nodes {bad[:10].tolist()}")
 
-    realized = potential_from_h_N(h, n_dens, shape_constants)
+    realized = potential_from_h_N(h, n_dens)
     scale = np.maximum(np.abs(p), 1e-300)
     bad = np.flatnonzero(np.abs(realized - p) > ROUND_TRIP_TOL * np.maximum(scale, 1.0))
     if bad.size:
@@ -126,9 +123,7 @@ def choose_h_N(p, shape_constants=BALL_SHAPE_CONSTANTS):
 
 def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignResult:
     """Build the particle cloud realizing (h, N) at radius spec.a."""
-    cloud = build_cloud_impedance(spec.medium, spec.a, h, N,
-                                  cell_size=cell_size,
-                                  shape_constants=spec.shape_constants)
+    cloud = build_cloud_impedance(spec.medium, spec.a, h, N, cell_size=cell_size)
     report = validate_cloud(cloud, spec.medium)
     feas = FeasibilityReport(
         ka=spec.medium.k * spec.a,
@@ -136,7 +131,7 @@ def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignRes
         m=len(cloud),
         volume_fraction=report.volume_fraction,
     )
-    p = _node_field(potential_from_h_N(h, N, spec.shape_constants), spec.medium.grid.size, complex)
+    p = _node_field(potential_from_h_N(h, N), spec.medium.grid.size, complex)
     return DesignResult(p=p, h=np.asarray(h, dtype=complex), N=np.asarray(N, dtype=float),
                         cloud=cloud, feasibility=feas)
 
@@ -165,13 +160,13 @@ def verify_design(result: DesignResult, spec: DesignSpec, alpha, scale_sequence,
     """Solve the discrete cloud at each radius and compare with the limit field.
 
     e(a) is the max relative deviation over far-zone probes; the design passes
-    when e(a) decreases along the sequence and the last value is <= final_tol.
+    when e(a) decreases along the sequence and the last value is <= final_tol,
+    or, for p = 0 everywhere, when the last value is <= final_tol.
     """
     medium = spec.medium
 
     def build(a):
-        return build_cloud_impedance(medium, a, result.h, result.N, cell_size=cell_size,
-                                     shape_constants=spec.shape_constants)
+        return build_cloud_impedance(medium, a, result.h, result.N, cell_size=cell_size)
 
     study = _run_study(LimitProblem(medium=medium, p=result.p), build, scale_sequence,
                        alpha, probes, annotate=False)
@@ -180,8 +175,9 @@ def verify_design(result: DesignResult, spec: DesignSpec, alpha, scale_sequence,
     e = report.errors_max
     report.decreasing = all(x > y for x, y in zip(e, e[1:]))
     report.final_error = e[-1]
-    if np.all(np.asarray(report.m_values) == 0):
-        # nothing to embed: the design is trivially exact
+    if not np.any(result.p):
+        # p = 0: the limit is the background field, and the empty clouds
+        # realize it exactly
         report.decreasing = True
         report.passed = report.final_error <= final_tol
     else:

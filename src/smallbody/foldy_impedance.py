@@ -12,8 +12,8 @@ feels the incident field plus the monopole fields of all other particles,
 
     u_e(x_j) = u0(x_j) - sum_{m != j} G(x_j, x_m) c_m u_e(x_m),
 
-with coupling c_m = 4 pi c1^2 c2^{-1} a h_m / (1 + h_m) and charge
-Q_m = -c_m u_e(x_m).
+with coupling c_m = gamma a h_m / (1 + h_m), gamma = 4 pi c1^2 / c2 = 4 pi
+for balls, and charge Q_m = -c_m u_e(x_m).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
 from .medium import (BackgroundMedium, ComplexField, _embedding_spectrum, _factor,
                      _solve_checked, _toeplitz_apply, _unit, helmholtz_kernels, lattice_of)
-from .particles import ParticleCloud, impedance_to_h, nearest_distances, validate_cloud
+from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
+                        validate_cloud)
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +36,7 @@ logger = logging.getLogger(__name__)
 # M (1 + 3 order) (measured crossovers; README "Numerical choices")
 DENSE_MAX_UNKNOWNS = 4000    # dense LU up to this many
 LATTICE_MIN_UNKNOWNS = 100   # free lattice clouds take the lattice FFT apply from here
-CHUNK_ENTRIES = 2 ** 24      # direct-apply row chunks: rows * M * (1 + 3 order)^2 entries
+CHUNK_ENTRIES = 2 ** 18      # direct-apply row chunks: rows * M * (1 + 3 order)^2 entries
 
 
 @dataclass
@@ -58,29 +59,9 @@ class FoldySolveResult:
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
 
 
-def charge_from_effective_field(zeta, a, shape_constants, u_e_value) -> complex:
-    """Monopole charge Q = -zeta |S| u_e / (1 + zeta J / (4 pi |S|)).
-
-    |S| = c1 a^2, J = c2 a^3.  The denominator vanishes exactly when the
-    dimensionless impedance parameter h equals -1.
-    """
-    c1, c2, _ = shape_constants
-    zeta = complex(zeta)
-    surface = c1 * a ** 2
-    j_int = c2 * a ** 3
-    denom = 1.0 + zeta * j_int / (4.0 * np.pi * surface)
-    if abs(denom) < 1e-14:
-        raise InvariantViolation("h = -1: singular charge denominator")
-    return -zeta * surface * u_e_value / denom
-
-
 def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
-    """c_m = 4 pi c1^2 c2^{-1} a h_m / (1 + h_m) for every particle."""
-    c1, c2, _ = cloud.shape_constants
-    h = impedance_to_h(cloud.zeta, cloud.a, cloud.shape_constants)
-    if np.any(np.abs(1.0 + h) < 1e-14):
-        raise InvariantViolation("h = -1: singular coupling")
-    return 4.0 * np.pi * c1 ** 2 / c2 * cloud.a * h / (1.0 + h)
+    """c_m = gamma a h_m / (1 + h_m) for every particle."""
+    return _point_law(cloud.a, impedance_to_h(cloud.zeta, cloud.a))
 
 
 class FoldySystem:

@@ -3,7 +3,7 @@
 Impedance clouds homogenize into a second-kind volume equation
 
     u = u0 - integral_D G(x,y) p(y) u(y) dy,
-    p = 4 pi c1^2 N h / (c2 (1 + h)),
+    p = gamma N h / (1 + h),   gamma = 4 pi c1^2 / c2 = 4 pi for balls,
 
 and hard clouds into an integro-differential one,
 
@@ -32,22 +32,19 @@ import numpy as np
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation
 from .medium import BackgroundMedium, ComplexField, _node_field, _solve_checked, _unit
-from .particles import BALL_SHAPE_CONSTANTS, CountingMeasure
+from .particles import _check_volume_density, _point_law
 
 COLLAR_CELLS = 2
 
 
-def potential_from_h_N(h_field, N_field, shape_constants=BALL_SHAPE_CONSTANTS) -> np.ndarray:
-    """Homogenized potential p = 4 pi c1^2 N h / (c2 (1 + h)) node-wise."""
-    c1, c2, _ = shape_constants
+def potential_from_h_N(h_field, N_field) -> np.ndarray:
+    """Homogenized potential p = gamma N h / (1 + h) node-wise."""
     h = np.asarray(h_field, dtype=complex).reshape(-1)
     n = np.asarray(N_field, dtype=float).reshape(-1)
     h, n = np.broadcast_arrays(h, n)
     active = n > 0
-    if np.any(np.abs(1.0 + h[active]) < 1e-14):
-        raise InvariantViolation("h = -1 where N > 0: singular potential")
     out = np.zeros(h.shape, dtype=complex)
-    out[active] = 4.0 * np.pi * c1 ** 2 / c2 * n[active] * h[active] / (1.0 + h[active])
+    out[active] = _point_law(n[active], h[active])
     return out
 
 
@@ -55,8 +52,8 @@ def potential_from_h_N(h_field, N_field, shape_constants=BALL_SHAPE_CONSTANTS) -
 class LimitProblem:
     """Continuum problem: either a potential p or a hard pair (nu, beta).
 
-    nu obeys the bound of the clouds that realize it (CountingMeasure,
-    per volume): nonnegative, with (nu/c3)^(1/3) <= 0.1.
+    nu obeys the bound of the clouds that realize it: nonnegative, with
+    (nu/c3)^(1/3) <= 0.1.
     """
 
     medium: BackgroundMedium
@@ -72,7 +69,7 @@ class LimitProblem:
             self.p = _node_field(self.p, size, complex)
         else:
             self.nu = _node_field(self.nu, size, float)
-            CountingMeasure(mode="per_volume", density=self.nu)
+            _check_volume_density(self.nu)
             if self.beta_field is None:
                 raise InvariantViolation("hard problem requires a polarizability field")
             b = np.asarray(self.beta_field, dtype=float)
@@ -188,18 +185,3 @@ def _hard_source(problem: LimitProblem, values: np.ndarray) -> np.ndarray:
     grad = _fd_gradient(values, grid.shape, grid.delta)
     flux = _beta_contract(problem.beta_field, grad) * problem.nu[None, :]
     return lap * problem.nu + _fd_divergence(flux, grid.shape, grid.delta)
-
-
-def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
-    """One-shot correction from the unperturbed field:
-
-    U = u0 + integral G [Lap u0 nu + sum_pq d/dy_p (du0/dy_q beta_pq nu)] dy,
-    with the same grid derivatives and quadrature as solve_limit.
-    """
-    if not problem.is_hard:
-        raise InvariantViolation("hard_born_approximation requires a hard problem")
-    medium = problem.medium
-    alpha = _unit(alpha)
-    u0 = medium.u0_grid(alpha)
-    values = u0 + medium.green_potential_grid(_hard_source(problem, u0))
-    return ComplexField(points=medium.grid.nodes, values=values, incident_direction=alpha)

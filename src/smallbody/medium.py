@@ -291,20 +291,6 @@ def _free_kernels(x, y, k, order=0):
     return helmholtz_kernels(diff, r, k, order)
 
 
-def _single_or_all(x, y, out):
-    """One pair's value when x and y are single 3-vectors, else all of them."""
-    return out[0, 0] if np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1 else out
-
-
-def free_kernel(x, y, k):
-    """Free-space kernel g(x,y) = exp(ik|x-y|) / (4*pi*|x-y|).
-
-    Accepts single 3-vectors or (n,3)/(m,3) stacks; returns a scalar or an
-    (n,m) matrix.  k = 0 gives the static kernel 1/(4*pi*r).
-    """
-    return _single_or_all(x, y, _free_kernels(x, y, k))
-
-
 # ---------------------------------------------------------------------------
 # three-level Toeplitz operators on a box, applied by FFT
 # ---------------------------------------------------------------------------
@@ -693,17 +679,6 @@ class BackgroundMedium:
         out[self._support] = u
         return out
 
-    def _extend(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Node values of the solution of (I + Kw diag(q0)) x = f from its
-        support values u: x_S = u and x_O = f_O - (Kw diag(q0) x)_O off S,
-        by one FFT apply (none when S holds every node)."""
-        x = np.array(f, dtype=complex)
-        s = self._support
-        if len(self._off_support):
-            x -= self._apply_weighted_kernel(self._on_grid(self.q0[s] * u))
-        x[s] = u
-        return x
-
     # -- incident field -----------------------------------------------------
 
     def _plane_wave(self, alpha) -> np.ndarray:
@@ -715,12 +690,6 @@ class BackgroundMedium:
         if key not in self._u0_cache:
             self._u0_cache[key] = self._solve_grid(self._plane_wave(alpha)[self._support])
         return self._u0_cache[key]
-
-    def u0_grid(self, alpha) -> np.ndarray:
-        """Incident scattering solution u0(., alpha) at the grid nodes."""
-        alpha = _unit(alpha)
-        e = self._plane_wave(alpha)
-        return e if self.is_free else self._extend(e, self._u0_support(alpha))
 
     def incident_values(self, alpha, points, order=0) -> np.ndarray:
         """u0(x, alpha) at arbitrary points via the volume representation.
@@ -857,15 +826,6 @@ class BackgroundMedium:
                 b[np.arange(n), np.arange(n)] = 0.0
         return blocks
 
-    # -- volume potentials with the G kernel ---------------------------------
-
-    def green_potential_grid(self, density) -> np.ndarray:
-        """Node values of integral G(z_i, y) f(y) dy for a node density f."""
-        kwf = self._apply_weighted_kernel(np.asarray(density, dtype=complex).reshape(-1))
-        if self.is_free:
-            return kwf
-        return self._extend(kwf, self._solve_grid(kwf[self._support]))
-
     # -- weighted far-field sums ----------------------------------------------
 
     def _phase(self, betas, points) -> np.ndarray:
@@ -925,76 +885,3 @@ def far_probe_points(grid: Grid, radius_factor: float = 5.0) -> np.ndarray:
                      for l in (-1, 0, 1) if (i, j, l) != (0, 0, 0)], dtype=float)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return center + radius_factor * diam * dirs
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-def background_green(medium: BackgroundMedium, x, y) -> complex:
-    """G(x,y) for a single point pair (G = g when q0 vanishes)."""
-    return complex(medium.green_blocks(x, y)[0][0, 0])
-
-
-def background_green_grad(medium: BackgroundMedium, x, y) -> np.ndarray:
-    """grad_y G(x,y) for a single point pair, shape (3,)."""
-    return medium.green_blocks(x, y, order=1)[2][0, 0]
-
-
-def incident_field(medium: BackgroundMedium, alpha, points) -> ComplexField:
-    """Incident scattering solution u0(., alpha) sampled at points."""
-    alpha = _unit(alpha)
-    values = medium.incident_values(alpha, points)
-    return ComplexField(points=np.atleast_2d(points), values=values, incident_direction=alpha)
-
-
-@dataclass
-class LemmaBoundsReport:
-    """Sampled translation-stability ratios of the kernels g and G."""
-
-    a: float
-    d: float
-    k: float
-    samples: int
-    max_ratio_g: float
-    max_ratio_green: float
-    max_diff_g: float
-
-
-def lemma_bounds_check(medium: BackgroundMedium, a: float, d: float,
-                       sample_count: int = 1000, seed: int = 0) -> LemmaBoundsReport:
-    """Sample |g(t,y)-g(x,y)| / (a/d^2 + k a/d) and the G analog.
-
-    Draws (t, x, y) with |t-x| <= a and |x-y| >= d, x in the medium box.
-    Both ratios stay bounded by an a- and d-independent constant.
-    """
-    if d < 10 * a:
-        raise InvariantViolation("lemma bounds require d >= 10a")
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(medium.grid.lo)
-    hi = np.asarray(medium.grid.hi)
-    x = lo + rng.random((sample_count, 3)) * (hi - lo)
-    direc = rng.normal(size=(sample_count, 3))
-    direc /= np.linalg.norm(direc, axis=1)[:, None]
-    radius = d * (1.0 + rng.random(sample_count))
-    y = x + direc * radius[:, None]
-    tdir = rng.normal(size=(sample_count, 3))
-    tdir /= np.linalg.norm(tdir, axis=1)[:, None]
-    t = x + tdir * (a * rng.random(sample_count) ** (1.0 / 3.0))[:, None]
-
-    k = medium.k
-    denom = a / d ** 2 + k * a / d
-    gx, gt = (helmholtz_kernels(y - p, np.linalg.norm(y - p, axis=1), k) for p in (x, t))
-    diff_g = np.abs(gt - gx)
-    if medium.is_free:
-        diff_green = diff_g
-    else:
-        green = medium.green_blocks(np.concatenate([x, t]), y)[0]
-        idx = np.arange(sample_count)
-        diff_green = np.abs(green[sample_count + idx, idx] - green[idx, idx])
-    return LemmaBoundsReport(
-        a=a, d=d, k=k, samples=sample_count,
-        max_ratio_g=float(diff_g.max() / denom),
-        max_ratio_green=float(diff_green.max() / denom),
-        max_diff_g=float(diff_g.max()),
-    )

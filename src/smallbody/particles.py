@@ -22,7 +22,11 @@ from .medium import BackgroundMedium, _node_field
 
 logger = logging.getLogger(__name__)
 
+# a body of radius a has |S| = c1 a^2, J = c2 a^3 and volume c3 a^3; every
+# particle is a ball
 BALL_SHAPE_CONSTANTS = (4.0 * np.pi, 16.0 * np.pi ** 2, 4.0 * np.pi / 3.0)
+c1, c2, c3 = BALL_SHAPE_CONSTANTS
+GAMMA = 4.0 * np.pi * c1 ** 2 / c2  # 4 pi for balls
 
 KA_MAX = 0.1            # small-particle regime ka <= 0.1
 SPACING_FACTOR = 10.0   # d >= 10 a
@@ -43,7 +47,6 @@ class ParticleCloud:
     kind: str                      # "impedance" | "hard"
     zeta: np.ndarray | None = None     # (M,) complex boundary impedances
     beta: np.ndarray | None = None     # (3, 3) polarizability tensor
-    shape_constants: tuple = BALL_SHAPE_CONSTANTS
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float).reshape(-1, 3)
@@ -66,7 +69,7 @@ class ParticleCloud:
 
     @property
     def volume_per_particle(self) -> float:
-        return self.shape_constants[2] * self.a ** 3
+        return c3 * self.a ** 3
 
     def to_json_dict(self) -> dict:
         out = {
@@ -74,7 +77,7 @@ class ParticleCloud:
             "kind": self.kind,
             "a": self.a,
             "d": self.d if np.isfinite(self.d) else None,
-            "shape_constants": list(self.shape_constants),
+            "shape_constants": list(BALL_SHAPE_CONSTANTS),
             "centers": [[float(c) for c in row] for row in self.centers],
         }
         if self.zeta is not None:
@@ -83,61 +86,39 @@ class ParticleCloud:
             out["beta"] = [[float(v) for v in row] for row in self.beta]
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ParticleCloud":
-        zeta = None
-        if "zeta" in data:
-            zeta = np.array([complex(z["re"], z["im"]) for z in data["zeta"]])
-        beta = np.asarray(data["beta"], dtype=float) if "beta" in data else None
-        return cls(
-            centers=np.asarray(data["centers"], dtype=float).reshape(-1, 3),
-            a=float(data["a"]),
-            kind=data["kind"],
-            zeta=zeta,
-            beta=beta,
-            shape_constants=tuple(data.get("shape_constants", BALL_SHAPE_CONSTANTS)),
-        )
+
+def _check_volume_density(nu):
+    """Check a hard counting density: nu >= 0 and, for d >> a,
+    (nu/c3)^(1/3) <= HARD_COMPAT_MAX."""
+    nu = np.asarray(nu, dtype=float)
+    if np.any(nu < 0):
+        raise InvariantViolation("counting density must be nonnegative")
+    peak = np.max(nu, initial=0.0)
+    if peak > 0 and (peak / c3) ** (1.0 / 3.0) > HARD_COMPAT_MAX + 1e-12:
+        raise InvariantViolation(
+            "volume density too large: (nu/c3)^(1/3) must stay <= "
+            f"{HARD_COMPAT_MAX} for d >> a, got {(peak / c3) ** (1.0 / 3.0):.4f}")
 
 
-@dataclass(frozen=True)
-class CountingMeasure:
-    """Particle-count density: N(x) per unit length weight, nu(x) per volume."""
-
-    mode: str                     # "per_length" | "per_volume"
-    density: np.ndarray
-    shape_constants: tuple = BALL_SHAPE_CONSTANTS
-
-    def __post_init__(self):
-        object.__setattr__(self, "density", np.asarray(self.density, dtype=float).reshape(-1))
-        if self.mode not in ("per_length", "per_volume"):
-            raise InvariantViolation(f"unknown counting mode {self.mode!r}")
-        if np.any(self.density < 0):
-            raise InvariantViolation("counting density must be nonnegative")
-        if self.mode == "per_volume":
-            c3 = self.shape_constants[2]
-            peak = np.max(self.density, initial=0.0)
-            if peak > 0 and (peak / c3) ** (1.0 / 3.0) > HARD_COMPAT_MAX + 1e-12:
-                raise InvariantViolation(
-                    "volume density too large: (nu/c3)^(1/3) must stay <= "
-                    f"{HARD_COMPAT_MAX} for d >> a, got {(peak / c3) ** (1.0 / 3.0):.4f}")
-
-    def particle_weight(self, a: float) -> float:
-        return a if self.mode == "per_length" else self.shape_constants[2] * a ** 3
+def _point_law(scale, h):
+    """GAMMA * scale * h / (1 + h): the coupling c of one particle (scale a)
+    or the homogenized potential p (scale N) of impedance parameter h."""
+    if np.any(np.abs(1.0 + h) < 1e-14):
+        raise InvariantViolation("h = -1: singular denominator 1 + h")
+    return GAMMA * scale * h / (1.0 + h)
 
 
-def impedance_to_h(zeta, a: float, shape_constants=BALL_SHAPE_CONSTANTS) -> np.ndarray:
+def impedance_to_h(zeta, a: float) -> np.ndarray:
     """Dimensionless impedance parameter h = zeta * J / (4 pi |S|).
 
-    With |S| = c1 a^2 and J = c2 a^3 this is zeta * a * c2 / (4 pi c1);
-    for balls simply zeta * a.
+    With |S| = c1 a^2 and J = c2 a^3 this is zeta * a * c2 / (4 pi c1),
+    which for balls is zeta * a.
     """
-    c1, c2, _ = shape_constants
     return np.asarray(zeta, dtype=complex) * a * c2 / (4.0 * np.pi * c1)
 
 
-def h_to_impedance(h, a: float, shape_constants=BALL_SHAPE_CONSTANTS) -> np.ndarray:
+def h_to_impedance(h, a: float) -> np.ndarray:
     """Boundary impedance realizing a given h at radius a (inverse of above)."""
-    c1, c2, _ = shape_constants
     return np.asarray(h, dtype=complex) * 4.0 * np.pi * c1 / (c2 * a)
 
 
@@ -403,8 +384,7 @@ def _check_radius(medium: BackgroundMedium, a: float):
 
 
 def build_cloud_impedance(medium: BackgroundMedium, a: float, h_field, N_field,
-                          cell_size: float | None = None,
-                          shape_constants=BALL_SHAPE_CONSTANTS) -> ParticleCloud:
+                          cell_size: float | None = None) -> ParticleCloud:
     """Realize the per-length counting N(x)/a with impedances zeta = H(x)/a.
 
     h and N are node fields on the medium grid.  Each cell of side b receives
@@ -424,24 +404,19 @@ def build_cloud_impedance(medium: BackgroundMedium, a: float, h_field, N_field,
 
     centers = _place(medium, N, a, a, cell_size)
     h_at = medium.grid.value_at_cells(h, centers, outside=0.0 + 0.0j) if len(centers) else h[:0]
-    zeta = h_to_impedance(h_at, a, shape_constants)
-    return ParticleCloud(centers=centers, a=a, kind="impedance",
-                         zeta=zeta, shape_constants=shape_constants)
+    zeta = h_to_impedance(h_at, a)
+    return ParticleCloud(centers=centers, a=a, kind="impedance", zeta=zeta)
 
 
 def build_cloud_hard(medium: BackgroundMedium, a: float, nu_field, beta,
-                     cell_size: float | None = None,
-                     shape_constants=BALL_SHAPE_CONSTANTS) -> ParticleCloud:
+                     cell_size: float | None = None) -> ParticleCloud:
     """Realize the per-volume counting nu(x)/(c3 a^3) with hard particles."""
     _check_radius(medium, a)
     nu = _node_field(nu_field, medium.grid.size, float)
-    # validates nu >= 0 and the d >> a compatibility bound
-    measure = CountingMeasure(mode="per_volume", density=nu, shape_constants=shape_constants)
-    weight = measure.particle_weight(a)
-    centers = _place(medium, nu, a, weight, cell_size)
+    _check_volume_density(nu)
+    centers = _place(medium, nu, a, c3 * a ** 3, cell_size)
     return ParticleCloud(centers=centers, a=a, kind="hard",
-                         beta=np.asarray(beta, dtype=float).reshape(3, 3),
-                         shape_constants=shape_constants)
+                         beta=np.asarray(beta, dtype=float).reshape(3, 3))
 
 
 @dataclass

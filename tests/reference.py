@@ -1,12 +1,30 @@
 """Reference forms that only the tests use: literal definitions to check the
-package's faster paths against, and helpers the package does not need."""
+package's faster paths against, and the paper's checks that the package does
+not need."""
 
-import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from smallbody.medium import Grid, _free_kernels, _single_or_all
+from smallbody.errors import InvariantViolation
+from smallbody.limit_solver import LimitProblem, _hard_source
+from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _free_kernels, _node_field,
+                              _unit, helmholtz_kernels)
 from smallbody.particles import ParticleCloud
+
+
+def _single_or_all(x, y, out):
+    """One pair's value when x and y are single 3-vectors, else all of them."""
+    return out[0, 0] if np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1 else out
+
+
+def free_kernel(x, y, k):
+    """Free-space kernel g(x,y) = exp(ik|x-y|) / (4*pi*|x-y|).
+
+    Accepts single 3-vectors or (n,3)/(m,3) stacks; returns a scalar or an
+    (n,m) matrix.  k = 0 gives the static kernel 1/(4*pi*r).
+    """
+    return _single_or_all(x, y, _free_kernels(x, y, k))
 
 
 def free_kernel_grad_y(x, y, k):
@@ -19,13 +37,139 @@ def free_kernel_hess_xy(x, y, k):
     return _single_or_all(x, y, _free_kernels(x, y, k, 2)[2])
 
 
+def _extend(medium: BackgroundMedium, f, u) -> np.ndarray:
+    """Node values of the solution of (I + Kw diag(q0)) x = f from its
+    support values u: x_S = u and x_O = f_O - (Kw diag(q0) x)_O off S,
+    by one FFT apply (none when S holds every node)."""
+    x = np.array(f, dtype=complex)
+    s = medium._support
+    if len(medium._off_support):
+        x -= medium._apply_weighted_kernel(medium._on_grid(medium.q0[s] * u))
+    x[s] = u
+    return x
+
+
+def u0_grid(medium: BackgroundMedium, alpha) -> np.ndarray:
+    """Incident scattering solution u0(., alpha) at the grid nodes."""
+    alpha = _unit(alpha)
+    e = medium._plane_wave(alpha)
+    return e if medium.is_free else _extend(medium, e, medium._u0_support(alpha))
+
+
+def green_potential_grid(medium: BackgroundMedium, density) -> np.ndarray:
+    """Node values of integral G(z_i, y) f(y) dy for a node density f."""
+    kwf = medium._apply_weighted_kernel(np.asarray(density, dtype=complex).reshape(-1))
+    if medium.is_free:
+        return kwf
+    return _extend(medium, kwf, medium._solve_grid(kwf[medium._support]))
+
+
 def weighted_u0_sum_grid(medium, betas, density_times_weight) -> np.ndarray:
     """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3.
 
     The literal definition: u0_grid per direction, whose support solve is cached.
     """
     f = np.asarray(density_times_weight, dtype=complex).reshape(-1)
-    return np.array([medium.u0_grid(-b) @ f for b in np.atleast_2d(betas)])
+    return np.array([u0_grid(medium, -b) @ f for b in np.atleast_2d(betas)])
+
+
+def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
+    """One-shot correction from the unperturbed field:
+
+    U = u0 + integral G [Lap u0 nu + sum_pq d/dy_p (du0/dy_q beta_pq nu)] dy,
+    with the same grid derivatives and quadrature as solve_limit.
+    """
+    if not problem.is_hard:
+        raise InvariantViolation("hard_born_approximation requires a hard problem")
+    medium = problem.medium
+    alpha = _unit(alpha)
+    u0 = u0_grid(medium, alpha)
+    values = u0 + green_potential_grid(medium, _hard_source(problem, u0))
+    return ComplexField(points=medium.grid.nodes, values=values, incident_direction=alpha)
+
+
+def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, density,
+                           f=None, exclusion=None):
+    """(weighted particle sum, grid quadrature of f * density).
+
+    The particle weight is a for impedance clouds and c3 a^3 for hard clouds.
+    ``f`` is a callable on points (default 1); ``exclusion = (y0, delta)``
+    removes a ball around an integrable singularity from both sides.
+    """
+    dens = _node_field(density, medium.grid.size, float)
+    weight = cloud.volume_per_particle if cloud.kind == "hard" else cloud.a
+
+    centers = cloud.centers
+    nodes = medium.grid.nodes
+    keep_c = np.ones(len(centers), dtype=bool)
+    keep_n = np.ones(len(nodes), dtype=bool)
+    if exclusion is not None:
+        y0, delta = np.asarray(exclusion[0], dtype=float), float(exclusion[1])
+        if len(centers):
+            keep_c = np.linalg.norm(centers - y0, axis=1) > delta
+        keep_n = np.linalg.norm(nodes - y0, axis=1) > delta
+
+    if f is None:
+        fc = np.ones(int(keep_c.sum()))
+        fn = np.ones(int(keep_n.sum()))
+    else:
+        fc = np.asarray(f(centers[keep_c])) if keep_c.any() else np.zeros(0)
+        fn = np.asarray(f(nodes[keep_n]))
+    particle_sum = weight * complex(np.sum(fc)) if len(centers) else 0.0 + 0.0j
+    integral = complex(np.sum(fn * dens[keep_n]) * medium.weight)
+    return particle_sum, integral
+
+
+@dataclass
+class LemmaBoundsReport:
+    """Sampled translation-stability ratios of the kernels g and G."""
+
+    a: float
+    d: float
+    k: float
+    samples: int
+    max_ratio_g: float
+    max_ratio_green: float
+    max_diff_g: float
+
+
+def lemma_bounds_check(medium: BackgroundMedium, a: float, d: float,
+                       sample_count: int = 1000, seed: int = 0) -> LemmaBoundsReport:
+    """Sample |g(t,y)-g(x,y)| / (a/d^2 + k a/d) and the G analog.
+
+    Draws (t, x, y) with |t-x| <= a and |x-y| >= d, x in the medium box.
+    Both ratios stay bounded by an a- and d-independent constant.
+    """
+    if d < 10 * a:
+        raise InvariantViolation("lemma bounds require d >= 10a")
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(medium.grid.lo)
+    hi = np.asarray(medium.grid.hi)
+    x = lo + rng.random((sample_count, 3)) * (hi - lo)
+    direc = rng.normal(size=(sample_count, 3))
+    direc /= np.linalg.norm(direc, axis=1)[:, None]
+    radius = d * (1.0 + rng.random(sample_count))
+    y = x + direc * radius[:, None]
+    tdir = rng.normal(size=(sample_count, 3))
+    tdir /= np.linalg.norm(tdir, axis=1)[:, None]
+    t = x + tdir * (a * rng.random(sample_count) ** (1.0 / 3.0))[:, None]
+
+    k = medium.k
+    denom = a / d ** 2 + k * a / d
+    gx, gt = (helmholtz_kernels(y - p, np.linalg.norm(y - p, axis=1), k) for p in (x, t))
+    diff_g = np.abs(gt - gx)
+    if medium.is_free:
+        diff_green = diff_g
+    else:
+        green = medium.green_blocks(np.concatenate([x, t]), y)[0]
+        idx = np.arange(sample_count)
+        diff_green = np.abs(green[sample_count + idx, idx] - green[idx, idx])
+    return LemmaBoundsReport(
+        a=a, d=d, k=k, samples=sample_count,
+        max_ratio_g=float(diff_g.max() / denom),
+        max_ratio_green=float(diff_green.max() / denom),
+        max_diff_g=float(diff_g.max()),
+    )
 
 
 def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
@@ -46,11 +190,3 @@ def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
         w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
         out += w * vals[idx[:, 0], idx[:, 1], idx[:, 2]]
     return out
-
-
-def cloud_to_json(cloud: ParticleCloud) -> str:
-    return json.dumps(cloud.to_json_dict(), indent=2, sort_keys=True)
-
-
-def cloud_from_json(text: str) -> ParticleCloud:
-    return ParticleCloud.from_json_dict(json.loads(text))

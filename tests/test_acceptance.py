@@ -30,15 +30,15 @@ from smallbody.limit_solver import (
     potential_from_h_N,
     solve_limit,
 )
-from smallbody.medium import BackgroundMedium, Grid, free_kernel, lemma_bounds_check
+from smallbody.medium import BackgroundMedium, Grid
 from smallbody.particles import (
-    CountingMeasure,
     ParticleCloud,
+    _check_volume_density,
     build_cloud_impedance,
     h_to_impedance,
     validate_cloud,
 )
-from reference import weighted_u0_sum_grid
+from reference import green_potential_grid, lemma_bounds_check, u0_grid, weighted_u0_sum_grid
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -255,7 +255,7 @@ def test_criterion_8_born_fourier_and_hard_fixed_point():
     nu = 2e-3 * prof[:, 0] * prof[:, 1] * prof[:, 2]
     hard = LimitProblem(medium=med, nu=nu, beta_field=ball_polarizability())
     u = solve_limit(hard, Z_HAT).values
-    mapped = med.u0_grid(Z_HAT) + med.green_potential_grid(_hard_source(hard, u))
+    mapped = u0_grid(med, Z_HAT) + green_potential_grid(med, _hard_source(hard, u))
     defect = np.linalg.norm(mapped - u) / np.linalg.norm(u)
     assert defect <= 1e-10
     report(8, f"Born/Fourier error {rel:.2e} <= 1e-2, hard fixed-point defect {defect:.1e}")
@@ -291,7 +291,7 @@ def test_criterion_9_determinism_and_invariants(tmp_path):
 
     # counting bounds: hard compatibility and active impedances are rejected
     with pytest.raises(InvariantViolation):
-        CountingMeasure(mode="per_volume", density=np.array([0.5]))
+        _check_volume_density(np.array([0.5]))
     med = BackgroundMedium(1.0, grid)
     with pytest.raises(InvariantViolation):
         build_cloud_impedance(med, 1e-3, 1.0 + 0.5j, 0.05)

@@ -12,7 +12,6 @@ import pytest
 import smallbody
 from smallbody import cli
 from smallbody.cli import main
-from smallbody.particles import ParticleCloud
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -384,8 +383,9 @@ class TestDesign:
         assert code == 0
         data = json.loads((out / "design.json").read_text())
         # branch E with p2 = -1e-4 k^2 realizes some N; cloud is reproducible
-        cloud = ParticleCloud.from_json_dict(data["cloud"])
-        assert len(cloud) == data["feasibility"]["M"]
+        assert len(data["cloud"]["centers"]) == data["feasibility"]["M"]
+        # every particle is a ball: (c1, c2, c3) = (4 pi, 16 pi^2, 4 pi / 3)
+        assert data["cloud"]["shape_constants"] == [4 * np.pi, 16 * np.pi ** 2, 4 * np.pi / 3]
 
     def test_reference_cell_design_feasibility(self, tmp_path):
         # the classic numbers: b = 1e-2 box, a = 1e-5, N = 1e4 from branch B
@@ -409,13 +409,22 @@ class TestDesign:
         code, out = run(tmp_path, "design", scene_path=SCENES / "design_subbox.json")
         assert code == 0
         data = json.loads((out / "design.json").read_text())
-        cloud = ParticleCloud.from_json_dict(data["cloud"])
-        assert cloud.kind == "impedance"
-        assert len(cloud) == data["feasibility"]["M"]
+        assert data["cloud"]["kind"] == "impedance"
+        assert len(data["cloud"]["centers"]) == data["feasibility"]["M"]
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["verification"]["passed"] is True
         _, vdata = read_csv(out / "verification.csv")
         assert (np.diff(vdata[:, 3]) < 0).all()
+
+    def test_empty_clouds_fail_a_nontrivial_design(self, tmp_path):
+        # radii too large to place a particle leave the n = 1.2 target unrealized
+        scene = json.loads((SCENES / "design_subbox.json").read_text())
+        scene["design"]["verify"]["a_sequence"] = [2e-3, 1.5e-3, 1e-3]
+        code, out = run(tmp_path, "design", scene_dict=scene)
+        assert code == 0
+        verification = json.loads((out / "metadata.json").read_text())["verification"]
+        assert [row["M"] for row in verification["table"]] == [0, 0, 0]
+        assert verification["passed"] is False
 
 
 class TestStudy:

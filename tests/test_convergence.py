@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from smallbody.convergence import ScaleStudy, counting_measure_check, run_hard_study, run_impedance_study
+from smallbody.convergence import ScaleStudy, run_hard_study, run_impedance_study
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import amplitudes, solve_cloud
 from smallbody.medium import BackgroundMedium, Grid
 from smallbody.particles import build_cloud_hard, build_cloud_impedance
+from reference import counting_measure_check
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 

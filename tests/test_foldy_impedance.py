@@ -10,20 +10,19 @@ from smallbody.foldy_impedance import (
     FoldySystem,
     _solve_system,
     amplitudes,
-    charge_from_effective_field,
     coupling_constants,
     evaluate_field,
     far_field,
     solve_cloud,
 )
-from smallbody.medium import BackgroundMedium, Grid, free_kernel, lattice_of
+from smallbody.medium import BackgroundMedium, Grid, lattice_of
 from smallbody.particles import (
-    BALL_SHAPE_CONSTANTS,
     ParticleCloud,
     build_cloud_hard,
     build_cloud_impedance,
     h_to_impedance,
 )
+from reference import free_kernel
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -38,20 +37,24 @@ def ball_cloud(centers, a, h):
     return ParticleCloud(centers=centers, a=a, kind="impedance", zeta=zeta)
 
 
+def one_particle(zeta, a):
+    return ParticleCloud(centers=np.zeros((1, 3)), a=a, kind="impedance", zeta=[zeta])
+
+
 class TestChargeFormula:
     def test_ball_h_one(self):
         # h = 1 means zeta = 1/a for balls; Q = -4 pi a h/(1+h) u_e = -2 pi a
         a = 0.01
-        q = charge_from_effective_field(1.0 / a, a, BALL_SHAPE_CONSTANTS, 1.0 + 0j)
+        q = -coupling_constants(one_particle(1.0 / a, a))[0]  # Q at u_e = 1
         assert q == pytest.approx(-0.02 * np.pi, rel=1e-12)
 
     def test_zero_impedance_zero_charge(self):
-        assert charge_from_effective_field(0.0, 0.01, BALL_SHAPE_CONSTANTS, 1.0) == 0.0
+        assert coupling_constants(one_particle(0.0, 0.01))[0] == 0.0
 
     def test_h_minus_one_singular(self):
         a = 0.01
         with pytest.raises(InvariantViolation):
-            charge_from_effective_field(-1.0 / a, a, BALL_SHAPE_CONSTANTS, 1.0)
+            coupling_constants(one_particle(-1.0 / a, a))
 
 
 class TestSolver:
@@ -78,15 +81,14 @@ class TestSolver:
     def test_two_particle_closed_form_inhomogeneous_background(self):
         # same closed form with the background Green function and incident
         # solution of a nontrivial q0
-        from smallbody.medium import BackgroundMedium, Grid, background_green
         med = BackgroundMedium(1.2, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.3)
         centers = np.array([[0.21, 0.52, 0.48], [0.79, 0.5, 0.52]])
         cloud = ball_cloud(centers, a=1e-3, h=1.5)
         res = solve_cloud(med, cloud, Z_HAT)
         c = coupling_constants(cloud)
         u0 = med.incident_values(Z_HAT, centers)
-        g12 = background_green(med, centers[0], centers[1])
-        g21 = background_green(med, centers[1], centers[0])
+        g12 = med.green_blocks(centers[0], centers[1])[0][0, 0]
+        g21 = med.green_blocks(centers[1], centers[0])[0][0, 0]
         expected1 = (u0[0] - g12 * c[1] * u0[1]) / (1 - g12 * g21 * c[0] * c[1])
         assert res.effective_values[0] == pytest.approx(expected1, rel=1e-10)
 

@@ -8,9 +8,9 @@ from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import (FoldySystem, amplitudes, evaluate_field, far_field,
                                        solve_cloud)
 from smallbody.foldy_neumann import ball_polarizability
-from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, free_kernel, lattice_of
+from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
-from reference import free_kernel_grad_y
+from reference import free_kernel, free_kernel_grad_y
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 C3 = 4 * np.pi / 3

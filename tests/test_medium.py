@@ -17,19 +17,15 @@ from smallbody.medium import (
     ComplexField,
     Grid,
     Lattice,
-    background_green,
-    background_green_grad,
-    free_kernel,
-    incident_field,
     lattice_of,
-    lemma_bounds_check,
     _factor,
     _solve_checked,
     _unit,
 )
 from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance
-from reference import free_kernel_grad_y, free_kernel_hess_xy, trilinear_interpolate
+from reference import (free_kernel, free_kernel_grad_y, free_kernel_hess_xy, green_potential_grid,
+                       lemma_bounds_check, trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
 
@@ -118,7 +114,7 @@ class TestBackgroundGreen:
         med = make_medium()
         x = np.array([0.3, 0.4, 0.1])
         y = np.array([2.0, 1.0, -0.5])
-        assert background_green(med, x, y) == pytest.approx(free_kernel(x, y, med.k), rel=1e-14)
+        assert med.green_blocks(x, y)[0][0, 0] == pytest.approx(free_kernel(x, y, med.k), rel=1e-14)
 
     def test_reciprocity(self):
         med = make_medium(k=1.2, n=9, n0=1.3)
@@ -126,8 +122,8 @@ class TestBackgroundGreen:
         for _ in range(4):
             x = rng.random(3) * 0.9 + 0.04
             y = rng.random(3) * 0.9 + 0.06
-            gxy = background_green(med, x, y)
-            gyx = background_green(med, y, x)
+            gxy = med.green_blocks(x, y)[0][0, 0]
+            gyx = med.green_blocks(y, x)[0][0, 0]
             assert abs(gxy - gyx) <= 1e-8 * max(abs(gxy), 1.0)
 
     def test_born_consistency_second_order(self):
@@ -143,7 +139,7 @@ class TestBackgroundGreen:
         def defect(eps):
             med = make_medium(k=k, n=9, n0=1.0 - eps / k ** 2)
             g = free_kernel(x, y, k)
-            return abs(background_green(med, x, y) - (g - eps * born_kernel))
+            return abs(med.green_blocks(x, y)[0][0, 0] - (g - eps * born_kernel))
 
         d1, d2 = defect(0.4), defect(0.2)
         assert d1 / d2 >= 3.5
@@ -153,7 +149,7 @@ class TestBackgroundGreen:
         y = np.array([0.1, 0.05, 0.08])
         for r in (50.0, 200.0):
             x = np.array([r, 0.0, 0.0])
-            val = r * abs(background_green(med, x, y))
+            val = r * abs(med.green_blocks(x, y)[0][0, 0])
             assert abs(val - 1 / (4 * np.pi)) / (1 / (4 * np.pi)) <= 2.0 / (med.k * r)
 
 
@@ -188,19 +184,20 @@ class TestBackgroundGreenGrad:
         med = make_medium(k=1e-9)  # k > 0 required; effectively static
         x = ORIGIN
         y = np.array([0.0, 0.0, 1.0])
-        grad = background_green_grad(med, x, y)
+        grad = med.green_blocks(x, y, order=1)[2][0, 0]
         np.testing.assert_allclose(grad, -(y - x) / (4 * np.pi), atol=1e-9)
 
     def test_gradient_fd_oracle_with_potential(self):
         med = make_medium(k=1.1, n=7, n0=1.2)
         x = np.array([-0.5, 0.6, 0.4])
         y = np.array([1.7, 0.52, 0.41])
-        grad = background_green_grad(med, x, y)
+        grad = med.green_blocks(x, y, order=1)[2][0, 0]
         h = 1e-5
         for p in range(3):
             e = np.zeros(3)
             e[p] = h
-            fd = (background_green(med, x, y + e) - background_green(med, x, y - e)) / (2 * h)
+            up, dn = (med.green_blocks(x, y + s * e)[0][0, 0] for s in (1, -1))
+            fd = (up - dn) / (2 * h)
             assert abs(grad[p] - fd) <= 1e-5 * np.linalg.norm(grad)
 
 
@@ -381,13 +378,13 @@ class TestSupportSolve:
         med = self.make()
         alpha = np.array([0.6, 0.0, 0.8])
         plane = np.exp(1j * med.k * med.grid.nodes @ alpha)
-        assert self.rel(med.u0_grid(alpha), self.full_grid_solve(med, plane)) <= 1e-12
+        assert self.rel(u0_grid(med, alpha), self.full_grid_solve(med, plane)) <= 1e-12
 
     def test_green_potential_matches_full_grid_solve(self):
         med = self.make()
         f = [1.0, 1j] @ np.random.default_rng(3).normal(size=(2, med.grid.size))
         ref = self.full_grid_solve(med, med._apply_weighted_kernel(f))
-        assert self.rel(med.green_potential_grid(f), ref) <= 1e-12
+        assert self.rel(green_potential_grid(med, f), ref) <= 1e-12
 
     def test_order_2_green_blocks_match_full_grid_solve(self):
         med = self.make()
@@ -483,14 +480,14 @@ class TestIncidentField:
         med = make_medium()
         alpha = np.array([0.0, 0.0, 1.0])
         pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.pi / med.k]])
-        fld = incident_field(med, alpha, pts)
-        assert fld.values[0] == pytest.approx(1.0 + 0j, abs=1e-15)
-        assert fld.values[1] == pytest.approx(-1.0 + 0j, abs=1e-12)
+        values = med.incident_values(alpha, pts)
+        assert values[0] == pytest.approx(1.0 + 0j, abs=1e-15)
+        assert values[1] == pytest.approx(-1.0 + 0j, abs=1e-12)
 
     def test_nonunit_alpha_rejected(self):
         med = make_medium()
         with pytest.raises(InvariantViolation):
-            incident_field(med, np.array([0.0, 0.0, 2.0]), np.zeros((1, 3)))
+            med.incident_values(np.array([0.0, 0.0, 2.0]), np.zeros((1, 3)))
 
     def test_absorptive_slab_attenuates(self):
         # wide flat absorptive box; compare against the 1-D slab transfer matrix
@@ -501,7 +498,7 @@ class TestIncidentField:
         med = BackgroundMedium(k, grid, n0=1.0 + 1j * sigma / k ** 2)  # q0 = -i*sigma
         alpha = np.array([0.0, 0.0, 1.0])
         probe = np.array([[0.0, 0.0, 1.0]])
-        u = incident_field(med, alpha, probe).values[0]
+        u = med.incident_values(alpha, probe)[0]
         assert abs(u) < 1.0
 
         # transfer-matrix transmission through the slab 0 <= z <= 0.5
@@ -555,8 +552,8 @@ class TestLemmaBounds:
         x = rng.random((n, 3))
         y = x + unit(rng.normal(size=(n, 3))) * (d * (1 + rng.random(n)))[:, None]
         t = x + unit(rng.normal(size=(n, 3))) * (a * rng.random(n) ** (1 / 3))[:, None]
-        diff = max(abs(background_green(med, t[i], y[i]) - background_green(med, x[i], y[i]))
-                   for i in range(n))
+        diff = max(abs(med.green_blocks(t[i], y[i])[0][0, 0]
+                       - med.green_blocks(x[i], y[i])[0][0, 0]) for i in range(n))
         assert rep.max_ratio_green == pytest.approx(diff / (a / d ** 2 + med.k * a / d), rel=1e-12)
 
     def test_requires_separation(self):
