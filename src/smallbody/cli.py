@@ -289,12 +289,34 @@ def parse_alpha(scene: dict) -> np.ndarray:
 # deterministic writers
 # ---------------------------------------------------------------------------
 
+# write_csv formats and writes a table this many rows at a time, so that a
+# large table never holds the texts of all its floats at once
+CSV_BLOCK_ROWS = 4096
+
+
+def _float_texts(values) -> tuple:
+    """repr(float(x)) of each entry of a float array, in C order.
+
+    Each distinct 64-bit pattern is formatted once (0.0 and -0.0, and NaN
+    payloads, stay apart) and its text indexed back into place: the tables
+    written repeat grid coordinates, directions and constants many times.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
+    distinct, where = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return tuple(texts[where].tolist())
+
+
 def write_csv(path: Path, header: list, columns: list):
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
-    row = ",".join(["%r"] * len(cols)) + "\n"  # repr of each float
+    """A header line, then one row per entry of the columns, each value
+    written as repr(float(x))."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*cols))
+        for s in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[s:s + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % _float_texts(block))
 
 
 def write_field_csv(path: Path, points, values):
@@ -316,8 +338,8 @@ def write_json(path: Path, data: dict):
     """The bytes of json.dump(..., indent=2, sort_keys=True) plus a newline,
     with complex arrays written as nested lists of {re, im} objects.
 
-    Finite complex arrays are rendered from a template over their floats,
-    several times faster than json's encoder.
+    Finite complex arrays are rendered from a template over the texts of
+    their floats (_float_texts), several times faster than json's encoder.
     """
     text = _json_text({"format_version": FORMAT_VERSION, **data}, 0)
     with open(path, "w", encoding="utf-8") as fh:
@@ -335,11 +357,11 @@ def _complex_objects(x):
 
 
 def _complex_template(shape, depth: int) -> str:
-    """Layout of nested {re, im} lists of the given shape with %r for each
-    float, as json.dump(indent=2) writes it at nesting depth."""
+    """Layout of nested {re, im} lists of the given shape with %s for the
+    text of each float, as json.dump(indent=2) writes it at nesting depth."""
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     if not shape:
-        return "{" + inner + '"im": %r,' + inner + '"re": %r' + outer + "}"
+        return "{" + inner + '"im": %s,' + inner + '"re": %s' + outer + "}"
     if shape[0] == 0:
         return "[]"
     item = _complex_template(shape[1:], depth + 1)
@@ -352,8 +374,8 @@ def _json_text(obj, depth: int) -> str:
     if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
         # repr writes nan and inf where json writes NaN and Infinity
         if np.all(np.isfinite(obj)):
-            floats = np.stack([obj.imag, obj.real], axis=-1).ravel().tolist()  # keys im, re
-            return _complex_template(obj.shape, depth) % tuple(floats)
+            floats = np.stack([obj.imag, obj.real], axis=-1)  # keys im, re
+            return _complex_template(obj.shape, depth) % _float_texts(floats)
         obj = _complex_objects(obj.tolist())
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):

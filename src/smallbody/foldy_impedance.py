@@ -25,8 +25,9 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (BackgroundMedium, ComplexField, _embedding_spectrum, _factor,
-                     _solve_checked, _toeplitz_apply, _unit, helmholtz_kernels, lattice_of)
+from .medium import (BackgroundMedium, ComplexField, _embedding_spectrum, _factor, _norm,
+                     _pair_distances, _solve_checked, _toeplitz_apply, _unit, helmholtz_kernels,
+                     lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -92,9 +93,11 @@ class FoldySystem:
             gmat, grad_x, grad_y, hess = blocks
             a = np.empty((4 * m, 4 * m), dtype=complex)
             a[:m, :m] = gmat * mq[None, :]
-            a[:m, m:] = (grad_y @ self.vb).reshape(m, 3 * m)
+            a[:m, m:] = (grad_y.reshape(-1, 3) @ self.vb).reshape(m, 3 * m)
             a[m:, :m] = (grad_x * mq[None, :, None]).transpose(0, 2, 1).reshape(3 * m, m)
-            a[m:, m:] = (hess @ self.vb).transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+            # one product over every 3-row: hess @ vb would run M^2 3x3 products
+            hess_vb = (hess.reshape(-1, 3) @ self.vb).reshape(hess.shape)
+            a[m:, m:] = hess_vb.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
         else:
             a = blocks[0]
             a *= mq[None, :]
@@ -175,9 +178,9 @@ class LatticeConvolution:
     def __init__(self, lattice, kernels, parity=((1, 1, 1),)):
         self.lattice = lattice
         m = np.ix_(*(np.arange(n) for n in lattice.shape))
-        diff = np.stack(np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)]),
-                        axis=-1)
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        offsets = np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)])
+        diff = np.stack(offsets, axis=-1)
+        r = _norm(*offsets)
         r[0, 0, 0] = 1.0
         table = np.stack(kernels(diff, r))
         table[:, 0, 0, 0] = 0.0  # no self-interaction
@@ -203,14 +206,14 @@ def _row_chunks(centers, order):
     """Row blocks of the particle pair table as (rows, diagonal, y - x, r),
     each of at most CHUNK_ENTRIES entries of the species' pair blocks.
 
-    r is 1 on the diagonal; callers zero the diagonal of what they form.
+    y - x is None at order 0 (see _pair_distances).  r is 1 on the
+    diagonal; callers zero the diagonal of what they form.
     """
     m = len(centers)
     step = max(1, CHUNK_ENTRIES // (m * (1 + 3 * order) ** 2))
     for s in range(0, m, step):
         stop = min(s + step, m)
-        diff = centers[None, :, :] - centers[s:stop, None, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        diff, r = _pair_distances(centers[s:stop], centers, order)
         diag = (np.arange(stop - s), np.arange(s, stop))
         r[diag] = 1.0
         yield slice(s, stop), diag, diff, r

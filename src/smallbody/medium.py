@@ -275,17 +275,27 @@ def helmholtz_kernels(diff, r, k, order=0, dipoles=None):
     return out
 
 
-def _pair_distances(x, y):
+def _norm(dx, dy, dz):
+    """|(dx, dy, dz)| = sqrt((dx^2 + dy^2) + dz^2), from the three coordinate
+    differences: the summation order of numpy's length-3 reduction, so every
+    route to a distance gives the same bits without forming (..., 3) squares."""
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def _pair_distances(x, y, order=0):
+    """(y - x, r = |y - x|) over all pairs (x_i, y_j): offsets (n, m, 3) for
+    order >= 1, None for order 0, which needs r alone."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    if order == 0:
+        return None, _norm(*(y[None, :, i] - x[:, None, i] for i in range(3)))
     diff = y[None, :, :] - x[:, None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return diff, r
+    return diff, _norm(*np.moveaxis(diff, -1, 0))
 
 
 def _free_kernels(x, y, k, order=0):
     """helmholtz_kernels over all pairs (x_i, y_j)."""
-    diff, r = _pair_distances(x, y)
+    diff, r = _pair_distances(x, y, order)
     if np.any(r == 0.0):
         raise SingularEvaluationError("Helmholtz kernel evaluated at coincident points")
     return helmholtz_kernels(diff, r, k, order)
@@ -800,7 +810,7 @@ class BackgroundMedium:
         x = np.asarray(x, dtype=float).reshape(-1, 3)
         y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
         n, m = len(x), len(y)
-        diff, r = _pair_distances(x, y)
+        diff, r = _pair_distances(x, y, order)
         if pairs:
             r[np.diag_indices(n)] = 1.0
         if np.any(r == 0.0):

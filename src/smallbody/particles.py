@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleDesign, InvariantViolation
-from .medium import BackgroundMedium, _node_field
+from .medium import BackgroundMedium, _node_field, _norm
 
 logger = logging.getLogger(__name__)
 
@@ -264,12 +264,6 @@ def _place(medium, density, a, weight, cell_size):
     return np.vstack(all_pts) if all_pts else np.zeros((0, 3))
 
 
-def _squared_distances(p, q) -> np.ndarray:
-    """(dx^2 + dy^2) + dz^2 between coordinate rows p and q, shape (3, ...)."""
-    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
-    return (dx * dx + dy * dy) + dz * dz
-
-
 # cube steps (x, y) to the columns of forward neighbours, each taken with
 # z steps -1, 0 and 1; the cube itself and its +z neighbour come separately
 _FORWARD_COLUMNS = ((1, -1), (1, 0), (1, 1), (0, 1))
@@ -294,11 +288,11 @@ def min_spacing(centers) -> float:
     interleave along one axis.  Centers binned into cubes of side h can be
     closer than h only within one cube or two adjacent ones, so comparing
     each center with the later centers of its own cube and of the 13 cubes
-    that follow it finds d exactly.  Distances are sqrt((dx^2 + dy^2) +
-    dz^2), formed at most PAIR_CHUNK at a time.  The orders sort 64-bit keys
-    of coordinate ranks, and cubes are found by 64-bit keys too; neither
-    can overflow below 2^20 centers, and a larger set that would overflow
-    them raises InvariantViolation.
+    that follow it finds d exactly.  Distances are medium._norm of the
+    coordinate differences, formed at most PAIR_CHUNK at a time.  The
+    orders sort 64-bit keys of coordinate ranks, and cubes are found by
+    64-bit keys too; neither can overflow below 2^20 centers, and a larger
+    set that would overflow them raises InvariantViolation.
     """
     c = np.asarray(centers, dtype=float).reshape(-1, 3)
     m = len(c)
@@ -315,14 +309,14 @@ def min_spacing(centers) -> float:
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         lex = c[np.argsort((ranks[i] * sizes[j] + ranks[j]) * sizes[k] + ranks[k])].T
-        best = min(best, _squared_distances(lex[:, 1:], lex[:, :-1]).min())
+        best = min(best, _norm(*(lex[:, 1:] - lex[:, :-1])).min())
     if best == 0.0:
         return 0.0
     lo = c.min(axis=0)
     extent = float((c.max(axis=0) - lo).max())
     # the rounding of (x - lo) / side cannot put a pair closer than h two
     # cubes apart; the widening also keeps every cube index below 2^50
-    h = np.sqrt(best)
+    h = best
     side = h + 8 * np.finfo(float).eps * (extent + 2 * h)
     # occupied cube indices from 1 up; a gap wider than one cube shrinks to
     # two, which keeps adjacency and bounds the range by 2M
@@ -353,8 +347,8 @@ def min_spacing(centers) -> float:
         b1 = np.searchsorted(bounds, t1, side="left")
         block = np.repeat(np.arange(b0, b1), np.diff(np.clip(bounds[b0:b1 + 1], t0, t1)))
         j = start[block] + (np.arange(t0, t1) - bounds[block])
-        best = min(best, _squared_distances(pts.take(block % m, axis=1), pts.take(j, axis=1)).min())
-    return float(np.sqrt(best))
+        best = min(best, _norm(*(pts.take(block % m, axis=1) - pts.take(j, axis=1))).min())
+    return float(best)
 
 
 def nearest_distances(points, centers) -> np.ndarray:
@@ -368,8 +362,8 @@ def nearest_distances(points, centers) -> np.ndarray:
     rows = max(1, PAIR_CHUNK // cen.shape[2])
     out = np.empty(len(pts))
     for s in range(0, len(pts), rows):
-        out[s:s + rows] = _squared_distances(pts[s:s + rows].T[:, :, None], cen).min(axis=1)
-    return np.sqrt(out)
+        out[s:s + rows] = _norm(*(pts[s:s + rows].T[:, :, None] - cen)).min(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

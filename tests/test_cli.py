@@ -509,7 +509,37 @@ class TestWriters:
     def test_csv_bytes_equal_repr_of_each_float(self, tmp_path):
         cols = [self.VALUES, np.arange(8), np.float32(0.1) * np.ones(8, dtype=np.float32),
                 np.append(self.VALUES[:5], [np.nan, np.inf, -np.inf])]
-        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], cols)
-        expected = "a,b,c,d\n" + "".join(
+        self.assert_csv_is_repr(tmp_path, cols)
+
+    @staticmethod
+    def assert_csv_is_repr(tmp_path, cols):
+        header = [f"c{i}" for i in range(len(cols))]
+        cli.write_csv(tmp_path / "t.csv", header, cols)
+        expected = ",".join(header) + "\n" + "".join(
             ",".join(repr(float(x)) for x in row) + "\n" for row in zip(*cols))
-        assert (tmp_path / "t.csv").read_text() == expected
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_csv_repeated_and_signed_values(self, tmp_path):
+        # equal floats of distinct bits (0.0, -0.0; NaN payloads) each keep their text
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+        col = np.array([0.0, -0.0, np.nan, 0.1, np.nan, -np.inf, 0.0, np.inf, -0.0,
+                        payload_nan, -np.nan, 0.1, np.inf, 0.1])
+        self.assert_csv_is_repr(tmp_path, [col, col[::-1], np.full(len(col), -0.0)])
+
+    def test_csv_zero_rows(self, tmp_path):
+        # the centers.csv of an empty cloud
+        self.assert_csv_is_repr(tmp_path, [np.zeros(0)] * 3)
+        assert (tmp_path / "t.csv").read_text() == "c0,c1,c2\n"
+
+    def test_csv_longer_than_one_block(self, tmp_path):
+        n = 2 * cli.CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        self.assert_csv_is_repr(tmp_path, [np.arange(n) % 7 * 0.1, rng.normal(size=n),
+                                           np.repeat([-0.0, 1 / 3], [n - 2, 2])])
+
+    def test_json_repeated_complex_value(self, tmp_path):
+        # the shape of solve's coupling: one value for every particle
+        z = np.full(1600, 0.1 - 1.7e-5j)
+        cli.write_json(tmp_path / "fast.json", {"coupling": cli._complex_list(z)})
+        self.reference_json(tmp_path / "ref.json", {"coupling": self.objects(z)})
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

@@ -23,7 +23,7 @@ from smallbody.medium import (
     _unit,
 )
 from smallbody.foldy_impedance import FoldySystem
-from smallbody.particles import ParticleCloud, h_to_impedance
+from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
 from reference import (free_kernel, free_kernel_grad_y, free_kernel_hess_xy, green_potential_grid,
                        lemma_bounds_check, trilinear_interpolate, u0_grid)
 
@@ -107,6 +107,32 @@ class TestKernelDerivatives:
             consts.append(worst)
         assert max(consts) < 1.0  # actual constant is ~1/(2*pi)
         assert max(consts) / min(consts) < 3.0
+
+
+class TestPairDistances:
+    """Every route to a pair distance r gives the same bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_order_0_kernel_equals_order_1_value(self, seed):
+        # order 0 forms r from coordinate columns, order 1 from the offsets
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(40, 3)), 3.0 + rng.normal(size=(70, 3))
+        diff = y[None, :, :] - x[:, None, :]
+        r_sum = np.sqrt(np.sum(diff * diff, axis=-1))  # numpy's length-3 reduction
+        for order in (0, 1):
+            np.testing.assert_array_equal(medium._pair_distances(x, y, order)[1], r_sum)
+        g1, _ = medium._free_kernels(x, y, 1.3, 1)
+        np.testing.assert_array_equal(medium._free_kernels(x, y, 1.3), g1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_spacing_searches_agree_with_pair_distances(self, seed):
+        rng = np.random.default_rng(seed)
+        centers, pts = rng.random((60, 3)), 2.0 * rng.random((25, 3)) - 0.5
+        np.testing.assert_array_equal(nearest_distances(pts, centers),
+                                      medium._pair_distances(pts, centers)[1].min(axis=1))
+        r = medium._pair_distances(centers, centers)[1]
+        r[np.diag_indices_from(r)] = np.inf
+        assert min_spacing(centers) == r.min()
 
 
 class TestBackgroundGreen:

@@ -257,12 +257,12 @@ class TestMinSpacing:
         c = interleaved_lines()
         formed = []
 
-        def counted(p, q):
-            formed.append(np.broadcast_shapes(p.shape, q.shape)[1:])
-            return squared(p, q)
+        def counted(dx, dy, dz):
+            formed.append(np.broadcast_shapes(dx.shape, dy.shape, dz.shape))
+            return norm(dx, dy, dz)
 
-        squared = particles._squared_distances
-        monkeypatch.setattr(particles, "_squared_distances", counted)
+        norm = particles._norm
+        monkeypatch.setattr(particles, "_norm", counted)
         assert min_spacing(c) == brute_min_spacing(c) == 1.0
         assert sum(int(np.prod(shape)) for shape in formed) <= 20 * len(c)
 
