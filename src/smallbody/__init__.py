@@ -7,15 +7,8 @@ recipe that realizes a prescribed refraction coefficient by choosing the
 particle density and boundary impedances.
 """
 
-from .convergence import ScaleStudy, run_hard_study, run_impedance_study
-from .designer import (
-    DesignResult,
-    DesignSpec,
-    choose_h_N,
-    realize,
-    target_to_potential,
-    verify_design,
-)
+from .convergence import ScaleStudy, run_hard_study, run_impedance_study, verify_design
+from .designer import choose_h_N, target_to_potential
 from .directions import DirectionGrid, FarField
 from .errors import (
     InfeasibleDesign,

@@ -23,7 +23,8 @@ import numpy as np
 from . import convergence, designer, foldy_impedance, runtime
 from .directions import DirectionGrid
 from .errors import InfeasibleDesign, InvariantViolation, SingularEvaluationError, SolverFailure
-from .limit_solver import LimitProblem, limit_field_at, limiting_amplitude, solve_limit
+from .limit_solver import (LimitProblem, limit_field_at, limiting_amplitude, potential_from_h_N,
+                           solve_limit)
 from .medium import BackgroundMedium, Grid, far_probe_points
 from .particles import ParticleCloud, build_cloud_hard, build_cloud_impedance, validate_cloud
 
@@ -346,11 +347,6 @@ def write_json(path: Path, data: dict):
         fh.write(text + "\n")
 
 
-def _complex_list(values) -> np.ndarray:
-    """Complex values of any shape, for write_json."""
-    return np.asarray(values, dtype=complex)
-
-
 def _complex_objects(x):
     """Nested lists of complex numbers as nested lists of {re, im}."""
     return [_complex_objects(v) for v in x] if isinstance(x, list) else {"re": x.real, "im": x.imag}
@@ -405,14 +401,14 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
     write_centers_csv(out / "centers.csv", cloud)
     solution = {
         "kind": cloud.kind,
-        "effective_values": _complex_list(result.effective_values),
-        "charges": _complex_list(result.charges),
+        "effective_values": np.asarray(result.effective_values, dtype=complex),
+        "charges": np.asarray(result.charges, dtype=complex),
     }
     if cloud.kind == "impedance":
-        solution["coupling"] = _complex_list(result.coupling)
+        solution["coupling"] = np.asarray(result.coupling, dtype=complex)
     else:
-        solution["effective_gradients"] = _complex_list(result.effective_gradients)
-        solution["dipole_moments"] = _complex_list(result.dipole_moments)
+        solution["effective_gradients"] = np.asarray(result.effective_gradients, dtype=complex)
+        solution["dipole_moments"] = np.asarray(result.dipole_moments, dtype=complex)
     write_json(out / "solution.json", solution)
     return {
         "command": "solve",
@@ -463,46 +459,40 @@ def cmd_design(scene: dict, out: Path, args) -> dict:
     dspec = scene["design"]
     cell = dspec["cell_size"]
     target = parse_field_spec(dspec["target_n"], medium.grid, "scene.design.target_n")
-    spec = designer.DesignSpec(medium=medium, target_n=target, a=dspec["a"])
     t0 = time.perf_counter()
-    p = designer.target_to_potential(spec)
-    h, dens = designer.choose_h_N(p)
-    result = designer.realize(spec, h, dens, cell_size=cell)
+    h, dens = designer.choose_h_N(designer.target_to_potential(medium, target))
+    cloud = build_cloud_impedance(medium, dspec["a"], h, dens, cell_size=cell)
+    report = validate_cloud(cloud, medium)
 
     meta = {"command": "design"}
     if dspec["verify"]["a_sequence"]:
-        rep = designer.verify_design(result, spec, parse_alpha(scene),
-                                     dspec["verify"]["a_sequence"], cell_size=cell)
-        write_csv(out / "verification.csv",
-                  ["a", "M", "d", "e_max", "e_rms"],
-                  [np.array(rep.a_values), np.array(rep.m_values, dtype=float),
-                   np.array(rep.d_values), np.array(rep.errors_max),
-                   np.array(rep.errors_rms)])
+        study, decreasing, passed = convergence.verify_design(
+            medium, h, dens, dspec["verify"]["a_sequence"], parse_alpha(scene), cell_size=cell)
+        keys = ("a", "M", "d", "e_max", "e_rms")
+        rows = [(r.a, r.m, r.d, r.e_max, r.e_rms) for r in study.records]
+        write_csv(out / "verification.csv", list(keys), list(zip(*rows)))
         meta["verification"] = {
-            "passed": bool(rep.passed),
-            "decreasing": bool(rep.decreasing),
-            "final_error": rep.final_error,
-            "table": [
-                {"a": a, "M": m, "d": d, "e_max": em, "e_rms": er}
-                for a, m, d, em, er in rep.rows()
-            ],
+            "passed": passed,
+            "decreasing": decreasing,
+            "final_error": study.errors()[-1],
+            "table": [dict(zip(keys, row)) for row in rows],
         }
     wall = time.perf_counter() - t0
-    write_centers_csv(out / "centers.csv", result.cloud)
+    write_centers_csv(out / "centers.csv", cloud)
 
     write_json(out / "design.json", {
-        "p": _complex_list(result.p),
-        "h": _complex_list(result.h),
-        "N": [float(v) for v in np.broadcast_to(result.N, (medium.grid.size,))],
-        "cloud": result.cloud.to_json_dict(),
+        "p": potential_from_h_N(h, dens),
+        "h": h,
+        "N": dens.tolist(),
+        "cloud": cloud.to_json_dict(),
         "feasibility": {
-            "ka": result.feasibility.ka,
-            "d_over_a": result.feasibility.d_over_a if np.isfinite(result.feasibility.d_over_a) else None,
-            "M": result.feasibility.m,
-            "volume_fraction": result.feasibility.volume_fraction,
+            "ka": report.ka,
+            "d_over_a": report.spacing_over_a if np.isfinite(report.spacing_over_a) else None,
+            "M": report.m,
+            "volume_fraction": report.volume_fraction,
         },
     })
-    return {**meta, "M": result.feasibility.m, "wall_time_s": wall}
+    return {**meta, "M": report.m, "wall_time_s": wall}
 
 
 def cmd_study(scene: dict, out: Path, args) -> dict:

@@ -23,7 +23,7 @@ from .particles import build_cloud_hard, build_cloud_impedance
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FINAL_TOL = 0.05  # largest last-radius error that a design verification passes
 
 
 @dataclass
@@ -46,7 +46,6 @@ class ScaleStudy:
 
     mode: str                      # "impedance" | "hard"
     alpha: np.ndarray
-    probes: np.ndarray
     records: list = field(default_factory=list)
 
     @property
@@ -80,7 +79,6 @@ class ScaleStudy:
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
             "mode": self.mode,
             "alpha": list(map(float, self.alpha)),
             "count_exponent": self.count_exponent(),
@@ -98,7 +96,7 @@ class ScaleStudy:
         }
 
 
-def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
+def _run_study(problem: LimitProblem, build, a_sequence, alpha,
                count_integral=np.nan, annotate=True) -> ScaleStudy:
     """The per-radius loop shared by both studies and design verification.
 
@@ -111,10 +109,10 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
     seq = [float(a) for a in a_sequence]
     if any(b >= a for a, b in zip(seq, seq[1:])):
         raise InvariantViolation("a_sequence must be strictly decreasing")
-    pts = far_probe_points(medium.grid) if probes is None else np.atleast_2d(probes)
+    pts = far_probe_points(medium.grid)
     u_limit = limit_field_at(problem, solve_limit(problem, alpha), pts).values
 
-    study = ScaleStudy(mode="hard" if problem.is_hard else "impedance", alpha=alpha, probes=pts)
+    study = ScaleStudy(mode="hard" if problem.is_hard else "impedance", alpha=alpha)
     for a in seq:
         try:
             cloud = build(a)
@@ -139,7 +137,7 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha, probes=None,
 
 
 def run_impedance_study(medium: BackgroundMedium, h_field, N_field, a_sequence,
-                        alpha, probes=None, cell_size: float | None = None) -> ScaleStudy:
+                        alpha, cell_size: float | None = None) -> ScaleStudy:
     """Compare impedance clouds against the homogenized potential solution."""
     h = _node_field(h_field, medium.grid.size, complex)
     dens = _node_field(N_field, medium.grid.size, float)
@@ -148,12 +146,11 @@ def run_impedance_study(medium: BackgroundMedium, h_field, N_field, a_sequence,
     def build(a):
         return build_cloud_impedance(medium, a, h, dens, cell_size=cell_size)
 
-    return _run_study(problem, build, a_sequence, alpha, probes,
-                      float(np.sum(dens) * medium.weight))
+    return _run_study(problem, build, a_sequence, alpha, float(np.sum(dens) * medium.weight))
 
 
 def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
-                   probes=None, cell_size: float | None = None) -> ScaleStudy:
+                   cell_size: float | None = None) -> ScaleStudy:
     """Compare hard clouds against the integro-differential limit solution."""
     nu = _node_field(nu_field, medium.grid.size, float)
     beta = np.asarray(beta, dtype=float).reshape(3, 3)
@@ -162,5 +159,26 @@ def run_hard_study(medium: BackgroundMedium, nu_field, beta, a_sequence, alpha,
     def build(a):
         return build_cloud_hard(medium, a, nu, beta, cell_size=cell_size)
 
-    return _run_study(problem, build, a_sequence, alpha, probes,
-                      float(np.sum(nu) * medium.weight))
+    return _run_study(problem, build, a_sequence, alpha, float(np.sum(nu) * medium.weight))
+
+
+def verify_design(medium: BackgroundMedium, h, N, a_sequence, alpha,
+                  cell_size: float | None = None):
+    """The impedance study of a design's (h, N), with its verdict.
+
+    Returns ``(study, decreasing, passed)``: the design passes when e(a)
+    decreases along the sequence and its last value is <= FINAL_TOL.  For
+    p = 0 everywhere the limit is the background field, which the empty
+    clouds realize exactly, so ``decreasing`` holds and the last value alone
+    decides.  A radius that cannot be built or solved raises.
+    """
+    p = potential_from_h_N(h, N)
+
+    def build(a):
+        return build_cloud_impedance(medium, a, h, N, cell_size=cell_size)
+
+    study = _run_study(LimitProblem(medium=medium, p=p), build, a_sequence, alpha,
+                       annotate=False)
+    e = study.errors()
+    decreasing = not np.any(p) or all(x > y for x, y in zip(e, e[1:]))
+    return study, decreasing, decreasing and e[-1] <= FINAL_TOL

@@ -1,4 +1,4 @@
-"""Constructive recipe: refraction target -> potential -> (h, N) -> cloud.
+"""Design algebra: refraction target -> potential -> (h, N).
 
 Given a target refraction coefficient n(x) over the background n0(x), the
 difference potential is p = k^2 (n0 - n).  Any p with Im p <= 0 is realizable
@@ -9,62 +9,29 @@ h(x) with Im h <= 0 through
 
 The branch policy below pins one deterministic choice per sign pattern of
 p = p1 + i p2 and verifies the identity node-wise to 1e-12 before returning.
+The cloud is then `particles.build_cloud_impedance(medium, a, h, N)`, and
+`convergence.verify_design` checks that it converges to the target field.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
-from .convergence import _run_study
 from .errors import InvariantViolation
-from .limit_solver import LimitProblem, potential_from_h_N
+from .limit_solver import potential_from_h_N
 from .medium import BackgroundMedium, _node_field
-from .particles import GAMMA, ParticleCloud, build_cloud_impedance, validate_cloud
-
-logger = logging.getLogger(__name__)
+from .particles import GAMMA
 
 ROUND_TRIP_TOL = 1e-12
 
 
-@dataclass
-class DesignSpec:
-    """Target refraction samples over a background medium."""
-
-    medium: BackgroundMedium
-    target_n: np.ndarray
-    a: float
-
-    def __post_init__(self):
-        n = _node_field(self.target_n, self.medium.grid.size, complex)
-        differs = np.abs(n - self.medium.n0) > 1e-14
-        if np.any(n.imag[differs] < -1e-14):
-            raise InvariantViolation("target must be passive: Im n >= 0 where it differs")
-        self.target_n = n
-
-
-@dataclass
-class FeasibilityReport:
-    ka: float
-    d_over_a: float
-    m: int
-    volume_fraction: float
-
-
-@dataclass
-class DesignResult:
-    p: np.ndarray
-    h: np.ndarray
-    N: np.ndarray
-    cloud: ParticleCloud
-    feasibility: FeasibilityReport
-
-
-def target_to_potential(spec: DesignSpec) -> np.ndarray:
-    """p(x) = k^2 (n0(x) - n(x)) node-wise."""
-    return spec.medium.k ** 2 * (spec.medium.n0 - spec.target_n)
+def target_to_potential(medium: BackgroundMedium, target_n) -> np.ndarray:
+    """p(x) = k^2 (n0(x) - n(x)) node-wise, for a passive target n."""
+    n = _node_field(target_n, medium.grid.size, complex)
+    differs = np.abs(n - medium.n0) > 1e-14
+    if np.any(n.imag[differs] < -1e-14):
+        raise InvariantViolation("target must be passive: Im n >= 0 where it differs")
+    return medium.k ** 2 * (medium.n0 - n)
 
 
 def choose_h_N(p):
@@ -119,67 +86,3 @@ def choose_h_N(p):
     if bad.size:
         raise InvariantViolation(f"(h, N) round trip failed at nodes {bad[:10].tolist()}")
     return h, n_dens
-
-
-def realize(spec: DesignSpec, h, N, cell_size: float | None = None) -> DesignResult:
-    """Build the particle cloud realizing (h, N) at radius spec.a."""
-    cloud = build_cloud_impedance(spec.medium, spec.a, h, N, cell_size=cell_size)
-    report = validate_cloud(cloud, spec.medium)
-    feas = FeasibilityReport(
-        ka=spec.medium.k * spec.a,
-        d_over_a=(cloud.d / cloud.a) if np.isfinite(cloud.d) else np.inf,
-        m=len(cloud),
-        volume_fraction=report.volume_fraction,
-    )
-    p = _node_field(potential_from_h_N(h, N), spec.medium.grid.size, complex)
-    return DesignResult(p=p, h=np.asarray(h, dtype=complex), N=np.asarray(N, dtype=float),
-                        cloud=cloud, feasibility=feas)
-
-
-@dataclass
-class VerificationReport:
-    """Discrete-vs-limit comparison across a shrinking radius sequence."""
-
-    a_values: list
-    m_values: list
-    d_values: list
-    errors_max: list
-    errors_rms: list
-    decreasing: bool = False
-    final_error: float = np.nan
-    passed: bool = False
-
-    def rows(self):
-        return list(zip(self.a_values, self.m_values, self.d_values,
-                        self.errors_max, self.errors_rms))
-
-
-def verify_design(result: DesignResult, spec: DesignSpec, alpha, scale_sequence,
-                  cell_size: float | None = None, probes=None,
-                  final_tol: float = 0.05) -> VerificationReport:
-    """Solve the discrete cloud at each radius and compare with the limit field.
-
-    e(a) is the max relative deviation over far-zone probes; the design passes
-    when e(a) decreases along the sequence and the last value is <= final_tol,
-    or, for p = 0 everywhere, when the last value is <= final_tol.
-    """
-    medium = spec.medium
-
-    def build(a):
-        return build_cloud_impedance(medium, a, result.h, result.N, cell_size=cell_size)
-
-    study = _run_study(LimitProblem(medium=medium, p=result.p), build, scale_sequence,
-                       alpha, probes, annotate=False)
-    report = VerificationReport(*([getattr(r, f) for r in study.records]
-                                  for f in ("a", "m", "d", "e_max", "e_rms")))
-    e = report.errors_max
-    report.decreasing = all(x > y for x, y in zip(e, e[1:]))
-    report.final_error = e[-1]
-    if not np.any(result.p):
-        # p = 0: the limit is the background field, and the empty clouds
-        # realize it exactly
-        report.decreasing = True
-        report.passed = report.final_error <= final_tol
-    else:
-        report.passed = report.decreasing and report.final_error <= final_tol
-    return report

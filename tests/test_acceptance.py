@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 from smallbody.cli import main as cli_main
-from smallbody.convergence import run_hard_study, run_impedance_study
-from smallbody.designer import (
-    DesignSpec,
-    choose_h_N,
-    realize,
-    target_to_potential,
-    verify_design,
-)
+from smallbody.convergence import run_hard_study, run_impedance_study, verify_design
+from smallbody.designer import choose_h_N, target_to_potential
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import amplitudes, far_field, solve_cloud
@@ -157,20 +151,19 @@ def test_criterion_5_design_round_trip():
     nodes = med.grid.nodes
     mask = np.all((nodes > 0.25) & (nodes < 0.75), axis=1)
     target = np.where(mask, 1.2, 1.0).astype(complex)
-    spec = DesignSpec(medium=med, target_n=target, a=1e-5)
-    p = target_to_potential(spec)
+    p = target_to_potential(med, target)
     h, n_dens = choose_h_N(p)
     realized = potential_from_h_N(h, n_dens)
     assert np.abs(realized - p).max() <= 1e-12 * max(np.abs(p).max(), 1.0)
     assert np.all(h.imag <= 1e-14) and np.all(n_dens >= 0)
 
-    res = realize(spec, h, n_dens, cell_size=0.25)
+    build_cloud_impedance(med, 1e-5, h, n_dens, cell_size=0.25)  # the design cloud builds
     cell_mass = 0.2 / (4 * np.pi) * 0.25 ** 3
     a_seq = [cell_mass / c for c in (8, 27, 64)]
-    rep = verify_design(res, spec, Z_HAT, a_seq, cell_size=0.25)
-    assert rep.decreasing, rep.errors_max
-    assert rep.final_error <= 0.05
-    assert rep.passed
+    study, decreasing, passed = verify_design(med, h, n_dens, a_seq, Z_HAT, cell_size=0.25)
+    assert decreasing, study.errors()
+    assert study.errors()[-1] <= 0.05
+    assert passed
 
     # reference configuration: b = 1e-2, a = 1e-5, N = 1e4 -> 10^3 per cell
     med_cell = BackgroundMedium(1.0, Grid((0, 0, 0), (0.01, 0.01, 0.01), (4, 4, 4)))
@@ -181,7 +174,7 @@ def test_criterion_5_design_round_trip():
     assert fraction == pytest.approx(1000 * (4 * np.pi / 3) * 1e-15 / 1e-6, rel=1e-12)
     assert fraction == pytest.approx(4.18879e-6, rel=1e-4)
     report(5, f"identity {np.abs(realized - p).max():.1e}, e(a) = "
-              f"{['%.2e' % x for x in rep.errors_max]}, cell count 1000, "
+              f"{['%.2e' % x for x in study.errors()]}, cell count 1000, "
               f"fraction {fraction:.3e}")
 
 

@@ -12,6 +12,7 @@ import pytest
 import smallbody
 from smallbody import cli
 from smallbody.cli import main
+from smallbody.designer import choose_h_N
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -426,6 +427,31 @@ class TestDesign:
         assert [row["M"] for row in verification["table"]] == [0, 0, 0]
         assert verification["passed"] is False
 
+    def test_radius_over_the_cap_fails_design_and_is_noted_by_study(self, tmp_path):
+        # the second radius places M = 397,888 particles, over the 200,000 cap:
+        # a design verification raises it, a study of the same (h, N) notes it
+        scene = json.loads((SCENES / "design_subbox.json").read_text())
+        a_sequence = [2.4868e-4, 5e-9]
+        scene["design"]["verify"]["a_sequence"] = a_sequence
+        (tmp_path / "design").mkdir()
+        code, out = run(tmp_path / "design", "design", scene_dict=scene)
+        assert code == 3
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        message = json.loads((out / "error.json").read_text())["message"]
+        assert "exceeds the desk-scale cap" in message
+
+        (h,), (n,) = choose_h_N(np.array([1.0 - 1.2 + 0j]))  # k = 1: p = n0 - n in the sub-box
+        box = {"type": "subbox", "lo": [0.25] * 3, "hi": [0.75] * 3}
+        scene["study"] = {"mode": "impedance", "a_sequence": a_sequence, "cell_size": 0.25,
+                          "h": {**box, "inside": {"re": float(h.real), "im": float(h.imag)}},
+                          "N": {**box, "inside": float(n)}}
+        del scene["design"]
+        (tmp_path / "study").mkdir()
+        code, out = run(tmp_path / "study", "study", scene_dict=scene)
+        assert code == 0
+        notes = [s["note"] for s in json.loads((out / "study.json").read_text())["scales"]]
+        assert notes[0] == "" and "exceeds the desk-scale cap" in notes[1]
+
 
 class TestStudy:
     def test_impedance_study_strictly_decreasing(self, tmp_path):
@@ -441,6 +467,7 @@ class TestStudy:
         code, out = run(tmp_path, "study", scene_path=SCENES / "study_impedance.json")
         data = json.loads((out / "study.json").read_text())
         assert data["mode"] == "impedance" and len(data["scales"]) == 3
+        assert data["format_version"] == 1
 
 
 class TestValidate:
@@ -496,9 +523,9 @@ class TestWriters:
         blocks = {"values": z, "rows": z.reshape(4, 2), "cube": z.reshape(2, 2, 2),
                   "one": z[:1], "empty": z[:0], "empty_rows": z[:0].reshape(0, 3)}
         meta = {"nested": {"x": [1, 2.5, None, True], "s": "aé\n\"b\""}, "empty": {}}
-        data = {**{k: cli._complex_list(v) for k, v in blocks.items()},
+        data = {**{k: np.asarray(v, dtype=complex) for k, v in blocks.items()},
                 "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0}],
-                "mixed": {"v": [0.5], "w": cli._complex_list(z[2:4])}}
+                "mixed": {"v": [0.5], "w": np.asarray(z[2:4], dtype=complex)}}
         plain = {**{k: self.objects(v) for k, v in blocks.items()},
                  "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0}],
                  "mixed": {"v": [0.5], "w": self.objects(z[2:4])}}
@@ -540,6 +567,6 @@ class TestWriters:
     def test_json_repeated_complex_value(self, tmp_path):
         # the shape of solve's coupling: one value for every particle
         z = np.full(1600, 0.1 - 1.7e-5j)
-        cli.write_json(tmp_path / "fast.json", {"coupling": cli._complex_list(z)})
+        cli.write_json(tmp_path / "fast.json", {"coupling": np.asarray(z, dtype=complex)})
         self.reference_json(tmp_path / "ref.json", {"coupling": self.objects(z)})
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

@@ -167,6 +167,5 @@ class TestStudySerialization:
         data = study.to_json_dict()
         assert data["mode"] == "impedance"
         assert len(data["scales"]) == 2
-        assert data["format_version"] == 1
         rows = list(study.csv_rows())
         assert len(rows) == 2 and len(rows[0]) == 8

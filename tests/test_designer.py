@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from smallbody.designer import (
-    DesignSpec,
-    choose_h_N,
-    realize,
-    target_to_potential,
-    verify_design,
-)
+from smallbody.convergence import verify_design
+from smallbody.designer import choose_h_N, target_to_potential
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import evaluate_field, solve_cloud
 from smallbody.limit_solver import potential_from_h_N
 from smallbody.medium import BackgroundMedium, Grid, far_probe_points
+from smallbody.particles import build_cloud_impedance, validate_cloud
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -31,26 +27,23 @@ def subbox_target(medium, inside, outside=1.0):
 class TestTargetToPotential:
     def test_real_uplift(self):
         med = cube_medium(k=2.0, n=4)
-        spec = DesignSpec(medium=med, target_n=1.2, a=1e-5)
-        p = target_to_potential(spec)
+        p = target_to_potential(med, 1.2)
         np.testing.assert_allclose(p, -0.8, rtol=1e-14)
 
     def test_identity_target(self):
         med = cube_medium(n=4)
-        spec = DesignSpec(medium=med, target_n=1.0, a=1e-5)
-        assert np.all(target_to_potential(spec) == 0.0)
+        assert np.all(target_to_potential(med, 1.0) == 0.0)
 
     def test_absorptive_target_sign(self):
         med = cube_medium(k=1.0, n=4)
-        spec = DesignSpec(medium=med, target_n=1.0 + 0.1j, a=1e-5)
-        p = target_to_potential(spec)
+        p = target_to_potential(med, 1.0 + 0.1j)
         np.testing.assert_allclose(p, -0.1j, atol=1e-15)
         assert np.all(p.imag < 0)
 
     def test_gain_target_rejected(self):
         med = cube_medium(n=4)
         with pytest.raises(InvariantViolation):
-            DesignSpec(medium=med, target_n=1.2 - 0.05j, a=1e-5)
+            target_to_potential(med, 1.2 - 0.05j)
 
 
 class TestChooseHN:
@@ -111,62 +104,58 @@ class TestChooseHN:
 class TestRealize:
     def test_empty_density_trivial(self):
         med = cube_medium(n=4)
-        spec = DesignSpec(medium=med, target_n=1.0, a=1e-5)
-        h, n = choose_h_N(target_to_potential(spec))
-        res = realize(spec, h, n)
-        assert res.feasibility.m == 0
-        assert len(res.cloud) == 0
+        h, n = choose_h_N(target_to_potential(med, 1.0))
+        cloud = build_cloud_impedance(med, 1e-5, h, n)
+        assert validate_cloud(cloud, med).m == 0
+        assert len(cloud) == 0
 
     def test_reference_cell_feasibility(self):
         # b = 1e-2, a = 1e-5, N = 1e4: 10^3 particles, d/a = 100
         med = cube_medium(k=1.0, n=4, hi=(0.01, 0.01, 0.01))
-        spec = DesignSpec(medium=med, target_n=1.0, a=1e-5)
-        res = realize(spec, np.full(med.grid.size, 0.5 + 0j), np.full(med.grid.size, 1e4))
-        assert res.feasibility.m == 1000
-        assert res.feasibility.d_over_a == pytest.approx(100.0, rel=1e-9)
-        assert res.feasibility.volume_fraction == pytest.approx(4.18879e-6, rel=1e-4)
+        cloud = build_cloud_impedance(med, 1e-5, np.full(med.grid.size, 0.5 + 0j),
+                                      np.full(med.grid.size, 1e4))
+        report = validate_cloud(cloud, med)
+        assert report.m == 1000
+        assert report.spacing_over_a == pytest.approx(100.0, rel=1e-9)
+        assert report.volume_fraction == pytest.approx(4.18879e-6, rel=1e-4)
 
     def test_overdense_rejected(self):
         med = cube_medium(n=4)
-        spec = DesignSpec(medium=med, target_n=1.0, a=3e-2)
         with pytest.raises(Exception, match="cell|cap"):
-            realize(spec, np.full(med.grid.size, 1.0 + 0j), np.full(med.grid.size, 2.0))
+            build_cloud_impedance(med, 3e-2, np.full(med.grid.size, 1.0 + 0j),
+                                  np.full(med.grid.size, 2.0))
 
 
 class TestVerifyDesign:
     def test_trivial_design_passes(self):
         med = cube_medium(n=6)
-        spec = DesignSpec(medium=med, target_n=1.0, a=1e-5)
-        h, n = choose_h_N(target_to_potential(spec))
-        res = realize(spec, h, n)
-        rep = verify_design(res, spec, Z_HAT, [1e-4, 5e-5])
-        assert rep.passed
-        assert max(rep.errors_max) <= 1e-12
+        h, n = choose_h_N(target_to_potential(med, 1.0))
+        study, _, passed = verify_design(med, h, n, [1e-4, 5e-5], Z_HAT)
+        assert passed
+        assert max(study.errors()) <= 1e-12
 
     def test_branch_c_subbox_convergence(self):
         med = cube_medium(k=1.0, n=12)
-        spec = DesignSpec(medium=med, target_n=subbox_target(med, 1.2), a=1e-5)
-        p = target_to_potential(spec)
+        p = target_to_potential(med, subbox_target(med, 1.2))
         h, n_dens = choose_h_N(p)
-        res = realize(spec, h, n_dens, cell_size=0.25)
+        build_cloud_impedance(med, 1e-5, h, n_dens, cell_size=0.25)  # the design cloud builds
         cell_mass = 0.2 / (4 * np.pi) * 0.25 ** 3
         a_seq = [cell_mass / c for c in (1, 8, 27)]
-        rep = verify_design(res, spec, Z_HAT, a_seq, cell_size=0.25)
-        assert rep.decreasing, rep.errors_max
-        assert rep.final_error <= 0.05
-        assert rep.passed
-        assert rep.m_values == [8 * 1, 8 * 8, 8 * 27]
+        study, decreasing, passed = verify_design(med, h, n_dens, a_seq, Z_HAT, cell_size=0.25)
+        assert decreasing, study.errors()
+        assert study.errors()[-1] <= 0.05
+        assert passed
+        assert [r.m for r in study.records] == [8 * 1, 8 * 8, 8 * 27]
 
     def test_absorptive_design_attenuates(self):
         med = cube_medium(k=1.0, n=12)
-        spec = DesignSpec(medium=med, target_n=subbox_target(med, 1.0 + 0.5j), a=2e-5)
-        p = target_to_potential(spec)
+        p = target_to_potential(med, subbox_target(med, 1.0 + 0.5j))
         h, n_dens = choose_h_N(p)
         assert np.all(h.imag <= 1e-14)
-        res = realize(spec, h, n_dens, cell_size=0.25)
-        solve = solve_cloud(med, res.cloud, Z_HAT)
+        cloud = build_cloud_impedance(med, 2e-5, h, n_dens, cell_size=0.25)
+        solve = solve_cloud(med, cloud, Z_HAT)
         downstream = np.array([[0.5, 0.5, 4.0]])
-        u_m = evaluate_field(solve, med, res.cloud, downstream).values[0]
+        u_m = evaluate_field(solve, med, cloud, downstream).values[0]
         assert abs(u_m) < 1.0
 
     def test_probe_layout(self):
