@@ -25,9 +25,9 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (BackgroundMedium, ComplexField, _embedding_spectrum, _factor, _norm,
-                     _pair_distances, _solve_checked, _toeplitz_apply, _unit, helmholtz_kernels,
-                     lattice_of)
+from .medium import (CHUNK_ENTRIES, BackgroundMedium, ComplexField, _embedding_spectrum,
+                     _factor, _norm, _pair_distances, _solve_checked, _toeplitz_apply, _unit,
+                     helmholtz_kernels, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -37,7 +37,6 @@ logger = logging.getLogger(__name__)
 # M (1 + 3 order) (measured crossovers; README "Numerical choices")
 DENSE_MAX_UNKNOWNS = 4000    # dense LU up to this many
 LATTICE_MIN_UNKNOWNS = 100   # free lattice clouds take the lattice FFT apply from here
-CHUNK_ENTRIES = 2 ** 18      # direct-apply row chunks: rows * M * (1 + 3 order)^2 entries
 
 
 @dataclass

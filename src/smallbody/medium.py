@@ -9,12 +9,10 @@ which keeps the discrete model flux-conserving for real potentials.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import logging
 import math
-import os
-import sys
+import types
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -47,6 +45,8 @@ RCOND_FLOOR = 1e-13
 # many spectrum entries (measured; README "Numerical choices")
 FUSED_ENTRIES = 2 ** 16
 
+CHUNK_ENTRIES = 2 ** 18  # entries per chunk of an off-lattice particle table
+
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
 LATTICE_FILL = 8
@@ -54,31 +54,55 @@ LATTICE_FILL = 8
 
 @cache
 def _lapack():
-    """scipy's compiled LAPACK wrappers (zgetrf, zgetrs, zgecon): the
-    routines behind scipy.linalg.lu_factor, lu_solve and lapack.zgecon.
+    """zgetrf(a) -> (lu, piv, info), zgecon(lu, anorm) -> (rcond, info) (1-norm)
+    and zgetrs(lu, piv, b) -> (x, info), b (n,) or (n, c), as scipy.linalg.lapack
+    calls them: 0-based piv, the inputs left unmodified.  Bound with ctypes to the
+    LAPACKE entries of the scipy-openblas64 library that numpy's linalg extension
+    loads (dlsym also searches its dependencies), so a run holds one OpenBLAS
+    thread pool (README, Dependencies); a numpy on another BLAS takes
+    scipy.linalg.lapack.  The first call logs the source at DEBUG."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        getrf, gecon, getrs, config = (getattr(lib, f"scipy_{name}64_") for name in (
+            "LAPACKE_zgetrf", "LAPACKE_zgecon", "LAPACKE_zgetrs", "openblas_get_config"))
+    except (OSError, AttributeError):
+        from scipy.linalg import lapack
+        logger.debug("LAPACK: scipy.linalg.lapack (numpy has no scipy-openblas64 LAPACKE)")
+        return lapack
+    i64, ptr, char, col_major = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char, 102
+    getrf.argtypes = [ctypes.c_int, i64, i64, ptr, i64, ptr]
+    gecon.argtypes = [ctypes.c_int, char, i64, ptr, i64, ctypes.c_double, ptr]
+    getrs.argtypes = [ctypes.c_int, char, i64, i64, ptr, i64, ptr, ptr, i64]
+    getrf.restype = gecon.restype = getrs.restype = i64
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    logger.debug("LAPACK: numpy's %s", config().decode())
 
-    Loaded on the first dense factorization, from the extension file found
-    by find_spec, which does not run scipy's package __init__: importing
-    scipy.linalg and scipy.sparse.linalg costs 0.27-0.29 s and 32 MB of
-    start-up (2 vCPU, scipy 1.17), and loading the wrappers at import
-    starts their OpenBLAS thread pool in runs that never factor.  A copy
-    already in sys.modules is reused; without the file, scipy.linalg.lapack
-    supplies the same function objects.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    for folder in spec.submodule_search_locations if spec else ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-                loader.exec_module(module)
-                return sys.modules.setdefault(name, module)
-    from scipy.linalg import lapack
-    return lapack
+    def square(lu):
+        lu = np.asfortranarray(lu, dtype=complex)
+        if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
+            raise ValueError(f"LAPACK: matrix of shape {lu.shape} is not square")
+        return lu, len(lu)
+
+    def zgetrf(a):
+        lu, n = square(np.array(a, dtype=complex, order="F"))
+        piv = np.empty(n, dtype=np.int64)
+        info = getrf(col_major, n, n, lu.ctypes.data, max(1, n), piv.ctypes.data)
+        return lu, piv - 1, info
+
+    def zgecon(lu, anorm):
+        (lu, n), rcond = square(lu), np.zeros(1)
+        info = gecon(col_major, b"1", n, lu.ctypes.data, max(1, n), anorm, rcond.ctypes.data)
+        return float(rcond[0]), info
+
+    def zgetrs(lu, piv, b):
+        (lu, n), x = square(lu), np.array(b, dtype=complex, order="F")
+        piv = np.asarray(piv, dtype=np.int64) + 1
+        if piv.shape != (n,) or x.shape[:1] != (n,) or x.ndim > 2:
+            raise ValueError(f"zgetrs: order {n}, pivots {piv.shape}, right-hand side {x.shape}")
+        return x, getrs(col_major, b"N", n, x.shape[1] if x.ndim == 2 else 1, lu.ctypes.data,
+                        max(1, n), piv.ctypes.data, x.ctypes.data, max(1, n))
+
+    return types.SimpleNamespace(zgetrf=zgetrf, zgecon=zgecon, zgetrs=zgetrs)
 
 
 def _check_lapack(info, routine, what):
@@ -87,8 +111,8 @@ def _check_lapack(info, routine, what):
 
 
 def _factor(a, what):
-    """LU factors (lu, piv) of a square matrix and their rcond estimate
-    (1-norm), by LAPACK zgetrf and zgecon.
+    """LU factors (lu, piv 0-based) of a square matrix ``a``, left intact for
+    residual checks, and their rcond estimate (1-norm), by _lapack()'s zgetrf and zgecon.
 
     Raises SolverFailure when the matrix is not finite, is exactly singular
     or has an estimate below RCOND_FLOOR.
@@ -760,7 +784,8 @@ class BackgroundMedium:
 
         The far-field amplitude of the sources that ``radiate`` sums, per beta.
         Centres on one lattice sum, like the grid nodes, through per-axis
-        phase tables.
+        phase tables; other centres through (directions, M) phase tables of
+        at most CHUNK_ENTRIES entries.
         """
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
         out = np.zeros(len(betas), dtype=complex)
@@ -772,10 +797,13 @@ class BackgroundMedium:
             if dipoles is not None:
                 out = out - 1j * self.k * np.einsum("bp,pb->b", betas, np.array(sums[1:]))
         elif len(centers):
-            phase = self._phase(betas, centers)  # (nb, M)
-            out = phase @ charges
-            if dipoles is not None:
-                out += np.einsum("bm,bp,mp->b", phase, -1j * self.k * betas, dipoles)
+            step = max(1, CHUNK_ENTRIES // len(centers))
+            for s in range(0, len(betas), step):
+                b = betas[s:s + step]
+                phase = self._phase(b, centers)  # (directions, M)
+                out[s:s + step] = phase @ charges
+                if dipoles is not None:
+                    out[s:s + step] += np.einsum("bm,bp,mp->b", phase, -1j * self.k * b, dipoles)
         if density is not None:
             out = out + self._box_phase_sum(betas, self.grid.axes, density)
         return out / (4.0 * np.pi)

@@ -279,26 +279,36 @@ class TestLimit:
 
 
 def python_fresh(code, *args):
-    """Run code in a fresh interpreter that imports smallbody from this tree."""
+    """Run code in a fresh interpreter that imports smallbody from this tree;
+    returns its standard output."""
     src = str(Path(smallbody.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def run_fresh(tmp_path, command, scene, *modules):
-    """Run the CLI in a fresh process; it fails if any of ``modules`` was imported."""
+    """Run the CLI in a fresh process; it fails if any of ``modules`` or a
+    submodule of them was imported."""
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     python_fresh("import sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
-                 f"found = [m for m in {modules!r} if m in sys.modules]; "
+                 f"found = [m for m in sys.modules "
+                 f"if any(m == n or m.startswith(n + '.') for n in {modules!r})]; "
                  "sys.exit(code or (found and f'imported {found}') or 0)",
                  command, "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "out"))
     return json.loads((tmp_path / "out" / "metadata.json").read_text())
 
 
 LATTICE_CLOUD = {"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729}
+DENSE_HARD_IN_N0 = base_scene(
+    medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 8, "k": 1.0,
+            "n0": {"type": "radial", "center": [0.5, 0.5, 0.5], "radius": 0.4,
+                   "inside": 1.15, "outside": 1.0}},
+    cloud={"kind": "hard", "a": 0.01, "nu": 5e-4, "cell_size": 0.5, "beta": -1.5},
+    directions={"n_theta": 8, "n_phi": 16})
 
 
 @pytest.mark.parametrize("command,scene", [
@@ -315,12 +325,7 @@ def test_box_ffts_do_not_import_scipy_fft(tmp_path, command, scene):
 @pytest.mark.parametrize("command,scene,solver", [
     ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}),
      "lattice_fft"),
-    ("solve", base_scene(
-        medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 8, "k": 1.0,
-                "n0": {"type": "radial", "center": [0.5, 0.5, 0.5], "radius": 0.4,
-                       "inside": 1.15, "outside": 1.0}},
-        cloud={"kind": "hard", "a": 0.01, "nu": 5e-4, "cell_size": 0.5, "beta": -1.5},
-        directions={"n_theta": 8, "n_phi": 16}), "lu"),
+    ("solve", DENSE_HARD_IN_N0, "lu"),
     ("limit", json.loads((SCENES / "limit_born_bump.json").read_text()), None),
     ("validate", base_scene(cloud=LATTICE_CLOUD), None)],
     ids=["lattice_solve", "dense_hard_solve_in_n0", "limit", "validate"])
@@ -345,10 +350,34 @@ def scene_command(keys):
 
 @pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_scenes_do_not_import_scipy_linalg_or_sparse(tmp_path, path):
-    # a dense LU loads only scipy's compiled LAPACK wrappers, on first use:
-    # scipy.linalg and scipy.sparse cost about 0.27 s and 28 MB of start-up
+    # no shipped scene imports any scipy module: a dense LU calls numpy's own
+    # LAPACK, and scipy.linalg and scipy.sparse cost about 0.27 s and 28 MB
+    # of start-up
     keys = json.loads(path.read_text())
-    run_fresh(tmp_path, scene_command(keys), keys, "scipy.linalg", "scipy.sparse")
+    run_fresh(tmp_path, scene_command(keys), keys, "scipy")
+
+
+@pytest.mark.parametrize("scene", [json.loads((SCENES / "single_hard_ball.json").read_text()),
+                                   DENSE_HARD_IN_N0], ids=["single_hard_ball", "hard_cloud_in_n0"])
+def test_dense_lu_runs_map_one_openblas(tmp_path, scene):
+    # scipy's LAPACK wrappers would map a second OpenBLAS, whose thread pool
+    # slows the dense solves down against numpy's on small machines
+    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("numpy is not built on scipy-openblas: the LU takes scipy's LAPACK")
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    out = python_fresh(
+        "import json, os, sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
+        "found = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "maps = '/proc/self/maps'; "
+        "print(json.dumps(os.path.exists(maps) and sorted("
+        "{line.split()[-1] for line in open(maps) if 'libscipy_openblas' in line}) or None)); "
+        "sys.exit(code or (found and f'imported {found}') or 0)",
+        "solve", "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "out"))
+    assert json.loads((tmp_path / "out" / "metadata.json").read_text())["solver"] == "lu"
+    libraries = json.loads(out.splitlines()[-1])
+    if libraries is None:
+        pytest.skip("no /proc/self/maps")
+    assert len(libraries) == 1, libraries
 
 
 @pytest.mark.parametrize("command,scene", [
@@ -357,7 +386,8 @@ def test_shipped_scenes_do_not_import_scipy_linalg_or_sparse(tmp_path, path):
     ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}))],
     ids=["limit_born_bump", "limit_hard_bump", "lattice_solve"])
 def test_gmres_runs_do_not_load_lapack(tmp_path, command, scene):
-    # the wrappers' OpenBLAS threads would compete with the FFT slab threads
+    # these runs never factor, so they never bind LAPACK, nor load scipy's
+    # wrappers where numpy lacks its own LAPACKE entries
     meta = run_fresh(tmp_path, command, scene, "scipy.linalg._flapack")
     assert meta.get("solver", "lattice_fft") == "lattice_fft"
 

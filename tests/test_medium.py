@@ -1,8 +1,11 @@
 """Kernel, Green-function, and incident-field tests for the medium module."""
 
+import logging
 import sys
 import threading
 import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from smallbody.medium import (
     _solve_checked,
     _unit,
 )
+from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
 from reference import (free_kernel, free_kernel_grad_y, free_kernel_hess_xy, green_potential_grid,
@@ -500,6 +504,37 @@ class TestLattice:
             assert len(box_sums) == 4
             assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
 
+    def test_off_lattice_far_field_sum_is_chunked(self, monkeypatch):
+        # 32 x 64 directions at M = 5000 would form a 164 MB phase table at
+        # once; chunks of CHUNK_ENTRIES entries bound it at any M
+        med = BackgroundMedium(1.3, Grid((0, 0, 0), (1, 1, 1), (4, 4, 4)))
+        rng = np.random.default_rng(9)
+        m = 5000
+        centers = rng.uniform(size=(m, 3))
+        assert lattice_of(centers) is None
+        q = rng.normal(size=m) + 1j * rng.normal(size=m)
+        p = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+        betas = DirectionGrid(32, 64).vectors()
+        tracemalloc.start()
+        try:
+            chunked = med.amplitude(betas, None, centers, q, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
+        # one direction from about every chunk, summed in one chunk as the
+        # unchunked code did, and directly
+        picks = betas[::47]
+        monkeypatch.setattr(medium, "CHUNK_ENTRIES", len(picks) * m)
+        phase = med._phase(picks, centers)
+        whole = phase @ q
+        whole += np.einsum("bm,bp,mp->b", phase, -1j * med.k * picks, p)
+        assert np.array_equal(med.amplitude(picks, None, centers, q, p), whole / (4 * np.pi))
+        phase = np.exp(-1j * med.k * picks @ centers.T)
+        direct = (phase @ q - 1j * med.k * np.einsum("bm,bp,mp->b", phase, picks, p)) \
+            / (4 * np.pi)
+        assert np.abs(chunked[::47] - direct).max() <= 1e-13 * np.abs(direct).max()
+
 
 class TestIncidentField:
     def test_plane_wave_free_medium(self):
@@ -712,16 +747,58 @@ class TestLapackAndGmres:
         return a, rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
 
     def test_lu_is_bitwise_scipy(self):
+        # orders 480 and 1500 run OpenBLAS's threaded zgetrf
         import scipy.linalg as sla
+        for n in (120, 480, 1500):
+            a, b = self.system(n)
+            copy = a.copy()
+            (lu, piv), rcond = _factor(a, "test matrix")
+            assert np.array_equal(a, copy)  # the grid keeps a for its residual checks
+            ref = sla.lu_factor(a)
+            assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
+            assert rcond == sla.lapack.zgecon(ref[0], np.linalg.norm(a, 1))[0]
+            for rhs in (b[:, 0], b):
+                x = _solve_checked(lambda x: a @ x, rhs, "test solve", (lu, piv))[0]
+                assert np.array_equal(x, sla.lu_solve(ref, rhs))
+
+    @pytest.fixture
+    def rebound(self):
+        """_lapack() binds anew inside the test and again after it."""
+        medium._lapack.cache_clear()
+        yield
+        medium._lapack.cache_clear()
+
+    def test_scipy_fallback_gives_the_same_bits(self, rebound, monkeypatch):
+        # a numpy built on another BLAS has no scipy-openblas64 LAPACKE entries
+        import ctypes
+        import scipy.linalg.lapack
         a, b = self.system(120)
-        (lu, piv), rcond = _factor(a, "test matrix")
-        ref = sla.lu_factor(a)
-        assert medium._lapack().zgetrf is sla.lapack.zgetrf  # one numeric path
-        assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
-        assert rcond == sla.lapack.zgecon(ref[0], np.linalg.norm(a, 1))[0]
-        for rhs in (b[:, 0], b):
-            x = _solve_checked(lambda x: a @ x, rhs, "test solve", (lu, piv))[0]
-            assert np.array_equal(x, sla.lu_solve(ref, rhs))
+
+        def solved():
+            lu, rcond = _factor(a, "test matrix")
+            return (*lu, rcond, _solve_checked(lambda x: a @ x, b, "test solve", lu)[0])
+
+        bound = solved()
+        medium._lapack.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        fallback = solved()
+        assert medium._lapack() is scipy.linalg.lapack
+        assert all(np.array_equal(x, y) for x, y in zip(bound, fallback))
+
+    def test_first_call_logs_the_lapack_source(self, rebound, monkeypatch, caplog):
+        import ctypes
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        with caplog.at_level(logging.DEBUG, logger="smallbody.medium"):
+            medium._lapack()
+            medium._lapack()
+            medium._lapack.cache_clear()
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+            medium._lapack()
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LAPACK")]
+        own = blas["name"] == "scipy-openblas"  # else numpy lacks the LAPACKE entries
+        assert len(lines) == 2
+        assert (f"OpenBLAS {blas['version']}" if own else "scipy.linalg.lapack") in lines[0]
+        assert "scipy.linalg.lapack" in lines[1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_or_rhs_raises(self, bad):
