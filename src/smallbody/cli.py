@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -584,7 +584,47 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+@cache
+def _keep_freed_heap():
+    """Have glibc's malloc serve blocks of up to 2 MiB from the heap and keep
+    up to 4 MiB of freed heap (twice that, glibc's own rule), once per
+    process: a temporary then reuses freed memory instead of faulting in
+    fresh pages.  A higher threshold lets freed grid-sized blocks pin heap
+    that later, larger ones cannot reuse (README, Dependencies).  Nothing
+    where the C library has no mallopt."""
+    import ctypes  # loaded by medium already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
+    mallopt(m_mmap_threshold, 2 << 20)
+    mallopt(m_trim_threshold, 4 << 20)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MiB: VmHWM, or ru_maxrss
+    where /proc is missing (on Linux it also holds the peak of the process
+    that forked this one)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main(argv=None) -> int:
+    import resource  # deferred: a run, not the import, pays for it
+
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _keep_freed_heap()
     logging.basicConfig(level=os.environ.get("SMALLBODY_LOG", "WARNING"))
     args = PARSER.parse_args(argv)
     out = Path(args.out)
@@ -614,6 +654,8 @@ def main(argv=None) -> int:
         return fail(exc, EXIT_PHYSICS)
     except SolverFailure as exc:
         return fail(exc, EXIT_SOLVER)
+    meta["peak_rss_mb"] = _peak_rss_mb()
+    meta["minor_page_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     write_json(out / "metadata.json", meta)
     return EXIT_OK
 

@@ -26,8 +26,8 @@ import numpy as np
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
 from .medium import (CHUNK_ENTRIES, BackgroundMedium, ComplexField, _embedding_spectrum,
-                     _factor, _norm, _pair_distances, _solve_checked, _toeplitz_apply, _unit,
-                     helmholtz_kernels, lattice_of)
+                     _factor, _kernel_planes, _norm, _row_chunks, _solve_checked, _toeplitz_apply,
+                     _unit, helmholtz_kernels, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -85,21 +85,20 @@ class FoldySystem:
             self.order, self.q, self.vb = 0, -coupling_constants(cloud), np.zeros((0, 0))
 
     def matrix(self) -> np.ndarray:
-        """I - K diag(q, -vb) over all pairs; order 0: I - G diag(q)."""
-        m, mq = len(self.centers), -self.q
-        blocks = self.medium.green_blocks(self.centers, order=2 * self.order)
+        """I - K diag(q, -vb) over all pairs; order 0: I - G diag(q).
+
+        Scales the columns of the stacked kernel (BackgroundMedium.green_kernel)
+        in place: the monopole columns by -q, and each dipole column triple
+        by vb, one matmul over a chunk of rows at a time.
+        """
+        m = len(self.centers)
+        a = self.medium.green_kernel(self.centers, order=self.order)
+        a[:, :m] *= -self.q
         if self.order:
-            gmat, grad_x, grad_y, hess = blocks
-            a = np.empty((4 * m, 4 * m), dtype=complex)
-            a[:m, :m] = gmat * mq[None, :]
-            a[:m, m:] = (grad_y.reshape(-1, 3) @ self.vb).reshape(m, 3 * m)
-            a[m:, :m] = (grad_x * mq[None, :, None]).transpose(0, 2, 1).reshape(3 * m, m)
-            # one product over every 3-row: hess @ vb would run M^2 3x3 products
-            hess_vb = (hess.reshape(-1, 3) @ self.vb).reshape(hess.shape)
-            a[m:, m:] = hess_vb.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-        else:
-            a = blocks[0]
-            a *= mq[None, :]
+            step = max(1, CHUNK_ENTRIES // (16 * m))  # temporaries of one kernel plane
+            for s in range(0, len(a), step):
+                d = a[s:s + step, m:]
+                d[...] = (d.reshape(-1, 3) @ self.vb).reshape(d.shape)
         a[np.diag_indices_from(a)] += 1.0
         return a
 
@@ -131,11 +130,8 @@ class FoldySystem:
         k, m = self.medium.k, len(self.centers)
 
         def kernels(diff, r):
-            if not self.order:
-                return [-helmholtz_kernels(diff, r, k)]
-            g, grad_y, hess = helmholtz_kernels(diff, r, k, 2)
-            return [-g, *np.moveaxis(grad_y, -1, 0),
-                    *(hess[..., q, p] for q, p in zip(*np.triu_indices(3)))]
+            table = [plane for _, _, plane in _kernel_planes(diff, r, k, self.order)]
+            return [-table[0], *table[1:]]
 
         # a derivative along axis i flips the parity of the even g in m_i
         e = np.eye(3, dtype=int)
@@ -199,23 +195,6 @@ class LatticeConvolution:
         s = np.asarray(s, dtype=complex)
         box = _toeplitz_apply(self.lattice.scatter(s.reshape(-1, s.shape[-1])), self._contract)
         return self.lattice.gather(box).reshape(s.shape)
-
-
-def _row_chunks(centers, order):
-    """Row blocks of the particle pair table as (rows, diagonal, y - x, r),
-    each of at most CHUNK_ENTRIES entries of the species' pair blocks.
-
-    y - x is None at order 0 (see _pair_distances).  r is 1 on the
-    diagonal; callers zero the diagonal of what they form.
-    """
-    m = len(centers)
-    step = max(1, CHUNK_ENTRIES // (m * (1 + 3 * order) ** 2))
-    for s in range(0, m, step):
-        stop = min(s + step, m)
-        diff, r = _pair_distances(centers[s:stop], centers, order)
-        diag = (np.arange(stop - s), np.arange(s, stop))
-        r[diag] = 1.0
-        yield slice(s, stop), diag, diff, r
 
 
 def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:

@@ -272,6 +272,22 @@ def _solve_checked(apply, rhs, what, lu=None):
 # free-space kernels
 # ---------------------------------------------------------------------------
 
+def _radial(r, k, order):
+    """Radial factors of g = exp(ikr)/(4 pi r) up to the given derivative
+    order, with u = (y - x)/r: [g]; [g, f1] with grad_y g = f1 u; and
+    [g, f1, f2 - f1/r, f1/r] with
+    d^2 g / dx_q dy_p = -((f2 - f1/r) u_q u_p + (f1/r) delta_qp)."""
+    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
+    if order == 0:
+        return [g]
+    f1 = g * (1j * k - 1.0 / r)
+    if order == 1:
+        return [g, f1]
+    f2 = g * (-(k ** 2) - 2j * k / r + 2.0 / r ** 2)
+    f1r = f1 / r
+    return [g, f1, f2 - f1r, f1r]
+
+
 def helmholtz_kernels(diff, r, k, order=0, dipoles=None):
     """g = exp(ikr)/(4 pi r) and its derivatives over offsets diff = y - x.
 
@@ -281,22 +297,39 @@ def helmholtz_kernels(diff, r, k, order=0, dipoles=None):
     the product sum_p H[..., q, p] b[..., p], formed from the radial factors
     without the 3x3 blocks.  k = 0 gives the static kernel 1/(4 pi r).
     """
-    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
+    factors = _radial(r, k, order)
     if order == 0:
-        return g
+        return factors[0]
     u = diff / r[..., None]
-    f1 = g * (1j * k - 1.0 / r)
-    out = [g, f1[..., None] * u]
+    out = [factors[0], factors[1][..., None] * u]
     if order == 2:
-        f2 = g * (-(k ** 2) - 2j * k / r + 2.0 / r ** 2)
-        f1r = f1 / r
+        fd, f1r = factors[2:]
         if dipoles is None:
             uu = u[..., :, None] * u[..., None, :]
-            out.append(-((f2 - f1r)[..., None, None] * uu + f1r[..., None, None] * np.eye(3)))
+            out.append(-(fd[..., None, None] * uu + f1r[..., None, None] * np.eye(3)))
         else:
             ub = np.sum(u * dipoles, axis=-1)
-            out.append(-(((f2 - f1r) * ub)[..., None] * u + f1r[..., None] * dipoles))
+            out.append(-((fd * ub)[..., None] * u + f1r[..., None] * dipoles))
     return out
+
+
+def _kernel_planes(diff, r, k, order):
+    """The distinct entries of the symmetric pair block
+    [[g, grad_y g], [grad_x g, d^2 g / dx dy]] (order 1; order 0: g alone)
+    over offsets diff = y - x, one plane at a time, as (a, b, plane) for
+    components a <= b: 0 is the value and 1 + p the derivative along axis
+    p.  grad_x g = -grad_y g is the block below the diagonal.  Each plane
+    has the bits of the same entry of helmholtz_kernels(diff, r, k, 2 order).
+    """
+    factors = _radial(r, k, 2 * order)
+    yield 0, 0, factors[0]
+    if order:
+        f1, fd, f1r = factors[1:]
+        u = [diff[..., p] / r for p in range(3)]
+        for p in range(3):
+            yield 0, 1 + p, f1 * u[p]
+        for q, p in zip(*np.triu_indices(3)):
+            yield 1 + q, 1 + p, -(fd * (u[q] * u[p]) + f1r * float(q == p))
 
 
 def _norm(dx, dy, dz):
@@ -315,6 +348,28 @@ def _pair_distances(x, y, order=0):
         return None, _norm(*(y[None, :, i] - x[:, None, i] for i in range(3)))
     diff = y[None, :, :] - x[:, None, :]
     return diff, _norm(*np.moveaxis(diff, -1, 0))
+
+
+def _row_chunks(x, order, y=None):
+    """Row blocks of the pair table of the points x against y (default: x
+    against itself) as (rows, diagonal, y - x, r), each of at most
+    CHUNK_ENTRIES entries of the pair blocks of order 0 (one entry per pair)
+    or 1 (4 x 4).
+
+    y - x is None at order 0 (see _pair_distances).  Against itself, r is 1
+    on the diagonal and callers zero the diagonal of what they form; against
+    y the diagonal is None.
+    """
+    m = len(x if y is None else y)
+    step = max(1, CHUNK_ENTRIES // (m * (1 + 3 * order) ** 2))
+    for s in range(0, len(x), step):
+        stop = min(s + step, len(x))
+        diff, r = _pair_distances(x[s:stop], x if y is None else y, order)
+        diag = None
+        if y is None:
+            diag = (np.arange(stop - s), np.arange(s, stop))
+            r[diag] = 1.0
+        yield slice(s, stop), diag, diff, r
 
 
 def _free_kernels(x, y, k, order=0):
@@ -611,6 +666,9 @@ class BackgroundMedium:
         self._off_support = np.flatnonzero(self.q0 == 0.0)
         self._u0_cache: dict = {}  # direction -> u0 on S
         self._lu = None
+        # (key, value) of the support table kept by the last Green kernel and
+        # of the last particle sources' grid field: a solve reads each again
+        self._table = self._particle = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -746,10 +804,19 @@ class BackgroundMedium:
         s = self._support
         u = np.zeros(len(s), complex) if alpha is None else self._u0_support(_unit(alpha))
         if len(centers):
-            order = 0 if dipoles is None else 1
-            w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
-            u = u + self._solve_grid(self._node_columns(centers, order, s) @ w)
+            u = u + self._particle_field(centers, charges, dipoles)
         return self._on_grid(-(self.q0[s] * u * self.weight))
+
+    def _particle_field(self, centers, charges, dipoles):
+        """u_p on S: one grid solve of the particles' combined source column,
+        kept for the last sources asked for (a solve's probe field and far
+        field both need it)."""
+        order = 0 if dipoles is None else 1
+        w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
+        key = (_points_key(centers), np.asarray(w, dtype=complex).tobytes())
+        if self._particle is None or self._particle[0] != key:
+            self._particle = (key, self._solve_grid(self._support_table(centers, order) @ w))
+        return self._particle[1]
 
     def radiate(self, points, alpha, density, centers=(), charges=None, dipoles=None,
                 order=0) -> np.ndarray:
@@ -767,11 +834,13 @@ class BackgroundMedium:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
             # limit densities reach past S; source_density's do not
-            nodes = None if density[self._off_support].any() else self._support
+            if density[self._off_support].any():
+                table, values = self._node_columns(pts, order), density
+            else:
+                table, values = self._support_table(pts, order), density[self._support]
             # target rows [g(x, z) | grad_x g(x, z)], copied row-major: the
             # matvec then sums in the order of a directly built (n, N) kernel
-            rows = np.ascontiguousarray(self._node_columns(pts, order, nodes).T)
-            out = out + rows @ (density if nodes is None else density[nodes])
+            out = out + np.ascontiguousarray(table.T) @ values
         if len(centers) and dipoles is None:
             out = out + _free_kernels(pts, centers, self.k) @ charges
         elif len(centers):
@@ -824,44 +893,85 @@ class BackgroundMedium:
         g, grad = _free_kernels(z, pts, self.k, 1)
         return np.concatenate([g, grad.reshape(len(g), -1)], axis=1)
 
+    def _support_table(self, pts, order, keep=False):
+        """_node_columns(pts, order, S), or the table kept by an earlier call
+        for the same points; ``keep`` keeps this one in its place.  The Green
+        kernel of a solve keeps its centres' table, and the incident data
+        and the particle field read it.  Callers do not write to it."""
+        key = (_points_key(pts), min(order, 1))
+        if self._table is not None and self._table[0] == key:
+            return self._table[1]
+        if keep:
+            self._table = None  # the old table is not held while the new one is built
+        table = self._node_columns(pts, order, self._support)
+        if keep:
+            self._table = (key, table)
+        return table
+
+    def green_kernel(self, x, y=None, order=0) -> np.ndarray:
+        """The stacked background Green kernel K(x_i, y_j), one new array.
+
+        order 1: K = [[G, grad_y G], [grad_x G, d^2 G / dx dy]], of shape
+        (4n, 4m) in the layout of _node_columns and of the hard unknowns:
+        row i is the value at x_i and row n + 3i + q its derivative along
+        axis q, column j the source at y_j and column m + 3j + p its
+        derivative along axis p.  order 0: G alone, (n, m).  Without y the
+        kernel runs over pairs of x with a zero diagonal in every block.
+
+        Built in place: the volume correction is one grid solve over the
+        stacked source columns and one product with the stacked target rows
+        at the nodes of S = supp q0, and the free kernel minus it is then
+        formed in its place, one plane of a chunk of rows at a time
+        (_kernel_planes), so no other array of the kernel's size is made.
+        """
+        pairs = y is None
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        y = None if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
+        n, m = len(x), len(x if pairs else y)
+        corrected = not self.is_free
+        if corrected:
+            s = self._support
+            src = self._support_table(x if pairs else y, order, keep=True)
+            sol = self._solve_grid(src)
+            sol *= self.q0[s, None] * self.weight
+            stack = (src if pairs else self._node_columns(x, order, s)).T @ sol
+            del sol
+        else:
+            stack = np.empty((n * (1 + 3 * order), m * (1 + 3 * order)), dtype=complex)
+        for rows, diag, diff, r in _row_chunks(x, order, y):
+            if np.any(r == 0.0):
+                raise SingularEvaluationError("Green function evaluated at coincident points")
+            for a, b, plane in _kernel_planes(diff, r, self.k, order):
+                blocks = [(a, b, plane)]
+                if a != b:  # the mirror block; grad_x g = -grad_y g
+                    blocks.append((b, a, -plane if a == 0 else plane))
+                for row, col, free in blocks:
+                    view = stack[_component(row, rows.start, rows.stop, n),
+                                 _component(col, 0, m, m)]
+                    if corrected:
+                        np.subtract(free, view, out=view)  # G = g - volume correction
+                    else:
+                        view[...] = free
+                    if diag is not None:
+                        view[diag] = 0.0
+        return stack
+
     def green_blocks(self, x, y=None, order=0) -> list:
         """Background Green function G(x_i, y_j) and its derivative blocks.
 
         Returns [G] (n,m) for order 0, [G, grad_x G, grad_y G] (n,m,3) for
-        order 1, plus d^2G/dx_q dy_p (n,m,3,3) [q,p] for order 2.  Without
-        y the blocks run over pairs of x with a zero diagonal.  The volume
-        correction is one grid solve over the stacked source columns and
-        one product with the stacked target rows, both at the nodes of
-        S = supp q0.
+        order 1, plus d^2G/dx_q dy_p (n,m,3,3) [q,p] for order 2: views of
+        green_kernel's stacked array.  Without y the blocks run over pairs
+        of x with a zero diagonal.
         """
-        pairs = y is None
-        x = np.asarray(x, dtype=float).reshape(-1, 3)
-        y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
-        n, m = len(x), len(y)
-        diff, r = _pair_distances(x, y, order)
-        if pairs:
-            r[np.diag_indices(n)] = 1.0
-        if np.any(r == 0.0):
-            raise SingularEvaluationError("Green function evaluated at coincident points")
-        free = helmholtz_kernels(diff, r, self.k, order)
-        blocks = [free] if order == 0 else [free[0], -free[1], *free[1:]]
-        if not self.is_free:
-            s = self._support
-            src = self._node_columns(y, order, s)
-            tgt = src if pairs else self._node_columns(x, order, s)
-            sol = self._solve_grid(src)
-            sol *= self.q0[s, None] * self.weight
-            corr = tgt.T @ sol
-            parts = [corr[:n, :m]]
-            if order:
-                parts += [corr[n:, :m].reshape(n, 3, m).transpose(0, 2, 1),
-                          corr[:n, m:].reshape(n, m, 3)]
-            if order == 2:
-                parts.append(corr[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3))
-            blocks = [b - c for b, c in zip(blocks, parts)]
-        if pairs:
-            for b in blocks:
-                b[np.arange(n), np.arange(n)] = 0.0
+        stack = self.green_kernel(x, y, min(order, 1))
+        if order == 0:
+            return [stack]
+        n, m = stack.shape[0] // 4, stack.shape[1] // 4
+        blocks = [stack[:n, :m], stack[n:, :m].reshape(n, 3, m).transpose(0, 2, 1),
+                  stack[:n, m:].reshape(n, m, 3)]
+        if order == 2:
+            blocks.append(stack[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3))
         return blocks
 
     # -- weighted far-field sums ----------------------------------------------
@@ -892,6 +1002,19 @@ class BackgroundMedium:
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""
         return self.amplitude(betas, self.source_density(alpha))
+
+
+def _component(c, lo, hi, n) -> slice:
+    """Entries [lo, hi) of component c (0: the value, 1 + p: the derivative
+    along axis p) on a stacked axis of n points [values (n), derivatives
+    (n, 3) row-major]."""
+    return slice(lo, hi) if c == 0 else slice(n + 3 * lo + c - 1, n + 3 * hi, 3)
+
+
+def _points_key(pts) -> tuple:
+    """A point set as a hashable key of its exact coordinates."""
+    pts = np.asarray(pts, dtype=float)
+    return pts.shape, pts.tobytes()
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

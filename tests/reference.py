@@ -9,7 +9,7 @@ import numpy as np
 from smallbody.errors import InvariantViolation
 from smallbody.limit_solver import LimitProblem, _hard_source
 from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _free_kernels, _node_field,
-                              _unit, helmholtz_kernels)
+                              _pair_distances, _unit, helmholtz_kernels)
 from smallbody.particles import ParticleCloud
 
 
@@ -35,6 +35,54 @@ def free_kernel_grad_y(x, y, k):
 def free_kernel_hess_xy(x, y, k):
     """Mixed second derivative d^2 g / dx_q dy_p, shape (n,m,3,3) [q,p]."""
     return _single_or_all(x, y, _free_kernels(x, y, k, 2)[2])
+
+
+def pair_green_blocks(medium: BackgroundMedium, x, order=0) -> list:
+    """BackgroundMedium.green_blocks(x, order=order) built block by block:
+    helmholtz_kernels over all pairs at once, minus the volume correction
+    cut into the same blocks, with the diagonal of each block zeroed."""
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    n = len(x)
+    diff, r = _pair_distances(x, x, order)
+    r[np.diag_indices(n)] = 1.0
+    free = helmholtz_kernels(diff, r, medium.k, order)
+    blocks = [free] if order == 0 else [free[0], -free[1], *free[1:]]
+    if not medium.is_free:
+        s = medium._support
+        src = medium._node_columns(x, order, s)
+        sol = medium._solve_grid(src)
+        sol *= medium.q0[s, None] * medium.weight
+        corr = src.T @ sol
+        parts = [corr[:n, :n]]
+        if order:
+            parts += [corr[n:, :n].reshape(n, 3, n).transpose(0, 2, 1),
+                      corr[:n, n:].reshape(n, n, 3)]
+        if order == 2:
+            parts.append(corr[n:, n:].reshape(n, 3, n, 3).transpose(0, 2, 1, 3))
+        blocks = [b - c for b, c in zip(blocks, parts)]
+    for b in blocks:
+        b[np.arange(n), np.arange(n)] = 0.0
+    return blocks
+
+
+def foldy_matrix(system) -> np.ndarray:
+    """FoldySystem.matrix() assembled from pair_green_blocks: I - G diag(q)
+    (order 0), or the 4M x 4M hard system with its blocks scaled by -q and
+    multiplied by vb one block at a time."""
+    m, mq = len(system.centers), -system.q
+    blocks = pair_green_blocks(system.medium, system.centers, 2 * system.order)
+    if system.order:
+        gmat, grad_x, grad_y, hess = blocks
+        a = np.empty((4 * m, 4 * m), dtype=complex)
+        a[:m, :m] = gmat * mq[None, :]
+        a[:m, m:] = (grad_y.reshape(-1, 3) @ system.vb).reshape(m, 3 * m)
+        a[m:, :m] = (grad_x * mq[None, :, None]).transpose(0, 2, 1).reshape(3 * m, m)
+        hess_vb = (hess.reshape(-1, 3) @ system.vb).reshape(hess.shape)
+        a[m:, m:] = hess_vb.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+    else:
+        a = blocks[0] * mq[None, :]
+    a[np.diag_indices_from(a)] += 1.0
+    return a
 
 
 def _extend(medium: BackgroundMedium, f, u) -> np.ndarray:

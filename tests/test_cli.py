@@ -392,6 +392,29 @@ def test_gmres_runs_do_not_load_lapack(tmp_path, command, scene):
     assert meta.get("solver", "lattice_fft") == "lattice_fft"
 
 
+@pytest.mark.parametrize("command,scene", [
+    ("solve", "single_hard_ball.json"), ("limit", "limit_born_bump.json"),
+    ("design", "design_subbox.json"), ("study", "study_impedance.json"),
+    ("validate", "empty_cloud.json")])
+def test_metadata_records_peak_rss_and_minor_page_faults(tmp_path, command, scene):
+    # every command writes the process's peak resident set (VmHWM) and the
+    # minor page faults taken over the command
+    code, out = run(tmp_path, command, scene_path=SCENES / scene)
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["command"] == command
+    assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
+    assert isinstance(meta["minor_page_faults"], int) and meta["minor_page_faults"] >= 0
+
+
+def test_allocator_setting_skips_a_c_library_without_mallopt(monkeypatch):
+    # musl, macOS and others: the run goes on with the allocator as it is
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert cli._keep_freed_heap.__wrapped__() is None
+
+
 class TestDesign:
     def test_trivial_design(self, tmp_path):
         scene = base_scene(design={"target_n": 1.0, "a": 1e-5})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smallbody import foldy_impedance, particles
+from smallbody import foldy_impedance, medium, particles
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
@@ -22,7 +22,7 @@ from smallbody.particles import (
     build_cloud_impedance,
     h_to_impedance,
 )
-from reference import free_kernel
+from reference import foldy_matrix, free_kernel
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -187,6 +187,33 @@ class TestSolver:
             cloud = (ball_cloud(c, a=1e-4, h=1.0) if kind == "impedance" else
                      ParticleCloud(centers=c, a=1e-4, kind="hard", beta=-1.5 * np.eye(3)))
             assert solve_cloud(med, cloud, Z_HAT).solver == solver
+
+
+class TestSystemMatrix:
+    @pytest.mark.parametrize("chunk", [2 ** 18, 2 ** 9], ids=["one_chunk", "row_chunks"])
+    @pytest.mark.parametrize("background", ["free", "n0_ball"])
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_matrix_equals_block_built_reference(self, monkeypatch, kind, background, chunk):
+        # the stacked in-place build against today's block formula, to the
+        # bit: random centres, centres that share coordinates (exact zero
+        # offsets) and a general beta; small chunks cut the kernel planes and
+        # the vb products into several row blocks
+        monkeypatch.setattr(medium, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(foldy_impedance, "CHUNK_ENTRIES", chunk)
+        grid = Grid((0, 0, 0), (1, 1, 1), (6, 6, 6))
+        med = (BackgroundMedium(1.2, grid) if background == "free" else BackgroundMedium(
+            1.2, grid, n0=lambda z: np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)))
+        rng = np.random.default_rng(5)
+        axis = np.linspace(0.2, 0.8, 3)
+        aligned = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        for centers in (rng.uniform(0.1, 0.9, size=(40, 3)), aligned):
+            if kind == "hard":
+                cloud = ParticleCloud(centers=centers, a=0.01, kind="hard",
+                                      beta=rng.normal(size=(3, 3)))
+            else:
+                cloud = ball_cloud(centers, a=0.01, h=1.0 - 0.5j)
+            system = FoldySystem(med, cloud)
+            assert np.array_equal(system.matrix(), foldy_matrix(system))
 
 
 class TestEvaluateField:

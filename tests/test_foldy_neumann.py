@@ -1,5 +1,7 @@
 """Hard-particle (Neumann) many-body solver tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,52 @@ class TestCoupledSystem:
             evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0]])
             far_field(res, med, cloud, DirectionGrid(4, 8))
             assert sorted(orders) == [12, support] and not gmres_calls
+
+    def test_dense_inhomogeneous_solve_builds_one_table_and_three_grid_solves(self, monkeypatch):
+        # solve, probe field and far field: the Green kernel, the incident
+        # column and the particle field share the centres' support table, and
+        # the probe field and far field share the particle grid solve; the
+        # grid solves are the Green kernel's, u0's and the particle field's
+        def counted(name, log, keep=lambda *args: True):
+            fn = getattr(BackgroundMedium, name)
+
+            def wrapper(self, *args, **kwargs):
+                if keep(*args):
+                    log.append(name)
+                return fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(BackgroundMedium, name, wrapper)
+
+        med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
+            np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
+        cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+        solves, tables = [], []
+        counted("_solve_grid", solves)
+        counted("_node_columns", tables,
+                lambda pts, *args: np.array_equal(np.asarray(pts), cloud.centers))
+        res = solve_cloud(med, cloud, Z_HAT)
+        assert res.solver == "lu"
+        evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
+        far_field(res, med, cloud, DirectionGrid(4, 8))
+        assert len(solves) == 3 and len(tables) == 1
+
+    def test_dense_matrix_peak_memory(self):
+        # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes,
+        # built in place: the traced peak of matrix(), with the grid LU already
+        # factored, stays within 2.5 times the matrix
+        med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
+            np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
+        cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+        assert len(cloud) == 120
+        system = FoldySystem(med, cloud)
+        med._factorization()
+        tracemalloc.start()
+        try:
+            a = system.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * a.nbytes
 
     def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
         # equivalent sources against the Green-block sum and the reciprocity
