@@ -37,6 +37,10 @@ EXIT_SCHEMA = 2
 EXIT_PHYSICS = 3
 EXIT_SOLVER = 4
 
+# glibc serves blocks up to this size from the heap (_keep_freed_heap); a
+# chunk of medium.CHUNK_ENTRIES complex entries stays below it
+MMAP_THRESHOLD = 2 << 20
+
 
 class SceneError(Exception):
     """Malformed or incomplete scene file."""
@@ -586,12 +590,12 @@ PARSER = build_parser()
 
 @cache
 def _keep_freed_heap():
-    """Have glibc's malloc serve blocks of up to 2 MiB from the heap and keep
-    up to 4 MiB of freed heap (twice that, glibc's own rule), once per
-    process: a temporary then reuses freed memory instead of faulting in
-    fresh pages.  A higher threshold lets freed grid-sized blocks pin heap
-    that later, larger ones cannot reuse (README, Dependencies).  Nothing
-    where the C library has no mallopt."""
+    """Have glibc's malloc serve blocks of up to MMAP_THRESHOLD (2 MiB) from
+    the heap and keep up to 4 MiB of freed heap (twice that, glibc's own
+    rule), once per process: a temporary then reuses freed memory instead
+    of faulting in fresh pages.  A higher threshold lets freed grid-sized
+    blocks pin heap that later, larger ones cannot reuse (README,
+    Dependencies).  Nothing where the C library has no mallopt."""
     import ctypes  # loaded by medium already
 
     try:
@@ -600,8 +604,8 @@ def _keep_freed_heap():
         return
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
-    mallopt(m_mmap_threshold, 2 << 20)
-    mallopt(m_trim_threshold, 4 << 20)
+    mallopt(m_mmap_threshold, MMAP_THRESHOLD)
+    mallopt(m_trim_threshold, 2 * MMAP_THRESHOLD)
 
 
 def _peak_rss_mb() -> float:

@@ -26,8 +26,8 @@ import numpy as np
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
 from .medium import (CHUNK_ENTRIES, BackgroundMedium, ComplexField, _embedding_spectrum,
-                     _factor, _kernel_planes, _norm, _row_chunks, _solve_checked, _toeplitz_apply,
-                     _unit, helmholtz_kernels, lattice_of)
+                     _factor, _kernel_planes, _kernel_sum, _norm, _solve_checked, _toeplitz_apply,
+                     _unit, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -103,25 +103,12 @@ class FoldySystem:
         return a
 
     def apply(self, vec) -> np.ndarray:
-        """matrix() @ vec from the pair kernels, a row chunk at a time."""
+        """matrix() @ vec = vec - K [q u; -vb grad u], with K formed and
+        applied a row chunk at a time (medium._kernel_sum)."""
         m = len(self.centers)
-        qu = self.q * vec[:m]
-        bd = vec[m:].reshape(m, 3 * self.order) @ self.vb.T  # sum_q vb_{pq} D_{mq}
-        out = vec.astype(complex)
-        out_u, out_d = out[:m], out[m:].reshape(bd.shape)
-        for rows, diag, diff, r in _row_chunks(self.centers, self.order):
-            if not self.order:
-                g = helmholtz_kernels(diff, r, self.medium.k)
-                g[diag] = 0.0
-                out_u[rows] -= g @ qu
-                continue
-            g, grad_y, hess_bd = helmholtz_kernels(diff, r, self.medium.k, 2, dipoles=bd)
-            for t in (g, grad_y, hess_bd):
-                t[diag] = 0.0
-            # grad_x g = -grad_y g, so the monopole gradient term flips sign
-            out_u[rows] += -(g @ qu) + np.einsum("jmp,mp->j", grad_y, bd)
-            out_d[rows] += np.einsum("jms,m->js", grad_y, qu) + hess_bd.sum(axis=1)
-        return out
+        dipoles = vec[m:].reshape(m, 3 * self.order) @ self.vb.T  # sum_q vb_{pq} D_{mq}
+        src = np.concatenate([self.q * vec[:m], -dipoles.reshape(-1)])
+        return vec - _kernel_sum(self.centers, self.medium.k, (self.order, self.order), src)
 
     def lattice_apply(self, lattice):
         """apply() by FFT for centres on ``lattice``: the pair kernel acting on
@@ -130,7 +117,7 @@ class FoldySystem:
         k, m = self.medium.k, len(self.centers)
 
         def kernels(diff, r):
-            table = [plane for _, _, plane in _kernel_planes(diff, r, k, self.order)]
+            table = [plane for _, _, plane in _kernel_planes(diff, r, k, 2 * self.order)]
             return [-table[0], *table[1:]]
 
         # a derivative along axis i flips the parity of the even g in m_i

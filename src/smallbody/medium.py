@@ -45,7 +45,9 @@ RCOND_FLOOR = 1e-13
 # many spectrum entries (measured; README "Numerical choices")
 FUSED_ENTRIES = 2 ** 16
 
-CHUNK_ENTRIES = 2 ** 18  # entries per chunk of an off-lattice particle table
+# entries per chunk of a kernel or phase table: 1 MiB of complex entries,
+# below the mmap threshold of cli.MMAP_THRESHOLD, so chunks reuse freed heap
+CHUNK_ENTRIES = 2 ** 16
 
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
@@ -60,13 +62,18 @@ def _lapack():
     LAPACKE entries of the scipy-openblas64 library that numpy's linalg extension
     loads (dlsym also searches its dependencies), so a run holds one OpenBLAS
     thread pool (README, Dependencies); a numpy on another BLAS takes
-    scipy.linalg.lapack.  The first call logs the source at DEBUG."""
+    scipy.linalg.lapack, and raises SolverFailure without scipy.  The first
+    call logs the source at DEBUG."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         getrf, gecon, getrs, config = (getattr(lib, f"scipy_{name}64_") for name in (
             "LAPACKE_zgetrf", "LAPACKE_zgecon", "LAPACKE_zgetrs", "openblas_get_config"))
     except (OSError, AttributeError):
-        from scipy.linalg import lapack
+        try:
+            from scipy.linalg import lapack
+        except ImportError as exc:
+            raise SolverFailure("dense LU: numpy has no scipy-openblas64 LAPACKE entries "
+                                f"and scipy.linalg cannot be imported ({exc})") from exc
         logger.debug("LAPACK: scipy.linalg.lapack (numpy has no scipy-openblas64 LAPACKE)")
         return lapack
     i64, ptr, char, col_major = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char, 102
@@ -276,58 +283,41 @@ def _radial(r, k, order):
     """Radial factors of g = exp(ikr)/(4 pi r) up to the given derivative
     order, with u = (y - x)/r: [g]; [g, f1] with grad_y g = f1 u; and
     [g, f1, f2 - f1/r, f1/r] with
-    d^2 g / dx_q dy_p = -((f2 - f1/r) u_q u_p + (f1/r) delta_qp)."""
+    d^2 g / dx_q dy_p = -((f2 - f1/r) u_q u_p + (f1/r) delta_qp).
+
+    Each product's factors are named: numpy computes g * (temporary) of
+    256 KiB or more in the temporary with the operands swapped, which moves
+    the last bit with the size of the table.
+    """
     g = np.exp(1j * k * r) / (4.0 * np.pi * r)
     if order == 0:
         return [g]
-    f1 = g * (1j * k - 1.0 / r)
+    t = 1j * k - 1.0 / r
+    f1 = g * t
     if order == 1:
         return [g, f1]
-    f2 = g * (-(k ** 2) - 2j * k / r + 2.0 / r ** 2)
+    t = -(k ** 2) - 2j * k / r + 2.0 / r ** 2
+    f2 = g * t
     f1r = f1 / r
     return [g, f1, f2 - f1r, f1r]
 
 
-def helmholtz_kernels(diff, r, k, order=0, dipoles=None):
-    """g = exp(ikr)/(4 pi r) and its derivatives over offsets diff = y - x.
-
-    r = |diff| must be nonzero.  order 0 returns g alone; order 1 returns
-    [g, grad_y g] and order 2 appends d^2 g / dx_q dy_p ([..., q, p]).  With
-    ``dipoles`` b (broadcast against diff) the order-2 term is returned as
-    the product sum_p H[..., q, p] b[..., p], formed from the radial factors
-    without the 3x3 blocks.  k = 0 gives the static kernel 1/(4 pi r).
-    """
-    factors = _radial(r, k, order)
-    if order == 0:
-        return factors[0]
-    u = diff / r[..., None]
-    out = [factors[0], factors[1][..., None] * u]
-    if order == 2:
-        fd, f1r = factors[2:]
-        if dipoles is None:
-            uu = u[..., :, None] * u[..., None, :]
-            out.append(-(fd[..., None, None] * uu + f1r[..., None, None] * np.eye(3)))
-        else:
-            ub = np.sum(u * dipoles, axis=-1)
-            out.append(-((fd * ub)[..., None] * u + f1r[..., None] * dipoles))
-    return out
-
-
 def _kernel_planes(diff, r, k, order):
     """The distinct entries of the symmetric pair block
-    [[g, grad_y g], [grad_x g, d^2 g / dx dy]] (order 1; order 0: g alone)
-    over offsets diff = y - x, one plane at a time, as (a, b, plane) for
-    components a <= b: 0 is the value and 1 + p the derivative along axis
-    p.  grad_x g = -grad_y g is the block below the diagonal.  Each plane
-    has the bits of the same entry of helmholtz_kernels(diff, r, k, 2 order).
+    [[g, grad_y g], [grad_x g, d^2 g / dx dy]] up to derivative order 0 (g),
+    1 (g and grad_y g) or 2 (the whole block) over offsets diff = y - x, one
+    plane at a time, as (a, b, plane) for components a <= b: 0 is the value
+    and 1 + p the derivative along axis p.  grad_x g = -grad_y g is the
+    block below the diagonal.
     """
-    factors = _radial(r, k, 2 * order)
+    factors = _radial(r, k, order)
     yield 0, 0, factors[0]
     if order:
-        f1, fd, f1r = factors[1:]
         u = [diff[..., p] / r for p in range(3)]
         for p in range(3):
-            yield 0, 1 + p, f1 * u[p]
+            yield 0, 1 + p, factors[1] * u[p]
+    if order == 2:
+        fd, f1r = factors[2:]
         for q, p in zip(*np.triu_indices(3)):
             yield 1 + q, 1 + p, -(fd * (u[q] * u[p]) + f1r * float(q == p))
 
@@ -350,34 +340,68 @@ def _pair_distances(x, y, order=0):
     return diff, _norm(*np.moveaxis(diff, -1, 0))
 
 
-def _row_chunks(x, order, y=None):
-    """Row blocks of the pair table of the points x against y (default: x
-    against itself) as (rows, diagonal, y - x, r), each of at most
-    CHUNK_ENTRIES entries of the pair blocks of order 0 (one entry per pair)
-    or 1 (4 x 4).
+def _kernel_chunks(x, k, orders, y=None):
+    """The free kernel K(x_i, y_j) of the points x against y (default: x
+    against itself, with a zero diagonal) in slabs of rows, as (rows, slab).
 
-    y - x is None at order 0 (see _pair_distances).  Against itself, r is 1
-    on the diagonal and callers zero the diagonal of what they form; against
-    y the diagonal is None.
+    orders = (ox, oy): the rows hold [g; grad_x g] when ox is 1, else g,
+    and the columns [g | grad_y g] when oy is 1, else g; with both, the
+    lower-right block is d^2 g / dx dy, all in the stacked layout of
+    BackgroundMedium.green_kernel.  The kernel is formed for c points of x
+    at a time, at most CHUNK_ENTRIES entries, and yielded as the slab of
+    their values (c, m (1 + 3 oy)) and, when ox is 1, of their derivatives
+    (3c, m (1 + 3 oy)); rows is the slice of the slab on the stacked row
+    axis of all of x.  Each entry has the bits of _kernel_planes at every
+    chunk size.
     """
-    m = len(x if y is None else y)
-    step = max(1, CHUNK_ENTRIES // (m * (1 + 3 * order) ** 2))
-    for s in range(0, len(x), step):
-        stop = min(s + step, len(x))
-        diff, r = _pair_distances(x[s:stop], x if y is None else y, order)
-        diag = None
+    ox, oy = orders
+    n, m = len(x), len(x if y is None else y)
+    step = max(1, CHUNK_ENTRIES // max(1, m * (1 + 3 * ox) * (1 + 3 * oy)))
+    for s in range(0, n, step):
+        stop = min(s + step, n)
+        c = stop - s
+        diff, r = _pair_distances(x[s:stop], x if y is None else y, ox + oy)
         if y is None:
-            diag = (np.arange(stop - s), np.arange(s, stop))
-            r[diag] = 1.0
-        yield slice(s, stop), diag, diff, r
+            r[np.arange(c), np.arange(s, stop)] = 1.0
+        if np.any(r == 0.0):
+            raise SingularEvaluationError("Helmholtz kernel evaluated at coincident points")
+        block = np.empty((c * (1 + 3 * ox), m * (1 + 3 * oy)), dtype=complex)
+        for a, b, plane in _kernel_planes(diff, r, k, ox + oy):
+            if a <= 3 * ox and b <= 3 * oy:
+                block[_component(a, c), _component(b, m)] = plane
+            if a != b and b <= 3 * ox and a <= 3 * oy:  # the mirror; grad_x g = -grad_y g
+                block[_component(b, c), _component(a, m)] = -plane if a == 0 else plane
+        if y is None:
+            _zero_diagonal(block, s, ox)
+        yield slice(s, stop), block[:c]
+        if ox:
+            yield slice(n + 3 * s, n + 3 * stop), block[c:]
 
 
-def _free_kernels(x, y, k, order=0):
-    """helmholtz_kernels over all pairs (x_i, y_j)."""
-    diff, r = _pair_distances(x, y, order)
-    if np.any(r == 0.0):
-        raise SingularEvaluationError("Helmholtz kernel evaluated at coincident points")
-    return helmholtz_kernels(diff, r, k, order)
+def _kernel_sum(x, k, orders, w, y=None):
+    """K(x, y) @ w over the slabs of _kernel_chunks(x, k, orders, y): each
+    row is one product over all of y, whatever the chunk size."""
+    out = np.empty(len(x) * (1 + 3 * orders[0]), dtype=complex)
+    for rows, slab in _kernel_chunks(x, k, orders, y):
+        out[rows] = slab @ w
+    return out
+
+
+def _component(c, n) -> slice:
+    """Component c (0: the value, 1 + p: the derivative along axis p) on a
+    stacked axis of n points [values (n), derivatives (n, 3) row-major]."""
+    return slice(n) if c == 0 else slice(n + c - 1, None, 3)
+
+
+def _zero_diagonal(block, lo, order):
+    """Zero the entries of the pairs (x_lo+i, x_lo+i) in a stacked block of
+    the points x[lo:lo + c] against all of x, at order 0 or 1."""
+    w = 1 + 3 * order
+    c, n = block.shape[0] // w, block.shape[1] // w
+    i = np.arange(c)
+    for a in range(w):
+        for b in range(w):
+            block[_component(a, c), _component(b, n)][i, lo + i] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +724,7 @@ class BackgroundMedium:
         m1, m2, m3 = np.ix_(*(np.arange(n) for n in self.grid.shape))
         r = delta * np.sqrt(m1 ** 2 + m2 ** 2 + m3 ** 2)
         r[0, 0, 0] = 1.0
-        table = helmholtz_kernels(None, r, self.k) * delta ** 3
+        table = _radial(r, self.k, 0)[0] * delta ** 3
         table[0, 0, 0] = CUBE_SELF_INTEGRAL * delta ** 2 + 1j * self.k * delta ** 3 / (4.0 * np.pi)
         return table
 
@@ -722,13 +746,13 @@ class BackgroundMedium:
 
     def _dense_weighted_kernel(self, nodes=None) -> np.ndarray:
         """Kw[nodes, nodes] (default: every node), gathered from the generator
-        in row blocks of about 2^20 entries."""
+        in row blocks of at most CHUNK_ENTRIES entries."""
         idx = np.unravel_index(np.arange(self.grid.size) if nodes is None else nodes,
                                self.grid.shape)
         n = len(idx[0])
         kw = np.empty((n, n), dtype=complex)
         table = self._kernel_table
-        step = max(1, 2 ** 20 // max(n, 1))
+        step = max(1, CHUNK_ENTRIES // max(n, 1))
         for s in range(0, n, step):
             rows = slice(s, s + step)
             kw[rows] = table[tuple(np.abs(i[rows, None] - i[None, :]) for i in idx)]
@@ -824,8 +848,8 @@ class BackgroundMedium:
 
         s is a node density (None: no grid sources), summed over S = supp q0
         when it vanishes off S; Q_m and P_m are the particle monopoles and
-        dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector, for grid
-        sources only.
+        dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector.  Both
+        sums run over the row chunks of _kernel_sum.
         """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -834,18 +858,11 @@ class BackgroundMedium:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
             # limit densities reach past S; source_density's do not
-            if density[self._off_support].any():
-                table, values = self._node_columns(pts, order), density
-            else:
-                table, values = self._support_table(pts, order), density[self._support]
-            # target rows [g(x, z) | grad_x g(x, z)], copied row-major: the
-            # matvec then sums in the order of a directly built (n, N) kernel
-            out = out + np.ascontiguousarray(table.T) @ values
-        if len(centers) and dipoles is None:
-            out = out + _free_kernels(pts, centers, self.k) @ charges
-        elif len(centers):
-            g, grad_y = _free_kernels(pts, centers, self.k, 1)
-            out = out + g @ charges + np.einsum("xmp,mp->x", grad_y, dipoles)
+            z = slice(None) if density[self._off_support].any() else self._support
+            out = out + _kernel_sum(pts, self.k, (order, 0), density[z], self.grid.nodes[z])
+        if len(centers):
+            w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
+            out = out + _kernel_sum(pts, self.k, (order, int(dipoles is not None)), w, centers)
         return out
 
     def amplitude(self, betas, density, centers=(), charges=None, dipoles=None) -> np.ndarray:
@@ -879,31 +896,31 @@ class BackgroundMedium:
 
     # -- Green function -----------------------------------------------------
 
-    def _node_columns(self, pts, order, nodes=None):
-        """g(z, p_j) over the grid nodes z (default: every node), stacked as
-        [g | grad_p g] for order >= 1.
+    def _node_columns(self, pts, order):
+        """g(z, p_j) over the nodes z of S = supp q0, stacked as
+        [g | grad_p g] for order 1.
 
-        Shape (n, m), or (n, 4m) with gradient column 3j + p.  The transpose
-        holds the target rows [g(p_i, z) | grad_x g(p_i, z)]: g depends on
-        y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
+        Shape (|S|, m), or (|S|, 4m) with gradient column m + 3j + p.  The
+        transpose holds the target rows [g(p_i, z); grad_x g(p_i, z)]: g
+        depends on y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
         """
-        z = self.grid.nodes if nodes is None else self.grid.nodes[nodes]
-        if order == 0:
-            return _free_kernels(z, pts, self.k)
-        g, grad = _free_kernels(z, pts, self.k, 1)
-        return np.concatenate([g, grad.reshape(len(g), -1)], axis=1)
+        z = self.grid.nodes[self._support]
+        table = np.empty((len(z), len(pts) * (1 + 3 * order)), dtype=complex)
+        for rows, slab in _kernel_chunks(z, self.k, (0, order), pts):
+            table[rows] = slab
+        return table
 
     def _support_table(self, pts, order, keep=False):
-        """_node_columns(pts, order, S), or the table kept by an earlier call
+        """_node_columns(pts, order), or the table kept by an earlier call
         for the same points; ``keep`` keeps this one in its place.  The Green
-        kernel of a solve keeps its centres' table, and the incident data
-        and the particle field read it.  Callers do not write to it."""
+        kernel of a solve keeps its centres' table, and the particle field
+        reads it.  Callers do not write to it."""
         key = (_points_key(pts), min(order, 1))
         if self._table is not None and self._table[0] == key:
             return self._table[1]
         if keep:
             self._table = None  # the old table is not held while the new one is built
-        table = self._node_columns(pts, order, self._support)
+        table = self._node_columns(pts, order)
         if keep:
             self._table = (key, table)
         return table
@@ -921,58 +938,29 @@ class BackgroundMedium:
         Built in place: the volume correction is one grid solve over the
         stacked source columns and one product with the stacked target rows
         at the nodes of S = supp q0, and the free kernel minus it is then
-        formed in its place, one plane of a chunk of rows at a time
-        (_kernel_planes), so no other array of the kernel's size is made.
+        formed in its place, one chunk of rows at a time (_kernel_chunks).
         """
         pairs = y is None
         x = np.asarray(x, dtype=float).reshape(-1, 3)
         y = None if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
-        n, m = len(x), len(x if pairs else y)
         corrected = not self.is_free
         if corrected:
-            s = self._support
             src = self._support_table(x if pairs else y, order, keep=True)
             sol = self._solve_grid(src)
-            sol *= self.q0[s, None] * self.weight
-            stack = (src if pairs else self._node_columns(x, order, s)).T @ sol
+            sol *= self.q0[self._support, None] * self.weight
+            stack = (src if pairs else self._node_columns(x, order)).T @ sol
             del sol
         else:
-            stack = np.empty((n * (1 + 3 * order), m * (1 + 3 * order)), dtype=complex)
-        for rows, diag, diff, r in _row_chunks(x, order, y):
-            if np.any(r == 0.0):
-                raise SingularEvaluationError("Green function evaluated at coincident points")
-            for a, b, plane in _kernel_planes(diff, r, self.k, order):
-                blocks = [(a, b, plane)]
-                if a != b:  # the mirror block; grad_x g = -grad_y g
-                    blocks.append((b, a, -plane if a == 0 else plane))
-                for row, col, free in blocks:
-                    view = stack[_component(row, rows.start, rows.stop, n),
-                                 _component(col, 0, m, m)]
-                    if corrected:
-                        np.subtract(free, view, out=view)  # G = g - volume correction
-                    else:
-                        view[...] = free
-                    if diag is not None:
-                        view[diag] = 0.0
+            w = 1 + 3 * order
+            stack = np.empty((len(x) * w, len(x if pairs else y) * w), dtype=complex)
+        for rows, slab in _kernel_chunks(x, self.k, (order, order), y):
+            if corrected:
+                np.subtract(slab, stack[rows], out=stack[rows])  # G = g - volume correction
+            else:
+                stack[rows] = slab
+        if pairs and corrected:
+            _zero_diagonal(stack, 0, order)
         return stack
-
-    def green_blocks(self, x, y=None, order=0) -> list:
-        """Background Green function G(x_i, y_j) and its derivative blocks.
-
-        Returns [G] (n,m) for order 0, [G, grad_x G, grad_y G] (n,m,3) for
-        order 1, plus d^2G/dx_q dy_p (n,m,3,3) [q,p] for order 2: views of
-        green_kernel's stacked array.  Without y the blocks run over pairs
-        of x with a zero diagonal.
-        """
-        stack = self.green_kernel(x, y, min(order, 1))
-        if order == 0:
-            return [stack]
-        n, m = stack.shape[0] // 4, stack.shape[1] // 4
-        blocks = [stack[:n, :m], stack[n:, :m].reshape(n, 3, m).transpose(0, 2, 1),
-                  stack[:n, m:].reshape(n, m, 3)]
-        if order == 2:
-            blocks.append(stack[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3))
-        return blocks
 
     # -- weighted far-field sums ----------------------------------------------
 
@@ -1002,13 +990,6 @@ class BackgroundMedium:
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""
         return self.amplitude(betas, self.source_density(alpha))
-
-
-def _component(c, lo, hi, n) -> slice:
-    """Entries [lo, hi) of component c (0: the value, 1 + p: the derivative
-    along axis p) on a stacked axis of n points [values (n), derivatives
-    (n, 3) row-major]."""
-    return slice(lo, hi) if c == 0 else slice(n + 3 * lo + c - 1, n + 3 * hi, 3)
 
 
 def _points_key(pts) -> tuple:

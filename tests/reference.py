@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smallbody.errors import InvariantViolation
+from smallbody.errors import InvariantViolation, SingularEvaluationError
 from smallbody.limit_solver import LimitProblem, _hard_source
-from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _free_kernels, _node_field,
-                              _pair_distances, _unit, helmholtz_kernels)
+from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _node_field, _pair_distances,
+                              _radial, _unit)
 from smallbody.particles import ParticleCloud
 
 
@@ -18,50 +18,95 @@ def _single_or_all(x, y, out):
     return out[0, 0] if np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1 else out
 
 
+def kernel_blocks(diff, r, k, order=0) -> list:
+    """g = exp(ikr)/(4 pi r) and its derivatives over offsets diff = y - x,
+    from the package's radial factors over the whole table at once: [g],
+    then grad_y g (..., 3) for order >= 1 and d^2 g / dx_q dy_p (..., 3, 3)
+    [q, p] for order 2.  r = |diff| must be nonzero; k = 0 gives the static
+    kernel 1/(4 pi r)."""
+    factors = _radial(r, k, order)
+    out = [factors[0]]
+    if order:
+        u = diff / r[..., None]
+        out.append(factors[1][..., None] * u)
+    if order == 2:
+        fd, f1r = factors[2:]
+        uu = u[..., :, None] * u[..., None, :]
+        out.append(-(fd[..., None, None] * uu + f1r[..., None, None] * np.eye(3)))
+    return out
+
+
+def free_kernels(x, y, k, order=0) -> list:
+    """kernel_blocks over all pairs (x_i, y_j) at once: the whole-table
+    reference of the package's chunked kernels (medium._kernel_chunks)."""
+    diff, r = _pair_distances(x, y, order)
+    if np.any(r == 0.0):
+        raise SingularEvaluationError("Helmholtz kernel evaluated at coincident points")
+    return kernel_blocks(diff, r, k, order)
+
+
 def free_kernel(x, y, k):
     """Free-space kernel g(x,y) = exp(ik|x-y|) / (4*pi*|x-y|).
 
     Accepts single 3-vectors or (n,3)/(m,3) stacks; returns a scalar or an
     (n,m) matrix.  k = 0 gives the static kernel 1/(4*pi*r).
     """
-    return _single_or_all(x, y, _free_kernels(x, y, k))
+    return _single_or_all(x, y, free_kernels(x, y, k)[0])
 
 
 def free_kernel_grad_y(x, y, k):
     """Gradient of g with respect to its second argument, shape (n,m,3)."""
-    return _single_or_all(x, y, _free_kernels(x, y, k, 1)[1])
+    return _single_or_all(x, y, free_kernels(x, y, k, 1)[1])
 
 
 def free_kernel_hess_xy(x, y, k):
     """Mixed second derivative d^2 g / dx_q dy_p, shape (n,m,3,3) [q,p]."""
-    return _single_or_all(x, y, _free_kernels(x, y, k, 2)[2])
+    return _single_or_all(x, y, free_kernels(x, y, k, 2)[2])
 
 
-def pair_green_blocks(medium: BackgroundMedium, x, order=0) -> list:
-    """BackgroundMedium.green_blocks(x, order=order) built block by block:
-    helmholtz_kernels over all pairs at once, minus the volume correction
-    cut into the same blocks, with the diagonal of each block zeroed."""
+def split_stacked(stack, order=0) -> list:
+    """The blocks [K] (order 0), [K, grad_x K, grad_y K] (n,m,3) (order 1)
+    and d^2 K / dx_q dy_p (n,m,3,3) [q,p] (order 2) of a stacked kernel in
+    BackgroundMedium.green_kernel's layout, as views."""
+    if order == 0:
+        return [stack]
+    n, m = stack.shape[0] // 4, stack.shape[1] // 4
+    blocks = [stack[:n, :m], stack[n:, :m].reshape(n, 3, m).transpose(0, 2, 1),
+              stack[:n, m:].reshape(n, m, 3)]
+    if order == 2:
+        blocks.append(stack[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3))
+    return blocks
+
+
+def green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
+    """Background Green function G(x_i, y_j) and its derivative blocks
+    (split_stacked) as views of medium.green_kernel's stacked array.
+    Without y the blocks run over pairs of x with a zero diagonal."""
+    return split_stacked(medium.green_kernel(x, y, min(order, 1)), order)
+
+
+def pair_green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
+    """green_blocks(medium, x, y, order) built block by block: kernel_blocks
+    over all pairs at once, minus the volume correction cut into the same
+    blocks; over pairs of x, the diagonal of each block is zeroed."""
+    pairs = y is None
     x = np.asarray(x, dtype=float).reshape(-1, 3)
+    y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
     n = len(x)
-    diff, r = _pair_distances(x, x, order)
-    r[np.diag_indices(n)] = 1.0
-    free = helmholtz_kernels(diff, r, medium.k, order)
-    blocks = [free] if order == 0 else [free[0], -free[1], *free[1:]]
+    diff, r = _pair_distances(x, y, order)
+    if pairs:
+        r[np.diag_indices(n)] = 1.0
+    free = kernel_blocks(diff, r, medium.k, order)
+    blocks = [free[0]] if order == 0 else [free[0], -free[1], *free[1:]]
     if not medium.is_free:
-        s = medium._support
-        src = medium._node_columns(x, order, s)
+        src = medium._node_columns(y, min(order, 1))
         sol = medium._solve_grid(src)
-        sol *= medium.q0[s, None] * medium.weight
-        corr = src.T @ sol
-        parts = [corr[:n, :n]]
-        if order:
-            parts += [corr[n:, :n].reshape(n, 3, n).transpose(0, 2, 1),
-                      corr[:n, n:].reshape(n, n, 3)]
-        if order == 2:
-            parts.append(corr[n:, n:].reshape(n, 3, n, 3).transpose(0, 2, 1, 3))
-        blocks = [b - c for b, c in zip(blocks, parts)]
-    for b in blocks:
-        b[np.arange(n), np.arange(n)] = 0.0
+        sol *= medium.q0[medium._support, None] * medium.weight
+        corr = (src if pairs else medium._node_columns(x, min(order, 1))).T @ sol
+        blocks = [b - c for b, c in zip(blocks, split_stacked(corr, order))]
+    if pairs:
+        for b in blocks:
+            b[np.arange(n), np.arange(n)] = 0.0
     return blocks
 
 
@@ -70,7 +115,7 @@ def foldy_matrix(system) -> np.ndarray:
     (order 0), or the 4M x 4M hard system with its blocks scaled by -q and
     multiplied by vb one block at a time."""
     m, mq = len(system.centers), -system.q
-    blocks = pair_green_blocks(system.medium, system.centers, 2 * system.order)
+    blocks = pair_green_blocks(system.medium, system.centers, order=2 * system.order)
     if system.order:
         gmat, grad_x, grad_y, hess = blocks
         a = np.empty((4 * m, 4 * m), dtype=complex)
@@ -204,12 +249,12 @@ def lemma_bounds_check(medium: BackgroundMedium, a: float, d: float,
 
     k = medium.k
     denom = a / d ** 2 + k * a / d
-    gx, gt = (helmholtz_kernels(y - p, np.linalg.norm(y - p, axis=1), k) for p in (x, t))
+    gx, gt = (kernel_blocks(None, np.linalg.norm(y - p, axis=1), k)[0] for p in (x, t))
     diff_g = np.abs(gt - gx)
     if medium.is_free:
         diff_green = diff_g
     else:
-        green = medium.green_blocks(np.concatenate([x, t]), y)[0]
+        green = medium.green_kernel(np.concatenate([x, t]), y)
         idx = np.arange(sample_count)
         diff_green = np.abs(green[sample_count + idx, idx] - green[idx, idx])
     return LemmaBoundsReport(

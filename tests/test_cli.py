@@ -415,6 +415,14 @@ def test_allocator_setting_skips_a_c_library_without_mallopt(monkeypatch):
     assert cli._keep_freed_heap.__wrapped__() is None
 
 
+def test_kernel_chunks_stay_below_the_mmap_threshold():
+    # a chunk above the threshold is mapped afresh on every allocation
+    # instead of reusing freed heap
+    from smallbody import medium
+
+    assert 16 * medium.CHUNK_ENTRIES < cli.MMAP_THRESHOLD
+
+
 class TestDesign:
     def test_trivial_design(self, tmp_path):
         scene = base_scene(design={"target_n": 1.0, "a": 1e-5})

@@ -12,7 +12,7 @@ from smallbody.foldy_impedance import (FoldySystem, amplitudes, evaluate_field, 
 from smallbody.foldy_neumann import ball_polarizability
 from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
-from reference import free_kernel, free_kernel_grad_y
+from reference import free_kernel, free_kernel_grad_y, green_blocks
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 C3 = 4 * np.pi / 3
@@ -294,7 +294,7 @@ class TestCoupledSystem:
         pts = np.array([[0.9, 0.9, 0.9], [0.5, 0.5, 3.0], [-2.0, 1.0, 0.5], centers[1]])
         for exclude, probes in ((None, pts[:3]), (1, pts)):
             keep = [m for m in range(len(centers)) if m != exclude]
-            g, _, grad_y = med.green_blocks(probes, centers[keep], order=1)
+            g, _, grad_y = green_blocks(med, probes, centers[keep], order=1)
             reference = (med.incident_values(Z_HAT, probes) + g @ res.charges[keep]
                          + np.einsum("xmp,mp->x", grad_y, res.dipole_moments[keep]))
             got = evaluate_field(res, med, cloud, probes, exclude=exclude).values

@@ -28,8 +28,9 @@ from smallbody.medium import (
 from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
-from reference import (free_kernel, free_kernel_grad_y, free_kernel_hess_xy, green_potential_grid,
-                       lemma_bounds_check, trilinear_interpolate, u0_grid)
+from reference import (free_kernel, free_kernel_grad_y, free_kernel_hess_xy, free_kernels,
+                       green_blocks, green_potential_grid, lemma_bounds_check, pair_green_blocks,
+                       split_stacked, trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
 
@@ -125,8 +126,13 @@ class TestPairDistances:
         r_sum = np.sqrt(np.sum(diff * diff, axis=-1))  # numpy's length-3 reduction
         for order in (0, 1):
             np.testing.assert_array_equal(medium._pair_distances(x, y, order)[1], r_sum)
-        g1, _ = medium._free_kernels(x, y, 1.3, 1)
-        np.testing.assert_array_equal(medium._free_kernels(x, y, 1.3), g1)
+        # the order-0 plane is the value plane of orders 1 and 2
+        g0 = [plane for _, _, plane in medium._kernel_planes(None, r_sum, 1.3, 0)]
+        assert len(g0) == 1
+        for order in (1, 2):
+            a, b, g = next(medium._kernel_planes(diff, r_sum, 1.3, order))
+            assert (a, b) == (0, 0)
+            np.testing.assert_array_equal(g, g0[0])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_spacing_searches_agree_with_pair_distances(self, seed):
@@ -139,12 +145,56 @@ class TestPairDistances:
         assert min_spacing(centers) == r.min()
 
 
+class TestChunkBudget:
+    """Kernel tables and the direct apply have the same bits at every chunk
+    budget, and the tables those of the whole-table reference."""
+
+    @pytest.mark.parametrize("background", ["free", "n0_ball"])
+    def test_kernels_do_not_depend_on_the_chunk_budget(self, monkeypatch, background):
+        # 300 hard centres: a whole (300, 300) kernel plane is past numpy's
+        # 256 KiB temporary-elision size, where a product of an unnamed
+        # factor once took other bits than the same product in a small chunk
+        rng = np.random.default_rng(21)
+        centers = rng.uniform(0.05, 0.95, size=(300, 3))
+        probes = rng.uniform(-0.5, 1.5, size=(50, 3))
+        cloud = ParticleCloud(centers=centers, a=1e-3, kind="hard", beta=rng.normal(size=(3, 3)))
+        vec = rng.normal(size=1200) + 1j * rng.normal(size=1200)
+        first = None
+        for budget in (2 ** 10, 2 ** 14, 2 ** 16, 2 ** 18):
+            monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
+            # a new medium per budget: no table kept from another budget
+            med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else (
+                lambda z: np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)))
+            tables = [med.green_kernel(centers, order=order) for order in (0, 1)]
+            tables += [med.green_kernel(probes, centers, order) for order in (0, 1)]
+            tables += [med._node_columns(centers, order) for order in (0, 1)]
+            tables.append(FoldySystem(med, cloud).apply(vec))
+            if first is None:
+                first = tables
+            assert all(np.array_equal(a, b) for a, b in zip(tables, first))
+        for order in (0, 1):
+            for x, y, got in ((centers, None, tables[order]), (probes, centers, tables[2 + order])):
+                ref = pair_green_blocks(med, x, y, order=2 * order)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(split_stacked(got, 2 * order), ref))
+            g, *grad = free_kernels(med.grid.nodes[med._support], centers, med.k, order)
+            ref = np.concatenate([g, *(d.reshape(len(g), 900) for d in grad)], axis=1)
+            assert np.array_equal(tables[4 + order], ref)
+        # the apply against one product with the whole free kernel
+        system = FoldySystem(med, cloud)
+        src = np.concatenate([system.q * vec[:300], -(vec[300:].reshape(300, 3) @ system.vb.T)
+                              .reshape(-1)])
+        whole = make_medium(k=1.3, n=6).green_kernel(centers, order=1)
+        assert np.array_equal(tables[-1], vec - whole @ src)
+
+
 class TestBackgroundGreen:
     def test_free_medium_reduces_to_g(self):
         med = make_medium()
         x = np.array([0.3, 0.4, 0.1])
         y = np.array([2.0, 1.0, -0.5])
-        assert med.green_blocks(x, y)[0][0, 0] == pytest.approx(free_kernel(x, y, med.k), rel=1e-14)
+        green = green_blocks(med, x, y)[0][0, 0]
+        assert green == pytest.approx(free_kernel(x, y, med.k), rel=1e-14)
 
     def test_reciprocity(self):
         med = make_medium(k=1.2, n=9, n0=1.3)
@@ -152,8 +202,8 @@ class TestBackgroundGreen:
         for _ in range(4):
             x = rng.random(3) * 0.9 + 0.04
             y = rng.random(3) * 0.9 + 0.06
-            gxy = med.green_blocks(x, y)[0][0, 0]
-            gyx = med.green_blocks(y, x)[0][0, 0]
+            gxy = green_blocks(med, x, y)[0][0, 0]
+            gyx = green_blocks(med, y, x)[0][0, 0]
             assert abs(gxy - gyx) <= 1e-8 * max(abs(gxy), 1.0)
 
     def test_born_consistency_second_order(self):
@@ -169,7 +219,7 @@ class TestBackgroundGreen:
         def defect(eps):
             med = make_medium(k=k, n=9, n0=1.0 - eps / k ** 2)
             g = free_kernel(x, y, k)
-            return abs(med.green_blocks(x, y)[0][0, 0] - (g - eps * born_kernel))
+            return abs(green_blocks(med, x, y)[0][0, 0] - (g - eps * born_kernel))
 
         d1, d2 = defect(0.4), defect(0.2)
         assert d1 / d2 >= 3.5
@@ -179,7 +229,7 @@ class TestBackgroundGreen:
         y = np.array([0.1, 0.05, 0.08])
         for r in (50.0, 200.0):
             x = np.array([r, 0.0, 0.0])
-            val = r * abs(med.green_blocks(x, y)[0][0, 0])
+            val = r * abs(green_blocks(med, x, y)[0][0, 0])
             assert abs(val - 1 / (4 * np.pi)) / (1 / (4 * np.pi)) <= 2.0 / (med.k * r)
 
 
@@ -192,7 +242,7 @@ class TestGreenBlocks:
 
         med = make_medium(k=1.3, n=7, n0=n0)
         pts = np.random.default_rng(3).random((9, 3)) * 0.9 + 0.05
-        g, grad_x, grad_y, hess = med.green_blocks(pts, order=2)
+        g, grad_x, grad_y, hess = green_blocks(med, pts, order=2)
         free = free_kernel(pts[0], pts[1], med.k)
         assert abs(g[0, 1] - free) > 1e-4 * abs(free)  # the volume correction is present
         for a, b in ((g, g.T), (grad_x, grad_y.transpose(1, 0, 2)),
@@ -204,7 +254,7 @@ class TestGreenBlocks:
         for q in range(3):
             e = np.zeros(3)
             e[q] = h
-            up, dn = (med.green_blocks(pts[0] + s * e, pts[1], order=1)[2][0, 0] for s in (1, -1))
+            up, dn = (green_blocks(med, pts[0] + s * e, pts[1], order=1)[2][0, 0] for s in (1, -1))
             fd = (up - dn) / (2 * h)
             assert np.abs(fd - hess[0, 1, q]).max() <= 1e-7 * np.abs(hess[0, 1]).max()
 
@@ -214,19 +264,19 @@ class TestBackgroundGreenGrad:
         med = make_medium(k=1e-9)  # k > 0 required; effectively static
         x = ORIGIN
         y = np.array([0.0, 0.0, 1.0])
-        grad = med.green_blocks(x, y, order=1)[2][0, 0]
+        grad = green_blocks(med, x, y, order=1)[2][0, 0]
         np.testing.assert_allclose(grad, -(y - x) / (4 * np.pi), atol=1e-9)
 
     def test_gradient_fd_oracle_with_potential(self):
         med = make_medium(k=1.1, n=7, n0=1.2)
         x = np.array([-0.5, 0.6, 0.4])
         y = np.array([1.7, 0.52, 0.41])
-        grad = med.green_blocks(x, y, order=1)[2][0, 0]
+        grad = green_blocks(med, x, y, order=1)[2][0, 0]
         h = 1e-5
         for p in range(3):
             e = np.zeros(3)
             e[p] = h
-            up, dn = (med.green_blocks(x, y + s * e)[0][0, 0] for s in (1, -1))
+            up, dn = (green_blocks(med, x, y + s * e)[0][0, 0] for s in (1, -1))
             fd = (up - dn) / (2 * h)
             assert abs(grad[p] - fd) <= 1e-5 * np.linalg.norm(grad)
 
@@ -434,7 +484,7 @@ class TestSupportSolve:
                 free_kernel_grad_y(x, y, med.k) - corr[:n, m:].reshape(n, m, 3),
                 free_kernel_hess_xy(x, y, med.k)
                 - corr[n:, m:].reshape(n, 3, m, 3).transpose(0, 2, 1, 3)]
-        for got, ref in zip(med.green_blocks(x, y, order=2), refs):
+        for got, ref in zip(green_blocks(med, x, y, order=2), refs):
             assert self.rel(got, ref) <= 1e-12
 
     def test_source_density_matches_full_grid_solve_and_vanishes_off_support(self):
@@ -613,8 +663,8 @@ class TestLemmaBounds:
         x = rng.random((n, 3))
         y = x + unit(rng.normal(size=(n, 3))) * (d * (1 + rng.random(n)))[:, None]
         t = x + unit(rng.normal(size=(n, 3))) * (a * rng.random(n) ** (1 / 3))[:, None]
-        diff = max(abs(med.green_blocks(t[i], y[i])[0][0, 0]
-                       - med.green_blocks(x[i], y[i])[0][0, 0]) for i in range(n))
+        diff = max(abs(green_blocks(med, t[i], y[i])[0][0, 0]
+                       - green_blocks(med, x[i], y[i])[0][0, 0]) for i in range(n))
         assert rep.max_ratio_green == pytest.approx(diff / (a / d ** 2 + med.k * a / d), rel=1e-12)
 
     def test_requires_separation(self):
@@ -784,6 +834,29 @@ class TestLapackAndGmres:
         fallback = solved()
         assert medium._lapack() is scipy.linalg.lapack
         assert all(np.array_equal(x, y) for x, y in zip(bound, fallback))
+
+    def test_without_lapacke_or_scipy_a_dense_solve_exits_4(self, rebound, monkeypatch, tmp_path):
+        # a numpy on another BLAS in an environment without scipy: the dense
+        # LU fails as a solver failure, which the CLI reports, not a traceback
+        import ctypes
+        import json
+        from pathlib import Path
+
+        from smallbody import cli
+
+        def no_library(*args, **kwargs):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        with pytest.raises(SolverFailure, match="scipy.linalg cannot be imported"):
+            medium._lapack()
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "single_hard_ball.json"
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == cli.EXIT_SOLVER
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_type"] == "SolverFailure" and error["exit_code"] == 4
+        assert not (out / "metadata.json").exists()
 
     def test_first_call_logs_the_lapack_source(self, rebound, monkeypatch, caplog):
         import ctypes
