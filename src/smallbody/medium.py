@@ -62,12 +62,16 @@ def _lapack():
     LAPACKE entries of the scipy-openblas64 library that numpy's linalg extension
     loads (dlsym also searches its dependencies), so a run holds one OpenBLAS
     thread pool (README, Dependencies); a numpy on another BLAS takes
-    scipy.linalg.lapack, and raises SolverFailure without scipy.  The first
-    call logs the source at DEBUG."""
+    scipy.linalg.lapack, and raises SolverFailure without scipy.  The binding
+    turns LAPACKE's NaN scans of every input off (LAPACKE_set_nancheck(0)):
+    _factor and _solve_checked refuse non-finite input themselves, so a scan
+    would only read each input once more.  The first call logs the source at
+    DEBUG."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        getrf, gecon, getrs, config = (getattr(lib, f"scipy_{name}64_") for name in (
-            "LAPACKE_zgetrf", "LAPACKE_zgecon", "LAPACKE_zgetrs", "openblas_get_config"))
+        getrf, gecon, getrs, nancheck, config = (getattr(lib, f"scipy_{name}64_") for name in (
+            "LAPACKE_zgetrf", "LAPACKE_zgecon", "LAPACKE_zgetrs", "LAPACKE_set_nancheck",
+            "openblas_get_config"))
     except (OSError, AttributeError):
         try:
             from scipy.linalg import lapack
@@ -81,7 +85,9 @@ def _lapack():
     gecon.argtypes = [ctypes.c_int, char, i64, ptr, i64, ctypes.c_double, ptr]
     getrs.argtypes = [ctypes.c_int, char, i64, i64, ptr, i64, ptr, ptr, i64]
     getrf.restype = gecon.restype = getrs.restype = i64
+    nancheck.argtypes, nancheck.restype = [ctypes.c_int], None
     config.argtypes, config.restype = [], ctypes.c_char_p
+    nancheck(0)
     logger.debug("LAPACK: numpy's %s", config().decode())
 
     def square(lu):
@@ -121,13 +127,14 @@ def _factor(a, what):
     """LU factors (lu, piv 0-based) of a square matrix ``a``, left intact for
     residual checks, and their rcond estimate (1-norm), by _lapack()'s zgetrf and zgecon.
 
-    Raises SolverFailure when the matrix is not finite, is exactly singular
-    or has an estimate below RCOND_FLOOR.
+    Raises SolverFailure when the matrix is not finite (then its 1-norm,
+    which zgecon needs, is not: the one pass over ``a`` before LAPACK), is
+    exactly singular or has an estimate below RCOND_FLOOR.
     """
-    if not np.isfinite(a).all():
-        raise SolverFailure(f"{what}: matrix has non-finite entries")
+    anorm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(anorm):
+        raise SolverFailure(f"{what}: matrix has non-finite entries (1-norm {anorm})")
     lapack = _lapack()
-    anorm = np.linalg.norm(a, 1)
     lu, piv, info = lapack.zgetrf(a)
     _check_lapack(info, "zgetrf", what)
     if info > 0:
@@ -849,7 +856,10 @@ class BackgroundMedium:
         s is a node density (None: no grid sources), summed over S = supp q0
         when it vanishes off S; Q_m and P_m are the particle monopoles and
         dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector.  Both
-        sums run over the row chunks of _kernel_sum.
+        sums run over the row chunks of _kernel_sum, except that the grid sum
+        at points whose support table a Green kernel kept (the centres of a
+        solve) is density_S @ table: the same sum in another order, which
+        can differ in the last bits.
         """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -857,9 +867,15 @@ class BackgroundMedium:
         if order:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
-            # limit densities reach past S; source_density's do not
-            z = slice(None) if density[self._off_support].any() else self._support
-            out = out + _kernel_sum(pts, self.k, (order, 0), density[z], self.grid.nodes[z])
+            # limit densities reach past S; source_density's do not, and the
+            # centres of a solve read the support table its Green kernel kept
+            s = self._support
+            if density[self._off_support].any():
+                out = out + _kernel_sum(pts, self.k, (order, 0), density, self.grid.nodes)
+            elif (table := self._kept_table(pts, order)) is not None:
+                out = out + density[s] @ table
+            else:
+                out = out + _kernel_sum(pts, self.k, (order, 0), density[s], self.grid.nodes[s])
         if len(centers):
             w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
             out = out + _kernel_sum(pts, self.k, (order, int(dipoles is not None)), w, centers)
@@ -878,10 +894,10 @@ class BackgroundMedium:
         lattice = lattice_of(centers)
         if lattice is not None:
             sources = [charges] if dipoles is None else [charges, *np.transpose(dipoles)]
-            sums = [self._box_phase_sum(betas, lattice.axes, lattice.scatter(q)) for q in sources]
+            sums = self._box_phase_sum(betas, lattice.axes, lattice.scatter(np.array(sources)))
             out = sums[0]
             if dipoles is not None:
-                out = out - 1j * self.k * np.einsum("bp,pb->b", betas, np.array(sums[1:]))
+                out = out - 1j * self.k * np.einsum("bp,pb->b", betas, sums[1:])
         elif len(centers):
             step = max(1, CHUNK_ENTRIES // len(centers))
             for s in range(0, len(betas), step):
@@ -913,17 +929,23 @@ class BackgroundMedium:
     def _support_table(self, pts, order, keep=False):
         """_node_columns(pts, order), or the table kept by an earlier call
         for the same points; ``keep`` keeps this one in its place.  The Green
-        kernel of a solve keeps its centres' table, and the particle field
-        reads it.  Callers do not write to it."""
-        key = (_points_key(pts), min(order, 1))
-        if self._table is not None and self._table[0] == key:
-            return self._table[1]
+        kernel of a solve keeps its centres' table, and the incident column
+        (radiate) and the particle field read it.  Callers do not write to it."""
+        table = self._kept_table(pts, order)
+        if table is not None:
+            return table
         if keep:
             self._table = None  # the old table is not held while the new one is built
         table = self._node_columns(pts, order)
         if keep:
-            self._table = (key, table)
+            self._table = ((_points_key(pts), min(order, 1)), table)
         return table
+
+    def _kept_table(self, pts, order):
+        """The support table kept for these points and order, or None."""
+        if self._table is not None and self._table[0] == (_points_key(pts), min(order, 1)):
+            return self._table[1]
+        return None
 
     def green_kernel(self, x, y=None, order=0) -> np.ndarray:
         """The stacked background Green kernel K(x_i, y_j), one new array.
@@ -935,10 +957,16 @@ class BackgroundMedium:
         derivative along axis p.  order 0: G alone, (n, m).  Without y the
         kernel runs over pairs of x with a zero diagonal in every block.
 
-        Built in place: the volume correction is one grid solve over the
-        stacked source columns and one product with the stacked target rows
-        at the nodes of S = supp q0, and the free kernel minus it is then
+        Built in place: the volume correction src^T D B^-1 src (B the grid
+        operator on S = supp q0, D = diag(q0) delta^3, src the stacked
+        source columns at the nodes of S) is one grid solve and one product
+        with the stacked target rows, and the free kernel minus it is then
         formed in its place, one chunk of rows at a time (_kernel_chunks).
+        For c source columns, the grid solve takes the |S| columns of the
+        identity, whose D B^-1 then multiplies the source columns, when
+        2|S| < c, and the source columns otherwise.  With the LU residual
+        check, the identity route costs 2|S|^3 + |S|^2 c against 2|S|^2 c,
+        and holds 3|S|^2 entries against 2|S| c while it solves.
         """
         pairs = y is None
         x = np.asarray(x, dtype=float).reshape(-1, 3)
@@ -946,8 +974,12 @@ class BackgroundMedium:
         corrected = not self.is_free
         if corrected:
             src = self._support_table(x if pairs else y, order, keep=True)
-            sol = self._solve_grid(src)
-            sol *= self.q0[self._support, None] * self.weight
+            s = self._support
+            by_identity = 2 * len(s) < src.shape[1]
+            sol = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else src)
+            sol *= self.q0[s, None] * self.weight
+            if by_identity:
+                sol = sol @ src
             stack = (src if pairs else self._node_columns(x, order)).T @ sol
             del sol
         else:
@@ -975,17 +1007,22 @@ class BackgroundMedium:
     def _box_phase_sum(self, betas, axes, values) -> np.ndarray:
         """sum_j exp(-ik beta.z_j) f_j over the nodes z_j of a rectangular box,
         for each beta; ``axes`` holds the box coordinates per axis and
-        ``values`` the node array in C order.
+        ``values`` one node array in C order, (N,), or c of them stacked,
+        (c, n1, n2, n3).  Returns (nb,) or (c, nb).
 
-        The phase factorizes per axis, so three (nb, n_i) tables are
-        contracted with the node array instead of an (nb, N) phase matrix.
+        The phase factorizes per axis, so three (nb, n_i) tables, formed
+        once for all c arrays, are contracted with the node arrays instead
+        of an (nb, N) phase matrix.
         """
         shape = tuple(len(a) for a in axes)
         e1, e2, e3 = (self._phase(betas[:, i:i + 1], axes[i][:, None]) for i in range(3))
-        f = np.asarray(values, dtype=complex).reshape(shape)
-        t = f.reshape(-1, shape[2]) @ e3.T  # (n1*n2, nb)
-        t = np.einsum("abk,kb->ak", t.reshape(shape[0], shape[1], -1), e2)
-        return np.einsum("ak,ka->k", t, e1)
+        f = np.asarray(values, dtype=complex)
+        stacked = f.ndim > 1
+        f = f.reshape((-1,) + shape)
+        t = f.reshape(-1, shape[2]) @ e3.T  # (c*n1*n2, nb)
+        t = np.einsum("cabk,kb->cak", t.reshape(len(f), shape[0], shape[1], -1), e2)
+        sums = np.einsum("cak,ka->ck", t, e1)
+        return sums if stacked else sums[0]
 
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""

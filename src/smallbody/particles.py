@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -147,12 +148,14 @@ def _balanced_factorization(n: int):
     return None
 
 
+@cache
 def _antipodal_sites(n: int, s: int) -> np.ndarray:
     """n sites of the centered s^3 sublattice chosen in antipodal pairs.
 
     Offsets are in cell units (cell side 1, centered at the origin).  Even
     counts carry exactly zero dipole moment; odd counts place one site at the
-    center when available.
+    center when available.  Cached per (n, s), since the cells of a cloud
+    repeat counts, and read-only.
     """
     idx = np.stack(np.meshgrid(*[np.arange(s)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     pts = (idx + 0.5) / s - 0.5
@@ -182,7 +185,9 @@ def _antipodal_sites(n: int, s: int) -> np.ndarray:
             used[j] = True
             chosen.append(pts[j])
             remaining -= 1
-    return np.asarray(chosen)
+    sites = np.asarray(chosen)
+    sites.flags.writeable = False
+    return sites
 
 
 def _cell_sites(n: int, b: float, cell_lo: np.ndarray):

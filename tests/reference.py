@@ -88,7 +88,10 @@ def green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
 def pair_green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
     """green_blocks(medium, x, y, order) built block by block: kernel_blocks
     over all pairs at once, minus the volume correction cut into the same
-    blocks; over pairs of x, the diagonal of each block is zeroed."""
+    blocks; over pairs of x, the diagonal of each block is zeroed.  The
+    correction src^T (D B^-1) src is associated as green_kernel does: the
+    grid solve takes the |S| identity columns when 2|S| is below the number
+    of source columns."""
     pairs = y is None
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
@@ -100,8 +103,12 @@ def pair_green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
     blocks = [free[0]] if order == 0 else [free[0], -free[1], *free[1:]]
     if not medium.is_free:
         src = medium._node_columns(y, min(order, 1))
-        sol = medium._solve_grid(src)
-        sol *= medium.q0[medium._support, None] * medium.weight
+        s = medium._support
+        by_identity = 2 * len(s) < src.shape[1]
+        sol = medium._solve_grid(np.eye(len(s), dtype=complex) if by_identity else src)
+        sol *= medium.q0[s, None] * medium.weight
+        if by_identity:
+            sol = sol @ src
         corr = (src if pairs else medium._node_columns(x, min(order, 1))).T @ sol
         blocks = [b - c for b, c in zip(blocks, split_stacked(corr, order))]
     if pairs:

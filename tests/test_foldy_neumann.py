@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smallbody import foldy_impedance
+from smallbody import foldy_impedance, medium
 from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import (FoldySystem, amplitudes, evaluate_field, far_field,
                                        solve_cloud)
@@ -256,15 +256,22 @@ class TestCoupledSystem:
         med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
             np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
         cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
-        solves, tables = [], []
+        solves, tables, node_sums = [], [], []
         counted("_solve_grid", solves)
         counted("_node_columns", tables,
                 lambda pts, *args: np.array_equal(np.asarray(pts), cloud.centers))
+        # the incident column reads the kept table: no kernel sum from the
+        # nodes of S to the centres
+        kernel_sum = medium._kernel_sum
+        monkeypatch.setattr(medium, "_kernel_sum", lambda x, k, orders, w, y=None: (
+            node_sums.append(1) if np.array_equal(x, cloud.centers)
+            and np.array_equal(y, med.grid.nodes[med._support]) else None)
+            or kernel_sum(x, k, orders, w, y))
         res = solve_cloud(med, cloud, Z_HAT)
         assert res.solver == "lu"
         evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
         far_field(res, med, cloud, DirectionGrid(4, 8))
-        assert len(solves) == 3 and len(tables) == 1
+        assert len(solves) == 3 and len(tables) == 1 and not node_sums
 
     def test_dense_matrix_peak_memory(self):
         # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes,

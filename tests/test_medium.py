@@ -149,6 +149,46 @@ class TestChunkBudget:
     """Kernel tables and the direct apply have the same bits at every chunk
     budget, and the tables those of the whole-table reference."""
 
+    @staticmethod
+    def ball(z):
+        return np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)
+
+    def test_volume_correction_association_follows_sizes(self, monkeypatch):
+        # |S| = 56 support nodes: 300 centres give 300 or 1200 stacked source
+        # columns (2|S| < c: the grid solve takes the |S| identity columns and
+        # D B^-1 then multiplies the sources), 20 centres 20 or 80 (the solve
+        # takes the source columns); either gives the correction of the solve
+        # of the source columns, src_x^T (D (B^-1 src_y)), D = diag(q0) delta^3
+        rng = np.random.default_rng(21)
+        probes = rng.uniform(-0.5, 1.5, size=(50, 3))
+        med = make_medium(k=1.3, n=6, n0=self.ball)
+        s = med._support
+        solve_grid, columns = med._solve_grid, []
+        monkeypatch.setattr(med, "_solve_grid",
+                            lambda rhs: columns.append(rhs.shape[1]) or solve_grid(rhs))
+        # zero free kernel slabs: green_kernel then returns minus its correction
+        kernel_chunks = medium._kernel_chunks
+        monkeypatch.setattr(medium, "_kernel_chunks", lambda *args: (
+            (rows, np.zeros_like(slab)) for rows, slab in kernel_chunks(*args)))
+        node_columns = med._node_columns
+        for m in (300, 20):
+            centers = rng.uniform(0.05, 0.95, size=(m, 3))
+            tables = {(len(p), order): node_columns(p, order)
+                      for p in (centers, probes) for order in (0, 1)}
+            monkeypatch.setattr(med, "_node_columns", lambda pts, order: tables[len(pts), order])
+            for order in (0, 1):
+                src = tables[m, order]
+                direct = solve_grid(src) * (med.q0[s, None] * med.weight)
+                for x, y in ((centers, None), (probes, centers)):
+                    columns.clear()
+                    got = -med.green_kernel(x, y, order)
+                    ref = tables[len(x), order].T @ direct
+                    if y is None:
+                        medium._zero_diagonal(ref, 0, order)
+                    assert columns == [len(s) if 2 * len(s) < src.shape[1] else src.shape[1]]
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            med._table = None  # the next centres build their own table
+
     @pytest.mark.parametrize("background", ["free", "n0_ball"])
     def test_kernels_do_not_depend_on_the_chunk_budget(self, monkeypatch, background):
         # 300 hard centres: a whole (300, 300) kernel plane is past numpy's
@@ -163,8 +203,7 @@ class TestChunkBudget:
         for budget in (2 ** 10, 2 ** 14, 2 ** 16, 2 ** 18):
             monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
             # a new medium per budget: no table kept from another budget
-            med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else (
-                lambda z: np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)))
+            med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else self.ball)
             tables = [med.green_kernel(centers, order=order) for order in (0, 1)]
             tables += [med.green_kernel(probes, centers, order) for order in (0, 1)]
             tables += [med._node_columns(centers, order) for order in (0, 1)]
@@ -532,8 +571,9 @@ class TestLattice:
         assert lattice_of(np.concatenate([cluster, cluster + [10.0, 0.0, 0.0]])) is None
 
     def test_lattice_far_field_sum_matches_direct(self):
-        # every lattice cloud takes the per-axis sum (one box sum per source
-        # column: charges and three dipole components), whatever its size
+        # every lattice cloud takes the per-axis sum (one box sum over the
+        # stacked source columns: charges and three dipole components, which
+        # share one set of phase tables), whatever its size
         med = BackgroundMedium(1.3, Grid((0, 0, 0), (1, 1, 1), (4, 4, 4)))
         box_sums = []
         box_phase_sum = med._box_phase_sum
@@ -551,7 +591,7 @@ class TestLattice:
                 / (4 * np.pi)
             box_sums.clear()
             lattice = med.amplitude(betas, None, centers, q, p)
-            assert len(box_sums) == 4
+            assert len(box_sums) == 1
             assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
 
     def test_off_lattice_far_field_sum_is_chunked(self, monkeypatch):
@@ -885,6 +925,33 @@ class TestLapackAndGmres:
         for factors in (lu, None):  # the LU and the GMRES path
             with pytest.raises(SolverFailure, match="non-finite"):
                 _solve_checked(lambda x: a @ x, b, "test solve", factors)
+
+    @pytest.mark.parametrize("binding", ["ctypes", "scipy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 2.0)])
+    def test_non_finite_input_raises_with_lapacke_scans_off(self, rebound, monkeypatch,
+                                                            binding, bad):
+        # the binding turns LAPACKE's NaN scans off; the package's own pass,
+        # the 1-norm of a matrix and isfinite of a right-hand side, still
+        # refuses non-finite input with SolverFailure (the CLI's exit 4)
+        import ctypes
+        if binding == "scipy":
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        elif np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] == "scipy-openblas":
+            medium._lapack()
+            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            assert lib.scipy_LAPACKE_get_nancheck64_() == 0
+        a, b = self.system(40)
+        lu, _ = _factor(a, "test matrix")
+        for i, j in ((0, 0), (17, 3), (39, 39)):
+            broken = a.copy()
+            broken[i, j] = bad
+            with pytest.raises(SolverFailure, match="non-finite"):
+                _factor(broken, "test matrix")
+            rhs = b.copy()
+            rhs[i, j % 3] = bad
+            for rows in (rhs, rhs[:, j % 3]):
+                with pytest.raises(SolverFailure, match="non-finite"):
+                    _solve_checked(lambda x: a @ x, rows, "test solve", lu)
 
     def test_exactly_singular_matrix_raises(self):
         a = np.eye(4, dtype=complex)

@@ -121,6 +121,25 @@ class TestHardBuilder:
         cloud = build_cloud_hard(unit_cube_medium(), a=1e-3, nu_field=0.0, beta=-1.5 * np.eye(3))
         assert len(cloud) == 0
 
+    def test_cells_share_one_read_only_site_pattern(self):
+        # 15 particles in each of 8 cells: one antipodal pattern of the 3^3
+        # sublattice, built once and placed in every cell
+        particles._antipodal_sites.cache_clear()
+        med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
+            np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
+        cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+        assert len(cloud) == 120
+        info = particles._antipodal_sites.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+        sites = particles._antipodal_sites(15, 3)
+        assert sites.shape == (15, 3) and not sites.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sites[0, 0] = 0.0
+        offsets = (cloud.centers - 0.25) / 0.5  # in cell units from the nearest cell centre
+        offsets -= np.round(offsets)
+        assert np.abs(np.sort(offsets, axis=0)
+                      - np.sort(np.tile(sites, (8, 1)), axis=0)).max() <= 1e-12
+
     def test_count_scales_inverse_cube(self):
         med = unit_cube_medium()
         avals = (8e-3, 4e-3, 2e-3)

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENES = {path.name: json.loads(path.read_text())
           for path in sorted((ROOT / "scenes").glob("*.json"))}
 COMMAND = {"design_subbox.json": "design", "empty_cloud.json": "solve",
+           "hard_cloud_n0_ball.json": "solve",
            "limit_born_bump.json": "limit", "limit_hard_bump.json": "limit",
            "single_hard_ball.json": "solve",
            "study_impedance.json": "study"}
@@ -48,7 +49,7 @@ def bench_scenes():
 
 def test_benchmark_and_shipped_scenes_pass_the_schema():
     runs = [*bench_scenes(), *((name, COMMAND[name], s) for name, s in SCENES.items())]
-    assert len(runs) == 5 * 5 + 6  # per seed: three cases and two partners
+    assert len(runs) == 5 * 5 + 7  # per seed: three cases and two partners
     for name, command, scene in runs:
         cli.check_scene(command, json.loads(json.dumps(scene)))
 
