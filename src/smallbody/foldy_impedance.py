@@ -4,8 +4,9 @@ Both species reduce to one linear system in per-particle unknowns whose
 coefficients are the background Green function and its derivatives; only
 the local map from a particle's field to its sources differs (FoldySystem).
 The pipeline here -- validate, incident data, dense LU or GMRES on a
-lattice-FFT or direct apply, far-zone guard, field, amplitudes -- serves
-both; foldy_neumann holds the physics of the hard species.
+lattice-FFT apply (in a non-free background with the grid's low-rank
+volume correction) or a direct one, far-zone guard, field, amplitudes --
+serves both; foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -25,9 +26,9 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (CHUNK_ENTRIES, BackgroundMedium, ComplexField, _embedding_spectrum,
-                     _factor, _kernel_planes, _kernel_sum, _norm, _solve_checked, _toeplitz_apply,
-                     _unit, lattice_of)
+from .medium import (CHUNK_ENTRIES, DENSE_GRID_CAP, BackgroundMedium, ComplexField,
+                     _embedding_spectrum, _factor, _kernel_planes, _kernel_sum, _norm,
+                     _solve_checked, _toeplitz_apply, _unit, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -111,10 +112,14 @@ class FoldySystem:
         return vec - _kernel_sum(self.centers, self.medium.k, (self.order, self.order), src)
 
     def lattice_apply(self, lattice):
-        """apply() by FFT for centres on ``lattice``: the pair kernel acting on
-        the sources [q u, vb grad u] is the symmetric block
-        [[-g, grad_y g], [grad_y g, d^2 g / dx dy]], of which order 0 keeps -g."""
+        """apply() by FFT for centres on ``lattice``: the free pair kernel
+        acting on the sources [q u, vb grad u] is the symmetric block
+        [[-g, grad_y g], [grad_y g, d^2 g / dx dy]], of which order 0 keeps -g.
+        A non-free background adds its low-rank volume correction
+        (BackgroundMedium.pair_correction), which factors the grid and keeps
+        the centres' support table for the incident column."""
         k, m = self.medium.k, len(self.centers)
+        correction = self.medium.pair_correction(self.centers, self.order)
 
         def kernels(diff, r):
             table = [plane for _, _, plane in _kernel_planes(diff, r, k, 2 * self.order)]
@@ -129,7 +134,10 @@ class FoldySystem:
         def apply(vec):
             dipoles = self.vb @ vec[m:].reshape(m, 3 * self.order).T
             out = conv(np.vstack([self.q * vec[:m], dipoles]))
-            return vec + np.concatenate([out[0], out[1:].T.reshape(-1)])
+            out = vec + np.concatenate([out[0], out[1:].T.reshape(-1)])
+            if correction is not None:  # K = free kernel - V: -K s gains V s
+                out += correction(np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)]))
+            return out
 
         return apply
 
@@ -202,20 +210,21 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
 def _solve_system(system, incident):
     """Solve the system for the right-hand side incident() by one of three paths.
 
-    Sized in unknowns n = M (1 + 3 order): a free-background cloud on one
-    lattice with n >= LATTICE_MIN_UNKNOWNS runs GMRES on the lattice FFT
-    apply; otherwise dense LU while n <= DENSE_MAX_UNKNOWNS and GMRES on the
-    direct apply beyond.
-    incident() is called once the operator is formed: a non-free dense
-    matrix factors the grid for its Green blocks, and the incident column
-    then reuses that LU.  Returns (solution, residual, iterations, rcond,
-    solver).
+    Sized in unknowns n = M (1 + 3 order): a cloud on one lattice with
+    n >= LATTICE_MIN_UNKNOWNS runs GMRES on the lattice FFT apply (in a
+    non-free background while |supp q0| <= DENSE_GRID_CAP); otherwise dense
+    LU while n <= DENSE_MAX_UNKNOWNS and, in a free background only, GMRES
+    on the direct apply beyond.
+    incident() is called once the operator is formed: a non-free operator
+    factors the grid and keeps the centres' support table, and the
+    incident column then reuses both.  Returns (solution, residual,
+    iterations, rcond, solver).
     """
     what = f"{system.kind} system"
     m = len(system.centers)
     n = m * (1 + 3 * system.order)
     lattice = lattice_of(system.centers) if (
-        system.medium.is_free and n >= LATTICE_MIN_UNKNOWNS) else None
+        n >= LATTICE_MIN_UNKNOWNS and len(system.medium._support) <= DENSE_GRID_CAP) else None
     if lattice is not None:
         logger.debug("%s: lattice FFT apply, M = %d on a %s lattice", what, m,
                      "x".join(map(str, lattice.shape)))
@@ -229,9 +238,9 @@ def _solve_system(system, incident):
         return (*_solve_checked(lambda x: a @ x, rhs, what, lu), rcond, "lu")
     if not system.medium.is_free:
         raise SolverFailure(
-            f"matrix-free {what} solve supports a homogeneous background only; "
-            f"M = {m} ({n} unknowns) with a nontrivial q0 exceeds the dense cap of "
-            f"{DENSE_MAX_UNKNOWNS} unknowns")
+            f"{what}: M = {m} ({n} unknowns) with a nontrivial q0 exceeds the dense cap of "
+            f"{DENSE_MAX_UNKNOWNS} unknowns, and only centres on one lattice with "
+            f"|supp q0| <= {DENSE_GRID_CAP} grid nodes solve matrix-free there")
     logger.debug("%s: GMRES on the direct apply, M = %d", what, m)
     return (*_solve_checked(system.apply, incident(), what), None, "gmres")
 

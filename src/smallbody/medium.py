@@ -947,6 +947,48 @@ class BackgroundMedium:
             return self._table[1]
         return None
 
+    def _weighted_solve(self, src) -> np.ndarray:
+        """D B^-1 src for c support columns src, (|S|, c): B the grid operator
+        on S = supp q0 and D = diag(q0_S) delta^3.
+
+        The grid solve takes the |S| columns of the identity, whose D B^-1
+        then multiplies src, when 2|S| < c, and src itself otherwise.  With
+        the LU residual check, the identity route costs 2|S|^3 + |S|^2 c
+        against 2|S|^2 c, and holds 3|S|^2 entries against 2|S| c while it
+        solves.
+        """
+        s = self._support
+        by_identity = 2 * len(s) < src.shape[1]
+        sol = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else src)
+        sol *= self.q0[s, None] * self.weight
+        return sol @ src if by_identity else sol
+
+    def pair_correction(self, x, order=0):
+        """v -> V v for the volume correction V of green_kernel(x, order=order),
+        whose pairs of x are the free kernel minus V; None when q0 = 0.
+
+        V = T^T W - blockdiag(T^T W), T the support table of x (kept, as
+        green_kernel keeps it) and W = D B^-1 T (_weighted_solve): a product
+        of rank at most |S| = |supp q0|, less the exact per-point blocks
+        (1 x 1, or 4 x 4 at order 1) that the zero diagonal drops.  v and
+        V v are stacked as the columns and rows of green_kernel.
+        """
+        if self.is_free:
+            return None
+        t = self._support_table(x, order, keep=True)
+        w = self._weighted_solve(t)
+        m = len(x)
+        # the stacked index of component a of point j, (m, 1 + 3 order)
+        at = np.column_stack([np.arange(m), m + np.arange(3 * m).reshape(m, 3)])[:, :1 + 3 * order]
+        blocks = np.einsum("zja,zjb->jab", t[:, at], w[:, at])
+
+        def apply(v):
+            out = t.T @ (w @ v)
+            out[at] -= np.einsum("jab,jb->ja", blocks, v[at])
+            return out
+
+        return apply
+
     def green_kernel(self, x, y=None, order=0) -> np.ndarray:
         """The stacked background Green kernel K(x_i, y_j), one new array.
 
@@ -957,16 +999,11 @@ class BackgroundMedium:
         derivative along axis p.  order 0: G alone, (n, m).  Without y the
         kernel runs over pairs of x with a zero diagonal in every block.
 
-        Built in place: the volume correction src^T D B^-1 src (B the grid
-        operator on S = supp q0, D = diag(q0) delta^3, src the stacked
-        source columns at the nodes of S) is one grid solve and one product
-        with the stacked target rows, and the free kernel minus it is then
-        formed in its place, one chunk of rows at a time (_kernel_chunks).
-        For c source columns, the grid solve takes the |S| columns of the
-        identity, whose D B^-1 then multiplies the source columns, when
-        2|S| < c, and the source columns otherwise.  With the LU residual
-        check, the identity route costs 2|S|^3 + |S|^2 c against 2|S|^2 c,
-        and holds 3|S|^2 entries against 2|S| c while it solves.
+        Built in place: the volume correction src^T D B^-1 src (src the
+        stacked source columns at the nodes of S = supp q0; _weighted_solve)
+        is one product with the stacked target rows, and the free kernel
+        minus it is then formed in its place, one chunk of rows at a time
+        (_kernel_chunks).
         """
         pairs = y is None
         x = np.asarray(x, dtype=float).reshape(-1, 3)
@@ -974,12 +1011,7 @@ class BackgroundMedium:
         corrected = not self.is_free
         if corrected:
             src = self._support_table(x if pairs else y, order, keep=True)
-            s = self._support
-            by_identity = 2 * len(s) < src.shape[1]
-            sol = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else src)
-            sol *= self.q0[s, None] * self.weight
-            if by_identity:
-                sol = sol @ src
+            sol = self._weighted_solve(src)
             stack = (src if pairs else self._node_columns(x, order)).T @ sol
             del sol
         else:

@@ -290,3 +290,9 @@ def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
         w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
         out += w * vals[idx[:, 0], idx[:, 1], idx[:, 2]]
     return out
+
+
+def scene_command(keys) -> str:
+    """The CLI command that runs a scene: the one its sections name."""
+    return next((c for k, c in (("limit", "limit"), ("design", "design"), ("study", "study"),
+                                ("cloud", "solve")) if k in keys), "validate")

@@ -13,6 +13,7 @@ import smallbody
 from smallbody import cli
 from smallbody.cli import main
 from smallbody.designer import choose_h_N
+from reference import scene_command
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -63,6 +64,21 @@ class TestSolve:
         k, a = 1.0, 0.05
         expected = (k ** 2 * a ** 3 / 3) * (1.5 * np.cos(theta) - 1.0)
         assert np.abs(amp - expected).max() <= 3 * k * a * np.abs(expected).max()
+
+    def test_non_free_lattice_cloud_past_the_dense_cap(self, tmp_path):
+        # 5000 impedance particles on one lattice in an n0 ball: past the
+        # dense cap of 4000 unknowns, the lattice FFT apply with the grid's
+        # volume correction solves it
+        scene = base_scene(
+            medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 8, "k": 1.0,
+                    "n0": {"type": "radial", "center": [0.5, 0.5, 0.5], "radius": 0.35,
+                           "inside": 1.15, "outside": 1.0}},
+            cloud={"kind": "impedance", "a": 1e-4, "h": 1.0, "N": 0.5},
+            directions={"n_theta": 8, "n_phi": 16})
+        code, out = run(tmp_path, "solve", scene)
+        assert code == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["M"] == 5000 and meta["solver"] == "lattice_fft"
 
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -303,12 +319,9 @@ def run_fresh(tmp_path, command, scene, *modules):
 
 
 LATTICE_CLOUD = {"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729}
-DENSE_HARD_IN_N0 = base_scene(
-    medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 8, "k": 1.0,
-            "n0": {"type": "radial", "center": [0.5, 0.5, 0.5], "radius": 0.4,
-                   "inside": 1.15, "outside": 1.0}},
-    cloud={"kind": "hard", "a": 0.01, "nu": 5e-4, "cell_size": 0.5, "beta": -1.5},
-    directions={"n_theta": 8, "n_phi": 16})
+# 120 hard balls off any lattice in an n0 ball: a non-free cloud that takes the dense LU
+DENSE_HARD_IN_N0 = {**json.loads((SCENES / "hard_cloud_n0_ball_off_lattice.json").read_text()),
+                    "directions": {"n_theta": 8, "n_phi": 16}}
 
 
 @pytest.mark.parametrize("command,scene", [
@@ -341,11 +354,6 @@ def test_cli_import_loads_no_scipy():
     python_fresh("import sys, smallbody.cli; "
                  "found = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
                  "sys.exit(found and f'imported {found}' or 0)")
-
-
-def scene_command(keys):
-    return next((c for k, c in (("limit", "limit"), ("design", "design"), ("study", "study"),
-                                ("cloud", "solve")) if k in keys), "validate")
 
 
 @pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)

@@ -189,6 +189,91 @@ class TestSolver:
             assert solve_cloud(med, cloud, Z_HAT).solver == solver
 
 
+def n0_ball_medium():
+    """cloud_medium's background: 8^3 nodes, n0 = 1.15 in a ball, |supp q0| = 136."""
+    return BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
+        np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
+
+
+def lattice_cloud(kind, n, rng):
+    """n^3 centres on one lattice in [0.2, 0.8]^3, with a general beta or a lossy h."""
+    axis = np.linspace(0.2, 0.8, n)
+    centers = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    if kind == "hard":
+        return ParticleCloud(centers=centers, a=0.005, kind="hard", beta=rng.normal(size=(3, 3)))
+    return ball_cloud(centers, a=0.005, h=1.0 - 0.5j)
+
+
+class TestNonFreeLattice:
+    """Lattice clouds in an n0 ball: the lattice FFT apply plus the grid's
+    low-rank volume correction, against the dense system."""
+
+    @pytest.mark.parametrize("kind,n,by_identity", [
+        ("impedance", 5, False), ("impedance", 9, True), ("hard", 3, False), ("hard", 5, True)])
+    def test_apply_equals_the_dense_matrix(self, kind, n, by_identity):
+        # both routes of the correction's grid solve (2|S| < c and 2|S| >= c
+        # for c = M (1 + 3 order) columns); the dense matrix has the paper's
+        # zero diagonal, so this pins the subtracted per-particle blocks
+        med = n0_ball_medium()
+        rng = np.random.default_rng(6)
+        cloud = lattice_cloud(kind, n, rng)
+        system = FoldySystem(med, cloud)
+        unknowns = len(cloud) * (1 + 3 * system.order)
+        assert (2 * np.count_nonzero(med.q0) < unknowns) == by_identity
+        v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
+        want = system.matrix() @ v
+        got = system.lattice_apply(lattice_of(cloud.centers))(v)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_solve_matches_dense(self, monkeypatch, kind):
+        med = n0_ball_medium()
+        if kind == "hard":  # the cloud_medium benchmark's cloud
+            cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+            assert len(cloud) == 120
+        else:
+            cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0 - 0.3j, N_field=0.729)
+        lattice = solve_cloud(med, cloud, Z_HAT)
+        assert lattice.solver == "lattice_fft" and lattice.rcond is None
+        assert lattice.iterations > 0 and lattice.residual <= 1e-10
+        monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
+        dense = solve_cloud(n0_ball_medium(), cloud, Z_HAT)
+        assert dense.solver == "lu"
+        np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
+        if kind == "hard":  # normwise: the transverse components are small
+            diff = lattice.effective_gradients - dense.effective_gradients
+            assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(dense.effective_gradients)
+
+    def test_solve_builds_one_table_and_factors_the_grid_once(self, monkeypatch):
+        # solve, probe field and far field: the correction keeps the centres'
+        # support table and factors the grid; the incident column and the
+        # particle field reuse both, and no grid solve runs GMRES
+        med = n0_ball_medium()
+        cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+        orders, tables, grid_gmres, node_sums = [], [], [], []
+        lapack = medium._lapack()
+        zgetrf = lapack.zgetrf
+        monkeypatch.setattr(lapack, "zgetrf", lambda a: orders.append(len(a)) or zgetrf(a))
+        gmres = medium._gmres
+        monkeypatch.setattr(medium, "_gmres", lambda apply, b: (
+            grid_gmres.append(1) if apply.__name__ == "_apply_grid_operator" else None)
+            or gmres(apply, b))
+        node_columns = BackgroundMedium._node_columns
+        monkeypatch.setattr(BackgroundMedium, "_node_columns", lambda self, pts, order: (
+            tables.append(1) if np.array_equal(pts, cloud.centers) else None)
+            or node_columns(self, pts, order))
+        kernel_sum = medium._kernel_sum
+        monkeypatch.setattr(medium, "_kernel_sum", lambda x, k, orders, w, y=None: (
+            node_sums.append(1) if np.array_equal(x, cloud.centers)
+            and np.array_equal(y, med.grid.nodes[med._support]) else None)
+            or kernel_sum(x, k, orders, w, y))
+        res = solve_cloud(med, cloud, Z_HAT)
+        assert res.solver == "lattice_fft"
+        evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
+        far_field(res, med, cloud, DirectionGrid(4, 8))
+        assert orders == [136] and len(tables) == 1 and not grid_gmres and not node_sums
+
+
 class TestSystemMatrix:
     @pytest.mark.parametrize("chunk", [2 ** 18, 2 ** 9], ids=["one_chunk", "row_chunks"])
     @pytest.mark.parametrize("background", ["free", "n0_ball"])

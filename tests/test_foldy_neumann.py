@@ -255,7 +255,12 @@ class TestCoupledSystem:
 
         med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
             np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
-        cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+        # the 120 builder centres moved off their lattice: a lattice cloud
+        # would take the lattice FFT apply
+        sites = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5).centers
+        cloud = hard_cloud(sites + 0.01 * np.sin(np.arange(sites.size)).reshape(-1, 3), a=0.01,
+                           beta=-1.5 * np.eye(3))
+        assert lattice_of(cloud.centers) is None
         solves, tables, node_sums = [], [], []
         counted("_solve_grid", solves)
         counted("_node_columns", tables,

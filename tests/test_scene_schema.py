@@ -14,15 +14,12 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smallbody import cli
+from reference import scene_command
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = {path.name: json.loads(path.read_text())
           for path in sorted((ROOT / "scenes").glob("*.json"))}
-COMMAND = {"design_subbox.json": "design", "empty_cloud.json": "solve",
-           "hard_cloud_n0_ball.json": "solve",
-           "limit_born_bump.json": "limit", "limit_hard_bump.json": "limit",
-           "single_hard_ball.json": "solve",
-           "study_impedance.json": "study"}
+COMMAND = {name: scene_command(scene) for name, scene in SCENES.items()}
 
 
 def load_workloads():
@@ -49,7 +46,7 @@ def bench_scenes():
 
 def test_benchmark_and_shipped_scenes_pass_the_schema():
     runs = [*bench_scenes(), *((name, COMMAND[name], s) for name, s in SCENES.items())]
-    assert len(runs) == 5 * 5 + 7  # per seed: three cases and two partners
+    assert len(runs) == 5 * 5 + len(SCENES)  # per seed: three cases and two partners
     for name, command, scene in runs:
         cli.check_scene(command, json.loads(json.dumps(scene)))
 
