@@ -3,10 +3,11 @@
 Both species reduce to one linear system in per-particle unknowns whose
 coefficients are the background Green function and its derivatives; only
 the local map from a particle's field to its sources differs (FoldySystem).
-The pipeline here -- validate, incident data, dense LU or GMRES on a
-lattice-FFT apply (in a non-free background with the grid's low-rank
-volume correction) or a direct one, far-zone guard, field, amplitudes --
-serves both; foldy_neumann holds the physics of the hard species.
+The pipeline here -- validate, incident data, dense LU or GMRES on the
+matrix-free operator (free pairs by lattice FFT or row chunks, plus the
+grid's low-rank volume correction in a non-free background), far-zone
+guard, field, amplitudes -- serves both; foldy_neumann holds the physics of
+the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -37,7 +38,7 @@ logger = logging.getLogger(__name__)
 # path sizing of the system of either species, counted in unknowns
 # M (1 + 3 order) (measured crossovers; README "Numerical choices")
 DENSE_MAX_UNKNOWNS = 4000    # dense LU up to this many
-LATTICE_MIN_UNKNOWNS = 100   # free lattice clouds take the lattice FFT apply from here
+LATTICE_MIN_UNKNOWNS = 100   # lattice clouds take the lattice FFT operator from here
 
 
 @dataclass
@@ -103,40 +104,28 @@ class FoldySystem:
         a[np.diag_indices_from(a)] += 1.0
         return a
 
-    def apply(self, vec) -> np.ndarray:
-        """matrix() @ vec = vec - K [q u; -vb grad u], with K formed and
-        applied a row chunk at a time (medium._kernel_sum)."""
-        m = len(self.centers)
-        dipoles = vec[m:].reshape(m, 3 * self.order) @ self.vb.T  # sum_q vb_{pq} D_{mq}
-        src = np.concatenate([self.q * vec[:m], -dipoles.reshape(-1)])
-        return vec - _kernel_sum(self.centers, self.medium.k, (self.order, self.order), src)
-
-    def lattice_apply(self, lattice):
-        """apply() by FFT for centres on ``lattice``: the free pair kernel
-        acting on the sources [q u, vb grad u] is the symmetric block
-        [[-g, grad_y g], [grad_y g, d^2 g / dx dy]], of which order 0 keeps -g.
-        A non-free background adds its low-rank volume correction
-        (BackgroundMedium.pair_correction), which factors the grid and keeps
-        the centres' support table for the incident column."""
-        k, m = self.medium.k, len(self.centers)
-        correction = self.medium.pair_correction(self.centers, self.order)
-
-        def kernels(diff, r):
-            table = [plane for _, _, plane in _kernel_planes(diff, r, k, 2 * self.order)]
-            return [-table[0], *table[1:]]
-
-        # a derivative along axis i flips the parity of the even g in m_i
-        e = np.eye(3, dtype=int)
-        orders = [np.zeros(3, dtype=int), *e, *(e[q] + e[p] for q, p in zip(*np.triu_indices(3)))]
-        conv = LatticeConvolution(lattice, kernels,
-                                  parity=(-1) ** np.array(orders[:1 + 9 * self.order]))
+    def operator(self, lattice=None):
+        """v -> matrix() @ v without the matrix: v - K s for the sources
+        s = [q u; -vb grad u].  The free pairs run by FFT for centres on
+        ``lattice`` (LatticeConvolution), else a row chunk at a time
+        (medium._kernel_sum).  A non-free background adds its low-rank
+        volume correction (BackgroundMedium.pair_correction), which factors
+        the grid and keeps the centres' support table for the incident
+        column."""
+        k, m, order = self.medium.k, len(self.centers), self.order
+        correction = self.medium.pair_correction(self.centers, order)
+        conv = None if lattice is None else LatticeConvolution(lattice, k, order)
 
         def apply(vec):
-            dipoles = self.vb @ vec[m:].reshape(m, 3 * self.order).T
-            out = conv(np.vstack([self.q * vec[:m], dipoles]))
-            out = vec + np.concatenate([out[0], out[1:].T.reshape(-1)])
+            dipoles = self.vb @ vec[m:].reshape(m, 3 * order).T  # (3 order, M)
+            s = np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)])
+            if conv is None:
+                out = vec - _kernel_sum(self.centers, k, (order, order), s)
+            else:
+                pairs = conv(np.vstack([s[:m], dipoles]))  # -K s, component-major
+                out = vec + np.concatenate([pairs[0], pairs[1:].T.reshape(-1)])
             if correction is not None:  # K = free kernel - V: -K s gains V s
-                out += correction(np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)]))
+                out += correction(s)
             return out
 
         return apply
@@ -152,30 +141,33 @@ class FoldySystem:
 
 
 class LatticeConvolution:
-    """s -> sum_{m != j} K(x_m - x_j) s_m at the sites of a lattice, by FFT.
+    """s -> sum_{m != j} L(x_m - x_j) s_m at the sites of a lattice, by FFT.
 
-    The pair matrix of a lattice cloud is three-level Toeplitz with a zero
-    diagonal (Goodman, Draine & Flatau, Opt. Lett. 16 (1991) 1198).  K is a
-    symmetric block of kernels: kernels(diff, r) returns its upper triangle
-    in np.triu_indices order, each tabulated at diff = y - x, r = |diff|,
-    and parity[c] holds the sign of component c under diff_i -> -diff_i
-    per axis (default: one even kernel).  Sources s are (M,) for one kernel
-    or component-major (size, M), and so is the result.  Spectra and padded
-    columns are held component-major, (c, 2n1, 2n2, 2n3), so the block
-    contraction works on contiguous planes.
+    L is the symmetric block [[-g, grad_y g], [grad_y g, d^2 g / dx dy]]
+    of derivative order 1, or -g alone at order 0: on the sources
+    [q u; vb grad u] it gives -K [q u; -vb grad u], K the free pair kernel
+    of FoldySystem.  The pair matrix of a lattice cloud is three-level
+    Toeplitz with a zero diagonal (Goodman, Draine & Flatau, Opt. Lett. 16
+    (1991) 1198); L's upper triangle is tabulated once over the box offsets
+    (_kernel_planes).  Sources s and the result are component-major,
+    (1 + 3 order, M).  Spectra and padded columns are held component-major,
+    (c, 2n1, 2n2, 2n3), so the block contraction works on contiguous planes.
     """
 
-    def __init__(self, lattice, kernels, parity=((1, 1, 1),)):
+    def __init__(self, lattice, k, order):
         self.lattice = lattice
         m = np.ix_(*(np.arange(n) for n in lattice.shape))
         offsets = np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)])
-        diff = np.stack(offsets, axis=-1)
         r = _norm(*offsets)
         r[0, 0, 0] = 1.0
-        table = np.stack(kernels(diff, r))
+        table = np.stack([plane for _, _, plane in
+                          _kernel_planes(np.stack(offsets, axis=-1), r, k, 2 * order)])
+        table[0] = -table[0]
         table[:, 0, 0, 0] = 0.0  # no self-interaction
-        size = int(np.sqrt(2 * len(table)))  # len(table) = size (size + 1) / 2
-        self.blocks = list(zip(*np.triu_indices(size), _embedding_spectrum(table, parity)))
+        # a derivative along axis i flips the parity of the even g in m_i
+        a, b = np.triu_indices(1 + 3 * order)
+        e = np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)])
+        self.blocks = list(zip(a, b, _embedding_spectrum(table, (-1) ** (e[a] + e[b]))))
 
     def _contract(self, spec, part):
         out = np.zeros_like(spec)
@@ -187,9 +179,7 @@ class LatticeConvolution:
         return out
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=complex)
-        box = _toeplitz_apply(self.lattice.scatter(s.reshape(-1, s.shape[-1])), self._contract)
-        return self.lattice.gather(box).reshape(s.shape)
+        return self.lattice.gather(_toeplitz_apply(self.lattice.scatter(s), self._contract))
 
 
 def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
@@ -208,13 +198,15 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
 
 
 def _solve_system(system, incident):
-    """Solve the system for the right-hand side incident() by one of three paths.
+    """Solve the system for the right-hand side incident() by dense LU or by
+    GMRES on system.operator.
 
     Sized in unknowns n = M (1 + 3 order): a cloud on one lattice with
-    n >= LATTICE_MIN_UNKNOWNS runs GMRES on the lattice FFT apply (in a
-    non-free background while |supp q0| <= DENSE_GRID_CAP); otherwise dense
-    LU while n <= DENSE_MAX_UNKNOWNS and, in a free background only, GMRES
-    on the direct apply beyond.
+    n >= LATTICE_MIN_UNKNOWNS runs GMRES on the operator's lattice FFT
+    ("lattice_fft"); otherwise dense LU while n <= DENSE_MAX_UNKNOWNS, and
+    GMRES on the operator's row chunks beyond ("gmres").  In a non-free
+    background the operator's volume correction needs the grid LU, so
+    either GMRES path requires |supp q0| <= DENSE_GRID_CAP.
     incident() is called once the operator is formed: a non-free operator
     factors the grid and keeps the centres' support table, and the
     incident column then reuses both.  Returns (solution, residual,
@@ -223,26 +215,22 @@ def _solve_system(system, incident):
     what = f"{system.kind} system"
     m = len(system.centers)
     n = m * (1 + 3 * system.order)
-    lattice = lattice_of(system.centers) if (
-        n >= LATTICE_MIN_UNKNOWNS and len(system.medium._support) <= DENSE_GRID_CAP) else None
-    if lattice is not None:
-        logger.debug("%s: lattice FFT apply, M = %d on a %s lattice", what, m,
-                     "x".join(map(str, lattice.shape)))
-        return (*_solve_checked(system.lattice_apply(lattice), incident(), what),
-                None, "lattice_fft")
-    if n <= DENSE_MAX_UNKNOWNS:
+    matrix_free = len(system.medium._support) <= DENSE_GRID_CAP
+    lattice = lattice_of(system.centers) if n >= LATTICE_MIN_UNKNOWNS and matrix_free else None
+    if lattice is None and n <= DENSE_MAX_UNKNOWNS:
         logger.debug("%s: dense LU, M = %d", what, m)
         a = system.matrix()
         rhs = incident()
         lu, rcond = _factor(a, what)
         return (*_solve_checked(lambda x: a @ x, rhs, what, lu), rcond, "lu")
-    if not system.medium.is_free:
+    if not matrix_free:
         raise SolverFailure(
-            f"{what}: M = {m} ({n} unknowns) with a nontrivial q0 exceeds the dense cap of "
-            f"{DENSE_MAX_UNKNOWNS} unknowns, and only centres on one lattice with "
-            f"|supp q0| <= {DENSE_GRID_CAP} grid nodes solve matrix-free there")
-    logger.debug("%s: GMRES on the direct apply, M = %d", what, m)
-    return (*_solve_checked(system.apply, incident(), what), None, "gmres")
+            f"{what}: M = {m} ({n} unknowns) exceeds the dense cap of {DENSE_MAX_UNKNOWNS} "
+            f"unknowns, and |supp q0| = {len(system.medium._support)} grid nodes exceeds "
+            f"the {DENSE_GRID_CAP} that a matrix-free solve factors")
+    solver = "gmres" if lattice is None else "lattice_fft"
+    logger.debug("%s: GMRES on the operator (%s), M = %d", what, solver, m)
+    return (*_solve_checked(system.operator(lattice), incident(), what), None, solver)
 
 
 def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

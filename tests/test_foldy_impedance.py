@@ -1,11 +1,14 @@
 """Impedance many-body solver tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from smallbody import foldy_impedance, medium, particles
+from smallbody import cli, foldy_impedance, medium, particles
 from smallbody.directions import DirectionGrid
-from smallbody.errors import InvariantViolation
+from smallbody.errors import InvariantViolation, SolverFailure
 from smallbody.foldy_impedance import (
     FoldySystem,
     _solve_system,
@@ -25,6 +28,7 @@ from smallbody.particles import (
 from reference import foldy_matrix, free_kernel, green_blocks
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def free_medium(k=1.0, n=4):
@@ -134,8 +138,8 @@ class TestSolver:
         system = FoldySystem(med, cloud)
         rng = np.random.default_rng(3)
         u = rng.normal(size=len(cloud)) + 1j * rng.normal(size=len(cloud))
-        direct = system.apply(u) - u
-        fft = system.lattice_apply(lattice)(u) - u
+        direct = system.operator()(u) - u
+        fft = system.operator(lattice)(u) - u
         assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_lattice_path_matches_dense(self, monkeypatch):
@@ -195,61 +199,92 @@ def n0_ball_medium():
         np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
 
 
-def lattice_cloud(kind, n, rng):
-    """n^3 centres on one lattice in [0.2, 0.8]^3, with a general beta or a lossy h."""
+def lattice_cloud(kind, n, rng, off_lattice=False):
+    """n^3 centres on one lattice in [0.2, 0.8]^3, with a general beta or a
+    lossy h; off_lattice moves each coordinate i by 0.01 sin(i)."""
     axis = np.linspace(0.2, 0.8, n)
     centers = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    if off_lattice:
+        centers = centers + 0.01 * np.sin(np.arange(centers.size)).reshape(-1, 3)
     if kind == "hard":
         return ParticleCloud(centers=centers, a=0.005, kind="hard", beta=rng.normal(size=(3, 3)))
     return ball_cloud(centers, a=0.005, h=1.0 - 0.5j)
 
 
+def off_lattice_scene_cloud(kind):
+    """The 120 centres of the shipped hard_cloud_n0_ball_off_lattice scene, as
+    that scene's hard particles or as lossy impedance balls of the same a."""
+    scene = json.loads((SCENES / "hard_cloud_n0_ball_off_lattice.json").read_text())
+    centers = np.array(scene["cloud"]["centers"])
+    if kind == "hard":
+        return ParticleCloud(centers=centers, a=0.01, kind="hard", beta=-1.5 * np.eye(3))
+    return ball_cloud(centers, a=0.01, h=1.0 - 0.3j)
+
+
 class TestNonFreeLattice:
-    """Lattice clouds in an n0 ball: the lattice FFT apply plus the grid's
-    low-rank volume correction, against the dense system."""
+    """Clouds in an n0 ball: the matrix-free operator (free pairs by lattice
+    FFT or by row chunks) plus the grid's low-rank volume correction,
+    against the dense system."""
 
     @pytest.mark.parametrize("kind,n,by_identity", [
         ("impedance", 5, False), ("impedance", 9, True), ("hard", 3, False), ("hard", 5, True)])
     def test_apply_equals_the_dense_matrix(self, kind, n, by_identity):
         # both routes of the correction's grid solve (2|S| < c and 2|S| >= c
-        # for c = M (1 + 3 order) columns); the dense matrix has the paper's
-        # zero diagonal, so this pins the subtracted per-particle blocks
+        # for c = M (1 + 3 order) columns), with the free pairs by lattice
+        # FFT and, for the centres moved off their lattice, by row chunks;
+        # the dense matrix has the paper's zero diagonal, so this pins the
+        # subtracted per-particle blocks
         med = n0_ball_medium()
         rng = np.random.default_rng(6)
-        cloud = lattice_cloud(kind, n, rng)
-        system = FoldySystem(med, cloud)
-        unknowns = len(cloud) * (1 + 3 * system.order)
-        assert (2 * np.count_nonzero(med.q0) < unknowns) == by_identity
-        v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
-        want = system.matrix() @ v
-        got = system.lattice_apply(lattice_of(cloud.centers))(v)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for off_lattice in (False, True):
+            cloud = lattice_cloud(kind, n, rng, off_lattice)
+            lattice = lattice_of(cloud.centers)
+            assert (lattice is None) == off_lattice
+            system = FoldySystem(med, cloud)
+            unknowns = len(cloud) * (1 + 3 * system.order)
+            assert (2 * np.count_nonzero(med.q0) < unknowns) == by_identity
+            v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
+            want = system.matrix() @ v
+            got = system.operator(lattice)(v)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    @pytest.mark.parametrize("kind", ["impedance", "hard", "impedance_off_lattice",
+                                      "hard_off_lattice"])
     def test_solve_matches_dense(self, monkeypatch, kind):
+        # lattice clouds take the lattice FFT; the off-lattice scene's
+        # centres take GMRES on the row chunks once the dense cap is 0, and
+        # agree normwise to 1e-10 in the values and any gradients
         med = n0_ball_medium()
-        if kind == "hard":  # the cloud_medium benchmark's cloud
+        cap, solver, bound = foldy_impedance.DENSE_MAX_UNKNOWNS, "lattice_fft", 1e-9
+        if kind.endswith("off_lattice"):
+            cloud = off_lattice_scene_cloud(kind.split("_")[0])
+            cap, solver, bound = 0, "gmres", 1e-10
+        elif kind == "hard":  # the cloud_medium benchmark's cloud
             cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
             assert len(cloud) == 120
         else:
             cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0 - 0.3j, N_field=0.729)
-        lattice = solve_cloud(med, cloud, Z_HAT)
-        assert lattice.solver == "lattice_fft" and lattice.rcond is None
-        assert lattice.iterations > 0 and lattice.residual <= 1e-10
+        with monkeypatch.context() as patch:
+            patch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+            fast = solve_cloud(med, cloud, Z_HAT)
+        assert fast.solver == solver and fast.rcond is None
+        assert fast.iterations > 0 and fast.residual <= 1e-10
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         dense = solve_cloud(n0_ball_medium(), cloud, Z_HAT)
         assert dense.solver == "lu"
-        np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
-        if kind == "hard":  # normwise: the transverse components are small
-            diff = lattice.effective_gradients - dense.effective_gradients
-            assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(dense.effective_gradients)
+        np.testing.assert_allclose(fast.effective_values, dense.effective_values, rtol=1e-9)
+        pairs = [(fast.effective_values, dense.effective_values)]
+        if cloud.kind == "hard":  # normwise: the transverse components are small
+            pairs.append((fast.effective_gradients, dense.effective_gradients))
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
     def test_solve_builds_one_table_and_factors_the_grid_once(self, monkeypatch):
-        # solve, probe field and far field: the correction keeps the centres'
-        # support table and factors the grid; the incident column and the
-        # particle field reuse both, and no grid solve runs GMRES
-        med = n0_ball_medium()
-        cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+        # solve, probe field and far field, on the lattice FFT and (centres
+        # off their lattice, dense cap 0) on the row chunks: the operator's
+        # correction keeps the centres' support table and factors the grid
+        # before the incident column is formed, which then reuses both with
+        # the particle field, and no grid solve runs GMRES
         orders, tables, grid_gmres, node_sums = [], [], [], []
         lapack = medium._lapack()
         zgetrf = lapack.zgetrf
@@ -267,11 +302,40 @@ class TestNonFreeLattice:
             node_sums.append(1) if np.array_equal(x, cloud.centers)
             and np.array_equal(y, med.grid.nodes[med._support]) else None)
             or kernel_sum(x, k, orders, w, y))
-        res = solve_cloud(med, cloud, Z_HAT)
-        assert res.solver == "lattice_fft"
-        evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
-        far_field(res, med, cloud, DirectionGrid(4, 8))
-        assert orders == [136] and len(tables) == 1 and not grid_gmres and not node_sums
+        for solver in ("lattice_fft", "gmres"):
+            med = n0_ball_medium()
+            if solver == "lattice_fft":
+                cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
+            else:
+                cloud = off_lattice_scene_cloud("hard")
+                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+            for log in (orders, tables, grid_gmres, node_sums):
+                log.clear()
+            res = solve_cloud(med, cloud, Z_HAT)
+            assert res.solver == solver
+            evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
+            far_field(res, med, cloud, DirectionGrid(4, 8))
+            assert orders == [136] and len(tables) == 1 and not grid_gmres and not node_sums
+
+    def test_matrix_free_solve_past_the_grid_cap_exits_4(self, monkeypatch, tmp_path):
+        # the one refusal left: past the dense cap, a matrix-free solve whose
+        # |supp q0| = 136 exceeds DENSE_GRID_CAP has no grid LU for its
+        # correction; at the dense cap the same cloud factors M (1 + 3 order)
+        # unknowns, its grid solves running GMRES
+        for module in (foldy_impedance, medium):
+            monkeypatch.setattr(module, "DENSE_GRID_CAP", 135)
+        cloud = off_lattice_scene_cloud("hard")
+        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 479)
+        system = FoldySystem(n0_ball_medium(), cloud)
+        with pytest.raises(SolverFailure, match="matrix-free"):
+            _solve_system(system, lambda: np.ones(480, dtype=complex))
+        scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == 4
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_type"] == "SolverFailure" and error["exit_code"] == 4
+        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 480)
+        assert solve_cloud(n0_ball_medium(), cloud, Z_HAT).solver == "lu"
 
 
 class TestSystemMatrix:

@@ -162,8 +162,8 @@ class TestCoupledSystem:
         lattice = lattice_of(hard.centers)
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4 * m, 2)) @ [1.0, 1j]
-        got = FoldySystem(med, hard).lattice_apply(lattice)(v)[:m] - v[:m]
-        want = FoldySystem(med, imp).lattice_apply(lattice)(v[:m]) - v[:m]
+        got = FoldySystem(med, hard).operator(lattice)(v)[:m] - v[:m]
+        want = FoldySystem(med, imp).operator(lattice)(v[:m]) - v[:m]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         res_hard, res_imp = solve_cloud(med, hard, Z_HAT), solve_cloud(med, imp, Z_HAT)
         assert res_hard.solver == res_imp.solver == "lattice_fft"
@@ -380,8 +380,8 @@ class TestScaleLaw:
         system = FoldySystem(med, cloud)
         rng = np.random.default_rng(5)
         v = rng.normal(size=4 * len(cloud)) + 1j * rng.normal(size=4 * len(cloud))
-        direct = system.apply(v) - v
-        fft = system.lattice_apply(lattice)(v) - v
+        direct = system.operator()(v) - v
+        fft = system.operator(lattice)(v) - v
         assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_lattice_path_matches_dense(self, monkeypatch):

@@ -207,7 +207,7 @@ class TestChunkBudget:
             tables = [med.green_kernel(centers, order=order) for order in (0, 1)]
             tables += [med.green_kernel(probes, centers, order) for order in (0, 1)]
             tables += [med._node_columns(centers, order) for order in (0, 1)]
-            tables.append(FoldySystem(med, cloud).apply(vec))
+            tables.append(FoldySystem(med, cloud).operator()(vec))
             if first is None:
                 first = tables
             assert all(np.array_equal(a, b) for a, b in zip(tables, first))
@@ -224,7 +224,10 @@ class TestChunkBudget:
         src = np.concatenate([system.q * vec[:300], -(vec[300:].reshape(300, 3) @ system.vb.T)
                               .reshape(-1)])
         whole = make_medium(k=1.3, n=6).green_kernel(centers, order=1)
-        assert np.array_equal(tables[-1], vec - whole @ src)
+        want = vec - whole @ src
+        if background == "n0_ball":  # K = free kernel - V: the operator adds V src
+            want += med.pair_correction(centers, 1)(src)
+        assert np.array_equal(tables[-1], want)
 
 
 class TestBackgroundGreen:
@@ -401,7 +404,7 @@ class TestBoxFFT:
         a = system.matrix()
         dense = a - np.eye(len(a))
         f = np.random.default_rng(6).normal(size=(len(dense), 2)) @ [1.0, 1j]
-        apply = system.lattice_apply(lattice)
+        apply = system.operator(lattice)
         return (lambda v: apply(v) - v), dense, f
 
     CASES = [("grid", None), ("grid", 3), ("lattice", "impedance"), ("lattice", "hard")]
