@@ -28,8 +28,8 @@ import numpy as np
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
 from .medium import (CHUNK_ENTRIES, DENSE_GRID_CAP, BackgroundMedium, ComplexField,
-                     _embedding_spectrum, _factor, _kernel_planes, _kernel_sum, _norm,
-                     _solve_checked, _toeplitz_apply, _unit, lattice_of)
+                     _embedding_spectrum, _factor, _kernel_chunks, _kernel_planes, _kernel_sum,
+                     _norm, _solve_checked, _toeplitz_apply, _unit, _zero_diagonal, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -89,14 +89,23 @@ class FoldySystem:
     def matrix(self) -> np.ndarray:
         """I - K diag(q, -vb) over all pairs; order 0: I - G diag(q).
 
-        Scales the columns of the stacked kernel (BackgroundMedium.green_kernel)
-        in place: the monopole columns by -q, and each dipole column triple
-        by vb, one matmul over a chunk of rows at a time.
+        Built in place: the volume correction T^T W of a non-free background
+        (BackgroundMedium.volume_factors; zeros when q0 = 0) is one product,
+        the free kernel minus it is formed in its place a chunk of rows at a
+        time (medium._kernel_chunks), and the per-particle blocks are zeroed.
+        The stacked columns are then scaled: the monopole columns by -q, and
+        each dipole column triple by vb, one matmul over a chunk of rows at
+        a time.
         """
-        m = len(self.centers)
-        a = self.medium.green_kernel(self.centers, order=self.order)
+        m, order = len(self.centers), self.order
+        factors = self.medium.volume_factors(self.centers, order)
+        n = m * (1 + 3 * order)
+        a = np.zeros((n, n), dtype=complex) if factors is None else factors[0].T @ factors[1]
+        for rows, slab in _kernel_chunks(self.centers, self.medium.k, (order, order)):
+            np.subtract(slab, a[rows], out=a[rows])  # K = free kernel - T^T W
+        _zero_diagonal(a, 0, order)
         a[:, :m] *= -self.q
-        if self.order:
+        if order:
             step = max(1, CHUNK_ENTRIES // (16 * m))  # temporaries of one kernel plane
             for s in range(0, len(a), step):
                 d = a[s:s + step, m:]
@@ -108,12 +117,19 @@ class FoldySystem:
         """v -> matrix() @ v without the matrix: v - K s for the sources
         s = [q u; -vb grad u].  The free pairs run by FFT for centres on
         ``lattice`` (LatticeConvolution), else a row chunk at a time
-        (medium._kernel_sum).  A non-free background adds its low-rank
-        volume correction (BackgroundMedium.pair_correction), which factors
-        the grid and keeps the centres' support table for the incident
-        column."""
+        (medium._kernel_sum).  A non-free background adds its volume
+        correction V s = T^T (W s) less the exact per-particle blocks
+        (1 x 1, or 4 x 4 at order 1) that the zero diagonal drops; forming
+        (T, W) (BackgroundMedium.volume_factors) factors the grid and keeps
+        the centres' support table for the incident column."""
         k, m, order = self.medium.k, len(self.centers), self.order
-        correction = self.medium.pair_correction(self.centers, order)
+        factors = self.medium.volume_factors(self.centers, order)
+        if factors is not None:
+            t, w = factors
+            # the stacked index of component a of particle j, (M, 1 + 3 order)
+            at = np.column_stack([np.arange(m), m + np.arange(3 * m).reshape(m, 3)])
+            at = at[:, :1 + 3 * order]
+            blocks = np.einsum("zja,zjb->jab", t[:, at], w[:, at])
         conv = None if lattice is None else LatticeConvolution(lattice, k, order)
 
         def apply(vec):
@@ -124,8 +140,10 @@ class FoldySystem:
             else:
                 pairs = conv(np.vstack([s[:m], dipoles]))  # -K s, component-major
                 out = vec + np.concatenate([pairs[0], pairs[1:].T.reshape(-1)])
-            if correction is not None:  # K = free kernel - V: -K s gains V s
-                out += correction(s)
+            if factors is not None:  # K = free kernel - V: -K s gains V s
+                v = t.T @ (w @ s)
+                v[at] -= np.einsum("jab,jb->ja", blocks, s[at])
+                out += v
             return out
 
         return apply

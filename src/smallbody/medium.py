@@ -354,18 +354,20 @@ def _kernel_chunks(x, k, orders, y=None):
     orders = (ox, oy): the rows hold [g; grad_x g] when ox is 1, else g,
     and the columns [g | grad_y g] when oy is 1, else g; with both, the
     lower-right block is d^2 g / dx dy, all in the stacked layout of
-    BackgroundMedium.green_kernel.  The kernel is formed for c points of x
-    at a time, at most CHUNK_ENTRIES entries, and yielded as the slab of
-    their values (c, m (1 + 3 oy)) and, when ox is 1, of their derivatives
-    (3c, m (1 + 3 oy)); rows is the slice of the slab on the stacked row
-    axis of all of x.  Each entry has the bits of _kernel_planes at every
-    chunk size.
+    FoldySystem.matrix.  The kernel is formed for c points of x at a time,
+    at most CHUNK_ENTRIES entries but c >= 2 where x has two points, and
+    yielded as the slab of their values (c, m (1 + 3 oy)) and, when ox is
+    1, of their derivatives (3c, m (1 + 3 oy)); rows is the slice of the
+    slab on the stacked row axis of all of x.  Each entry has the bits of
+    _kernel_planes at every chunk size.  numpy hands the product of one row
+    to BLAS's dot product, which sums in another order than its
+    matrix-vector product, so a last single row joins the chunk before it.
     """
     ox, oy = orders
     n, m = len(x), len(x if y is None else y)
-    step = max(1, CHUNK_ENTRIES // max(1, m * (1 + 3 * ox) * (1 + 3 * oy)))
-    for s in range(0, n, step):
-        stop = min(s + step, n)
+    step = max(2, CHUNK_ENTRIES // max(1, m * (1 + 3 * ox) * (1 + 3 * oy)))
+    stops = range(step, n - 1, step)
+    for s, stop in zip((0, *stops), (*stops, n)):
         c = stop - s
         diff, r = _pair_distances(x[s:stop], x if y is None else y, ox + oy)
         if y is None:
@@ -697,8 +699,8 @@ class BackgroundMedium:
         self._off_support = np.flatnonzero(self.q0 == 0.0)
         self._u0_cache: dict = {}  # direction -> u0 on S
         self._lu = None
-        # (key, value) of the support table kept by the last Green kernel and
-        # of the last particle sources' grid field: a solve reads each again
+        # (key, value) of the last support table built and of the last
+        # particle sources' grid field: a solve reads each again
         self._table = self._particle = None
 
     # -- basic properties ---------------------------------------------------
@@ -857,9 +859,9 @@ class BackgroundMedium:
         when it vanishes off S; Q_m and P_m are the particle monopoles and
         dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector.  Both
         sums run over the row chunks of _kernel_sum, except that the grid sum
-        at points whose support table a Green kernel kept (the centres of a
-        solve) is density_S @ table: the same sum in another order, which
-        can differ in the last bits.
+        at points whose support table is kept (the centres of a solve) is
+        density_S @ table: the same sum in another order, which can differ
+        in the last bits.
         """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -868,7 +870,7 @@ class BackgroundMedium:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
             # limit densities reach past S; source_density's do not, and the
-            # centres of a solve read the support table its Green kernel kept
+            # centres of a solve read the support table its Foldy system kept
             s = self._support
             if density[self._off_support].any():
                 out = out + _kernel_sum(pts, self.k, (order, 0), density, self.grid.nodes)
@@ -926,18 +928,15 @@ class BackgroundMedium:
             table[rows] = slab
         return table
 
-    def _support_table(self, pts, order, keep=False):
-        """_node_columns(pts, order), or the table kept by an earlier call
-        for the same points; ``keep`` keeps this one in its place.  The Green
-        kernel of a solve keeps its centres' table, and the incident column
-        (radiate) and the particle field read it.  Callers do not write to it."""
+    def _support_table(self, pts, order):
+        """_node_columns(pts, order), kept until a table of other points
+        replaces it: the Foldy system of a solve builds its centres' table,
+        and the incident column (radiate) and the particle field read it.
+        Callers do not write to it."""
         table = self._kept_table(pts, order)
-        if table is not None:
-            return table
-        if keep:
+        if table is None:
             self._table = None  # the old table is not held while the new one is built
-        table = self._node_columns(pts, order)
-        if keep:
+            table = self._node_columns(pts, order)
             self._table = ((_points_key(pts), min(order, 1)), table)
         return table
 
@@ -947,84 +946,29 @@ class BackgroundMedium:
             return self._table[1]
         return None
 
-    def _weighted_solve(self, src) -> np.ndarray:
-        """D B^-1 src for c support columns src, (|S|, c): B the grid operator
-        on S = supp q0 and D = diag(q0_S) delta^3.
+    def volume_factors(self, x, order=0):
+        """(T, W) with the volume correction T^T W of the background Green
+        kernel over pairs of x; None when q0 = 0.
 
-        The grid solve takes the |S| columns of the identity, whose D B^-1
-        then multiplies src, when 2|S| < c, and src itself otherwise.  With
-        the LU residual check, the identity route costs 2|S|^3 + |S|^2 c
-        against 2|S|^2 c, and holds 3|S|^2 entries against 2|S| c while it
-        solves.
-        """
-        s = self._support
-        by_identity = 2 * len(s) < src.shape[1]
-        sol = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else src)
-        sol *= self.q0[s, None] * self.weight
-        return sol @ src if by_identity else sol
-
-    def pair_correction(self, x, order=0):
-        """v -> V v for the volume correction V of green_kernel(x, order=order),
-        whose pairs of x are the free kernel minus V; None when q0 = 0.
-
-        V = T^T W - blockdiag(T^T W), T the support table of x (kept, as
-        green_kernel keeps it) and W = D B^-1 T (_weighted_solve): a product
-        of rank at most |S| = |supp q0|, less the exact per-point blocks
-        (1 x 1, or 4 x 4 at order 1) that the zero diagonal drops.  v and
-        V v are stacked as the columns and rows of green_kernel.
+        The background kernel is the free kernel minus T^T W, of rank at
+        most |S| = |supp q0|: T is the support table of x (_support_table,
+        kept), the stacked columns of x at the nodes of S, and W = D B^-1 T,
+        B the grid operator on S and D = diag(q0_S) delta^3.  Rows and
+        columns of T^T W are stacked as those of FoldySystem.matrix.  The
+        grid solve takes the |S| columns of the identity, whose D B^-1 then
+        multiplies T, when 2|S| < c for the c columns of T, and T itself
+        otherwise.  With the LU residual check, the identity route costs
+        2|S|^3 + |S|^2 c against 2|S|^2 c, and holds 3|S|^2 entries against
+        2|S| c while it solves.
         """
         if self.is_free:
             return None
-        t = self._support_table(x, order, keep=True)
-        w = self._weighted_solve(t)
-        m = len(x)
-        # the stacked index of component a of point j, (m, 1 + 3 order)
-        at = np.column_stack([np.arange(m), m + np.arange(3 * m).reshape(m, 3)])[:, :1 + 3 * order]
-        blocks = np.einsum("zja,zjb->jab", t[:, at], w[:, at])
-
-        def apply(v):
-            out = t.T @ (w @ v)
-            out[at] -= np.einsum("jab,jb->ja", blocks, v[at])
-            return out
-
-        return apply
-
-    def green_kernel(self, x, y=None, order=0) -> np.ndarray:
-        """The stacked background Green kernel K(x_i, y_j), one new array.
-
-        order 1: K = [[G, grad_y G], [grad_x G, d^2 G / dx dy]], of shape
-        (4n, 4m) in the layout of _node_columns and of the hard unknowns:
-        row i is the value at x_i and row n + 3i + q its derivative along
-        axis q, column j the source at y_j and column m + 3j + p its
-        derivative along axis p.  order 0: G alone, (n, m).  Without y the
-        kernel runs over pairs of x with a zero diagonal in every block.
-
-        Built in place: the volume correction src^T D B^-1 src (src the
-        stacked source columns at the nodes of S = supp q0; _weighted_solve)
-        is one product with the stacked target rows, and the free kernel
-        minus it is then formed in its place, one chunk of rows at a time
-        (_kernel_chunks).
-        """
-        pairs = y is None
-        x = np.asarray(x, dtype=float).reshape(-1, 3)
-        y = None if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
-        corrected = not self.is_free
-        if corrected:
-            src = self._support_table(x if pairs else y, order, keep=True)
-            sol = self._weighted_solve(src)
-            stack = (src if pairs else self._node_columns(x, order)).T @ sol
-            del sol
-        else:
-            w = 1 + 3 * order
-            stack = np.empty((len(x) * w, len(x if pairs else y) * w), dtype=complex)
-        for rows, slab in _kernel_chunks(x, self.k, (order, order), y):
-            if corrected:
-                np.subtract(slab, stack[rows], out=stack[rows])  # G = g - volume correction
-            else:
-                stack[rows] = slab
-        if pairs and corrected:
-            _zero_diagonal(stack, 0, order)
-        return stack
+        t = self._support_table(x, order)
+        s = self._support
+        by_identity = 2 * len(s) < t.shape[1]
+        w = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else t)
+        w *= self.q0[s, None] * self.weight
+        return t, (w @ t if by_identity else w)
 
     # -- weighted far-field sums ----------------------------------------------
 

@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InfeasibleDesign, InvariantViolation
-from .medium import BackgroundMedium, _node_field, _norm
+from .medium import CHUNK_ENTRIES, BackgroundMedium, _node_field, _norm
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +33,6 @@ KA_MAX = 0.1            # small-particle regime ka <= 0.1
 SPACING_FACTOR = 10.0   # d >= 10 a
 M_CAP = 200_000         # desk-scale particle cap
 HARD_COMPAT_MAX = 0.1   # (nu/c3)^(1/3) <= 0.1 wherever nu > 0
-PAIR_CHUNK = 2 ** 16    # pair distances formed at a time by the spacing searches
 
 FORMAT_VERSION = 1
 
@@ -294,7 +293,7 @@ def min_spacing(centers) -> float:
     closer than h only within one cube or two adjacent ones, so comparing
     each center with the later centers of its own cube and of the 13 cubes
     that follow it finds d exactly.  Distances are medium._norm of the
-    coordinate differences, formed at most PAIR_CHUNK at a time.  The
+    coordinate differences, formed at most CHUNK_ENTRIES at a time.  The
     orders sort 64-bit keys of coordinate ranks, and cubes are found by
     64-bit keys too; neither can overflow below 2^20 centers, and a larger
     set that would overflow them raises InvariantViolation.
@@ -346,8 +345,8 @@ def min_spacing(centers) -> float:
     # block b pairs center b % m with the range [start[b], stop[b]); the pairs
     # of all blocks are numbered through and formed in chunks
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(stop) - start)))
-    for t0 in range(0, int(bounds[-1]), PAIR_CHUNK):
-        t1 = min(t0 + PAIR_CHUNK, int(bounds[-1]))
+    for t0 in range(0, int(bounds[-1]), CHUNK_ENTRIES):
+        t1 = min(t0 + CHUNK_ENTRIES, int(bounds[-1]))
         b0 = np.searchsorted(bounds, t0, side="right") - 1
         b1 = np.searchsorted(bounds, t1, side="left")
         block = np.repeat(np.arange(b0, b1), np.diff(np.clip(bounds[b0:b1 + 1], t0, t1)))
@@ -359,12 +358,12 @@ def min_spacing(centers) -> float:
 def nearest_distances(points, centers) -> np.ndarray:
     """Distance from each point to its nearest center, of which there is at least one.
 
-    Brute force, O(n M), formed like min_spacing, at most PAIR_CHUNK
+    Brute force, O(n M), formed like min_spacing, at most CHUNK_ENTRIES
     distances at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     cen = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
-    rows = max(1, PAIR_CHUNK // cen.shape[2])
+    rows = max(1, CHUNK_ENTRIES // cen.shape[2])
     out = np.empty(len(pts))
     for s in range(0, len(pts), rows):
         out[s:s + rows] = _norm(*(pts[s:s + rows].T[:, :, None] - cen)).min(axis=1)

@@ -67,7 +67,7 @@ def free_kernel_hess_xy(x, y, k):
 def split_stacked(stack, order=0) -> list:
     """The blocks [K] (order 0), [K, grad_x K, grad_y K] (n,m,3) (order 1)
     and d^2 K / dx_q dy_p (n,m,3,3) [q,p] (order 2) of a stacked kernel in
-    BackgroundMedium.green_kernel's layout, as views."""
+    the layout of FoldySystem.matrix and medium._kernel_chunks, as views."""
     if order == 0:
         return [stack]
     n, m = stack.shape[0] // 4, stack.shape[1] // 4
@@ -80,18 +80,12 @@ def split_stacked(stack, order=0) -> list:
 
 def green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
     """Background Green function G(x_i, y_j) and its derivative blocks
-    (split_stacked) as views of medium.green_kernel's stacked array.
-    Without y the blocks run over pairs of x with a zero diagonal."""
-    return split_stacked(medium.green_kernel(x, y, min(order, 1)), order)
-
-
-def pair_green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
-    """green_blocks(medium, x, y, order) built block by block: kernel_blocks
-    over all pairs at once, minus the volume correction cut into the same
-    blocks; over pairs of x, the diagonal of each block is zeroed.  The
-    correction src^T (D B^-1) src is associated as green_kernel does: the
-    grid solve takes the |S| identity columns when 2|S| is below the number
-    of source columns."""
+    (split_stacked), built block by block: kernel_blocks over all pairs at
+    once, minus the volume correction cut into the same blocks; without y
+    the blocks run over pairs of x, with the diagonal of each block zeroed.
+    The correction src_x^T (D B^-1) src_y is associated as
+    BackgroundMedium.volume_factors does: the grid solve takes the |S|
+    identity columns when 2|S| is below the number of source columns."""
     pairs = y is None
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
@@ -118,11 +112,11 @@ def pair_green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
 
 
 def foldy_matrix(system) -> np.ndarray:
-    """FoldySystem.matrix() assembled from pair_green_blocks: I - G diag(q)
+    """FoldySystem.matrix() assembled from green_blocks: I - G diag(q)
     (order 0), or the 4M x 4M hard system with its blocks scaled by -q and
     multiplied by vb one block at a time."""
     m, mq = len(system.centers), -system.q
-    blocks = pair_green_blocks(system.medium, system.centers, order=2 * system.order)
+    blocks = green_blocks(system.medium, system.centers, order=2 * system.order)
     if system.order:
         gmat, grad_x, grad_y, hess = blocks
         a = np.empty((4 * m, 4 * m), dtype=complex)
@@ -261,7 +255,7 @@ def lemma_bounds_check(medium: BackgroundMedium, a: float, d: float,
     if medium.is_free:
         diff_green = diff_g
     else:
-        green = medium.green_kernel(np.concatenate([x, t]), y)
+        green = green_blocks(medium, np.concatenate([x, t]), y)[0]
         idx = np.arange(sample_count)
         diff_green = np.abs(green[sample_count + idx, idx] - green[idx, idx])
     return LemmaBoundsReport(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallbody import cli, foldy_impedance, medium, particles
+from smallbody import cli, foldy_impedance, medium
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation, SolverFailure
 from smallbody.foldy_impedance import (
@@ -317,6 +317,24 @@ class TestNonFreeLattice:
             far_field(res, med, cloud, DirectionGrid(4, 8))
             assert orders == [136] and len(tables) == 1 and not grid_gmres and not node_sums
 
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_excluded_field_leaves_the_cloud_field_unchanged(self, kind):
+        # the effective field seen by particle j builds the support table of
+        # the other centres, which evicts the one the solve kept: the cloud's
+        # field and far field after it have the bits of before
+        med, cloud = n0_ball_medium(), off_lattice_scene_cloud(kind)
+        order = int(kind == "hard")
+        res = solve_cloud(med, cloud, Z_HAT)
+        points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
+        before = [evaluate_field(res, med, cloud, points).values,
+                  far_field(res, med, cloud, directions).values]
+        assert med._kept_table(cloud.centers, order) is not None
+        evaluate_field(res, med, cloud, points, exclude=7)
+        assert med._kept_table(cloud.centers, order) is None
+        after = [evaluate_field(res, med, cloud, points).values,
+                 far_field(res, med, cloud, directions).values]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     def test_matrix_free_solve_past_the_grid_cap_exits_4(self, monkeypatch, tmp_path):
         # the one refusal left: past the dense cap, a matrix-free solve whose
         # |supp q0| = 136 exceeds DENSE_GRID_CAP has no grid LU for its
@@ -416,7 +434,7 @@ class TestEvaluateField:
         centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
         res = solve_cloud(med, cloud, Z_HAT)
-        rows = particles.PAIR_CHUNK // len(centers)
+        rows = medium.CHUNK_ENTRIES // len(centers)
         far = np.column_stack([np.linspace(-5.0, 5.0, rows + 9), np.full(rows + 9, 3.0),
                                np.zeros(rows + 9)])
         assert len(evaluate_field(res, med, cloud, far).values) == rows + 9

@@ -28,9 +28,9 @@ from smallbody.medium import (
 from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
-from reference import (free_kernel, free_kernel_grad_y, free_kernel_hess_xy, free_kernels,
-                       green_blocks, green_potential_grid, lemma_bounds_check, pair_green_blocks,
-                       split_stacked, trilinear_interpolate, u0_grid)
+from reference import (foldy_matrix, free_kernel, free_kernel_grad_y, free_kernel_hess_xy,
+                       free_kernels, green_blocks, green_potential_grid, lemma_bounds_check,
+                       trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
 
@@ -146,19 +146,21 @@ class TestPairDistances:
 
 
 class TestChunkBudget:
-    """Kernel tables and the direct apply have the same bits at every chunk
-    budget, and the tables those of the whole-table reference."""
+    """Kernel tables, kernel sums, the system matrix and the direct apply
+    have the same bits at every chunk budget, and the tables and matrices
+    those of the whole-table reference."""
 
     @staticmethod
     def ball(z):
         return np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)
 
     def test_volume_correction_association_follows_sizes(self, monkeypatch):
-        # |S| = 56 support nodes: 300 centres give 300 or 1200 stacked source
-        # columns (2|S| < c: the grid solve takes the |S| identity columns and
-        # D B^-1 then multiplies the sources), 20 centres 20 or 80 (the solve
-        # takes the source columns); either gives the correction of the solve
-        # of the source columns, src_x^T (D (B^-1 src_y)), D = diag(q0) delta^3
+        # |S| = 56 support nodes: 300 centres give T 300 or 1200 stacked
+        # source columns (2|S| < c: the grid solve takes the |S| identity
+        # columns and D B^-1 then multiplies T), 20 centres 20 or 80 (the
+        # solve takes T); either gives W = D (B^-1 T), D = diag(q0) delta^3,
+        # and with it the correction T_x^T W over the pairs of the centres
+        # and from them to probes
         rng = np.random.default_rng(21)
         probes = rng.uniform(-0.5, 1.5, size=(50, 3))
         med = make_medium(k=1.3, n=6, n0=self.ball)
@@ -166,67 +168,86 @@ class TestChunkBudget:
         solve_grid, columns = med._solve_grid, []
         monkeypatch.setattr(med, "_solve_grid",
                             lambda rhs: columns.append(rhs.shape[1]) or solve_grid(rhs))
-        # zero free kernel slabs: green_kernel then returns minus its correction
-        kernel_chunks = medium._kernel_chunks
-        monkeypatch.setattr(medium, "_kernel_chunks", lambda *args: (
-            (rows, np.zeros_like(slab)) for rows, slab in kernel_chunks(*args)))
-        node_columns = med._node_columns
         for m in (300, 20):
             centers = rng.uniform(0.05, 0.95, size=(m, 3))
-            tables = {(len(p), order): node_columns(p, order)
-                      for p in (centers, probes) for order in (0, 1)}
-            monkeypatch.setattr(med, "_node_columns", lambda pts, order: tables[len(pts), order])
             for order in (0, 1):
-                src = tables[m, order]
+                tables = {len(p): med._node_columns(p, order) for p in (centers, probes)}
+                src = tables[m]
+                columns.clear()
+                t, w = med.volume_factors(centers, order)
+                assert columns == [len(s) if 2 * len(s) < src.shape[1] else src.shape[1]]
+                assert np.array_equal(t, src)
                 direct = solve_grid(src) * (med.q0[s, None] * med.weight)
-                for x, y in ((centers, None), (probes, centers)):
-                    columns.clear()
-                    got = -med.green_kernel(x, y, order)
-                    ref = tables[len(x), order].T @ direct
-                    if y is None:
-                        medium._zero_diagonal(ref, 0, order)
-                    assert columns == [len(s) if 2 * len(s) < src.shape[1] else src.shape[1]]
+                for x in (centers, probes):
+                    got, ref = tables[len(x)].T @ w, tables[len(x)].T @ direct
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-            med._table = None  # the next centres build their own table
 
-    @pytest.mark.parametrize("background", ["free", "n0_ball"])
-    def test_kernels_do_not_depend_on_the_chunk_budget(self, monkeypatch, background):
-        # 300 hard centres: a whole (300, 300) kernel plane is past numpy's
-        # 256 KiB temporary-elision size, where a product of an unnamed
-        # factor once took other bits than the same product in a small chunk
+    def test_kernel_sums_do_not_depend_on_the_chunk_budget(self, monkeypatch):
+        # each row of a kernel sum has the bits of the whole table's
+        # matrix-vector product: with 300 centres and the derivatives of both
+        # sides a 2^16 budget steps 13 rows, and 300 = 23 * 13 + 1 once left
+        # a last slab of one row, whose product BLAS sums as a dot product
         rng = np.random.default_rng(21)
         centers = rng.uniform(0.05, 0.95, size=(300, 3))
         probes = rng.uniform(-0.5, 1.5, size=(50, 3))
-        cloud = ParticleCloud(centers=centers, a=1e-3, kind="hard", beta=rng.normal(size=(3, 3)))
+        for orders in ((0, 0), (0, 1), (1, 1)):
+            w = np.array([1.0, 1j]) @ rng.normal(size=(2, 300 * (1 + 3 * orders[1])))
+            for x, y in ((centers, None), (probes, centers)):
+                monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 30)  # one slab per part
+                whole = np.empty((len(x) * (1 + 3 * orders[0]), len(w)), dtype=complex)
+                for rows, slab in medium._kernel_chunks(x, 1.3, orders, y):
+                    whole[rows] = slab
+                want = whole @ w
+                for budget in (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18):
+                    monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
+                    assert np.array_equal(medium._kernel_sum(x, 1.3, orders, w, y), want)
+
+    @pytest.mark.parametrize("background", ["free", "n0_ball"])
+    def test_kernels_do_not_depend_on_the_chunk_budget(self, monkeypatch, background):
+        # 300 centres of either species: a whole (300, 300) kernel plane is
+        # past numpy's 256 KiB temporary-elision size, where a product of an
+        # unnamed factor once took other bits than the same product in a
+        # small chunk
+        rng = np.random.default_rng(21)
+        centers = rng.uniform(0.05, 0.95, size=(300, 3))
+        hard = ParticleCloud(centers=centers, a=1e-3, kind="hard", beta=rng.normal(size=(3, 3)))
+        clouds = [ParticleCloud(centers=centers, a=1e-3, kind="impedance",
+                                zeta=h_to_impedance(np.full(300, 1.0 - 0.5j), 1e-3)), hard]
         vec = rng.normal(size=1200) + 1j * rng.normal(size=1200)
         first = None
         for budget in (2 ** 10, 2 ** 14, 2 ** 16, 2 ** 18):
             monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
             # a new medium per budget: no table kept from another budget
             med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else self.ball)
-            tables = [med.green_kernel(centers, order=order) for order in (0, 1)]
-            tables += [med.green_kernel(probes, centers, order) for order in (0, 1)]
+            tables = [FoldySystem(med, cloud).matrix() for cloud in clouds]
             tables += [med._node_columns(centers, order) for order in (0, 1)]
-            tables.append(FoldySystem(med, cloud).operator()(vec))
+            tables.append(FoldySystem(med, hard).operator()(vec))
             if first is None:
                 first = tables
             assert all(np.array_equal(a, b) for a, b in zip(tables, first))
+        for cloud, got in zip(clouds, tables):
+            assert np.array_equal(got, foldy_matrix(FoldySystem(med, cloud)))
         for order in (0, 1):
-            for x, y, got in ((centers, None, tables[order]), (probes, centers, tables[2 + order])):
-                ref = pair_green_blocks(med, x, y, order=2 * order)
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(split_stacked(got, 2 * order), ref))
             g, *grad = free_kernels(med.grid.nodes[med._support], centers, med.k, order)
             ref = np.concatenate([g, *(d.reshape(len(g), 900) for d in grad)], axis=1)
-            assert np.array_equal(tables[4 + order], ref)
-        # the apply against one product with the whole free kernel
-        system = FoldySystem(med, cloud)
+            assert np.array_equal(tables[2 + order], ref)
+        # the apply against one product with the whole free kernel, and the
+        # volume correction associated as the operator does: V s = T^T (W s)
+        # less the exact per-particle 4 x 4 blocks
+        system = FoldySystem(med, hard)
         src = np.concatenate([system.q * vec[:300], -(vec[300:].reshape(300, 3) @ system.vb.T)
                               .reshape(-1)])
-        whole = make_medium(k=1.3, n=6).green_kernel(centers, order=1)
+        whole = np.empty((1200, 1200), dtype=complex)
+        for rows, slab in medium._kernel_chunks(centers, med.k, (1, 1)):
+            whole[rows] = slab
         want = vec - whole @ src
         if background == "n0_ball":  # K = free kernel - V: the operator adds V src
-            want += med.pair_correction(centers, 1)(src)
+            t, w = med.volume_factors(centers, 1)
+            at = np.column_stack([np.arange(300), 300 + np.arange(900).reshape(300, 3)])
+            v = t.T @ (w @ src)
+            v[at] -= np.einsum("jab,jb->ja", np.einsum("zja,zjb->jab", t[:, at], w[:, at]),
+                               src[at])
+            want += v
         assert np.array_equal(tables[-1], want)
 
 

@@ -263,7 +263,7 @@ class TestMinSpacing:
     def test_chunk_boundaries_do_not_change_the_result(self, name, monkeypatch):
         # a 7-pair chunk splits the pairs of one center across chunks
         c = SPACING_CLOUDS[name](np.random.default_rng(11))
-        monkeypatch.setattr(particles, "PAIR_CHUNK", 7)
+        monkeypatch.setattr(particles, "CHUNK_ENTRIES", 7)
         assert min_spacing(c) == brute_min_spacing(c)
 
     def test_non_finite_centers_rejected(self):
