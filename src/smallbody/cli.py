@@ -421,7 +421,6 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
         "ka": medium.k * cloud.a,
         "residual": result.residual,
         "iterations": result.iterations,
-        "rcond": result.rcond,
         "solver": result.solver,
         "wall_time_s": wall,
     }

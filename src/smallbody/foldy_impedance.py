@@ -3,11 +3,11 @@
 Both species reduce to one linear system in per-particle unknowns whose
 coefficients are the background Green function and its derivatives; only
 the local map from a particle's field to its sources differs (FoldySystem).
-The pipeline here -- validate, incident data, dense LU or GMRES on the
-matrix-free operator (free pairs by lattice FFT or row chunks, plus the
-grid's low-rank volume correction in a non-free background), far-zone
-guard, field, amplitudes -- serves both; foldy_neumann holds the physics of
-the hard species.
+The pipeline here -- validate, incident data, GMRES on the stored matrix
+or on the matrix-free operator (free pairs by lattice FFT or row chunks,
+plus the grid's low-rank volume correction in a non-free background),
+far-zone guard, field, amplitudes -- serves both; foldy_neumann holds the
+physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -28,8 +28,8 @@ import numpy as np
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
 from .medium import (CHUNK_ENTRIES, DENSE_GRID_CAP, BackgroundMedium, ComplexField,
-                     _embedding_spectrum, _factor, _kernel_chunks, _kernel_planes, _kernel_sum,
-                     _norm, _solve_checked, _toeplitz_apply, _unit, _zero_diagonal, lattice_of)
+                     _embedding_spectrum, _kernel_chunks, _kernel_planes, _kernel_sum, _norm,
+                     _solve_checked, _toeplitz_apply, _unit, _zero_diagonal, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -37,7 +37,7 @@ logger = logging.getLogger(__name__)
 
 # path sizing of the system of either species, counted in unknowns
 # M (1 + 3 order) (measured crossovers; README "Numerical choices")
-DENSE_MAX_UNKNOWNS = 4000    # dense LU up to this many
+DENSE_MAX_UNKNOWNS = 4000    # the stored matrix() up to this many
 LATTICE_MIN_UNKNOWNS = 100   # lattice clouds take the lattice FFT operator from here
 
 
@@ -54,8 +54,7 @@ class FoldySolveResult:
     residual: float
     alpha: np.ndarray
     iterations: int = 0
-    rcond: float | None = None     # LU condition estimate (None after GMRES)
-    solver: str | None = None      # "lu", "gmres" or "lattice_fft" (None: empty cloud)
+    solver: str | None = None      # "dense", "gmres" or "lattice_fft" (None: empty cloud)
     coupling: np.ndarray | None = None              # c_m
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
@@ -209,46 +208,42 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
     system = FoldySystem(medium, cloud)
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
-    sol, residual, iterations, rcond, solver = _solve_system(
+    sol, residual, iterations, solver = _solve_system(
         system, lambda: medium.incident_values(alpha, cloud.centers, system.order))
     return system.result(sol, alpha=alpha, residual=residual, iterations=iterations,
-                         rcond=rcond, solver=solver)
+                         solver=solver)
 
 
 def _solve_system(system, incident):
-    """Solve the system for the right-hand side incident() by dense LU or by
-    GMRES on system.operator.
+    """Solve the system for the right-hand side incident() by GMRES.
 
     Sized in unknowns n = M (1 + 3 order): a cloud on one lattice with
-    n >= LATTICE_MIN_UNKNOWNS runs GMRES on the operator's lattice FFT
-    ("lattice_fft"); otherwise dense LU while n <= DENSE_MAX_UNKNOWNS, and
-    GMRES on the operator's row chunks beyond ("gmres").  In a non-free
-    background the operator's volume correction needs the grid LU, so
-    either GMRES path requires |supp q0| <= DENSE_GRID_CAP.
-    incident() is called once the operator is formed: a non-free operator
-    factors the grid and keeps the centres' support table, and the
-    incident column then reuses both.  Returns (solution, residual,
-    iterations, rcond, solver).
+    n >= LATTICE_MIN_UNKNOWNS is applied by the operator's lattice FFT
+    ("lattice_fft"), any other by the stored matrix() while
+    n <= DENSE_MAX_UNKNOWNS ("dense") and by the operator's row chunks
+    beyond ("gmres").  Past DENSE_MAX_UNKNOWNS, |supp q0| must fit the grid
+    LU (DENSE_GRID_CAP) that the volume correction solves with.  incident()
+    is called once the matrix or operator is formed, which in a non-free
+    background factors the grid and keeps the centres' support table for
+    it.  Returns (solution, residual, iterations, solver).
     """
     what = f"{system.kind} system"
     m = len(system.centers)
     n = m * (1 + 3 * system.order)
-    matrix_free = len(system.medium._support) <= DENSE_GRID_CAP
-    lattice = lattice_of(system.centers) if n >= LATTICE_MIN_UNKNOWNS and matrix_free else None
-    if lattice is None and n <= DENSE_MAX_UNKNOWNS:
-        logger.debug("%s: dense LU, M = %d", what, m)
-        a = system.matrix()
-        rhs = incident()
-        lu, rcond = _factor(a, what)
-        return (*_solve_checked(lambda x: a @ x, rhs, what, lu), rcond, "lu")
-    if not matrix_free:
+    support = len(system.medium._support)
+    if support > DENSE_GRID_CAP and n > DENSE_MAX_UNKNOWNS:
         raise SolverFailure(
             f"{what}: M = {m} ({n} unknowns) exceeds the dense cap of {DENSE_MAX_UNKNOWNS} "
-            f"unknowns, and |supp q0| = {len(system.medium._support)} grid nodes exceeds "
-            f"the {DENSE_GRID_CAP} that a matrix-free solve factors")
-    solver = "gmres" if lattice is None else "lattice_fft"
-    logger.debug("%s: GMRES on the operator (%s), M = %d", what, solver, m)
-    return (*_solve_checked(system.operator(lattice), incident(), what), None, solver)
+            f"unknowns, and |supp q0| = {support} grid nodes exceeds the {DENSE_GRID_CAP} "
+            "that a matrix-free solve factors")
+    lattice = lattice_of(system.centers) if n >= LATTICE_MIN_UNKNOWNS else None
+    if lattice is None and n <= DENSE_MAX_UNKNOWNS:
+        a = system.matrix()
+        apply, solver = (lambda x: a @ x), "dense"
+    else:
+        apply, solver = system.operator(lattice), "gmres" if lattice is None else "lattice_fft"
+    logger.debug("%s: GMRES (%s), M = %d", what, solver, m)
+    return (*_solve_checked(apply, incident(), what), solver)
 
 
 def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

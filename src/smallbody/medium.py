@@ -347,6 +347,16 @@ def _pair_distances(x, y, order=0):
     return diff, _norm(*np.moveaxis(diff, -1, 0))
 
 
+def _row_chunks(n, width):
+    """(start, stop) of chunks of n rows of ``width`` entries, at most
+    CHUNK_ENTRIES entries but two rows where n has two: numpy hands a one-row
+    product to BLAS's dot product, which sums in another order than its
+    matrix-vector product, so a last single row joins the chunk before it."""
+    step = max(2, CHUNK_ENTRIES // max(1, width))
+    stops = range(step, n - 1, step)
+    return zip((0, *stops), (*stops, n))
+
+
 def _kernel_chunks(x, k, orders, y=None):
     """The free kernel K(x_i, y_j) of the points x against y (default: x
     against itself, with a zero diagonal) in slabs of rows, as (rows, slab).
@@ -355,19 +365,15 @@ def _kernel_chunks(x, k, orders, y=None):
     and the columns [g | grad_y g] when oy is 1, else g; with both, the
     lower-right block is d^2 g / dx dy, all in the stacked layout of
     FoldySystem.matrix.  The kernel is formed for c points of x at a time,
-    at most CHUNK_ENTRIES entries but c >= 2 where x has two points, and
-    yielded as the slab of their values (c, m (1 + 3 oy)) and, when ox is
-    1, of their derivatives (3c, m (1 + 3 oy)); rows is the slice of the
-    slab on the stacked row axis of all of x.  Each entry has the bits of
-    _kernel_planes at every chunk size.  numpy hands the product of one row
-    to BLAS's dot product, which sums in another order than its
-    matrix-vector product, so a last single row joins the chunk before it.
+    at most CHUNK_ENTRIES entries (_row_chunks), and yielded as the slab of
+    their values (c, m (1 + 3 oy)) and, when ox is 1, of their derivatives
+    (3c, m (1 + 3 oy)); rows is the slice of the slab on the stacked row
+    axis of all of x.  Each entry has the bits of _kernel_planes at every
+    chunk size.
     """
     ox, oy = orders
     n, m = len(x), len(x if y is None else y)
-    step = max(2, CHUNK_ENTRIES // max(1, m * (1 + 3 * ox) * (1 + 3 * oy)))
-    stops = range(step, n - 1, step)
-    for s, stop in zip((0, *stops), (*stops, n)):
+    for s, stop in _row_chunks(n, m * (1 + 3 * ox) * (1 + 3 * oy)):
         c = stop - s
         diff, r = _pair_distances(x[s:stop], x if y is None else y, ox + oy)
         if y is None:
@@ -761,9 +767,8 @@ class BackgroundMedium:
         n = len(idx[0])
         kw = np.empty((n, n), dtype=complex)
         table = self._kernel_table
-        step = max(1, CHUNK_ENTRIES // max(n, 1))
-        for s in range(0, n, step):
-            rows = slice(s, s + step)
+        for s, stop in _row_chunks(n, n):
+            rows = slice(s, stop)
             kw[rows] = table[tuple(np.abs(i[rows, None] - i[None, :]) for i in idx)]
         return kw
 
@@ -889,7 +894,7 @@ class BackgroundMedium:
         The far-field amplitude of the sources that ``radiate`` sums, per beta.
         Centres on one lattice sum, like the grid nodes, through per-axis
         phase tables; other centres through (directions, M) phase tables of
-        at most CHUNK_ENTRIES entries.
+        at most CHUNK_ENTRIES entries (_row_chunks).
         """
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
         out = np.zeros(len(betas), dtype=complex)
@@ -901,13 +906,12 @@ class BackgroundMedium:
             if dipoles is not None:
                 out = out - 1j * self.k * np.einsum("bp,pb->b", betas, sums[1:])
         elif len(centers):
-            step = max(1, CHUNK_ENTRIES // len(centers))
-            for s in range(0, len(betas), step):
-                b = betas[s:s + step]
+            for s, stop in _row_chunks(len(betas), len(centers)):
+                b = betas[s:stop]
                 phase = self._phase(b, centers)  # (directions, M)
-                out[s:s + step] = phase @ charges
+                out[s:stop] = phase @ charges
                 if dipoles is not None:
-                    out[s:s + step] += np.einsum("bm,bp,mp->b", phase, -1j * self.k * b, dipoles)
+                    out[s:stop] += np.einsum("bm,bp,mp->b", phase, -1j * self.k * b, dipoles)
         if density is not None:
             out = out + self._box_phase_sum(betas, self.grid.axes, density)
         return out / (4.0 * np.pi)

@@ -215,8 +215,8 @@ class TestSolve:
         header, data = read_csv(out / "centers.csv")
         assert header == ["x", "y", "z"] and data.shape == (1, 3)
         meta = json.loads((out / "metadata.json").read_text())
-        assert meta["iterations"] == 0 and 0 < meta["rcond"] <= 1  # dense LU path
-        assert meta["solver"] == "lu"
+        assert meta["iterations"] > 0 and "rcond" not in meta
+        assert meta["solver"] == "dense"
 
     def test_determinism_byte_identical(self, tmp_path):
         code1, out1 = run(tmp_path / "r1", "solve", scene_path=SCENES / "single_hard_ball.json")
@@ -242,7 +242,7 @@ class TestSolve:
         assert code1 == code2 == 0
         meta = json.loads((out1 / "metadata.json").read_text())
         assert meta["M"] == 729 and meta["solver"] == "lattice_fft"
-        assert meta["rcond"] is None and meta["iterations"] > 0
+        assert "rcond" not in meta and meta["iterations"] > 0
         for name in ("field.csv", "farfield.csv", "centers.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -294,11 +294,12 @@ class TestLimit:
         assert "volume density too large" in err["message"]
 
 
-def python_fresh(code, *args):
-    """Run code in a fresh interpreter that imports smallbody from this tree;
-    returns its standard output."""
+def python_fresh(code, *args, env=()):
+    """Run code in a fresh interpreter that imports smallbody from this tree,
+    with the variables ``env`` added to the environment; returns its
+    standard output."""
     src = str(Path(smallbody.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, **dict(env),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=300)
@@ -319,7 +320,7 @@ def run_fresh(tmp_path, command, scene, *modules):
 
 
 LATTICE_CLOUD = {"kind": "impedance", "a": 1e-3, "h": 1.0, "N": 0.729}
-# 120 hard balls off any lattice in an n0 ball: a non-free cloud that takes the dense LU
+# 120 hard balls off any lattice in an n0 ball: a non-free cloud that stores its matrix
 DENSE_HARD_IN_N0 = {**json.loads((SCENES / "hard_cloud_n0_ball_off_lattice.json").read_text()),
                     "directions": {"n_theta": 8, "n_phi": 16}}
 
@@ -338,7 +339,7 @@ def test_box_ffts_do_not_import_scipy_fft(tmp_path, command, scene):
 @pytest.mark.parametrize("command,scene,solver", [
     ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}),
      "lattice_fft"),
-    ("solve", DENSE_HARD_IN_N0, "lu"),
+    ("solve", DENSE_HARD_IN_N0, "dense"),
     ("limit", json.loads((SCENES / "limit_born_bump.json").read_text()), None),
     ("validate", base_scene(cloud=LATTICE_CLOUD), None)],
     ids=["lattice_solve", "dense_hard_solve_in_n0", "limit", "validate"])
@@ -358,18 +359,18 @@ def test_cli_import_loads_no_scipy():
 
 @pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_scenes_do_not_import_scipy_linalg_or_sparse(tmp_path, path):
-    # no shipped scene imports any scipy module: a dense LU calls numpy's own
+    # no shipped scene imports any scipy module: the grid LU calls numpy's own
     # LAPACK, and scipy.linalg and scipy.sparse cost about 0.27 s and 28 MB
     # of start-up
     keys = json.loads(path.read_text())
     run_fresh(tmp_path, scene_command(keys), keys, "scipy")
 
 
-@pytest.mark.parametrize("scene", [json.loads((SCENES / "single_hard_ball.json").read_text()),
-                                   DENSE_HARD_IN_N0], ids=["single_hard_ball", "hard_cloud_in_n0"])
+@pytest.mark.parametrize("scene", [DENSE_HARD_IN_N0], ids=["hard_cloud_in_n0"])
 def test_dense_lu_runs_map_one_openblas(tmp_path, scene):
     # scipy's LAPACK wrappers would map a second OpenBLAS, whose thread pool
-    # slows the dense solves down against numpy's on small machines
+    # slows the grid LU of a non-free background down against numpy's on
+    # small machines
     if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
         pytest.skip("numpy is not built on scipy-openblas: the LU takes scipy's LAPACK")
     (tmp_path / "scene.json").write_text(json.dumps(scene))
@@ -381,11 +382,24 @@ def test_dense_lu_runs_map_one_openblas(tmp_path, scene):
         "{line.split()[-1] for line in open(maps) if 'libscipy_openblas' in line}) or None)); "
         "sys.exit(code or (found and f'imported {found}') or 0)",
         "solve", "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "out"))
-    assert json.loads((tmp_path / "out" / "metadata.json").read_text())["solver"] == "lu"
+    assert json.loads((tmp_path / "out" / "metadata.json").read_text())["solver"] == "dense"
     libraries = json.loads(out.splitlines()[-1])
     if libraries is None:
         pytest.skip("no /proc/self/maps")
     assert len(libraries) == 1, libraries
+
+
+def test_study_is_byte_identical_over_blas_threads(tmp_path):
+    # every particle system of the study runs GMRES on its stored matrix,
+    # whose matrix-vector products keep their bits at any OpenBLAS thread
+    # count (a dense LU's did not)
+    outs = [tmp_path / threads for threads in ("1", "2")]
+    for out in outs:
+        python_fresh("import sys; from smallbody.cli import main; sys.exit(main(sys.argv[1:]))",
+                     "study", "--scene", str(SCENES / "study_impedance.json"), "--out", str(out),
+                     env={"OPENBLAS_NUM_THREADS": out.name})
+    for name in ("study.csv", "study.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("command,scene", [

@@ -116,12 +116,12 @@ class TestSolver:
         assert np.abs(res.charges).max() / bound <= 1 + 1e-10
 
     def test_gmres_matches_dense(self, monkeypatch):
-        # dense LU against GMRES on the direct apply: the lattice path is off
+        # the stored matrix against GMRES on the direct apply: the lattice path is off
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.05)
         dense = solve_cloud(med, cloud, Z_HAT)
-        assert dense.solver == "lu"
+        assert dense.solver == "dense"
         monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
         krylov = solve_cloud(med, cloud, Z_HAT)
         np.testing.assert_allclose(krylov.effective_values, dense.effective_values,
@@ -147,11 +147,11 @@ class TestSolver:
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.729)
         assert len(cloud) == 729
         lattice = solve_cloud(med, cloud, Z_HAT)
-        assert lattice.solver == "lattice_fft" and lattice.rcond is None
+        assert lattice.solver == "lattice_fft"
         assert lattice.iterations > 0 and lattice.residual <= 1e-10
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         dense = solve_cloud(med, cloud, Z_HAT)
-        assert dense.solver == "lu"
+        assert dense.solver == "dense"
         np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
 
     def test_linearity_in_incident_field(self):
@@ -165,8 +165,9 @@ class TestSolver:
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
     @pytest.mark.parametrize("kind,m,solver", [
-        ("impedance", 80, "lu"), ("impedance", 100, "lattice_fft"), ("impedance", 512, "lattice_fft"),
-        ("hard", 20, "lu"), ("hard", 25, "lattice_fft"), ("hard", 125, "lattice_fft")])
+        ("impedance", 80, "dense"), ("impedance", 100, "lattice_fft"),
+        ("impedance", 512, "lattice_fft"), ("hard", 20, "dense"), ("hard", 25, "lattice_fft"),
+        ("hard", 125, "lattice_fft")])
     def test_lattice_path_from_the_measured_crossover(self, kind, m, solver):
         # free builder lattices on both sides of 100 unknowns: M or 4M
         med = free_medium()
@@ -181,12 +182,12 @@ class TestSolver:
     @pytest.mark.parametrize("kind,unknowns_per_particle", [("impedance", 1), ("hard", 4)])
     def test_dense_cap_counts_unknowns(self, monkeypatch, kind, unknowns_per_particle):
         # with a cap of 100 unknowns, 100 impedance or 25 hard particles
-        # factor and one particle more takes GMRES on the direct apply
+        # store the matrix and one particle more takes GMRES on the direct apply
         monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 100)
         med = free_medium()
         centers = np.random.default_rng(4).uniform(0.1, 0.9, size=(101, 3))
         last_dense = 100 // unknowns_per_particle
-        for m, solver in ((last_dense, "lu"), (last_dense + 1, "gmres")):
+        for m, solver in ((last_dense, "dense"), (last_dense + 1, "gmres")):
             c = centers[:m]
             cloud = (ball_cloud(c, a=1e-4, h=1.0) if kind == "impedance" else
                      ParticleCloud(centers=c, a=1e-4, kind="hard", beta=-1.5 * np.eye(3)))
@@ -267,11 +268,11 @@ class TestNonFreeLattice:
         with monkeypatch.context() as patch:
             patch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
             fast = solve_cloud(med, cloud, Z_HAT)
-        assert fast.solver == solver and fast.rcond is None
+        assert fast.solver == solver
         assert fast.iterations > 0 and fast.residual <= 1e-10
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         dense = solve_cloud(n0_ball_medium(), cloud, Z_HAT)
-        assert dense.solver == "lu"
+        assert dense.solver == "dense"
         np.testing.assert_allclose(fast.effective_values, dense.effective_values, rtol=1e-9)
         pairs = [(fast.effective_values, dense.effective_values)]
         if cloud.kind == "hard":  # normwise: the transverse components are small
@@ -338,8 +339,8 @@ class TestNonFreeLattice:
     def test_matrix_free_solve_past_the_grid_cap_exits_4(self, monkeypatch, tmp_path):
         # the one refusal left: past the dense cap, a matrix-free solve whose
         # |supp q0| = 136 exceeds DENSE_GRID_CAP has no grid LU for its
-        # correction; at the dense cap the same cloud factors M (1 + 3 order)
-        # unknowns, its grid solves running GMRES
+        # correction; at the dense cap the same cloud stores its M (1 + 3 order)
+        # unknowns' matrix, its grid solves running GMRES
         for module in (foldy_impedance, medium):
             monkeypatch.setattr(module, "DENSE_GRID_CAP", 135)
         cloud = off_lattice_scene_cloud("hard")
@@ -353,7 +354,7 @@ class TestNonFreeLattice:
         error = json.loads((out / "error.json").read_text())
         assert error["error_type"] == "SolverFailure" and error["exit_code"] == 4
         monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 480)
-        assert solve_cloud(n0_ball_medium(), cloud, Z_HAT).solver == "lu"
+        assert solve_cloud(n0_ball_medium(), cloud, Z_HAT).solver == "dense"
 
 
 class TestSystemMatrix:

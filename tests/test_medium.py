@@ -618,6 +618,26 @@ class TestLattice:
             assert len(box_sums) == 1
             assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
 
+    def test_off_lattice_far_field_does_not_depend_on_the_chunk_budget(self, monkeypatch):
+        # M = 2800 random centres step 23 directions at 2^16 entries, and
+        # 32 x 64 = 89 x 23 + 1: the last direction joins the chunk before
+        # it, so every amplitude is one matrix-vector product as in one chunk
+        med = BackgroundMedium(1.3, Grid((0, 0, 0), (1, 1, 1), (4, 4, 4)))
+        rng = np.random.default_rng(12)
+        m = 2800
+        centers = rng.uniform(size=(m, 3))
+        assert lattice_of(centers) is None
+        q = rng.normal(size=m) + 1j * rng.normal(size=m)
+        p = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+        betas = DirectionGrid(32, 64).vectors()
+        assert len(betas) % (2 ** 16 // m) == 1
+        for dipoles in (None, p):
+            sums = []
+            for budget in (2 ** 16, 2 ** 30):
+                monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
+                sums.append(med.amplitude(betas, None, centers, q, dipoles))
+            assert np.array_equal(*sums)
+
     def test_off_lattice_far_field_sum_is_chunked(self, monkeypatch):
         # 32 x 64 directions at M = 5000 would form a 164 MB phase table at
         # once; chunks of CHUNK_ENTRIES entries bound it at any M
@@ -900,8 +920,9 @@ class TestLapackAndGmres:
         assert all(np.array_equal(x, y) for x, y in zip(bound, fallback))
 
     def test_without_lapacke_or_scipy_a_dense_solve_exits_4(self, rebound, monkeypatch, tmp_path):
-        # a numpy on another BLAS in an environment without scipy: the dense
-        # LU fails as a solver failure, which the CLI reports, not a traceback
+        # a numpy on another BLAS in an environment without scipy: the grid
+        # LU of a non-free background fails as a solver failure, which the CLI
+        # reports, not a traceback; a free-background solve needs no LAPACK
         import ctypes
         import json
         from pathlib import Path
@@ -915,12 +936,17 @@ class TestLapackAndGmres:
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)
         with pytest.raises(SolverFailure, match="scipy.linalg cannot be imported"):
             medium._lapack()
-        scene = Path(__file__).resolve().parent.parent / "scenes" / "single_hard_ball.json"
+        scenes = Path(__file__).resolve().parent.parent / "scenes"
         out = tmp_path / "out"
+        scene = scenes / "hard_cloud_n0_ball_off_lattice.json"
         assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == cli.EXIT_SOLVER
         error = json.loads((out / "error.json").read_text())
         assert error["error_type"] == "SolverFailure" and error["exit_code"] == 4
         assert not (out / "metadata.json").exists()
+        free = tmp_path / "free"
+        scene = scenes / "single_hard_ball.json"
+        assert cli.main(["solve", "--scene", str(scene), "--out", str(free)]) == 0
+        assert json.loads((free / "metadata.json").read_text())["solver"] == "dense"
 
     def test_first_call_logs_the_lapack_source(self, rebound, monkeypatch, caplog):
         import ctypes
