@@ -3,11 +3,11 @@
 Both species reduce to one linear system in per-particle unknowns whose
 coefficients are the background Green function and its derivatives; only
 the local map from a particle's field to its sources differs (FoldySystem).
-The pipeline here -- validate, incident data, GMRES on the stored matrix
-or on the matrix-free operator (free pairs by lattice FFT or row chunks,
-plus the grid's low-rank volume correction in a non-free background),
-far-zone guard, field, amplitudes -- serves both; foldy_neumann holds the
-physics of the hard species.
+The pipeline here -- validate, incident data, GMRES on the system's one
+operator (free pairs by lattice FFT, by the stored free kernel or by row
+chunks, plus the grid's low-rank volume correction in a non-free
+background), far-zone guard, field, amplitudes -- serves both;
+foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -27,9 +27,9 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (CHUNK_ENTRIES, DENSE_GRID_CAP, BackgroundMedium, ComplexField,
-                     _embedding_spectrum, _kernel_chunks, _kernel_planes, _kernel_sum, _norm,
-                     _solve_checked, _toeplitz_apply, _unit, _zero_diagonal, lattice_of)
+from .medium import (DENSE_GRID_CAP, BackgroundMedium, ComplexField, _embedding_spectrum,
+                     _kernel_matrix, _kernel_planes, _kernel_sum, _norm, _solve_checked,
+                     _toeplitz_apply, _unit, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -37,7 +37,7 @@ logger = logging.getLogger(__name__)
 
 # path sizing of the system of either species, counted in unknowns
 # M (1 + 3 order) (measured crossovers; README "Numerical choices")
-DENSE_MAX_UNKNOWNS = 4000    # the stored matrix() up to this many
+DENSE_MAX_UNKNOWNS = 4000    # the stored free kernel up to this many
 LATTICE_MIN_UNKNOWNS = 100   # lattice clouds take the lattice FFT operator from here
 
 
@@ -85,42 +85,18 @@ class FoldySystem:
         else:
             self.order, self.q, self.vb = 0, -coupling_constants(cloud), np.zeros((0, 0))
 
-    def matrix(self) -> np.ndarray:
-        """I - K diag(q, -vb) over all pairs; order 0: I - G diag(q).
-
-        Built in place: the volume correction T^T W of a non-free background
-        (BackgroundMedium.volume_factors; zeros when q0 = 0) is one product,
-        the free kernel minus it is formed in its place a chunk of rows at a
-        time (medium._kernel_chunks), and the per-particle blocks are zeroed.
-        The stacked columns are then scaled: the monopole columns by -q, and
-        each dipole column triple by vb, one matmul over a chunk of rows at
-        a time.
-        """
-        m, order = len(self.centers), self.order
-        factors = self.medium.volume_factors(self.centers, order)
-        n = m * (1 + 3 * order)
-        a = np.zeros((n, n), dtype=complex) if factors is None else factors[0].T @ factors[1]
-        for rows, slab in _kernel_chunks(self.centers, self.medium.k, (order, order)):
-            np.subtract(slab, a[rows], out=a[rows])  # K = free kernel - T^T W
-        _zero_diagonal(a, 0, order)
-        a[:, :m] *= -self.q
-        if order:
-            step = max(1, CHUNK_ENTRIES // (16 * m))  # temporaries of one kernel plane
-            for s in range(0, len(a), step):
-                d = a[s:s + step, m:]
-                d[...] = (d.reshape(-1, 3) @ self.vb).reshape(d.shape)
-        a[np.diag_indices_from(a)] += 1.0
-        return a
-
-    def operator(self, lattice=None):
-        """v -> matrix() @ v without the matrix: v - K s for the sources
-        s = [q u; -vb grad u].  The free pairs run by FFT for centres on
-        ``lattice`` (LatticeConvolution), else a row chunk at a time
-        (medium._kernel_sum).  A non-free background adds its volume
-        correction V s = T^T (W s) less the exact per-particle blocks
-        (1 x 1, or 4 x 4 at order 1) that the zero diagonal drops; forming
-        (T, W) (BackgroundMedium.volume_factors) factors the grid and keeps
-        the centres' support table for the incident column."""
+    def operator(self, lattice=None, stored=False):
+        """v -> v - K s for the sources s = [q u; -vb grad u], K the
+        background pair kernel with the paper's zero diagonal.  The free
+        pairs K s run by one of three engines: by FFT for centres on
+        ``lattice`` (LatticeConvolution), by the free kernel stored once when
+        ``stored`` (medium._kernel_matrix), else a row chunk at a time
+        (medium._kernel_sum); the last two give the same bits.  A non-free
+        background adds its volume correction V s = T^T (W s) less the exact
+        per-particle blocks (1 x 1, or 4 x 4 at order 1) that the zero
+        diagonal drops; forming (T, W) (BackgroundMedium.volume_factors)
+        factors the grid and keeps the centres' support table for the
+        incident column."""
         k, m, order = self.medium.k, len(self.centers), self.order
         factors = self.medium.volume_factors(self.centers, order)
         if factors is not None:
@@ -130,15 +106,18 @@ class FoldySystem:
             at = at[:, :1 + 3 * order]
             blocks = np.einsum("zja,zjb->jab", t[:, at], w[:, at])
         conv = None if lattice is None else LatticeConvolution(lattice, k, order)
+        table = _kernel_matrix(self.centers, k, (order, order)) if stored and conv is None else None
 
         def apply(vec):
             dipoles = self.vb @ vec[m:].reshape(m, 3 * order).T  # (3 order, M)
             s = np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)])
-            if conv is None:
-                out = vec - _kernel_sum(self.centers, k, (order, order), s)
-            else:
+            if conv is not None:
                 pairs = conv(np.vstack([s[:m], dipoles]))  # -K s, component-major
                 out = vec + np.concatenate([pairs[0], pairs[1:].T.reshape(-1)])
+            elif table is not None:
+                out = vec - table @ s
+            else:
+                out = vec - _kernel_sum(self.centers, k, (order, order), s)
             if factors is not None:  # K = free kernel - V: -K s gains V s
                 v = t.T @ (w @ s)
                 v[at] -= np.einsum("jab,jb->ja", blocks, s[at])
@@ -219,13 +198,14 @@ def _solve_system(system, incident):
 
     Sized in unknowns n = M (1 + 3 order): a cloud on one lattice with
     n >= LATTICE_MIN_UNKNOWNS is applied by the operator's lattice FFT
-    ("lattice_fft"), any other by the stored matrix() while
-    n <= DENSE_MAX_UNKNOWNS ("dense") and by the operator's row chunks
-    beyond ("gmres").  Past DENSE_MAX_UNKNOWNS, |supp q0| must fit the grid
-    LU (DENSE_GRID_CAP) that the volume correction solves with.  incident()
-    is called once the matrix or operator is formed, which in a non-free
-    background factors the grid and keeps the centres' support table for
-    it.  Returns (solution, residual, iterations, solver).
+    ("lattice_fft"), any other by its stored free kernel while
+    n <= DENSE_MAX_UNKNOWNS ("dense") and by its row chunks beyond
+    ("gmres"); the last two give the same bits.  Past DENSE_MAX_UNKNOWNS,
+    |supp q0| must fit the grid LU (DENSE_GRID_CAP) that the volume
+    correction solves with.  incident() is called once the operator is
+    formed, which in a non-free background factors the grid and keeps the
+    centres' support table for it.  Returns (solution, residual,
+    iterations, solver).
     """
     what = f"{system.kind} system"
     m = len(system.centers)
@@ -237,11 +217,9 @@ def _solve_system(system, incident):
             f"unknowns, and |supp q0| = {support} grid nodes exceeds the {DENSE_GRID_CAP} "
             "that a matrix-free solve factors")
     lattice = lattice_of(system.centers) if n >= LATTICE_MIN_UNKNOWNS else None
-    if lattice is None and n <= DENSE_MAX_UNKNOWNS:
-        a = system.matrix()
-        apply, solver = (lambda x: a @ x), "dense"
-    else:
-        apply, solver = system.operator(lattice), "gmres" if lattice is None else "lattice_fft"
+    stored = lattice is None and n <= DENSE_MAX_UNKNOWNS
+    solver = "lattice_fft" if lattice is not None else "dense" if stored else "gmres"
+    apply = system.operator(lattice, stored)
     logger.debug("%s: GMRES (%s), M = %d", what, solver, m)
     return (*_solve_checked(apply, incident(), what), solver)
 

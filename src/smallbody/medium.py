@@ -364,12 +364,12 @@ def _kernel_chunks(x, k, orders, y=None):
     orders = (ox, oy): the rows hold [g; grad_x g] when ox is 1, else g,
     and the columns [g | grad_y g] when oy is 1, else g; with both, the
     lower-right block is d^2 g / dx dy, all in the stacked layout of
-    FoldySystem.matrix.  The kernel is formed for c points of x at a time,
-    at most CHUNK_ENTRIES entries (_row_chunks), and yielded as the slab of
-    their values (c, m (1 + 3 oy)) and, when ox is 1, of their derivatives
-    (3c, m (1 + 3 oy)); rows is the slice of the slab on the stacked row
-    axis of all of x.  Each entry has the bits of _kernel_planes at every
-    chunk size.
+    FoldySystem's unknowns.  The kernel is formed for c points of x at a
+    time, at most CHUNK_ENTRIES entries (_row_chunks), and yielded as the
+    slab of their values (c, m (1 + 3 oy)) and, when ox is 1, of their
+    derivatives (3c, m (1 + 3 oy)); rows is the slice of the slab on the
+    stacked row axis of all of x.  Each entry has the bits of
+    _kernel_planes at every chunk size.
     """
     ox, oy = orders
     n, m = len(x), len(x if y is None else y)
@@ -391,6 +391,16 @@ def _kernel_chunks(x, k, orders, y=None):
         yield slice(s, stop), block[:c]
         if ox:
             yield slice(n + 3 * s, n + 3 * stop), block[c:]
+
+
+def _kernel_matrix(x, k, orders, y=None):
+    """The slabs of _kernel_chunks(x, k, orders, y) written into one array:
+    the stored kernel, whose product with w has the bits of _kernel_sum."""
+    n, m = len(x) * (1 + 3 * orders[0]), len(x if y is None else y) * (1 + 3 * orders[1])
+    out = np.empty((n, m), dtype=complex)
+    for rows, slab in _kernel_chunks(x, k, orders, y):
+        out[rows] = slab
+    return out
 
 
 def _kernel_sum(x, k, orders, w, y=None):
@@ -926,11 +936,7 @@ class BackgroundMedium:
         transpose holds the target rows [g(p_i, z); grad_x g(p_i, z)]: g
         depends on y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
         """
-        z = self.grid.nodes[self._support]
-        table = np.empty((len(z), len(pts) * (1 + 3 * order)), dtype=complex)
-        for rows, slab in _kernel_chunks(z, self.k, (0, order), pts):
-            table[rows] = slab
-        return table
+        return _kernel_matrix(self.grid.nodes[self._support], self.k, (0, order), pts)
 
     def _support_table(self, pts, order):
         """_node_columns(pts, order), kept until a table of other points
@@ -958,8 +964,8 @@ class BackgroundMedium:
         most |S| = |supp q0|: T is the support table of x (_support_table,
         kept), the stacked columns of x at the nodes of S, and W = D B^-1 T,
         B the grid operator on S and D = diag(q0_S) delta^3.  Rows and
-        columns of T^T W are stacked as those of FoldySystem.matrix.  The
-        grid solve takes the |S| columns of the identity, whose D B^-1 then
+        columns of T^T W are stacked as FoldySystem's unknowns.  The grid
+        solve takes the |S| columns of the identity, whose D B^-1 then
         multiplies T, when 2|S| < c for the c columns of T, and T itself
         otherwise.  With the LU residual check, the identity route costs
         2|S|^3 + |S|^2 c against 2|S|^2 c, and holds 3|S|^2 entries against

@@ -245,12 +245,6 @@ def _place(medium, density, a, weight, cell_size):
     total = sum(c[2] for c in cells)
     if total > M_CAP:
         raise InfeasibleDesign(f"M = {total} exceeds the desk-scale cap {M_CAP}")
-    # the densest cell bounds the sublattice spacing b/s from below
-    for cell_idx, _, n_c, _ in cells:
-        if n_c > 0 and b / np.ceil(n_c ** (1.0 / 3.0)) < SPACING_FACTOR * a * (1 - 1e-12):
-            raise InfeasibleDesign(
-                f"cell {cell_idx} needs {n_c} particles in side {b:.3g}: spacing "
-                f"< {SPACING_FACTOR}a = {SPACING_FACTOR * a:.3g}")
     all_pts = []
     discrepancy = 0.0
     for cell_idx, cell_lo, n_c, mass in cells:

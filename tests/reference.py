@@ -67,7 +67,7 @@ def free_kernel_hess_xy(x, y, k):
 def split_stacked(stack, order=0) -> list:
     """The blocks [K] (order 0), [K, grad_x K, grad_y K] (n,m,3) (order 1)
     and d^2 K / dx_q dy_p (n,m,3,3) [q,p] (order 2) of a stacked kernel in
-    the layout of FoldySystem.matrix and medium._kernel_chunks, as views."""
+    the layout of FoldySystem's unknowns and medium._kernel_chunks, as views."""
     if order == 0:
         return [stack]
     n, m = stack.shape[0] // 4, stack.shape[1] // 4
@@ -112,9 +112,10 @@ def green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
 
 
 def foldy_matrix(system) -> np.ndarray:
-    """FoldySystem.matrix() assembled from green_blocks: I - G diag(q)
-    (order 0), or the 4M x 4M hard system with its blocks scaled by -q and
-    multiplied by vb one block at a time."""
+    """The dense system I - K diag(q, -vb) that FoldySystem.operator applies,
+    assembled from green_blocks: I - G diag(q) (order 0), or the 4M x 4M
+    hard system with its blocks scaled by -q and multiplied by vb one block
+    at a time."""
     m, mq = len(system.centers), -system.q
     blocks = green_blocks(system.medium, system.centers, order=2 * system.order)
     if system.order:

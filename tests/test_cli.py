@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import smallbody
-from smallbody import cli
+from smallbody import cli, foldy_impedance
 from smallbody.cli import main
 from smallbody.designer import choose_h_N
 from reference import scene_command
@@ -64,6 +64,24 @@ class TestSolve:
         k, a = 1.0, 0.05
         expected = (k ** 2 * a ** 3 / 3) * (1.5 * np.cos(theta) - 1.0)
         assert np.abs(amp - expected).max() <= 3 * k * a * np.abs(expected).max()
+
+    def test_off_lattice_scene_is_the_same_on_the_stored_kernel_and_row_chunks(
+            self, tmp_path, monkeypatch):
+        # the shipped non-free off-lattice scene takes the stored free kernel
+        # ("dense"), and with a dense cap of 0 its row chunks ("gmres"): the
+        # same output files, byte for byte, and the same iterations
+        scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
+        outs, metas = [], []
+        for cap, solver in ((foldy_impedance.DENSE_MAX_UNKNOWNS, "dense"), (0, "gmres")):
+            monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+            code, out = run(tmp_path / solver, "solve", scene_path=scene)
+            assert code == 0
+            metas.append(json.loads((out / "metadata.json").read_text()))
+            assert metas[-1]["solver"] == solver
+            outs.append(out)
+        assert metas[0]["iterations"] == metas[1]["iterations"]
+        for name in ("solution.json", "field.csv", "farfield.csv", "centers.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_non_free_lattice_cloud_past_the_dense_cap(self, tmp_path):
         # 5000 impedance particles on one lattice in an n0 ball: past the
@@ -390,7 +408,7 @@ def test_dense_lu_runs_map_one_openblas(tmp_path, scene):
 
 
 def test_study_is_byte_identical_over_blas_threads(tmp_path):
-    # every particle system of the study runs GMRES on its stored matrix,
+    # every particle system of the study runs GMRES on its stored free kernel,
     # whose matrix-vector products keep their bits at any OpenBLAS thread
     # count (a dense LU's did not)
     outs = [tmp_path / threads for threads in ("1", "2")]
@@ -559,6 +577,16 @@ class TestValidate:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["passive"] is True and rep["cloud"]["flags"] == []
+
+    def test_medium_within_the_passivity_tolerance_reports_passive(self, tmp_path):
+        # k = 10, n0 = 1 - 5e-16i: Im q0 = 5e-14 is within the medium's
+        # 1e-14 k^2, so every command accepts the medium and validate calls it
+        # passive
+        scene = base_scene(medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 6,
+                                   "k": 10.0, "n0": {"re": 1.0, "im": -5e-16}})
+        code, out = run(tmp_path, "validate", scene_dict=scene)
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["passive"] is True
 
     @pytest.mark.parametrize("section,value", [
         ("limit", {"p": 0.0}), ("directions", {"n_theta": 8, "n_phi": 16})])

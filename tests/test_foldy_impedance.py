@@ -116,17 +116,23 @@ class TestSolver:
         assert np.abs(res.charges).max() / bound <= 1 + 1e-10
 
     def test_gmres_matches_dense(self, monkeypatch):
-        # the stored matrix against GMRES on the direct apply: the lattice path is off
+        # the stored free kernel against its row chunks, to the bit, on a
+        # builder lattice and on the shipped off-lattice scene's centres, in
+        # a free background and in an n0 ball: the lattice path is off
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
-        med = free_medium()
-        cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.05)
-        dense = solve_cloud(med, cloud, Z_HAT)
-        assert dense.solver == "dense"
-        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
-        krylov = solve_cloud(med, cloud, Z_HAT)
-        np.testing.assert_allclose(krylov.effective_values, dense.effective_values,
-                                   rtol=1e-8)
-        assert krylov.iterations > 0 and krylov.solver == "gmres"
+        cap = foldy_impedance.DENSE_MAX_UNKNOWNS
+        clouds = (build_cloud_impedance(free_medium(), a=1e-3, h_field=1.0, N_field=0.05),
+                  off_lattice_scene_cloud("impedance"))
+        for med in (free_medium(), n0_ball_medium()):
+            for cloud in clouds:
+                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+                dense = solve_cloud(med, cloud, Z_HAT)
+                assert dense.solver == "dense"
+                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+                krylov = solve_cloud(med, cloud, Z_HAT)
+                assert krylov.iterations > 0 and krylov.solver == "gmres"
+                assert (krylov.iterations, krylov.residual) == (dense.iterations, dense.residual)
+                assert np.array_equal(krylov.effective_values, dense.effective_values)
 
     def test_lattice_fft_apply_matches_direct_apply(self):
         # a full 10 x 20 x 20 builder lattice; the pair part of both applies
@@ -223,18 +229,19 @@ def off_lattice_scene_cloud(kind):
 
 
 class TestNonFreeLattice:
-    """Clouds in an n0 ball: the matrix-free operator (free pairs by lattice
-    FFT or by row chunks) plus the grid's low-rank volume correction,
-    against the dense system."""
+    """Clouds in an n0 ball: the operator (free pairs by lattice FFT, by the
+    stored free kernel or by row chunks) plus the grid's low-rank volume
+    correction, against the dense system."""
 
     @pytest.mark.parametrize("kind,n,by_identity", [
         ("impedance", 5, False), ("impedance", 9, True), ("hard", 3, False), ("hard", 5, True)])
     def test_apply_equals_the_dense_matrix(self, kind, n, by_identity):
         # both routes of the correction's grid solve (2|S| < c and 2|S| >= c
         # for c = M (1 + 3 order) columns), with the free pairs by lattice
-        # FFT and, for the centres moved off their lattice, by row chunks;
-        # the dense matrix has the paper's zero diagonal, so this pins the
-        # subtracted per-particle blocks
+        # FFT and, for the centres moved off their lattice, by the stored
+        # kernel and by row chunks; the block-built dense matrix has the
+        # paper's zero diagonal, so this pins the subtracted per-particle
+        # blocks
         med = n0_ball_medium()
         rng = np.random.default_rng(6)
         for off_lattice in (False, True):
@@ -245,9 +252,10 @@ class TestNonFreeLattice:
             unknowns = len(cloud) * (1 + 3 * system.order)
             assert (2 * np.count_nonzero(med.q0) < unknowns) == by_identity
             v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
-            want = system.matrix() @ v
-            got = system.operator(lattice)(v)
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            want = foldy_matrix(system) @ v
+            for stored in ((False,) if lattice else (True, False)):
+                got = system.operator(lattice, stored)(v)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", ["impedance", "hard", "impedance_off_lattice",
                                       "hard_off_lattice"])
@@ -362,12 +370,12 @@ class TestSystemMatrix:
     @pytest.mark.parametrize("background", ["free", "n0_ball"])
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_matrix_equals_block_built_reference(self, monkeypatch, kind, background, chunk):
-        # the stacked in-place build against today's block formula, to the
-        # bit: random centres, centres that share coordinates (exact zero
-        # offsets) and a general beta; small chunks cut the kernel planes and
-        # the vb products into several row blocks
+        # the operator's columns on the stored free kernel and on its row
+        # chunks, the same bits, against the block-built dense matrix:
+        # random centres, centres that share coordinates (exact zero offsets)
+        # and a general beta; small chunks cut the kernel planes into several
+        # row blocks
         monkeypatch.setattr(medium, "CHUNK_ENTRIES", chunk)
-        monkeypatch.setattr(foldy_impedance, "CHUNK_ENTRIES", chunk)
         grid = Grid((0, 0, 0), (1, 1, 1), (6, 6, 6))
         med = (BackgroundMedium(1.2, grid) if background == "free" else BackgroundMedium(
             1.2, grid, n0=lambda z: np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)))
@@ -381,7 +389,12 @@ class TestSystemMatrix:
             else:
                 cloud = ball_cloud(centers, a=0.01, h=1.0 - 0.5j)
             system = FoldySystem(med, cloud)
-            assert np.array_equal(system.matrix(), foldy_matrix(system))
+            want = foldy_matrix(system)
+            eye = np.eye(len(want), dtype=complex)
+            stored, chunks = (np.column_stack([system.operator(stored=engine)(e) for e in eye])
+                              for engine in (True, False))
+            assert np.array_equal(stored, chunks)
+            assert np.abs(stored - want).max() <= 1e-13 * np.abs(want - eye).max()
 
 
 class TestEvaluateField:

@@ -1,6 +1,8 @@
 """Hard-particle (Neumann) many-body solver tests."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from reference import free_kernel, free_kernel_grad_y, green_blocks
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 C3 = 4 * np.pi / 3
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def free_medium(k=1.0, n=4):
@@ -140,7 +143,7 @@ class TestCoupledSystem:
     @pytest.mark.parametrize("background", ["free", "ball"])
     def test_beta_zero_is_the_impedance_cloud_of_coupling_minus_q(self, monkeypatch, background):
         # both species radiate Q = q u_e: without a dipole the hard values solve
-        # the impedance system of c = -q (the stored matrix on both sides); the
+        # the impedance system of c = -q (the stored free kernel on both sides); the
         # two GMRES solves run to a residual of 1e-12 to meet rtol=1e-12
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         monkeypatch.setattr(medium, "RESIDUAL_TOL", 1e-12)
@@ -282,9 +285,10 @@ class TestCoupledSystem:
         assert len(solves) == 3 and len(tables) == 1 and not node_sums
 
     def test_dense_matrix_peak_memory(self):
-        # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes,
-        # built in place: the traced peak of matrix(), with the grid LU already
-        # factored, stays within 2.5 times the matrix
+        # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes:
+        # the traced peak of forming its operator on the stored free kernel,
+        # with the grid LU already factored, stays within 2.5 times the
+        # stored (4M, 4M) kernel
         med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
             np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
         cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
@@ -293,11 +297,11 @@ class TestCoupledSystem:
         med._factorization()
         tracemalloc.start()
         try:
-            a = system.matrix()
+            system.operator(stored=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * a.nbytes
+        assert peak <= 2.5 * (4 * 120) ** 2 * np.dtype(complex).itemsize
 
     def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
         # equivalent sources against the Green-block sum and the reciprocity
@@ -403,16 +407,25 @@ class TestScaleLaw:
                                    rtol=1e-8, atol=1e-10 * scale)
 
     def test_matrix_free_matches_dense(self, monkeypatch):
-        # the stored matrix against GMRES on the direct apply: the lattice path is off
+        # the stored free kernel against its row chunks, to the bit, on a
+        # builder lattice and on the shipped off-lattice scene's centres, in
+        # a free background and in an n0 ball: the lattice path is off
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
-        med = free_medium()
-        cloud = build_cloud_hard(med, a=8e-3, nu_field=2e-4, beta=ball_polarizability())
-        dense = solve_cloud(med, cloud, Z_HAT)
-        assert dense.solver == "dense"
-        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
-        krylov = solve_cloud(med, cloud, Z_HAT)
-        assert krylov.iterations > 0 and krylov.solver == "gmres"
-        np.testing.assert_allclose(krylov.effective_values, dense.effective_values, rtol=1e-8)
-        scale = np.abs(dense.effective_gradients).max()
-        np.testing.assert_allclose(krylov.effective_gradients, dense.effective_gradients,
-                                   rtol=1e-7, atol=1e-10 * scale)
+        cap = foldy_impedance.DENSE_MAX_UNKNOWNS
+        scene = json.loads((SCENES / "hard_cloud_n0_ball_off_lattice.json").read_text())
+        clouds = (build_cloud_hard(free_medium(), a=8e-3, nu_field=2e-4,
+                                   beta=ball_polarizability()),
+                  hard_cloud(np.array(scene["cloud"]["centers"]), a=0.01))
+        ball = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
+            np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
+        for med in (free_medium(), ball):
+            for cloud in clouds:
+                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+                dense = solve_cloud(med, cloud, Z_HAT)
+                assert dense.solver == "dense"
+                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+                krylov = solve_cloud(med, cloud, Z_HAT)
+                assert krylov.iterations > 0 and krylov.solver == "gmres"
+                assert (krylov.iterations, krylov.residual) == (dense.iterations, dense.residual)
+                assert np.array_equal(krylov.effective_values, dense.effective_values)
+                assert np.array_equal(krylov.effective_gradients, dense.effective_gradients)

@@ -30,7 +30,7 @@ from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
 from reference import (foldy_matrix, free_kernel, free_kernel_grad_y, free_kernel_hess_xy,
                        free_kernels, green_blocks, green_potential_grid, lemma_bounds_check,
-                       trilinear_interpolate, u0_grid)
+                       split_stacked, trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
 
@@ -146,9 +146,9 @@ class TestPairDistances:
 
 
 class TestChunkBudget:
-    """Kernel tables, kernel sums, the system matrix and the direct apply
-    have the same bits at every chunk budget, and the tables and matrices
-    those of the whole-table reference."""
+    """Kernel tables, kernel sums and the Foldy operator on its stored kernel
+    and on its row chunks have the same bits at every chunk budget, and the
+    tables those of the whole-table reference."""
 
     @staticmethod
     def ball(z):
@@ -183,7 +183,7 @@ class TestChunkBudget:
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_kernel_sums_do_not_depend_on_the_chunk_budget(self, monkeypatch):
-        # each row of a kernel sum has the bits of the whole table's
+        # each row of a kernel sum has the bits of the stored kernel's
         # matrix-vector product: with 300 centres and the derivatives of both
         # sides a 2^16 budget steps 13 rows, and 300 = 23 * 13 + 1 once left
         # a last slab of one row, whose product BLAS sums as a dot product
@@ -194,39 +194,40 @@ class TestChunkBudget:
             w = np.array([1.0, 1j]) @ rng.normal(size=(2, 300 * (1 + 3 * orders[1])))
             for x, y in ((centers, None), (probes, centers)):
                 monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 30)  # one slab per part
-                whole = np.empty((len(x) * (1 + 3 * orders[0]), len(w)), dtype=complex)
-                for rows, slab in medium._kernel_chunks(x, 1.3, orders, y):
-                    whole[rows] = slab
-                want = whole @ w
+                want = medium._kernel_matrix(x, 1.3, orders, y) @ w
                 for budget in (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18):
                     monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
                     assert np.array_equal(medium._kernel_sum(x, 1.3, orders, w, y), want)
 
     @pytest.mark.parametrize("background", ["free", "n0_ball"])
     def test_kernels_do_not_depend_on_the_chunk_budget(self, monkeypatch, background):
-        # 300 centres of either species: a whole (300, 300) kernel plane is
-        # past numpy's 256 KiB temporary-elision size, where a product of an
-        # unnamed factor once took other bits than the same product in a
-        # small chunk
+        # 300 centres: a whole (300, 300) kernel plane is past numpy's
+        # 256 KiB temporary-elision size, where a product of an unnamed factor
+        # once took other bits than the same product in a small chunk; the
+        # stored pair kernels, the support tables and the hard system's
+        # operator on both of its off-lattice engines
         rng = np.random.default_rng(21)
         centers = rng.uniform(0.05, 0.95, size=(300, 3))
         hard = ParticleCloud(centers=centers, a=1e-3, kind="hard", beta=rng.normal(size=(3, 3)))
-        clouds = [ParticleCloud(centers=centers, a=1e-3, kind="impedance",
-                                zeta=h_to_impedance(np.full(300, 1.0 - 0.5j), 1e-3)), hard]
         vec = rng.normal(size=1200) + 1j * rng.normal(size=1200)
         first = None
         for budget in (2 ** 10, 2 ** 14, 2 ** 16, 2 ** 18):
             monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
             # a new medium per budget: no table kept from another budget
             med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else self.ball)
-            tables = [FoldySystem(med, cloud).matrix() for cloud in clouds]
+            tables = [medium._kernel_matrix(centers, med.k, (order, order)) for order in (0, 1)]
             tables += [med._node_columns(centers, order) for order in (0, 1)]
-            tables.append(FoldySystem(med, hard).operator()(vec))
+            tables += [FoldySystem(med, hard).operator(stored=stored)(vec)
+                       for stored in (False, True)]
             if first is None:
                 first = tables
             assert all(np.array_equal(a, b) for a, b in zip(tables, first))
-        for cloud, got in zip(clouds, tables):
-            assert np.array_equal(got, foldy_matrix(FoldySystem(med, cloud)))
+        for order in (0, 1):  # the stored kernel is the free pair kernel, zero diagonal
+            ref = np.empty_like(tables[order])
+            blocks = green_blocks(make_medium(k=1.3, n=6), centers, order=2 * order)
+            for view, block in zip(split_stacked(ref, 2 * order), blocks):
+                view[...] = block
+            assert np.array_equal(tables[order], ref)
         for order in (0, 1):
             g, *grad = free_kernels(med.grid.nodes[med._support], centers, med.k, order)
             ref = np.concatenate([g, *(d.reshape(len(g), 900) for d in grad)], axis=1)
@@ -237,10 +238,7 @@ class TestChunkBudget:
         system = FoldySystem(med, hard)
         src = np.concatenate([system.q * vec[:300], -(vec[300:].reshape(300, 3) @ system.vb.T)
                               .reshape(-1)])
-        whole = np.empty((1200, 1200), dtype=complex)
-        for rows, slab in medium._kernel_chunks(centers, med.k, (1, 1)):
-            whole[rows] = slab
-        want = vec - whole @ src
+        want = vec - tables[1] @ src
         if background == "n0_ball":  # K = free kernel - V: the operator adds V src
             t, w = med.volume_factors(centers, 1)
             at = np.column_stack([np.arange(300), 300 + np.arange(900).reshape(300, 3)])
@@ -248,7 +246,7 @@ class TestChunkBudget:
             v[at] -= np.einsum("jab,jb->ja", np.einsum("zja,zjb->jab", t[:, at], w[:, at]),
                                src[at])
             want += v
-        assert np.array_equal(tables[-1], want)
+        assert np.array_equal(tables[-2], want) and np.array_equal(tables[-1], want)
 
 
 class TestBackgroundGreen:
@@ -422,7 +420,7 @@ class TestBoxFFT:
             cloud = ParticleCloud(centers=centers, a=0.02, kind="hard",
                                   beta=[[-1.5, 0.2, 0], [0.2, -1.2, 0.1], [0, 0.1, -1.0]])
         system = FoldySystem(med, cloud)
-        a = system.matrix()
+        a = foldy_matrix(system)
         dense = a - np.eye(len(a))
         f = np.random.default_rng(6).normal(size=(len(dense), 2)) @ [1.0, 1j]
         apply = system.operator(lattice)

@@ -69,6 +69,16 @@ class TestImpedanceBuilder:
         with pytest.raises(InfeasibleDesign):
             build_cloud_impedance(unit_cube_medium(), a=1e-5, h_field=1.0, N_field=1e4)
 
+    def test_spacing_within_the_validation_tolerance_is_placed(self):
+        # 27 particles in one unit cell take the 3 x 3 x 3 sites of spacing
+        # 1/3 = (1 - 5e-10) 10a: within validate_cloud's 1e-9, so the builder
+        # places the cloud that validation accepts
+        med = unit_cube_medium(n=4)
+        a = (1 / 3) / (10 * (1 - 5e-10))
+        cloud = build_cloud_impedance(med, a=a, h_field=1.0, N_field=27 * a)
+        assert len(cloud) == 27 and cloud.d < 10 * a
+        assert validate_cloud(cloud, med).ok
+
     def test_infeasible_spacing_names_cell(self):
         with pytest.raises(InfeasibleDesign, match="cell"):
             build_cloud_impedance(unit_cube_medium(), a=3e-2, h_field=1.0, N_field=2.0)
