@@ -283,11 +283,14 @@ def parse_points(scene: dict, medium: BackgroundMedium) -> np.ndarray:
 
 
 def parse_alpha(scene: dict) -> np.ndarray:
-    alpha = np.array(scene["alpha"])
-    nrm = np.linalg.norm(alpha)
-    if nrm == 0:
+    alpha = np.array(scene["alpha"], dtype=float)
+    top = np.abs(alpha).max()
+    if top == 0:
         raise SceneError("scene.alpha: must be nonzero")
-    return alpha / nrm
+    # scaled by the power of two just above the largest component, so that the
+    # norm neither overflows nor underflows and alpha / norm keeps its bits
+    alpha = np.ldexp(alpha, -np.frexp(top)[1])
+    return alpha / np.linalg.norm(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +658,7 @@ def main(argv=None) -> int:
         return fail(exc, EXIT_SCHEMA)
     except (InvariantViolation, InfeasibleDesign, SingularEvaluationError) as exc:
         return fail(exc, EXIT_PHYSICS)
-    except SolverFailure as exc:
+    except (SolverFailure, MemoryError) as exc:
         return fail(exc, EXIT_SOLVER)
     meta["peak_rss_mb"] = _peak_rss_mb()
     meta["minor_page_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults

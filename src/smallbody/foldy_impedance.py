@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class FoldySolveResult:
     """Per-particle effective fields and sources of a solve, with its statistics.
 
     Impedance solves fill ``coupling``; hard solves fill the gradients and
-    dipole moments.
+    dipole moments; non-free solves of a nonempty cloud fill ``volume_weights``.
     """
 
     effective_values: np.ndarray   # u_e(x_m)
@@ -58,6 +59,7 @@ class FoldySolveResult:
     coupling: np.ndarray | None = None              # c_m
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
+    volume_weights: np.ndarray | None = None        # W of the volume factors (T, W)
 
 
 def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
@@ -85,6 +87,23 @@ class FoldySystem:
         else:
             self.order, self.q, self.vb = 0, -coupling_constants(cloud), np.zeros((0, 0))
 
+    @cached_property
+    def factors(self):
+        """(T, W) of the background's volume correction over the centres
+        (BackgroundMedium.volume_factors), formed once, which factors the
+        grid; None in a free background."""
+        return self.medium.volume_factors(self.centers, self.order)
+
+    def incident(self, alpha):
+        """[u0; grad u0 (order 1)](x_m, alpha) at the centres, the system's
+        right-hand side.  A non-free background adds its node sources summed
+        over the centres' support table T, whose factors are formed first, so
+        that u0's grid solve reuses the grid LU."""
+        u = self.medium.radiate(self.centers, alpha, None, order=self.order)
+        if self.factors is not None:
+            u = u + self.medium.source_density(alpha)[self.medium._support] @ self.factors[0]
+        return u
+
     def operator(self, lattice=None, stored=False):
         """v -> v - K s for the sources s = [q u; -vb grad u], K the
         background pair kernel with the paper's zero diagonal.  The free
@@ -92,13 +111,11 @@ class FoldySystem:
         ``lattice`` (LatticeConvolution), by the free kernel stored once when
         ``stored`` (medium._kernel_matrix), else a row chunk at a time
         (medium._kernel_sum); the last two give the same bits.  A non-free
-        background adds its volume correction V s = T^T (W s) less the exact
-        per-particle blocks (1 x 1, or 4 x 4 at order 1) that the zero
-        diagonal drops; forming (T, W) (BackgroundMedium.volume_factors)
-        factors the grid and keeps the centres' support table for the
-        incident column."""
+        background adds its volume correction V s = T^T (W s), (T, W) the
+        system's factors, less the exact per-particle blocks (1 x 1, or
+        4 x 4 at order 1) that the zero diagonal drops."""
         k, m, order = self.medium.k, len(self.centers), self.order
-        factors = self.medium.volume_factors(self.centers, order)
+        factors = self.factors
         if factors is not None:
             t, w = factors
             # the stacked index of component a of particle j, (M, 1 + 3 order)
@@ -128,6 +145,8 @@ class FoldySystem:
 
     def result(self, sol, **stats) -> FoldySolveResult:
         m = len(self.centers)
+        if m and self.factors is not None:  # an empty cloud forms no factors
+            stats.update(volume_weights=self.factors[1])
         ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
         if self.order:
             stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))
@@ -187,8 +206,7 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
     system = FoldySystem(medium, cloud)
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
-    sol, residual, iterations, solver = _solve_system(
-        system, lambda: medium.incident_values(alpha, cloud.centers, system.order))
+    sol, residual, iterations, solver = _solve_system(system, lambda: system.incident(alpha))
     return system.result(sol, alpha=alpha, residual=residual, iterations=iterations,
                          solver=solver)
 
@@ -202,10 +220,8 @@ def _solve_system(system, incident):
     n <= DENSE_MAX_UNKNOWNS ("dense") and by its row chunks beyond
     ("gmres"); the last two give the same bits.  Past DENSE_MAX_UNKNOWNS,
     |supp q0| must fit the grid LU (DENSE_GRID_CAP) that the volume
-    correction solves with.  incident() is called once the operator is
-    formed, which in a non-free background factors the grid and keeps the
-    centres' support table for it.  Returns (solution, residual,
-    iterations, solver).
+    correction solves with, which is checked before incident() is called.
+    Returns (solution, residual, iterations, solver).
     """
     what = f"{system.kind} system"
     m = len(system.centers)
@@ -245,9 +261,29 @@ def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: Pa
                 "the point-particle reduction is not valid there")
     centers, charges = cloud.centers[keep], result.charges[keep]
     dipoles = None if result.dipole_moments is None else result.dipole_moments[keep]
-    density = medium.source_density(result.alpha, centers, charges, dipoles)
+    density = _node_density(result, medium, result.alpha, exclude)
     values = medium.radiate(pts, result.alpha, density, centers, charges, dipoles)
     return ComplexField(points=pts, values=values, incident_direction=result.alpha)
+
+
+def _node_density(result: FoldySolveResult, medium: BackgroundMedium, alpha,
+                  exclude: int | None = None):
+    """The node density -q0 delta^3 (u0 + u_p) of the background field
+    (alpha None: u0 left out) and of the particles' grid field u_p.
+
+    u_p = B^-1 T s for the stacked sources s = [Q; P] (particle ``exclude``
+    zeroed), so its density is -W s, W of the solve's volume factors: no
+    further grid solve.  None in a free background.
+    """
+    density = medium.source_density(alpha)
+    if result.volume_weights is not None:
+        dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
+        s = np.concatenate([result.charges, *dipoles])
+        if exclude is not None:
+            m, order = len(result.charges), len(dipoles)
+            s[[exclude, *range(m + 3 * exclude, m + 3 * (exclude + order))]] = 0.0
+        density[medium._support] -= result.volume_weights @ s
+    return density
 
 
 def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
@@ -259,10 +295,9 @@ def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: Partic
     formed as a small difference.  For a homogeneous background it reduces
     to (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
     """
-    dipoles = result.dipole_moments
-    density = medium.source_density(None, cloud.centers, result.charges, dipoles)
-    return medium.background_amplitude(betas, result.alpha) \
-        + medium.amplitude(betas, density, cloud.centers, result.charges, dipoles)
+    return medium.background_amplitude(betas, result.alpha) + medium.amplitude(
+        betas, _node_density(result, medium, None), cloud.centers, result.charges,
+        result.dipole_moments)
 
 
 def far_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

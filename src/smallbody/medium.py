@@ -679,6 +679,9 @@ class ComplexField:
         self.incident_direction = np.asarray(self.incident_direction, dtype=float).reshape(3)
         if len(self.points) != len(self.values):
             raise InvariantViolation("points and values must have equal length")
+        if not np.all(finite := np.isfinite(self.values)):  # a probe distance overflows, say
+            raise InvariantViolation(
+                f"field is not finite at {np.sum(~finite)} of {len(finite)} points")
         if not abs(np.linalg.norm(self.incident_direction) - 1.0) <= 1e-12:  # False on NaN
             raise InvariantViolation("incident direction must be a unit vector")
 
@@ -715,9 +718,6 @@ class BackgroundMedium:
         self._off_support = np.flatnonzero(self.q0 == 0.0)
         self._u0_cache: dict = {}  # direction -> u0 on S
         self._lu = None
-        # (key, value) of the last support table built and of the last
-        # particle sources' grid field: a solve reads each again
-        self._table = self._particle = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -841,30 +841,18 @@ class BackgroundMedium:
 
     # -- equivalent sources ---------------------------------------------------
 
-    def source_density(self, alpha=None, centers=(), charges=None, dipoles=None):
-        """Node density s = -q0 delta^3 u of the grid field u = u0(., alpha) + u_p.
+    def source_density(self, alpha=None):
+        """Node density s = -q0 delta^3 u0(., alpha) of the background field,
+        zero off S = supp q0; alpha None gives zeros.  None when q0 = 0.
 
-        u_p = sum_m [G(z,x_m) Q_m + grad_y G(z,x_m).P_m] is one grid solve of the
-        combined source column; alpha None leaves u0 out.  None when q0 = 0.
+        A cloud's particle sources s_p add their own density -W s_p, W of
+        their volume factors (volume_factors; foldy_impedance.evaluate_field).
         """
         if self.is_free:
             return None
         s = self._support
         u = np.zeros(len(s), complex) if alpha is None else self._u0_support(_unit(alpha))
-        if len(centers):
-            u = u + self._particle_field(centers, charges, dipoles)
         return self._on_grid(-(self.q0[s] * u * self.weight))
-
-    def _particle_field(self, centers, charges, dipoles):
-        """u_p on S: one grid solve of the particles' combined source column,
-        kept for the last sources asked for (a solve's probe field and far
-        field both need it)."""
-        order = 0 if dipoles is None else 1
-        w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
-        key = (_points_key(centers), np.asarray(w, dtype=complex).tobytes())
-        if self._particle is None or self._particle[0] != key:
-            self._particle = (key, self._solve_grid(self._support_table(centers, order) @ w))
-        return self._particle[1]
 
     def radiate(self, points, alpha, density, centers=(), charges=None, dipoles=None,
                 order=0) -> np.ndarray:
@@ -873,10 +861,7 @@ class BackgroundMedium:
         s is a node density (None: no grid sources), summed over S = supp q0
         when it vanishes off S; Q_m and P_m are the particle monopoles and
         dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector.  Both
-        sums run over the row chunks of _kernel_sum, except that the grid sum
-        at points whose support table is kept (the centres of a solve) is
-        density_S @ table: the same sum in another order, which can differ
-        in the last bits.
+        sums run over the row chunks of _kernel_sum.
         """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -884,13 +869,10 @@ class BackgroundMedium:
         if order:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
-            # limit densities reach past S; source_density's do not, and the
-            # centres of a solve read the support table its Foldy system kept
+            # limit densities reach past S; source_density's do not
             s = self._support
             if density[self._off_support].any():
                 out = out + _kernel_sum(pts, self.k, (order, 0), density, self.grid.nodes)
-            elif (table := self._kept_table(pts, order)) is not None:
-                out = out + density[s] @ table
             else:
                 out = out + _kernel_sum(pts, self.k, (order, 0), density[s], self.grid.nodes[s])
         if len(centers):
@@ -938,31 +920,13 @@ class BackgroundMedium:
         """
         return _kernel_matrix(self.grid.nodes[self._support], self.k, (0, order), pts)
 
-    def _support_table(self, pts, order):
-        """_node_columns(pts, order), kept until a table of other points
-        replaces it: the Foldy system of a solve builds its centres' table,
-        and the incident column (radiate) and the particle field read it.
-        Callers do not write to it."""
-        table = self._kept_table(pts, order)
-        if table is None:
-            self._table = None  # the old table is not held while the new one is built
-            table = self._node_columns(pts, order)
-            self._table = ((_points_key(pts), min(order, 1)), table)
-        return table
-
-    def _kept_table(self, pts, order):
-        """The support table kept for these points and order, or None."""
-        if self._table is not None and self._table[0] == (_points_key(pts), min(order, 1)):
-            return self._table[1]
-        return None
-
     def volume_factors(self, x, order=0):
         """(T, W) with the volume correction T^T W of the background Green
         kernel over pairs of x; None when q0 = 0.
 
         The background kernel is the free kernel minus T^T W, of rank at
-        most |S| = |supp q0|: T is the support table of x (_support_table,
-        kept), the stacked columns of x at the nodes of S, and W = D B^-1 T,
+        most |S| = |supp q0|: T is the support table of x (_node_columns),
+        the stacked columns of x at the nodes of S, and W = D B^-1 T,
         B the grid operator on S and D = diag(q0_S) delta^3.  Rows and
         columns of T^T W are stacked as FoldySystem's unknowns.  The grid
         solve takes the |S| columns of the identity, whose D B^-1 then
@@ -973,7 +937,7 @@ class BackgroundMedium:
         """
         if self.is_free:
             return None
-        t = self._support_table(x, order)
+        t = self._node_columns(x, order)
         s = self._support
         by_identity = 2 * len(s) < t.shape[1]
         w = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else t)
@@ -1013,12 +977,6 @@ class BackgroundMedium:
     def background_amplitude(self, betas, alpha) -> np.ndarray:
         """A0(beta, alpha): far-field amplitude of the background alone."""
         return self.amplitude(betas, self.source_density(alpha))
-
-
-def _points_key(pts) -> tuple:
-    """A point set as a hashable key of its exact coordinates."""
-    pts = np.asarray(pts, dtype=float)
-    return pts.shape, pts.tobytes()
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

@@ -223,6 +223,26 @@ class TestSolve:
         code, out = run(tmp_path, "solve", scene_dict=scene)  # ka = 0.5 > 0.1
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_probe_whose_field_overflows_exit_3(self, tmp_path):
+        # the distance to a probe at 1e308 overflows to inf and exp(ikr) is
+        # NaN (numpy warns of both on the way): no field.csv is written
+        scene = json.loads((SCENES / "single_hard_ball.json").read_text())
+        scene["points"] = [[1e308, 1e308, 0.0]]
+        code, out = run(tmp_path, "solve", scene_dict=scene)
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["message"] == "field is not finite at 1 of 1 points"
+        assert not (out / "field.csv").exists()
+
+    @pytest.mark.parametrize("alpha,want", [([1e308, 1e308, 0], [0.5 ** 0.5, 0.5 ** 0.5, 0.0]),
+                                            ([1e-320, 0, 0], [1.0, 0.0, 0.0])])
+    def test_alpha_normalized_without_overflow_or_underflow(self, alpha, want):
+        got = cli.parse_alpha({"alpha": alpha})
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+
     def test_solution_and_centers_artifacts(self, tmp_path):
         code, out = run(tmp_path, "solve", scene_path=SCENES / "single_hard_ball.json")
         assert code == 0
@@ -597,6 +617,17 @@ class TestValidate:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["message"] == f"scene.{section}: not read by validate"
+
+    def test_grid_too_large_to_allocate_exit_4(self, tmp_path, capsys):
+        # 10^15 nodes: the first node array (7.11 PiB) fails at once
+        scene = json.loads((SCENES / "empty_cloud.json").read_text())
+        scene["medium"]["resolution"] = 100000
+        code, out = run(tmp_path, "validate", scene_dict=scene)
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 4 and err["message"].startswith("Unable to allocate")
+        assert not (out / "report.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_invalid_cloud_reports_and_exits_3(self, tmp_path):
         scene = base_scene(cloud={"kind": "impedance", "a": 0.01,

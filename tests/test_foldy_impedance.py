@@ -289,12 +289,13 @@ class TestNonFreeLattice:
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
     def test_solve_builds_one_table_and_factors_the_grid_once(self, monkeypatch):
-        # solve, probe field and far field, on the lattice FFT and (centres
-        # off their lattice, dense cap 0) on the row chunks: the operator's
-        # correction keeps the centres' support table and factors the grid
-        # before the incident column is formed, which then reuses both with
-        # the particle field, and no grid solve runs GMRES
-        orders, tables, grid_gmres, node_sums = [], [], [], []
+        # solve, probe field and far field on each engine: the lattice FFT,
+        # and with the centres off their lattice the stored free kernel and
+        # (dense cap 0) the row chunks.  The system's factors (T, W) build
+        # the centres' support table once and factor the grid once; the
+        # incident column sums over T, and the particle field is -W s, so
+        # the grid solves are W's and u0's alone and none runs GMRES
+        orders, tables, solves, grid_gmres, node_sums = [], [], [], [], []
         lapack = medium._lapack()
         zgetrf = lapack.zgetrf
         monkeypatch.setattr(lapack, "zgetrf", lambda a: orders.append(len(a)) or zgetrf(a))
@@ -302,6 +303,9 @@ class TestNonFreeLattice:
         monkeypatch.setattr(medium, "_gmres", lambda apply, b: (
             grid_gmres.append(1) if apply.__name__ == "_apply_grid_operator" else None)
             or gmres(apply, b))
+        solve_grid = BackgroundMedium._solve_grid
+        monkeypatch.setattr(BackgroundMedium, "_solve_grid",
+                            lambda self, rhs: solves.append(1) or solve_grid(self, rhs))
         node_columns = BackgroundMedium._node_columns
         monkeypatch.setattr(BackgroundMedium, "_node_columns", lambda self, pts, order: (
             tables.append(1) if np.array_equal(pts, cloud.centers) else None)
@@ -311,35 +315,39 @@ class TestNonFreeLattice:
             node_sums.append(1) if np.array_equal(x, cloud.centers)
             and np.array_equal(y, med.grid.nodes[med._support]) else None)
             or kernel_sum(x, k, orders, w, y))
-        for solver in ("lattice_fft", "gmres"):
+        for solver in ("lattice_fft", "dense", "gmres"):
             med = n0_ball_medium()
             if solver == "lattice_fft":
                 cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
             else:
                 cloud = off_lattice_scene_cloud("hard")
+            if solver == "gmres":
                 monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
-            for log in (orders, tables, grid_gmres, node_sums):
+            for log in (orders, tables, solves, grid_gmres, node_sums):
                 log.clear()
             res = solve_cloud(med, cloud, Z_HAT)
             assert res.solver == solver
             evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
             far_field(res, med, cloud, DirectionGrid(4, 8))
-            assert orders == [136] and len(tables) == 1 and not grid_gmres and not node_sums
+            assert orders == [136] and len(tables) == 1 and len(solves) == 2
+            assert not grid_gmres and not node_sums
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
-    def test_excluded_field_leaves_the_cloud_field_unchanged(self, kind):
-        # the effective field seen by particle j builds the support table of
-        # the other centres, which evicts the one the solve kept: the cloud's
-        # field and far field after it have the bits of before
+    def test_excluded_field_leaves_the_cloud_field_unchanged(self, kind, monkeypatch):
+        # the effective field seen by particle j zeroes j's sources in -W s:
+        # it makes no grid solve, and the cloud's field and far field after
+        # it have the bits of before
         med, cloud = n0_ball_medium(), off_lattice_scene_cloud(kind)
-        order = int(kind == "hard")
         res = solve_cloud(med, cloud, Z_HAT)
         points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
         before = [evaluate_field(res, med, cloud, points).values,
                   far_field(res, med, cloud, directions).values]
-        assert med._kept_table(cloud.centers, order) is not None
-        evaluate_field(res, med, cloud, points, exclude=7)
-        assert med._kept_table(cloud.centers, order) is None
+        charges = res.charges.copy()
+        with monkeypatch.context() as patch:
+            patch.setattr(BackgroundMedium, "_solve_grid", None)  # any grid solve fails
+            excluded = evaluate_field(res, med, cloud, points, exclude=7).values
+        assert not np.array_equal(excluded, before[0])
+        assert np.array_equal(res.charges, charges)
         after = [evaluate_field(res, med, cloud, points).values,
                  far_field(res, med, cloud, directions).values]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
