@@ -244,6 +244,49 @@ class TestCoupledSystem:
             far_field(res, med, cloud, DirectionGrid(4, 8))
             assert orders == [support] and set(gmres_calls) == {12}
 
+    def test_dense_inhomogeneous_solve_builds_one_table_and_threads_its_grid_solves_to_the_field(
+            self, monkeypatch):
+        # solve, probe field and far field on the stored free kernel: the
+        # system's factors (T, W) build the centres' support table once, and
+        # the incident column sums over T.  The grid solves are W's and u0's,
+        # both in the solve: the probe field and far field take the
+        # particles' node sources as -W s and solve nothing more
+        def counted(name, log, keep=lambda *args: True):
+            fn = getattr(BackgroundMedium, name)
+
+            def wrapper(self, *args, **kwargs):
+                if keep(*args):
+                    log.append(name)
+                return fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(BackgroundMedium, name, wrapper)
+
+        med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
+            np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
+        # the 120 builder centres moved off their lattice: a lattice cloud
+        # would take the lattice FFT apply
+        sites = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5).centers
+        cloud = hard_cloud(sites + 0.01 * np.sin(np.arange(sites.size)).reshape(-1, 3), a=0.01,
+                           beta=-1.5 * np.eye(3))
+        assert lattice_of(cloud.centers) is None
+        solves, tables, node_sums = [], [], []
+        counted("_solve_grid", solves)
+        counted("_node_columns", tables,
+                lambda pts, *args: np.array_equal(np.asarray(pts), cloud.centers))
+        # the incident column reads T: no kernel sum from the nodes of S to
+        # the centres
+        kernel_sum = medium._kernel_sum
+        monkeypatch.setattr(medium, "_kernel_sum", lambda x, k, orders, w, y=None: (
+            node_sums.append(1) if np.array_equal(x, cloud.centers)
+            and np.array_equal(y, med.grid.nodes[med._support]) else None)
+            or kernel_sum(x, k, orders, w, y))
+        res = solve_cloud(med, cloud, Z_HAT)
+        assert res.solver == "dense"
+        assert len(solves) == 2
+        evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
+        far_field(res, med, cloud, DirectionGrid(4, 8))
+        assert len(solves) == 2 and len(tables) == 1 and not node_sums
+
     def test_dense_matrix_peak_memory(self):
         # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes:
         # the traced peak of forming its operator on the stored free kernel,
