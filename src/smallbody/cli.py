@@ -344,7 +344,8 @@ def write_centers_csv(path: Path, cloud: ParticleCloud):
 
 def write_json(path: Path, data: dict):
     """The bytes of json.dump(..., indent=2, sort_keys=True) plus a newline,
-    with complex arrays written as nested lists of {re, im} objects.
+    with complex arrays written as nested lists of {re, im} objects and
+    every non-finite float (NaN and infinities, which JSON lacks) as null.
 
     Finite complex arrays are rendered from a template over the texts of
     their floats (_float_texts), several times faster than json's encoder.
@@ -357,6 +358,15 @@ def write_json(path: Path, data: dict):
 def _complex_objects(x):
     """Nested lists of complex numbers as nested lists of {re, im}."""
     return [_complex_objects(v) for v in x] if isinstance(x, list) else {"re": x.real, "im": x.imag}
+
+
+def _finite_or_null(obj):
+    """obj with each non-finite float in it, in nested lists and dicts too, as None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def _complex_template(shape, depth: int) -> str:
@@ -375,8 +385,7 @@ def _json_text(obj, depth: int) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) for a value at nesting depth;
     complex arrays may sit in (nested) dicts."""
     if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
-        # repr writes nan and inf where json writes NaN and Infinity
-        if np.all(np.isfinite(obj)):
+        if np.all(np.isfinite(obj)):  # else repr would write nan or inf: the null rule below
             floats = np.stack([obj.imag, obj.real], axis=-1)  # keys im, re
             return _complex_template(obj.shape, depth) % _float_texts(floats)
         obj = _complex_objects(obj.tolist())
@@ -385,7 +394,8 @@ def _json_text(obj, depth: int) -> str:
         items = (json.dumps(key) + ": " + _json_text(value, depth + 1)
                  for key, value in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + outer + "}"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", outer)
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                      allow_nan=False).replace("\n", outer)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +503,7 @@ def cmd_design(scene: dict, out: Path, args) -> dict:
         "cloud": cloud.to_json_dict(),
         "feasibility": {
             "ka": report.ka,
-            "d_over_a": report.spacing_over_a if np.isfinite(report.spacing_over_a) else None,
+            "d_over_a": report.spacing_over_a,
             "M": report.m,
             "volume_fraction": report.volume_fraction,
         },
@@ -548,8 +558,8 @@ def cmd_validate(scene: dict, out: Path, args) -> dict:
         meta["cloud"] = {
             "M": report.m,
             "ka": report.ka,
-            "min_spacing": report.min_spacing if np.isfinite(report.min_spacing) else None,
-            "spacing_over_a": report.spacing_over_a if np.isfinite(report.spacing_over_a) else None,
+            "min_spacing": report.min_spacing,
+            "spacing_over_a": report.spacing_over_a,
             "max_zeta_times_a": report.max_zeta_times_a,
             "volume_fraction": report.volume_fraction,
             "flags": report.flags,

@@ -47,7 +47,8 @@ class FoldySolveResult:
     """Per-particle effective fields and sources of a solve, with its statistics.
 
     Impedance solves fill ``coupling``; hard solves fill the gradients and
-    dipole moments; non-free solves of a nonempty cloud fill ``volume_weights``.
+    dipole moments; non-free solves fill ``background_density``, and of a
+    nonempty cloud ``volume_weights``.
     """
 
     effective_values: np.ndarray   # u_e(x_m)
@@ -60,6 +61,7 @@ class FoldySolveResult:
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
     volume_weights: np.ndarray | None = None        # W of the volume factors (T, W)
+    background_density: np.ndarray | None = None    # -q0 delta^3 u0 at the grid nodes
 
 
 def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
@@ -95,14 +97,16 @@ class FoldySystem:
         return self.medium.volume_factors(self.centers, self.order)
 
     def incident(self, alpha):
-        """[u0; grad u0 (order 1)](x_m, alpha) at the centres, the system's
-        right-hand side.  A non-free background adds its node sources summed
-        over the centres' support table T, whose factors are formed first, so
-        that u0's grid solve reuses the grid LU."""
+        """([u0; grad u0 (order 1)](x_m, alpha) at the centres, the system's
+        right-hand side, and u0's node density (source_density; None in a
+        free background)).  The node sources are summed over the centres'
+        support table T, whose factors are formed first, so that u0's grid
+        solve reuses the grid LU."""
         u = self.medium.radiate(self.centers, alpha, None, order=self.order)
-        if self.factors is not None:
-            u = u + self.medium.source_density(alpha)[self.medium._support] @ self.factors[0]
-        return u
+        if self.factors is None:
+            return u, None
+        density = self.medium.source_density(alpha)
+        return u + density[self.medium._support] @ self.factors[0], density
 
     def operator(self, lattice=None, stored=False):
         """v -> v - K s for the sources s = [q u; -vb grad u], K the
@@ -205,10 +209,13 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
     alpha = _unit(alpha)
     system = FoldySystem(medium, cloud)
     if len(cloud) == 0:
-        return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0)
-    sol, residual, iterations, solver = _solve_system(system, lambda: system.incident(alpha))
+        return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0,
+                             background_density=medium.source_density(alpha))
+    incident = []  # the right-hand side and u0's node density, formed after the cap check
+    sol, residual, iterations, solver = _solve_system(
+        system, lambda: incident.extend(system.incident(alpha)) or incident[0])
     return system.result(sol, alpha=alpha, residual=residual, iterations=iterations,
-                         solver=solver)
+                         solver=solver, background_density=incident[1])
 
 
 def _solve_system(system, incident):
@@ -241,48 +248,39 @@ def _solve_system(system, incident):
 
 
 def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
-                   points, exclude: int | None = None) -> ComplexField:
+                   points) -> ComplexField:
     """u_M(x) = u0 + sum_m [G(x,x_m) Q_m + grad_y G(x,x_m) . P_m] at far-zone points.
 
-    Impedance particles carry no dipole P.  With ``exclude`` set, particle
-    m = exclude is dropped from the sum and the distance guard, which
-    evaluates the effective field seen by that particle.
+    Impedance particles carry no dipole P.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    keep = np.arange(len(cloud))
-    if exclude is not None:
-        keep = keep[keep != exclude]
-    if len(keep):
-        dist = nearest_distances(pts, cloud.centers[keep])
-        limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
-        if np.any(dist < limit * (1 - 1e-12)):
-            raise InvariantViolation(
-                f"evaluation point within d = {limit:.3g} of a particle center; "
-                "the point-particle reduction is not valid there")
-    centers, charges = cloud.centers[keep], result.charges[keep]
-    dipoles = None if result.dipole_moments is None else result.dipole_moments[keep]
-    density = _node_density(result, medium, result.alpha, exclude)
-    values = medium.radiate(pts, result.alpha, density, centers, charges, dipoles)
+    density = _node_density(result, medium, result.background_density)
+    # a probe whose distance overflows gets a NaN field, which ComplexField refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(cloud):
+            dist = nearest_distances(pts, cloud.centers)
+            limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
+            if np.any(dist < limit * (1 - 1e-12)):
+                raise InvariantViolation(
+                    f"evaluation point within d = {limit:.3g} of a particle center; "
+                    "the point-particle reduction is not valid there")
+        values = medium.radiate(pts, result.alpha, density, cloud.centers, result.charges,
+                                result.dipole_moments)
     return ComplexField(points=pts, values=values, incident_direction=result.alpha)
 
 
-def _node_density(result: FoldySolveResult, medium: BackgroundMedium, alpha,
-                  exclude: int | None = None):
-    """The node density -q0 delta^3 (u0 + u_p) of the background field
-    (alpha None: u0 left out) and of the particles' grid field u_p.
+def _node_density(result: FoldySolveResult, medium: BackgroundMedium, density):
+    """The node density ``density`` less that of the particles' grid field
+    u_p (None in a free background).
 
-    u_p = B^-1 T s for the stacked sources s = [Q; P] (particle ``exclude``
-    zeroed), so its density is -W s, W of the solve's volume factors: no
-    further grid solve.  None in a free background.
+    u_p = B^-1 T s for the stacked sources s = [Q; P], so its density
+    -q0 delta^3 u_p is -W s, W of the solve's volume factors: no grid solve.
     """
-    density = medium.source_density(alpha)
-    if result.volume_weights is not None:
-        dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
-        s = np.concatenate([result.charges, *dipoles])
-        if exclude is not None:
-            m, order = len(result.charges), len(dipoles)
-            s[[exclude, *range(m + 3 * exclude, m + 3 * (exclude + order))]] = 0.0
-        density[medium._support] -= result.volume_weights @ s
+    if result.volume_weights is None:
+        return density
+    dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
+    density = density.copy()
+    density[medium._support] -= result.volume_weights @ np.concatenate([result.charges, *dipoles])
     return density
 
 
@@ -295,8 +293,10 @@ def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: Partic
     formed as a small difference.  For a homogeneous background it reduces
     to (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
     """
-    return medium.background_amplitude(betas, result.alpha) + medium.amplitude(
-        betas, _node_density(result, medium, None), cloud.centers, result.charges,
+    background = result.background_density
+    particles = None if background is None else np.zeros_like(background)
+    return medium.amplitude(betas, background) + medium.amplitude(
+        betas, _node_density(result, medium, particles), cloud.centers, result.charges,
         result.dipole_moments)
 
 

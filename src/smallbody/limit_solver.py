@@ -50,7 +50,8 @@ def potential_from_h_N(h_field, N_field) -> np.ndarray:
 
 @dataclass
 class LimitProblem:
-    """Continuum problem: either a potential p or a hard pair (nu, beta).
+    """Continuum problem: either a potential p or a hard pair (nu, beta),
+    beta one 3x3 polarizability tensor, as a hard cloud has.
 
     nu obeys the bound of the clouds that realize it: nonnegative, with
     (nu/c3)^(1/3) <= 0.1.
@@ -72,10 +73,9 @@ class LimitProblem:
             _check_volume_density(self.nu)
             if self.beta_field is None:
                 raise InvariantViolation("hard problem requires a polarizability field")
-            b = np.asarray(self.beta_field, dtype=float)
-            if b.shape not in ((3, 3), (size, 3, 3)):
-                raise InvariantViolation("beta field must be (3,3) or per-node (N,3,3)")
-            self.beta_field = b
+            self.beta_field = np.asarray(self.beta_field, dtype=float)
+            if self.beta_field.shape != (3, 3):
+                raise InvariantViolation("beta field must be one 3x3 tensor")
             self._check_collar()
 
     @property
@@ -129,7 +129,10 @@ def _density(problem: LimitProblem, field: ComplexField) -> np.ndarray:
 def limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
     """Evaluate the limit solution off the grid via its volume representation."""
     alpha = field.incident_direction
-    values = problem.medium.radiate(points, alpha, _density(problem, field))
+    density = _density(problem, field)
+    # a probe whose distance overflows gets a NaN field, which ComplexField refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = problem.medium.radiate(points, alpha, density)
     return ComplexField(points=points, values=values, incident_direction=alpha)
 
 
@@ -171,17 +174,10 @@ def _fd_divergence(comps, shape, delta):
     return out.reshape(-1)
 
 
-def _beta_contract(beta_field, grad):
-    """flux_p = sum_q beta_pq grad_q, for constant or per-node beta."""
-    if beta_field.ndim == 2:
-        return np.einsum("pq,qn->pn", beta_field, grad)
-    return np.einsum("npq,qn->pn", beta_field, grad)
-
-
 def _hard_source(problem: LimitProblem, values: np.ndarray) -> np.ndarray:
     """Lap U * nu + div(beta grad U nu) on the grid nodes."""
     grid = problem.medium.grid
     lap = _fd_laplacian(values, grid.shape, grid.delta)
     grad = _fd_gradient(values, grid.shape, grid.delta)
-    flux = _beta_contract(problem.beta_field, grad) * problem.nu[None, :]
+    flux = np.einsum("pq,qn->pn", problem.beta_field, grad) * problem.nu[None, :]
     return lap * problem.nu + _fd_divergence(flux, grid.shape, grid.delta)

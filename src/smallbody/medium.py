@@ -696,8 +696,8 @@ class ComplexField:
 class BackgroundMedium:
     """Background medium (k, n0, q0) with its volume quadrature grid.
 
-    Immutable after construction; all heavy state (kernel generator, LU factors,
-    per-direction incident solves) is memoized internally.
+    Immutable after construction; the state that depends on the medium
+    alone (the kernel spectrum, the grid LU factors) is memoized internally.
     """
 
     def __init__(self, k: float, grid: Grid, n0=1.0):
@@ -715,8 +715,6 @@ class BackgroundMedium:
         # S = supp q0: I + Kw diag(q0) has identity columns off S, so every
         # background grid solve is a solve for the values on S alone
         self._support = np.flatnonzero(self.q0)
-        self._off_support = np.flatnonzero(self.q0 == 0.0)
-        self._u0_cache: dict = {}  # direction -> u0 on S
         self._lu = None
 
     # -- basic properties ---------------------------------------------------
@@ -824,44 +822,31 @@ class BackgroundMedium:
     def _plane_wave(self, alpha) -> np.ndarray:
         return np.exp(1j * self.k * self.grid.nodes @ alpha)
 
-    def _u0_support(self, alpha) -> np.ndarray:
-        """u0(., alpha) on S, one grid solve per direction (cached)."""
-        key = tuple(np.round(alpha, 15))
-        if key not in self._u0_cache:
-            self._u0_cache[key] = self._solve_grid(self._plane_wave(alpha)[self._support])
-        return self._u0_cache[key]
-
-    def incident_values(self, alpha, points, order=0) -> np.ndarray:
-        """u0(x, alpha) at arbitrary points via the volume representation.
-
-        order 1 returns [u0 (n,), grad_x u0 (n,3) row-major] as one (4n,)
-        vector, the layout of the hard-particle unknowns.
-        """
-        return self.radiate(points, alpha, self.source_density(alpha), order=order)
-
     # -- equivalent sources ---------------------------------------------------
 
-    def source_density(self, alpha=None):
+    def source_density(self, alpha):
         """Node density s = -q0 delta^3 u0(., alpha) of the background field,
-        zero off S = supp q0; alpha None gives zeros.  None when q0 = 0.
+        zero off S = supp q0, by one grid solve; None when q0 = 0.
 
-        A cloud's particle sources s_p add their own density -W s_p, W of
-        their volume factors (volume_factors; foldy_impedance.evaluate_field).
+        A cloud's solve forms it once and carries it
+        (FoldySolveResult.background_density); the particle sources s_p add
+        their own density -W s_p, W of their volume factors (volume_factors;
+        foldy_impedance.evaluate_field).
         """
         if self.is_free:
             return None
         s = self._support
-        u = np.zeros(len(s), complex) if alpha is None else self._u0_support(_unit(alpha))
+        u = self._solve_grid(self._plane_wave(_unit(alpha))[s])
         return self._on_grid(-(self.q0[s] * u * self.weight))
 
     def radiate(self, points, alpha, density, centers=(), charges=None, dipoles=None,
                 order=0) -> np.ndarray:
         """u(x) = e^{ik alpha.x} + sum_z g(x,z) s_z + sum_m [g(x,x_m) Q_m + grad_y g(x,x_m).P_m].
 
-        s is a node density (None: no grid sources), summed over S = supp q0
-        when it vanishes off S; Q_m and P_m are the particle monopoles and
-        dipoles.  order 1 returns [u, grad_x u] as one (4n,) vector.  Both
-        sums run over the row chunks of _kernel_sum.
+        s is a node density (None: no grid sources), summed over its nonzero
+        nodes; Q_m and P_m are the particle monopoles and dipoles.  order 1
+        returns [u, grad_x u] as one (4n,) vector.  Both sums run over the
+        row chunks of _kernel_sum.
         """
         alpha = _unit(alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -869,12 +854,8 @@ class BackgroundMedium:
         if order:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
         if density is not None:
-            # limit densities reach past S; source_density's do not
-            s = self._support
-            if density[self._off_support].any():
-                out = out + _kernel_sum(pts, self.k, (order, 0), density, self.grid.nodes)
-            else:
-                out = out + _kernel_sum(pts, self.k, (order, 0), density[s], self.grid.nodes[s])
+            z = np.flatnonzero(density)
+            out = out + _kernel_sum(pts, self.k, (order, 0), density[z], self.grid.nodes[z])
         if len(centers):
             w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
             out = out + _kernel_sum(pts, self.k, (order, int(dipoles is not None)), w, centers)

@@ -76,7 +76,7 @@ class ParticleCloud:
             "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "a": self.a,
-            "d": self.d if np.isfinite(self.d) else None,
+            "d": self.d,
             "shape_constants": list(BALL_SHAPE_CONSTANTS),
             "centers": [[float(c) for c in row] for row in self.centers],
         }

@@ -2,11 +2,12 @@
 package's faster paths against, and the paper's checks that the package does
 not need."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from smallbody.errors import InvariantViolation, SingularEvaluationError
+from smallbody.foldy_impedance import FoldySolveResult, _node_density, evaluate_field
 from smallbody.limit_solver import LimitProblem, _hard_source
 from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _node_field, _pair_distances,
                               _radial, _unit)
@@ -138,7 +139,7 @@ def _extend(medium: BackgroundMedium, f, u) -> np.ndarray:
     by one FFT apply (none when S holds every node)."""
     x = np.array(f, dtype=complex)
     s = medium._support
-    if len(medium._off_support):
+    if np.any(medium.q0 == 0):
         x -= medium._apply_weighted_kernel(medium._on_grid(medium.q0[s] * u))
     x[s] = u
     return x
@@ -148,7 +149,33 @@ def u0_grid(medium: BackgroundMedium, alpha) -> np.ndarray:
     """Incident scattering solution u0(., alpha) at the grid nodes."""
     alpha = _unit(alpha)
     e = medium._plane_wave(alpha)
-    return e if medium.is_free else _extend(medium, e, medium._u0_support(alpha))
+    return e if medium.is_free else _extend(medium, e, medium._solve_grid(e[medium._support]))
+
+
+def incident_values(medium: BackgroundMedium, alpha, points, order=0) -> np.ndarray:
+    """u0(x, alpha) at arbitrary points via the volume representation, one
+    grid solve; order 1 returns [u0 (n,), grad_x u0 (n,3) row-major] as one
+    (4n,) vector, the layout of the hard-particle unknowns."""
+    return medium.radiate(points, alpha, medium.source_density(alpha), order=order)
+
+
+def excluded_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
+                   points, j) -> ComplexField:
+    """The effective field that particle j feels: evaluate_field with j's
+    sources zeroed in a copy of the result, and j dropped from the sum and
+    from the distance guard, which keeps the cloud's spacing d.  The zeroed
+    particles' node density -W s joins the background density of the copy."""
+    keep = np.arange(len(cloud)) != j
+    dipoles = result.dipole_moments
+    zeroed = replace(result, charges=np.where(keep, result.charges, 0.0), dipole_moments=(
+        None if dipoles is None else np.where(keep[:, None], dipoles, 0.0)))
+    others = replace(zeroed, charges=result.charges[keep], volume_weights=None,
+                     dipole_moments=None if dipoles is None else dipoles[keep],
+                     background_density=_node_density(zeroed, medium, result.background_density))
+    rest = replace(cloud, centers=cloud.centers[keep],
+                   zeta=None if cloud.zeta is None else cloud.zeta[keep])
+    rest.d = cloud.d
+    return evaluate_field(others, medium, rest, points)
 
 
 def green_potential_grid(medium: BackgroundMedium, density) -> np.ndarray:
@@ -162,7 +189,7 @@ def green_potential_grid(medium: BackgroundMedium, density) -> np.ndarray:
 def weighted_u0_sum_grid(medium, betas, density_times_weight) -> np.ndarray:
     """sum_j u0(z_j,-beta) f_j over grid nodes, f = density * delta^3.
 
-    The literal definition: u0_grid per direction, whose support solve is cached.
+    The literal definition: u0_grid per direction, one support solve each.
     """
     f = np.asarray(density_times_weight, dtype=complex).reshape(-1)
     return np.array([u0_grid(medium, -b) @ f for b in np.atleast_2d(betas)])

@@ -223,18 +223,20 @@ class TestSolve:
         code, out = run(tmp_path, "solve", scene_dict=scene)  # ka = 0.5 > 0.1
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_probe_whose_field_overflows_exit_3(self, tmp_path):
         # the distance to a probe at 1e308 overflows to inf and exp(ikr) is
-        # NaN (numpy warns of both on the way): no field.csv is written
-        scene = json.loads((SCENES / "single_hard_ball.json").read_text())
-        scene["points"] = [[1e308, 1e308, 0.0]]
-        code, out = run(tmp_path, "solve", scene_dict=scene)
-        assert code == 3
-        err = json.loads((out / "error.json").read_text())
-        assert err["message"] == "field is not finite at 1 of 1 points"
-        assert not (out / "field.csv").exists()
+        # NaN, with no numpy warning on the way (the suite, like python -W
+        # error, raises every warning), for a cloud's field and a limit's:
+        # the run writes error.json alone
+        for command, name in (("solve", "single_hard_ball"), ("limit", "limit_born_bump")):
+            scene = json.loads((SCENES / f"{name}.json").read_text())
+            scene["points"] = [[1e308, 1e308, 0.0]]
+            (tmp_path / command).mkdir()
+            code, out = run(tmp_path / command, command, scene_dict=scene)
+            assert code == 3
+            err = json.loads((out / "error.json").read_text())
+            assert err["message"] == "field is not finite at 1 of 1 points"
+            assert [p.name for p in out.iterdir()] == ["error.json"]
 
     @pytest.mark.parametrize("alpha,want", [([1e308, 1e308, 0], [0.5 ** 0.5, 0.5 ** 0.5, 0.0]),
                                             ([1e-320, 0, 0], [1.0, 0.0, 0.0])])
@@ -584,6 +586,27 @@ class TestStudy:
         summary = json.loads((out / "study.json").read_text())
         assert summary["count_exponent"] == pytest.approx(-1.0, abs=0.1)
 
+    def test_failed_scale_writes_null_not_nan(self, tmp_path):
+        # ka = 0.5 fails the first scale, and one scale is left for the
+        # exponents: study.json holds null where study.csv holds nan, and a
+        # parser that refuses NaN and Infinity reads it
+        scene = json.loads((SCENES / "study_impedance.json").read_text())
+        scene["study"]["a_sequence"] = [0.5, 0.02]
+        code, out = run(tmp_path, "study", scene_dict=scene)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        data = json.loads((out / "study.json").read_text(), parse_constant=refuse)
+        assert data["count_exponent"] is None and data["charge_exponent"] is None
+        failed, kept = data["scales"]
+        assert failed["note"].startswith("InvariantViolation")
+        assert failed["e_max"] is None and failed["d"] is None and failed["M"] == 0
+        assert kept["note"] == "" and kept["e_max"] > 0
+        _, rows = read_csv(out / "study.csv")
+        assert np.isnan(rows[0, 2:7]).all() and np.isfinite(rows[1]).all()
+
     def test_study_json_reloads(self, tmp_path):
         code, out = run(tmp_path, "study", scene_path=SCENES / "study_impedance.json")
         data = json.loads((out / "study.json").read_text())
@@ -640,14 +663,16 @@ class TestValidate:
 
 
 class TestWriters:
-    """The fast writers give the bytes of json.dump and of repr(float(x))."""
+    """The fast writers give the bytes of json.dump, each non-finite float
+    written as null, and of repr(float(x))."""
 
     VALUES = np.array([-0.0, 5e-324, 1e20, 0.1, -1.5e-300, 2.0 ** 52, 1 / 3, -7.0])
 
     @staticmethod
     def reference_json(path, data):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"format_version": 1, **data}, fh, indent=2, sort_keys=True)
+            json.dump({"format_version": 1, **data}, fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
 
     @staticmethod
@@ -655,7 +680,8 @@ class TestWriters:
         values = np.asarray(values)
         if values.ndim:
             return [TestWriters.objects(v) for v in values]
-        return {"re": float(values.real), "im": float(values.imag)}
+        return {part: x if np.isfinite(x) else None
+                for part, x in (("re", float(values.real)), ("im", float(values.imag)))}
 
     @pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf])
     def test_json_bytes_equal_json_dump(self, tmp_path, special):
@@ -665,12 +691,14 @@ class TestWriters:
         blocks = {"values": z, "rows": z.reshape(4, 2), "cube": z.reshape(2, 2, 2),
                   "one": z[:1], "empty": z[:0], "empty_rows": z[:0].reshape(0, 3)}
         meta = {"nested": {"x": [1, 2.5, None, True], "s": "aé\n\"b\""}, "empty": {}}
+        x = 0.75 if special is None else special  # a plain float, in a list and a dict
         data = {**{k: np.asarray(v, dtype=complex) for k, v in blocks.items()},
-                "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0}],
-                "mixed": {"v": [0.5], "w": np.asarray(z[2:4], dtype=complex)}}
+                "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0, "c": x}],
+                "mixed": {"v": [0.5, x], "w": np.asarray(z[2:4], dtype=complex)}, "x": x}
+        x = x if np.isfinite(x) else None
         plain = {**{k: self.objects(v) for k, v in blocks.items()},
-                 "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0}],
-                 "mixed": {"v": [0.5], "w": self.objects(z[2:4])}}
+                 "meta": meta, "list": [], "table": [{"b": 0.1, "a": -0.0, "c": x}],
+                 "mixed": {"v": [0.5, x], "w": self.objects(z[2:4])}, "x": x}
         cli.write_json(tmp_path / "fast.json", data)
         self.reference_json(tmp_path / "ref.json", plain)
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

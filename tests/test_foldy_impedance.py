@@ -25,7 +25,7 @@ from smallbody.particles import (
     build_cloud_impedance,
     h_to_impedance,
 )
-from reference import foldy_matrix, free_kernel, green_blocks
+from reference import excluded_field, foldy_matrix, free_kernel, green_blocks, incident_values
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -90,7 +90,7 @@ class TestSolver:
         cloud = ball_cloud(centers, a=1e-3, h=1.5)
         res = solve_cloud(med, cloud, Z_HAT)
         c = coupling_constants(cloud)
-        u0 = med.incident_values(Z_HAT, centers)
+        u0 = incident_values(med, Z_HAT, centers)
         g12 = green_blocks(med, centers[0], centers[1])[0][0, 0]
         g21 = green_blocks(med, centers[1], centers[0])[0][0, 0]
         expected1 = (u0[0] - g12 * c[1] * u0[1]) / (1 - g12 * g21 * c[0] * c[1])
@@ -342,15 +342,45 @@ class TestNonFreeLattice:
         points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
         before = [evaluate_field(res, med, cloud, points).values,
                   far_field(res, med, cloud, directions).values]
-        charges = res.charges.copy()
+        charges, density = res.charges.copy(), res.background_density.copy()
         with monkeypatch.context() as patch:
             patch.setattr(BackgroundMedium, "_solve_grid", None)  # any grid solve fails
-            excluded = evaluate_field(res, med, cloud, points, exclude=7).values
+            excluded = excluded_field(res, med, cloud, points, 7).values
         assert not np.array_equal(excluded, before[0])
         assert np.array_equal(res.charges, charges)
+        assert np.array_equal(res.background_density, density)
         after = [evaluate_field(res, med, cloud, points).values,
                  far_field(res, med, cloud, directions).values]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_empty_cloud_makes_one_grid_solve(self, monkeypatch):
+        # an empty cloud forms no factors and no grid LU: u0's node density
+        # is one FFT-GMRES grid solve, which the probe field and far field
+        # read from the result; the field is u0 of the full-grid solve and
+        # the far field is A0
+        med = n0_ball_medium()
+        cloud = ParticleCloud(centers=np.zeros((0, 3)), a=0.01, kind="impedance", zeta=[])
+        solves, grid_gmres = [], []
+        solve_grid = BackgroundMedium._solve_grid
+        monkeypatch.setattr(BackgroundMedium, "_solve_grid",
+                            lambda self, rhs: solves.append(1) or solve_grid(self, rhs))
+        gmres = medium._gmres
+        monkeypatch.setattr(medium, "_gmres", lambda apply, b: (
+            grid_gmres.append(1) if apply.__name__ == "_apply_grid_operator" else None)
+            or gmres(apply, b))
+        res = solve_cloud(med, cloud, Z_HAT)
+        points = np.array([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5], [-1.0, -2.0, 0.3]])
+        values = evaluate_field(res, med, cloud, points).values
+        ff = far_field(res, med, cloud, DirectionGrid(4, 8))
+        assert len(solves) == len(grid_gmres) == 1 and med._lu is None
+        # u0 at every node by a dense solve of I + Kw diag(q0), radiated to the probes
+        a = med._dense_weighted_kernel() * med.q0[None, :]
+        a[np.diag_indices_from(a)] += 1.0
+        u0 = np.linalg.solve(a, med._plane_wave(Z_HAT))
+        ref = np.exp(1j * med.k * points @ Z_HAT) \
+            - free_kernel(points, med.grid.nodes, med.k) @ (med.q0 * med.weight * u0)
+        assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(ff.values, med.background_amplitude(ff.grid.vectors(), Z_HAT))
 
     def test_matrix_free_solve_past_the_grid_cap_exits_4(self, monkeypatch, tmp_path):
         # the one refusal left: past the dense cap, a matrix-free solve whose
@@ -443,13 +473,13 @@ class TestEvaluateField:
         evaluate_field(res, med, cloud, np.array([[0.25, 0.5, 1.0]]))
         with pytest.raises(InvariantViolation, match="within d"):
             evaluate_field(res, med, cloud, np.array([[0.25, 0.5, 0.5 + 0.5 * (1 - 1e-11)]]))
-        # exclude = j drops center j from the guard: its own position is then 0.5 from
+        # excluded_field drops center j from the guard: its own position is then 0.5 from
         # the other center, and the effective field there is finite
         for j in range(2):
             with pytest.raises(InvariantViolation, match="within d"):
                 evaluate_field(res, med, cloud, centers[j][None, :])
-            assert np.isfinite(evaluate_field(res, med, cloud, centers[j][None, :],
-                                              exclude=j).values).all()
+            assert np.isfinite(excluded_field(res, med, cloud, centers[j][None, :],
+                                              j).values).all()
 
     def test_guard_looks_past_the_first_chunk(self):
         med = free_medium()

@@ -228,14 +228,18 @@ class TestHardLimit:
         n0 = np.where(np.linalg.norm(nodes - 0.5, axis=1) < 0.4, 1.15, 1.0)
         return self.make_problem(nu0=nu0, n=n, n0=n0)
 
-    def test_nonfree_hard_limit_skips_the_grid_factorization(self):
+    def test_nonfree_hard_limit_skips_the_grid_factorization(self, monkeypatch):
         # the limit system carries q0 itself: no background grid solve at all,
         # so no 4096^2 matrix, no LU and no incident field
         problem = self.ball_problem(nu0=0.004, n=16)
+
+        def no_grid_solve(self, rhs):
+            raise AssertionError("background grid solve")
+
+        monkeypatch.setattr(BackgroundMedium, "_solve_grid", no_grid_solve)
         fld = solve_limit(problem, Z_HAT)
         limit_field_at(problem, fld, [[0.5, 0.5, 4.0]])
         assert problem.medium._lu is None
-        assert problem.medium._u0_cache == {}
         assert fld.residual <= 1e-10 and 1 <= fld.iterations <= 20
 
     def test_zero_nu_returns_incident(self):
@@ -260,9 +264,9 @@ class TestHardLimit:
         med = problem.medium
         born = hard_born_approximation(problem, Z_HAT)
         u0 = u0_grid(med, Z_HAT)
-        from smallbody.limit_solver import _beta_contract, _fd_divergence, _fd_gradient
+        from smallbody.limit_solver import _fd_divergence, _fd_gradient
         grad = _fd_gradient(u0, med.grid.shape, med.grid.delta)
-        flux = _beta_contract(problem.beta_field, grad) * problem.nu[None, :]
+        flux = np.einsum("pq,qn->pn", problem.beta_field, grad) * problem.nu[None, :]
         source = -med.k ** 2 * med.n0 * u0 * problem.nu \
             + _fd_divergence(flux, med.grid.shape, med.grid.delta)
         alt = u0 + green_potential_grid(med, source)
@@ -290,6 +294,13 @@ class TestHardLimit:
         med = cube_medium(n=8)
         with pytest.raises(InvariantViolation, match="collar"):
             LimitProblem(medium=med, nu=1e-3, beta_field=-1.5 * np.eye(3))
+
+    def test_per_node_beta_refused(self):
+        # a hard cloud has one 3x3 beta, and so does the limit that it realizes
+        problem = self.make_problem()
+        per_node = np.broadcast_to(-1.5 * np.eye(3), (problem.medium.grid.size, 3, 3))
+        with pytest.raises(InvariantViolation, match="one 3x3 tensor"):
+            LimitProblem(medium=problem.medium, nu=problem.nu, beta_field=per_node)
 
     def test_far_pattern_matches_rigid_sphere_shape(self):
         # Born regime: scattered far field ~ ((3/2) beta.alpha - 1) nuhat(k(beta-alpha))
