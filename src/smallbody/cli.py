@@ -500,7 +500,7 @@ def cmd_design(scene: dict, out: Path, args) -> dict:
         "p": potential_from_h_N(h, dens),
         "h": h,
         "N": dens.tolist(),
-        "cloud": cloud.to_json_dict(),
+        "cloud": {"format_version": FORMAT_VERSION, **cloud.to_json_dict()},
         "feasibility": {
             "ka": report.ka,
             "d_over_a": report.spacing_over_a,

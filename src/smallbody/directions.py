@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -10,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 
 @dataclass(frozen=True)
 class DirectionGrid:
-    """Latitude-longitude direction set with quadrature weights.
+    """Latitude-longitude direction set for quadrature.
 
     Colatitudes sit at Gauss-Legendre nodes in cos(theta) so that smooth
     integrands over S^2 are integrated to near machine precision; longitudes
@@ -24,8 +25,10 @@ class DirectionGrid:
         if self.n_theta < 2 or self.n_phi < 2:
             raise ValueError("direction grid needs at least 2x2 points")
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
+        """Colatitudes, formed once per grid (a frozen dataclass still has
+        the instance __dict__ that cached_property writes)."""
         x, _ = leggauss(self.n_theta)
         return np.arccos(x)
 
@@ -38,11 +41,6 @@ class DirectionGrid:
         t, p = np.meshgrid(self.theta, self.phi, indexing="ij")
         st = np.sin(t)
         return np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)], axis=-1).reshape(-1, 3)
-
-    def weights(self) -> np.ndarray:
-        """Quadrature weights matching :meth:`vectors`; sums to 4*pi."""
-        _, w = leggauss(self.n_theta)
-        return np.repeat(w, self.n_phi) * (2.0 * np.pi / self.n_phi)
 
 
 @dataclass
@@ -57,10 +55,6 @@ class FarField:
         self.values = np.asarray(self.values, dtype=complex).reshape(-1)
         if self.values.size != self.grid.n_theta * self.grid.n_phi:
             raise ValueError("value count does not match the direction grid")
-
-    def integral_abs_squared(self) -> float:
-        """Quadrature of |A|^2 over the unit sphere."""
-        return float(np.sum(self.grid.weights() * np.abs(self.values) ** 2))
 
     def rows(self):
         """(theta, phi, Re A, Im A) rows matching the CSV export layout."""

@@ -28,9 +28,8 @@ import numpy as np
 
 from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SolverFailure
-from .medium import (DENSE_GRID_CAP, BackgroundMedium, ComplexField, _embedding_spectrum,
-                     _kernel_matrix, _kernel_planes, _kernel_sum, _norm, _solve_checked,
-                     _toeplitz_apply, _unit, lattice_of)
+from .medium import (DENSE_GRID_CAP, BackgroundMedium, ComplexField, _kernel_matrix, _kernel_sum,
+                     _solve_checked, _unit, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -112,7 +111,7 @@ class FoldySystem:
         """v -> v - K s for the sources s = [q u; -vb grad u], K the
         background pair kernel with the paper's zero diagonal.  The free
         pairs K s run by one of three engines: by FFT for centres on
-        ``lattice`` (LatticeConvolution), by the free kernel stored once when
+        ``lattice`` (Lattice.pair_kernel), by the free kernel stored once when
         ``stored`` (medium._kernel_matrix), else a row chunk at a time
         (medium._kernel_sum); the last two give the same bits.  A non-free
         background adds its volume correction V s = T^T (W s), (T, W) the
@@ -126,14 +125,14 @@ class FoldySystem:
             at = np.column_stack([np.arange(m), m + np.arange(3 * m).reshape(m, 3)])
             at = at[:, :1 + 3 * order]
             blocks = np.einsum("zja,zjb->jab", t[:, at], w[:, at])
-        conv = None if lattice is None else LatticeConvolution(lattice, k, order)
+        conv = None if lattice is None else lattice.pair_kernel(k, order)
         table = _kernel_matrix(self.centers, k, (order, order)) if stored and conv is None else None
 
         def apply(vec):
             dipoles = self.vb @ vec[m:].reshape(m, 3 * order).T  # (3 order, M)
             s = np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)])
-            if conv is not None:
-                pairs = conv(np.vstack([s[:m], dipoles]))  # -K s, component-major
+            if conv is not None:  # -K s, component-major
+                pairs = lattice.gather(conv(lattice.scatter(np.vstack([s[:m], dipoles]))))
                 out = vec + np.concatenate([pairs[0], pairs[1:].T.reshape(-1)])
             elif table is not None:
                 out = vec - table @ s
@@ -157,48 +156,6 @@ class FoldySystem:
         else:
             stats.update(coupling=-self.q)
         return FoldySolveResult(effective_values=ue, charges=self.q * ue, **stats)
-
-
-class LatticeConvolution:
-    """s -> sum_{m != j} L(x_m - x_j) s_m at the sites of a lattice, by FFT.
-
-    L is the symmetric block [[-g, grad_y g], [grad_y g, d^2 g / dx dy]]
-    of derivative order 1, or -g alone at order 0: on the sources
-    [q u; vb grad u] it gives -K [q u; -vb grad u], K the free pair kernel
-    of FoldySystem.  The pair matrix of a lattice cloud is three-level
-    Toeplitz with a zero diagonal (Goodman, Draine & Flatau, Opt. Lett. 16
-    (1991) 1198); L's upper triangle is tabulated once over the box offsets
-    (_kernel_planes).  Sources s and the result are component-major,
-    (1 + 3 order, M).  Spectra and padded columns are held component-major,
-    (c, 2n1, 2n2, 2n3), so the block contraction works on contiguous planes.
-    """
-
-    def __init__(self, lattice, k, order):
-        self.lattice = lattice
-        m = np.ix_(*(np.arange(n) for n in lattice.shape))
-        offsets = np.broadcast_arrays(*[-h * mi for h, mi in zip(lattice.spacing, m)])
-        r = _norm(*offsets)
-        r[0, 0, 0] = 1.0
-        table = np.stack([plane for _, _, plane in
-                          _kernel_planes(np.stack(offsets, axis=-1), r, k, 2 * order)])
-        table[0] = -table[0]
-        table[:, 0, 0, 0] = 0.0  # no self-interaction
-        # a derivative along axis i flips the parity of the even g in m_i
-        a, b = np.triu_indices(1 + 3 * order)
-        e = np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)])
-        self.blocks = list(zip(a, b, _embedding_spectrum(table, (-1) ** (e[a] + e[b]))))
-
-    def _contract(self, spec, part):
-        out = np.zeros_like(spec)
-        for a, b, k in self.blocks:
-            k = k[:, part]
-            out[a] += k * spec[b]
-            if a != b:
-                out[b] += k * spec[a]
-        return out
-
-    def __call__(self, s):
-        return self.lattice.gather(_toeplitz_apply(self.lattice.scatter(s), self._contract))
 
 
 def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:

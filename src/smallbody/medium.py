@@ -41,12 +41,10 @@ GMRES_RESTART = 20
 GMRES_MAXITER = 400
 RCOND_FLOOR = 1e-13
 
-# the fused middle stage of a Toeplitz apply works on parts of at most this
-# many spectrum entries (measured; README "Numerical choices")
-FUSED_ENTRIES = 2 ** 16
-
-# entries per chunk of a kernel or phase table: 1 MiB of complex entries,
-# below the mmap threshold of cli.MMAP_THRESHOLD, so chunks reuse freed heap
+# entries per chunk of a kernel or phase table, and per part of the fused
+# middle stage of a box convolution: 1 MiB of complex entries, below the
+# mmap threshold of cli.MMAP_THRESHOLD, so chunks reuse freed heap
+# (measured; README "Numerical choices")
 CHUNK_ENTRIES = 2 ** 16
 
 # lattice_of refuses a lattice whose box holds more than this many sites per
@@ -487,34 +485,61 @@ def _fft_stage(a, axis, n, inverse) -> np.ndarray:
     return out
 
 
-def _toeplitz_apply(cols, contract) -> np.ndarray:
-    """sum_j T(i - j) f_j over a box for columns cols, (c, n1, n2, n3).
+class BoxConvolution:
+    """f -> sum_j T(i - j) f_j over a box, by FFT, for a symmetric block
+    three-level Toeplitz generator T of w x w blocks.
 
-    The pruned FFT of McDonald, Golden & Jennings (IJHPCA 23 (2009) 42):
-    the columns are zero-padded to the 2n_i-per-axis embedding one axis at
-    a time, last axis first, so no stage transforms the padding of an axis
-    still to come, and the inverse cuts each axis back to n_i before the
-    next, so no stage transforms what an earlier one dropped.  The two
-    stages over the first box axis and the product with the kernel
-    spectrum run together on parts of at most FUSED_ENTRIES entries along
-    the second box axis, so the padded spectrum is never held whole:
-    contract(spec, part) multiplies spec, the part [..., :, part, :] of
-    the column spectrum, by the same part of the kernel spectrum (in place
-    or not) and returns the product.  Returns (c, n1, n2, n3).
+    table (b, n1, n2, n3) holds the b = w (w + 1) / 2 blocks (a, c) of T's
+    upper triangle in np.triu_indices(w) order, or (n1, n2, n3) its one
+    block, over the index offsets m = i - j >= 0 with parity (b, 3) as in
+    _embedding_spectrum; T's block (c, a) is block (a, c).  Columns f are
+    (..., w, n1, n2, n3); a one-block generator takes any leading axes.
+
+    The apply is the pruned FFT of McDonald, Golden & Jennings (IJHPCA 23
+    (2009) 42): the columns are zero-padded to the 2n_i-per-axis embedding
+    one axis at a time, last axis first, so no stage transforms the padding
+    of an axis still to come, and the inverse cuts each axis back to n_i
+    before the next, so no stage transforms what an earlier one dropped.
+    The two stages over the first box axis and the block contraction with
+    the spectra run together on parts of at most CHUNK_ENTRIES entries
+    along the second box axis, so the padded spectrum is never held whole.
     """
-    shape = cols.shape[-3:]
-    half = _fft_stage(_fft_stage(cols, -1, 2 * shape[2], False), -2, 2 * shape[1], False)
-    out = np.empty(half.shape, dtype=complex)
-    width = max(1, FUSED_ENTRIES // (2 * half.size // half.shape[-2]))
 
-    def run(lo, hi):
-        for s in range(lo, hi, width):
-            part = slice(s, min(s + width, hi))
-            spec = contract(np.fft.fft(half[..., part, :], n=2 * shape[0], axis=-3), part)
-            out[..., part, :] = np.fft.ifft(spec, axis=-3)[..., :shape[0], :, :]
+    def __init__(self, table, parity=(1, 1, 1)):
+        shape = table.shape[-3:]
+        spectra = _embedding_spectrum(table, parity).reshape((-1,) + tuple(2 * n for n in shape))
+        w = math.isqrt(2 * len(spectra))  # len(spectra) = w (w + 1) / 2
+        upper = [(a, c) for a in range(w) for c in range(a, w)]  # np.triu_indices(w) order
+        self.blocks = [(a, c, k) for (a, c), k in zip(upper, spectra)]
 
-    runtime.run_slabs(run, half.shape[-2], 2 * half.size)
-    return _fft_stage(_fft_stage(out, -2, shape[1], True), -1, shape[2], True)
+    def _contract(self, spec, part):
+        """The part [..., :, part, :] of the padded column spectrum times
+        the same part of T's spectrum; one block multiplies in place."""
+        if len(self.blocks) == 1:
+            spec *= self.blocks[0][2][:, part]
+            return spec
+        out = np.zeros_like(spec)
+        for a, c, k in self.blocks:
+            k = k[:, part]
+            out[..., a, :, :, :] += k * spec[..., c, :, :, :]
+            if a != c:
+                out[..., c, :, :, :] += k * spec[..., a, :, :, :]
+        return out
+
+    def __call__(self, cols) -> np.ndarray:
+        shape = cols.shape[-3:]
+        half = _fft_stage(_fft_stage(cols, -1, 2 * shape[2], False), -2, 2 * shape[1], False)
+        out = np.empty(half.shape, dtype=complex)
+        width = max(1, CHUNK_ENTRIES // (2 * half.size // half.shape[-2]))
+
+        def run(lo, hi):
+            for s in range(lo, hi, width):
+                part = slice(s, min(s + width, hi))
+                spec = self._contract(np.fft.fft(half[..., part, :], n=2 * shape[0], axis=-3), part)
+                out[..., part, :] = np.fft.ifft(spec, axis=-3)[..., :shape[0], :, :]
+
+        runtime.run_slabs(run, half.shape[-2], 2 * half.size)
+        return _fft_stage(_fft_stage(out, -2, shape[1], True), -1, shape[2], True)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +639,32 @@ class Lattice:
         """The values (..., M) at the points of a box array (..., *shape)."""
         return box.reshape(box.shape[:-3] + (-1,))[..., self.index]
 
+    def pair_kernel(self, k, order) -> BoxConvolution:
+        """s -> sum_{m != j} L(x_m - x_j) s_m over the box sites, by FFT.
+
+        L is the symmetric block [[-g, grad_y g], [grad_y g, d^2 g / dx dy]]
+        of derivative order 1, or -g alone at order 0: on the sources
+        [q u; vb grad u] it gives -K [q u; -vb grad u], K the free pair
+        kernel of FoldySystem.  The pair matrix of a lattice cloud is
+        three-level Toeplitz with a zero diagonal (Goodman, Draine & Flatau,
+        Opt. Lett. 16 (1991) 1198); L's upper triangle is tabulated once over
+        the box offsets (_kernel_planes).  Sources and the result are
+        component-major, (1 + 3 order, *shape), so the block contraction
+        works on contiguous planes.
+        """
+        m = np.ix_(*(np.arange(n) for n in self.shape))
+        offsets = np.broadcast_arrays(*[-h * mi for h, mi in zip(self.spacing, m)])
+        r = _norm(*offsets)
+        r[0, 0, 0] = 1.0
+        table = np.stack([plane for _, _, plane in
+                          _kernel_planes(np.stack(offsets, axis=-1), r, k, 2 * order)])
+        table[0] = -table[0]
+        table[:, 0, 0, 0] = 0.0  # no self-interaction
+        # a derivative along axis i flips the parity of the even g in m_i
+        a, b = np.triu_indices(1 + 3 * order)
+        e = np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)])
+        return BoxConvolution(table, (-1) ** (e[a] + e[b]))
+
 
 def lattice_of(centers) -> Lattice | None:
     """The rectangular lattice that every centre sits on, or None.
@@ -697,7 +748,8 @@ class BackgroundMedium:
     """Background medium (k, n0, q0) with its volume quadrature grid.
 
     Immutable after construction; the state that depends on the medium
-    alone (the kernel spectrum, the grid LU factors) is memoized internally.
+    alone (the kernel's box convolution, the grid LU factors) is memoized
+    internally.
     """
 
     def __init__(self, k: float, grid: Grid, n0=1.0):
@@ -752,20 +804,14 @@ class BackgroundMedium:
         return table
 
     @cached_property
-    def _kernel_spectrum(self) -> np.ndarray:
-        return _embedding_spectrum(self._kernel_table)
+    def _convolution(self) -> BoxConvolution:
+        return BoxConvolution(self._kernel_table)
 
     def _apply_weighted_kernel(self, f: np.ndarray) -> np.ndarray:
         """Kw @ f by FFT convolution; f is (N,) or a block of columns (N, c)."""
         f = np.asarray(f, dtype=complex)
         cols = np.moveaxis(f.reshape(self.grid.shape + (-1,)), -1, 0)
-        kernel = self._kernel_spectrum  # formed here, not on a slab thread
-
-        def contract(spec, part):
-            spec *= kernel[:, part]
-            return spec
-
-        return np.moveaxis(_toeplitz_apply(cols, contract), 0, -1).reshape(f.shape)
+        return np.moveaxis(self._convolution(cols), 0, -1).reshape(f.shape)
 
     def _dense_weighted_kernel(self, nodes=None) -> np.ndarray:
         """Kw[nodes, nodes] (default: every node), gathered from the generator
@@ -954,10 +1000,6 @@ class BackgroundMedium:
         t = np.einsum("cabk,kb->cak", t.reshape(len(f), shape[0], shape[1], -1), e2)
         sums = np.einsum("cak,ka->ck", t, e1)
         return sums if stacked else sums[0]
-
-    def background_amplitude(self, betas, alpha) -> np.ndarray:
-        """A0(beta, alpha): far-field amplitude of the background alone."""
-        return self.amplitude(betas, self.source_density(alpha))
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

@@ -34,8 +34,6 @@ SPACING_FACTOR = 10.0   # d >= 10 a
 M_CAP = 200_000         # desk-scale particle cap
 HARD_COMPAT_MAX = 0.1   # (nu/c3)^(1/3) <= 0.1 wherever nu > 0
 
-FORMAT_VERSION = 1
-
 
 @dataclass
 class ParticleCloud:
@@ -73,7 +71,6 @@ class ParticleCloud:
 
     def to_json_dict(self) -> dict:
         out = {
-            "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "a": self.a,
             "d": self.d,

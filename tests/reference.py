@@ -5,7 +5,9 @@ not need."""
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
+from smallbody.directions import FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
 from smallbody.foldy_impedance import FoldySolveResult, _node_density, evaluate_field
 from smallbody.limit_solver import LimitProblem, _hard_source
@@ -176,6 +178,20 @@ def excluded_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: Pa
                    zeta=None if cloud.zeta is None else cloud.zeta[keep])
     rest.d = cloud.d
     return evaluate_field(others, medium, rest, points)
+
+
+def background_amplitude(medium: BackgroundMedium, betas, alpha) -> np.ndarray:
+    """A0(beta, alpha): far-field amplitude of the background alone."""
+    return medium.amplitude(betas, medium.source_density(alpha))
+
+
+def integral_abs_squared(ff: FarField) -> float:
+    """Quadrature of |A|^2 over the unit sphere, with the weights of the
+    direction grid: Gauss-Legendre in cos(theta), equal in phi (total 4*pi)."""
+    grid = ff.grid
+    _, w = leggauss(grid.n_theta)
+    weights = np.repeat(w, grid.n_phi) * (2.0 * np.pi / grid.n_phi)
+    return float(np.sum(weights * np.abs(ff.values) ** 2))
 
 
 def green_potential_grid(medium: BackgroundMedium, density) -> np.ndarray:

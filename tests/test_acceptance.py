@@ -32,7 +32,8 @@ from smallbody.particles import (
     h_to_impedance,
     validate_cloud,
 )
-from reference import green_potential_grid, lemma_bounds_check, u0_grid, weighted_u0_sum_grid
+from reference import (background_amplitude, green_potential_grid, integral_abs_squared,
+                       lemma_bounds_check, u0_grid, weighted_u0_sum_grid)
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -190,10 +191,10 @@ def test_criterion_6_optical_theorem():
     problem = LimitProblem(medium=med, p=p)
     fld = solve_limit(problem, Z_HAT)
     ff = limiting_amplitude(problem, fld)  # default 32x64 quadrature
-    forward = (med.background_amplitude(Z_HAT[None, :], Z_HAT)[0]
+    forward = (background_amplitude(med, Z_HAT[None, :], Z_HAT)[0]
                - weighted_u0_sum_grid(
                    med, Z_HAT[None, :], p * fld.values * med.weight)[0] / (4 * np.pi))
-    flux = k / (4 * np.pi) * ff.integral_abs_squared()
+    flux = k / (4 * np.pi) * integral_abs_squared(ff)
     rel = abs(forward.imag - flux) / abs(forward.imag)
     assert rel <= 1e-3
     report(6, f"optical-theorem defect {rel:.2e} <= 1e-3")

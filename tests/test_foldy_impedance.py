@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from smallbody import cli, foldy_impedance, medium
+from smallbody import cli, directions, foldy_impedance, medium
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation, SolverFailure
 from smallbody.foldy_impedance import (
@@ -25,7 +26,8 @@ from smallbody.particles import (
     build_cloud_impedance,
     h_to_impedance,
 )
-from reference import excluded_field, foldy_matrix, free_kernel, green_blocks, incident_values
+from reference import (background_amplitude, excluded_field, foldy_matrix, free_kernel,
+                       green_blocks, incident_values, integral_abs_squared)
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -380,7 +382,7 @@ class TestNonFreeLattice:
         ref = np.exp(1j * med.k * points @ Z_HAT) \
             - free_kernel(points, med.grid.nodes, med.k) @ (med.q0 * med.weight * u0)
         assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(ff.values, med.background_amplitude(ff.grid.vectors(), Z_HAT))
+        assert np.array_equal(ff.values, background_amplitude(med, ff.grid.vectors(), Z_HAT))
 
     def test_matrix_free_solve_past_the_grid_cap_exits_4(self, monkeypatch, tmp_path):
         # the one refusal left: past the dense cap, a matrix-free solve whose
@@ -542,6 +544,18 @@ class TestFarField:
         amp = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
         assert abs(amp - (-a)) / a < 1e-3
 
+    def test_direction_grid_forms_its_nodes_once(self, monkeypatch):
+        # the far field's vectors() and the writer's rows() share one
+        # Gauss-Legendre call per grid, and the colatitudes keep their bits
+        calls = []
+        monkeypatch.setattr(directions, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        med = free_medium()
+        cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=1.0)
+        ff = far_field(solve_cloud(med, cloud, Z_HAT), med, cloud, DirectionGrid(8, 16))
+        theta = ff.rows()[0]
+        assert calls == [8]
+        assert np.array_equal(theta, np.repeat(np.arccos(leggauss(8)[0]), 16))
+
     def test_zero_charges_zero_amplitude(self):
         med = free_medium()
         cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=0.0)
@@ -581,7 +595,7 @@ class TestFarField:
         res = solve_cloud(med, cloud, Z_HAT)
         ff = far_field(res, med, cloud)
         forward = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
-        flux = med.k / (4 * np.pi) * ff.integral_abs_squared()
+        flux = med.k / (4 * np.pi) * integral_abs_squared(ff)
         assert abs(forward.imag - flux) <= 1e-3 * np.abs(ff.values).max()
 
     def test_doubling_charges_doubles_amplitude(self):

@@ -14,8 +14,8 @@ from smallbody.foldy_impedance import (FoldySystem, amplitudes, evaluate_field, 
 from smallbody.foldy_neumann import ball_polarizability
 from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
-from reference import (excluded_field, free_kernel, free_kernel_grad_y, green_blocks,
-                       incident_values)
+from reference import (background_amplitude, excluded_field, free_kernel, free_kernel_grad_y,
+                       green_blocks, incident_values)
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 C3 = 4 * np.pi / 3
@@ -324,7 +324,7 @@ class TestCoupledSystem:
                    else excluded_field(res, med, cloud, probes, exclude)).values
             assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
         betas = DirectionGrid(4, 8).vectors()
-        part = amplitudes(res, med, cloud, betas) - med.background_amplitude(betas, Z_HAT)
+        part = amplitudes(res, med, cloud, betas) - background_amplitude(med, betas, Z_HAT)
         reference = np.empty(len(betas), dtype=complex)
         for i, beta in enumerate(betas):
             u0 = incident_values(med, -beta, centers, order=1)

@@ -388,10 +388,11 @@ class TestGridEngine:
 
 
 class TestBoxFFT:
-    """The Toeplitz FFT apply that the grid and the particle lattices share,
-    on a 3 x 4 x 5 box: dense direct sums, and bitwise-equal results on 1, 2
-    and 3 threads with every stage cut into slabs (3 threads cut the box
-    axes and their 2n_i embeddings unevenly)."""
+    """The box convolution (medium.BoxConvolution) that the grid and the
+    particle lattices share, on a 3 x 4 x 5 box: dense direct sums,
+    bitwise-equal results on 1, 2 and 3 threads with every stage cut into
+    slabs (3 threads cut the box axes and their 2n_i embeddings unevenly),
+    and over the chunk budget that sets the width of its fused parts."""
 
     K = 1.7
 
@@ -443,13 +444,23 @@ class TestBoxFFT:
     def test_bitwise_equal_on_1_2_3_threads(self, monkeypatch, case, arg):
         monkeypatch.setattr(runtime, "_THREADS", 1)  # restored after the test
         monkeypatch.setattr(runtime, "SLAB_MIN_ENTRIES", 0)
-        monkeypatch.setattr(medium, "FUSED_ENTRIES", 1)  # one column per fused part
+        monkeypatch.setattr(medium, "CHUNK_ENTRIES", 1)  # one column per fused part
         outs = []
         for threads in (1, 2, 3):
             runtime.set_thread_count(threads)
             apply, _, f = self.make(case, arg)  # the kernel spectrum on these threads too
             outs.append(apply(f))
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    @pytest.mark.parametrize("case,arg", CASES)
+    def test_bitwise_equal_over_the_chunk_budget(self, monkeypatch, case, arg):
+        # one budget sets the fused parts: one column, a few, or the whole box
+        outs = []
+        for budget in (1, 2 ** 10, 2 ** 16):
+            monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
+            apply, _, f = self.make(case, arg)
+            outs.append(apply(f))
+        assert all(np.array_equal(outs[0], out) for out in outs[1:])
 
     def test_nested_and_concurrent_slab_calls_finish(self, monkeypatch):
         # slabs that start slab jobs of their own, from more callers than
