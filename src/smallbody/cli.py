@@ -608,7 +608,7 @@ def _keep_freed_heap():
     of faulting in fresh pages.  A higher threshold lets freed grid-sized
     blocks pin heap that later, larger ones cannot reuse (README,
     Dependencies).  Nothing where the C library has no mallopt."""
-    import ctypes  # loaded by medium already
+    import ctypes  # loaded by numpy already
 
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -14,15 +14,14 @@ class InvariantViolation(SmallBodyError):
 
 
 class SolverFailure(SmallBodyError):
-    """A linear solve did not converge or is ill-conditioned.
+    """A linear solve did not converge.
 
-    ``residual`` is the relative residual a solve reached; ``spectral_radius``
-    estimates rho(A - I) for a GMRES solve of A x = b that stopped early.
+    ``spectral_radius`` estimates rho(A - I) for the GMRES solve of A x = b
+    that stopped early.
     """
 
-    def __init__(self, message, residual=None, spectral_radius=None):
+    def __init__(self, message, spectral_radius=None):
         super().__init__(message)
-        self.residual = residual
         self.spectral_radius = spectral_radius
 
 

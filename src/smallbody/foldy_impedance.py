@@ -1,13 +1,14 @@
 """Many-body Foldy system and pipeline of both particle species.
 
 Both species reduce to one linear system in per-particle unknowns whose
-coefficients are the background Green function and its derivatives; only
-the local map from a particle's field to its sources differs (FoldySystem).
-The pipeline here -- validate, incident data, GMRES on the system's one
-operator (free pairs by lattice FFT, by the stored free kernel or by row
-chunks, plus the grid's low-rank volume correction in a non-free
-background), far-zone guard, field, amplitudes -- serves both;
-foldy_neumann holds the physics of the hard species.
+coefficients are the free Green function and its derivatives; only the
+local map from a particle's field to its sources differs (FoldySystem).  In
+a non-free background the particles' grid field on supp q0 joins the
+unknowns, so the background's response to the particles is solved with
+them (FoldySystem.operator).  The pipeline here -- validate, incident data,
+GMRES on the system's one operator (free pairs by lattice FFT, by the
+stored free kernel or by row chunks), far-zone guard, field, amplitudes --
+serves both; foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -27,9 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from .directions import DirectionGrid, FarField
-from .errors import InvariantViolation, SolverFailure
-from .medium import (DENSE_GRID_CAP, BackgroundMedium, ComplexField, _kernel_matrix, _kernel_sum,
-                     _solve_checked, _unit, lattice_of)
+from .errors import InvariantViolation
+from .medium import (BackgroundMedium, ComplexField, _kernel_matrix, _kernel_sum, _solve_checked,
+                     _unit, lattice_of)
 from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
                         validate_cloud)
 
@@ -47,7 +48,7 @@ class FoldySolveResult:
 
     Impedance solves fill ``coupling``; hard solves fill the gradients and
     dipole moments; non-free solves fill ``background_density``, and of a
-    nonempty cloud ``volume_weights``.
+    nonempty cloud ``particle_density``.
     """
 
     effective_values: np.ndarray   # u_e(x_m)
@@ -59,8 +60,8 @@ class FoldySolveResult:
     coupling: np.ndarray | None = None              # c_m
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
-    volume_weights: np.ndarray | None = None        # W of the volume factors (T, W)
     background_density: np.ndarray | None = None    # -q0 delta^3 u0 at the grid nodes
+    particle_density: np.ndarray | None = None      # -q0 delta^3 v of the particles' grid field v
 
 
 def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
@@ -73,62 +74,92 @@ class FoldySystem:
 
     Particle m radiates Q_m = q_m u_e(x_m) and P_m = -vb grad u_e(x_m), and
     [u_e; grad u_e](x_j) = [u0; grad u0](x_j) + sum_{m != j} K(x_j, x_m) [Q_m; P_m]
-    with K = [[G, grad_y G], [grad_x G, d^2 G / dx dy]].  Impedance particles:
-    q = -c (coupling_constants), unknowns u_e (order 0; vb is 0 x 0).  Hard
-    particles: q = V (q0(x_m) - k^2), vb = V beta, unknowns [u_e (M),
-    grad u_e (M,3) row-major] (order 1).  Order 0 truncates K to G.
+    + [v_j; grad v_j] with K = [[g, grad_y g], [grad_x g, d^2 g / dx dy]]
+    the free pair kernel and v the background's response to all particle
+    sources, particle j's own included (none in a free background).
+    Impedance particles: q = -c (coupling_constants), unknowns u_e (order 0;
+    vb is 0 x 0).  Hard particles: q = V (q0(x_m) - k^2), vb = V beta,
+    unknowns [u_e (M), grad u_e (M,3) row-major] (order 1).  Order 0
+    truncates K to g.  In a non-free background the |S| values of the
+    particles' grid field on S = supp q0 come first (operator).
     """
 
     def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
         self.medium, self.centers, self.kind = medium, cloud.centers, cloud.kind
+        self.grid_unknowns = len(medium._support)
         if cloud.kind == "hard":
             self.order = 1  # incident data: values and gradients
             self.q = (medium.q0_at(cloud.centers) - medium.k ** 2) * cloud.volume_per_particle
             self.vb = cloud.volume_per_particle * cloud.beta
         else:
             self.order, self.q, self.vb = 0, -coupling_constants(cloud), np.zeros((0, 0))
+        # the grid unknowns are v / scale (operator)
+        sizes = np.abs(np.concatenate([self.q, self.vb.reshape(-1)]))
+        self.scale = float(sizes.max()) if sizes.any() else 1.0
 
     @cached_property
-    def factors(self):
-        """(T, W) of the background's volume correction over the centres
-        (BackgroundMedium.volume_factors), formed once, which factors the
-        grid; None in a free background."""
-        return self.medium.volume_factors(self.centers, self.order)
+    def _tables(self):
+        """T = medium._node_columns(centres, order), (|S|, M (1 + 3 order)),
+        and T^T stored row-major, formed once: the kernel of _kernel_matrix
+        from either side, so each product has the bits of _kernel_sum."""
+        t = self.medium._node_columns(self.centers, self.order)
+        return t, np.ascontiguousarray(t.T)
 
-    def incident(self, alpha):
-        """([u0; grad u0 (order 1)](x_m, alpha) at the centres, the system's
-        right-hand side, and u0's node density (source_density; None in a
-        free background)).  The node sources are summed over the centres'
-        support table T, whose factors are formed first, so that u0's grid
-        solve reuses the grid LU."""
+    def _node_sums(self, stored):
+        """(s -> T s, x -> T^T x): the field of the particle sources s at the
+        nodes of S, and the [value; gradient] at the centres of node sources
+        x on S; by the stored tables when ``stored``, else a row chunk at a
+        time (medium._kernel_sum), with the same bits."""
+        if stored:
+            t, tt = self._tables
+            return t.__matmul__, tt.__matmul__
+        medium, orders = self.medium, (0, self.order)
+        k, nodes = medium.k, medium.grid.nodes[medium._support]
+        return (lambda s: _kernel_sum(nodes, k, orders, s, self.centers),
+                lambda x: _kernel_sum(self.centers, k, orders[::-1], x, nodes))
+
+    def incident(self, alpha, density, stored):
+        """The right-hand side: [u0; grad u0 (order 1)](x_m, alpha) at the
+        centres, after |S| zeros in a non-free background, where u0's node
+        density ``density`` (source_density) is summed over T^T."""
         u = self.medium.radiate(self.centers, alpha, None, order=self.order)
-        if self.factors is None:
-            return u, None
-        density = self.medium.source_density(alpha)
-        return u + density[self.medium._support] @ self.factors[0], density
+        if density is None:
+            return u
+        u += self._node_sums(stored)[1](density[self.medium._support])
+        return np.concatenate([np.zeros(self.grid_unknowns, dtype=complex), u])
 
     def operator(self, lattice=None, stored=False):
-        """v -> v - K s for the sources s = [q u; -vb grad u], K the
-        background pair kernel with the paper's zero diagonal.  The free
-        pairs K s run by one of three engines: by FFT for centres on
-        ``lattice`` (Lattice.pair_kernel), by the free kernel stored once when
-        ``stored`` (medium._kernel_matrix), else a row chunk at a time
-        (medium._kernel_sum); the last two give the same bits.  A non-free
-        background adds its volume correction V s = T^T (W s), (T, W) the
-        system's factors, less the exact per-particle blocks (1 x 1, or
-        4 x 4 at order 1) that the zero diagonal drops."""
-        k, m, order = self.medium.k, len(self.centers), self.order
-        factors = self.factors
-        if factors is not None:
-            t, w = factors
-            # the stacked index of component a of particle j, (M, 1 + 3 order)
-            at = np.column_stack([np.arange(m), m + np.arange(3 * m).reshape(m, 3)])
-            at = at[:, :1 + 3 * order]
-            blocks = np.einsum("zja,zjb->jab", t[:, at], w[:, at])
-        conv = None if lattice is None else lattice.pair_kernel(k, order)
-        table = _kernel_matrix(self.centers, k, (order, order)) if stored and conv is None else None
+        """w -> w - K s for the sources s = [q u; -vb grad u], K the free
+        pair kernel with the paper's zero diagonal, by one of three engines:
+        by FFT for centres on ``lattice`` (Lattice.pair_kernel), by the free
+        kernel stored once when ``stored`` (medium._kernel_matrix), else a
+        row chunk at a time (medium._kernel_sum); the last two give the same
+        bits.
 
-        def apply(vec):
+        A non-free background couples the particles' grid field v on S,
+        ahead of w, as a volume-integral grid holds point scatterers
+        (Martin, Multiple Scattering, CUP 2006, ch. 8): [v; w] ->
+        [v + (Kw (q0 v))_S - T s; w - K s + T^T (q0 delta^3 v)], T the
+        free kernel from the centres to the nodes of S (_node_sums, stored
+        with either the lattice or the stored kernel).  So each particle
+        also feels its own reflection from the background, which the
+        paper's sum over m != j of the background Green function drops: a
+        change of relative order a, that of the point reduction itself.
+        The unknowns are v / scale, the largest |q| or |vb| (a similarity,
+        which leaves the spectrum alone): v is of the size of the sources
+        while w is of that of u0, and GMRES's residual bound, relative to
+        u0, would otherwise bound v's error by u0's size, not v's.
+        """
+        medium, m, order, ns = self.medium, len(self.centers), self.order, self.grid_unknowns
+        conv = None if lattice is None else lattice.pair_kernel(medium.k, order)
+        table = (_kernel_matrix(self.centers, medium.k, (order, order))
+                 if stored and conv is None else None)
+        if ns:
+            to_nodes, to_centres = self._node_sums(stored or conv is not None)
+            dq0 = medium.q0[medium._support] * medium.weight * self.scale
+
+        def apply(x):
+            vec = x[ns:]
             dipoles = self.vb @ vec[m:].reshape(m, 3 * order).T  # (3 order, M)
             s = np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)])
             if conv is not None:  # -K s, component-major
@@ -137,19 +168,22 @@ class FoldySystem:
             elif table is not None:
                 out = vec - table @ s
             else:
-                out = vec - _kernel_sum(self.centers, k, (order, order), s)
-            if factors is not None:  # K = free kernel - V: -K s gains V s
-                v = t.T @ (w @ s)
-                v[at] -= np.einsum("jab,jb->ja", blocks, s[at])
-                out += v
-            return out
+                out = vec - _kernel_sum(self.centers, medium.k, (order, order), s)
+            if not ns:
+                return out
+            v = x[:ns]
+            return np.concatenate([medium._apply_grid_operator(v) - to_nodes(s) / self.scale,
+                                   out + to_centres(dq0 * v)])
 
         return apply
 
     def result(self, sol, **stats) -> FoldySolveResult:
-        m = len(self.centers)
-        if m and self.factors is not None:  # an empty cloud forms no factors
-            stats.update(volume_weights=self.factors[1])
+        m, ns = len(self.centers), self.grid_unknowns
+        if m and ns:
+            v = sol[:ns] * self.scale
+            stats.update(particle_density=self.medium._on_grid(
+                -(self.medium.q0[self.medium._support] * v * self.medium.weight)))
+            sol = sol[ns:]
         ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
         if self.order:
             stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))
@@ -165,43 +199,36 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
         raise InvariantViolation("invalid cloud: " + "; ".join(report.flags))
     alpha = _unit(alpha)
     system = FoldySystem(medium, cloud)
+    density = medium.source_density(alpha)
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0,
-                             background_density=medium.source_density(alpha))
-    incident = []  # the right-hand side and u0's node density, formed after the cap check
+                             background_density=density)
     sol, residual, iterations, solver = _solve_system(
-        system, lambda: incident.extend(system.incident(alpha)) or incident[0])
+        system, lambda stored: system.incident(alpha, density, stored))
     return system.result(sol, alpha=alpha, residual=residual, iterations=iterations,
-                         solver=solver, background_density=incident[1])
+                         solver=solver, background_density=density)
 
 
 def _solve_system(system, incident):
-    """Solve the system for the right-hand side incident() by GMRES.
+    """Solve the system for the right-hand side incident(stored) by GMRES,
+    ``stored`` telling whether the operator stores its node sums.
 
     Sized in unknowns n = M (1 + 3 order): a cloud on one lattice with
     n >= LATTICE_MIN_UNKNOWNS is applied by the operator's lattice FFT
     ("lattice_fft"), any other by its stored free kernel while
     n <= DENSE_MAX_UNKNOWNS ("dense") and by its row chunks beyond
-    ("gmres"); the last two give the same bits.  Past DENSE_MAX_UNKNOWNS,
-    |supp q0| must fit the grid LU (DENSE_GRID_CAP) that the volume
-    correction solves with, which is checked before incident() is called.
-    Returns (solution, residual, iterations, solver).
+    ("gmres"); the last two give the same bits.  Returns (solution,
+    residual, iterations, solver).
     """
     what = f"{system.kind} system"
     m = len(system.centers)
     n = m * (1 + 3 * system.order)
-    support = len(system.medium._support)
-    if support > DENSE_GRID_CAP and n > DENSE_MAX_UNKNOWNS:
-        raise SolverFailure(
-            f"{what}: M = {m} ({n} unknowns) exceeds the dense cap of {DENSE_MAX_UNKNOWNS} "
-            f"unknowns, and |supp q0| = {support} grid nodes exceeds the {DENSE_GRID_CAP} "
-            "that a matrix-free solve factors")
     lattice = lattice_of(system.centers) if n >= LATTICE_MIN_UNKNOWNS else None
     stored = lattice is None and n <= DENSE_MAX_UNKNOWNS
     solver = "lattice_fft" if lattice is not None else "dense" if stored else "gmres"
     apply = system.operator(lattice, stored)
     logger.debug("%s: GMRES (%s), M = %d", what, solver, m)
-    return (*_solve_checked(apply, incident(), what), solver)
+    return (*_solve_checked(apply, incident(stored or lattice is not None), what), solver)
 
 
 def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
@@ -211,7 +238,9 @@ def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: Pa
     Impedance particles carry no dipole P.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    density = _node_density(result, medium, result.background_density)
+    density = result.background_density
+    if result.particle_density is not None:
+        density = density + result.particle_density
     # a probe whose distance overflows gets a NaN field, which ComplexField refuses
     with np.errstate(over="ignore", invalid="ignore"):
         if len(cloud):
@@ -226,21 +255,6 @@ def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: Pa
     return ComplexField(points=pts, values=values, incident_direction=result.alpha)
 
 
-def _node_density(result: FoldySolveResult, medium: BackgroundMedium, density):
-    """The node density ``density`` less that of the particles' grid field
-    u_p (None in a free background).
-
-    u_p = B^-1 T s for the stacked sources s = [Q; P], so its density
-    -q0 delta^3 u_p is -W s, W of the solve's volume factors: no grid solve.
-    """
-    if result.volume_weights is None:
-        return density
-    dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
-    density = density.copy()
-    density[medium._support] -= result.volume_weights @ np.concatenate([result.charges, *dipoles])
-    return density
-
-
 def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
                betas) -> np.ndarray:
     """A(beta,alpha) = A0 + (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m].
@@ -250,11 +264,8 @@ def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: Partic
     formed as a small difference.  For a homogeneous background it reduces
     to (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
     """
-    background = result.background_density
-    particles = None if background is None else np.zeros_like(background)
-    return medium.amplitude(betas, background) + medium.amplitude(
-        betas, _node_density(result, medium, particles), cloud.centers, result.charges,
-        result.dipole_moments)
+    return medium.amplitude(betas, result.background_density) + medium.amplitude(
+        betas, result.particle_density, cloud.centers, result.charges, result.dipole_moments)
 
 
 def far_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,

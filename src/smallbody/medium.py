@@ -9,12 +9,10 @@ which keeps the discrete model flux-conserving for real potentials.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
-import types
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: at import here, not in a run)
@@ -29,17 +27,11 @@ logger = logging.getLogger(__name__)
 # (value of the full 1/r integral: 2.3800773639795536)
 CUBE_SELF_INTEGRAL = 0.18940053870923707
 
-# background grid solves: dense LU while supp q0 holds up to 20^3 nodes;
-# FFT-applied GMRES beyond
-DENSE_GRID_CAP = 8000
-
 # every linear solve of the package: relative residual bound, GMRES restart
-# length and budget of restarts, and the smallest LAPACK rcond estimate an
-# LU may have
+# length and budget of restarts
 RESIDUAL_TOL = 1e-10
 GMRES_RESTART = 20
 GMRES_MAXITER = 400
-RCOND_FLOOR = 1e-13
 
 # entries per chunk of a kernel or phase table, and per part of the fused
 # middle stage of a box convolution: 1 MiB of complex entries, below the
@@ -50,99 +42,6 @@ CHUNK_ENTRIES = 2 ** 16
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
 LATTICE_FILL = 8
-
-
-@cache
-def _lapack():
-    """zgetrf(a) -> (lu, piv, info), zgecon(lu, anorm) -> (rcond, info) (1-norm)
-    and zgetrs(lu, piv, b) -> (x, info), b (n,) or (n, c), as scipy.linalg.lapack
-    calls them: 0-based piv, the inputs left unmodified.  Bound with ctypes to the
-    LAPACKE entries of the scipy-openblas64 library that numpy's linalg extension
-    loads (dlsym also searches its dependencies), so a run holds one OpenBLAS
-    thread pool (README, Dependencies); a numpy on another BLAS takes
-    scipy.linalg.lapack, and raises SolverFailure without scipy.  The binding
-    turns LAPACKE's NaN scans of every input off (LAPACKE_set_nancheck(0)):
-    _factor and _solve_checked refuse non-finite input themselves, so a scan
-    would only read each input once more.  The first call logs the source at
-    DEBUG."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        getrf, gecon, getrs, nancheck, config = (getattr(lib, f"scipy_{name}64_") for name in (
-            "LAPACKE_zgetrf", "LAPACKE_zgecon", "LAPACKE_zgetrs", "LAPACKE_set_nancheck",
-            "openblas_get_config"))
-    except (OSError, AttributeError):
-        try:
-            from scipy.linalg import lapack
-        except ImportError as exc:
-            raise SolverFailure("dense LU: numpy has no scipy-openblas64 LAPACKE entries "
-                                f"and scipy.linalg cannot be imported ({exc})") from exc
-        logger.debug("LAPACK: scipy.linalg.lapack (numpy has no scipy-openblas64 LAPACKE)")
-        return lapack
-    i64, ptr, char, col_major = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char, 102
-    getrf.argtypes = [ctypes.c_int, i64, i64, ptr, i64, ptr]
-    gecon.argtypes = [ctypes.c_int, char, i64, ptr, i64, ctypes.c_double, ptr]
-    getrs.argtypes = [ctypes.c_int, char, i64, i64, ptr, i64, ptr, ptr, i64]
-    getrf.restype = gecon.restype = getrs.restype = i64
-    nancheck.argtypes, nancheck.restype = [ctypes.c_int], None
-    config.argtypes, config.restype = [], ctypes.c_char_p
-    nancheck(0)
-    logger.debug("LAPACK: numpy's %s", config().decode())
-
-    def square(lu):
-        lu = np.asfortranarray(lu, dtype=complex)
-        if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-            raise ValueError(f"LAPACK: matrix of shape {lu.shape} is not square")
-        return lu, len(lu)
-
-    def zgetrf(a):
-        lu, n = square(np.array(a, dtype=complex, order="F"))
-        piv = np.empty(n, dtype=np.int64)
-        info = getrf(col_major, n, n, lu.ctypes.data, max(1, n), piv.ctypes.data)
-        return lu, piv - 1, info
-
-    def zgecon(lu, anorm):
-        (lu, n), rcond = square(lu), np.zeros(1)
-        info = gecon(col_major, b"1", n, lu.ctypes.data, max(1, n), anorm, rcond.ctypes.data)
-        return float(rcond[0]), info
-
-    def zgetrs(lu, piv, b):
-        (lu, n), x = square(lu), np.array(b, dtype=complex, order="F")
-        piv = np.asarray(piv, dtype=np.int64) + 1
-        if piv.shape != (n,) or x.shape[:1] != (n,) or x.ndim > 2:
-            raise ValueError(f"zgetrs: order {n}, pivots {piv.shape}, right-hand side {x.shape}")
-        return x, getrs(col_major, b"N", n, x.shape[1] if x.ndim == 2 else 1, lu.ctypes.data,
-                        max(1, n), piv.ctypes.data, x.ctypes.data, max(1, n))
-
-    return types.SimpleNamespace(zgetrf=zgetrf, zgecon=zgecon, zgetrs=zgetrs)
-
-
-def _check_lapack(info, routine, what):
-    if info < 0:
-        raise ValueError(f"{what}: illegal argument {-info} to LAPACK {routine}")
-
-
-def _factor(a, what):
-    """LU factors (lu, piv 0-based) of a square matrix ``a``, left intact for
-    residual checks, and their rcond estimate (1-norm), by _lapack()'s zgetrf and zgecon.
-
-    Raises SolverFailure when the matrix is not finite (then its 1-norm,
-    which zgecon needs, is not: the one pass over ``a`` before LAPACK), is
-    exactly singular or has an estimate below RCOND_FLOOR.
-    """
-    anorm = float(np.linalg.norm(a, 1))
-    if not math.isfinite(anorm):
-        raise SolverFailure(f"{what}: matrix has non-finite entries (1-norm {anorm})")
-    lapack = _lapack()
-    lu, piv, info = lapack.zgetrf(a)
-    _check_lapack(info, "zgetrf", what)
-    if info > 0:
-        raise SolverFailure(f"{what} exactly singular (zero pivot in column {info})")
-    rcond, info = lapack.zgecon(lu, anorm)
-    _check_lapack(info, "zgecon", what)
-    logger.debug("%s: LU of order %d, rcond %.2e", what, len(a), rcond)
-    if not rcond >= RCOND_FLOOR:  # True on NaN
-        raise SolverFailure(f"{what} ill-conditioned (rcond estimate {rcond:.2e})")
-    return (lu, piv), float(rcond)
 
 
 def _rotation(f, g):
@@ -233,51 +132,40 @@ def _gmres(apply, b):
     return x, ax, inner, bool(rnorm <= atol)
 
 
-def _solve_checked(apply, rhs, what, lu=None):
-    """Solve A x = rhs, where apply(x) = A x for x shaped like rhs.
+def _solve_checked(apply, rhs, what):
+    """Solve A x = rhs by _gmres on each column of rhs ((n,) or (n, c)),
+    where apply(x) = A x for one column x.
 
-    Back-substitutes with the LU factors ``lu`` of A (LAPACK zgetrs) when
-    given, else runs _gmres on each column of rhs ((n,) or (n, c)).  Raises
-    SolverFailure when rhs is not finite, when GMRES stops early, with an
-    estimate of the spectral radius of A - I, or when ||A x - rhs|| / ||rhs||
-    exceeds RESIDUAL_TOL.  Returns (x, residual, GMRES inner-iteration count).
+    Raises SolverFailure when rhs is not finite, or when GMRES stops early,
+    with an estimate of the spectral radius of A - I.  Returns (x, residual
+    ||A x - rhs|| / ||rhs||, GMRES inner-iteration count); each column ends
+    within RESIDUAL_TOL of its own norm, so the residual does too.
     """
     rhs = np.asarray(rhs, dtype=complex)
     if not np.isfinite(rhs).all():
         raise SolverFailure(f"{what}: right-hand side has non-finite entries")
-    iterations = 0
-    if lu is not None:
-        sol, info = _lapack().zgetrs(*lu, rhs)
-        _check_lapack(info, "zgetrs", what)
-        r = apply(sol)
-    else:
-        n = len(rhs)
-        cols = rhs.reshape(n, -1)
-        sol, r = np.empty_like(cols), np.empty_like(cols)
-        for j in range(cols.shape[1]):
-            sol[:, j], r[:, j], count, converged = _gmres(apply, cols[:, j])
-            iterations += count
-            if not converged:
-                # power iteration on A - I: rho >= 1 means A's Neumann series diverges
-                v, rho = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, n)), 0.0
-                for _ in range(12):
-                    v = v / np.linalg.norm(v)
-                    v = apply(v) - v
-                    rho = float(np.linalg.norm(v))
-                    if rho == 0.0:
-                        break
-                raise SolverFailure(
-                    f"{what}: GMRES did not converge in {GMRES_MAXITER} restarts; spectral "
-                    f"radius estimate of A - I {rho:.3f}", spectral_radius=rho)
-        sol, r = sol.reshape(rhs.shape), r.reshape(rhs.shape)
-    r -= rhs
+    n, iterations = len(rhs), 0
+    cols = rhs.reshape(n, -1)
+    sol, r = np.empty_like(cols), np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        sol[:, j], r[:, j], count, converged = _gmres(apply, cols[:, j])
+        iterations += count
+        if not converged:
+            # power iteration on A - I: rho >= 1 means A's Neumann series diverges
+            v, rho = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, n)), 0.0
+            for _ in range(12):
+                v = v / np.linalg.norm(v)
+                v = apply(v) - v
+                rho = float(np.linalg.norm(v))
+                if rho == 0.0:
+                    break
+            raise SolverFailure(
+                f"{what}: GMRES did not converge in {GMRES_MAXITER} restarts; spectral "
+                f"radius estimate of A - I {rho:.3f}", spectral_radius=rho)
+    r -= cols
     resid = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
-    logger.debug("%s: %s, residual %.2e, %d GMRES iterations",
-                 what, "GMRES" if lu is None else "LU", resid, iterations)
-    if resid > RESIDUAL_TOL:
-        raise SolverFailure(f"{what} residual {resid:.2e} exceeds {RESIDUAL_TOL:.0e}",
-                            residual=resid)
-    return sol, resid, iterations
+    logger.debug("%s: residual %.2e, %d GMRES iterations", what, resid, iterations)
+    return sol.reshape(rhs.shape), resid, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +635,8 @@ class ComplexField:
 class BackgroundMedium:
     """Background medium (k, n0, q0) with its volume quadrature grid.
 
-    Immutable after construction; the state that depends on the medium
-    alone (the kernel's box convolution, the grid LU factors) is memoized
-    internally.
+    Immutable after construction; the kernel's box convolution, which
+    depends on the medium alone, is memoized internally.
     """
 
     def __init__(self, k: float, grid: Grid, n0=1.0):
@@ -767,7 +654,6 @@ class BackgroundMedium:
         # S = supp q0: I + Kw diag(q0) has identity columns off S, so every
         # background grid solve is a solve for the values on S alone
         self._support = np.flatnonzero(self.q0)
-        self._lu = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -793,7 +679,7 @@ class BackgroundMedium:
         of the grid box, with the corrected singular diagonal at m = 0.
 
         Kw is three-level Toeplitz and even in each axis offset.  Not
-        cached: only its spectrum and the dense LU path read it, once each.
+        cached: only its spectrum reads it, once.
         """
         delta = self.grid.delta
         m1, m2, m3 = np.ix_(*(np.arange(n) for n in self.grid.shape))
@@ -813,49 +699,16 @@ class BackgroundMedium:
         cols = np.moveaxis(f.reshape(self.grid.shape + (-1,)), -1, 0)
         return np.moveaxis(self._convolution(cols), 0, -1).reshape(f.shape)
 
-    def _dense_weighted_kernel(self, nodes=None) -> np.ndarray:
-        """Kw[nodes, nodes] (default: every node), gathered from the generator
-        in row blocks of at most CHUNK_ENTRIES entries."""
-        idx = np.unravel_index(np.arange(self.grid.size) if nodes is None else nodes,
-                               self.grid.shape)
-        n = len(idx[0])
-        kw = np.empty((n, n), dtype=complex)
-        table = self._kernel_table
-        for s, stop in _row_chunks(n, n):
-            rows = slice(s, stop)
-            kw[rows] = table[tuple(np.abs(i[rows, None] - i[None, :]) for i in idx)]
-        return kw
-
-    def _factorization(self):
-        """LU of I + Kw_SS diag(q0_S) on S = supp q0, kept with the matrix for
-        residual checks."""
-        if self._lu is None:
-            s = self._support
-            a = self._dense_weighted_kernel(s)
-            a *= self.q0[s][None, :]
-            a[np.diag_indices_from(a)] += 1.0
-            self._lu = (_factor(a, "grid operator")[0], a)
-        return self._lu
-
     def _solve_grid(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I + Kw diag(q0)) u = rhs for the values of u on S = supp q0.
-
-        rhs and the result hold values at the support nodes, (|S|,) or
-        (|S|, c).  Dense LU of order |S| up to DENSE_GRID_CAP when the factors
-        are already cached or the call brings several columns (the Green
-        blocks), which amortize it; FFT-applied GMRES otherwise.
-        """
-        several = rhs.ndim == 2 and rhs.shape[1] > 1
-        if len(self._support) <= DENSE_GRID_CAP and (self._lu is not None or several):
-            lu, a = self._factorization()
-            return _solve_checked(lambda x: a @ x, rhs, "grid solve", lu)[0]
+        """Solve (I + Kw diag(q0)) u = rhs for the values of u on S = supp q0,
+        by FFT-applied GMRES; rhs and the result hold values at the support
+        nodes, (|S|,) or (|S|, c)."""
         return _solve_checked(self._apply_grid_operator, rhs, "grid solve")[0]
 
     def _apply_grid_operator(self, u: np.ndarray) -> np.ndarray:
-        """(I + Kw diag(q0)) u on S for support values u."""
+        """(I + Kw diag(q0)) u on S for support values u, (|S|,)."""
         s = self._support
-        q0 = self.q0[s].reshape((-1,) + (1,) * (u.ndim - 1))
-        return u + self._apply_weighted_kernel(self._on_grid(q0 * u))[s]
+        return u + self._apply_weighted_kernel(self._on_grid(self.q0[s] * u))[s]
 
     def _on_grid(self, u: np.ndarray) -> np.ndarray:
         """Support values u, (|S|,) or (|S|, c), as node values, zero off S."""
@@ -875,9 +728,8 @@ class BackgroundMedium:
         zero off S = supp q0, by one grid solve; None when q0 = 0.
 
         A cloud's solve forms it once and carries it
-        (FoldySolveResult.background_density); the particle sources s_p add
-        their own density -W s_p, W of their volume factors (volume_factors;
-        foldy_impedance.evaluate_field).
+        (FoldySolveResult.background_density) beside the density of the
+        particles' own grid field (FoldySolveResult.particle_density).
         """
         if self.is_free:
             return None
@@ -946,30 +798,6 @@ class BackgroundMedium:
         depends on y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
         """
         return _kernel_matrix(self.grid.nodes[self._support], self.k, (0, order), pts)
-
-    def volume_factors(self, x, order=0):
-        """(T, W) with the volume correction T^T W of the background Green
-        kernel over pairs of x; None when q0 = 0.
-
-        The background kernel is the free kernel minus T^T W, of rank at
-        most |S| = |supp q0|: T is the support table of x (_node_columns),
-        the stacked columns of x at the nodes of S, and W = D B^-1 T,
-        B the grid operator on S and D = diag(q0_S) delta^3.  Rows and
-        columns of T^T W are stacked as FoldySystem's unknowns.  The grid
-        solve takes the |S| columns of the identity, whose D B^-1 then
-        multiplies T, when 2|S| < c for the c columns of T, and T itself
-        otherwise.  With the LU residual check, the identity route costs
-        2|S|^3 + |S|^2 c against 2|S|^2 c, and holds 3|S|^2 entries against
-        2|S| c while it solves.
-        """
-        if self.is_free:
-            return None
-        t = self._node_columns(x, order)
-        s = self._support
-        by_identity = 2 * len(s) < t.shape[1]
-        w = self._solve_grid(np.eye(len(s), dtype=complex) if by_identity else t)
-        w *= self.q0[s, None] * self.weight
-        return t, (w @ t if by_identity else w)
 
     # -- weighted far-field sums ----------------------------------------------
 

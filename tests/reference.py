@@ -2,6 +2,7 @@
 package's faster paths against, and the paper's checks that the package does
 not need."""
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,10 +10,10 @@ from numpy.polynomial.legendre import leggauss
 
 from smallbody.directions import FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
-from smallbody.foldy_impedance import FoldySolveResult, _node_density, evaluate_field
+from smallbody.foldy_impedance import FoldySolveResult, FoldySystem, evaluate_field
 from smallbody.limit_solver import LimitProblem, _hard_source
 from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _node_field, _pair_distances,
-                              _radial, _unit)
+                              _radial, _row_chunks, _unit)
 from smallbody.particles import ParticleCloud
 
 
@@ -81,14 +82,38 @@ def split_stacked(stack, order=0) -> list:
     return blocks
 
 
-def green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
+def dense_weighted_kernel(medium: BackgroundMedium, nodes=None) -> np.ndarray:
+    """Kw[nodes, nodes] (default: every node), gathered from the generator
+    medium._kernel_table in row blocks of at most CHUNK_ENTRIES entries."""
+    idx = np.unravel_index(np.arange(medium.grid.size) if nodes is None else nodes,
+                           medium.grid.shape)
+    n = len(idx[0])
+    kw = np.empty((n, n), dtype=complex)
+    table = medium._kernel_table
+    for s, stop in _row_chunks(n, n):
+        rows = slice(s, stop)
+        kw[rows] = table[tuple(np.abs(i[rows, None] - i[None, :]) for i in idx)]
+    return kw
+
+
+def grid_solve(medium: BackgroundMedium, rhs) -> np.ndarray:
+    """medium._solve_grid by a dense solve: (I + Kw_SS diag(q0_S)) u = rhs
+    on S = supp q0, rhs (|S|,) or (|S|, c)."""
+    s = medium._support
+    a = dense_weighted_kernel(medium, s) * medium.q0[s][None, :]
+    a[np.diag_indices_from(a)] += 1.0
+    return np.linalg.solve(a, rhs)
+
+
+def green_blocks(medium: BackgroundMedium, x, y=None, order=0, reflect=False) -> list:
     """Background Green function G(x_i, y_j) and its derivative blocks
     (split_stacked), built block by block: kernel_blocks over all pairs at
-    once, minus the volume correction cut into the same blocks; without y
-    the blocks run over pairs of x, with the diagonal of each block zeroed.
-    The correction src_x^T (D B^-1) src_y is associated as
-    BackgroundMedium.volume_factors does: the grid solve takes the |S|
-    identity columns when 2|S| is below the number of source columns."""
+    once, minus the volume correction src_x^T D B^-1 src_y (B the grid
+    operator on S, D = diag(q0_S) delta^3, src the support tables) cut into
+    the same blocks.  Without y the blocks run over pairs of x, with the
+    diagonal of each block zeroed: the paper's exact exclusion of m = j;
+    with ``reflect`` the diagonal keeps the correction's -C_jj, the
+    reflection from the background that FoldySystem's particles feel."""
     pairs = y is None
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     y = x if pairs else np.asarray(y, dtype=float).reshape(-1, 3)
@@ -98,29 +123,31 @@ def green_blocks(medium: BackgroundMedium, x, y=None, order=0) -> list:
         r[np.diag_indices(n)] = 1.0
     free = kernel_blocks(diff, r, medium.k, order)
     blocks = [free[0]] if order == 0 else [free[0], -free[1], *free[1:]]
+    diagonal = (np.arange(n), np.arange(n))
+    for b in blocks if pairs else ():
+        b[diagonal] = 0.0
     if not medium.is_free:
         src = medium._node_columns(y, min(order, 1))
-        s = medium._support
-        by_identity = 2 * len(s) < src.shape[1]
-        sol = medium._solve_grid(np.eye(len(s), dtype=complex) if by_identity else src)
-        sol *= medium.q0[s, None] * medium.weight
-        if by_identity:
-            sol = sol @ src
+        sol = grid_solve(medium, src) * (medium.q0[medium._support, None] * medium.weight)
         corr = (src if pairs else medium._node_columns(x, min(order, 1))).T @ sol
         blocks = [b - c for b, c in zip(blocks, split_stacked(corr, order))]
-    if pairs:
-        for b in blocks:
-            b[np.arange(n), np.arange(n)] = 0.0
+    for b in blocks if pairs and not reflect else ():
+        b[diagonal] = 0.0
     return blocks
 
 
-def foldy_matrix(system) -> np.ndarray:
-    """The dense system I - K diag(q, -vb) that FoldySystem.operator applies,
-    assembled from green_blocks: I - G diag(q) (order 0), or the 4M x 4M
-    hard system with its blocks scaled by -q and multiplied by vb one block
-    at a time."""
+def foldy_matrix(system, reflect=False) -> np.ndarray:
+    """The dense system I - K diag(q, -vb) with K the background Green
+    function over pairs of the centres (green_blocks): with the paper's zero
+    diagonal, the exact exclusion of m = j, or with ``reflect`` the
+    background's reflection on the diagonal, which is the particle system
+    left of FoldySystem's coupled one once the grid values are eliminated.
+    I - G diag(q) (order 0), or the 4M x 4M hard system with its blocks
+    scaled by -q and multiplied by vb one block at a time.  In a free
+    background it is the matrix that FoldySystem.operator applies."""
     m, mq = len(system.centers), -system.q
-    blocks = green_blocks(system.medium, system.centers, order=2 * system.order)
+    blocks = green_blocks(system.medium, system.centers, order=2 * system.order,
+                          reflect=reflect)
     if system.order:
         gmat, grad_x, grad_y, hess = blocks
         a = np.empty((4 * m, 4 * m), dtype=complex)
@@ -133,6 +160,53 @@ def foldy_matrix(system) -> np.ndarray:
         a = blocks[0] * mq[None, :]
     a[np.diag_indices_from(a)] += 1.0
     return a
+
+
+def coupled_matrix(system) -> np.ndarray:
+    """The dense matrix that FoldySystem.operator applies in any background:
+    [[B, -T Q / c], [c T^T D, F]] on [v / c on S; particle unknowns], with B
+    the grid operator I + Kw_SS diag(q0_S), T the free kernel from the
+    centres to the nodes of S (free_kernels), Q the source map
+    w -> s = [q u; -vb grad u], c = system.scale, D = diag(q0_S) delta^3 and
+    F the free system (foldy_matrix of the same particles in a free
+    background); F alone when q0 = 0."""
+    med, m, order = system.medium, len(system.centers), system.order
+    free_system = copy.copy(system)
+    free_system.medium = BackgroundMedium(med.k, med.grid)
+    free = foldy_matrix(free_system)
+    if med.is_free:
+        return free
+    s = med._support
+    g, *grad = free_kernels(med.grid.nodes[s], system.centers, med.k, order)
+    t = np.concatenate([g, *(d.reshape(len(s), 3 * m) for d in grad)], axis=1)
+    q = np.zeros((len(free), len(free)), dtype=complex)
+    q[np.arange(m), np.arange(m)] = system.q
+    for j in range(m * order):
+        q[m + 3 * j:m + 3 * j + 3, m + 3 * j:m + 3 * j + 3] = -system.vb
+    b = dense_weighted_kernel(med, s) * med.q0[s][None, :]
+    b[np.diag_indices_from(b)] += 1.0
+    c = system.scale
+    return np.block([[b, -t @ q / c], [t.T * (med.q0[s] * med.weight * c)[None, :], free]])
+
+
+def exact_exclusion_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha):
+    """The paper's model, in which particle j does not feel its own
+    reflection from the background: the dense solve of foldy_matrix(system)
+    for [u0; grad u0] at the centres, as a FoldySolveResult whose particle
+    density -q0 delta^3 B^-1 T s is formed by a dense grid solve."""
+    alpha = _unit(alpha)
+    system = FoldySystem(medium, cloud)
+    u0 = incident_values(medium, alpha, cloud.centers, order=system.order)
+    w = np.linalg.solve(foldy_matrix(system), u0)
+    result = system.result(np.concatenate([np.zeros(system.grid_unknowns), w]), alpha=alpha,
+                           residual=0.0, background_density=medium.source_density(alpha))
+    dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
+    if not medium.is_free:
+        sources = medium._node_columns(cloud.centers, system.order) @ np.concatenate(
+            [result.charges, *dipoles])
+        result.particle_density = medium._on_grid(
+            -(medium.q0[medium._support] * grid_solve(medium, sources) * medium.weight))
+    return result
 
 
 def _extend(medium: BackgroundMedium, f, u) -> np.ndarray:
@@ -151,7 +225,7 @@ def u0_grid(medium: BackgroundMedium, alpha) -> np.ndarray:
     """Incident scattering solution u0(., alpha) at the grid nodes."""
     alpha = _unit(alpha)
     e = medium._plane_wave(alpha)
-    return e if medium.is_free else _extend(medium, e, medium._solve_grid(e[medium._support]))
+    return e if medium.is_free else _extend(medium, e, grid_solve(medium, e[medium._support]))
 
 
 def incident_values(medium: BackgroundMedium, alpha, points, order=0) -> np.ndarray:
@@ -163,17 +237,14 @@ def incident_values(medium: BackgroundMedium, alpha, points, order=0) -> np.ndar
 
 def excluded_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
                    points, j) -> ComplexField:
-    """The effective field that particle j feels: evaluate_field with j's
-    sources zeroed in a copy of the result, and j dropped from the sum and
-    from the distance guard, which keeps the cloud's spacing d.  The zeroed
-    particles' node density -W s joins the background density of the copy."""
+    """The effective field that particle j feels: evaluate_field with j
+    dropped from the sum of free sources and from the distance guard, which
+    keeps the cloud's spacing d.  The particles' node density stays whole:
+    j feels its own reflection from the background."""
     keep = np.arange(len(cloud)) != j
     dipoles = result.dipole_moments
-    zeroed = replace(result, charges=np.where(keep, result.charges, 0.0), dipole_moments=(
-        None if dipoles is None else np.where(keep[:, None], dipoles, 0.0)))
-    others = replace(zeroed, charges=result.charges[keep], volume_weights=None,
-                     dipole_moments=None if dipoles is None else dipoles[keep],
-                     background_density=_node_density(zeroed, medium, result.background_density))
+    others = replace(result, charges=result.charges[keep],
+                     dipole_moments=None if dipoles is None else dipoles[keep])
     rest = replace(cloud, centers=cloud.centers[keep],
                    zeta=None if cloud.zeta is None else cloud.zeta[keep])
     rest.d = cloud.d
@@ -199,7 +270,7 @@ def green_potential_grid(medium: BackgroundMedium, density) -> np.ndarray:
     kwf = medium._apply_weighted_kernel(np.asarray(density, dtype=complex).reshape(-1))
     if medium.is_free:
         return kwf
-    return _extend(medium, kwf, medium._solve_grid(kwf[medium._support]))
+    return _extend(medium, kwf, grid_solve(medium, kwf[medium._support]))
 
 
 def weighted_u0_sum_grid(medium, betas, density_times_weight) -> np.ndarray:

@@ -399,59 +399,45 @@ def test_cli_import_loads_no_scipy():
 
 @pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_scenes_do_not_import_scipy_linalg_or_sparse(tmp_path, path):
-    # no shipped scene imports any scipy module: the grid LU calls numpy's own
-    # LAPACK, and scipy.linalg and scipy.sparse cost about 0.27 s and 28 MB
-    # of start-up
+    # no shipped scene imports any scipy module: every solve is the
+    # package's own GMRES, and scipy.linalg and scipy.sparse cost about
+    # 0.27 s and 28 MB of start-up
     keys = json.loads(path.read_text())
     run_fresh(tmp_path, scene_command(keys), keys, "scipy")
 
 
-@pytest.mark.parametrize("scene", [DENSE_HARD_IN_N0], ids=["hard_cloud_in_n0"])
-def test_dense_lu_runs_map_one_openblas(tmp_path, scene):
-    # scipy's LAPACK wrappers would map a second OpenBLAS, whose thread pool
-    # slows the grid LU of a non-free background down against numpy's on
-    # small machines
-    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
-        pytest.skip("numpy is not built on scipy-openblas: the LU takes scipy's LAPACK")
-    (tmp_path / "scene.json").write_text(json.dumps(scene))
-    out = python_fresh(
-        "import json, os, sys; from smallbody.cli import main; code = main(sys.argv[1:]); "
-        "found = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-        "maps = '/proc/self/maps'; "
-        "print(json.dumps(os.path.exists(maps) and sorted("
-        "{line.split()[-1] for line in open(maps) if 'libscipy_openblas' in line}) or None)); "
-        "sys.exit(code or (found and f'imported {found}') or 0)",
-        "solve", "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "out"))
-    assert json.loads((tmp_path / "out" / "metadata.json").read_text())["solver"] == "dense"
-    libraries = json.loads(out.splitlines()[-1])
-    if libraries is None:
-        pytest.skip("no /proc/self/maps")
-    assert len(libraries) == 1, libraries
-
-
 def test_study_is_byte_identical_over_blas_threads(tmp_path):
-    # every particle system of the study runs GMRES on its stored free kernel,
-    # whose matrix-vector products keep their bits at any OpenBLAS thread
-    # count (a dense LU's did not)
-    outs = [tmp_path / threads for threads in ("1", "2")]
-    for out in outs:
-        python_fresh("import sys; from smallbody.cli import main; sys.exit(main(sys.argv[1:]))",
-                     "study", "--scene", str(SCENES / "study_impedance.json"), "--out", str(out),
-                     env={"OPENBLAS_NUM_THREADS": out.name})
-    for name in ("study.csv", "study.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # every particle system runs GMRES on its stored free kernel, whose
+    # matrix-vector products keep their bits at any OpenBLAS thread count
+    # (a dense LU's did not), and so do the node tables of the coupled
+    # system in the two non-free scenes
+    for command, scene, names in (
+            ("study", "study_impedance", ("study.csv", "study.json")),
+            ("solve", "hard_cloud_n0_ball", ("solution.json", "field.csv", "farfield.csv")),
+            ("solve", "hard_cloud_n0_ball_off_lattice",
+             ("solution.json", "field.csv", "farfield.csv"))):
+        outs = [tmp_path / scene / threads for threads in ("1", "2")]
+        for out in outs:
+            python_fresh(
+                "import sys; from smallbody.cli import main; sys.exit(main(sys.argv[1:]))",
+                command, "--scene", str(SCENES / f"{scene}.json"), "--out", str(out),
+                env={"OPENBLAS_NUM_THREADS": out.name})
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize("command,scene", [
-    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text())),
-    ("limit", json.loads((SCENES / "limit_hard_bump.json").read_text())),
-    ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}))],
-    ids=["limit_born_bump", "limit_hard_bump", "lattice_solve"])
-def test_gmres_runs_do_not_load_lapack(tmp_path, command, scene):
-    # these runs never factor, so they never bind LAPACK, nor load scipy's
-    # wrappers where numpy lacks its own LAPACKE entries
+@pytest.mark.parametrize("command,scene,solver", [
+    ("limit", json.loads((SCENES / "limit_born_bump.json").read_text()), None),
+    ("limit", json.loads((SCENES / "limit_hard_bump.json").read_text()), None),
+    ("solve", base_scene(cloud=LATTICE_CLOUD, directions={"n_theta": 8, "n_phi": 16}),
+     "lattice_fft"),
+    ("solve", DENSE_HARD_IN_N0, "dense")],
+    ids=["limit_born_bump", "limit_hard_bump", "lattice_solve", "hard_cloud_in_n0"])
+def test_gmres_runs_do_not_load_lapack(tmp_path, command, scene, solver):
+    # no run factors, a non-free background's included, so none loads
+    # scipy's LAPACK wrappers
     meta = run_fresh(tmp_path, command, scene, "scipy.linalg._flapack")
-    assert meta.get("solver", "lattice_fft") == "lattice_fft"
+    assert meta.get("solver") == solver
 
 
 @pytest.mark.parametrize("command,scene", [

@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from smallbody import cli, directions, foldy_impedance, medium
 from smallbody.directions import DirectionGrid
-from smallbody.errors import InvariantViolation, SolverFailure
+from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
     FoldySystem,
     _solve_system,
@@ -26,8 +26,9 @@ from smallbody.particles import (
     build_cloud_impedance,
     h_to_impedance,
 )
-from reference import (background_amplitude, excluded_field, foldy_matrix, free_kernel,
-                       green_blocks, incident_values, integral_abs_squared)
+from reference import (background_amplitude, coupled_matrix, dense_weighted_kernel,
+                       exact_exclusion_solve, excluded_field, free_kernel, green_blocks,
+                       incident_values, integral_abs_squared)
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -85,17 +86,18 @@ class TestSolver:
         np.testing.assert_allclose(res.charges, -c * res.effective_values, rtol=1e-14)
 
     def test_two_particle_closed_form_inhomogeneous_background(self):
-        # same closed form with the background Green function and incident
-        # solution of a nontrivial q0
+        # the closed form of the 2 x 2 system with the background Green
+        # function and incident solution of a nontrivial q0; each particle
+        # also feels its own reflection G_jj from the background
         med = BackgroundMedium(1.2, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.3)
         centers = np.array([[0.21, 0.52, 0.48], [0.79, 0.5, 0.52]])
         cloud = ball_cloud(centers, a=1e-3, h=1.5)
         res = solve_cloud(med, cloud, Z_HAT)
         c = coupling_constants(cloud)
         u0 = incident_values(med, Z_HAT, centers)
-        g12 = green_blocks(med, centers[0], centers[1])[0][0, 0]
-        g21 = green_blocks(med, centers[1], centers[0])[0][0, 0]
-        expected1 = (u0[0] - g12 * c[1] * u0[1]) / (1 - g12 * g21 * c[0] * c[1])
+        (g11, g12), (g21, g22) = green_blocks(med, centers, reflect=True)[0]
+        expected1 = (u0[0] * (1 + g22 * c[1]) - g12 * c[1] * u0[1]) / (
+            (1 + g11 * c[0]) * (1 + g22 * c[1]) - g12 * g21 * c[0] * c[1])
         assert res.effective_values[0] == pytest.approx(expected1, rel=1e-10)
 
     def test_zero_coupling_returns_incident(self):
@@ -168,8 +170,8 @@ class TestSolver:
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
         u0 = np.exp(1j * med.k * centers[:, 2])
         system = FoldySystem(med, cloud)
-        u1 = _solve_system(system, lambda: u0)[0]
-        u2 = _solve_system(system, lambda: 2.0 * u0)[0]
+        u1 = _solve_system(system, lambda stored: u0)[0]
+        u2 = _solve_system(system, lambda stored: 2.0 * u0)[0]
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
     @pytest.mark.parametrize("kind,m,solver", [
@@ -231,19 +233,17 @@ def off_lattice_scene_cloud(kind):
 
 
 class TestNonFreeLattice:
-    """Clouds in an n0 ball: the operator (free pairs by lattice FFT, by the
-    stored free kernel or by row chunks) plus the grid's low-rank volume
-    correction, against the dense system."""
+    """Clouds in an n0 ball: the coupled operator on the particles' grid
+    field and the particle unknowns (free pairs by lattice FFT, by the
+    stored free kernel or by row chunks) against the dense system."""
 
-    @pytest.mark.parametrize("kind,n,by_identity", [
+    @pytest.mark.parametrize("kind,n,wide", [
         ("impedance", 5, False), ("impedance", 9, True), ("hard", 3, False), ("hard", 5, True)])
-    def test_apply_equals_the_dense_matrix(self, kind, n, by_identity):
-        # both routes of the correction's grid solve (2|S| < c and 2|S| >= c
-        # for c = M (1 + 3 order) columns), with the free pairs by lattice
-        # FFT and, for the centres moved off their lattice, by the stored
-        # kernel and by row chunks; the block-built dense matrix has the
-        # paper's zero diagonal, so this pins the subtracted per-particle
-        # blocks
+    def test_apply_equals_the_dense_matrix(self, kind, n, wide):
+        # node tables T of |S| rows and more (wide) or fewer columns, with
+        # the free pairs by lattice FFT and, for the centres moved off their
+        # lattice, by the stored kernel and by row chunks, against the
+        # block-built dense coupled matrix
         med = n0_ball_medium()
         rng = np.random.default_rng(6)
         for off_lattice in (False, True):
@@ -251,10 +251,11 @@ class TestNonFreeLattice:
             lattice = lattice_of(cloud.centers)
             assert (lattice is None) == off_lattice
             system = FoldySystem(med, cloud)
-            unknowns = len(cloud) * (1 + 3 * system.order)
-            assert (2 * np.count_nonzero(med.q0) < unknowns) == by_identity
+            particle_unknowns = len(cloud) * (1 + 3 * system.order)
+            assert (np.count_nonzero(med.q0) < particle_unknowns) == wide
+            unknowns = system.grid_unknowns + particle_unknowns
             v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
-            want = foldy_matrix(system) @ v
+            want = coupled_matrix(system) @ v
             for stored in ((False,) if lattice else (True, False)):
                 got = system.operator(lattice, stored)(v)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -290,17 +291,15 @@ class TestNonFreeLattice:
         for got, want in pairs:
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
-    def test_solve_builds_one_table_and_factors_the_grid_once(self, monkeypatch):
+    def test_solve_builds_one_table_and_makes_one_grid_solve(self, monkeypatch):
         # solve, probe field and far field on each engine: the lattice FFT,
         # and with the centres off their lattice the stored free kernel and
-        # (dense cap 0) the row chunks.  The system's factors (T, W) build
-        # the centres' support table once and factor the grid once; the
-        # incident column sums over T, and the particle field is -W s, so
-        # the grid solves are W's and u0's alone and none runs GMRES
-        orders, tables, solves, grid_gmres, node_sums = [], [], [], [], []
-        lapack = medium._lapack()
-        zgetrf = lapack.zgetrf
-        monkeypatch.setattr(lapack, "zgetrf", lambda a: orders.append(len(a)) or zgetrf(a))
+        # (dense cap 0) the row chunks.  The one grid solve is u0's, by
+        # FFT-GMRES; the coupled system solves the particles' grid field
+        # with the particles.  The stored engines build the centres' node
+        # table once and sum over it; the row chunks build none and sum
+        # from the nodes of S to the centres a chunk at a time
+        tables, solves, grid_gmres, node_sums = [], [], [], []
         gmres = medium._gmres
         monkeypatch.setattr(medium, "_gmres", lambda apply, b: (
             grid_gmres.append(1) if apply.__name__ == "_apply_grid_operator" else None)
@@ -312,8 +311,8 @@ class TestNonFreeLattice:
         monkeypatch.setattr(BackgroundMedium, "_node_columns", lambda self, pts, order: (
             tables.append(1) if np.array_equal(pts, cloud.centers) else None)
             or node_columns(self, pts, order))
-        kernel_sum = medium._kernel_sum
-        monkeypatch.setattr(medium, "_kernel_sum", lambda x, k, orders, w, y=None: (
+        kernel_sum = foldy_impedance._kernel_sum
+        monkeypatch.setattr(foldy_impedance, "_kernel_sum", lambda x, k, orders, w, y=None: (
             node_sums.append(1) if np.array_equal(x, cloud.centers)
             and np.array_equal(y, med.grid.nodes[med._support]) else None)
             or kernel_sum(x, k, orders, w, y))
@@ -325,41 +324,65 @@ class TestNonFreeLattice:
                 cloud = off_lattice_scene_cloud("hard")
             if solver == "gmres":
                 monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
-            for log in (orders, tables, solves, grid_gmres, node_sums):
+            for log in (tables, solves, grid_gmres, node_sums):
                 log.clear()
             res = solve_cloud(med, cloud, Z_HAT)
             assert res.solver == solver
             evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
             far_field(res, med, cloud, DirectionGrid(4, 8))
-            assert orders == [136] and len(tables) == 1 and len(solves) == 2
-            assert not grid_gmres and not node_sums
+            assert len(solves) == len(grid_gmres) == 1
+            assert len(tables) == (solver != "gmres") and bool(node_sums) == (solver == "gmres")
+
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_model_gap_to_the_exact_exclusion_falls_at_first_order_in_a(self, kind):
+        # the coupled system keeps each particle's reflection from the
+        # background, which the paper's sum over m != j drops: the particle
+        # part of the far-probe field against the exact-exclusion solve, for
+        # lossless impedance balls (h = 1) or hard balls on the same
+        # M = N / a centres, N = 1/2pi, a = 0.02 ... 0.0025 (M = 8 ... 64)
+        med = n0_ball_medium()
+        probes = medium.far_probe_points(med.grid)
+        u0 = incident_values(med, Z_HAT, probes)
+        radii, gaps = (0.02, 0.01, 0.005, 0.0025), []
+        for a in radii:
+            cloud = build_cloud_impedance(med, a=a, h_field=1.0, N_field=1 / (2 * np.pi))
+            if kind == "hard":
+                cloud = ParticleCloud(centers=cloud.centers, a=a, kind="hard",
+                                      beta=-1.5 * np.eye(3))
+            got = evaluate_field(solve_cloud(med, cloud, Z_HAT), med, cloud, probes).values
+            want = evaluate_field(exact_exclusion_solve(med, cloud, Z_HAT), med, cloud,
+                                  probes).values
+            gaps.append(np.abs(got - want).max() / np.abs(got - u0).max())
+        assert len(cloud) == 64 and gaps[0] < 1e-3
+        assert np.polyfit(np.log(radii), np.log(gaps), 1)[0] >= 0.9
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_excluded_field_leaves_the_cloud_field_unchanged(self, kind, monkeypatch):
-        # the effective field seen by particle j zeroes j's sources in -W s:
-        # it makes no grid solve, and the cloud's field and far field after
-        # it have the bits of before
+        # the effective field seen by particle j drops j's free sources and
+        # keeps the particles' node density: it makes no grid solve, and the
+        # cloud's field and far field after it have the bits of before
         med, cloud = n0_ball_medium(), off_lattice_scene_cloud(kind)
         res = solve_cloud(med, cloud, Z_HAT)
         points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
         before = [evaluate_field(res, med, cloud, points).values,
                   far_field(res, med, cloud, directions).values]
         charges, density = res.charges.copy(), res.background_density.copy()
+        particle_density = res.particle_density.copy()
         with monkeypatch.context() as patch:
             patch.setattr(BackgroundMedium, "_solve_grid", None)  # any grid solve fails
             excluded = excluded_field(res, med, cloud, points, 7).values
         assert not np.array_equal(excluded, before[0])
         assert np.array_equal(res.charges, charges)
         assert np.array_equal(res.background_density, density)
+        assert np.array_equal(res.particle_density, particle_density)
         after = [evaluate_field(res, med, cloud, points).values,
                  far_field(res, med, cloud, directions).values]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_empty_cloud_makes_one_grid_solve(self, monkeypatch):
-        # an empty cloud forms no factors and no grid LU: u0's node density
-        # is one FFT-GMRES grid solve, which the probe field and far field
-        # read from the result; the field is u0 of the full-grid solve and
-        # the far field is A0
+        # u0's node density is one FFT-GMRES grid solve, which the probe
+        # field and far field read from the result; the field is u0 of the
+        # full-grid solve and the far field is A0
         med = n0_ball_medium()
         cloud = ParticleCloud(centers=np.zeros((0, 3)), a=0.01, kind="impedance", zeta=[])
         solves, grid_gmres = [], []
@@ -374,9 +397,9 @@ class TestNonFreeLattice:
         points = np.array([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5], [-1.0, -2.0, 0.3]])
         values = evaluate_field(res, med, cloud, points).values
         ff = far_field(res, med, cloud, DirectionGrid(4, 8))
-        assert len(solves) == len(grid_gmres) == 1 and med._lu is None
+        assert len(solves) == len(grid_gmres) == 1 and res.particle_density is None
         # u0 at every node by a dense solve of I + Kw diag(q0), radiated to the probes
-        a = med._dense_weighted_kernel() * med.q0[None, :]
+        a = dense_weighted_kernel(med) * med.q0[None, :]
         a[np.diag_indices_from(a)] += 1.0
         u0 = np.linalg.solve(a, med._plane_wave(Z_HAT))
         ref = np.exp(1j * med.k * points @ Z_HAT) \
@@ -384,25 +407,24 @@ class TestNonFreeLattice:
         assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(ff.values, background_amplitude(med, ff.grid.vectors(), Z_HAT))
 
-    def test_matrix_free_solve_past_the_grid_cap_exits_4(self, monkeypatch, tmp_path):
-        # the one refusal left: past the dense cap, a matrix-free solve whose
-        # |supp q0| = 136 exceeds DENSE_GRID_CAP has no grid LU for its
-        # correction; at the dense cap the same cloud stores its M (1 + 3 order)
-        # unknowns' matrix, its grid solves running GMRES
-        for module in (foldy_impedance, medium):
-            monkeypatch.setattr(module, "DENSE_GRID_CAP", 135)
+    def test_matrix_free_solve_matches_the_stored_kernel_and_needs_no_grid_cap(
+            self, monkeypatch, tmp_path):
+        # past a dense cap of 479 unknowns the off-lattice scene's 480 solve
+        # by row chunks to the bits of its stored kernel at a cap of 480,
+        # whatever the size of supp q0; the CLI runs it
         cloud = off_lattice_scene_cloud("hard")
+        results = []
+        for cap, solver in ((479, "gmres"), (480, "dense")):
+            monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+            results.append(solve_cloud(n0_ball_medium(), cloud, Z_HAT))
+            assert results[-1].solver == solver
+        for name in ("effective_values", "effective_gradients", "particle_density"):
+            assert np.array_equal(getattr(results[0], name), getattr(results[1], name))
         monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 479)
-        system = FoldySystem(n0_ball_medium(), cloud)
-        with pytest.raises(SolverFailure, match="matrix-free"):
-            _solve_system(system, lambda: np.ones(480, dtype=complex))
-        scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
         out = tmp_path / "out"
-        assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == 4
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_type"] == "SolverFailure" and error["exit_code"] == 4
-        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 480)
-        assert solve_cloud(n0_ball_medium(), cloud, Z_HAT).solver == "dense"
+        scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
+        assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["solver"] == "gmres"
 
 
 class TestSystemMatrix:
@@ -411,7 +433,8 @@ class TestSystemMatrix:
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_matrix_equals_block_built_reference(self, monkeypatch, kind, background, chunk):
         # the operator's columns on the stored free kernel and on its row
-        # chunks, the same bits, against the block-built dense matrix:
+        # chunks, the same bits, against the block-built dense matrix (the
+        # coupled one in the n0 ball):
         # random centres, centres that share coordinates (exact zero offsets)
         # and a general beta; small chunks cut the kernel planes into several
         # row blocks
@@ -429,7 +452,7 @@ class TestSystemMatrix:
             else:
                 cloud = ball_cloud(centers, a=0.01, h=1.0 - 0.5j)
             system = FoldySystem(med, cloud)
-            want = foldy_matrix(system)
+            want = coupled_matrix(system)
             eye = np.eye(len(want), dtype=complex)
             stored, chunks = (np.column_stack([system.operator(stored=engine)(e) for e in eye])
                               for engine in (True, False))

@@ -15,7 +15,7 @@ from smallbody.foldy_neumann import ball_polarizability
 from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
 from reference import (background_amplitude, excluded_field, free_kernel, free_kernel_grad_y,
-                       green_blocks, incident_values)
+                       green_blocks, grid_solve, incident_values)
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 C3 = 4 * np.pi / 3
@@ -211,47 +211,36 @@ class TestCoupledSystem:
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
 
-    def test_inhomogeneous_solve_factors_the_grid_once_without_gmres(self, monkeypatch):
-        # the stored system's volume correction factors the grid operator on
-        # S = supp q0; the incident column, the probe field and the far field
-        # reuse that LU, and the only GMRES is that of the 12 particle
-        # unknowns.  A constant n0 puts every node in S, an n0 ball only the
-        # nodes inside it
-        from smallbody import medium as medium_module
-
-        def logged(module, name, log):
-            fn = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                log.append(len(args[-1]))  # zgetrf(a): the order; _gmres(apply, b): len(b)
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        orders, gmres_calls = [], []
-        logged(medium_module._lapack(), "zgetrf", orders)
-        logged(medium_module, "_gmres", gmres_calls)
+    def test_inhomogeneous_solve_runs_two_gmres_solves_and_no_more(self, monkeypatch):
+        # u0's grid solve on S = supp q0 and the coupled system of the |S|
+        # grid values and the 12 particle unknowns are the only GMRES
+        # solves; the probe field and the far field solve nothing.  A
+        # constant n0 puts every node in S, an n0 ball only the nodes inside it
+        gmres_calls = []
+        gmres = medium._gmres
+        monkeypatch.setattr(medium, "_gmres",
+                            lambda apply, b: gmres_calls.append(len(b)) or gmres(apply, b))
         cloud = hard_cloud(np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]]), a=0.03)
 
         def ball(z):
             return np.where(np.linalg.norm(z - 0.5, axis=1) < 0.35, 1.25, 1.0)
 
         for n0, support in ((1.25, 343), (ball, 81)):
-            orders.clear()
+            gmres_calls.clear()
             med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=n0)
             assert np.count_nonzero(med.q0) == support
             res = solve_cloud(med, cloud, Z_HAT)
             evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0]])
             far_field(res, med, cloud, DirectionGrid(4, 8))
-            assert orders == [support] and set(gmres_calls) == {12}
+            assert gmres_calls == [support, support + 12]
 
     def test_dense_inhomogeneous_solve_builds_one_table_and_threads_its_grid_solves_to_the_field(
             self, monkeypatch):
         # solve, probe field and far field on the stored free kernel: the
-        # system's factors (T, W) build the centres' support table once, and
-        # the incident column sums over T.  The grid solves are W's and u0's,
-        # both in the solve: the probe field and far field take the
-        # particles' node sources as -W s and solve nothing more
+        # system builds the centres' node table T once, and the incident
+        # column sums over it.  The one grid solve is u0's, in the solve: the
+        # coupled system solves the particles' grid field with them, and the
+        # probe field and far field solve nothing more
         def counted(name, log, keep=lambda *args: True):
             fn = getattr(BackgroundMedium, name)
 
@@ -283,22 +272,21 @@ class TestCoupledSystem:
             or kernel_sum(x, k, orders, w, y))
         res = solve_cloud(med, cloud, Z_HAT)
         assert res.solver == "dense"
-        assert len(solves) == 2
+        assert len(solves) == 1
         evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
         far_field(res, med, cloud, DirectionGrid(4, 8))
-        assert len(solves) == 2 and len(tables) == 1 and not node_sums
+        assert len(solves) == 1 and len(tables) == 1 and not node_sums
 
     def test_dense_matrix_peak_memory(self):
         # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes:
         # the traced peak of forming its operator on the stored free kernel,
-        # with the grid LU already factored, stays within 2.5 times the
-        # stored (4M, 4M) kernel
+        # with the node table T and its transpose, stays within 2.5 times
+        # the stored (4M, 4M) kernel
         med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
             np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
         cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
         assert len(cloud) == 120
         system = FoldySystem(med, cloud)
-        med._factorization()
         tracemalloc.start()
         try:
             system.operator(stored=True)
@@ -308,7 +296,8 @@ class TestCoupledSystem:
         assert peak <= 2.5 * (4 * 120) ** 2 * np.dtype(complex).itemsize
 
     def test_inhomogeneous_field_and_amplitudes_match_green_blocks(self):
-        # equivalent sources against the Green-block sum and the reciprocity
+        # equivalent sources against the Green-block sum (particle j's own
+        # reflection added where j is excluded) and the reciprocity
         # route A - A0 = (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m]
         med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=1.25)
         centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]])
@@ -320,6 +309,11 @@ class TestCoupledSystem:
             g, _, grad_y = green_blocks(med, probes, centers[keep], order=1)
             reference = (incident_values(med, Z_HAT, probes) + g @ res.charges[keep]
                          + np.einsum("xmp,mp->x", grad_y, res.dipole_moments[keep]))
+            if exclude is not None:  # the excluded particle's reflection from the background
+                sources = np.concatenate([res.charges[[exclude]], res.dipole_moments[exclude]])
+                v = grid_solve(med, med._node_columns(centers[[exclude]], 1) @ sources)
+                v *= med.q0[med._support] * med.weight
+                reference -= med._node_columns(probes, 0).T @ v
             got = (evaluate_field(res, med, cloud, probes) if exclude is None
                    else excluded_field(res, med, cloud, probes, exclude)).values
             assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()

@@ -1,11 +1,9 @@
 """Kernel, Green-function, and incident-field tests for the medium module."""
 
-import logging
 import sys
 import threading
 import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -21,16 +19,16 @@ from smallbody.medium import (
     Grid,
     Lattice,
     lattice_of,
-    _factor,
     _solve_checked,
     _unit,
 )
 from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
-from reference import (foldy_matrix, free_kernel, free_kernel_grad_y, free_kernel_hess_xy,
-                       free_kernels, green_blocks, green_potential_grid, incident_values,
-                       lemma_bounds_check, split_stacked, trilinear_interpolate, u0_grid)
+from reference import (dense_weighted_kernel, foldy_matrix, free_kernel, free_kernel_grad_y,
+                       free_kernel_hess_xy, free_kernels, green_blocks, green_potential_grid,
+                       incident_values, lemma_bounds_check, split_stacked,
+                       trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
 
@@ -154,34 +152,6 @@ class TestChunkBudget:
     def ball(z):
         return np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)
 
-    def test_volume_correction_association_follows_sizes(self, monkeypatch):
-        # |S| = 56 support nodes: 300 centres give T 300 or 1200 stacked
-        # source columns (2|S| < c: the grid solve takes the |S| identity
-        # columns and D B^-1 then multiplies T), 20 centres 20 or 80 (the
-        # solve takes T); either gives W = D (B^-1 T), D = diag(q0) delta^3,
-        # and with it the correction T_x^T W over the pairs of the centres
-        # and from them to probes
-        rng = np.random.default_rng(21)
-        probes = rng.uniform(-0.5, 1.5, size=(50, 3))
-        med = make_medium(k=1.3, n=6, n0=self.ball)
-        s = med._support
-        solve_grid, columns = med._solve_grid, []
-        monkeypatch.setattr(med, "_solve_grid",
-                            lambda rhs: columns.append(rhs.shape[1]) or solve_grid(rhs))
-        for m in (300, 20):
-            centers = rng.uniform(0.05, 0.95, size=(m, 3))
-            for order in (0, 1):
-                tables = {len(p): med._node_columns(p, order) for p in (centers, probes)}
-                src = tables[m]
-                columns.clear()
-                t, w = med.volume_factors(centers, order)
-                assert columns == [len(s) if 2 * len(s) < src.shape[1] else src.shape[1]]
-                assert np.array_equal(t, src)
-                direct = solve_grid(src) * (med.q0[s, None] * med.weight)
-                for x in (centers, probes):
-                    got, ref = tables[len(x)].T @ w, tables[len(x)].T @ direct
-                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
     def test_kernel_sums_do_not_depend_on_the_chunk_budget(self, monkeypatch):
         # each row of a kernel sum has the bits of the stored kernel's
         # matrix-vector product: with 300 centres and the derivatives of both
@@ -209,11 +179,12 @@ class TestChunkBudget:
         rng = np.random.default_rng(21)
         centers = rng.uniform(0.05, 0.95, size=(300, 3))
         hard = ParticleCloud(centers=centers, a=1e-3, kind="hard", beta=rng.normal(size=(3, 3)))
-        vec = rng.normal(size=1200) + 1j * rng.normal(size=1200)
+        ns = 0 if background == "free" else np.count_nonzero(make_medium(n=6, n0=self.ball).q0)
+        vec = rng.normal(size=ns + 1200) + 1j * rng.normal(size=ns + 1200)
         first = None
         for budget in (2 ** 10, 2 ** 14, 2 ** 16, 2 ** 18):
             monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
-            # a new medium per budget: no grid LU kept from another budget
+            # a new medium and system per budget: no table kept from another budget
             med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else self.ball)
             tables = [medium._kernel_matrix(centers, med.k, (order, order)) for order in (0, 1)]
             tables += [med._node_columns(centers, order) for order in (0, 1)]
@@ -232,20 +203,20 @@ class TestChunkBudget:
             g, *grad = free_kernels(med.grid.nodes[med._support], centers, med.k, order)
             ref = np.concatenate([g, *(d.reshape(len(g), 900) for d in grad)], axis=1)
             assert np.array_equal(tables[2 + order], ref)
-        # the apply against one product with the whole free kernel, and the
-        # volume correction associated as the operator does: V s = T^T (W s)
-        # less the exact per-particle 4 x 4 blocks
+        # the apply against one product with the whole free kernel, and in
+        # the n0 ball the grid rows and node sums of the coupled operator on
+        # v / scale: T s / scale and T^T (q0 delta^3 scale v), T^T stored
+        # row-major
         system = FoldySystem(med, hard)
-        src = np.concatenate([system.q * vec[:300], -(vec[300:].reshape(300, 3) @ system.vb.T)
+        v, w = vec[:ns], vec[ns:]
+        src = np.concatenate([system.q * w[:300], -(w[300:].reshape(300, 3) @ system.vb.T)
                               .reshape(-1)])
-        want = vec - tables[1] @ src
-        if background == "n0_ball":  # K = free kernel - V: the operator adds V src
-            t, w = med.volume_factors(centers, 1)
-            at = np.column_stack([np.arange(300), 300 + np.arange(900).reshape(300, 3)])
-            v = t.T @ (w @ src)
-            v[at] -= np.einsum("jab,jb->ja", np.einsum("zja,zjb->jab", t[:, at], w[:, at]),
-                               src[at])
-            want += v
+        want = w - tables[1] @ src
+        if ns:
+            t = tables[3]
+            dq0 = med.q0[med._support] * med.weight * system.scale
+            want = np.concatenate([med._apply_grid_operator(v) - t @ src / system.scale,
+                                   want + np.ascontiguousarray(t.T) @ (dq0 * v)])
         assert np.array_equal(tables[-2], want) and np.array_equal(tables[-1], want)
 
 
@@ -362,7 +333,7 @@ class TestGridEngine:
     def test_gathered_kernel_matches_pairwise_kernel(self):
         med = self.make()
         ref = self.pairwise_kernel(med)
-        kw = med._dense_weighted_kernel()
+        kw = dense_weighted_kernel(med)
         assert np.abs(kw - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("cols", [None, 5])
@@ -371,7 +342,7 @@ class TestGridEngine:
         rng = np.random.default_rng(2)
         shape = (med.grid.size,) if cols is None else (med.grid.size, cols)
         f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dense = med._dense_weighted_kernel() @ f
+        dense = dense_weighted_kernel(med) @ f
         fft = med._apply_weighted_kernel(f)
         assert fft.shape == dense.shape
         assert np.abs(fft - dense).max() <= 1e-13 * np.abs(dense).max()
@@ -560,21 +531,12 @@ class TestSupportSolve:
             assert self.rel(got, ref) <= 1e-12
 
     def test_source_density_matches_full_grid_solve_and_vanishes_off_support(self):
+        # the FFT-GMRES grid solve on S against the one over every node
         med = self.make()
         alpha = np.array([0.0, 0.6, -0.8])
-        centers = np.array([[0.3, 0.5, 0.55], [0.62, 0.71, 0.4]])
-        charges = np.array([1.0 - 0.5j, 0.3 + 2j])
-        dipoles = np.array([[0.2, -1.0, 0.4j], [1.5, 0.1, -0.3]])
-        g = free_kernel(med.grid.nodes, centers, med.k)
-        grad = free_kernel_grad_y(med.grid.nodes, centers, med.k)
-        rhs = np.exp(1j * med.k * med.grid.nodes @ alpha) + g @ charges \
-            + np.einsum("zmp,mp->z", grad, dipoles)
+        rhs = np.exp(1j * med.k * med.grid.nodes @ alpha)
         ref = -(med.q0 * self.full_grid_solve(med, rhs) * med.weight)
-        # the u0 part plus the particles' part -W s, s = [Q; P]: no grid
-        # solve of the particle column
         got = med.source_density(alpha)
-        got[med._support] -= med.volume_factors(centers, 1)[1] @ np.concatenate(
-            [charges, dipoles.reshape(-1)])
         assert self.rel(got, ref) <= 1e-12
         assert np.all(got[med.q0 == 0] == 0)
 
@@ -861,30 +823,8 @@ class TestCheckedSolve:
         assert iterations > 0 and len(calls) == iterations + 1
         assert resid == pytest.approx(np.linalg.norm(a @ x - b) / np.linalg.norm(b), rel=1e-12)
 
-    def test_residual_above_bound_raises(self):
-        rng = np.random.default_rng(1)
-        a = (np.eye(6) + 0.1 * rng.normal(size=(6, 6))).astype(complex)
-        lu, _ = _factor(a + 1e-6 * np.eye(6), "nearby matrix")
-        with pytest.raises(SolverFailure, match="residual") as exc:
-            _solve_checked(lambda x: a @ x, np.ones(6, dtype=complex), "mismatched LU", lu)
-        assert RESIDUAL_TOL < exc.value.residual < 1e-4
-
-    def test_rcond_floor_refuses_near_singular_grid_operator(self):
-        # on two nodes a constant q0 gives I + Kw diag(q0) the eigenvalue
-        # 1 + q0 (Kw_00 + Kw_01) on [1, 1]; a real q0 cancels its real part,
-        # and its imaginary part is of order k
-        grid = Grid((0, 0, 0), (2, 1, 1), (2, 1, 1))
-        k = 1e-15
-        table = BackgroundMedium(k, grid)._kernel_table
-        q0 = -1.0 / (table[0, 0, 0] + table[1, 0, 0]).real
-        med = BackgroundMedium(k, grid, n0=1.0 - q0 / k ** 2)
-        with pytest.raises(SolverFailure, match="rcond"):
-            med._solve_grid(np.ones((2, 2), dtype=complex))  # two columns: the LU path
-
-
 class TestLapackAndGmres:
-    """The LAPACK routines medium loads against scipy.linalg, and _gmres
-    against a dense solve and scipy's GMRES."""
+    """_gmres against a dense solve (numpy's LAPACK) and scipy's GMRES."""
 
     @staticmethod
     def system(n, spread=0.3, seed=5):
@@ -893,134 +833,14 @@ class TestLapackAndGmres:
         a = np.eye(n) + spread * noise / np.sqrt(2 * n)
         return a, rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
 
-    def test_lu_is_bitwise_scipy(self):
-        # orders 480 and 1500 run OpenBLAS's threaded zgetrf
-        import scipy.linalg as sla
-        for n in (120, 480, 1500):
-            a, b = self.system(n)
-            copy = a.copy()
-            (lu, piv), rcond = _factor(a, "test matrix")
-            assert np.array_equal(a, copy)  # the grid keeps a for its residual checks
-            ref = sla.lu_factor(a)
-            assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
-            assert rcond == sla.lapack.zgecon(ref[0], np.linalg.norm(a, 1))[0]
-            for rhs in (b[:, 0], b):
-                x = _solve_checked(lambda x: a @ x, rhs, "test solve", (lu, piv))[0]
-                assert np.array_equal(x, sla.lu_solve(ref, rhs))
-
-    @pytest.fixture
-    def rebound(self):
-        """_lapack() binds anew inside the test and again after it."""
-        medium._lapack.cache_clear()
-        yield
-        medium._lapack.cache_clear()
-
-    def test_scipy_fallback_gives_the_same_bits(self, rebound, monkeypatch):
-        # a numpy built on another BLAS has no scipy-openblas64 LAPACKE entries
-        import ctypes
-        import scipy.linalg.lapack
-        a, b = self.system(120)
-
-        def solved():
-            lu, rcond = _factor(a, "test matrix")
-            return (*lu, rcond, _solve_checked(lambda x: a @ x, b, "test solve", lu)[0])
-
-        bound = solved()
-        medium._lapack.cache_clear()
-        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
-        fallback = solved()
-        assert medium._lapack() is scipy.linalg.lapack
-        assert all(np.array_equal(x, y) for x, y in zip(bound, fallback))
-
-    def test_without_lapacke_or_scipy_a_dense_solve_exits_4(self, rebound, monkeypatch, tmp_path):
-        # a numpy on another BLAS in an environment without scipy: the grid
-        # LU of a non-free background fails as a solver failure, which the CLI
-        # reports, not a traceback; a free-background solve needs no LAPACK
-        import ctypes
-        import json
-        from pathlib import Path
-
-        from smallbody import cli
-
-        def no_library(*args, **kwargs):
-            raise OSError("no such library")
-
-        monkeypatch.setattr(ctypes, "CDLL", no_library)
-        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
-        with pytest.raises(SolverFailure, match="scipy.linalg cannot be imported"):
-            medium._lapack()
-        scenes = Path(__file__).resolve().parent.parent / "scenes"
-        out = tmp_path / "out"
-        scene = scenes / "hard_cloud_n0_ball_off_lattice.json"
-        assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == cli.EXIT_SOLVER
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_type"] == "SolverFailure" and error["exit_code"] == 4
-        assert not (out / "metadata.json").exists()
-        free = tmp_path / "free"
-        scene = scenes / "single_hard_ball.json"
-        assert cli.main(["solve", "--scene", str(scene), "--out", str(free)]) == 0
-        assert json.loads((free / "metadata.json").read_text())["solver"] == "dense"
-
-    def test_first_call_logs_the_lapack_source(self, rebound, monkeypatch, caplog):
-        import ctypes
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-        with caplog.at_level(logging.DEBUG, logger="smallbody.medium"):
-            medium._lapack()
-            medium._lapack()
-            medium._lapack.cache_clear()
-            monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
-            medium._lapack()
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LAPACK")]
-        own = blas["name"] == "scipy-openblas"  # else numpy lacks the LAPACKE entries
-        assert len(lines) == 2
-        assert (f"OpenBLAS {blas['version']}" if own else "scipy.linalg.lapack") in lines[0]
-        assert "scipy.linalg.lapack" in lines[1]
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_or_rhs_raises(self, bad):
+        # a non-finite right-hand side is refused before GMRES starts
         a, b = self.system(8)
-        broken = a.copy()
-        broken[3, 5] = bad
-        with pytest.raises(SolverFailure, match="non-finite"):
-            _factor(broken, "test matrix")
-        lu, _ = _factor(a, "test matrix")
         b[2, 1] = bad
-        for factors in (lu, None):  # the LU and the GMRES path
+        for rhs in (b, b[:, 1]):
             with pytest.raises(SolverFailure, match="non-finite"):
-                _solve_checked(lambda x: a @ x, b, "test solve", factors)
-
-    @pytest.mark.parametrize("binding", ["ctypes", "scipy"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 2.0)])
-    def test_non_finite_input_raises_with_lapacke_scans_off(self, rebound, monkeypatch,
-                                                            binding, bad):
-        # the binding turns LAPACKE's NaN scans off; the package's own pass,
-        # the 1-norm of a matrix and isfinite of a right-hand side, still
-        # refuses non-finite input with SolverFailure (the CLI's exit 4)
-        import ctypes
-        if binding == "scipy":
-            monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
-        elif np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] == "scipy-openblas":
-            medium._lapack()
-            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-            assert lib.scipy_LAPACKE_get_nancheck64_() == 0
-        a, b = self.system(40)
-        lu, _ = _factor(a, "test matrix")
-        for i, j in ((0, 0), (17, 3), (39, 39)):
-            broken = a.copy()
-            broken[i, j] = bad
-            with pytest.raises(SolverFailure, match="non-finite"):
-                _factor(broken, "test matrix")
-            rhs = b.copy()
-            rhs[i, j % 3] = bad
-            for rows in (rhs, rhs[:, j % 3]):
-                with pytest.raises(SolverFailure, match="non-finite"):
-                    _solve_checked(lambda x: a @ x, rows, "test solve", lu)
-
-    def test_exactly_singular_matrix_raises(self):
-        a = np.eye(4, dtype=complex)
-        a[2, 2] = 0.0
-        with pytest.raises(SolverFailure, match="exactly singular"):
-            _factor(a, "test matrix")
+                _solve_checked(lambda x: a @ x, rhs, "test solve")
 
     @pytest.mark.parametrize("spread", [0.3, 0.9])
     def test_gmres_matches_dense_solve_and_scipy_count(self, spread):
