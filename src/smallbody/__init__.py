@@ -17,16 +17,10 @@ from .errors import (
     SmallBodyError,
     SolverFailure,
 )
-from .foldy_impedance import FoldySolveResult, evaluate_field, far_field, solve_cloud
+from .foldy_impedance import FoldySolveResult, solve_cloud
 from .foldy_neumann import ball_polarizability
-from .limit_solver import (
-    LimitProblem,
-    limit_field_at,
-    limiting_amplitude,
-    potential_from_h_N,
-    solve_limit,
-)
-from .medium import BackgroundMedium, ComplexField, Grid
+from .limit_solver import LimitProblem, potential_from_h_N, solve_limit
+from .medium import BackgroundMedium, ComplexField, Grid, Sources
 from .particles import (
     ParticleCloud,
     build_cloud_hard,

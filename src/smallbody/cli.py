@@ -23,8 +23,7 @@ import numpy as np
 from . import convergence, designer, foldy_impedance, runtime
 from .directions import DirectionGrid
 from .errors import InfeasibleDesign, InvariantViolation, SingularEvaluationError, SolverFailure
-from .limit_solver import (LimitProblem, limit_field_at, limiting_amplitude, potential_from_h_N,
-                           solve_limit)
+from .limit_solver import LimitProblem, potential_from_h_N, solve_limit
 from .medium import BackgroundMedium, Grid, far_probe_points
 from .particles import ParticleCloud, build_cloud_hard, build_cloud_impedance, validate_cloud
 
@@ -410,8 +409,8 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
     grid = DirectionGrid(**scene["directions"])
     t0 = time.perf_counter()
     result = foldy_impedance.solve_cloud(medium, cloud, alpha)
-    fld = foldy_impedance.evaluate_field(result, medium, cloud, points)
-    ff = foldy_impedance.far_field(result, medium, cloud, grid)
+    fld = result.sources.field(points)
+    ff = result.sources.far_field(grid)
     wall = time.perf_counter() - t0
     write_field_csv(out / "field.csv", fld.points, fld.values)
     write_farfield_csv(out / "farfield.csv", ff)
@@ -454,9 +453,9 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
             nu=parse_field_spec(lspec["nu"], medium.grid, "scene.limit.nu").real,
             beta_field=parse_beta(lspec["beta"]))
     fld = solve_limit(problem, alpha)
-    at_points = limit_field_at(problem, fld, points)
+    at_points = fld.sources.field(points)
     write_farfield_csv(out / "farfield.csv",
-                       limiting_amplitude(problem, fld, DirectionGrid(**scene["directions"])))
+                       fld.sources.far_field(DirectionGrid(**scene["directions"])))
     wall = time.perf_counter() - t0
     write_field_csv(out / "grid_field.csv", fld.points, fld.values)
     write_field_csv(out / "field.csv", at_points.points, at_points.values)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import foldy_impedance
 from .errors import InvariantViolation
-from .limit_solver import LimitProblem, limit_field_at, potential_from_h_N, solve_limit
+from .limit_solver import LimitProblem, potential_from_h_N, solve_limit
 from .medium import BackgroundMedium, _node_field, _unit, far_probe_points
 from .particles import build_cloud_hard, build_cloud_impedance
 
@@ -110,14 +110,14 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha,
     if any(b >= a for a, b in zip(seq, seq[1:])):
         raise InvariantViolation("a_sequence must be strictly decreasing")
     pts = far_probe_points(medium.grid)
-    u_limit = limit_field_at(problem, solve_limit(problem, alpha), pts).values
+    u_limit = solve_limit(problem, alpha).sources.field(pts).values
 
     study = ScaleStudy(mode="hard" if problem.is_hard else "impedance", alpha=alpha)
     for a in seq:
         try:
             cloud = build(a)
             result = foldy_impedance.solve_cloud(medium, cloud, alpha)
-            u_m = foldy_impedance.evaluate_field(result, medium, cloud, pts).values
+            u_m = result.sources.field(pts).values
             err = np.abs(u_m - u_limit) / np.abs(u_limit)
             study.records.append(ScaleRecord(
                 a=a, m=len(cloud), d=cloud.d, e_max=float(err.max()),

@@ -7,7 +7,7 @@ a non-free background the particles' grid field on supp q0 joins the
 unknowns, so the background's response to the particles is solved with
 them (FoldySystem.operator).  The pipeline here -- validate, incident data,
 GMRES on the system's one operator (free pairs by lattice FFT, by the
-stored free kernel or by row chunks), far-zone guard, field, amplitudes --
+stored free kernel or by row chunks), the result's radiating Sources --
 serves both; foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
@@ -27,12 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation
-from .medium import (BackgroundMedium, ComplexField, _kernel_matrix, _kernel_sum, _solve_checked,
-                     _unit, lattice_of)
-from .particles import (ParticleCloud, _point_law, impedance_to_h, nearest_distances,
-                        validate_cloud)
+from .medium import (BackgroundMedium, Sources, _kernel_matrix, _kernel_sum, _solve_checked, _unit,
+                     lattice_of)
+from .particles import ParticleCloud, _point_law, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
 
@@ -47,21 +45,18 @@ class FoldySolveResult:
     """Per-particle effective fields and sources of a solve, with its statistics.
 
     Impedance solves fill ``coupling``; hard solves fill the gradients and
-    dipole moments; non-free solves fill ``background_density``, and of a
-    nonempty cloud ``particle_density``.
+    dipole moments; ``sources`` radiate the field and the far field.
     """
 
     effective_values: np.ndarray   # u_e(x_m)
     charges: np.ndarray            # Q_m: -c_m u_e (impedance), V_m (q0 - k^2) u_e (hard)
     residual: float
-    alpha: np.ndarray
+    sources: Sources
     iterations: int = 0
     solver: str | None = None      # "dense", "gmres" or "lattice_fft" (None: empty cloud)
     coupling: np.ndarray | None = None              # c_m
     effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
     dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
-    background_density: np.ndarray | None = None    # -q0 delta^3 u0 at the grid nodes
-    particle_density: np.ndarray | None = None      # -q0 delta^3 v of the particles' grid field v
 
 
 def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
@@ -86,6 +81,7 @@ class FoldySystem:
 
     def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
         self.medium, self.centers, self.kind = medium, cloud.centers, cloud.kind
+        self.guard = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
         self.grid_unknowns = len(medium._support)
         if cloud.kind == "hard":
             self.order = 1  # incident data: values and gradients
@@ -122,7 +118,7 @@ class FoldySystem:
         """The right-hand side: [u0; grad u0 (order 1)](x_m, alpha) at the
         centres, after |S| zeros in a non-free background, where u0's node
         density ``density`` (source_density) is summed over T^T."""
-        u = self.medium.radiate(self.centers, alpha, None, order=self.order)
+        u = self.medium.radiate(self.centers, Sources(self.medium, alpha), order=self.order)
         if density is None:
             return u
         u += self._node_sums(stored)[1](density[self.medium._support])
@@ -177,19 +173,23 @@ class FoldySystem:
 
         return apply
 
-    def result(self, sol, **stats) -> FoldySolveResult:
+    def result(self, sol, alpha, background, **stats) -> FoldySolveResult:
         m, ns = len(self.centers), self.grid_unknowns
+        density = None
         if m and ns:
             v = sol[:ns] * self.scale
-            stats.update(particle_density=self.medium._on_grid(
-                -(self.medium.q0[self.medium._support] * v * self.medium.weight)))
+            density = self.medium._on_grid(
+                -(self.medium.q0[self.medium._support] * v * self.medium.weight))
             sol = sol[ns:]
         ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
         if self.order:
             stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))
         else:
             stats.update(coupling=-self.q)
-        return FoldySolveResult(effective_values=ue, charges=self.q * ue, **stats)
+        charges = self.q * ue
+        sources = Sources(self.medium, alpha, density, self.centers, charges,
+                          stats.get("dipole_moments"), self.guard, background)
+        return FoldySolveResult(effective_values=ue, charges=charges, sources=sources, **stats)
 
 
 def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
@@ -201,12 +201,11 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
     system = FoldySystem(medium, cloud)
     density = medium.source_density(alpha)
     if len(cloud) == 0:
-        return system.result(np.zeros(0, dtype=complex), alpha=alpha, residual=0.0,
-                             background_density=density)
+        return system.result(np.zeros(0, dtype=complex), alpha, density, residual=0.0)
     sol, residual, iterations, solver = _solve_system(
         system, lambda stored: system.incident(alpha, density, stored))
-    return system.result(sol, alpha=alpha, residual=residual, iterations=iterations,
-                         solver=solver, background_density=density)
+    return system.result(sol, alpha, density, residual=residual, iterations=iterations,
+                         solver=solver)
 
 
 def _solve_system(system, incident):
@@ -230,47 +229,3 @@ def _solve_system(system, incident):
     logger.debug("%s: GMRES (%s), M = %d", what, solver, m)
     return (*_solve_checked(apply, incident(stored or lattice is not None), what), solver)
 
-
-def evaluate_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
-                   points) -> ComplexField:
-    """u_M(x) = u0 + sum_m [G(x,x_m) Q_m + grad_y G(x,x_m) . P_m] at far-zone points.
-
-    Impedance particles carry no dipole P.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    density = result.background_density
-    if result.particle_density is not None:
-        density = density + result.particle_density
-    # a probe whose distance overflows gets a NaN field, which ComplexField refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(cloud):
-            dist = nearest_distances(pts, cloud.centers)
-            limit = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
-            if np.any(dist < limit * (1 - 1e-12)):
-                raise InvariantViolation(
-                    f"evaluation point within d = {limit:.3g} of a particle center; "
-                    "the point-particle reduction is not valid there")
-        values = medium.radiate(pts, result.alpha, density, cloud.centers, result.charges,
-                                result.dipole_moments)
-    return ComplexField(points=pts, values=values, incident_direction=result.alpha)
-
-
-def amplitudes(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
-               betas) -> np.ndarray:
-    """A(beta,alpha) = A0 + (1/4pi) sum_m [u0(x_m,-b) Q_m + grad u0(x_m,-b) . P_m].
-
-    The particle part is the far field of the particle sources plus the
-    background's response to them, kept apart from A0 so that it is not
-    formed as a small difference.  For a homogeneous background it reduces
-    to (1/4pi) sum_m e^{-ik b.x_m} [Q_m - ik b . P_m].
-    """
-    return medium.amplitude(betas, result.background_density) + medium.amplitude(
-        betas, result.particle_density, cloud.centers, result.charges, result.dipole_moments)
-
-
-def far_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
-              directions: DirectionGrid | None = None) -> FarField:
-    """Far-field amplitudes on a direction grid (default 32 x 64)."""
-    grid = directions or DirectionGrid()
-    vals = amplitudes(result, medium, cloud, grid.vectors())
-    return FarField(grid=grid, values=vals, alpha=result.alpha)

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation
-from .medium import BackgroundMedium, ComplexField, _node_field, _solve_checked, _unit
+from .medium import BackgroundMedium, ComplexField, Sources, _node_field, _solve_checked, _unit
 from .particles import _check_volume_density, _point_law
 
 COLLAR_CELLS = 2
@@ -106,8 +105,8 @@ class LimitProblem:
 def solve_limit(problem: LimitProblem, alpha) -> ComplexField:
     """Grid solution of the limit equation: GMRES on v + Kw src(v) = plane wave.
 
-    The returned field carries the relative residual and the GMRES
-    iteration count.
+    The returned field carries the relative residual, the GMRES iteration
+    count and its Sources: the grid density -src(v) delta^3.
     """
     medium = problem.medium
     alpha = _unit(alpha)
@@ -117,32 +116,9 @@ def solve_limit(problem: LimitProblem, alpha) -> ComplexField:
 
     what = "hard limit" if problem.is_hard else "impedance limit"
     u, resid, iterations = _solve_checked(matvec, medium._plane_wave(alpha), what)
+    sources = Sources(medium, alpha, -(problem.source(u) * medium.weight))
     return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
-                        residual=resid, iterations=iterations)
-
-
-def _density(problem: LimitProblem, field: ComplexField) -> np.ndarray:
-    """Grid sources -src(u) delta^3 of the limit field; no background solve."""
-    return -(problem.source(field.values) * problem.medium.weight)
-
-
-def limit_field_at(problem: LimitProblem, field: ComplexField, points) -> ComplexField:
-    """Evaluate the limit solution off the grid via its volume representation."""
-    alpha = field.incident_direction
-    density = _density(problem, field)
-    # a probe whose distance overflows gets a NaN field, which ComplexField refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = problem.medium.radiate(points, alpha, density)
-    return ComplexField(points=points, values=values, incident_direction=alpha)
-
-
-def limiting_amplitude(problem: LimitProblem, field: ComplexField,
-                       directions: DirectionGrid | None = None) -> FarField:
-    """Far field of either limit: the amplitude of the grid density -src(u) delta^3;
-    for a potential p, A0(beta,alpha) - (1/4pi) integral u0(y,-beta) p(y) u(y) dy."""
-    grid = directions or DirectionGrid()
-    values = problem.medium.amplitude(grid.vectors(), _density(problem, field))
-    return FarField(grid=grid, values=values, alpha=field.incident_direction)
+                        residual=resid, iterations=iterations, sources=sources)
 
 
 # ---------------------------------------------------------------------------

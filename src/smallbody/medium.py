@@ -18,6 +18,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: at import here, not in a run)
 
 from . import runtime
+from .directions import DirectionGrid, FarField
 from .errors import InvariantViolation, SingularEvaluationError, SolverFailure
 
 logger = logging.getLogger(__name__)
@@ -220,6 +221,21 @@ def _norm(dx, dy, dz):
     differences: the summation order of numpy's length-3 reduction, so every
     route to a distance gives the same bits without forming (..., 3) squares."""
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def nearest_distances(points, centers) -> np.ndarray:
+    """Distance from each point to its nearest center, of which there is at least one.
+
+    Brute force, O(n M), formed like particles.min_spacing, at most
+    CHUNK_ENTRIES distances at a time.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    cen = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
+    rows = max(1, CHUNK_ENTRIES // cen.shape[2])
+    out = np.empty(len(pts))
+    for s in range(0, len(pts), rows):
+        out[s:s + rows] = _norm(*(pts[s:s + rows].T[:, :, None] - cen)).min(axis=1)
+    return out
 
 
 def _pair_distances(x, y, order=0):
@@ -603,7 +619,7 @@ class ComplexField:
     """Complex samples at a point set, tagged with the incident direction.
 
     Fields produced by an iterative solve also carry its relative residual
-    and iteration count.
+    and iteration count; a limit's grid field also the Sources it radiates.
     """
 
     points: np.ndarray
@@ -611,6 +627,7 @@ class ComplexField:
     incident_direction: np.ndarray
     residual: float | None = None
     iterations: int | None = None
+    sources: Sources | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -727,9 +744,9 @@ class BackgroundMedium:
         """Node density s = -q0 delta^3 u0(., alpha) of the background field,
         zero off S = supp q0, by one grid solve; None when q0 = 0.
 
-        A cloud's solve forms it once and carries it
-        (FoldySolveResult.background_density) beside the density of the
-        particles' own grid field (FoldySolveResult.particle_density).
+        A cloud's solve forms it once and carries it (Sources.background)
+        beside the density of the particles' own grid field
+        (Sources.density).
         """
         if self.is_free:
             return None
@@ -737,42 +754,48 @@ class BackgroundMedium:
         u = self._solve_grid(self._plane_wave(_unit(alpha))[s])
         return self._on_grid(-(self.q0[s] * u * self.weight))
 
-    def radiate(self, points, alpha, density, centers=(), charges=None, dipoles=None,
-                order=0) -> np.ndarray:
+    def radiate(self, points, sources: Sources, order=0) -> np.ndarray:
         """u(x) = e^{ik alpha.x} + sum_z g(x,z) s_z + sum_m [g(x,x_m) Q_m + grad_y g(x,x_m).P_m].
 
-        s is a node density (None: no grid sources), summed over its nonzero
-        nodes; Q_m and P_m are the particle monopoles and dipoles.  order 1
-        returns [u, grad_x u] as one (4n,) vector.  Both sums run over the
-        row chunks of _kernel_sum.
+        s is the node density plus the background density (neither: no grid
+        sources), summed over its nonzero nodes; Q_m and P_m are the particle
+        monopoles and dipoles.  order 1 returns [u, grad_x u] as one (4n,)
+        vector.  Both sums run over the row chunks of _kernel_sum.
         """
-        alpha = _unit(alpha)
+        alpha = _unit(sources.alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.exp(1j * self.k * pts @ alpha)
         if order:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
+        density = sources.background
+        if sources.density is not None:
+            density = sources.density if density is None else density + sources.density
         if density is not None:
             z = np.flatnonzero(density)
             out = out + _kernel_sum(pts, self.k, (order, 0), density[z], self.grid.nodes[z])
+        centers, charges, dipoles = sources.centers, sources.charges, sources.dipoles
         if len(centers):
             w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
             out = out + _kernel_sum(pts, self.k, (order, int(dipoles is not None)), w, centers)
         return out
 
-    def amplitude(self, betas, density, centers=(), charges=None, dipoles=None) -> np.ndarray:
+    def amplitude(self, betas, sources: Sources) -> np.ndarray:
         """(1/4pi) [sum_z e^{-ik beta.z} s_z + sum_m e^{-ik beta.x_m} (Q_m - ik beta.P_m)].
 
-        The far-field amplitude of the sources that ``radiate`` sums, per beta.
+        The far-field amplitude of the sources that ``radiate`` sums, per
+        beta.  A cloud's particle part is not formed as a small difference:
+        the background density, zeros in a free background, is summed apart.
         Centres on one lattice sum, like the grid nodes, through per-axis
         phase tables; other centres through (directions, M) phase tables of
         at most CHUNK_ENTRIES entries (_row_chunks).
         """
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
+        centers, charges, dipoles = sources.centers, sources.charges, sources.dipoles
         out = np.zeros(len(betas), dtype=complex)
         lattice = lattice_of(centers)
         if lattice is not None:
-            sources = [charges] if dipoles is None else [charges, *np.transpose(dipoles)]
-            sums = self._box_phase_sum(betas, lattice.axes, lattice.scatter(np.array(sources)))
+            rows = [charges] if dipoles is None else [charges, *np.transpose(dipoles)]
+            sums = self._box_phase_sum(betas, lattice.axes, lattice.scatter(np.array(rows)))
             out = sums[0]
             if dipoles is not None:
                 out = out - 1j * self.k * np.einsum("bp,pb->b", betas, sums[1:])
@@ -783,9 +806,12 @@ class BackgroundMedium:
                 out[s:stop] = phase @ charges
                 if dipoles is not None:
                     out[s:stop] += np.einsum("bm,bp,mp->b", phase, -1j * self.k * b, dipoles)
-        if density is not None:
-            out = out + self._box_phase_sum(betas, self.grid.axes, density)
-        return out / (4.0 * np.pi)
+        if sources.density is not None:
+            out = out + self._box_phase_sum(betas, self.grid.axes, sources.density)
+        out = out / (4.0 * np.pi)
+        if charges is None and sources.background is None:
+            return out
+        return self.amplitude(betas, Sources(self, sources.alpha, sources.background)) + out
 
     # -- Green function -----------------------------------------------------
 
@@ -828,6 +854,48 @@ class BackgroundMedium:
         t = np.einsum("cabk,kb->cak", t.reshape(len(f), shape[0], shape[1], -1), e2)
         sums = np.einsum("cak,ka->ck", t, e1)
         return sums if stacked else sums[0]
+
+
+@dataclass(frozen=True)
+class Sources:
+    """The equivalent sources that radiate a solve's field and far field:
+    the plane wave e^{ik alpha.x}, a node density and particle monopoles
+    Q_m and dipoles P_m, a volume grid holding point scatterers (Martin,
+    Multiple Scattering, CUP 2006, ch. 8).
+
+    A limit's density is that of its solution; a cloud's that of the
+    particles' grid field, beside the background field's -q0 delta^3 u0 in
+    ``background`` (both None if q0 = 0).  Probes closer than ``guard`` to a
+    centre are refused: the point-particle reduction fails there.
+    """
+
+    medium: BackgroundMedium
+    alpha: np.ndarray
+    density: np.ndarray | None = None
+    centers: np.ndarray = ()
+    charges: np.ndarray | None = None
+    dipoles: np.ndarray | None = None
+    guard: float = 0.0
+    background: np.ndarray | None = None
+
+    def field(self, points) -> ComplexField:
+        """The field radiated to probe points (BackgroundMedium.radiate)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # a probe whose distance overflows gets a NaN field, which ComplexField refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(self.centers) and np.any(
+                    nearest_distances(pts, self.centers) < self.guard * (1 - 1e-12)):
+                raise InvariantViolation(
+                    f"evaluation point within d = {self.guard:.3g} of a particle center; "
+                    "the point-particle reduction is not valid there")
+            values = self.medium.radiate(pts, self)
+        return ComplexField(points=pts, values=values, incident_direction=self.alpha)
+
+    def far_field(self, directions: DirectionGrid | None = None) -> FarField:
+        """Far-field amplitudes on a direction grid (default 32 x 64)."""
+        grid = directions or DirectionGrid()
+        return FarField(grid=grid, values=self.medium.amplitude(grid.vectors(), self),
+                        alpha=self.alpha)
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

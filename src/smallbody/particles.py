@@ -346,21 +346,6 @@ def min_spacing(centers) -> float:
     return float(best)
 
 
-def nearest_distances(points, centers) -> np.ndarray:
-    """Distance from each point to its nearest center, of which there is at least one.
-
-    Brute force, O(n M), formed like min_spacing, at most CHUNK_ENTRIES
-    distances at a time.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    cen = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
-    rows = max(1, CHUNK_ENTRIES // cen.shape[2])
-    out = np.empty(len(pts))
-    for s in range(0, len(pts), rows):
-        out[s:s + rows] = _norm(*(pts[s:s + rows].T[:, :, None] - cen)).min(axis=1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # builders and validation
 # ---------------------------------------------------------------------------

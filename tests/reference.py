@@ -10,10 +10,10 @@ from numpy.polynomial.legendre import leggauss
 
 from smallbody.directions import FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
-from smallbody.foldy_impedance import FoldySolveResult, FoldySystem, evaluate_field
+from smallbody.foldy_impedance import FoldySolveResult, FoldySystem
 from smallbody.limit_solver import LimitProblem, _hard_source
-from smallbody.medium import (BackgroundMedium, ComplexField, Grid, _node_field, _pair_distances,
-                              _radial, _row_chunks, _unit)
+from smallbody.medium import (BackgroundMedium, ComplexField, Grid, Sources, _node_field,
+                              _pair_distances, _radial, _row_chunks, _unit)
 from smallbody.particles import ParticleCloud
 
 
@@ -192,20 +192,20 @@ def coupled_matrix(system) -> np.ndarray:
 def exact_exclusion_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha):
     """The paper's model, in which particle j does not feel its own
     reflection from the background: the dense solve of foldy_matrix(system)
-    for [u0; grad u0] at the centres, as a FoldySolveResult whose particle
-    density -q0 delta^3 B^-1 T s is formed by a dense grid solve."""
+    for [u0; grad u0] at the centres, as a FoldySolveResult whose Sources
+    carry the particle density -q0 delta^3 B^-1 T s of a dense grid solve."""
     alpha = _unit(alpha)
     system = FoldySystem(medium, cloud)
     u0 = incident_values(medium, alpha, cloud.centers, order=system.order)
     w = np.linalg.solve(foldy_matrix(system), u0)
-    result = system.result(np.concatenate([np.zeros(system.grid_unknowns), w]), alpha=alpha,
-                           residual=0.0, background_density=medium.source_density(alpha))
+    result = system.result(np.concatenate([np.zeros(system.grid_unknowns), w]), alpha,
+                           medium.source_density(alpha), residual=0.0)
     dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
     if not medium.is_free:
         sources = medium._node_columns(cloud.centers, system.order) @ np.concatenate(
             [result.charges, *dipoles])
-        result.particle_density = medium._on_grid(
-            -(medium.q0[medium._support] * grid_solve(medium, sources) * medium.weight))
+        result.sources = replace(result.sources, density=medium._on_grid(
+            -(medium.q0[medium._support] * grid_solve(medium, sources) * medium.weight)))
     return result
 
 
@@ -232,28 +232,25 @@ def incident_values(medium: BackgroundMedium, alpha, points, order=0) -> np.ndar
     """u0(x, alpha) at arbitrary points via the volume representation, one
     grid solve; order 1 returns [u0 (n,), grad_x u0 (n,3) row-major] as one
     (4n,) vector, the layout of the hard-particle unknowns."""
-    return medium.radiate(points, alpha, medium.source_density(alpha), order=order)
+    return medium.radiate(points, Sources(medium, alpha, background=medium.source_density(alpha)),
+                          order=order)
 
 
-def excluded_field(result: FoldySolveResult, medium: BackgroundMedium, cloud: ParticleCloud,
-                   points, j) -> ComplexField:
-    """The effective field that particle j feels: evaluate_field with j
-    dropped from the sum of free sources and from the distance guard, which
-    keeps the cloud's spacing d.  The particles' node density stays whole:
-    j feels its own reflection from the background."""
-    keep = np.arange(len(cloud)) != j
-    dipoles = result.dipole_moments
-    others = replace(result, charges=result.charges[keep],
-                     dipole_moments=None if dipoles is None else dipoles[keep])
-    rest = replace(cloud, centers=cloud.centers[keep],
-                   zeta=None if cloud.zeta is None else cloud.zeta[keep])
-    rest.d = cloud.d
-    return evaluate_field(others, medium, rest, points)
+def excluded_field(result: FoldySolveResult, points, j) -> ComplexField:
+    """The effective field that particle j feels: the field of the result's
+    sources with j dropped from the free sources and from the distance
+    guard, which keeps the cloud's spacing d.  The particles' node density
+    stays whole: j feels its own reflection from the background."""
+    sources = result.sources
+    keep = np.arange(len(sources.centers)) != j
+    dipoles = sources.dipoles
+    return replace(sources, centers=sources.centers[keep], charges=sources.charges[keep],
+                   dipoles=None if dipoles is None else dipoles[keep]).field(points)
 
 
 def background_amplitude(medium: BackgroundMedium, betas, alpha) -> np.ndarray:
     """A0(beta, alpha): far-field amplitude of the background alone."""
-    return medium.amplitude(betas, medium.source_density(alpha))
+    return medium.amplitude(betas, Sources(medium, alpha, medium.source_density(alpha)))
 
 
 def integral_abs_squared(ff: FarField) -> float:

@@ -15,12 +15,11 @@ from smallbody.convergence import run_hard_study, run_impedance_study, verify_de
 from smallbody.designer import choose_h_N, target_to_potential
 from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
-from smallbody.foldy_impedance import amplitudes, far_field, solve_cloud
+from smallbody.foldy_impedance import solve_cloud
 from smallbody.foldy_neumann import ball_polarizability
 from smallbody.limit_solver import (
     LimitProblem,
     _hard_source,
-    limiting_amplitude,
     potential_from_h_N,
     solve_limit,
 )
@@ -60,14 +59,14 @@ def test_criterion_1_single_impedance_ball():
     h = 2.0
     med = free_medium(k=k)
     res = solve_cloud(med, single_ball_cloud(a, h), Z_HAT)
-    ff = far_field(res, med, single_ball_cloud(a, h), DirectionGrid(32, 64))
+    ff = res.sources.far_field(DirectionGrid(32, 64))
     spread = np.abs(ff.values - ff.values[0]).max()
     assert spread <= 1e-12
     expected = -a * h / (1 + h)
     assert abs(ff.values[0] - expected) <= 1e-10 * abs(expected)
 
     res_soft = solve_cloud(med, single_ball_cloud(a, 1e4), Z_HAT)
-    amp_soft = amplitudes(res_soft, med, single_ball_cloud(a, 1e4), Z_HAT[None, :])[0]
+    amp_soft = med.amplitude(Z_HAT[None, :], res_soft.sources)[0]
     assert abs(amp_soft - (-a)) <= 1e-3 * a
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -84,12 +83,12 @@ def test_criterion_2_single_hard_ball():
     cloud = ParticleCloud(centers=np.zeros((1, 3)), a=a, kind="hard",
                           beta=ball_polarizability())
     res = solve_cloud(med, cloud, Z_HAT)
-    ff = far_field(res, med, cloud, DirectionGrid(32, 64))
+    ff = res.sources.far_field(DirectionGrid(32, 64))
     betas = ff.grid.vectors()
     pattern = (k ** 2 * a ** 3 / 3) * (1.5 * betas @ Z_HAT - 1.0)
     rel = np.abs(ff.values - pattern).max() / np.abs(pattern).max()
     assert rel <= 3 * k * a
-    fwd, bwd = amplitudes(res, med, cloud, np.array([Z_HAT, -Z_HAT]))
+    fwd, bwd = med.amplitude(np.array([Z_HAT, -Z_HAT]), res.sources)
     ratio = (fwd / bwd).real
     assert ratio == pytest.approx(-0.2, abs=0.01)
     elapsed = time.perf_counter() - t0
@@ -190,7 +189,7 @@ def test_criterion_6_optical_theorem():
     p = np.where(insub, 0.8, 0.0).astype(complex)
     problem = LimitProblem(medium=med, p=p)
     fld = solve_limit(problem, Z_HAT)
-    ff = limiting_amplitude(problem, fld)  # default 32x64 quadrature
+    ff = fld.sources.far_field()  # default 32x64 quadrature
     forward = (background_amplitude(med, Z_HAT[None, :], Z_HAT)[0]
                - weighted_u0_sum_grid(
                    med, Z_HAT[None, :], p * fld.values * med.weight)[0] / (4 * np.pi))
@@ -235,7 +234,7 @@ def test_criterion_8_born_fourier_and_hard_fixed_point():
     p = p0 * np.exp(-np.sum((nodes - 0.5) ** 2, axis=1) / (2 * sig ** 2))
     problem = LimitProblem(medium=med, p=p)
     fld = solve_limit(problem, Z_HAT)
-    ff = limiting_amplitude(problem, fld, DirectionGrid(16, 32))
+    ff = fld.sources.far_field(DirectionGrid(16, 32))
     betas = ff.grid.vectors()
     xi = med.k * (betas - Z_HAT)
     phat = (p0 * (2 * np.pi * sig ** 2) ** 1.5

@@ -407,23 +407,28 @@ def test_shipped_scenes_do_not_import_scipy_linalg_or_sparse(tmp_path, path):
 
 
 def test_study_is_byte_identical_over_blas_threads(tmp_path):
+    # every shipped scene writes the same CSV and JSON files, all but
+    # metadata.json (it holds wall times), at 1 and 2 OpenBLAS threads:
     # every particle system runs GMRES on its stored free kernel, whose
-    # matrix-vector products keep their bits at any OpenBLAS thread count
-    # (a dense LU's did not), and so do the node tables of the coupled
-    # system in the two non-free scenes
-    for command, scene, names in (
-            ("study", "study_impedance", ("study.csv", "study.json")),
-            ("solve", "hard_cloud_n0_ball", ("solution.json", "field.csv", "farfield.csv")),
-            ("solve", "hard_cloud_n0_ball_off_lattice",
-             ("solution.json", "field.csv", "farfield.csv"))):
-        outs = [tmp_path / scene / threads for threads in ("1", "2")]
-        for out in outs:
-            python_fresh(
-                "import sys; from smallbody.cli import main; sys.exit(main(sys.argv[1:]))",
-                command, "--scene", str(SCENES / f"{scene}.json"), "--out", str(out),
-                env={"OPENBLAS_NUM_THREADS": out.name})
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # matrix-vector products keep their bits at any thread count (a dense
+    # LU's did not), and so do the node tables of the coupled system in the
+    # non-free scenes; one fresh process per thread count runs every scene
+    scenes = sorted(SCENES.glob("*.json"))
+    for threads in ("1", "2"):
+        runs = [[scene_command(json.loads(scene.read_text())), "--scene", str(scene),
+                 "--out", str(tmp_path / threads / scene.stem)] for scene in scenes]
+        python_fresh("import json, sys; from smallbody.cli import main; "
+                     "sys.exit(any(main(args) for args in json.loads(sys.argv[1])))",
+                     json.dumps(runs), env={"OPENBLAS_NUM_THREADS": threads})
+    assert len(scenes) >= 8
+    for scene in scenes:
+        outs = [tmp_path / threads / scene.stem for threads in ("1", "2")]
+        names = [sorted(p.name for p in out.iterdir()
+                        if p.suffix in (".csv", ".json") and p.name != "metadata.json")
+                 for out in outs]
+        assert names[0] and names[0] == names[1], scene
+        for name in names[0]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (scene, name)
 
 
 @pytest.mark.parametrize("command,scene,solver", [

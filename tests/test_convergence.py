@@ -5,7 +5,7 @@ import pytest
 
 from smallbody.convergence import ScaleStudy, run_hard_study, run_impedance_study
 from smallbody.errors import InvariantViolation
-from smallbody.foldy_impedance import amplitudes, solve_cloud
+from smallbody.foldy_impedance import solve_cloud
 from smallbody.medium import BackgroundMedium, Grid
 from smallbody.particles import build_cloud_hard, build_cloud_impedance
 from reference import counting_measure_check
@@ -68,7 +68,7 @@ class TestImpedanceStudy:
         assert len(cloud) == 1
         res = solve_cloud(med, cloud, Z_HAT)
         beta = np.array([[0.0, 0.6, 0.8]])
-        amp = amplitudes(res, med, cloud, beta)[0]
+        amp = med.amplitude(beta, res.sources)[0]
         x1 = cloud.centers[0]
         analytic = (np.exp(-1j * med.k * beta[0] @ x1)
                     * (-4 * np.pi * a * h / (1 + h) / (4 * np.pi))

@@ -6,7 +6,7 @@ import pytest
 from smallbody.convergence import verify_design
 from smallbody.designer import choose_h_N, target_to_potential
 from smallbody.errors import InvariantViolation
-from smallbody.foldy_impedance import evaluate_field, solve_cloud
+from smallbody.foldy_impedance import solve_cloud
 from smallbody.limit_solver import potential_from_h_N
 from smallbody.medium import BackgroundMedium, Grid, far_probe_points
 from smallbody.particles import build_cloud_impedance, validate_cloud
@@ -155,7 +155,7 @@ class TestVerifyDesign:
         cloud = build_cloud_impedance(med, 2e-5, h, n_dens, cell_size=0.25)
         solve = solve_cloud(med, cloud, Z_HAT)
         downstream = np.array([[0.5, 0.5, 4.0]])
-        u_m = evaluate_field(solve, med, cloud, downstream).values[0]
+        u_m = solve.sources.field(downstream).values[0]
         assert abs(u_m) < 1.0
 
     def test_probe_layout(self):

@@ -13,10 +13,7 @@ from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
     FoldySystem,
     _solve_system,
-    amplitudes,
     coupling_constants,
-    evaluate_field,
-    far_field,
     solve_cloud,
 )
 from smallbody.medium import BackgroundMedium, Grid, lattice_of
@@ -328,8 +325,8 @@ class TestNonFreeLattice:
                 log.clear()
             res = solve_cloud(med, cloud, Z_HAT)
             assert res.solver == solver
-            evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
-            far_field(res, med, cloud, DirectionGrid(4, 8))
+            res.sources.field([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
+            res.sources.far_field(DirectionGrid(4, 8))
             assert len(solves) == len(grid_gmres) == 1
             assert len(tables) == (solver != "gmres") and bool(node_sums) == (solver == "gmres")
 
@@ -349,9 +346,8 @@ class TestNonFreeLattice:
             if kind == "hard":
                 cloud = ParticleCloud(centers=cloud.centers, a=a, kind="hard",
                                       beta=-1.5 * np.eye(3))
-            got = evaluate_field(solve_cloud(med, cloud, Z_HAT), med, cloud, probes).values
-            want = evaluate_field(exact_exclusion_solve(med, cloud, Z_HAT), med, cloud,
-                                  probes).values
+            got = solve_cloud(med, cloud, Z_HAT).sources.field(probes).values
+            want = exact_exclusion_solve(med, cloud, Z_HAT).sources.field(probes).values
             gaps.append(np.abs(got - want).max() / np.abs(got - u0).max())
         assert len(cloud) == 64 and gaps[0] < 1e-3
         assert np.polyfit(np.log(radii), np.log(gaps), 1)[0] >= 0.9
@@ -364,19 +360,19 @@ class TestNonFreeLattice:
         med, cloud = n0_ball_medium(), off_lattice_scene_cloud(kind)
         res = solve_cloud(med, cloud, Z_HAT)
         points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
-        before = [evaluate_field(res, med, cloud, points).values,
-                  far_field(res, med, cloud, directions).values]
-        charges, density = res.charges.copy(), res.background_density.copy()
-        particle_density = res.particle_density.copy()
+        before = [res.sources.field(points).values,
+                  res.sources.far_field(directions).values]
+        charges, density = res.charges.copy(), res.sources.background.copy()
+        particle_density = res.sources.density.copy()
         with monkeypatch.context() as patch:
             patch.setattr(BackgroundMedium, "_solve_grid", None)  # any grid solve fails
-            excluded = excluded_field(res, med, cloud, points, 7).values
+            excluded = excluded_field(res, points, 7).values
         assert not np.array_equal(excluded, before[0])
         assert np.array_equal(res.charges, charges)
-        assert np.array_equal(res.background_density, density)
-        assert np.array_equal(res.particle_density, particle_density)
-        after = [evaluate_field(res, med, cloud, points).values,
-                 far_field(res, med, cloud, directions).values]
+        assert np.array_equal(res.sources.background, density)
+        assert np.array_equal(res.sources.density, particle_density)
+        after = [res.sources.field(points).values,
+                 res.sources.far_field(directions).values]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_empty_cloud_makes_one_grid_solve(self, monkeypatch):
@@ -395,9 +391,9 @@ class TestNonFreeLattice:
             or gmres(apply, b))
         res = solve_cloud(med, cloud, Z_HAT)
         points = np.array([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5], [-1.0, -2.0, 0.3]])
-        values = evaluate_field(res, med, cloud, points).values
-        ff = far_field(res, med, cloud, DirectionGrid(4, 8))
-        assert len(solves) == len(grid_gmres) == 1 and res.particle_density is None
+        values = res.sources.field(points).values
+        ff = res.sources.far_field(DirectionGrid(4, 8))
+        assert len(solves) == len(grid_gmres) == 1 and res.sources.density is None
         # u0 at every node by a dense solve of I + Kw diag(q0), radiated to the probes
         a = dense_weighted_kernel(med) * med.q0[None, :]
         a[np.diag_indices_from(a)] += 1.0
@@ -418,8 +414,9 @@ class TestNonFreeLattice:
             monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
             results.append(solve_cloud(n0_ball_medium(), cloud, Z_HAT))
             assert results[-1].solver == solver
-        for name in ("effective_values", "effective_gradients", "particle_density"):
+        for name in ("effective_values", "effective_gradients"):
             assert np.array_equal(getattr(results[0], name), getattr(results[1], name))
+        assert np.array_equal(results[0].sources.density, results[1].sources.density)
         monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 479)
         out = tmp_path / "out"
         scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
@@ -466,7 +463,7 @@ class TestEvaluateField:
         cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=0.0)
         res = solve_cloud(med, cloud, Z_HAT)
         pts = np.array([[0.0, 0.0, 3.0], [2.0, 1.0, -1.0]])
-        fld = evaluate_field(res, med, cloud, pts)
+        fld = res.sources.field(pts)
         np.testing.assert_allclose(fld.values, np.exp(1j * med.k * pts[:, 2]), rtol=1e-14)
 
     def test_single_particle_definition(self):
@@ -475,7 +472,7 @@ class TestEvaluateField:
         cloud = ball_cloud(center, a=1e-3, h=1.0)
         res = solve_cloud(med, cloud, Z_HAT)
         pt = np.array([[0.5, 0.5, 2.5]])
-        fld = evaluate_field(res, med, cloud, pt)
+        fld = res.sources.field(pt)
         expected = (np.exp(1j * med.k * 2.5)
                     + free_kernel(pt[0], center[0], med.k) * res.charges[0])
         assert fld.values[0] == pytest.approx(expected, rel=1e-14)
@@ -486,7 +483,7 @@ class TestEvaluateField:
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
         res = solve_cloud(med, cloud, Z_HAT)
         with pytest.raises(InvariantViolation):
-            evaluate_field(res, med, cloud, np.array([[0.3, 0.5, 0.55]]))
+            res.sources.field(np.array([[0.3, 0.5, 0.55]]))
 
     def test_guard_edges(self):
         # dyadic centers: d = 0.5 exactly, and so is the distance of the probe
@@ -495,15 +492,15 @@ class TestEvaluateField:
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
         res = solve_cloud(med, cloud, Z_HAT)
         assert cloud.d == 0.5
-        evaluate_field(res, med, cloud, np.array([[0.25, 0.5, 1.0]]))
+        res.sources.field(np.array([[0.25, 0.5, 1.0]]))
         with pytest.raises(InvariantViolation, match="within d"):
-            evaluate_field(res, med, cloud, np.array([[0.25, 0.5, 0.5 + 0.5 * (1 - 1e-11)]]))
+            res.sources.field(np.array([[0.25, 0.5, 0.5 + 0.5 * (1 - 1e-11)]]))
         # excluded_field drops center j from the guard: its own position is then 0.5 from
         # the other center, and the effective field there is finite
         for j in range(2):
             with pytest.raises(InvariantViolation, match="within d"):
-                evaluate_field(res, med, cloud, centers[j][None, :])
-            assert np.isfinite(excluded_field(res, med, cloud, centers[j][None, :],
+                res.sources.field(centers[j][None, :])
+            assert np.isfinite(excluded_field(res, centers[j][None, :],
                                               j).values).all()
 
     def test_guard_looks_past_the_first_chunk(self):
@@ -514,9 +511,9 @@ class TestEvaluateField:
         rows = medium.CHUNK_ENTRIES // len(centers)
         far = np.column_stack([np.linspace(-5.0, 5.0, rows + 9), np.full(rows + 9, 3.0),
                                np.zeros(rows + 9)])
-        assert len(evaluate_field(res, med, cloud, far).values) == rows + 9
+        assert len(res.sources.field(far).values) == rows + 9
         with pytest.raises(InvariantViolation, match="within d"):
-            evaluate_field(res, med, cloud, np.vstack([far, [[0.75, 0.5, 0.7]]]))
+            res.sources.field(np.vstack([far, [[0.75, 0.5, 0.7]]]))
 
     def test_monopole_truncation_against_surface_layer(self):
         # A uniform single layer on a sphere vs its monopole reduction:
@@ -550,7 +547,7 @@ class TestFarField:
         h = 1.0
         cloud = ball_cloud(np.zeros((1, 3)) + 0.5, a=a, h=h)
         res = solve_cloud(med, cloud, Z_HAT)
-        ff = far_field(res, med, cloud)
+        ff = res.sources.far_field()
         # remove the center phase: A = -a h/(1+h) e^{-ik beta.x1} u0(x1)
         betas = ff.grid.vectors()
         phase = np.exp(-1j * med.k * betas @ cloud.centers[0]) * \
@@ -564,7 +561,7 @@ class TestFarField:
         a = 0.05 / med.k
         cloud = ball_cloud(np.zeros((1, 3)), a=a, h=1e4)
         res = solve_cloud(med, cloud, Z_HAT)
-        amp = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
+        amp = med.amplitude(Z_HAT[None, :], res.sources)[0]
         assert abs(amp - (-a)) / a < 1e-3
 
     def test_direction_grid_forms_its_nodes_once(self, monkeypatch):
@@ -574,7 +571,7 @@ class TestFarField:
         monkeypatch.setattr(directions, "leggauss", lambda n: calls.append(n) or leggauss(n))
         med = free_medium()
         cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=1.0)
-        ff = far_field(solve_cloud(med, cloud, Z_HAT), med, cloud, DirectionGrid(8, 16))
+        ff = solve_cloud(med, cloud, Z_HAT).sources.far_field(DirectionGrid(8, 16))
         theta = ff.rows()[0]
         assert calls == [8]
         assert np.array_equal(theta, np.repeat(np.arccos(leggauss(8)[0]), 16))
@@ -583,7 +580,7 @@ class TestFarField:
         med = free_medium()
         cloud = ball_cloud(np.array([[0.5, 0.5, 0.5]]), a=1e-3, h=0.0)
         res = solve_cloud(med, cloud, Z_HAT)
-        ff = far_field(res, med, cloud, DirectionGrid(8, 16))
+        ff = res.sources.far_field(DirectionGrid(8, 16))
         assert np.all(ff.values == 0)
 
     def test_far_field_consistency(self):
@@ -592,10 +589,10 @@ class TestFarField:
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.02)
         res = solve_cloud(med, cloud, Z_HAT)
         beta = np.array([0.6, 0.0, 0.8])
-        amp = amplitudes(res, med, cloud, beta[None, :])[0]
+        amp = med.amplitude(beta[None, :], res.sources)[0]
         r = 150.0 / med.k
         pt = (r * beta)[None, :]
-        u_m = evaluate_field(res, med, cloud, pt).values[0]
+        u_m = res.sources.field(pt).values[0]
         u_0 = np.exp(1j * med.k * pt[0] @ Z_HAT)
         extracted = r * np.exp(-1j * med.k * r) * (u_m - u_0)
         assert abs(extracted - amp) / abs(amp) <= 3.0 / (med.k * r)
@@ -616,8 +613,8 @@ class TestFarField:
         med = free_medium(k=0.1)
         cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0, N_field=0.01)
         res = solve_cloud(med, cloud, Z_HAT)
-        ff = far_field(res, med, cloud)
-        forward = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
+        ff = res.sources.far_field()
+        forward = med.amplitude(Z_HAT[None, :], res.sources)[0]
         flux = med.k / (4 * np.pi) * integral_abs_squared(ff)
         assert abs(forward.imag - flux) <= 1e-3 * np.abs(ff.values).max()
 
@@ -625,6 +622,6 @@ class TestFarField:
         med = free_medium()
         cloud = build_cloud_impedance(med, a=1e-3, h_field=0.5, N_field=0.02)
         res = solve_cloud(med, cloud, Z_HAT)
-        base = amplitudes(res, med, cloud, Z_HAT[None, :])[0]
+        base = med.amplitude(Z_HAT[None, :], res.sources)[0]
         res.charges *= 2.0
-        assert amplitudes(res, med, cloud, Z_HAT[None, :])[0] == pytest.approx(2 * base, rel=1e-13)
+        assert med.amplitude(Z_HAT[None, :], res.sources)[0] == pytest.approx(2 * base, rel=1e-13)

@@ -9,8 +9,7 @@ import pytest
 
 from smallbody import foldy_impedance, medium
 from smallbody.directions import DirectionGrid
-from smallbody.foldy_impedance import (FoldySystem, amplitudes, evaluate_field, far_field,
-                                       solve_cloud)
+from smallbody.foldy_impedance import FoldySystem, solve_cloud
 from smallbody.foldy_neumann import ball_polarizability
 from smallbody.medium import RESIDUAL_TOL, BackgroundMedium, Grid, lattice_of
 from smallbody.particles import ParticleCloud, build_cloud_hard
@@ -68,7 +67,7 @@ class TestSingleParticle:
         a = 0.05 / med.k
         cloud = hard_cloud(np.zeros((1, 3)), a=a)
         res = solve_cloud(med, cloud, Z_HAT)
-        ff = far_field(res, med, cloud)
+        ff = res.sources.far_field()
         betas = ff.grid.vectors()
         expected = (med.k ** 2 * a ** 3 / 3) * (1.5 * betas @ Z_HAT - 1.0)
         assert np.abs(ff.values - expected).max() / np.abs(expected).max() <= 3 * med.k * a
@@ -77,7 +76,7 @@ class TestSingleParticle:
         med = free_medium()
         cloud = hard_cloud(np.zeros((1, 3)), a=0.05)
         res = solve_cloud(med, cloud, Z_HAT)
-        fwd, bwd = amplitudes(res, med, cloud, np.array([Z_HAT, -Z_HAT]))
+        fwd, bwd = med.amplitude(np.array([Z_HAT, -Z_HAT]), res.sources)
         assert fwd / bwd == pytest.approx(-0.2, abs=0.01)
 
     def test_perpendicular_is_pure_monopole(self):
@@ -85,7 +84,7 @@ class TestSingleParticle:
         a = 0.04
         cloud = hard_cloud(np.zeros((1, 3)), a=a)
         res = solve_cloud(med, cloud, Z_HAT)
-        amp = amplitudes(res, med, cloud, np.array([[1.0, 0.0, 0.0]]))[0]
+        amp = med.amplitude(np.array([[1.0, 0.0, 0.0]]), res.sources)[0]
         assert amp == pytest.approx(-med.k ** 2 * a ** 3 / 3, rel=1e-12)
 
     def test_isotropy_in_beta_dot_alpha(self):
@@ -101,7 +100,7 @@ class TestSingleParticle:
             v -= (v @ Z_HAT) * Z_HAT
             v /= np.linalg.norm(v)
             betas.append(cos_target * Z_HAT + np.sqrt(1 - cos_target ** 2) * v)
-        amps = amplitudes(res, med, cloud, np.array(betas))
+        amps = med.amplitude(np.array(betas), res.sources)
         assert np.abs(amps - amps[0]).max() <= 1e-12 * np.abs(amps[0])
 
 
@@ -125,7 +124,7 @@ class TestCoupledSystem:
         cloud = hard_cloud(center, a=5e-3, beta=np.zeros((3, 3)))
         res = solve_cloud(med, cloud, Z_HAT)
         pt = np.array([[0.5, 0.5, 2.0]])
-        fld = evaluate_field(res, med, cloud, pt)
+        fld = res.sources.field(pt)
         expected = (np.exp(2.0j * med.k)
                     + free_kernel(pt[0], center[0], med.k) * res.charges[0])
         assert fld.values[0] == pytest.approx(expected, rel=1e-14)
@@ -188,8 +187,8 @@ class TestCoupledSystem:
         for p in range(3):
             e = np.zeros(3)
             e[p] = h
-            up = excluded_field(res, med, cloud, centers[j][None, :] + e, j)
-            um = excluded_field(res, med, cloud, centers[j][None, :] - e, j)
+            up = excluded_field(res, centers[j][None, :] + e, j)
+            um = excluded_field(res, centers[j][None, :] - e, j)
             fd = (up.values[0] - um.values[0]) / (2 * h)
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
@@ -205,8 +204,8 @@ class TestCoupledSystem:
         for p in range(3):
             e = np.zeros(3)
             e[p] = h
-            up = excluded_field(res, med, cloud, centers[j][None, :] + e, j)
-            um = excluded_field(res, med, cloud, centers[j][None, :] - e, j)
+            up = excluded_field(res, centers[j][None, :] + e, j)
+            um = excluded_field(res, centers[j][None, :] - e, j)
             fd = (up.values[0] - um.values[0]) / (2 * h)
             assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
                 res.effective_gradients[j]).max()
@@ -230,8 +229,8 @@ class TestCoupledSystem:
             med = BackgroundMedium(1.1, Grid((0, 0, 0), (1, 1, 1), (7, 7, 7)), n0=n0)
             assert np.count_nonzero(med.q0) == support
             res = solve_cloud(med, cloud, Z_HAT)
-            evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0]])
-            far_field(res, med, cloud, DirectionGrid(4, 8))
+            res.sources.field([[0.5, 0.5, 3.0]])
+            res.sources.far_field(DirectionGrid(4, 8))
             assert gmres_calls == [support, support + 12]
 
     def test_dense_inhomogeneous_solve_builds_one_table_and_threads_its_grid_solves_to_the_field(
@@ -273,8 +272,8 @@ class TestCoupledSystem:
         res = solve_cloud(med, cloud, Z_HAT)
         assert res.solver == "dense"
         assert len(solves) == 1
-        evaluate_field(res, med, cloud, [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
-        far_field(res, med, cloud, DirectionGrid(4, 8))
+        res.sources.field([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
+        res.sources.far_field(DirectionGrid(4, 8))
         assert len(solves) == 1 and len(tables) == 1 and not node_sums
 
     def test_dense_matrix_peak_memory(self):
@@ -314,11 +313,11 @@ class TestCoupledSystem:
                 v = grid_solve(med, med._node_columns(centers[[exclude]], 1) @ sources)
                 v *= med.q0[med._support] * med.weight
                 reference -= med._node_columns(probes, 0).T @ v
-            got = (evaluate_field(res, med, cloud, probes) if exclude is None
-                   else excluded_field(res, med, cloud, probes, exclude)).values
+            got = (res.sources.field(probes) if exclude is None
+                   else excluded_field(res, probes, exclude)).values
             assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
         betas = DirectionGrid(4, 8).vectors()
-        part = amplitudes(res, med, cloud, betas) - background_amplitude(med, betas, Z_HAT)
+        part = med.amplitude(betas, res.sources) - background_amplitude(med, betas, Z_HAT)
         reference = np.empty(len(betas), dtype=complex)
         for i, beta in enumerate(betas):
             u0 = incident_values(med, -beta, centers, order=1)
@@ -335,8 +334,8 @@ class TestCoupledSystem:
         res2.charges *= 2
         res2.dipole_moments *= 2
         pt = np.array([[0.5, 0.5, 3.0]])
-        f1 = evaluate_field(res, med, cloud, pt).values[0]
-        f2 = evaluate_field(res2, med, cloud, pt).values[0]
+        f1 = res.sources.field(pt).values[0]
+        f2 = res2.sources.field(pt).values[0]
         u0 = np.exp(3.0j * med.k)
         assert f2 - u0 == pytest.approx(2 * (f1 - u0), rel=1e-12)
 

@@ -8,8 +8,6 @@ from smallbody.errors import InvariantViolation
 from smallbody.limit_solver import (
     LimitProblem,
     _hard_source,
-    limit_field_at,
-    limiting_amplitude,
     potential_from_h_N,
     solve_limit,
 )
@@ -81,7 +79,7 @@ class TestImpedanceLimit:
         def defect(eps):
             problem = LimitProblem(medium=med, p=eps)
             fld = solve_limit(problem, Z_HAT)
-            u_probe = limit_field_at(problem, fld, probe).values[0]
+            u_probe = fld.sources.field(probe).values[0]
             u0 = np.exp(1j * med.k * probe[0, 2])
             return abs(u_probe - (u0 - eps * born_term))
 
@@ -119,7 +117,7 @@ class TestImpedanceLimit:
             med = cube_medium(n=n)
             problem = LimitProblem(medium=med, p=1.0)
             fld = solve_limit(problem, Z_HAT)
-            vals[n] = limit_field_at(problem, fld, probe).values
+            vals[n] = fld.sources.field(probe).values
         e_coarse = np.abs(vals[4] - vals[8]).max()
         e_fine = np.abs(vals[8] - vals[16]).max()
         assert e_coarse / e_fine >= 3.5
@@ -143,7 +141,7 @@ class TestImpedanceLimit:
         amp = -weighted_u0_sum_grid(med, beta[None, :],
                                     problem.p * fld.values * med.weight)[0] / (4 * np.pi)
         r = 200.0
-        u_r = limit_field_at(problem, fld, (r * beta)[None, :]).values[0]
+        u_r = fld.sources.field((r * beta)[None, :]).values[0]
         u0_r = np.exp(1j * med.k * r * beta @ Z_HAT)
         extracted = r * np.exp(-1j * med.k * r) * (u_r - u0_r)
         assert abs(extracted - amp) / abs(amp) <= 3.0 / (med.k * r)
@@ -154,7 +152,7 @@ class TestLimitingAmplitude:
         med = cube_medium(n=8)
         problem = LimitProblem(medium=med, p=0.0)
         fld = solve_limit(problem, Z_HAT)
-        ff = limiting_amplitude(problem, fld, DirectionGrid(8, 16))
+        ff = fld.sources.far_field(DirectionGrid(8, 16))
         assert np.all(ff.values == 0)  # free background: A0 = 0
 
     def test_born_matches_fourier_transform(self):
@@ -165,7 +163,7 @@ class TestLimitingAmplitude:
         p = p0 * np.exp(-np.sum((nodes - 0.5) ** 2, axis=1) / (2 * sig ** 2))
         problem = LimitProblem(medium=med, p=p)
         fld = solve_limit(problem, Z_HAT)
-        ff = limiting_amplitude(problem, fld, DirectionGrid(8, 16))
+        ff = fld.sources.far_field(DirectionGrid(8, 16))
         betas = ff.grid.vectors()
         xi = med.k * (betas - Z_HAT)
         phat = (p0 * (2 * np.pi * sig ** 2) ** 1.5
@@ -194,7 +192,7 @@ class TestLimitingAmplitude:
         problem = ball_background_problem()
         med, p = problem.medium, problem.p
         fld = solve_limit(problem, Z_HAT)
-        ff = limiting_amplitude(problem, fld)
+        ff = fld.sources.far_field()
         forward = (background_amplitude(med, Z_HAT[None, :], Z_HAT)[0]
                    - weighted_u0_sum_grid(med, Z_HAT[None, :],
                                           p * fld.values * med.weight)[0] / (4 * np.pi))
@@ -210,8 +208,8 @@ class TestLimitingAmplitude:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(BackgroundMedium, "_solve_grid", None)  # any grid solve fails
             fld = solve_limit(problem, Z_HAT)
-            ff = limiting_amplitude(problem, fld, directions)
-            limit_field_at(problem, fld, [[0.5, 0.5, 4.0], [-3.0, 0.2, 0.5]])
+            ff = fld.sources.far_field(directions)
+            fld.sources.field([[0.5, 0.5, 4.0], [-3.0, 0.2, 0.5]])
         betas = directions.vectors()
         reference = (background_amplitude(med, betas, Z_HAT)
                      - weighted_u0_sum_grid(med, betas, p * fld.values * med.weight) / (4 * np.pi))
@@ -240,7 +238,7 @@ class TestHardLimit:
 
         monkeypatch.setattr(BackgroundMedium, "_solve_grid", no_grid_solve)
         fld = solve_limit(problem, Z_HAT)
-        limit_field_at(problem, fld, [[0.5, 0.5, 4.0]])
+        fld.sources.field([[0.5, 0.5, 4.0]])
         assert fld.residual <= 1e-10 and 1 <= fld.iterations <= 20
 
     def test_zero_nu_returns_incident(self):
@@ -312,7 +310,7 @@ class TestHardLimit:
         r = 300.0
         betas = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, -0.8]])
         pts = r * betas
-        u_r = limit_field_at(problem, fld, pts).values
+        u_r = fld.sources.field(pts).values
         u0_r = np.exp(1j * k * pts @ Z_HAT)
         extracted = r * np.exp(-1j * k * r) * (u_r - u0_r)
 
@@ -334,11 +332,11 @@ class TestHardLimit:
 
     def test_far_field_obeys_the_optical_theorem_and_the_far_zone(self):
         # real nu and beta conserve energy: Im A(alpha,alpha) = (k/4pi) int |A|^2;
-        # and A is the e^{ikR}/R profile of the scattered part of limit_field_at
+        # and A is the e^{ikR}/R profile of the scattered part of the limit's probe field
         problem = self.make_problem(nu0=0.004, n=12)
         med = problem.medium
         fld = solve_limit(problem, Z_HAT)
-        ff = limiting_amplitude(problem, fld)
+        ff = fld.sources.far_field()
         # free background: the density -src(u) delta^3 is the hard source times delta^3
         source = _hard_source(problem, fld.values) * med.weight
         forward = weighted_u0_sum_grid(med, Z_HAT[None, :], source)[0] / (4 * np.pi)
@@ -346,7 +344,7 @@ class TestHardLimit:
         assert abs(forward.imag - flux) / abs(forward.imag) <= 1e-3
         r = 2000.0
         betas = ff.grid.vectors()
-        u_r = limit_field_at(problem, fld, r * betas).values
+        u_r = fld.sources.field(r * betas).values
         scattered = r * np.exp(-1j * med.k * r) * (u_r - np.exp(1j * med.k * r * betas @ Z_HAT))
         assert np.abs(scattered - ff.values).max() <= 2e-3 * np.abs(ff.values).max()
 

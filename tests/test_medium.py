@@ -18,19 +18,22 @@ from smallbody.medium import (
     ComplexField,
     Grid,
     Lattice,
+    Sources,
     lattice_of,
+    nearest_distances,
     _solve_checked,
     _unit,
 )
 from smallbody.directions import DirectionGrid
 from smallbody.foldy_impedance import FoldySystem
-from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing, nearest_distances
+from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing
 from reference import (dense_weighted_kernel, foldy_matrix, free_kernel, free_kernel_grad_y,
                        free_kernel_hess_xy, free_kernels, green_blocks, green_potential_grid,
                        incident_values, lemma_bounds_check, split_stacked,
                        trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
+Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 def make_medium(k=1.0, n=9, n0=1.0, lo=(0, 0, 0), hi=(1, 1, 1)):
@@ -589,7 +592,7 @@ class TestLattice:
             direct = (phase @ q - 1j * med.k * np.einsum("bm,bp,mp->b", phase, betas, p)) \
                 / (4 * np.pi)
             box_sums.clear()
-            lattice = med.amplitude(betas, None, centers, q, p)
+            lattice = med.amplitude(betas, Sources(med, Z_HAT, None, centers, q, p))
             assert len(box_sums) == 1
             assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
 
@@ -610,7 +613,7 @@ class TestLattice:
             sums = []
             for budget in (2 ** 16, 2 ** 30):
                 monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
-                sums.append(med.amplitude(betas, None, centers, q, dipoles))
+                sums.append(med.amplitude(betas, Sources(med, Z_HAT, None, centers, q, dipoles)))
             assert np.array_equal(*sums)
 
     def test_off_lattice_far_field_sum_is_chunked(self, monkeypatch):
@@ -626,7 +629,7 @@ class TestLattice:
         betas = DirectionGrid(32, 64).vectors()
         tracemalloc.start()
         try:
-            chunked = med.amplitude(betas, None, centers, q, p)
+            chunked = med.amplitude(betas, Sources(med, Z_HAT, None, centers, q, p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -638,7 +641,8 @@ class TestLattice:
         phase = med._phase(picks, centers)
         whole = phase @ q
         whole += np.einsum("bm,bp,mp->b", phase, -1j * med.k * picks, p)
-        assert np.array_equal(med.amplitude(picks, None, centers, q, p), whole / (4 * np.pi))
+        sources = Sources(med, Z_HAT, None, centers, q, p)
+        assert np.array_equal(med.amplitude(picks, sources), whole / (4 * np.pi))
         phase = np.exp(-1j * med.k * picks @ centers.T)
         direct = (phase @ q - 1j * med.k * np.einsum("bm,bp,mp->b", phase, picks, p)) \
             / (4 * np.pi)

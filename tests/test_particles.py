@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smallbody.errors import InfeasibleDesign, InvariantViolation
-from smallbody.medium import BackgroundMedium, Grid
+from smallbody.medium import BackgroundMedium, Grid, nearest_distances
 from smallbody.particles import (
     BALL_SHAPE_CONSTANTS,
     ParticleCloud,
@@ -16,7 +16,6 @@ from smallbody.particles import (
     h_to_impedance,
     impedance_to_h,
     min_spacing,
-    nearest_distances,
     validate_cloud,
 )
 from smallbody import particles
