@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from functools import cache, partial
 from pathlib import Path
 
@@ -554,15 +555,8 @@ def cmd_validate(scene: dict, out: Path, args) -> dict:
     report = None
     if scene["cloud"] is not None:
         report = validate_cloud(parse_cloud(scene, medium), medium)
-        meta["cloud"] = {
-            "M": report.m,
-            "ka": report.ka,
-            "min_spacing": report.min_spacing,
-            "spacing_over_a": report.spacing_over_a,
-            "max_zeta_times_a": report.max_zeta_times_a,
-            "volume_fraction": report.volume_fraction,
-            "flags": report.flags,
-        }
+        meta["cloud"] = {("M" if key == "m" else key): value
+                         for key, value in asdict(report).items()}
     write_json(out / "report.json", meta)
     if report is not None and not report.ok:
         raise InvariantViolation("; ".join(report.flags))

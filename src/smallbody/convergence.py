@@ -11,7 +11,7 @@ power laws for the particle count and the peak charge magnitude.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,16 +83,8 @@ class ScaleStudy:
             "alpha": list(map(float, self.alpha)),
             "count_exponent": self.count_exponent(),
             "charge_exponent": self.charge_exponent(),
-            "scales": [
-                {
-                    "a": r.a, "M": r.m, "d": r.d, "e_max": r.e_max,
-                    "e_rms": r.e_rms, "max_charge": r.max_charge,
-                    "count_weighted": r.count_weighted,
-                    "count_integral": r.count_integral,
-                    "residual": r.residual, "note": r.note,
-                }
-                for r in self.records
-            ],
+            "scales": [{("M" if key == "m" else key): value for key, value in asdict(r).items()}
+                       for r in self.records],
         }
 
 

@@ -92,6 +92,14 @@ class FoldySystem:
         # the grid unknowns are v / scale (operator)
         sizes = np.abs(np.concatenate([self.q, self.vb.reshape(-1)]))
         self.scale = float(sizes.max()) if sizes.any() else 1.0
+        # the pair engine, sized in unknowns n = M (1 + 3 order): a cloud on
+        # one lattice with n >= LATTICE_MIN_UNKNOWNS takes the lattice FFT,
+        # any other the stored free kernel while n <= DENSE_MAX_UNKNOWNS and
+        # row chunks beyond; the last two give the same bits
+        n = len(self.centers) * (1 + 3 * self.order)
+        self.lattice = lattice_of(self.centers) if n >= LATTICE_MIN_UNKNOWNS else None
+        self.solver = ("lattice_fft" if self.lattice is not None else
+                       "dense" if n <= DENSE_MAX_UNKNOWNS else "gmres")
 
     @cached_property
     def _tables(self):
@@ -101,12 +109,13 @@ class FoldySystem:
         t = self.medium._node_columns(self.centers, self.order)
         return t, np.ascontiguousarray(t.T)
 
-    def _node_sums(self, stored):
+    def _node_sums(self):
         """(s -> T s, x -> T^T x): the field of the particle sources s at the
         nodes of S, and the [value; gradient] at the centres of node sources
-        x on S; by the stored tables when ``stored``, else a row chunk at a
-        time (medium._kernel_sum), with the same bits."""
-        if stored:
+        x on S; by the stored tables beside the lattice FFT or the stored
+        kernel, else a row chunk at a time (medium._kernel_sum), with the
+        same bits."""
+        if self.solver != "gmres":
             t, tt = self._tables
             return t.__matmul__, tt.__matmul__
         medium, orders = self.medium, (0, self.order)
@@ -114,22 +123,22 @@ class FoldySystem:
         return (lambda s: _kernel_sum(nodes, k, orders, s, self.centers),
                 lambda x: _kernel_sum(self.centers, k, orders[::-1], x, nodes))
 
-    def incident(self, alpha, density, stored):
+    def incident(self, alpha, density):
         """The right-hand side: [u0; grad u0 (order 1)](x_m, alpha) at the
         centres, after |S| zeros in a non-free background, where u0's node
         density ``density`` (source_density) is summed over T^T."""
         u = self.medium.radiate(self.centers, Sources(self.medium, alpha), order=self.order)
         if density is None:
             return u
-        u += self._node_sums(stored)[1](density[self.medium._support])
+        u += self._node_sums()[1](density[self.medium._support])
         return np.concatenate([np.zeros(self.grid_unknowns, dtype=complex), u])
 
-    def operator(self, lattice=None, stored=False):
+    def operator(self):
         """w -> w - K s for the sources s = [q u; -vb grad u], K the free
-        pair kernel with the paper's zero diagonal, by one of three engines:
-        by FFT for centres on ``lattice`` (Lattice.pair_kernel), by the free
-        kernel stored once when ``stored`` (medium._kernel_matrix), else a
-        row chunk at a time (medium._kernel_sum); the last two give the same
+        pair kernel with the paper's zero diagonal, by the system's engine
+        (``solver``): by FFT for centres on ``lattice`` (Lattice.pair_kernel),
+        by the free kernel stored once (medium._kernel_matrix), or a row
+        chunk at a time (medium._kernel_sum); the last two give the same
         bits.
 
         A non-free background couples the particles' grid field v on S,
@@ -147,11 +156,12 @@ class FoldySystem:
         u0, would otherwise bound v's error by u0's size, not v's.
         """
         medium, m, order, ns = self.medium, len(self.centers), self.order, self.grid_unknowns
+        lattice = self.lattice
         conv = None if lattice is None else lattice.pair_kernel(medium.k, order)
         table = (_kernel_matrix(self.centers, medium.k, (order, order))
-                 if stored and conv is None else None)
+                 if self.solver == "dense" else None)
         if ns:
-            to_nodes, to_centres = self._node_sums(stored or conv is not None)
+            to_nodes, to_centres = self._node_sums()
             dq0 = medium.q0[medium._support] * medium.weight * self.scale
 
         def apply(x):
@@ -202,30 +212,9 @@ def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldyS
     density = medium.source_density(alpha)
     if len(cloud) == 0:
         return system.result(np.zeros(0, dtype=complex), alpha, density, residual=0.0)
-    sol, residual, iterations, solver = _solve_system(
-        system, lambda stored: system.incident(alpha, density, stored))
-    return system.result(sol, alpha, density, residual=residual, iterations=iterations,
-                         solver=solver)
-
-
-def _solve_system(system, incident):
-    """Solve the system for the right-hand side incident(stored) by GMRES,
-    ``stored`` telling whether the operator stores its node sums.
-
-    Sized in unknowns n = M (1 + 3 order): a cloud on one lattice with
-    n >= LATTICE_MIN_UNKNOWNS is applied by the operator's lattice FFT
-    ("lattice_fft"), any other by its stored free kernel while
-    n <= DENSE_MAX_UNKNOWNS ("dense") and by its row chunks beyond
-    ("gmres"); the last two give the same bits.  Returns (solution,
-    residual, iterations, solver).
-    """
     what = f"{system.kind} system"
-    m = len(system.centers)
-    n = m * (1 + 3 * system.order)
-    lattice = lattice_of(system.centers) if n >= LATTICE_MIN_UNKNOWNS else None
-    stored = lattice is None and n <= DENSE_MAX_UNKNOWNS
-    solver = "lattice_fft" if lattice is not None else "dense" if stored else "gmres"
-    apply = system.operator(lattice, stored)
-    logger.debug("%s: GMRES (%s), M = %d", what, solver, m)
-    return (*_solve_checked(apply, incident(stored or lattice is not None), what), solver)
-
+    logger.debug("%s: GMRES (%s), M = %d", what, system.solver, len(cloud))
+    sol, residual, iterations = _solve_checked(system.operator(),
+                                               system.incident(alpha, density), what)
+    return system.result(sol, alpha, density, residual=residual, iterations=iterations,
+                         solver=system.solver)

@@ -134,39 +134,31 @@ def _gmres(apply, b):
 
 
 def _solve_checked(apply, rhs, what):
-    """Solve A x = rhs by _gmres on each column of rhs ((n,) or (n, c)),
-    where apply(x) = A x for one column x.
+    """Solve A x = rhs by _gmres, where apply(x) = A x.
 
     Raises SolverFailure when rhs is not finite, or when GMRES stops early,
     with an estimate of the spectral radius of A - I.  Returns (x, residual
-    ||A x - rhs|| / ||rhs||, GMRES inner-iteration count); each column ends
-    within RESIDUAL_TOL of its own norm, so the residual does too.
+    ||A x - rhs|| / ||rhs||, GMRES inner-iteration count).
     """
     rhs = np.asarray(rhs, dtype=complex)
     if not np.isfinite(rhs).all():
         raise SolverFailure(f"{what}: right-hand side has non-finite entries")
-    n, iterations = len(rhs), 0
-    cols = rhs.reshape(n, -1)
-    sol, r = np.empty_like(cols), np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        sol[:, j], r[:, j], count, converged = _gmres(apply, cols[:, j])
-        iterations += count
-        if not converged:
-            # power iteration on A - I: rho >= 1 means A's Neumann series diverges
-            v, rho = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, n)), 0.0
-            for _ in range(12):
-                v = v / np.linalg.norm(v)
-                v = apply(v) - v
-                rho = float(np.linalg.norm(v))
-                if rho == 0.0:
-                    break
-            raise SolverFailure(
-                f"{what}: GMRES did not converge in {GMRES_MAXITER} restarts; spectral "
-                f"radius estimate of A - I {rho:.3f}", spectral_radius=rho)
-    r -= cols
-    resid = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
+    sol, ax, iterations, converged = _gmres(apply, rhs)
+    if not converged:
+        # power iteration on A - I: rho >= 1 means A's Neumann series diverges
+        v, rho = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, len(rhs))), 0.0
+        for _ in range(12):
+            v = v / np.linalg.norm(v)
+            v = apply(v) - v
+            rho = float(np.linalg.norm(v))
+            if rho == 0.0:
+                break
+        raise SolverFailure(
+            f"{what}: GMRES did not converge in {GMRES_MAXITER} restarts; spectral "
+            f"radius estimate of A - I {rho:.3f}", spectral_radius=rho)
+    resid = float(np.linalg.norm(ax - rhs) / max(np.linalg.norm(rhs), 1e-300))
     logger.debug("%s: residual %.2e, %d GMRES iterations", what, resid, iterations)
-    return sol.reshape(rhs.shape), resid, iterations
+    return sol, resid, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +218,13 @@ def _norm(dx, dy, dz):
 def nearest_distances(points, centers) -> np.ndarray:
     """Distance from each point to its nearest center, of which there is at least one.
 
-    Brute force, O(n M), formed like particles.min_spacing, at most
-    CHUNK_ENTRIES distances at a time.
+    Brute force, O(n M), by _pair_distances over _row_chunks.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    cen = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
-    rows = max(1, CHUNK_ENTRIES // cen.shape[2])
+    cen = np.asarray(centers, dtype=float).reshape(-1, 3)
     out = np.empty(len(pts))
-    for s in range(0, len(pts), rows):
-        out[s:s + rows] = _norm(*(pts[s:s + rows].T[:, :, None] - cen)).min(axis=1)
+    for s, stop in _row_chunks(len(pts), len(cen)):
+        out[s:stop] = _pair_distances(pts[s:stop], cen)[1].min(axis=1)
     return out
 
 
@@ -719,7 +709,7 @@ class BackgroundMedium:
     def _solve_grid(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + Kw diag(q0)) u = rhs for the values of u on S = supp q0,
         by FFT-applied GMRES; rhs and the result hold values at the support
-        nodes, (|S|,) or (|S|, c)."""
+        nodes, (|S|,)."""
         return _solve_checked(self._apply_grid_operator, rhs, "grid solve")[0]
 
     def _apply_grid_operator(self, u: np.ndarray) -> np.ndarray:
@@ -728,8 +718,8 @@ class BackgroundMedium:
         return u + self._apply_weighted_kernel(self._on_grid(self.q0[s] * u))[s]
 
     def _on_grid(self, u: np.ndarray) -> np.ndarray:
-        """Support values u, (|S|,) or (|S|, c), as node values, zero off S."""
-        out = np.zeros((self.grid.size,) + u.shape[1:], dtype=complex)
+        """Support values u, (|S|,), as node values, zero off S."""
+        out = np.zeros(self.grid.size, dtype=complex)
         out[self._support] = u
         return out
 

@@ -12,11 +12,10 @@ from smallbody.directions import DirectionGrid
 from smallbody.errors import InvariantViolation
 from smallbody.foldy_impedance import (
     FoldySystem,
-    _solve_system,
     coupling_constants,
     solve_cloud,
 )
-from smallbody.medium import BackgroundMedium, Grid, lattice_of
+from smallbody.medium import BackgroundMedium, Grid, _solve_checked, lattice_of
 from smallbody.particles import (
     ParticleCloud,
     build_cloud_hard,
@@ -143,10 +142,12 @@ class TestSolver:
         lattice = lattice_of(cloud.centers)
         assert lattice.shape == (10, 20, 20)
         system = FoldySystem(med, cloud)
+        assert system.solver == "lattice_fft" and system.lattice.shape == lattice.shape
         rng = np.random.default_rng(3)
         u = rng.normal(size=len(cloud)) + 1j * rng.normal(size=len(cloud))
+        fft = system.operator()(u) - u
+        system.lattice, system.solver = None, "gmres"
         direct = system.operator()(u) - u
-        fft = system.operator(lattice)(u) - u
         assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_lattice_path_matches_dense(self, monkeypatch):
@@ -167,8 +168,8 @@ class TestSolver:
         cloud = ball_cloud(centers, a=1e-3, h=1.0)
         u0 = np.exp(1j * med.k * centers[:, 2])
         system = FoldySystem(med, cloud)
-        u1 = _solve_system(system, lambda stored: u0)[0]
-        u2 = _solve_system(system, lambda stored: 2.0 * u0)[0]
+        u1 = _solve_checked(system.operator(), u0, "linearity")[0]
+        u2 = _solve_checked(system.operator(), 2.0 * u0, "linearity")[0]
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-13)
 
     @pytest.mark.parametrize("kind,m,solver", [
@@ -185,6 +186,32 @@ class TestSolver:
                                      beta=-1.5 * np.eye(3))
         assert len(cloud) == m and lattice_of(cloud.centers) is not None
         assert solve_cloud(med, cloud, Z_HAT).solver == solver
+
+    def test_system_settles_its_engine_at_both_crossovers(self, monkeypatch):
+        # FoldySystem's engine: a lattice cloud takes the lattice FFT from
+        # LATTICE_MIN_UNKNOWNS unknowns on, an off-lattice cloud the stored
+        # kernel up to DENSE_MAX_UNKNOWNS (patched small) and row chunks
+        # beyond; the solve reports the system's engine, an empty cloud none
+        med = free_medium()
+
+        def check(centers, on_lattice, solver):
+            cloud = ball_cloud(centers, a=1e-4, h=1.0)
+            system = FoldySystem(med, cloud)
+            assert (system.lattice is not None, system.solver) == (on_lattice, solver)
+            assert solve_cloud(med, cloud, Z_HAT).solver == system.solver
+
+        least = foldy_impedance.LATTICE_MIN_UNKNOWNS
+        axis = np.linspace(0.2, 0.8, int(np.ceil(least ** (1 / 3))))
+        sites = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        check(sites[:least - 1], False, "dense")
+        check(sites[:least], True, "lattice_fft")
+        cap = 40
+        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+        centers = np.random.default_rng(4).uniform(0.1, 0.9, size=(cap + 1, 3))
+        check(centers[:cap], False, "dense")
+        check(centers, False, "gmres")
+        empty = ParticleCloud(centers=np.zeros((0, 3)), a=1e-4, kind="impedance", zeta=[])
+        assert solve_cloud(med, empty, Z_HAT).solver is None
 
     @pytest.mark.parametrize("kind,unknowns_per_particle", [("impedance", 1), ("hard", 4)])
     def test_dense_cap_counts_unknowns(self, monkeypatch, kind, unknowns_per_particle):
@@ -253,8 +280,10 @@ class TestNonFreeLattice:
             unknowns = system.grid_unknowns + particle_unknowns
             v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
             want = coupled_matrix(system) @ v
-            for stored in ((False,) if lattice else (True, False)):
-                got = system.operator(lattice, stored)(v)
+            assert (system.lattice is None) == off_lattice
+            for solver in (("lattice_fft",) if lattice else ("dense", "gmres")):
+                system.solver = solver
+                got = system.operator()(v)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", ["impedance", "hard", "impedance_off_lattice",
@@ -451,8 +480,13 @@ class TestSystemMatrix:
             system = FoldySystem(med, cloud)
             want = coupled_matrix(system)
             eye = np.eye(len(want), dtype=complex)
-            stored, chunks = (np.column_stack([system.operator(stored=engine)(e) for e in eye])
-                              for engine in (True, False))
+            system.lattice = None  # the hard aligned centres fill a lattice
+            columns = []
+            for solver in ("dense", "gmres"):
+                system.solver = solver
+                apply = system.operator()
+                columns.append(np.column_stack([apply(e) for e in eye]))
+            stored, chunks = columns
             assert np.array_equal(stored, chunks)
             assert np.abs(stored - want).max() <= 1e-13 * np.abs(want - eye).max()
 

@@ -164,11 +164,12 @@ class TestCoupledSystem:
         med = free_medium(k=2.0)
         hard, imp = self.species_pair(med)
         m = len(hard)
-        lattice = lattice_of(hard.centers)
+        systems = FoldySystem(med, hard), FoldySystem(med, imp)
+        assert all(system.solver == "lattice_fft" for system in systems)
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4 * m, 2)) @ [1.0, 1j]
-        got = FoldySystem(med, hard).operator(lattice)(v)[:m] - v[:m]
-        want = FoldySystem(med, imp).operator(lattice)(v[:m]) - v[:m]
+        got = systems[0].operator()(v)[:m] - v[:m]
+        want = systems[1].operator()(v[:m]) - v[:m]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         res_hard, res_imp = solve_cloud(med, hard, Z_HAT), solve_cloud(med, imp, Z_HAT)
         assert res_hard.solver == res_imp.solver == "lattice_fft"
@@ -286,9 +287,10 @@ class TestCoupledSystem:
         cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
         assert len(cloud) == 120
         system = FoldySystem(med, cloud)
+        system.lattice, system.solver = None, "dense"
         tracemalloc.start()
         try:
-            system.operator(stored=True)
+            system.operator()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -383,10 +385,12 @@ class TestScaleLaw:
         lattice = lattice_of(cloud.centers)
         assert lattice.shape == (16, 16, 16)
         system = FoldySystem(med, cloud)
+        assert system.solver == "lattice_fft" and system.lattice.shape == lattice.shape
         rng = np.random.default_rng(5)
         v = rng.normal(size=4 * len(cloud)) + 1j * rng.normal(size=4 * len(cloud))
+        fft = system.operator()(v) - v
+        system.lattice, system.solver = None, "gmres"
         direct = system.operator()(v) - v
-        fft = system.operator(lattice)(v) - v
         assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_lattice_path_matches_dense(self, monkeypatch):
