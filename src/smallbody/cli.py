@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scene", required=True, help="scene JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for the box FFTs (default: all cores)")
+                        help="threads for the box FFTs, at least 1 (default: all cores)")
     return parser
 
 
@@ -634,8 +634,14 @@ def main(argv=None) -> int:
 
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     _keep_freed_heap()
-    logging.basicConfig(level=os.environ.get("SMALLBODY_LOG", "WARNING"))
     args = PARSER.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        PARSER.error(f"argument --threads: must be at least 1, got {args.threads}")
+    level = os.environ.get("SMALLBODY_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # a name logging does not know
+        print(f"error: SMALLBODY_LOG={level}: not a log level name", file=sys.stderr)
+        return EXIT_SCHEMA
+    logging.basicConfig(level=level.upper())
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation
-from .medium import (BackgroundMedium, Sources, _kernel_matrix, _kernel_sum, _solve_checked, _unit,
-                     lattice_of)
+from .medium import (BackgroundMedium, Sources, _kernel_chunks, _kernel_matrix, _kernel_sum,
+                     _row_chunks, _solve_checked, _unit, lattice_of)
 from .particles import ParticleCloud, _point_law, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -102,26 +102,28 @@ class FoldySystem:
                        "dense" if n <= DENSE_MAX_UNKNOWNS else "gmres")
 
     @cached_property
-    def _tables(self):
-        """T = medium._node_columns(centres, order), (|S|, M (1 + 3 order)),
-        and T^T stored row-major, formed once: the kernel of _kernel_matrix
-        from either side, so each product has the bits of _kernel_sum."""
-        t = self.medium._node_columns(self.centers, self.order)
-        return t, np.ascontiguousarray(t.T)
+    def _table(self):  # T, (|S|, M (1 + 3 order)): formed once by the stored engines
+        return self.medium._node_columns(self.centers, self.order)
 
-    def _node_sums(self):
-        """(s -> T s, x -> T^T x): the field of the particle sources s at the
-        nodes of S, and the [value; gradient] at the centres of node sources
-        x on S; by the stored tables beside the lattice FFT or the stored
-        kernel, else a row chunk at a time (medium._kernel_sum), with the
-        same bits."""
-        if self.solver != "gmres":
-            t, tt = self._tables
-            return t.__matmul__, tt.__matmul__
-        medium, orders = self.medium, (0, self.order)
-        k, nodes = medium.k, medium.grid.nodes[medium._support]
-        return (lambda s: _kernel_sum(nodes, k, orders, s, self.centers),
-                lambda x: _kernel_sum(self.centers, k, orders[::-1], x, nodes))
+    def _node_sums(self, s, x):
+        """(T s, T^T x): the field at the nodes of S of the particle sources
+        s, and the [value; gradient] at the centres of the node sources x.
+        One walk of T's node-row slabs (those of _kernel_chunks from the
+        nodes of S to the centres) serves both, T^T x summed slab by slab:
+        the stored engines slice the one stored T, and row chunks form each
+        slab once, so both engines give the same bits."""
+        medium = self.medium
+        if self.solver == "gmres":
+            slabs = _kernel_chunks(medium.grid.nodes[medium._support], medium.k,
+                                   (0, self.order), self.centers)
+        else:
+            t = self._table
+            slabs = ((slice(lo, hi), t[lo:hi]) for lo, hi in _row_chunks(*t.shape))
+        ts, ttx = np.empty(self.grid_unknowns, dtype=complex), np.zeros(len(s), dtype=complex)
+        for rows, slab in slabs:
+            ts[rows] = slab @ s
+            ttx += x[rows] @ slab
+        return ts, ttx
 
     def incident(self, alpha, density):
         """The right-hand side: [u0; grad u0 (order 1)](x_m, alpha) at the
@@ -130,7 +132,7 @@ class FoldySystem:
         u = self.medium.radiate(self.centers, Sources(self.medium, alpha), order=self.order)
         if density is None:
             return u
-        u += self._node_sums()[1](density[self.medium._support])
+        u += self._node_sums(np.zeros(len(u), dtype=complex), density[self.medium._support])[1]
         return np.concatenate([np.zeros(self.grid_unknowns, dtype=complex), u])
 
     def operator(self):
@@ -145,8 +147,8 @@ class FoldySystem:
         ahead of w, as a volume-integral grid holds point scatterers
         (Martin, Multiple Scattering, CUP 2006, ch. 8): [v; w] ->
         [v + (Kw (q0 v))_S - T s; w - K s + T^T (q0 delta^3 v)], T the
-        free kernel from the centres to the nodes of S (_node_sums, stored
-        with either the lattice or the stored kernel).  So each particle
+        free kernel from the centres to the nodes of S (_node_sums, one walk
+        of its node-row slabs for both products).  So each particle
         also feels its own reflection from the background, which the
         paper's sum over m != j of the background Green function drops: a
         change of relative order a, that of the point reduction itself.
@@ -160,9 +162,7 @@ class FoldySystem:
         conv = None if lattice is None else lattice.pair_kernel(medium.k, order)
         table = (_kernel_matrix(self.centers, medium.k, (order, order))
                  if self.solver == "dense" else None)
-        if ns:
-            to_nodes, to_centres = self._node_sums()
-            dq0 = medium.q0[medium._support] * medium.weight * self.scale
+        dq0 = medium.q0[medium._support] * medium.weight * self.scale
 
         def apply(x):
             vec = x[ns:]
@@ -178,8 +178,8 @@ class FoldySystem:
             if not ns:
                 return out
             v = x[:ns]
-            return np.concatenate([medium._apply_grid_operator(v) - to_nodes(s) / self.scale,
-                                   out + to_centres(dq0 * v)])
+            ts, ttx = self._node_sums(s, dq0 * v)
+            return np.concatenate([medium._apply_grid_operator(v) - ts / self.scale, out + ttx])
 
         return apply
 

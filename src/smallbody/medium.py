@@ -486,24 +486,14 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 3)
 
-    def cell_index(self, points) -> np.ndarray:
-        """Flat node index of the cell containing each point; -1 if outside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lo)
-        idx = np.floor((pts - lo) / self.delta).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.asarray(self.shape)), axis=1)
-        flat = np.full(len(pts), -1, dtype=int)
-        if np.any(inside):
-            flat[inside] = np.ravel_multi_index(tuple(idx[inside].T), self.shape)
-        return flat
-
     def value_at_cells(self, values, points, outside=0.0):
         """Sample a node field at arbitrary points by containing-cell lookup."""
         values = np.asarray(values).reshape(-1)
-        flat = self.cell_index(points)
-        out = np.full(flat.shape, outside, dtype=values.dtype)
-        hit = flat >= 0
-        out[hit] = values[flat[hit]]
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        idx = np.floor((pts - np.asarray(self.lo)) / self.delta).astype(int)
+        hit = np.all((idx >= 0) & (idx < np.asarray(self.shape)), axis=1)
+        out = np.full(len(pts), outside, dtype=values.dtype)
+        out[hit] = values[np.ravel_multi_index(tuple(idx[hit].T), self.shape)]
         return out
 
 

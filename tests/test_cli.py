@@ -1,6 +1,7 @@
 """CLI harness tests: subcommands, exit codes, determinism, round trips."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -218,6 +219,16 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: --out {taken}:")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_exit_2(self, tmp_path, capsys, threads):
+        # argparse refuses the count; an absent --threads means all cores
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "validate", scene_path=SCENES / "empty_cloud.json",
+                extra=("--threads", threads))
+        assert exc.value.code == 2
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_physics_violation_exit_3(self, tmp_path):
         scene = base_scene(cloud={"kind": "impedance", "a": 0.5, "h": 1.0, "N": 0.05})
         code, out = run(tmp_path, "solve", scene_dict=scene)  # ka = 0.5 > 0.1
@@ -345,6 +356,24 @@ def python_fresh(code, *args, env=()):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("level,code", [
+    ("debug", 0), ("Info", 0), ("WARNING", 0), ("10", 2), ("bogus", 2)])
+def test_log_level_names_in_any_case_and_an_unknown_one_exit_2(tmp_path, level, code):
+    # in a fresh process: under pytest the root logger has handlers, so
+    # basicConfig would not read the level at all
+    printed = python_fresh(
+        "import logging, sys; from smallbody.cli import main; sys.stderr = sys.stdout; "
+        "code = main(sys.argv[1:]); print(code, logging.getLogger().level)",
+        "validate", "--scene", str(SCENES / "empty_cloud.json"), "--out", str(tmp_path / "out"),
+        env={"SMALLBODY_LOG": level}).splitlines()
+    if code:
+        assert printed == [f"error: SMALLBODY_LOG={level}: not a log level name",
+                           f"2 {logging.WARNING}"]
+        assert not (tmp_path / "out").exists()
+    else:
+        assert printed[-1] == f"0 {logging.getLevelName(level.upper())}"
 
 
 def run_fresh(tmp_path, command, scene, *modules):

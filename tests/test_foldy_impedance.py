@@ -256,6 +256,18 @@ def off_lattice_scene_cloud(kind):
     return ball_cloud(centers, a=0.01, h=1.0 - 0.3j)
 
 
+def counted_node_slabs(log):
+    """medium._kernel_chunks logging the rows of each slab it forms, for
+    foldy_impedance, where only the row-chunk engine of _node_sums forms
+    slabs (of the node table T) through it."""
+    def chunks(x, k, orders, y=None):
+        for rows, slab in medium._kernel_chunks(x, k, orders, y):
+            log.append((rows.start, rows.stop))
+            yield rows, slab
+
+    return chunks
+
+
 class TestNonFreeLattice:
     """Clouds in an n0 ball: the coupled operator on the particles' grid
     field and the particle unknowns (free pairs by lattice FFT, by the
@@ -323,9 +335,9 @@ class TestNonFreeLattice:
         # (dense cap 0) the row chunks.  The one grid solve is u0's, by
         # FFT-GMRES; the coupled system solves the particles' grid field
         # with the particles.  The stored engines build the centres' node
-        # table once and sum over it; the row chunks build none and sum
-        # from the nodes of S to the centres a chunk at a time
-        tables, solves, grid_gmres, node_sums = [], [], [], []
+        # table once and slice it; the row chunks build none and form each
+        # node slab once per pass of _node_sums, for both of its products
+        tables, solves, grid_gmres, slabs, passes = [], [], [], [], []
         gmres = medium._gmres
         monkeypatch.setattr(medium, "_gmres", lambda apply, b: (
             grid_gmres.append(1) if apply.__name__ == "_apply_grid_operator" else None)
@@ -337,11 +349,10 @@ class TestNonFreeLattice:
         monkeypatch.setattr(BackgroundMedium, "_node_columns", lambda self, pts, order: (
             tables.append(1) if np.array_equal(pts, cloud.centers) else None)
             or node_columns(self, pts, order))
-        kernel_sum = foldy_impedance._kernel_sum
-        monkeypatch.setattr(foldy_impedance, "_kernel_sum", lambda x, k, orders, w, y=None: (
-            node_sums.append(1) if np.array_equal(x, cloud.centers)
-            and np.array_equal(y, med.grid.nodes[med._support]) else None)
-            or kernel_sum(x, k, orders, w, y))
+        monkeypatch.setattr(foldy_impedance, "_kernel_chunks", counted_node_slabs(slabs))
+        node_sums = FoldySystem._node_sums
+        monkeypatch.setattr(FoldySystem, "_node_sums",
+                            lambda self, s, x: passes.append(1) or node_sums(self, s, x))
         for solver in ("lattice_fft", "dense", "gmres"):
             med = n0_ball_medium()
             if solver == "lattice_fft":
@@ -350,14 +361,48 @@ class TestNonFreeLattice:
                 cloud = off_lattice_scene_cloud("hard")
             if solver == "gmres":
                 monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
-            for log in (tables, solves, grid_gmres, node_sums):
+            for log in (tables, solves, grid_gmres, slabs, passes):
                 log.clear()
             res = solve_cloud(med, cloud, Z_HAT)
             assert res.solver == solver
             res.sources.field([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]])
             res.sources.far_field(DirectionGrid(4, 8))
             assert len(solves) == len(grid_gmres) == 1
-            assert len(tables) == (solver != "gmres") and bool(node_sums) == (solver == "gmres")
+            assert len(tables) == (solver != "gmres") and len(passes) > res.iterations
+            per_pass = len(list(medium._row_chunks(len(med._support), 4 * len(cloud))))
+            assert len(slabs) == (len(passes) * per_pass if solver == "gmres" else 0)
+
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_one_node_table_walked_once_for_both_products(self, monkeypatch, kind):
+        # a stored-engine system holds T alone, no transposed copy; one
+        # row-chunk apply forms each node slab of S once; and both engines
+        # give (T s, T^T x) with the same bits, T cut into 3 or more slabs
+        monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 9)
+        med = n0_ball_medium()
+        rng = np.random.default_rng(7)
+        cloud = lattice_cloud(kind, 3, rng, off_lattice=True)
+        system = FoldySystem(med, cloud)
+        ns, n = system.grid_unknowns, len(cloud) * (1 + 3 * system.order)
+        parts = list(medium._row_chunks(ns, n))
+        assert len(parts) >= 3
+        v = rng.normal(size=ns + n) + 1j * rng.normal(size=ns + n)
+        s, x = v[ns:], v[:ns]
+        sums = []
+        for solver in ("dense", "gmres"):
+            system.solver = solver
+            sums.append(system._node_sums(s, x))
+        system.solver = "dense"
+        system.operator()(v)
+        held = [a for val in vars(system).values()
+                for a in (val if isinstance(val, tuple) else (val,))]
+        tables = [a for a in held if isinstance(a, np.ndarray) and ns in a.shape]
+        assert len(tables) == 1 and tables[0].shape == (ns, n)
+        assert all(np.array_equal(a, b) for a, b in zip(*sums))
+        slabs = []
+        monkeypatch.setattr(foldy_impedance, "_kernel_chunks", counted_node_slabs(slabs))
+        system.solver = "gmres"
+        system.operator()(v)
+        assert slabs == parts
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_model_gap_to_the_exact_exclusion_falls_at_first_order_in_a(self, kind):

@@ -280,8 +280,8 @@ class TestCoupledSystem:
     def test_dense_matrix_peak_memory(self):
         # the hard system of a 120-particle cloud in an n0 ball on 8^3 nodes:
         # the traced peak of forming its operator on the stored free kernel,
-        # with the node table T and its transpose, stays within 2.5 times
-        # the stored (4M, 4M) kernel
+        # with the node table T, stays within 2.5 times the stored (4M, 4M)
+        # kernel
         med = BackgroundMedium(1.0, Grid((0, 0, 0), (1, 1, 1), (8, 8, 8)), n0=lambda z: np.where(
             np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.15, 1.0))
         cloud = build_cloud_hard(med, 0.01, 5e-4, -1.5 * np.eye(3), cell_size=0.5)
