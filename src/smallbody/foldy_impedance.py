@@ -6,8 +6,8 @@ local map from a particle's field to its sources differs (FoldySystem).  In
 a non-free background the particles' grid field on supp q0 joins the
 unknowns, so the background's response to the particles is solved with
 them (FoldySystem.operator).  The pipeline here -- validate, incident data,
-GMRES on the system's one operator (free pairs by lattice FFT, by the
-stored free kernel or by row chunks), the result's radiating Sources --
+GMRES on the system's one operator (free pairs by lattice FFT or by the
+slabs of the free kernel), the result's radiating Sources --
 serves both; foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
@@ -28,16 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation
-from .medium import (BackgroundMedium, Sources, _kernel_chunks, _kernel_matrix, _kernel_sum,
-                     _row_chunks, _solve_checked, _unit, lattice_of)
+from .medium import BackgroundMedium, Sources, _KernelSlabs, _solve_checked, _unit, lattice_of
 from .particles import ParticleCloud, _point_law, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
 
-# path sizing of the system of either species, counted in unknowns
-# M (1 + 3 order) (measured crossovers; README "Numerical choices")
-DENSE_MAX_UNKNOWNS = 4000    # the stored free kernel up to this many
-LATTICE_MIN_UNKNOWNS = 100   # lattice clouds take the lattice FFT operator from here
+# lattice clouds of either species take the lattice FFT operator from this
+# many unknowns M (1 + 3 order) (measured; README "Numerical choices")
+LATTICE_MIN_UNKNOWNS = 100
 
 
 @dataclass
@@ -92,35 +90,30 @@ class FoldySystem:
         # the grid unknowns are v / scale (operator)
         sizes = np.abs(np.concatenate([self.q, self.vb.reshape(-1)]))
         self.scale = float(sizes.max()) if sizes.any() else 1.0
-        # the pair engine, sized in unknowns n = M (1 + 3 order): a cloud on
-        # one lattice with n >= LATTICE_MIN_UNKNOWNS takes the lattice FFT,
-        # any other the stored free kernel while n <= DENSE_MAX_UNKNOWNS and
-        # row chunks beyond; the last two give the same bits
+        # the pair engine (solver): the lattice FFT from LATTICE_MIN_UNKNOWNS
         n = len(self.centers) * (1 + 3 * self.order)
         self.lattice = lattice_of(self.centers) if n >= LATTICE_MIN_UNKNOWNS else None
-        self.solver = ("lattice_fft" if self.lattice is not None else
-                       "dense" if n <= DENSE_MAX_UNKNOWNS else "gmres")
 
     @cached_property
-    def _table(self):  # T, (|S|, M (1 + 3 order)): formed once by the stored engines
-        return self.medium._node_columns(self.centers, self.order)
+    def _pairs(self):  # the slabs of the free pair kernel K, off a lattice
+        return _KernelSlabs(self.centers, self.medium.k, (self.order, self.order))
+
+    @cached_property
+    def _nodes(self):  # the node-row slabs of T, (|S|, M (1 + 3 order))
+        nodes = self.medium.grid.nodes[self.medium._support]
+        return _KernelSlabs(nodes, self.medium.k, (0, self.order), self.centers)
+
+    @property
+    def solver(self) -> str:  # the pair engine, "dense" while K's slabs are stored
+        return ("lattice_fft" if self.lattice is not None else
+                "dense" if self._pairs.stored is not None else "gmres")
 
     def _node_sums(self, s, x):
         """(T s, T^T x): the field at the nodes of S of the particle sources
-        s, and the [value; gradient] at the centres of the node sources x.
-        One walk of T's node-row slabs (those of _kernel_chunks from the
-        nodes of S to the centres) serves both, T^T x summed slab by slab:
-        the stored engines slice the one stored T, and row chunks form each
-        slab once, so both engines give the same bits."""
-        medium = self.medium
-        if self.solver == "gmres":
-            slabs = _kernel_chunks(medium.grid.nodes[medium._support], medium.k,
-                                   (0, self.order), self.centers)
-        else:
-            t = self._table
-            slabs = ((slice(lo, hi), t[lo:hi]) for lo, hi in _row_chunks(*t.shape))
+        s, and the [value; gradient] at the centres of the node sources x, in
+        one walk of T's node-row slabs (_nodes), T^T x summed slab by slab."""
         ts, ttx = np.empty(self.grid_unknowns, dtype=complex), np.zeros(len(s), dtype=complex)
-        for rows, slab in slabs:
+        for rows, slab in self._nodes:
             ts[rows] = slab @ s
             ttx += x[rows] @ slab
         return ts, ttx
@@ -139,9 +132,7 @@ class FoldySystem:
         """w -> w - K s for the sources s = [q u; -vb grad u], K the free
         pair kernel with the paper's zero diagonal, by the system's engine
         (``solver``): by FFT for centres on ``lattice`` (Lattice.pair_kernel),
-        by the free kernel stored once (medium._kernel_matrix), or a row
-        chunk at a time (medium._kernel_sum); the last two give the same
-        bits.
+        else slab by slab over K's slabs (_pairs, stored or not).
 
         A non-free background couples the particles' grid field v on S,
         ahead of w, as a volume-integral grid holds point scatterers
@@ -159,22 +150,20 @@ class FoldySystem:
         """
         medium, m, order, ns = self.medium, len(self.centers), self.order, self.grid_unknowns
         lattice = self.lattice
-        conv = None if lattice is None else lattice.pair_kernel(medium.k, order)
-        table = (_kernel_matrix(self.centers, medium.k, (order, order))
-                 if self.solver == "dense" else None)
+        pairs = self._pairs if lattice is None else lattice.pair_kernel(medium.k, order)
         dq0 = medium.q0[medium._support] * medium.weight * self.scale
 
         def apply(x):
             vec = x[ns:]
             dipoles = self.vb @ vec[m:].reshape(m, 3 * order).T  # (3 order, M)
             s = np.concatenate([self.q * vec[:m], -dipoles.T.reshape(-1)])
-            if conv is not None:  # -K s, component-major
-                pairs = lattice.gather(conv(lattice.scatter(np.vstack([s[:m], dipoles]))))
-                out = vec + np.concatenate([pairs[0], pairs[1:].T.reshape(-1)])
-            elif table is not None:
-                out = vec - table @ s
+            if lattice is not None:  # -K s, component-major
+                ks = lattice.gather(pairs(lattice.scatter(np.vstack([s[:m], dipoles]))))
+                out = vec + np.concatenate([ks[0], ks[1:].T.reshape(-1)])
             else:
-                out = vec - _kernel_sum(self.centers, medium.k, (order, order), s)
+                out = vec.copy()
+                for rows, slab in pairs:
+                    out[rows] -= slab @ s
             if not ns:
                 return out
             v = x[:ns]
@@ -184,13 +173,9 @@ class FoldySystem:
         return apply
 
     def result(self, sol, alpha, background, **stats) -> FoldySolveResult:
-        m, ns = len(self.centers), self.grid_unknowns
-        density = None
+        m, ns, density = len(self.centers), self.grid_unknowns, None
         if m and ns:
-            v = sol[:ns] * self.scale
-            density = self.medium._on_grid(
-                -(self.medium.q0[self.medium._support] * v * self.medium.weight))
-            sol = sol[ns:]
+            density, sol = self.medium._support_density(sol[:ns] * self.scale), sol[ns:]
         ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
         if self.order:
             stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))

@@ -40,6 +40,10 @@ GMRES_MAXITER = 400
 # (measured; README "Numerical choices")
 CHUNK_ENTRIES = 2 ** 16
 
+# the most entries of a kernel table that _KernelSlabs stores, 256 MiB: the
+# pair kernel of 4000 unknowns (measured; README "Numerical choices")
+STORE_MAX_ENTRIES = 4000 ** 2
+
 # lattice_of refuses a lattice whose box holds more than this many sites per
 # particle: its FFTs would cost more than the pairs they replace
 LATTICE_FILL = 8
@@ -285,14 +289,18 @@ def _kernel_chunks(x, k, orders, y=None):
             yield slice(n + 3 * s, n + 3 * stop), block[c:]
 
 
-def _kernel_matrix(x, k, orders, y=None):
-    """The slabs of _kernel_chunks(x, k, orders, y) written into one array:
-    the stored kernel, whose product with w has the bits of _kernel_sum."""
-    n, m = len(x) * (1 + 3 * orders[0]), len(x if y is None else y) * (1 + 3 * orders[1])
-    out = np.empty((n, m), dtype=complex)
-    for rows, slab in _kernel_chunks(x, k, orders, y):
-        out[rows] = slab
-    return out
+class _KernelSlabs:
+    """The (rows, slab) pairs of _kernel_chunks(x, k, orders, y) for pass after
+    pass: a list (``stored``) within STORE_MAX_ENTRIES table entries, else formed
+    again on each pass (``stored`` None): the same slabs in the same order."""
+
+    def __init__(self, x, k, orders, y=None):
+        self.args = (x, k, orders, y)
+        n, m = len(x) * (1 + 3 * orders[0]), len(x if y is None else y) * (1 + 3 * orders[1])
+        self.stored = list(_kernel_chunks(*self.args)) if n * m <= STORE_MAX_ENTRIES else None
+
+    def __iter__(self):
+        return iter(self.stored) if self.stored is not None else _kernel_chunks(*self.args)
 
 
 def _kernel_sum(x, k, orders, w, y=None):
@@ -713,12 +721,10 @@ class BackgroundMedium:
         out[self._support] = u
         return out
 
-    # -- incident field -----------------------------------------------------
+    # -- incident field and equivalent sources --------------------------------
 
     def _plane_wave(self, alpha) -> np.ndarray:
         return np.exp(1j * self.k * self.grid.nodes @ alpha)
-
-    # -- equivalent sources ---------------------------------------------------
 
     def source_density(self, alpha):
         """Node density s = -q0 delta^3 u0(., alpha) of the background field,
@@ -730,9 +736,11 @@ class BackgroundMedium:
         """
         if self.is_free:
             return None
-        s = self._support
-        u = self._solve_grid(self._plane_wave(_unit(alpha))[s])
-        return self._on_grid(-(self.q0[s] * u * self.weight))
+        return self._support_density(self._solve_grid(self._plane_wave(_unit(alpha))[self._support]))
+
+    def _support_density(self, v) -> np.ndarray:
+        """The node density -q0 delta^3 v of support values v, zero off S."""
+        return self._on_grid(-(self.q0[self._support] * v * self.weight))
 
     def radiate(self, points, sources: Sources, order=0) -> np.ndarray:
         """u(x) = e^{ik alpha.x} + sum_z g(x,z) s_z + sum_m [g(x,x_m) Q_m + grad_y g(x,x_m).P_m].
@@ -792,18 +800,6 @@ class BackgroundMedium:
         if charges is None and sources.background is None:
             return out
         return self.amplitude(betas, Sources(self, sources.alpha, sources.background)) + out
-
-    # -- Green function -----------------------------------------------------
-
-    def _node_columns(self, pts, order):
-        """g(z, p_j) over the nodes z of S = supp q0, stacked as
-        [g | grad_p g] for order 1.
-
-        Shape (|S|, m), or (|S|, 4m) with gradient column m + 3j + p.  The
-        transpose holds the target rows [g(p_i, z); grad_x g(p_i, z)]: g
-        depends on y - x only through r, and grad_x g(p, z) = grad_y g(z, p).
-        """
-        return _kernel_matrix(self.grid.nodes[self._support], self.k, (0, order), pts)
 
     # -- weighted far-field sums ----------------------------------------------
 

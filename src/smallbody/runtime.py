@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import threading
 
+from .errors import InvariantViolation
+
 # a job of fewer entries than this runs on the calling thread alone
 # (measured; README "Numerical choices")
 SLAB_MIN_ENTRIES = 2 ** 15
@@ -16,9 +18,11 @@ _POOL_LOCK = threading.Lock()  # held by the run_slabs call that spreads over th
 
 def set_thread_count(n: int | None):
     """Set the number of threads that a large box FFT stage runs on
-    (None = all cores)."""
+    (None = all cores); a count below 1 is refused."""
     global _THREADS
-    _THREADS = max(1, int(n) if n else (os.cpu_count() or 1))
+    if n is not None and n < 1:
+        raise InvariantViolation(f"thread count must be at least 1, got {n}")
+    _THREADS = int(n) if n is not None else os.cpu_count() or 1
 
 
 def run_slabs(fn, length: int, entries: int):

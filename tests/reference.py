@@ -12,8 +12,8 @@ from smallbody.directions import FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
 from smallbody.foldy_impedance import FoldySolveResult, FoldySystem
 from smallbody.limit_solver import LimitProblem, _hard_source
-from smallbody.medium import (BackgroundMedium, ComplexField, Grid, Sources, _node_field,
-                              _pair_distances, _radial, _row_chunks, _unit)
+from smallbody.medium import (BackgroundMedium, ComplexField, Grid, Sources, _kernel_chunks,
+                              _node_field, _pair_distances, _radial, _row_chunks, _unit)
 from smallbody.particles import ParticleCloud
 
 
@@ -66,6 +66,26 @@ def free_kernel_grad_y(x, y, k):
 def free_kernel_hess_xy(x, y, k):
     """Mixed second derivative d^2 g / dx_q dy_p, shape (n,m,3,3) [q,p]."""
     return _single_or_all(x, y, free_kernels(x, y, k, 2)[2])
+
+
+def kernel_matrix(x, k, orders, y=None) -> np.ndarray:
+    """The slabs of medium._kernel_chunks(x, k, orders, y) written into one
+    array: the whole stored table, whose product with w has the bits of
+    medium._kernel_sum."""
+    n, m = len(x) * (1 + 3 * orders[0]), len(x if y is None else y) * (1 + 3 * orders[1])
+    out = np.empty((n, m), dtype=complex)
+    for rows, slab in _kernel_chunks(x, k, orders, y):
+        out[rows] = slab
+    return out
+
+
+def node_columns(medium: BackgroundMedium, pts, order) -> np.ndarray:
+    """g(z, p_j) over the nodes z of S = supp q0, stacked as [g | grad_p g]
+    for order 1: shape (|S|, m), or (|S|, 4m) with gradient column
+    m + 3j + p; FoldySystem's node table T for the centres.  The transpose
+    holds the target rows [g(p_i, z); grad_x g(p_i, z)]: g depends on
+    y - x only through r, and grad_x g(p, z) = grad_y g(z, p)."""
+    return kernel_matrix(medium.grid.nodes[medium._support], medium.k, (0, order), pts)
 
 
 def split_stacked(stack, order=0) -> list:
@@ -127,9 +147,9 @@ def green_blocks(medium: BackgroundMedium, x, y=None, order=0, reflect=False) ->
     for b in blocks if pairs else ():
         b[diagonal] = 0.0
     if not medium.is_free:
-        src = medium._node_columns(y, min(order, 1))
+        src = node_columns(medium, y, min(order, 1))
         sol = grid_solve(medium, src) * (medium.q0[medium._support, None] * medium.weight)
-        corr = (src if pairs else medium._node_columns(x, min(order, 1))).T @ sol
+        corr = (src if pairs else node_columns(medium, x, min(order, 1))).T @ sol
         blocks = [b - c for b, c in zip(blocks, split_stacked(corr, order))]
     for b in blocks if pairs and not reflect else ():
         b[diagonal] = 0.0
@@ -202,10 +222,10 @@ def exact_exclusion_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha)
                            medium.source_density(alpha), residual=0.0)
     dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
     if not medium.is_free:
-        sources = medium._node_columns(cloud.centers, system.order) @ np.concatenate(
+        sources = node_columns(medium, cloud.centers, system.order) @ np.concatenate(
             [result.charges, *dipoles])
-        result.sources = replace(result.sources, density=medium._on_grid(
-            -(medium.q0[medium._support] * grid_solve(medium, sources) * medium.weight)))
+        result.sources = replace(result.sources,
+                                 density=medium._support_density(grid_solve(medium, sources)))
     return result
 
 

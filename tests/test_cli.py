@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smallbody
-from smallbody import cli, foldy_impedance
+from smallbody import cli, medium
 from smallbody.cli import main
 from smallbody.designer import choose_h_N
 from reference import scene_command
@@ -69,12 +69,12 @@ class TestSolve:
     def test_off_lattice_scene_is_the_same_on_the_stored_kernel_and_row_chunks(
             self, tmp_path, monkeypatch):
         # the shipped non-free off-lattice scene takes the stored free kernel
-        # ("dense"), and with a dense cap of 0 its row chunks ("gmres"): the
-        # same output files, byte for byte, and the same iterations
+        # ("dense"), and with a store budget of 0 its row chunks ("gmres"):
+        # the same output files, byte for byte, and the same iterations
         scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
         outs, metas = [], []
-        for cap, solver in ((foldy_impedance.DENSE_MAX_UNKNOWNS, "dense"), (0, "gmres")):
-            monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+        for cap, solver in ((medium.STORE_MAX_ENTRIES, "dense"), (0, "gmres")):
+            monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", cap)
             code, out = run(tmp_path / solver, "solve", scene_path=scene)
             assert code == 0
             metas.append(json.loads((out / "metadata.json").read_text()))
@@ -86,8 +86,8 @@ class TestSolve:
 
     def test_non_free_lattice_cloud_past_the_dense_cap(self, tmp_path):
         # 5000 impedance particles on one lattice in an n0 ball: past the
-        # dense cap of 4000 unknowns, the lattice FFT apply with the grid's
-        # volume correction solves it
+        # store budget of 4000^2 pair entries, the lattice FFT apply with the
+        # grid's volume correction solves it
         scene = base_scene(
             medium={"box": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "resolution": 8, "k": 1.0,
                     "n0": {"type": "radial", "center": [0.5, 0.5, 0.5], "radius": 0.35,
@@ -500,8 +500,6 @@ def test_allocator_setting_skips_a_c_library_without_mallopt(monkeypatch):
 def test_kernel_chunks_stay_below_the_mmap_threshold():
     # a chunk above the threshold is mapped afresh on every allocation
     # instead of reusing freed heap
-    from smallbody import medium
-
     assert 16 * medium.CHUNK_ENTRIES < cli.MMAP_THRESHOLD
 
 

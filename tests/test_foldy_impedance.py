@@ -120,22 +120,23 @@ class TestSolver:
         # builder lattice and on the shipped off-lattice scene's centres, in
         # a free background and in an n0 ball: the lattice path is off
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
-        cap = foldy_impedance.DENSE_MAX_UNKNOWNS
+        cap = medium.STORE_MAX_ENTRIES
         clouds = (build_cloud_impedance(free_medium(), a=1e-3, h_field=1.0, N_field=0.05),
                   off_lattice_scene_cloud("impedance"))
         for med in (free_medium(), n0_ball_medium()):
             for cloud in clouds:
-                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+                monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", cap)
                 dense = solve_cloud(med, cloud, Z_HAT)
                 assert dense.solver == "dense"
-                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+                monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 0)
                 krylov = solve_cloud(med, cloud, Z_HAT)
                 assert krylov.iterations > 0 and krylov.solver == "gmres"
                 assert (krylov.iterations, krylov.residual) == (dense.iterations, dense.residual)
                 assert np.array_equal(krylov.effective_values, dense.effective_values)
 
-    def test_lattice_fft_apply_matches_direct_apply(self):
-        # a full 10 x 20 x 20 builder lattice; the pair part of both applies
+    def test_lattice_fft_apply_matches_direct_apply(self, monkeypatch):
+        # a full 10 x 20 x 20 builder lattice; the pair part of both applies,
+        # the direct one on slabs formed per matvec (a store budget of 0)
         med = free_medium(n=8)
         cloud = build_cloud_impedance(med, a=1e-4, h_field=1.0 - 0.3j, N_field=0.4)
         assert len(cloud) == 4000
@@ -146,7 +147,9 @@ class TestSolver:
         rng = np.random.default_rng(3)
         u = rng.normal(size=len(cloud)) + 1j * rng.normal(size=len(cloud))
         fft = system.operator()(u) - u
-        system.lattice, system.solver = None, "gmres"
+        monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 0)
+        system.lattice = None
+        assert system.solver == "gmres"
         direct = system.operator()(u) - u
         assert np.linalg.norm(fft - direct) <= 1e-13 * np.linalg.norm(direct)
 
@@ -190,8 +193,9 @@ class TestSolver:
     def test_system_settles_its_engine_at_both_crossovers(self, monkeypatch):
         # FoldySystem's engine: a lattice cloud takes the lattice FFT from
         # LATTICE_MIN_UNKNOWNS unknowns on, an off-lattice cloud the stored
-        # kernel up to DENSE_MAX_UNKNOWNS (patched small) and row chunks
-        # beyond; the solve reports the system's engine, an empty cloud none
+        # kernel while its n^2 entries fit medium.STORE_MAX_ENTRIES (patched
+        # small) and row chunks beyond; the solve reports the system's
+        # engine, an empty cloud none
         med = free_medium()
 
         def check(centers, on_lattice, solver):
@@ -206,7 +210,7 @@ class TestSolver:
         check(sites[:least - 1], False, "dense")
         check(sites[:least], True, "lattice_fft")
         cap = 40
-        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+        monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", cap ** 2)
         centers = np.random.default_rng(4).uniform(0.1, 0.9, size=(cap + 1, 3))
         check(centers[:cap], False, "dense")
         check(centers, False, "gmres")
@@ -215,9 +219,10 @@ class TestSolver:
 
     @pytest.mark.parametrize("kind,unknowns_per_particle", [("impedance", 1), ("hard", 4)])
     def test_dense_cap_counts_unknowns(self, monkeypatch, kind, unknowns_per_particle):
-        # with a cap of 100 unknowns, 100 impedance or 25 hard particles
-        # store the matrix and one particle more takes GMRES on the direct apply
-        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 100)
+        # with a store budget of 100^2 entries, 100 impedance or 25 hard
+        # particles store the kernel and one particle more takes GMRES on the
+        # slabs formed per matvec
+        monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 100 ** 2)
         med = free_medium()
         centers = np.random.default_rng(4).uniform(0.1, 0.9, size=(101, 3))
         last_dense = 100 // unknowns_per_particle
@@ -256,16 +261,18 @@ def off_lattice_scene_cloud(kind):
     return ball_cloud(centers, a=0.01, h=1.0 - 0.3j)
 
 
-def counted_node_slabs(log):
-    """medium._kernel_chunks logging the rows of each slab it forms, for
-    foldy_impedance, where only the row-chunk engine of _node_sums forms
-    slabs (of the node table T) through it."""
-    def chunks(x, k, orders, y=None):
-        for rows, slab in medium._kernel_chunks(x, k, orders, y):
-            log.append((rows.start, rows.stop))
+def counted_node_slabs(log, med):
+    """medium._kernel_chunks logging the rows of each slab that it forms
+    from the nodes of supp q0 of ``med`` (those of the node table T)."""
+    chunks, nodes = medium._kernel_chunks, med.grid.nodes[med._support]
+
+    def counted(x, k, orders, y=None):
+        for rows, slab in chunks(x, k, orders, y):
+            if np.array_equal(x, nodes):
+                log.append((rows.start, rows.stop))
             yield rows, slab
 
-    return chunks
+    return counted
 
 
 class TestNonFreeLattice:
@@ -275,14 +282,16 @@ class TestNonFreeLattice:
 
     @pytest.mark.parametrize("kind,n,wide", [
         ("impedance", 5, False), ("impedance", 9, True), ("hard", 3, False), ("hard", 5, True)])
-    def test_apply_equals_the_dense_matrix(self, kind, n, wide):
+    def test_apply_equals_the_dense_matrix(self, monkeypatch, kind, n, wide):
         # node tables T of |S| rows and more (wide) or fewer columns, with
         # the free pairs by lattice FFT and, for the centres moved off their
-        # lattice, by the stored kernel and by row chunks, against the
-        # block-built dense coupled matrix
+        # lattice, by the stored kernel and by row chunks (a store budget of
+        # 0), against the block-built dense coupled matrix
         med = n0_ball_medium()
         rng = np.random.default_rng(6)
+        cap = medium.STORE_MAX_ENTRIES
         for off_lattice in (False, True):
+            monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", cap)
             cloud = lattice_cloud(kind, n, rng, off_lattice)
             lattice = lattice_of(cloud.centers)
             assert (lattice is None) == off_lattice
@@ -293,8 +302,11 @@ class TestNonFreeLattice:
             v = rng.normal(size=unknowns) + 1j * rng.normal(size=unknowns)
             want = coupled_matrix(system) @ v
             assert (system.lattice is None) == off_lattice
-            for solver in (("lattice_fft",) if lattice else ("dense", "gmres")):
-                system.solver = solver
+            for store, solver in (((cap, "lattice_fft"),) if lattice
+                                  else ((cap, "dense"), (0, "gmres"))):
+                monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", store)
+                system = FoldySystem(med, cloud)
+                assert system.solver == solver
                 got = system.operator()(v)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -302,10 +314,10 @@ class TestNonFreeLattice:
                                       "hard_off_lattice"])
     def test_solve_matches_dense(self, monkeypatch, kind):
         # lattice clouds take the lattice FFT; the off-lattice scene's
-        # centres take GMRES on the row chunks once the dense cap is 0, and
+        # centres take GMRES on the row chunks once the store budget is 0, and
         # agree normwise to 1e-10 in the values and any gradients
         med = n0_ball_medium()
-        cap, solver, bound = foldy_impedance.DENSE_MAX_UNKNOWNS, "lattice_fft", 1e-9
+        cap, solver, bound = medium.STORE_MAX_ENTRIES, "lattice_fft", 1e-9
         if kind.endswith("off_lattice"):
             cloud = off_lattice_scene_cloud(kind.split("_")[0])
             cap, solver, bound = 0, "gmres", 1e-10
@@ -315,7 +327,7 @@ class TestNonFreeLattice:
         else:
             cloud = build_cloud_impedance(med, a=1e-3, h_field=1.0 - 0.3j, N_field=0.729)
         with monkeypatch.context() as patch:
-            patch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+            patch.setattr(medium, "STORE_MAX_ENTRIES", cap)
             fast = solve_cloud(med, cloud, Z_HAT)
         assert fast.solver == solver
         assert fast.iterations > 0 and fast.residual <= 1e-10
@@ -332,11 +344,12 @@ class TestNonFreeLattice:
     def test_solve_builds_one_table_and_makes_one_grid_solve(self, monkeypatch):
         # solve, probe field and far field on each engine: the lattice FFT,
         # and with the centres off their lattice the stored free kernel and
-        # (dense cap 0) the row chunks.  The one grid solve is u0's, by
+        # (store budget 0) the row chunks.  The one grid solve is u0's, by
         # FFT-GMRES; the coupled system solves the particles' grid field
-        # with the particles.  The stored engines build the centres' node
-        # table once and slice it; the row chunks build none and form each
-        # node slab once per pass of _node_sums, for both of its products
+        # with the particles.  Within the budget the system stores the
+        # centres' node table once, forming its slabs once; at 0 it stores
+        # none and forms each node slab once per pass of _node_sums, for
+        # both of its products
         tables, solves, grid_gmres, slabs, passes = [], [], [], [], []
         gmres = medium._gmres
         monkeypatch.setattr(medium, "_gmres", lambda apply, b: (
@@ -345,11 +358,16 @@ class TestNonFreeLattice:
         solve_grid = BackgroundMedium._solve_grid
         monkeypatch.setattr(BackgroundMedium, "_solve_grid",
                             lambda self, rhs: solves.append(1) or solve_grid(self, rhs))
-        node_columns = BackgroundMedium._node_columns
-        monkeypatch.setattr(BackgroundMedium, "_node_columns", lambda self, pts, order: (
-            tables.append(1) if np.array_equal(pts, cloud.centers) else None)
-            or node_columns(self, pts, order))
-        monkeypatch.setattr(foldy_impedance, "_kernel_chunks", counted_node_slabs(slabs))
+        kernel_slabs = foldy_impedance._KernelSlabs
+
+        def stored_tables(x, k, orders, y=None):
+            table = kernel_slabs(x, k, orders, y)
+            if table.stored is not None and np.array_equal(y, cloud.centers):
+                tables.append(1)
+            return table
+
+        monkeypatch.setattr(foldy_impedance, "_KernelSlabs", stored_tables)
+        monkeypatch.setattr(medium, "_kernel_chunks", counted_node_slabs(slabs, n0_ball_medium()))
         node_sums = FoldySystem._node_sums
         monkeypatch.setattr(FoldySystem, "_node_sums",
                             lambda self, s, x: passes.append(1) or node_sums(self, s, x))
@@ -360,7 +378,7 @@ class TestNonFreeLattice:
             else:
                 cloud = off_lattice_scene_cloud("hard")
             if solver == "gmres":
-                monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 0)
+                monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 0)
             for log in (tables, solves, grid_gmres, slabs, passes):
                 log.clear()
             res = solve_cloud(med, cloud, Z_HAT)
@@ -370,39 +388,68 @@ class TestNonFreeLattice:
             assert len(solves) == len(grid_gmres) == 1
             assert len(tables) == (solver != "gmres") and len(passes) > res.iterations
             per_pass = len(list(medium._row_chunks(len(med._support), 4 * len(cloud))))
-            assert len(slabs) == (len(passes) * per_pass if solver == "gmres" else 0)
+            assert len(slabs) == (len(passes) if solver == "gmres" else 1) * per_pass
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_one_node_table_walked_once_for_both_products(self, monkeypatch, kind):
-        # a stored-engine system holds T alone, no transposed copy; one
-        # row-chunk apply forms each node slab of S once; and both engines
-        # give (T s, T^T x) with the same bits, T cut into 3 or more slabs
+        # a system within the store budget holds T alone, in its node-row
+        # slabs, and no transposed copy; at a budget of 0 one apply forms
+        # each node slab of S once; and both give (T s, T^T x) with the same
+        # bits, T cut into 3 or more slabs
         monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 9)
         med = n0_ball_medium()
         rng = np.random.default_rng(7)
         cloud = lattice_cloud(kind, 3, rng, off_lattice=True)
-        system = FoldySystem(med, cloud)
-        ns, n = system.grid_unknowns, len(cloud) * (1 + 3 * system.order)
+        stored = FoldySystem(med, cloud)
+        ns, n = stored.grid_unknowns, len(cloud) * (1 + 3 * stored.order)
         parts = list(medium._row_chunks(ns, n))
         assert len(parts) >= 3
         v = rng.normal(size=ns + n) + 1j * rng.normal(size=ns + n)
         s, x = v[ns:], v[:ns]
-        sums = []
-        for solver in ("dense", "gmres"):
-            system.solver = solver
-            sums.append(system._node_sums(s, x))
-        system.solver = "dense"
-        system.operator()(v)
-        held = [a for val in vars(system).values()
+        stored.operator()(v)
+        monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 0)
+        streamed = FoldySystem(med, cloud)
+        sums = [system._node_sums(s, x) for system in (stored, streamed)]
+        held = [a for val in vars(stored).values()
                 for a in (val if isinstance(val, tuple) else (val,))]
-        tables = [a for a in held if isinstance(a, np.ndarray) and ns in a.shape]
-        assert len(tables) == 1 and tables[0].shape == (ns, n)
+        assert not [a for a in held if isinstance(a, np.ndarray) and ns in a.shape]
+        tables = stored._nodes.stored
+        assert [(rows.start, rows.stop) for rows, _ in tables] == parts
+        assert all(slab.shape == (rows.stop - rows.start, n) for rows, slab in tables)
         assert all(np.array_equal(a, b) for a, b in zip(*sums))
         slabs = []
-        monkeypatch.setattr(foldy_impedance, "_kernel_chunks", counted_node_slabs(slabs))
-        system.solver = "gmres"
-        system.operator()(v)
+        monkeypatch.setattr(medium, "_kernel_chunks", counted_node_slabs(slabs, med))
+        streamed.operator()(v)
         assert slabs == parts
+
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_node_table_past_the_budget_is_formed_on_every_apply(self, monkeypatch, kind):
+        # a store budget between the two tables of an off-lattice cloud in
+        # the n0 ball: the pair kernel (n^2 entries) is stored ("dense") and
+        # the node table T (|S| n entries, |S| = 136 > n) is not, so each
+        # pass of _node_sums, the incident column's and every apply's,
+        # forms T's slabs once; the solve has the bits of the one that
+        # stores both, T cut into 3 or more slabs
+        monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 9)
+        med = n0_ball_medium()
+        cloud = lattice_cloud(kind, 3, np.random.default_rng(8), off_lattice=True)
+        ns, n = len(med._support), len(cloud) * (1 if kind == "impedance" else 4)
+        parts = list(medium._row_chunks(ns, n))
+        assert len(parts) >= 3 and n ** 2 < ns * n
+        stored = solve_cloud(med, cloud, Z_HAT)
+        slabs, passes = [], []
+        monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", n ** 2)
+        monkeypatch.setattr(medium, "_kernel_chunks", counted_node_slabs(slabs, med))
+        node_sums = FoldySystem._node_sums
+        monkeypatch.setattr(FoldySystem, "_node_sums",
+                            lambda self, s, x: passes.append(1) or node_sums(self, s, x))
+        streamed = solve_cloud(med, cloud, Z_HAT)
+        assert streamed.solver == stored.solver == "dense"
+        assert len(passes) > streamed.iterations > 0 and slabs == len(passes) * parts
+        assert (streamed.iterations, streamed.residual) == (stored.iterations, stored.residual)
+        for name in ("effective_values", "charges", "effective_gradients"):
+            assert np.array_equal(getattr(streamed, name), getattr(stored, name))
+        assert np.array_equal(streamed.sources.density, stored.sources.density)
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_model_gap_to_the_exact_exclusion_falls_at_first_order_in_a(self, kind):
@@ -479,19 +526,19 @@ class TestNonFreeLattice:
 
     def test_matrix_free_solve_matches_the_stored_kernel_and_needs_no_grid_cap(
             self, monkeypatch, tmp_path):
-        # past a dense cap of 479 unknowns the off-lattice scene's 480 solve
-        # by row chunks to the bits of its stored kernel at a cap of 480,
-        # whatever the size of supp q0; the CLI runs it
+        # past a store budget of 479^2 entries the off-lattice scene's 480
+        # unknowns solve by row chunks to the bits of its stored kernel at a
+        # budget of 480^2, whatever the size of supp q0; the CLI runs it
         cloud = off_lattice_scene_cloud("hard")
         results = []
         for cap, solver in ((479, "gmres"), (480, "dense")):
-            monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", cap)
+            monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", cap ** 2)
             results.append(solve_cloud(n0_ball_medium(), cloud, Z_HAT))
             assert results[-1].solver == solver
         for name in ("effective_values", "effective_gradients"):
             assert np.array_equal(getattr(results[0], name), getattr(results[1], name))
         assert np.array_equal(results[0].sources.density, results[1].sources.density)
-        monkeypatch.setattr(foldy_impedance, "DENSE_MAX_UNKNOWNS", 479)
+        monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 479 ** 2)
         out = tmp_path / "out"
         scene = SCENES / "hard_cloud_n0_ball_off_lattice.json"
         assert cli.main(["solve", "--scene", str(scene), "--out", str(out)]) == 0
@@ -510,6 +557,7 @@ class TestSystemMatrix:
         # and a general beta; small chunks cut the kernel planes into several
         # row blocks
         monkeypatch.setattr(medium, "CHUNK_ENTRIES", chunk)
+        cap = medium.STORE_MAX_ENTRIES
         grid = Grid((0, 0, 0), (1, 1, 1), (6, 6, 6))
         med = (BackgroundMedium(1.2, grid) if background == "free" else BackgroundMedium(
             1.2, grid, n0=lambda z: np.where(np.linalg.norm(z - 0.5, axis=1) < 0.4, 1.2, 1.0)))
@@ -522,13 +570,14 @@ class TestSystemMatrix:
                                       beta=rng.normal(size=(3, 3)))
             else:
                 cloud = ball_cloud(centers, a=0.01, h=1.0 - 0.5j)
-            system = FoldySystem(med, cloud)
-            want = coupled_matrix(system)
+            want = coupled_matrix(FoldySystem(med, cloud))
             eye = np.eye(len(want), dtype=complex)
-            system.lattice = None  # the hard aligned centres fill a lattice
             columns = []
-            for solver in ("dense", "gmres"):
-                system.solver = solver
+            for store, solver in ((cap, "dense"), (0, "gmres")):
+                monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", store)
+                system = FoldySystem(med, cloud)
+                system.lattice = None  # the hard aligned centres fill a lattice
+                assert system.solver == solver
                 apply = system.operator()
                 columns.append(np.column_stack([apply(e) for e in eye]))
             stored, chunks = columns

@@ -1,5 +1,6 @@
 """Kernel, Green-function, and incident-field tests for the medium module."""
 
+import os
 import sys
 import threading
 import time
@@ -29,8 +30,8 @@ from smallbody.foldy_impedance import FoldySystem
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing
 from reference import (dense_weighted_kernel, foldy_matrix, free_kernel, free_kernel_grad_y,
                        free_kernel_hess_xy, free_kernels, green_blocks, green_potential_grid,
-                       incident_values, lemma_bounds_check, split_stacked,
-                       trilinear_interpolate, u0_grid)
+                       incident_values, kernel_matrix, lemma_bounds_check, node_columns,
+                       split_stacked, trilinear_interpolate, u0_grid)
 
 ORIGIN = np.zeros(3)
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -167,7 +168,7 @@ class TestChunkBudget:
             w = np.array([1.0, 1j]) @ rng.normal(size=(2, 300 * (1 + 3 * orders[1])))
             for x, y in ((centers, None), (probes, centers)):
                 monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 30)  # one slab per part
-                want = medium._kernel_matrix(x, 1.3, orders, y) @ w
+                want = kernel_matrix(x, 1.3, orders, y) @ w
                 for budget in (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18):
                     monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
                     assert np.array_equal(medium._kernel_sum(x, 1.3, orders, w, y), want)
@@ -184,17 +185,18 @@ class TestChunkBudget:
         hard = ParticleCloud(centers=centers, a=1e-3, kind="hard", beta=rng.normal(size=(3, 3)))
         ns = 0 if background == "free" else np.count_nonzero(make_medium(n=6, n0=self.ball).q0)
         vec = rng.normal(size=ns + 1200) + 1j * rng.normal(size=ns + 1200)
-        first = None
+        first, cap = None, medium.STORE_MAX_ENTRIES
         for budget in (2 ** 10, 2 ** 14, 2 ** 16, 2 ** 18):
             monkeypatch.setattr(medium, "CHUNK_ENTRIES", budget)
             # a new medium and system per budget: no table kept from another budget
             med = make_medium(k=1.3, n=6, n0=1.0 if background == "free" else self.ball)
-            tables = [medium._kernel_matrix(centers, med.k, (order, order)) for order in (0, 1)]
-            tables += [med._node_columns(centers, order) for order in (0, 1)]
-            system = FoldySystem(med, hard)
-            assert system.lattice is None and system.solver == "dense"
-            for solver in ("gmres", "dense"):
-                system.solver = solver
+            tables = [kernel_matrix(centers, med.k, (order, order)) for order in (0, 1)]
+            tables += [node_columns(med, centers, order) for order in (0, 1)]
+            # slabs formed per matvec (a store budget of 0), then stored
+            for store, solver in ((0, "gmres"), (cap, "dense")):
+                monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", store)
+                system = FoldySystem(med, hard)
+                assert system.lattice is None and system.solver == solver
                 tables.append(system.operator()(vec))
             if first is None:
                 first = tables
@@ -398,7 +400,7 @@ class TestBoxFFT:
             cloud = ParticleCloud(centers=centers, a=0.02, kind="hard",
                                   beta=[[-1.5, 0.2, 0], [0.2, -1.2, 0.1], [0, 0.1, -1.0]])
         system = FoldySystem(med, cloud)
-        system.lattice, system.solver = lattice, "lattice_fft"
+        system.lattice = lattice
         a = foldy_matrix(system)
         dense = a - np.eye(len(a))
         f = np.random.default_rng(6).normal(size=(len(dense), 2)) @ [1.0, 1j]
@@ -439,6 +441,19 @@ class TestBoxFFT:
             apply, _, f = self.make(case, arg)
             outs.append(apply(f))
         assert all(np.array_equal(outs[0], out) for out in outs[1:])
+
+    def test_thread_count_below_one_is_refused(self, monkeypatch):
+        # a count below 1 is an error, neither every core (0) nor one
+        # thread (-3), and leaves the count as it was; None is every core
+        monkeypatch.setattr(runtime, "_THREADS", 2)  # restored after the test
+        for n in (0, -3):
+            with pytest.raises(InvariantViolation, match="at least 1"):
+                runtime.set_thread_count(n)
+            assert runtime._THREADS == 2
+        runtime.set_thread_count(None)
+        assert runtime._THREADS == (os.cpu_count() or 1)
+        runtime.set_thread_count(3)
+        assert runtime._THREADS == 3
 
     def test_nested_and_concurrent_slab_calls_finish(self, monkeypatch):
         # slabs that start slab jobs of their own, from more callers than
