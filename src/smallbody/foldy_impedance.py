@@ -6,8 +6,8 @@ local map from a particle's field to its sources differs (FoldySystem).  In
 a non-free background the particles' grid field on supp q0 joins the
 unknowns, so the background's response to the particles is solved with
 them (FoldySystem.operator).  The pipeline here -- validate, incident data,
-GMRES on the system's one operator (free pairs by lattice FFT or by the
-slabs of the free kernel), the result's radiating Sources --
+GMRES on the system's one operator (free pairs by lattice FFT, by the
+stored free kernel or by row chunks), the result's radiating Sources --
 serves both; foldy_neumann holds the physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
@@ -95,7 +95,7 @@ class FoldySystem:
         self.lattice = lattice_of(self.centers) if n >= LATTICE_MIN_UNKNOWNS else None
 
     @cached_property
-    def _pairs(self):  # the slabs of the free pair kernel K, off a lattice
+    def _pairs(self):  # the free pair kernel K, off a lattice
         return _KernelSlabs(self.centers, self.medium.k, (self.order, self.order))
 
     @cached_property
@@ -104,14 +104,15 @@ class FoldySystem:
         return _KernelSlabs(nodes, self.medium.k, (0, self.order), self.centers)
 
     @property
-    def solver(self) -> str:  # the pair engine, "dense" while K's slabs are stored
+    def solver(self) -> str:  # the pair engine, "dense" while K is stored
         return ("lattice_fft" if self.lattice is not None else
-                "dense" if self._pairs.stored is not None else "gmres")
+                "dense" if self._pairs.table is not None else "gmres")
 
     def _node_sums(self, s, x):
         """(T s, T^T x): the field at the nodes of S of the particle sources
         s, and the [value; gradient] at the centres of the node sources x, in
-        one walk of T's node-row slabs (_nodes), T^T x summed slab by slab."""
+        one walk of T's node-row slabs (_nodes), T^T x summed slab by slab:
+        stored or formed, the same products of slabs of the same shape."""
         ts, ttx = np.empty(self.grid_unknowns, dtype=complex), np.zeros(len(s), dtype=complex)
         for rows, slab in self._nodes:
             ts[rows] = slab @ s
@@ -132,7 +133,9 @@ class FoldySystem:
         """w -> w - K s for the sources s = [q u; -vb grad u], K the free
         pair kernel with the paper's zero diagonal, by the system's engine
         (``solver``): by FFT for centres on ``lattice`` (Lattice.pair_kernel),
-        else slab by slab over K's slabs (_pairs, stored or not).
+        else by K stored once or formed a row chunk at a time (_pairs); the
+        last two give the same bits on a BLAS whose matrix-vector product
+        sums a row in one order whatever the matrix's row count.
 
         A non-free background couples the particles' grid field v on S,
         ahead of w, as a volume-integral grid holds point scatterers
@@ -161,9 +164,7 @@ class FoldySystem:
                 ks = lattice.gather(pairs(lattice.scatter(np.vstack([s[:m], dipoles]))))
                 out = vec + np.concatenate([ks[0], ks[1:].T.reshape(-1)])
             else:
-                out = vec.copy()
-                for rows, slab in pairs:
-                    out[rows] -= slab @ s
+                out = vec - pairs @ s
             if not ns:
                 return out
             v = x[:ns]
@@ -173,9 +174,11 @@ class FoldySystem:
         return apply
 
     def result(self, sol, alpha, background, **stats) -> FoldySolveResult:
-        m, ns, density = len(self.centers), self.grid_unknowns, None
+        m, ns = len(self.centers), self.grid_unknowns
+        density = None
         if m and ns:
-            density, sol = self.medium._support_density(sol[:ns] * self.scale), sol[ns:]
+            density = self.medium._support_density(sol[:ns] * self.scale)
+            sol = sol[ns:]
         ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
         if self.order:
             stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))

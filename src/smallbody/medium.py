@@ -41,7 +41,8 @@ GMRES_MAXITER = 400
 CHUNK_ENTRIES = 2 ** 16
 
 # the most entries of a kernel table that _KernelSlabs stores, 256 MiB: the
-# pair kernel of 4000 unknowns (measured; README "Numerical choices")
+# pair kernel of 4000 unknowns (measured; README "Numerical choices"); not
+# measured for the node table T of a non-free cloud, which it also bounds
 STORE_MAX_ENTRIES = 4000 ** 2
 
 # lattice_of refuses a lattice whose box holds more than this many sites per
@@ -290,17 +291,31 @@ def _kernel_chunks(x, k, orders, y=None):
 
 
 class _KernelSlabs:
-    """The (rows, slab) pairs of _kernel_chunks(x, k, orders, y) for pass after
-    pass: a list (``stored``) within STORE_MAX_ENTRIES table entries, else formed
-    again on each pass (``stored`` None): the same slabs in the same order."""
+    """The free kernel K(x, y) of _kernel_chunks(x, k, orders, y) for pass
+    after pass: written once into one array (``table``) within
+    STORE_MAX_ENTRIES entries, else formed again on each pass (``table``
+    None).  Iterating yields the (rows, slab) pairs of _kernel_chunks, as
+    views of the table or formed; ``@ w`` is one product with the table,
+    which BLAS spreads over its threads, or _kernel_sum."""
 
     def __init__(self, x, k, orders, y=None):
         self.args = (x, k, orders, y)
         n, m = len(x) * (1 + 3 * orders[0]), len(x if y is None else y) * (1 + 3 * orders[1])
-        self.stored = list(_kernel_chunks(*self.args)) if n * m <= STORE_MAX_ENTRIES else None
+        self.table, self.rows = None, []
+        if n * m <= STORE_MAX_ENTRIES:
+            self.table = np.empty((n, m), dtype=complex)
+            for rows, slab in _kernel_chunks(*self.args):
+                self.table[rows] = slab
+                self.rows.append(rows)
 
     def __iter__(self):
-        return iter(self.stored) if self.stored is not None else _kernel_chunks(*self.args)
+        if self.table is None:
+            return _kernel_chunks(*self.args)
+        return ((rows, self.table[rows]) for rows in self.rows)
+
+    def __matmul__(self, w):
+        x, k, orders, y = self.args
+        return self.table @ w if self.table is not None else _kernel_sum(x, k, orders, w, y)
 
 
 def _kernel_sum(x, k, orders, w, y=None):
@@ -721,10 +736,12 @@ class BackgroundMedium:
         out[self._support] = u
         return out
 
-    # -- incident field and equivalent sources --------------------------------
+    # -- incident field -----------------------------------------------------
 
     def _plane_wave(self, alpha) -> np.ndarray:
         return np.exp(1j * self.k * self.grid.nodes @ alpha)
+
+    # -- equivalent sources ---------------------------------------------------
 
     def source_density(self, alpha):
         """Node density s = -q0 delta^3 u0(., alpha) of the background field,
@@ -736,7 +753,8 @@ class BackgroundMedium:
         """
         if self.is_free:
             return None
-        return self._support_density(self._solve_grid(self._plane_wave(_unit(alpha))[self._support]))
+        u = self._solve_grid(self._plane_wave(_unit(alpha))[self._support])
+        return self._support_density(u)
 
     def _support_density(self, v) -> np.ndarray:
         """The node density -q0 delta^3 v of support values v, zero off S."""

@@ -362,7 +362,7 @@ class TestNonFreeLattice:
 
         def stored_tables(x, k, orders, y=None):
             table = kernel_slabs(x, k, orders, y)
-            if table.stored is not None and np.array_equal(y, cloud.centers):
+            if table.table is not None and np.array_equal(y, cloud.centers):
                 tables.append(1)
             return table
 
@@ -392,10 +392,10 @@ class TestNonFreeLattice:
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_one_node_table_walked_once_for_both_products(self, monkeypatch, kind):
-        # a system within the store budget holds T alone, in its node-row
-        # slabs, and no transposed copy; at a budget of 0 one apply forms
-        # each node slab of S once; and both give (T s, T^T x) with the same
-        # bits, T cut into 3 or more slabs
+        # a system within the store budget holds T alone, one (|S|, n)
+        # array walked in its node-row slabs, and no transposed copy; at a
+        # budget of 0 one apply forms each node slab of S once; and both give
+        # (T s, T^T x) with the same bits, T cut into 3 or more slabs
         monkeypatch.setattr(medium, "CHUNK_ENTRIES", 2 ** 9)
         med = n0_ball_medium()
         rng = np.random.default_rng(7)
@@ -413,9 +413,10 @@ class TestNonFreeLattice:
         held = [a for val in vars(stored).values()
                 for a in (val if isinstance(val, tuple) else (val,))]
         assert not [a for a in held if isinstance(a, np.ndarray) and ns in a.shape]
-        tables = stored._nodes.stored
-        assert [(rows.start, rows.stop) for rows, _ in tables] == parts
-        assert all(slab.shape == (rows.stop - rows.start, n) for rows, slab in tables)
+        tables = [a for a in vars(stored._nodes).values() if isinstance(a, np.ndarray)]
+        assert len(tables) == 1 and tables[0].shape == (ns, n)
+        assert [(rows.start, rows.stop) for rows, _ in stored._nodes] == parts
+        assert all(slab.shape == (rows.stop - rows.start, n) for rows, slab in stored._nodes)
         assert all(np.array_equal(a, b) for a, b in zip(*sums))
         slabs = []
         monkeypatch.setattr(medium, "_kernel_chunks", counted_node_slabs(slabs, med))
