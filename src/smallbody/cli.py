@@ -337,6 +337,23 @@ def write_farfield_csv(path: Path, farfield):
     write_csv(path, ["theta", "phi", "re_A", "im_A"], [t, p, re, im])
 
 
+def _radiate(scene: dict, medium: BackgroundMedium, out: Path, solve):
+    """solve(alpha) for the scene's alpha, then the field of the result's
+    sources at the scene's points (field.csv) and their far field on its
+    directions (farfield.csv).  Returns the result and the wall time of the
+    solve, the probe field and the far field, without the file writes."""
+    alpha, points = parse_alpha(scene), parse_points(scene, medium)
+    directions = DirectionGrid(**scene["directions"])
+    t0 = time.perf_counter()
+    result = solve(alpha)
+    fld = result.sources.field(points)
+    ff = result.sources.far_field(directions)
+    wall = time.perf_counter() - t0
+    write_field_csv(out / "field.csv", fld.points, fld.values)
+    write_farfield_csv(out / "farfield.csv", ff)
+    return result, wall
+
+
 def write_centers_csv(path: Path, cloud: ParticleCloud):
     c = cloud.centers
     write_csv(path, ["x", "y", "z"], [c[:, 0], c[:, 1], c[:, 2]])
@@ -405,16 +422,7 @@ def _json_text(obj, depth: int) -> str:
 def cmd_solve(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
     cloud = parse_cloud(scene, medium)
-    alpha = parse_alpha(scene)
-    points = parse_points(scene, medium)
-    grid = DirectionGrid(**scene["directions"])
-    t0 = time.perf_counter()
-    result = foldy_impedance.solve_cloud(medium, cloud, alpha)
-    fld = result.sources.field(points)
-    ff = result.sources.far_field(grid)
-    wall = time.perf_counter() - t0
-    write_field_csv(out / "field.csv", fld.points, fld.values)
-    write_farfield_csv(out / "farfield.csv", ff)
+    result, wall = _radiate(scene, medium, out, partial(foldy_impedance.solve_cloud, medium, cloud))
     write_centers_csv(out / "centers.csv", cloud)
     solution = {
         "kind": cloud.kind,
@@ -442,9 +450,6 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
 def cmd_limit(scene: dict, out: Path, args) -> dict:
     medium = parse_medium(scene)
     lspec = scene["limit"]
-    alpha = parse_alpha(scene)
-    points = parse_points(scene, medium)
-    t0 = time.perf_counter()
     if lspec["p"] is not None:
         problem = LimitProblem(medium=medium,
                                p=parse_field_spec(lspec["p"], medium.grid, "scene.limit.p"))
@@ -453,13 +458,8 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
             medium=medium,
             nu=parse_field_spec(lspec["nu"], medium.grid, "scene.limit.nu").real,
             beta_field=parse_beta(lspec["beta"]))
-    fld = solve_limit(problem, alpha)
-    at_points = fld.sources.field(points)
-    write_farfield_csv(out / "farfield.csv",
-                       fld.sources.far_field(DirectionGrid(**scene["directions"])))
-    wall = time.perf_counter() - t0
+    fld, wall = _radiate(scene, medium, out, partial(solve_limit, problem))
     write_field_csv(out / "grid_field.csv", fld.points, fld.values)
-    write_field_csv(out / "field.csv", at_points.points, at_points.values)
     return {
         "command": "limit",
         "mode": "hard" if problem.is_hard else "impedance",

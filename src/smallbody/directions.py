@@ -49,7 +49,6 @@ class FarField:
 
     grid: DirectionGrid
     values: np.ndarray  # complex, shape (n_theta*n_phi,)
-    alpha: np.ndarray  # incident direction
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).reshape(-1)

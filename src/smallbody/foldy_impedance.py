@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .medium import BackgroundMedium, Sources, _KernelSlabs, _solve_checked, _unit, lattice_of
-from .particles import ParticleCloud, _point_law, impedance_to_h, validate_cloud
+from .particles import SPACING_FACTOR, ParticleCloud, _point_law, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ class FoldySystem:
 
     def __init__(self, medium: BackgroundMedium, cloud: ParticleCloud):
         self.medium, self.centers, self.kind = medium, cloud.centers, cloud.kind
-        self.guard = cloud.d if np.isfinite(cloud.d) else 10.0 * cloud.a
+        self.guard = cloud.d if np.isfinite(cloud.d) else SPACING_FACTOR * cloud.a
         self.grid_unknowns = len(medium._support)
         if cloud.kind == "hard":
             self.order = 1  # incident data: values and gradients
@@ -109,13 +109,15 @@ class FoldySystem:
                 "dense" if self._pairs.table is not None else "gmres")
 
     def _node_sums(self, s, x):
-        """(T s, T^T x): the field at the nodes of S of the particle sources
-        s, and the [value; gradient] at the centres of the node sources x, in
-        one walk of T's node-row slabs (_nodes), T^T x summed slab by slab:
-        stored or formed, the same products of slabs of the same shape."""
-        ts, ttx = np.empty(self.grid_unknowns, dtype=complex), np.zeros(len(s), dtype=complex)
+        """(T s, T^T x): the field at the nodes of S of the particle sources s
+        (None: no T s), and the [value; gradient] at the centres of the node
+        sources x, in one walk of T's node-row slabs (_nodes), T^T x summed
+        slab by slab: stored or formed, the same products of slabs of the same shape."""
+        ts = None if s is None else np.empty(self.grid_unknowns, dtype=complex)
+        ttx = np.zeros(len(self.centers) * (1 + 3 * self.order), dtype=complex)
         for rows, slab in self._nodes:
-            ts[rows] = slab @ s
+            if s is not None:
+                ts[rows] = slab @ s
             ttx += x[rows] @ slab
         return ts, ttx
 
@@ -126,7 +128,7 @@ class FoldySystem:
         u = self.medium.radiate(self.centers, Sources(self.medium, alpha), order=self.order)
         if density is None:
             return u
-        u += self._node_sums(np.zeros(len(u), dtype=complex), density[self.medium._support])[1]
+        u += self._node_sums(None, density[self.medium._support])[1]
         return np.concatenate([np.zeros(self.grid_unknowns, dtype=complex), u])
 
     def operator(self):

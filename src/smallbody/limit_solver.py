@@ -117,8 +117,8 @@ def solve_limit(problem: LimitProblem, alpha) -> ComplexField:
     what = "hard limit" if problem.is_hard else "impedance limit"
     u, resid, iterations = _solve_checked(matvec, medium._plane_wave(alpha), what)
     sources = Sources(medium, alpha, -(problem.source(u) * medium.weight))
-    return ComplexField(points=medium.grid.nodes, values=u, incident_direction=alpha,
-                        residual=resid, iterations=iterations, sources=sources)
+    return ComplexField(points=medium.grid.nodes, values=u, residual=resid,
+                        iterations=iterations, sources=sources)
 
 
 # ---------------------------------------------------------------------------

@@ -220,19 +220,6 @@ def _norm(dx, dy, dz):
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
-def nearest_distances(points, centers) -> np.ndarray:
-    """Distance from each point to its nearest center, of which there is at least one.
-
-    Brute force, O(n M), by _pair_distances over _row_chunks.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    cen = np.asarray(centers, dtype=float).reshape(-1, 3)
-    out = np.empty(len(pts))
-    for s, stop in _row_chunks(len(pts), len(cen)):
-        out[s:stop] = _pair_distances(pts[s:stop], cen)[1].min(axis=1)
-    return out
-
-
 def _pair_distances(x, y, order=0):
     """(y - x, r = |y - x|) over all pairs (x_i, y_j): offsets (n, m, 3) for
     order >= 1, None for order 0, which needs r alone."""
@@ -254,9 +241,10 @@ def _row_chunks(n, width):
     return zip((0, *stops), (*stops, n))
 
 
-def _kernel_chunks(x, k, orders, y=None):
+def _kernel_chunks(x, k, orders, y=None, guard=0.0):
     """The free kernel K(x_i, y_j) of the points x against y (default: x
     against itself, with a zero diagonal) in slabs of rows, as (rows, slab).
+    A pair closer than ``guard`` (Sources.guard; 0: no check) is refused.
 
     orders = (ox, oy): the rows hold [g; grad_x g] when ox is 1, else g,
     and the columns [g | grad_y g] when oy is 1, else g; with both, the
@@ -275,6 +263,10 @@ def _kernel_chunks(x, k, orders, y=None):
         diff, r = _pair_distances(x[s:stop], x if y is None else y, ox + oy)
         if y is None:
             r[np.arange(c), np.arange(s, stop)] = 1.0
+        if guard and np.any(r < guard * (1 - 1e-12)):
+            raise InvariantViolation(
+                f"evaluation point within d = {guard:.3g} of a particle center; "
+                "the point-particle reduction is not valid there")
         if np.any(r == 0.0):
             raise SingularEvaluationError("Helmholtz kernel evaluated at coincident points")
         block = np.empty((c * (1 + 3 * ox), m * (1 + 3 * oy)), dtype=complex)
@@ -318,11 +310,11 @@ class _KernelSlabs:
         return self.table @ w if self.table is not None else _kernel_sum(x, k, orders, w, y)
 
 
-def _kernel_sum(x, k, orders, w, y=None):
-    """K(x, y) @ w over the slabs of _kernel_chunks(x, k, orders, y): each
-    row is one product over all of y, whatever the chunk size."""
+def _kernel_sum(x, k, orders, w, y=None, guard=0.0):
+    """K(x, y) @ w over the slabs of _kernel_chunks(x, k, orders, y, guard):
+    each row is one product over all of y, whatever the chunk size."""
     out = np.empty(len(x) * (1 + 3 * orders[0]), dtype=complex)
-    for rows, slab in _kernel_chunks(x, k, orders, y):
+    for rows, slab in _kernel_chunks(x, k, orders, y, guard):
         out[rows] = slab @ w
     return out
 
@@ -619,7 +611,7 @@ def lattice_of(centers) -> Lattice | None:
 
 @dataclass
 class ComplexField:
-    """Complex samples at a point set, tagged with the incident direction.
+    """Complex samples at a point set.
 
     Fields produced by an iterative solve also carry its relative residual
     and iteration count; a limit's grid field also the Sources it radiates.
@@ -627,7 +619,6 @@ class ComplexField:
 
     points: np.ndarray
     values: np.ndarray
-    incident_direction: np.ndarray
     residual: float | None = None
     iterations: int | None = None
     sources: Sources | None = None
@@ -635,14 +626,11 @@ class ComplexField:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.values = np.asarray(self.values, dtype=complex).reshape(-1)
-        self.incident_direction = np.asarray(self.incident_direction, dtype=float).reshape(3)
         if len(self.points) != len(self.values):
             raise InvariantViolation("points and values must have equal length")
         if not np.all(finite := np.isfinite(self.values)):  # a probe distance overflows, say
             raise InvariantViolation(
                 f"field is not finite at {np.sum(~finite)} of {len(finite)} points")
-        if not abs(np.linalg.norm(self.incident_direction) - 1.0) <= 1e-12:  # False on NaN
-            raise InvariantViolation("incident direction must be a unit vector")
 
     def __len__(self):
         return len(self.values)
@@ -766,24 +754,26 @@ class BackgroundMedium:
         s is the node density plus the background density (neither: no grid
         sources), summed over its nonzero nodes; Q_m and P_m are the particle
         monopoles and dipoles.  order 1 returns [u, grad_x u] as one (4n,)
-        vector.  Both sums run over the row chunks of _kernel_sum.
+        vector.  Both sums run over the row chunks of _kernel_sum, the centre
+        sum first: it refuses a point within sources.guard of a centre.
         """
         alpha = _unit(sources.alpha)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.exp(1j * self.k * pts @ alpha)
         if order:
             out = np.concatenate([out, (1j * self.k * alpha[None, :] * out[:, None]).reshape(-1)])
+        centers, charges, dipoles = sources.centers, sources.charges, sources.dipoles
+        if len(centers):
+            w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
+            centre_sum = _kernel_sum(pts, self.k, (order, int(dipoles is not None)), w, centers,
+                                     sources.guard)
         density = sources.background
         if sources.density is not None:
             density = sources.density if density is None else density + sources.density
         if density is not None:
             z = np.flatnonzero(density)
             out = out + _kernel_sum(pts, self.k, (order, 0), density[z], self.grid.nodes[z])
-        centers, charges, dipoles = sources.centers, sources.charges, sources.dipoles
-        if len(centers):
-            w = charges if dipoles is None else np.concatenate([charges, dipoles.reshape(-1)])
-            out = out + _kernel_sum(pts, self.k, (order, int(dipoles is not None)), w, centers)
-        return out
+        return out + centre_sum if len(centers) else out
 
     def amplitude(self, betas, sources: Sources) -> np.ndarray:
         """(1/4pi) [sum_z e^{-ik beta.z} s_z + sum_m e^{-ik beta.x_m} (Q_m - ik beta.P_m)].
@@ -817,7 +807,10 @@ class BackgroundMedium:
         out = out / (4.0 * np.pi)
         if charges is None and sources.background is None:
             return out
-        return self.amplitude(betas, Sources(self, sources.alpha, sources.background)) + out
+        background = np.zeros(len(betas), dtype=complex)
+        if sources.background is not None:
+            background = background + self._box_phase_sum(betas, self.grid.axes, sources.background)
+        return background / (4.0 * np.pi) + out
 
     # -- weighted far-field sums ----------------------------------------------
 
@@ -860,7 +853,7 @@ class Sources:
     A limit's density is that of its solution; a cloud's that of the
     particles' grid field, beside the background field's -q0 delta^3 u0 in
     ``background`` (both None if q0 = 0).  Probes closer than ``guard`` to a
-    centre are refused: the point-particle reduction fails there.
+    centre are refused (radiate): the point-particle reduction fails there.
     """
 
     medium: BackgroundMedium
@@ -874,22 +867,15 @@ class Sources:
 
     def field(self, points) -> ComplexField:
         """The field radiated to probe points (BackgroundMedium.radiate)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         # a probe whose distance overflows gets a NaN field, which ComplexField refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(self.centers) and np.any(
-                    nearest_distances(pts, self.centers) < self.guard * (1 - 1e-12)):
-                raise InvariantViolation(
-                    f"evaluation point within d = {self.guard:.3g} of a particle center; "
-                    "the point-particle reduction is not valid there")
-            values = self.medium.radiate(pts, self)
-        return ComplexField(points=pts, values=values, incident_direction=self.alpha)
+            values = self.medium.radiate(points, self)
+        return ComplexField(points=points, values=values)
 
     def far_field(self, directions: DirectionGrid | None = None) -> FarField:
         """Far-field amplitudes on a direction grid (default 32 x 64)."""
         grid = directions or DirectionGrid()
-        return FarField(grid=grid, values=self.medium.amplitude(grid.vectors(), self),
-                        alpha=self.alpha)
+        return FarField(grid=grid, values=self.medium.amplitude(grid.vectors(), self))
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

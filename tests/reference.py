@@ -311,7 +311,7 @@ def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
     alpha = _unit(alpha)
     u0 = u0_grid(medium, alpha)
     values = u0 + green_potential_grid(medium, _hard_source(problem, u0))
-    return ComplexField(points=medium.grid.nodes, values=values, incident_direction=alpha)
+    return ComplexField(points=medium.grid.nodes, values=values)
 
 
 def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, density,

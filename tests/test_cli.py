@@ -249,6 +249,27 @@ class TestSolve:
             assert err["message"] == "field is not finite at 1 of 1 points"
             assert [p.name for p in out.iterdir()] == ["error.json"]
 
+    def test_probe_within_d_or_on_a_limit_node_exit_3(self, tmp_path):
+        # a probe within d of a centre (10 a = 0.5 for one ball) is refused
+        # by the guard, and a limit's probe on a node of its density by the
+        # kernel's coincident-point check: the run writes error.json alone
+        ball = json.loads((SCENES / "single_hard_ball.json").read_text())
+        limit = json.loads((SCENES / "limit_born_bump.json").read_text())
+        node = medium.Grid((0, 0, 0), (1, 1, 1), (12, 12, 12)).nodes[5 * 144 + 5 * 12 + 5]
+        for command, scene, point, error, message in (
+                ("solve", ball, [0.0, 0.0, 0.4], "InvariantViolation",
+                 "evaluation point within d = 0.5 of a particle center; "
+                 "the point-particle reduction is not valid there"),
+                ("limit", limit, node.tolist(), "SingularEvaluationError",
+                 "Helmholtz kernel evaluated at coincident points")):
+            scene["points"] = [point]
+            (tmp_path / command).mkdir()
+            code, out = run(tmp_path / command, command, scene_dict=scene)
+            assert code == 3
+            err = json.loads((out / "error.json").read_text())
+            assert (err["error_type"], err["message"]) == (error, message)
+            assert [p.name for p in out.iterdir()] == ["error.json"]
+
     @pytest.mark.parametrize("alpha,want", [([1e308, 1e308, 0], [0.5 ** 0.5, 0.5 ** 0.5, 0.0]),
                                             ([1e-320, 0, 0], [1.0, 0.0, 0.0])])
     def test_alpha_normalized_without_overflow_or_underflow(self, alpha, want):

@@ -9,13 +9,13 @@ from numpy.polynomial.legendre import leggauss
 
 from smallbody import cli, directions, foldy_impedance, medium
 from smallbody.directions import DirectionGrid
-from smallbody.errors import InvariantViolation
+from smallbody.errors import InvariantViolation, SingularEvaluationError
 from smallbody.foldy_impedance import (
     FoldySystem,
     coupling_constants,
     solve_cloud,
 )
-from smallbody.medium import BackgroundMedium, Grid, _solve_checked, lattice_of
+from smallbody.medium import BackgroundMedium, Grid, Sources, _solve_checked, lattice_of
 from smallbody.particles import (
     ParticleCloud,
     build_cloud_hard,
@@ -42,6 +42,14 @@ def ball_cloud(centers, a, h):
 
 def one_particle(zeta, a):
     return ParticleCloud(centers=np.zeros((1, 3)), a=a, kind="impedance", zeta=[zeta])
+
+
+def small_cloud(kind, centers, a=1e-3):
+    """Impedance balls with h = 1, or hard balls, at the given centres."""
+    if kind == "hard":
+        return ParticleCloud(centers=np.atleast_2d(centers), a=a, kind="hard",
+                             beta=-1.5 * np.eye(3))
+    return ball_cloud(centers, a=a, h=1.0)
 
 
 class TestChargeFormula:
@@ -266,8 +274,8 @@ def counted_node_slabs(log, med):
     from the nodes of supp q0 of ``med`` (those of the node table T)."""
     chunks, nodes = medium._kernel_chunks, med.grid.nodes[med._support]
 
-    def counted(x, k, orders, y=None):
-        for rows, slab in chunks(x, k, orders, y):
+    def counted(x, k, orders, y=None, guard=0.0):
+        for rows, slab in chunks(x, k, orders, y, guard):
             if np.array_equal(x, nodes):
                 log.append((rows.start, rows.stop))
             yield rows, slab
@@ -422,6 +430,42 @@ class TestNonFreeLattice:
         monkeypatch.setattr(medium, "_kernel_chunks", counted_node_slabs(slabs, med))
         streamed.operator()(v)
         assert slabs == parts
+
+    @pytest.mark.parametrize("store", [True, False])
+    def test_incident_walks_the_node_table_for_its_transpose_alone(self, monkeypatch, store):
+        # the right-hand side of a non-free cloud reads T only as T^T d, d
+        # the background's node density on S: T stored (136 x 480) or, at a
+        # store budget of 0, formed slab by slab, no slab multiplies a
+        # vector on its right (T s), and the centres get u0 + T^T d with
+        # T^T d summed slab by slab
+        if not store:
+            monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 0)
+        med = n0_ball_medium()
+        cloud = off_lattice_scene_cloud("hard")
+        system = FoldySystem(med, cloud)
+        assert (system._nodes.table is not None) == store
+        products, walked = [], []
+
+        class Slab(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+            def __rmatmul__(self, other):
+                return other @ np.asarray(self)
+
+        walk = medium._KernelSlabs.__iter__
+        monkeypatch.setattr(medium._KernelSlabs, "__iter__", lambda self: (
+            walked.append(rows) or (rows, slab.view(Slab)) for rows, slab in walk(self)))
+        density = med.source_density(Z_HAT)
+        got = system.incident(Z_HAT, density)
+        assert not products and len(walked) == len(list(medium._row_chunks(136, 480)))
+        monkeypatch.undo()
+        d, ttx = density[med._support], np.zeros(4 * len(cloud), dtype=complex)
+        for rows, slab in system._nodes:
+            ttx += d[rows] @ slab
+        u0 = med.radiate(cloud.centers, Sources(med, Z_HAT), order=1)
+        assert np.array_equal(got, np.concatenate([np.zeros(136, dtype=complex), u0 + ttx]))
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_node_table_past_the_budget_is_formed_on_every_apply(self, monkeypatch, kind):
@@ -614,11 +658,12 @@ class TestEvaluateField:
         with pytest.raises(InvariantViolation):
             res.sources.field(np.array([[0.3, 0.5, 0.55]]))
 
-    def test_guard_edges(self):
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_guard_edges(self, kind):
         # dyadic centers: d = 0.5 exactly, and so is the distance of the probe
         med = free_medium()
         centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
-        cloud = ball_cloud(centers, a=1e-3, h=1.0)
+        cloud = small_cloud(kind, centers)
         res = solve_cloud(med, cloud, Z_HAT)
         assert cloud.d == 0.5
         res.sources.field(np.array([[0.25, 0.5, 1.0]]))
@@ -632,17 +677,44 @@ class TestEvaluateField:
             assert np.isfinite(excluded_field(res, centers[j][None, :],
                                               j).values).all()
 
-    def test_guard_looks_past_the_first_chunk(self):
+    @pytest.mark.parametrize("kind", ["impedance", "hard"])
+    def test_guard_looks_past_the_first_chunk(self, kind):
+        # the guard reads the distances of the centre sum's walk, whose
+        # rows hold [g | grad_y g] against each centre for hard particles
+        # (orders (0, 1)): a probe in its last row chunk is refused within
+        # d and accepted at exactly d
         med = free_medium()
         centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
-        cloud = ball_cloud(centers, a=1e-3, h=1.0)
+        cloud = small_cloud(kind, centers)
         res = solve_cloud(med, cloud, Z_HAT)
-        rows = medium.CHUNK_ENTRIES // len(centers)
+        width = len(centers) * (4 if kind == "hard" else 1)
+        rows = medium.CHUNK_ENTRIES // width
         far = np.column_stack([np.linspace(-5.0, 5.0, rows + 9), np.full(rows + 9, 3.0),
                                np.zeros(rows + 9)])
-        assert len(res.sources.field(far).values) == rows + 9
+        chunks = list(medium._row_chunks(rows + 10, width))
+        assert len(chunks) == 2 and chunks[-1] == (rows, rows + 10)
+        assert len(res.sources.field(np.vstack([far, [[0.75, 0.5, 1.0]]])).values) == rows + 10
         with pytest.raises(InvariantViolation, match="within d"):
             res.sources.field(np.vstack([far, [[0.75, 0.5, 0.7]]]))
+
+    def test_guard_refuses_a_probe_on_a_node_of_the_density(self):
+        # in a non-free background the field also sums the node density,
+        # which refuses a probe on one of its nodes as a coincident point;
+        # a probe on such a node within d of a centre is refused by the
+        # guard on d all the same
+        med = n0_ball_medium()
+        node = med.grid.nodes[np.flatnonzero(np.all(med.grid.nodes == 0.4375, axis=1))[0]]
+        cloud = small_cloud("hard", [node + 0.01, node + 0.135], a=0.01)
+        res = solve_cloud(med, cloud, Z_HAT)
+        assert (res.sources.density + res.sources.background)[med._support].all()
+        with pytest.raises(InvariantViolation, match="within d"):
+            res.sources.field(node[None, :])
+        nodes = med.grid.nodes[med._support]
+        gaps = np.linalg.norm(nodes[:, None, :] - cloud.centers[None, :, :], axis=-1).min(axis=1)
+        far_node = nodes[np.argmax(gaps)]
+        assert gaps.max() > cloud.d
+        with pytest.raises(SingularEvaluationError):
+            res.sources.field(far_node[None, :])
 
     def test_monopole_truncation_against_surface_layer(self):
         # A uniform single layer on a sphere vs its monopole reduction:

@@ -263,17 +263,17 @@ class TestCoupledSystem:
         counted("_solve_grid", solves)
         # T's slabs, from the nodes of S to the centres, are formed once
         chunks = medium._kernel_chunks
-        monkeypatch.setattr(medium, "_kernel_chunks", lambda x, k, orders, y=None: (
+        monkeypatch.setattr(medium, "_kernel_chunks", lambda x, k, orders, y=None, guard=0.0: (
             tables.append(1) if np.array_equal(y, cloud.centers)
             and np.array_equal(x, med.grid.nodes[med._support]) else None)
-            or chunks(x, k, orders, y))
+            or chunks(x, k, orders, y, guard))
         # the incident column reads T: no kernel sum from the nodes of S to
         # the centres
         kernel_sum = medium._kernel_sum
-        monkeypatch.setattr(medium, "_kernel_sum", lambda x, k, orders, w, y=None: (
+        monkeypatch.setattr(medium, "_kernel_sum", lambda x, k, orders, w, y=None, guard=0.0: (
             node_sums.append(1) if np.array_equal(x, cloud.centers)
             and np.array_equal(y, med.grid.nodes[med._support]) else None)
-            or kernel_sum(x, k, orders, w, y))
+            or kernel_sum(x, k, orders, w, y, guard))
         res = solve_cloud(med, cloud, Z_HAT)
         assert res.solver == "dense"
         assert len(solves) == 1

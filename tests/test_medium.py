@@ -21,7 +21,6 @@ from smallbody.medium import (
     Lattice,
     Sources,
     lattice_of,
-    nearest_distances,
     _solve_checked,
     _unit,
 )
@@ -139,9 +138,7 @@ class TestPairDistances:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_spacing_searches_agree_with_pair_distances(self, seed):
         rng = np.random.default_rng(seed)
-        centers, pts = rng.random((60, 3)), 2.0 * rng.random((25, 3)) - 0.5
-        np.testing.assert_array_equal(nearest_distances(pts, centers),
-                                      medium._pair_distances(pts, centers)[1].min(axis=1))
+        centers = rng.random((60, 3))
         r = medium._pair_distances(centers, centers)[1]
         r[np.diag_indices_from(r)] = np.inf
         assert min_spacing(centers) == r.min()
@@ -772,11 +769,7 @@ class TestMediumInvariants:
 
     def test_complex_field_validation(self):
         with pytest.raises(InvariantViolation):
-            ComplexField(points=np.zeros((2, 3)), values=np.zeros(3),
-                         incident_direction=np.array([0, 0, 1.0]))
-        with pytest.raises(InvariantViolation):
-            ComplexField(points=np.zeros((1, 3)), values=np.zeros(1),
-                         incident_direction=np.array([0, 0, 0.5]))
+            ComplexField(points=np.zeros((2, 3)), values=np.zeros(3))
 
     def test_nonuniform_spacing_rejected(self):
         with pytest.raises(ValueError):
@@ -796,9 +789,6 @@ class TestMediumInvariants:
         # abs(nan - 1) > tol is False: the checks must be comparisons that fail on NaN
         with pytest.raises(InvariantViolation):
             _unit([np.nan, 0.0, 1.0])
-        with pytest.raises(InvariantViolation):
-            ComplexField(points=np.zeros((1, 3)), values=np.zeros(1),
-                         incident_direction=np.array([np.nan, 0.0, 1.0]))
 
 
 class TestTrilinear:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smallbody.errors import InfeasibleDesign, InvariantViolation
-from smallbody.medium import BackgroundMedium, Grid, nearest_distances
+from smallbody.medium import BackgroundMedium, Grid
 from smallbody.particles import (
     BALL_SHAPE_CONSTANTS,
     ParticleCloud,
@@ -293,14 +293,6 @@ class TestMinSpacing:
         monkeypatch.setattr(particles, "_norm", counted)
         assert min_spacing(c) == brute_min_spacing(c) == 1.0
         assert sum(int(np.prod(shape)) for shape in formed) <= 20 * len(c)
-
-    def test_nearest_distances_match_brute_force(self):
-        rng = np.random.default_rng(2)
-        pts, centers = 3 * rng.random((300, 3)), rng.random((40, 3))
-        d = pts[:, None, :] - centers[None, :, :]
-        ref = np.sqrt(((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-                       + d[..., 2] * d[..., 2]).min(axis=1))
-        np.testing.assert_array_equal(nearest_distances(pts, centers), ref)
 
 
 class TestSerialization:
