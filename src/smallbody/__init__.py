@@ -17,10 +17,10 @@ from .errors import (
     SmallBodyError,
     SolverFailure,
 )
-from .foldy_impedance import FoldySolveResult, solve_cloud
+from .foldy_impedance import solve_cloud
 from .foldy_neumann import ball_polarizability
 from .limit_solver import LimitProblem, potential_from_h_N, solve_limit
-from .medium import BackgroundMedium, ComplexField, Grid, Sources
+from .medium import BackgroundMedium, Grid, Solution, Sources
 from .particles import (
     ParticleCloud,
     build_cloud_hard,

@@ -349,7 +349,7 @@ def _radiate(scene: dict, medium: BackgroundMedium, out: Path, solve):
     fld = result.sources.field(points)
     ff = result.sources.far_field(directions)
     wall = time.perf_counter() - t0
-    write_field_csv(out / "field.csv", fld.points, fld.values)
+    write_field_csv(out / "field.csv", points, fld)
     write_farfield_csv(out / "farfield.csv", ff)
     return result, wall
 
@@ -426,14 +426,14 @@ def cmd_solve(scene: dict, out: Path, args) -> dict:
     write_centers_csv(out / "centers.csv", cloud)
     solution = {
         "kind": cloud.kind,
-        "effective_values": np.asarray(result.effective_values, dtype=complex),
-        "charges": np.asarray(result.charges, dtype=complex),
+        "effective_values": np.asarray(result.values, dtype=complex),
+        "charges": np.asarray(result.sources.charges, dtype=complex),
     }
     if cloud.kind == "impedance":
-        solution["coupling"] = np.asarray(result.coupling, dtype=complex)
+        solution["coupling"] = np.asarray(foldy_impedance.coupling_constants(cloud), dtype=complex)
     else:
-        solution["effective_gradients"] = np.asarray(result.effective_gradients, dtype=complex)
-        solution["dipole_moments"] = np.asarray(result.dipole_moments, dtype=complex)
+        solution["effective_gradients"] = np.asarray(result.gradients, dtype=complex)
+        solution["dipole_moments"] = np.asarray(result.sources.dipoles, dtype=complex)
     write_json(out / "solution.json", solution)
     return {
         "command": "solve",
@@ -458,14 +458,14 @@ def cmd_limit(scene: dict, out: Path, args) -> dict:
             medium=medium,
             nu=parse_field_spec(lspec["nu"], medium.grid, "scene.limit.nu").real,
             beta_field=parse_beta(lspec["beta"]))
-    fld, wall = _radiate(scene, medium, out, partial(solve_limit, problem))
-    write_field_csv(out / "grid_field.csv", fld.points, fld.values)
+    result, wall = _radiate(scene, medium, out, partial(solve_limit, problem))
+    write_field_csv(out / "grid_field.csv", medium.grid.nodes, result.values)
     return {
         "command": "limit",
         "mode": "hard" if problem.is_hard else "impedance",
         "grid_nodes": medium.grid.size,
-        "residual": fld.residual,
-        "iterations": fld.iterations,
+        "residual": result.residual,
+        "iterations": result.iterations,
         "wall_time_s": wall,
     }
 

@@ -102,19 +102,19 @@ def _run_study(problem: LimitProblem, build, a_sequence, alpha,
     if any(b >= a for a, b in zip(seq, seq[1:])):
         raise InvariantViolation("a_sequence must be strictly decreasing")
     pts = far_probe_points(medium.grid)
-    u_limit = solve_limit(problem, alpha).sources.field(pts).values
+    u_limit = solve_limit(problem, alpha).sources.field(pts)
 
     study = ScaleStudy(mode="hard" if problem.is_hard else "impedance", alpha=alpha)
     for a in seq:
         try:
             cloud = build(a)
             result = foldy_impedance.solve_cloud(medium, cloud, alpha)
-            u_m = result.sources.field(pts).values
+            u_m = result.sources.field(pts)
             err = np.abs(u_m - u_limit) / np.abs(u_limit)
             study.records.append(ScaleRecord(
                 a=a, m=len(cloud), d=cloud.d, e_max=float(err.max()),
                 e_rms=float(np.sqrt(np.mean(err ** 2))),
-                max_charge=float(np.abs(result.charges).max()) if len(cloud) else 0.0,
+                max_charge=float(np.abs(result.sources.charges).max()) if len(cloud) else 0.0,
                 count_weighted=(cloud.volume_per_particle if problem.is_hard else a) * len(cloud),
                 count_integral=count_integral, residual=result.residual))
         except Exception as exc:  # noqa: BLE001 - partial study with annotation

@@ -7,8 +7,9 @@ a non-free background the particles' grid field on supp q0 joins the
 unknowns, so the background's response to the particles is solved with
 them (FoldySystem.operator).  The pipeline here -- validate, incident data,
 GMRES on the system's one operator (free pairs by lattice FFT, by the
-stored free kernel or by row chunks), the result's radiating Sources --
-serves both; foldy_neumann holds the physics of the hard species.
+stored free kernel or by row chunks), a medium.Solution of the effective
+fields and their radiating Sources -- serves both; foldy_neumann holds the
+physics of the hard species.
 
 The impedance species collocates the self-consistent field at the particle centers: particle j
 feels the incident field plus the monopole fields of all other particles,
@@ -22,13 +23,13 @@ for balls, and charge Q_m = -c_m u_e(x_m).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .medium import BackgroundMedium, Sources, _KernelSlabs, _solve_checked, _unit, lattice_of
+from .medium import (BackgroundMedium, Solution, Sources, _KernelSlabs, _solve_checked, _unit,
+                     lattice_of)
 from .particles import SPACING_FACTOR, ParticleCloud, _point_law, impedance_to_h, validate_cloud
 
 logger = logging.getLogger(__name__)
@@ -36,25 +37,6 @@ logger = logging.getLogger(__name__)
 # lattice clouds of either species take the lattice FFT operator from this
 # many unknowns M (1 + 3 order) (measured; README "Numerical choices")
 LATTICE_MIN_UNKNOWNS = 100
-
-
-@dataclass
-class FoldySolveResult:
-    """Per-particle effective fields and sources of a solve, with its statistics.
-
-    Impedance solves fill ``coupling``; hard solves fill the gradients and
-    dipole moments; ``sources`` radiate the field and the far field.
-    """
-
-    effective_values: np.ndarray   # u_e(x_m)
-    charges: np.ndarray            # Q_m: -c_m u_e (impedance), V_m (q0 - k^2) u_e (hard)
-    residual: float
-    sources: Sources
-    iterations: int = 0
-    solver: str | None = None      # "dense", "gmres" or "lattice_fft" (None: empty cloud)
-    coupling: np.ndarray | None = None              # c_m
-    effective_gradients: np.ndarray | None = None   # grad u_e(x_m), shape (M, 3)
-    dipole_moments: np.ndarray | None = None        # P_m = -V_m beta grad u_e(x_m)
 
 
 def coupling_constants(cloud: ParticleCloud) -> np.ndarray:
@@ -175,25 +157,21 @@ class FoldySystem:
 
         return apply
 
-    def result(self, sol, alpha, background, **stats) -> FoldySolveResult:
+    def result(self, sol, alpha, background, residual, iterations=0, solver=None) -> Solution:
         m, ns = len(self.centers), self.grid_unknowns
         density = None
         if m and ns:
             density = self.medium._support_density(sol[:ns] * self.scale)
             sol = sol[ns:]
-        ue, due = sol[:m], sol[m:].reshape(m, 3 * self.order)
-        if self.order:
-            stats.update(effective_gradients=due, dipole_moments=-(due @ self.vb.T))
-        else:
-            stats.update(coupling=-self.q)
-        charges = self.q * ue
-        sources = Sources(self.medium, alpha, density, self.centers, charges,
-                          stats.get("dipole_moments"), self.guard, background)
-        return FoldySolveResult(effective_values=ue, charges=charges, sources=sources, **stats)
+        ue, due = sol[:m], (sol[m:].reshape(m, 3) if self.order else None)
+        sources = Sources(self.medium, alpha, density, self.centers, self.q * ue,
+                          None if due is None else -(due @ self.vb.T), self.guard, background)
+        return Solution(ue, residual, sources, iterations, solver, due)
 
 
-def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> FoldySolveResult:
-    """Solve the M-body system of a cloud of either species."""
+def solve_cloud(medium: BackgroundMedium, cloud: ParticleCloud, alpha) -> Solution:
+    """Solve the M-body system of a cloud of either species: its effective
+    values (and gradients, hard species) with its radiating Sources."""
     report = validate_cloud(cloud, medium)
     if not report.ok:
         raise InvariantViolation("invalid cloud: " + "; ".join(report.flags))

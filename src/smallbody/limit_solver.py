@@ -19,8 +19,9 @@ both equations are one second-kind system for the node values,
     src(v) = (q0 + p) v                                 (potential p),
     src(v) = q0 v - [Lap v nu + div(beta grad v nu)]    (hard pair),
 
-solved by GMRES with the FFT-applied kernel.  The solution radiates from the
-grid density -src(v) delta^3 through the free kernel: no background solve.
+solved by GMRES with the FFT-applied kernel.  The solution (medium.Solution:
+the node values v) radiates from the grid density -src(v) delta^3 through
+the free kernel: no background solve.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .medium import BackgroundMedium, ComplexField, Sources, _node_field, _solve_checked, _unit
+from .medium import BackgroundMedium, Solution, Sources, _node_field, _solve_checked, _unit
 from .particles import _check_volume_density, _point_law
 
 COLLAR_CELLS = 2
@@ -102,11 +103,11 @@ class LimitProblem:
 # both limits
 # ---------------------------------------------------------------------------
 
-def solve_limit(problem: LimitProblem, alpha) -> ComplexField:
+def solve_limit(problem: LimitProblem, alpha) -> Solution:
     """Grid solution of the limit equation: GMRES on v + Kw src(v) = plane wave.
 
-    The returned field carries the relative residual, the GMRES iteration
-    count and its Sources: the grid density -src(v) delta^3.
+    Returns the node values v with the relative residual, the GMRES
+    iteration count and their Sources: the grid density -src(v) delta^3.
     """
     medium = problem.medium
     alpha = _unit(alpha)
@@ -117,8 +118,7 @@ def solve_limit(problem: LimitProblem, alpha) -> ComplexField:
     what = "hard limit" if problem.is_hard else "impedance limit"
     u, resid, iterations = _solve_checked(matvec, medium._plane_wave(alpha), what)
     sources = Sources(medium, alpha, -(problem.source(u) * medium.weight))
-    return ComplexField(points=medium.grid.nodes, values=u, residual=resid,
-                        iterations=iterations, sources=sources)
+    return Solution(u, resid, sources, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -609,33 +609,6 @@ def lattice_of(centers) -> Lattice | None:
     return Lattice(origin=lo, spacing=spacing, shape=tuple(shape), index=flat)
 
 
-@dataclass
-class ComplexField:
-    """Complex samples at a point set.
-
-    Fields produced by an iterative solve also carry its relative residual
-    and iteration count; a limit's grid field also the Sources it radiates.
-    """
-
-    points: np.ndarray
-    values: np.ndarray
-    residual: float | None = None
-    iterations: int | None = None
-    sources: Sources | None = None
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.values = np.asarray(self.values, dtype=complex).reshape(-1)
-        if len(self.points) != len(self.values):
-            raise InvariantViolation("points and values must have equal length")
-        if not np.all(finite := np.isfinite(self.values)):  # a probe distance overflows, say
-            raise InvariantViolation(
-                f"field is not finite at {np.sum(~finite)} of {len(finite)} points")
-
-    def __len__(self):
-        return len(self.values)
-
-
 # ---------------------------------------------------------------------------
 # background medium
 # ---------------------------------------------------------------------------
@@ -782,8 +755,9 @@ class BackgroundMedium:
         beta.  A cloud's particle part is not formed as a small difference:
         the background density, zeros in a free background, is summed apart.
         Centres on one lattice sum, like the grid nodes, through per-axis
-        phase tables; other centres through (directions, M) phase tables of
-        at most CHUNK_ENTRIES entries (_row_chunks).
+        phase tables, one box sum per box (the node densities present are
+        stacked); other centres through (directions, M) phase tables of at
+        most CHUNK_ENTRIES entries (_row_chunks).
         """
         betas = np.atleast_2d(np.asarray(betas, dtype=float))
         centers, charges, dipoles = sources.centers, sources.charges, sources.dipoles
@@ -802,14 +776,17 @@ class BackgroundMedium:
                 out[s:stop] = phase @ charges
                 if dipoles is not None:
                     out[s:stop] += np.einsum("bm,bp,mp->b", phase, -1j * self.k * b, dipoles)
+        densities = [d for d in (sources.density, sources.background) if d is not None]
+        if densities:  # one box sum over the node densities present
+            node_sums = self._box_phase_sum(betas, self.grid.axes, np.array(densities))
         if sources.density is not None:
-            out = out + self._box_phase_sum(betas, self.grid.axes, sources.density)
+            out = out + node_sums[0]
         out = out / (4.0 * np.pi)
         if charges is None and sources.background is None:
             return out
         background = np.zeros(len(betas), dtype=complex)
         if sources.background is not None:
-            background = background + self._box_phase_sum(betas, self.grid.axes, sources.background)
+            background = background + node_sums[-1]
         return background / (4.0 * np.pi) + out
 
     # -- weighted far-field sums ----------------------------------------------
@@ -825,8 +802,8 @@ class BackgroundMedium:
     def _box_phase_sum(self, betas, axes, values) -> np.ndarray:
         """sum_j exp(-ik beta.z_j) f_j over the nodes z_j of a rectangular box,
         for each beta; ``axes`` holds the box coordinates per axis and
-        ``values`` one node array in C order, (N,), or c of them stacked,
-        (c, n1, n2, n3).  Returns (nb,) or (c, nb).
+        ``values`` c node arrays in C order, stacked, (c, N) or
+        (c, n1, n2, n3).  Returns (c, nb).
 
         The phase factorizes per axis, so three (nb, n_i) tables, formed
         once for all c arrays, are contracted with the node arrays instead
@@ -834,13 +811,10 @@ class BackgroundMedium:
         """
         shape = tuple(len(a) for a in axes)
         e1, e2, e3 = (self._phase(betas[:, i:i + 1], axes[i][:, None]) for i in range(3))
-        f = np.asarray(values, dtype=complex)
-        stacked = f.ndim > 1
-        f = f.reshape((-1,) + shape)
+        f = np.asarray(values, dtype=complex).reshape((-1,) + shape)
         t = f.reshape(-1, shape[2]) @ e3.T  # (c*n1*n2, nb)
         t = np.einsum("cabk,kb->cak", t.reshape(len(f), shape[0], shape[1], -1), e2)
-        sums = np.einsum("cak,ka->ck", t, e1)
-        return sums if stacked else sums[0]
+        return np.einsum("cak,ka->ck", t, e1)
 
 
 @dataclass(frozen=True)
@@ -865,17 +839,33 @@ class Sources:
     guard: float = 0.0
     background: np.ndarray | None = None
 
-    def field(self, points) -> ComplexField:
-        """The field radiated to probe points (BackgroundMedium.radiate)."""
-        # a probe whose distance overflows gets a NaN field, which ComplexField refuses
+    def field(self, points) -> np.ndarray:
+        """The field radiated to probe points (BackgroundMedium.radiate),
+        refused where it is not finite (a probe distance overflows, say)."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.medium.radiate(points, self)
-        return ComplexField(points=points, values=values)
+        if not np.all(finite := np.isfinite(values)):
+            raise InvariantViolation(
+                f"field is not finite at {np.sum(~finite)} of {len(finite)} points")
+        return values
 
     def far_field(self, directions: DirectionGrid | None = None) -> FarField:
         """Far-field amplitudes on a direction grid (default 32 x 64)."""
         grid = directions or DirectionGrid()
         return FarField(grid=grid, values=self.medium.amplitude(grid.vectors(), self))
+
+
+@dataclass
+class Solution:
+    """The values of a limit's or a cloud's solve, with its statistics and
+    the Sources that radiate its field and far field."""
+
+    values: np.ndarray   # a limit's node values v, a cloud's u_e(x_m)
+    residual: float
+    sources: Sources
+    iterations: int = 0
+    solver: str | None = None      # a cloud's pair engine: "dense", "gmres" or "lattice_fft"
+    gradients: np.ndarray | None = None   # a hard cloud's grad u_e(x_m), shape (M, 3)
 
 
 def _node_field(values, size, dtype) -> np.ndarray:

@@ -10,9 +10,9 @@ from numpy.polynomial.legendre import leggauss
 
 from smallbody.directions import FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
-from smallbody.foldy_impedance import FoldySolveResult, FoldySystem
+from smallbody.foldy_impedance import FoldySystem
 from smallbody.limit_solver import LimitProblem, _hard_source
-from smallbody.medium import (BackgroundMedium, ComplexField, Grid, Sources, _kernel_chunks,
+from smallbody.medium import (BackgroundMedium, Grid, Solution, Sources, _kernel_chunks,
                               _node_field, _pair_distances, _radial, _row_chunks, _unit)
 from smallbody.particles import ParticleCloud
 
@@ -212,7 +212,7 @@ def coupled_matrix(system) -> np.ndarray:
 def exact_exclusion_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha):
     """The paper's model, in which particle j does not feel its own
     reflection from the background: the dense solve of foldy_matrix(system)
-    for [u0; grad u0] at the centres, as a FoldySolveResult whose Sources
+    for [u0; grad u0] at the centres, as a Solution whose Sources
     carry the particle density -q0 delta^3 B^-1 T s of a dense grid solve."""
     alpha = _unit(alpha)
     system = FoldySystem(medium, cloud)
@@ -220,10 +220,10 @@ def exact_exclusion_solve(medium: BackgroundMedium, cloud: ParticleCloud, alpha)
     w = np.linalg.solve(foldy_matrix(system), u0)
     result = system.result(np.concatenate([np.zeros(system.grid_unknowns), w]), alpha,
                            medium.source_density(alpha), residual=0.0)
-    dipoles = [] if result.dipole_moments is None else [result.dipole_moments.reshape(-1)]
+    dipoles = [] if result.sources.dipoles is None else [result.sources.dipoles.reshape(-1)]
     if not medium.is_free:
         sources = node_columns(medium, cloud.centers, system.order) @ np.concatenate(
-            [result.charges, *dipoles])
+            [result.sources.charges, *dipoles])
         result.sources = replace(result.sources,
                                  density=medium._support_density(grid_solve(medium, sources)))
     return result
@@ -256,7 +256,7 @@ def incident_values(medium: BackgroundMedium, alpha, points, order=0) -> np.ndar
                           order=order)
 
 
-def excluded_field(result: FoldySolveResult, points, j) -> ComplexField:
+def excluded_field(result: Solution, points, j) -> np.ndarray:
     """The effective field that particle j feels: the field of the result's
     sources with j dropped from the free sources and from the distance
     guard, which keeps the cloud's spacing d.  The particles' node density
@@ -299,7 +299,7 @@ def weighted_u0_sum_grid(medium, betas, density_times_weight) -> np.ndarray:
     return np.array([u0_grid(medium, -b) @ f for b in np.atleast_2d(betas)])
 
 
-def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
+def hard_born_approximation(problem: LimitProblem, alpha) -> np.ndarray:
     """One-shot correction from the unperturbed field:
 
     U = u0 + integral G [Lap u0 nu + sum_pq d/dy_p (du0/dy_q beta_pq nu)] dy,
@@ -310,8 +310,7 @@ def hard_born_approximation(problem: LimitProblem, alpha) -> ComplexField:
     medium = problem.medium
     alpha = _unit(alpha)
     u0 = u0_grid(medium, alpha)
-    values = u0 + green_potential_grid(medium, _hard_source(problem, u0))
-    return ComplexField(points=medium.grid.nodes, values=values)
+    return u0 + green_potential_grid(medium, _hard_source(problem, u0))
 
 
 def counting_measure_check(cloud: ParticleCloud, medium: BackgroundMedium, density,

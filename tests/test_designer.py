@@ -155,7 +155,7 @@ class TestVerifyDesign:
         cloud = build_cloud_impedance(med, 2e-5, h, n_dens, cell_size=0.25)
         solve = solve_cloud(med, cloud, Z_HAT)
         downstream = np.array([[0.5, 0.5, 4.0]])
-        u_m = solve.sources.field(downstream).values[0]
+        u_m = solve.sources.field(downstream)[0]
         assert abs(u_m) < 1.0
 
     def test_probe_layout(self):

@@ -15,7 +15,7 @@ from smallbody.foldy_impedance import (
     coupling_constants,
     solve_cloud,
 )
-from smallbody.medium import BackgroundMedium, Grid, Sources, _solve_checked, lattice_of
+from smallbody.medium import BackgroundMedium, Grid, Solution, Sources, _solve_checked, lattice_of
 from smallbody.particles import (
     ParticleCloud,
     build_cloud_hard,
@@ -67,6 +67,22 @@ class TestChargeFormula:
         with pytest.raises(InvariantViolation):
             coupling_constants(one_particle(-1.0 / a, a))
 
+    @pytest.mark.parametrize("builder", [False, True])
+    def test_coupling_is_minus_the_system_charge_factor(self, builder):
+        # solution.json's coupling, c = coupling_constants(cloud), has the
+        # bits of -q of the system the solve runs
+        med = free_medium(n=6)
+        if builder:  # h varies over the grid nodes
+            h = 0.5 + med.grid.nodes[:, 0] - 0.2j * med.grid.nodes[:, 2]
+            cloud = build_cloud_impedance(med, a=1e-3, h_field=h, N_field=0.02)
+        else:  # explicit centres, one zeta each
+            centers = np.array([[0.2, 0.3, 0.4], [0.6, 0.5, 0.5], [0.8, 0.7, 0.1]])
+            zeta = np.array([300.0, 1000.0 - 200.0j, 2.5e4j])
+            cloud = ParticleCloud(centers=centers, a=1e-3, kind="impedance", zeta=zeta)
+        c = coupling_constants(cloud)
+        assert len(np.unique(c)) > 1
+        assert np.array_equal(c, -FoldySystem(med, cloud).q)
+
 
 class TestSolver:
     def test_single_particle_sees_incident_field(self):
@@ -74,7 +90,7 @@ class TestSolver:
         cloud = ball_cloud(np.array([[0.3, 0.4, 0.5]]), a=1e-3, h=1.0)
         res = solve_cloud(med, cloud, Z_HAT)
         expected = np.exp(1j * med.k * 0.5)
-        assert res.effective_values[0] == pytest.approx(expected, rel=1e-14)
+        assert res.values[0] == pytest.approx(expected, rel=1e-14)
         assert res.residual <= 1e-10
 
     def test_two_particle_closed_form(self):
@@ -86,8 +102,8 @@ class TestSolver:
         u0 = np.exp(1j * med.k * centers[:, 2])
         g12 = free_kernel(centers[0], centers[1], med.k)
         expected1 = (u0[0] - g12 * c[1] * u0[1]) / (1 - g12 * g12 * c[0] * c[1])
-        assert res.effective_values[0] == pytest.approx(expected1, rel=1e-12)
-        np.testing.assert_allclose(res.charges, -c * res.effective_values, rtol=1e-14)
+        assert res.values[0] == pytest.approx(expected1, rel=1e-12)
+        np.testing.assert_allclose(res.sources.charges, -c * res.values, rtol=1e-14)
 
     def test_two_particle_closed_form_inhomogeneous_background(self):
         # the closed form of the 2 x 2 system with the background Green
@@ -102,16 +118,16 @@ class TestSolver:
         (g11, g12), (g21, g22) = green_blocks(med, centers, reflect=True)[0]
         expected1 = (u0[0] * (1 + g22 * c[1]) - g12 * c[1] * u0[1]) / (
             (1 + g11 * c[0]) * (1 + g22 * c[1]) - g12 * g21 * c[0] * c[1])
-        assert res.effective_values[0] == pytest.approx(expected1, rel=1e-10)
+        assert res.values[0] == pytest.approx(expected1, rel=1e-10)
 
     def test_zero_coupling_returns_incident(self):
         med = free_medium()
         centers = np.array([[0.25, 0.25, 0.25], [0.75, 0.75, 0.75]])
         cloud = ball_cloud(centers, a=1e-3, h=0.0)
         res = solve_cloud(med, cloud, Z_HAT)
-        np.testing.assert_allclose(res.effective_values,
+        np.testing.assert_allclose(res.values,
                                    np.exp(1j * med.k * centers[:, 2]), rtol=1e-14)
-        assert np.all(res.charges == 0)
+        assert np.all(res.sources.charges == 0)
 
     def test_charge_magnitude_scale(self):
         # |Q_m| <= a * max|u_e| * 4 pi c1^2/c2 * |h/(1+h)| with unit slack
@@ -119,9 +135,9 @@ class TestSolver:
         cloud = build_cloud_impedance(med, a=5e-4, h_field=0.7 - 0.2j, N_field=0.05)
         res = solve_cloud(med, cloud, Z_HAT)
         h = 0.7 - 0.2j
-        bound = (cloud.a * np.abs(res.effective_values).max()
+        bound = (cloud.a * np.abs(res.values).max()
                  * 4 * np.pi * abs(h / (1 + h)))
-        assert np.abs(res.charges).max() / bound <= 1 + 1e-10
+        assert np.abs(res.sources.charges).max() / bound <= 1 + 1e-10
 
     def test_gmres_matches_dense(self, monkeypatch):
         # the stored free kernel against its row chunks, to the bit, on a
@@ -140,7 +156,7 @@ class TestSolver:
                 krylov = solve_cloud(med, cloud, Z_HAT)
                 assert krylov.iterations > 0 and krylov.solver == "gmres"
                 assert (krylov.iterations, krylov.residual) == (dense.iterations, dense.residual)
-                assert np.array_equal(krylov.effective_values, dense.effective_values)
+                assert np.array_equal(krylov.values, dense.values)
 
     def test_lattice_fft_apply_matches_direct_apply(self, monkeypatch):
         # a full 10 x 20 x 20 builder lattice; the pair part of both applies,
@@ -171,7 +187,7 @@ class TestSolver:
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         dense = solve_cloud(med, cloud, Z_HAT)
         assert dense.solver == "dense"
-        np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
+        np.testing.assert_allclose(lattice.values, dense.values, rtol=1e-9)
 
     def test_linearity_in_incident_field(self):
         med = free_medium()
@@ -342,10 +358,10 @@ class TestNonFreeLattice:
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         dense = solve_cloud(n0_ball_medium(), cloud, Z_HAT)
         assert dense.solver == "dense"
-        np.testing.assert_allclose(fast.effective_values, dense.effective_values, rtol=1e-9)
-        pairs = [(fast.effective_values, dense.effective_values)]
+        np.testing.assert_allclose(fast.values, dense.values, rtol=1e-9)
+        pairs = [(fast.values, dense.values)]
         if cloud.kind == "hard":  # normwise: the transverse components are small
-            pairs.append((fast.effective_gradients, dense.effective_gradients))
+            pairs.append((fast.gradients, dense.gradients))
         for got, want in pairs:
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
@@ -492,8 +508,9 @@ class TestNonFreeLattice:
         assert streamed.solver == stored.solver == "dense"
         assert len(passes) > streamed.iterations > 0 and slabs == len(passes) * parts
         assert (streamed.iterations, streamed.residual) == (stored.iterations, stored.residual)
-        for name in ("effective_values", "charges", "effective_gradients"):
+        for name in ("values", "gradients"):
             assert np.array_equal(getattr(streamed, name), getattr(stored, name))
+        assert np.array_equal(streamed.sources.charges, stored.sources.charges)
         assert np.array_equal(streamed.sources.density, stored.sources.density)
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
@@ -512,8 +529,8 @@ class TestNonFreeLattice:
             if kind == "hard":
                 cloud = ParticleCloud(centers=cloud.centers, a=a, kind="hard",
                                       beta=-1.5 * np.eye(3))
-            got = solve_cloud(med, cloud, Z_HAT).sources.field(probes).values
-            want = exact_exclusion_solve(med, cloud, Z_HAT).sources.field(probes).values
+            got = solve_cloud(med, cloud, Z_HAT).sources.field(probes)
+            want = exact_exclusion_solve(med, cloud, Z_HAT).sources.field(probes)
             gaps.append(np.abs(got - want).max() / np.abs(got - u0).max())
         assert len(cloud) == 64 and gaps[0] < 1e-3
         assert np.polyfit(np.log(radii), np.log(gaps), 1)[0] >= 0.9
@@ -526,18 +543,18 @@ class TestNonFreeLattice:
         med, cloud = n0_ball_medium(), off_lattice_scene_cloud(kind)
         res = solve_cloud(med, cloud, Z_HAT)
         points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
-        before = [res.sources.field(points).values,
+        before = [res.sources.field(points),
                   res.sources.far_field(directions).values]
-        charges, density = res.charges.copy(), res.sources.background.copy()
+        charges, density = res.sources.charges.copy(), res.sources.background.copy()
         particle_density = res.sources.density.copy()
         with monkeypatch.context() as patch:
             patch.setattr(BackgroundMedium, "_solve_grid", None)  # any grid solve fails
-            excluded = excluded_field(res, points, 7).values
+            excluded = excluded_field(res, points, 7)
         assert not np.array_equal(excluded, before[0])
-        assert np.array_equal(res.charges, charges)
+        assert np.array_equal(res.sources.charges, charges)
         assert np.array_equal(res.sources.background, density)
         assert np.array_equal(res.sources.density, particle_density)
-        after = [res.sources.field(points).values,
+        after = [res.sources.field(points),
                  res.sources.far_field(directions).values]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -557,7 +574,7 @@ class TestNonFreeLattice:
             or gmres(apply, b))
         res = solve_cloud(med, cloud, Z_HAT)
         points = np.array([[0.5, 0.5, 3.0], [3.0, 0.5, 0.5], [-1.0, -2.0, 0.3]])
-        values = res.sources.field(points).values
+        values = res.sources.field(points)
         ff = res.sources.far_field(DirectionGrid(4, 8))
         assert len(solves) == len(grid_gmres) == 1 and res.sources.density is None
         # u0 at every node by a dense solve of I + Kw diag(q0), radiated to the probes
@@ -580,7 +597,7 @@ class TestNonFreeLattice:
             monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", cap ** 2)
             results.append(solve_cloud(n0_ball_medium(), cloud, Z_HAT))
             assert results[-1].solver == solver
-        for name in ("effective_values", "effective_gradients"):
+        for name in ("values", "gradients"):
             assert np.array_equal(getattr(results[0], name), getattr(results[1], name))
         assert np.array_equal(results[0].sources.density, results[1].sources.density)
         monkeypatch.setattr(medium, "STORE_MAX_ENTRIES", 479 ** 2)
@@ -637,7 +654,7 @@ class TestEvaluateField:
         res = solve_cloud(med, cloud, Z_HAT)
         pts = np.array([[0.0, 0.0, 3.0], [2.0, 1.0, -1.0]])
         fld = res.sources.field(pts)
-        np.testing.assert_allclose(fld.values, np.exp(1j * med.k * pts[:, 2]), rtol=1e-14)
+        np.testing.assert_allclose(fld, np.exp(1j * med.k * pts[:, 2]), rtol=1e-14)
 
     def test_single_particle_definition(self):
         med = free_medium()
@@ -647,8 +664,8 @@ class TestEvaluateField:
         pt = np.array([[0.5, 0.5, 2.5]])
         fld = res.sources.field(pt)
         expected = (np.exp(1j * med.k * 2.5)
-                    + free_kernel(pt[0], center[0], med.k) * res.charges[0])
-        assert fld.values[0] == pytest.approx(expected, rel=1e-14)
+                    + free_kernel(pt[0], center[0], med.k) * res.sources.charges[0])
+        assert fld[0] == pytest.approx(expected, rel=1e-14)
 
     def test_near_point_rejected(self):
         med = free_medium()
@@ -674,8 +691,7 @@ class TestEvaluateField:
         for j in range(2):
             with pytest.raises(InvariantViolation, match="within d"):
                 res.sources.field(centers[j][None, :])
-            assert np.isfinite(excluded_field(res, centers[j][None, :],
-                                              j).values).all()
+            assert np.isfinite(excluded_field(res, centers[j][None, :], j)).all()
 
     @pytest.mark.parametrize("kind", ["impedance", "hard"])
     def test_guard_looks_past_the_first_chunk(self, kind):
@@ -693,7 +709,7 @@ class TestEvaluateField:
                                np.zeros(rows + 9)])
         chunks = list(medium._row_chunks(rows + 10, width))
         assert len(chunks) == 2 and chunks[-1] == (rows, rows + 10)
-        assert len(res.sources.field(np.vstack([far, [[0.75, 0.5, 1.0]]])).values) == rows + 10
+        assert len(res.sources.field(np.vstack([far, [[0.75, 0.5, 1.0]]]))) == rows + 10
         with pytest.raises(InvariantViolation, match="within d"):
             res.sources.field(np.vstack([far, [[0.75, 0.5, 0.7]]]))
 
@@ -793,7 +809,7 @@ class TestFarField:
         amp = med.amplitude(beta[None, :], res.sources)[0]
         r = 150.0 / med.k
         pt = (r * beta)[None, :]
-        u_m = res.sources.field(pt).values[0]
+        u_m = res.sources.field(pt)[0]
         u_0 = np.exp(1j * med.k * pt[0] @ Z_HAT)
         extracted = r * np.exp(-1j * med.k * r) * (u_m - u_0)
         assert abs(extracted - amp) / abs(amp) <= 3.0 / (med.k * r)
@@ -805,7 +821,7 @@ class TestFarField:
         for a in avals:
             cloud = build_cloud_impedance(med, a=a, h_field=1.0, N_field=0.05)
             res = solve_cloud(med, cloud, Z_HAT)
-            max_q.append(np.abs(res.charges).max())
+            max_q.append(np.abs(res.sources.charges).max())
         slope = np.polyfit(np.log(avals), np.log(max_q), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
@@ -824,5 +840,42 @@ class TestFarField:
         cloud = build_cloud_impedance(med, a=1e-3, h_field=0.5, N_field=0.02)
         res = solve_cloud(med, cloud, Z_HAT)
         base = med.amplitude(Z_HAT[None, :], res.sources)[0]
-        res.charges *= 2.0
+        res.sources.charges[:] *= 2.0
         assert med.amplitude(Z_HAT[None, :], res.sources)[0] == pytest.approx(2 * base, rel=1e-13)
+
+
+class TestSolution:
+    """solve_cloud returns one medium.Solution: the effective values (and
+    gradients, hard particles) and the Sources that they radiate."""
+
+    @pytest.mark.parametrize("case", ["impedance", "hard", "empty", "non-free"])
+    def test_solve_cloud_returns_a_solution(self, case):
+        # the Sources radiate the field and the far field of the sources
+        # formed from the values: charges q u_e, dipoles -vb grad u_e, the
+        # particles' node density and u0's
+        med = n0_ball_medium() if case in ("empty", "non-free") else free_medium()
+        centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.4, 0.6], [0.5, 0.8, 0.3]])
+        cloud = small_cloud("impedance" if case == "impedance" else "hard",
+                            centers[:0] if case == "empty" else centers)
+        res = solve_cloud(med, cloud, Z_HAT)
+        system = FoldySystem(med, cloud)
+        assert isinstance(res, Solution) and res.values.shape == (len(cloud),)
+        if case == "empty":
+            assert (res.solver, res.iterations, res.residual) == (None, 0, 0.0)
+        else:
+            assert res.solver == system.solver and res.iterations > 0
+        dipoles = None
+        if case == "impedance":
+            assert res.gradients is None and res.sources.dipoles is None
+        else:
+            assert res.gradients.shape == (len(cloud), 3)
+            dipoles = -(res.gradients @ system.vb.T)
+            assert np.array_equal(res.sources.dipoles, dipoles)
+        assert np.array_equal(res.sources.charges, system.q * res.values)
+        assert (res.sources.density is None) == (case != "non-free")
+        formed = Sources(med, Z_HAT, res.sources.density, cloud.centers, system.q * res.values,
+                         dipoles, system.guard, med.source_density(Z_HAT))
+        points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
+        assert np.array_equal(res.sources.field(points), formed.field(points))
+        assert np.array_equal(res.sources.far_field(directions).values,
+                              formed.far_field(directions).values)

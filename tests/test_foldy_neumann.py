@@ -47,9 +47,9 @@ class TestSingleParticle:
         med = free_medium()
         cloud = hard_cloud(np.array([[0.5, 0.5, 0.5]]), a=5e-3)
         res = solve_cloud(med, cloud, Z_HAT)
-        assert res.effective_values[0] == pytest.approx(np.exp(0.5j * med.k), rel=1e-14)
+        assert res.values[0] == pytest.approx(np.exp(0.5j * med.k), rel=1e-14)
         np.testing.assert_allclose(
-            res.effective_gradients[0],
+            res.gradients[0],
             1j * med.k * Z_HAT * np.exp(0.5j * med.k), rtol=1e-14)
 
     def test_ball_charge_and_dipole(self):
@@ -58,8 +58,8 @@ class TestSingleParticle:
         cloud = hard_cloud(np.zeros((1, 3)), a=a)
         res = solve_cloud(med, cloud, Z_HAT)
         vol = C3 * a ** 3
-        assert res.charges[0] == pytest.approx(-med.k ** 2 * vol, rel=1e-13)
-        np.testing.assert_allclose(res.dipole_moments[0], 1.5j * med.k * vol * Z_HAT,
+        assert res.sources.charges[0] == pytest.approx(-med.k ** 2 * vol, rel=1e-13)
+        np.testing.assert_allclose(res.sources.dipoles[0], 1.5j * med.k * vol * Z_HAT,
                                    rtol=1e-13, atol=1e-20)
 
     def test_rigid_sphere_rayleigh_pattern(self):
@@ -112,7 +112,7 @@ class TestCoupledSystem:
         devs = []
         for a in (4e-3, 2e-3, 1e-3):
             res = solve_cloud(med, hard_cloud(centers, a=a), Z_HAT)
-            devs.append(np.abs(res.effective_values - u0).max())
+            devs.append(np.abs(res.values - u0).max())
         # coupling scales with V ~ a^3
         assert devs[0] / devs[1] == pytest.approx(8.0, rel=0.05)
         assert devs[1] / devs[2] == pytest.approx(8.0, rel=0.05)
@@ -126,8 +126,8 @@ class TestCoupledSystem:
         pt = np.array([[0.5, 0.5, 2.0]])
         fld = res.sources.field(pt)
         expected = (np.exp(2.0j * med.k)
-                    + free_kernel(pt[0], center[0], med.k) * res.charges[0])
-        assert fld.values[0] == pytest.approx(expected, rel=1e-14)
+                    + free_kernel(pt[0], center[0], med.k) * res.sources.charges[0])
+        assert fld[0] == pytest.approx(expected, rel=1e-14)
 
     @staticmethod
     def species_pair(med, a=5e-3):
@@ -154,9 +154,9 @@ class TestCoupledSystem:
         hard, imp = self.species_pair(med)
         res_hard, res_imp = solve_cloud(med, hard, Z_HAT), solve_cloud(med, imp, Z_HAT)
         assert res_hard.solver == res_imp.solver == "dense"
-        np.testing.assert_allclose(res_hard.effective_values, res_imp.effective_values,
+        np.testing.assert_allclose(res_hard.values, res_imp.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res_hard.sources.charges, res_imp.sources.charges,
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(res_hard.charges, res_imp.charges, rtol=1e-12, atol=0)
 
     def test_beta_zero_lattice_path_is_the_impedance_cloud_of_coupling_minus_q(self):
         # the value rows of the hard lattice apply are the impedance lattice
@@ -173,8 +173,8 @@ class TestCoupledSystem:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         res_hard, res_imp = solve_cloud(med, hard, Z_HAT), solve_cloud(med, imp, Z_HAT)
         assert res_hard.solver == res_imp.solver == "lattice_fft"
-        diff = np.linalg.norm(res_hard.effective_values - res_imp.effective_values)
-        assert diff <= 10 * RESIDUAL_TOL * np.linalg.norm(res_imp.effective_values)
+        diff = np.linalg.norm(res_hard.values - res_imp.values)
+        assert diff <= 10 * RESIDUAL_TOL * np.linalg.norm(res_imp.values)
 
     def test_gradient_consistency_fd(self):
         # solver gradient at x_j matches finite differences of the field
@@ -190,9 +190,9 @@ class TestCoupledSystem:
             e[p] = h
             up = excluded_field(res, centers[j][None, :] + e, j)
             um = excluded_field(res, centers[j][None, :] - e, j)
-            fd = (up.values[0] - um.values[0]) / (2 * h)
-            assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
-                res.effective_gradients[j]).max()
+            fd = (up[0] - um[0]) / (2 * h)
+            assert abs(fd - res.gradients[j, p]) <= 1e-4 * np.abs(
+                res.gradients[j]).max()
 
     def test_gradient_consistency_inhomogeneous_background(self):
         # exercises the q0-corrected kernel gradients and Hessians end to end
@@ -207,9 +207,9 @@ class TestCoupledSystem:
             e[p] = h
             up = excluded_field(res, centers[j][None, :] + e, j)
             um = excluded_field(res, centers[j][None, :] - e, j)
-            fd = (up.values[0] - um.values[0]) / (2 * h)
-            assert abs(fd - res.effective_gradients[j, p]) <= 1e-4 * np.abs(
-                res.effective_gradients[j]).max()
+            fd = (up[0] - um[0]) / (2 * h)
+            assert abs(fd - res.gradients[j, p]) <= 1e-4 * np.abs(
+                res.gradients[j]).max()
 
     def test_inhomogeneous_solve_runs_two_gmres_solves_and_no_more(self, monkeypatch):
         # u0's grid solve on S = supp q0 and the coupled system of the |S|
@@ -312,23 +312,24 @@ class TestCoupledSystem:
         for exclude, probes in ((None, pts[:3]), (1, pts)):
             keep = [m for m in range(len(centers)) if m != exclude]
             g, _, grad_y = green_blocks(med, probes, centers[keep], order=1)
-            reference = (incident_values(med, Z_HAT, probes) + g @ res.charges[keep]
-                         + np.einsum("xmp,mp->x", grad_y, res.dipole_moments[keep]))
+            reference = (incident_values(med, Z_HAT, probes) + g @ res.sources.charges[keep]
+                         + np.einsum("xmp,mp->x", grad_y, res.sources.dipoles[keep]))
             if exclude is not None:  # the excluded particle's reflection from the background
-                sources = np.concatenate([res.charges[[exclude]], res.dipole_moments[exclude]])
+                sources = np.concatenate([res.sources.charges[[exclude]],
+                                          res.sources.dipoles[exclude]])
                 v = grid_solve(med, node_columns(med, centers[[exclude]], 1) @ sources)
                 v *= med.q0[med._support] * med.weight
                 reference -= node_columns(med, probes, 0).T @ v
             got = (res.sources.field(probes) if exclude is None
-                   else excluded_field(res, probes, exclude)).values
+                   else excluded_field(res, probes, exclude))
             assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
         betas = DirectionGrid(4, 8).vectors()
         part = med.amplitude(betas, res.sources) - background_amplitude(med, betas, Z_HAT)
         reference = np.empty(len(betas), dtype=complex)
         for i, beta in enumerate(betas):
             u0 = incident_values(med, -beta, centers, order=1)
-            reference[i] = (u0[:3] @ res.charges + u0[3:] @ res.dipole_moments.reshape(-1)) \
-                / (4 * np.pi)
+            reference[i] = (u0[:3] @ res.sources.charges
+                            + u0[3:] @ res.sources.dipoles.reshape(-1)) / (4 * np.pi)
         assert np.abs(part - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_linearity(self):
@@ -337,11 +338,11 @@ class TestCoupledSystem:
         cloud = hard_cloud(centers, a=5e-3)
         res = solve_cloud(med, cloud, Z_HAT)
         res2 = solve_cloud(med, cloud, Z_HAT)
-        res2.charges *= 2
-        res2.dipole_moments *= 2
+        res2.sources.charges[:] *= 2
+        res2.sources.dipoles[:] *= 2
         pt = np.array([[0.5, 0.5, 3.0]])
-        f1 = res.sources.field(pt).values[0]
-        f2 = res2.sources.field(pt).values[0]
+        f1 = res.sources.field(pt)[0]
+        f2 = res2.sources.field(pt)[0]
         u0 = np.exp(3.0j * med.k)
         assert f2 - u0 == pytest.approx(2 * (f1 - u0), rel=1e-12)
 
@@ -360,8 +361,8 @@ class TestDipoleMonopoleRatio:
             cloud = hard_cloud(centers, a=a)
             res = solve_cloud(med, cloud, Z_HAT)
             x = np.array([d * 0.8, 0.0, -d * 0.6])  # distance d from particle 0
-            mono = abs(free_kernel(x, centers[0], k) * res.charges[0])
-            dip = abs(free_kernel_grad_y(x, centers[0], k) @ res.dipole_moments[0])
+            mono = abs(free_kernel(x, centers[0], k) * res.sources.charges[0])
+            dip = abs(free_kernel_grad_y(x, centers[0], k) @ res.sources.dipoles[0])
             ratios.append(dip / mono)
         small = np.log(ratios[:2])
         slope_small = (small[1] - small[0]) / np.log(dvals[1] / dvals[0])
@@ -377,7 +378,7 @@ class TestScaleLaw:
         for a in avals:
             cloud = build_cloud_hard(med, a=a, nu_field=2e-4, beta=ball_polarizability())
             res = solve_cloud(med, cloud, Z_HAT)
-            maxq.append(np.abs(res.charges).max())
+            maxq.append(np.abs(res.sources.charges).max())
         slope = np.polyfit(np.log(avals), np.log(maxq), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.1)
 
@@ -408,9 +409,9 @@ class TestScaleLaw:
         monkeypatch.setattr(foldy_impedance, "LATTICE_MIN_UNKNOWNS", np.inf)
         dense = solve_cloud(med, cloud, Z_HAT)
         assert dense.solver == "dense"
-        np.testing.assert_allclose(lattice.effective_values, dense.effective_values, rtol=1e-9)
-        scale = np.abs(dense.effective_gradients).max()
-        np.testing.assert_allclose(lattice.effective_gradients, dense.effective_gradients,
+        np.testing.assert_allclose(lattice.values, dense.values, rtol=1e-9)
+        scale = np.abs(dense.gradients).max()
+        np.testing.assert_allclose(lattice.gradients, dense.gradients,
                                    rtol=1e-8, atol=1e-10 * scale)
 
     def test_matrix_free_matches_dense(self, monkeypatch):
@@ -434,5 +435,5 @@ class TestScaleLaw:
                 krylov = solve_cloud(med, cloud, Z_HAT)
                 assert krylov.iterations > 0 and krylov.solver == "gmres"
                 assert (krylov.iterations, krylov.residual) == (dense.iterations, dense.residual)
-                assert np.array_equal(krylov.effective_values, dense.effective_values)
-                assert np.array_equal(krylov.effective_gradients, dense.effective_gradients)
+                assert np.array_equal(krylov.values, dense.values)
+                assert np.array_equal(krylov.gradients, dense.gradients)

@@ -11,7 +11,7 @@ from smallbody.limit_solver import (
     potential_from_h_N,
     solve_limit,
 )
-from smallbody.medium import BackgroundMedium, Grid
+from smallbody.medium import BackgroundMedium, Grid, Solution, Sources
 from reference import (background_amplitude, free_kernel, green_potential_grid,
                        hard_born_approximation, integral_abs_squared, u0_grid,
                        weighted_u0_sum_grid)
@@ -61,6 +61,20 @@ class TestPotentialFromHN:
 
 
 class TestImpedanceLimit:
+    def test_returns_a_solution(self):
+        # the node values, whose Sources radiate the field and far field of
+        # the grid density -src(v) delta^3
+        problem = ball_background_problem()
+        med = problem.medium
+        res = solve_limit(problem, Z_HAT)
+        assert isinstance(res, Solution) and res.values.shape == (med.grid.size,)
+        assert res.iterations > 0 and res.solver is None and res.gradients is None
+        formed = Sources(med, Z_HAT, -(problem.source(res.values) * med.weight))
+        points, directions = [[0.5, 0.5, 3.0], [3.0, 0.5, 0.5]], DirectionGrid(4, 8)
+        assert np.array_equal(res.sources.field(points), formed.field(points))
+        assert np.array_equal(res.sources.far_field(directions).values,
+                              formed.far_field(directions).values)
+
     def test_zero_potential_returns_incident(self):
         med = cube_medium()
         problem = LimitProblem(medium=med, p=0.0)
@@ -79,7 +93,7 @@ class TestImpedanceLimit:
         def defect(eps):
             problem = LimitProblem(medium=med, p=eps)
             fld = solve_limit(problem, Z_HAT)
-            u_probe = fld.sources.field(probe).values[0]
+            u_probe = fld.sources.field(probe)[0]
             u0 = np.exp(1j * med.k * probe[0, 2])
             return abs(u_probe - (u0 - eps * born_term))
 
@@ -117,7 +131,7 @@ class TestImpedanceLimit:
             med = cube_medium(n=n)
             problem = LimitProblem(medium=med, p=1.0)
             fld = solve_limit(problem, Z_HAT)
-            vals[n] = fld.sources.field(probe).values
+            vals[n] = fld.sources.field(probe)
         e_coarse = np.abs(vals[4] - vals[8]).max()
         e_fine = np.abs(vals[8] - vals[16]).max()
         assert e_coarse / e_fine >= 3.5
@@ -141,7 +155,7 @@ class TestImpedanceLimit:
         amp = -weighted_u0_sum_grid(med, beta[None, :],
                                     problem.p * fld.values * med.weight)[0] / (4 * np.pi)
         r = 200.0
-        u_r = fld.sources.field((r * beta)[None, :]).values[0]
+        u_r = fld.sources.field((r * beta)[None, :])[0]
         u0_r = np.exp(1j * med.k * r * beta @ Z_HAT)
         extracted = r * np.exp(-1j * med.k * r) * (u_r - u0_r)
         assert abs(extracted - amp) / abs(amp) <= 3.0 / (med.k * r)
@@ -269,16 +283,16 @@ class TestHardLimit:
         source = -med.k ** 2 * med.n0 * u0 * problem.nu \
             + _fd_divergence(flux, med.grid.shape, med.grid.delta)
         alt = u0 + green_potential_grid(med, source)
-        corr = np.abs(born.values - u0).max()
-        assert np.abs(born.values - alt).max() <= 1e-2 * corr
+        corr = np.abs(born - u0).max()
+        assert np.abs(born - alt).max() <= 1e-2 * corr
 
     def test_fixed_point_converges_and_improves_on_born(self):
         problem = self.make_problem()
         fld = solve_limit(problem, Z_HAT)
         born = hard_born_approximation(problem, Z_HAT)
         # iteration drifts away from the first iterate by O(nu^2)
-        drift = np.abs(fld.values - born.values).max()
-        corr = np.abs(born.values - u0_grid(problem.medium, Z_HAT)).max()
+        drift = np.abs(fld.values - born).max()
+        corr = np.abs(born - u0_grid(problem.medium, Z_HAT)).max()
         assert 0 < drift < 0.05 * corr
 
     def test_volume_density_bound_enforced(self):
@@ -310,7 +324,7 @@ class TestHardLimit:
         r = 300.0
         betas = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, -0.8]])
         pts = r * betas
-        u_r = fld.sources.field(pts).values
+        u_r = fld.sources.field(pts)
         u0_r = np.exp(1j * k * pts @ Z_HAT)
         extracted = r * np.exp(-1j * k * r) * (u_r - u0_r)
 
@@ -344,7 +358,7 @@ class TestHardLimit:
         assert abs(forward.imag - flux) / abs(forward.imag) <= 1e-3
         r = 2000.0
         betas = ff.grid.vectors()
-        u_r = fld.sources.field(r * betas).values
+        u_r = fld.sources.field(r * betas)
         scattered = r * np.exp(-1j * med.k * r) * (u_r - np.exp(1j * med.k * r * betas @ Z_HAT))
         assert np.abs(scattered - ff.values).max() <= 2e-3 * np.abs(ff.values).max()
 

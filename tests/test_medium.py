@@ -16,7 +16,6 @@ from smallbody.medium import (
     CUBE_SELF_INTEGRAL,
     RESIDUAL_TOL,
     BackgroundMedium,
-    ComplexField,
     Grid,
     Lattice,
     Sources,
@@ -25,7 +24,7 @@ from smallbody.medium import (
     _unit,
 )
 from smallbody.directions import DirectionGrid
-from smallbody.foldy_impedance import FoldySystem
+from smallbody.foldy_impedance import FoldySystem, solve_cloud
 from smallbody.particles import ParticleCloud, h_to_impedance, min_spacing
 from reference import (dense_weighted_kernel, foldy_matrix, free_kernel, free_kernel_grad_y,
                        free_kernel_hess_xy, free_kernels, green_blocks, green_potential_grid,
@@ -353,13 +352,15 @@ class TestGridEngine:
         assert np.abs(fft - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_separable_phase_sum_matches_direct(self):
+        # two node arrays stacked, (2, N): one (2, nb) row of sums each
         med = self.make()
         rng = np.random.default_rng(4)
         betas = rng.normal(size=(40, 3))
         betas /= np.linalg.norm(betas, axis=1)[:, None]
-        f = rng.normal(size=med.grid.size) + 1j * rng.normal(size=med.grid.size)
-        direct = np.exp(-1j * med.k * (betas @ med.grid.nodes.T)) @ f
+        f = rng.normal(size=(2, med.grid.size)) + 1j * rng.normal(size=(2, med.grid.size))
+        direct = f @ np.exp(-1j * med.k * (betas @ med.grid.nodes.T)).T
         sep = med._box_phase_sum(betas, med.grid.axes, f)
+        assert sep.shape == (2, len(betas))
         assert np.abs(sep - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
@@ -612,6 +613,38 @@ class TestLattice:
             assert len(box_sums) == 1
             assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
 
+    def test_non_free_lattice_far_field_takes_one_box_sum_per_box(self):
+        # a lattice cloud in a non-free background: one box sum for the
+        # lattice and one for the grid, whose two stacked rows (the
+        # particles' node density and the background's) keep the bits of
+        # one call per density, and so does the amplitude built from them
+        med = BackgroundMedium(1.3, Grid((0, 0, 0), (1, 1, 1), (4, 4, 4)), n0=1.2)
+        axis = np.linspace(0.25, 0.75, 3)
+        centers = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        zeta = h_to_impedance(np.full(len(centers), 1.0 - 0.2j), 1e-3)
+        cloud = ParticleCloud(centers=centers, a=1e-3, kind="impedance", zeta=zeta)
+        sources = solve_cloud(med, cloud, Z_HAT).sources
+        assert lattice_of(centers) is not None
+        assert sources.density is not None and sources.background is not None
+        betas = DirectionGrid(4, 8).vectors()
+        calls = []
+        box_phase_sum = med._box_phase_sum
+        med._box_phase_sum = lambda *args: calls.append(args[1]) or box_phase_sum(*args)
+        amplitude = med.amplitude(betas, sources)
+        assert len(calls) == 2 and calls[1] is med.grid.axes
+        del med._box_phase_sum
+        axes = med.grid.axes
+        stacked = med._box_phase_sum(betas, axes, np.array([sources.density, sources.background]))
+        one = [med._box_phase_sum(betas, axes, d[None, :])[0]
+               for d in (sources.density, sources.background)]
+        assert all(np.array_equal(row, ref) for row, ref in zip(stacked, one))
+        lattice = lattice_of(centers)
+        particles = med._box_phase_sum(betas, lattice.axes,
+                                       lattice.scatter(sources.charges[None, :]))[0]
+        want = (np.zeros(len(betas), dtype=complex) + one[1]) / (4.0 * np.pi) \
+            + (particles + one[0]) / (4.0 * np.pi)
+        assert np.array_equal(amplitude, want)
+
     def test_off_lattice_far_field_does_not_depend_on_the_chunk_budget(self, monkeypatch):
         # M = 2800 random centres step 23 directions at 2^16 entries, and
         # 32 x 64 = 89 x 23 + 1: the last direction joins the chunk before
@@ -766,10 +799,6 @@ class TestMediumInvariants:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(InvariantViolation):
             make_medium(k=0.0)
-
-    def test_complex_field_validation(self):
-        with pytest.raises(InvariantViolation):
-            ComplexField(points=np.zeros((2, 3)), values=np.zeros(3))
 
     def test_nonuniform_spacing_rejected(self):
         with pytest.raises(ValueError):
