@@ -10,6 +10,7 @@ violation, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -585,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scene", required=True, help="scene JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for the box FFTs, at least 1 (default: all cores)")
+                        help="threads of the run's one pool, the box FFTs', at least 1 "
+                             "(default: all cores); BLAS stays on the calling thread")
     return parser
 
 
@@ -601,8 +603,6 @@ def _keep_freed_heap():
     of faulting in fresh pages.  A higher threshold lets freed grid-sized
     blocks pin heap that later, larger ones cannot reuse (README,
     Dependencies).  Nothing where the C library has no mallopt."""
-    import ctypes  # loaded by numpy already
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -611,6 +611,21 @@ def _keep_freed_heap():
     m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
     mallopt(m_mmap_threshold, MMAP_THRESHOLD)
     mallopt(m_trim_threshold, 2 * MMAP_THRESHOLD)
+
+
+@cache
+def _openblas():
+    """Set numpy's OpenBLAS to one thread, once per process (README, Dependencies); returns
+    its config and thread-count getter, or None, setting nothing, without those symbols."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # linked to numpy's OpenBLAS
+        pin, config, threads = (getattr(lib, f"scipy_openblas_{name}64_") for name in
+                                ("set_num_threads", "get_config", "get_num_threads"))
+    except (OSError, AttributeError):
+        return None
+    pin.argtypes, pin.restype, config.restype = [ctypes.c_int], None, ctypes.c_char_p
+    pin(1)
+    return config().decode(), threads
 
 
 def _peak_rss_mb() -> float:
@@ -634,6 +649,7 @@ def main(argv=None) -> int:
 
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     _keep_freed_heap()
+    blas = _openblas()
     args = PARSER.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         PARSER.error(f"argument --threads: must be at least 1, got {args.threads}")
@@ -671,6 +687,7 @@ def main(argv=None) -> int:
         return fail(exc, EXIT_SOLVER)
     meta["peak_rss_mb"] = _peak_rss_mb()
     meta["minor_page_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    meta["blas"], meta["blas_threads"] = (blas[0], blas[1]()) if blas else (None, None)
     write_json(out / "metadata.json", meta)
     return EXIT_OK
 

@@ -287,8 +287,8 @@ class _KernelSlabs:
     after pass: written once into one array (``table``) within
     STORE_MAX_ENTRIES entries, else formed again on each pass (``table``
     None).  Iterating yields the (rows, slab) pairs of _kernel_chunks, as
-    views of the table or formed; ``@ w`` is one product with the table,
-    which BLAS spreads over its threads, or _kernel_sum."""
+    views of the table or formed; ``@ w`` is one product with the table, or
+    _kernel_sum."""
 
     def __init__(self, x, k, orders, y=None):
         self.args = (x, k, orders, y)

@@ -6,7 +6,8 @@ import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legval
+from scipy.special import spherical_jn, spherical_yn
 
 from smallbody.directions import FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
@@ -415,6 +416,29 @@ def trilinear_interpolate(grid: Grid, values, points) -> np.ndarray:
         w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
         out += w * vals[idx[:, 0], idx[:, 1], idx[:, 2]]
     return out
+
+
+def robin_ball_waves(k: float, a: float, zeta, L: int) -> np.ndarray:
+    """Partial-wave coefficients c_0 .. c_L of the field scattered by one ball
+    of radius a centred at the origin, with the Robin condition u_r = zeta u
+    on its surface (r pointing out of the ball), for u0 = exp(ik alpha.x):
+    u = sum_l (2l + 1) i^l (j_l(kr) + c_l h_l(kr)) P_l(alpha.x / r) outside
+    the ball, h_l = j_l + i y_l (Colton & Kress, Inverse Acoustic and
+    Electromagnetic Scattering Theory, ch. 2)."""
+    l, x = np.arange(L + 1), k * a
+    j, dj = spherical_jn(l, x), k * spherical_jn(l, x, derivative=True)
+    h = j + 1j * spherical_yn(l, x)
+    dh = dj + 1j * k * spherical_yn(l, x, derivative=True)
+    return -(dj - zeta * j) / (dh - zeta * h)
+
+
+def robin_ball_far_field(k: float, a: float, zeta, cos_angle, L: int) -> np.ndarray:
+    """Exact far-field amplitude A (u - u0 ~ A exp(ikr) / r) of the Robin
+    ball of robin_ball_waves, to order L, at directions beta with
+    beta.alpha = cos_angle: A = sum_l (2l + 1) c_l P_l(cos_angle) / (ik),
+    from h_l(kr) ~ (-i)^(l+1) exp(ikr) / (kr)."""
+    c = robin_ball_waves(k, a, zeta, L)
+    return legval(np.asarray(cos_angle, dtype=float), (2 * np.arange(L + 1) + 1) * c) / (1j * k)
 
 
 def scene_command(keys) -> str:

@@ -462,13 +462,15 @@ def test_study_is_byte_identical_over_blas_threads(tmp_path):
     # every particle system runs GMRES on its stored free kernel, whose
     # matrix-vector products keep their bits at any thread count (a dense
     # LU's did not), and so do the node tables of the coupled system in the
-    # non-free scenes; one fresh process per thread count runs every scene
+    # non-free scenes; one fresh process per thread count runs every scene,
+    # without the CLI's setting of one BLAS thread, so that the library's
+    # products at the environment's thread count are the ones compared
     scenes = sorted(SCENES.glob("*.json"))
     for threads in ("1", "2"):
         runs = [[scene_command(json.loads(scene.read_text())), "--scene", str(scene),
                  "--out", str(tmp_path / threads / scene.stem)] for scene in scenes]
-        python_fresh("import json, sys; from smallbody.cli import main; "
-                     "sys.exit(any(main(args) for args in json.loads(sys.argv[1])))",
+        python_fresh("import json, sys; from smallbody import cli; cli._openblas = lambda: None; "
+                     "sys.exit(any(cli.main(args) for args in json.loads(sys.argv[1])))",
                      json.dumps(runs), env={"OPENBLAS_NUM_THREADS": threads})
     assert len(scenes) >= 8
     for scene in scenes:
@@ -508,6 +510,50 @@ def test_metadata_records_peak_rss_and_minor_page_faults(tmp_path, command, scen
     assert meta["command"] == command
     assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
     assert isinstance(meta["minor_page_faults"], int) and meta["minor_page_faults"] >= 0
+    # and the BLAS that ran, which the CLI keeps on the calling thread
+    assert meta["blas"] is meta["blas_threads"] is None or meta["blas_threads"] == 1
+
+
+BLAS_SCENE = SCENES / "hard_cloud_n0_ball_off_lattice.json"  # stored kernel and node table
+
+
+def test_cli_runs_blas_on_the_calling_thread(tmp_path):
+    # two OpenBLAS threads from the environment: the run sets numpy's
+    # OpenBLAS to one, so the run's one thread pool is the box FFTs'
+    python_fresh("import sys; from smallbody.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "solve", "--scene", str(BLAS_SCENE), "--out", str(tmp_path / "out"),
+                 env={"OPENBLAS_NUM_THREADS": "2"})
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["blas_threads"] == 1
+    assert meta["blas"].startswith("OpenBLAS")
+
+
+def test_a_blas_without_the_openblas_symbols_is_left_as_it_is(tmp_path):
+    # another BLAS, or an older numpy's OpenBLAS with other symbol names:
+    # the run sets nothing, records null and writes the same files
+    hide = ("import ctypes, sys\n"
+            "class CDLL(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        if name.startswith('scipy_openblas'):\n"
+            "            raise AttributeError(name)\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = CDLL\n")
+    run = "from smallbody.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = [tmp_path / "set", tmp_path / "hidden"]
+    for out, code in zip(outs, ("import sys; " + run, hide + run)):
+        python_fresh(code, "solve", "--scene", str(BLAS_SCENE), "--out", str(out),
+                     env={"OPENBLAS_NUM_THREADS": "2"})
+    metas = [json.loads((out / "metadata.json").read_text()) for out in outs]
+    assert (metas[0]["blas_threads"], metas[1]["blas"], metas[1]["blas_threads"]) == (1, None, None)
+    for meta in metas:
+        for key in ("wall_time_s", "peak_rss_mb", "minor_page_faults", "blas", "blas_threads"):
+            del meta[key]
+    assert metas[0] == metas[1]
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "metadata.json")
+    assert names == ["centers.csv", "farfield.csv", "field.csv", "solution.json"]
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "metadata.json")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_allocator_setting_skips_a_c_library_without_mallopt(monkeypatch):

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import spherical_jn, spherical_yn
 
 from smallbody import cli, directions, foldy_impedance, medium
-from smallbody.directions import DirectionGrid
+from smallbody.directions import DirectionGrid, FarField
 from smallbody.errors import InvariantViolation, SingularEvaluationError
 from smallbody.foldy_impedance import (
     FoldySystem,
@@ -24,7 +25,8 @@ from smallbody.particles import (
 )
 from reference import (background_amplitude, coupled_matrix, dense_weighted_kernel,
                        exact_exclusion_solve, excluded_field, free_kernel, green_blocks,
-                       incident_values, integral_abs_squared)
+                       incident_values, integral_abs_squared, robin_ball_far_field,
+                       robin_ball_waves)
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -842,6 +844,46 @@ class TestFarField:
         base = med.amplitude(Z_HAT[None, :], res.sources)[0]
         res.sources.charges[:] *= 2.0
         assert med.amplitude(Z_HAT[None, :], res.sources)[0] == pytest.approx(2 * base, rel=1e-13)
+
+
+class TestRobinBall:
+    """The single-body law against the exact series of one Robin ball,
+    u_r = zeta u on its surface with r pointing out of the ball, h = zeta a."""
+
+    @pytest.mark.parametrize("ka,h", [(0.1, 1 - 0.3j), (1.0, 0.5), (3.0, 2 - 1j), (3.0, -0.5)])
+    def test_series_meets_the_optical_theorem_and_its_next_term(self, ka, h):
+        # extinction (4 pi / k) Im A(alpha, alpha) is the scattered power plus
+        # the power taken in through the surface, -Im zeta a^2 / k times the
+        # integral of |u|^2 over the unit sphere there (Im zeta <= 0: passive)
+        k, a, L = 1.0, ka, 12 + int(4 * ka)
+        zeta = h / a
+        grid = DirectionGrid(L + 1, 4)  # Gauss-Legendre exact for |A|^2, degree 2L
+        ff = FarField(grid, robin_ball_far_field(k, a, zeta, grid.vectors() @ Z_HAT, L))
+        forward = robin_ball_far_field(k, a, zeta, 1.0, L)
+        l, x = np.arange(L + 1), k * a
+        c = robin_ball_waves(k, a, zeta, L)
+        surface = spherical_jn(l, x) * (1 + c) + 1j * c * spherical_yn(l, x)
+        absorbed = -np.imag(zeta) * a ** 2 / k * 4 * np.pi * np.sum((2 * l + 1) * abs(surface) ** 2)
+        assert 4 * np.pi / k * forward.imag == pytest.approx(integral_abs_squared(ff) + absorbed,
+                                                             rel=1e-12)
+        assert absorbed >= 0
+        # converged at order L: the term of order L + 1 is below rounding
+        assert abs(robin_ball_far_field(k, a, zeta, 1.0, L + 1) - forward) < 1e-15 * abs(forward)
+
+    @pytest.mark.parametrize("h", [1 - 0.3j, 0.5, 3 - 1j, 0.2 - 0.05j, -0.5 - 0.5j])
+    def test_single_ball_law_error_falls_with_ka(self, h):
+        # the law A = -a h / (1 + h) is the ka -> 0 limit of the ball, so its
+        # relative error vanishes to first order in ka (measured: ka |h / (1 + h)|)
+        kas = np.logspace(-1, -3, 5)
+        grid = DirectionGrid(4, 8)
+        errors = []
+        for ka in kas:
+            res = solve_cloud(free_medium(), ball_cloud(np.zeros(3), a=ka, h=h), Z_HAT)
+            exact = robin_ball_far_field(1.0, ka, h / ka, grid.vectors() @ Z_HAT, 6)
+            err = np.abs(res.sources.far_field(grid).values - exact).max()
+            errors.append(err / np.abs(exact).max())
+        assert np.polyfit(np.log(kas), np.log(errors), 1)[0] >= 0.9
+        assert errors[-1] < 2 * kas[-1] * abs(h / (1 + h))
 
 
 class TestSolution:
