@@ -483,6 +483,24 @@ def test_study_is_byte_identical_over_blas_threads(tmp_path):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (scene, name)
 
 
+TESTS = Path(__file__).resolve().parent
+
+
+def test_stored_tables_keep_the_bits_of_their_row_chunks_at_two_blas_threads():
+    # the library's own checks that a product with a stored table has the
+    # bits of its row chunks' products, rerun in a fresh process at two
+    # OpenBLAS threads: the suite's process runs the environment's count,
+    # which may be one, and the CLI keeps BLAS at one
+    python_fresh("import sys, pytest; sys.exit(pytest.main(sys.argv[1:]))",
+                 "-q", "-p", "no:cacheprovider",
+                 f"{TESTS / 'test_medium.py'}::TestChunkBudget",
+                 f"{TESTS / 'test_foldy_impedance.py'}::TestSolver::test_gmres_matches_dense",
+                 f"{TESTS / 'test_foldy_impedance.py'}::TestNonFreeLattice::"
+                 "test_node_table_past_the_budget_is_formed_on_every_apply",
+                 f"{TESTS / 'test_foldy_neumann.py'}::TestScaleLaw::test_matrix_free_matches_dense",
+                 env={"OPENBLAS_NUM_THREADS": "2"})
+
+
 @pytest.mark.parametrize("command,scene,solver", [
     ("limit", json.loads((SCENES / "limit_born_bump.json").read_text()), None),
     ("limit", json.loads((SCENES / "limit_hard_bump.json").read_text()), None),
@@ -517,20 +535,11 @@ def test_metadata_records_peak_rss_and_minor_page_faults(tmp_path, command, scen
 BLAS_SCENE = SCENES / "hard_cloud_n0_ball_off_lattice.json"  # stored kernel and node table
 
 
-def test_cli_runs_blas_on_the_calling_thread(tmp_path):
-    # two OpenBLAS threads from the environment: the run sets numpy's
-    # OpenBLAS to one, so the run's one thread pool is the box FFTs'
-    python_fresh("import sys; from smallbody.cli import main; sys.exit(main(sys.argv[1:]))",
-                 "solve", "--scene", str(BLAS_SCENE), "--out", str(tmp_path / "out"),
-                 env={"OPENBLAS_NUM_THREADS": "2"})
-    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-    assert meta["blas_threads"] == 1
-    assert meta["blas"].startswith("OpenBLAS")
-
-
 def test_a_blas_without_the_openblas_symbols_is_left_as_it_is(tmp_path):
-    # another BLAS, or an older numpy's OpenBLAS with other symbol names:
-    # the run sets nothing, records null and writes the same files
+    # two OpenBLAS threads from the environment: a run sets numpy's OpenBLAS
+    # to one, so its one thread pool is the box FFTs'; another BLAS, or an
+    # older numpy's OpenBLAS with other symbol names: the run sets nothing,
+    # records null and writes the same files
     hide = ("import ctypes, sys\n"
             "class CDLL(ctypes.CDLL):\n"
             "    def __getattr__(self, name):\n"
@@ -545,6 +554,7 @@ def test_a_blas_without_the_openblas_symbols_is_left_as_it_is(tmp_path):
                      env={"OPENBLAS_NUM_THREADS": "2"})
     metas = [json.loads((out / "metadata.json").read_text()) for out in outs]
     assert (metas[0]["blas_threads"], metas[1]["blas"], metas[1]["blas_threads"]) == (1, None, None)
+    assert metas[0]["blas"].startswith("OpenBLAS")
     for meta in metas:
         for key in ("wall_time_s", "peak_rss_mb", "minor_page_faults", "blas", "blas_threads"):
             del meta[key]
